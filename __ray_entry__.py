@@ -176,7 +176,7 @@ def _registry() -> dict[str, Callable[[str], Any]]:
         "embedding_near_dups": _q_emb_near_dups,
         "ann_topk": _q_ann_topk,
         "simhash_near_dups": _q_simhash,
-        "kg_canonical_staged": _q_kg_staged,
+        "kg_canonical_staged": _q_kg_canonical,
         "kg_triples": _q_kg_triples,
         "ann_topk_lsh": _q_ann_lsh,
         "knn_label_vote": _q_knn_label_vote,
@@ -2367,13 +2367,13 @@ def _q_kg_mentions(sf_dir):
 def _q_kg_link_edges(sf_dir):
     from kgruntime.pipelines.kg import build_kg
 
-    return build_kg(_synth_docs(sf_dir), dedup=False)["edges"]
+    return build_kg(_synth_docs(sf_dir))["edges"]
 
 
 def _q_kg_assignment(sf_dir):
     from kgruntime.pipelines.kg import build_kg
 
-    return build_kg(_synth_docs(sf_dir), dedup=False)["assignment"]
+    return build_kg(_synth_docs(sf_dir))["assignment"]
 
 
 def _q_kg_canonical(sf_dir):
@@ -2382,20 +2382,9 @@ def _q_kg_canonical(sf_dir):
     return build_kg(_synth_docs(sf_dir))["canonical"]
 
 
-def _q_kg_staged(sf_dir):
-    """Parse-once staged pipeline (the bench headline shape)."""
-    import tempfile
-
-    from kgruntime.pipelines.kg import build_kg_staged
-
-    staging = tempfile.mkdtemp(prefix="kg-staging-")
-    return build_kg_staged(_synth_docs(sf_dir), staging,
-                           keep_buckets=False)["canonical"]
-
-
 def _q_kg_fused(sf_dir):
-    """Fused parse + doc-local blank linking (the beyond-broadcast
-    scale shape; parity with the unfused pipeline is pytest-verified)."""
+    """Fused parse + doc-local blank linking (the production shape;
+    parity with build_kg is pytest-verified)."""
     import tempfile
 
     from kgruntime.pipelines.kg import build_kg_fused

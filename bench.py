@@ -89,28 +89,19 @@ def run_headline(sf_dir: str) -> dict:
 
     import shutil
 
-    from kgruntime.pipelines.kg import build_kg_fused, build_kg_staged
+    from kgruntime.pipelines.kg import build_kg_fused
 
     staging = f"/tmp/kgbench/staging-{os.getpid()}"
     shutil.rmtree(staging, ignore_errors=True)
     t0 = time.perf_counter()
     docs = rd.read_parquet(corpus)
-    # Fused headline (default): parse + doc-local blank linking in ONE
-    # actor-pool pass into a durable parquet staging table, then stream
-    # it through union-find and again through remap → dedup (fused with
-    # the store's subject-hash partitioning) → canonical store.  The
-    # fused shape keeps the global mapping bounded by the KB size (not
-    # the corpus size) AND measures faster than the staged shape from
-    # ~1M docs up (17.5 s vs 20.3 s at 960k docs / 32 CPUs; 24% faster
-    # at 3.84M docs) — parse-once, durable, broadcast-scale at 100 TB.
-    shape = os.environ.get("KG_BENCH_SHAPE", "fused")
-    uf_mode = os.environ.get("KG_BENCH_UF_MODE", "auto")
-    if shape == "fused":
-        res = build_kg_fused(docs, alias_table=aliases,
-                             staging_dir=staging)
-    else:
-        res = build_kg_staged(docs, staging, alias_table=aliases,
-                              uf_mode=uf_mode)
+    # Fused headline: parse + doc-local blank linking in ONE actor-pool
+    # pass into a durable parquet staging table, then stream it through
+    # union-find and again through remap → dedup (fused with the store's
+    # subject-hash partitioning) → canonical store.  The fused shape
+    # keeps the global mapping bounded by the KB size (not the corpus
+    # size) — parse-once, durable, broadcast-scale at 100 TB.
+    res = build_kg_fused(docs, alias_table=aliases, staging_dir=staging)
     out_dir = f"/tmp/kgbench/out-{os.getpid()}"
     from kgruntime.stages.materialize import write_triple_store
     write_triple_store(res["canonical"], out_dir, pre_bucketed=True)
@@ -192,13 +183,14 @@ def main() -> None:
         ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
                  logging_level="ERROR")
     from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
 
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     # push-based shuffle pipelines the wide dedup/groupby exchanges with
     # their producers (measured: remap+dedup 14.6 s → 10.4 s at 3.84M
     # docs / 32 CPUs, and it scales better 8→32)
-    ctx.use_push_based_shuffle = True
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
     # min of N trials: the sandbox host shows ±50% run-to-run noise on
     # identical code (firecracker noisy neighbors); the minimum is the
@@ -393,10 +385,11 @@ def resume_drill_leg(ncpu: int) -> None:
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
 
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
-    ctx.use_push_based_shuffle = True
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
     from kgruntime.pipelines.kg import run_checkpointed
 

@@ -2532,7 +2532,7 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
     Scale shape: the corpus is tokenized and hashed exactly ONCE into a
     materialized (doc_id, sorted-hash-blob, n) sets table — ints only,
     strictly smaller than the text; at well beyond object-store scale,
-    stage it to parquet like build_kg_staged (documented escape hatch).
+    stage it to parquet like build_kg_fused (documented escape hatch).
     Everything else derives from the sets table.  Token ordering (the
     global order the prefix filter needs) uses a COUNT-MIN df ESTIMATE
     (VERDICT r4 item 2): the prefix-filter guarantee is order-agnostic

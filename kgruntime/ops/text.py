@@ -1381,7 +1381,7 @@ def curate_corpus(docs_ds, min_quality: float = 0.5, min_chars: int = 20,
     (measured r5, BASELINE.md).  The shard assignment is the
     text-free two-phase prefix scan.  When ``staging_dir`` is given
     the gated stream stages to parquet instead of materializing (the
-    ``build_kg_staged`` pattern for beyond-object-store scale).
+    ``build_kg_fused`` staging pattern for beyond-object-store scale).
     """
     import numpy as np
 

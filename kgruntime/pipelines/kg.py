@@ -10,41 +10,43 @@
 Everything between the read and the final write streams as Dataset
 blocks; the only materialized intermediates are the tiny ones (edges,
 union-find assignment, counters).
+
+Two build shapes share one union-find → remap → dedup tail:
+``build_kg`` (in memory, can derive its KB from the corpus; used by
+``run_checkpointed`` and ``build_kg_incremental``) and
+``build_kg_fused`` (the production shape for a given KB, staged to
+parquet partitioned by record_kind).
 """
 
 from __future__ import annotations
 
 import os
 
-from ..stages.canon import (
-    assignment_to_mapping, canonicalize_triples, connected_components,
-)
-from ..stages.extract import (
-    extract_triples, keep_errors, keep_triples,
-)
+from ..stages.canon import canonicalize_triples, union_find
+from ..stages.extract import extract_triples, keep_errors, keep_triples
 from ..stages.linking import (
     build_alias_table, link_edges_dataset, mentions_dataset, normalize_name,
 )
 from ..stages.materialize import (
-    commit_fragment, dedup_triples, fragment_id, pending_fragments,
-    write_triple_store,
+    commit_fragment, dedup_triples, fragment_id, write_triple_store,
 )
 
 
 def corpus_alias_table(mentions_ds, min_count: int = 2) -> dict[str, str]:
     """Derive a deterministic alias table from the corpus itself: any
     normalized mention text seen at least ``min_count`` times becomes a
-    KB entity.  (In production the alias table is a curated KB input;
-    the groupby keeps the driver-side result to heavy-ish names only.)
+    KB entity.  (In production the alias table is a curated KB input.)
+    Rare and empty names are dropped on the cluster, so only the
+    surviving names reach the driver.
     """
     from ray.data.aggregate import Count
 
     counts = mentions_ds.map_batches(
         _add_norm, batch_format="pyarrow"
     ).groupby("mention_norm").aggregate(Count(alias_name="n"))
-    names = [r["mention_norm"] for r in counts.iter_rows()
-             if r["n"] >= min_count and r["mention_norm"]]
-    return build_alias_table(names)
+    heavy = counts.filter(
+        expr=f"n >= {int(min_count)} and mention_norm != ''")
+    return build_alias_table([r["mention_norm"] for r in heavy.iter_rows()])
 
 
 def _add_norm(batch):
@@ -55,16 +57,15 @@ def _add_norm(batch):
 
 
 def build_kg(docs_ds, alias_table: dict | None = None,
-             link_threshold: float = 0.85, dedup: bool = True,
-             canonicalize: bool = True, materialize_intermediate: bool = False,
-             dedup_buckets: int = 64, keep_buckets: bool = False,
-             hot_subjects: set | None = None,
-             hot_subject_threshold: int | None = None):
+             materialize_intermediate: bool = False,
+             dedup_buckets: int = 64, keep_buckets: bool = False):
     """documents Dataset → dict of result Datasets.
 
     Returns {"triples", "errors", "mentions", "edges", "assignment",
     "canonical"} — all lazy except the union-find assignment (iterative,
-    materialized per round on the small node set).
+    materialized per round on the small node set).  Without an
+    ``alias_table`` the KB is derived from the corpus
+    (:func:`corpus_alias_table`).
 
     ``materialize_intermediate=True`` pins the parsed (triples+errors)
     table in the object store so the several consumers (errors sink,
@@ -80,26 +81,28 @@ def build_kg(docs_ds, alias_table: dict | None = None,
                                    zero_copy_batch=True)
     errors = combined.map_batches(keep_errors, batch_format="pyarrow",
                                   zero_copy_batch=True)
+    return {"triples": triples, "errors": errors,
+            **_link_and_canonicalize(triples, alias_table, dedup_buckets,
+                                     keep_buckets)}
+
+
+def _link_and_canonicalize(triples, alias_table, dedup_buckets, keep_buckets):
+    """build_kg's global stages over parsed triples: mentions → (corpus
+    alias table) → LinkScorer sameAs edges → canonical tail."""
     mentions = mentions_dataset(triples)
-    out = {"triples": triples, "errors": errors, "mentions": mentions}
-
-    if not canonicalize:
-        out["canonical"] = (dedup_triples(triples,
-                                          num_buckets=dedup_buckets,
-                                          keep_buckets=keep_buckets,
-                                          hot_subjects=hot_subjects)
-                            if dedup else triples)
-        return out
-
     if alias_table is None:
         alias_table = corpus_alias_table(mentions)
-    edges = link_edges_dataset(mentions, alias_table,
-                               threshold=link_threshold)
-    out["edges"] = edges
-    from ..stages.canon import union_find
+    edges = link_edges_dataset(mentions, alias_table)
+    assignment, canonical = _canonical_tail(triples, edges, dedup_buckets,
+                                            keep_buckets)
+    return {"mentions": mentions, "edges": edges, "assignment": assignment,
+            "canonical": canonical}
 
+
+def _canonical_tail(triples, edges, dedup_buckets, keep_buckets):
+    """union-find → remap → dedup, shared by every build shape.
+    Returns (assignment, canonical)."""
     assignment, mapping = union_find(edges)
-    out["assignment"] = assignment
     if mapping is None:
         # distributed-UF regime: the assignment is beyond broadcast
         # scale, so the remap must be the all-shuffle join path — never
@@ -108,21 +111,8 @@ def build_kg(docs_ds, alias_table: dict | None = None,
                                          via="join")
     else:
         canonical = canonicalize_triples(triples, mapping=mapping)
-    if dedup:
-        if hot_subject_threshold is not None and hot_subjects is None:
-            # skew survey on the canonical ids (merging concentrates
-            # heat onto KB entities, so survey AFTER remap); bounded by
-            # the round when materialize_intermediate is on
-            from ..stages.materialize import find_hot_subjects
-
-            canonical = canonical.materialize()
-            hot_subjects = find_hot_subjects(canonical,
-                                             threshold=hot_subject_threshold)
-        canonical = dedup_triples(canonical, num_buckets=dedup_buckets,
-                                  keep_buckets=keep_buckets,
-                                  hot_subjects=hot_subjects)
-    out["canonical"] = canonical
-    return out
+    return assignment, dedup_triples(canonical, num_buckets=dedup_buckets,
+                                     keep_buckets=keep_buckets)
 
 
 def pq_meta_rows(path: str) -> int:
@@ -188,7 +178,7 @@ def run_checkpointed(corpus_dir: str, out_dir: str, epoch: int = 0,
         os.replace(tmp, dest)                       # atomic publish
         n_triples = canonical.count()
         n_errors = res["errors"].count()      # reads the pinned parse output
-        n_edges = res["edges"].count() if "edges" in res else 0
+        n_edges = res["edges"].count()
         for p in group:
             fid = fragment_id(p)
             commit_fragment(out_dir, fid, epoch, {
@@ -202,89 +192,53 @@ def run_checkpointed(corpus_dir: str, out_dir: str, epoch: int = 0,
     return {"processed": done_ids, "skipped": skipped}
 
 
-def build_kg_staged(docs_ds, staging_dir: str, alias_table: dict | None = None,
-                    link_threshold: float = 0.85, dedup_buckets: int = 64,
-                    keep_buckets: bool = True, hot_subjects: set | None = None,
-                    uf_mode: str = "auto"):
-    """Staged variant: parse ONCE, durably.
-
-    Pass 1 streams extract → raw triples+quarantine parquet (never
-    pinned in memory — the staging table is also a resumable artifact).
-    Pass 2 streams the staging parquet through linking → union-find.
-    Pass 3 streams it again through remap → dedup → canonical store.
-    At 100 TB this is the standard shape: the staging read is far
-    cheaper than re-parsing, and no phase holds the corpus in the
-    object store.
-
-    Returns {"staging": path, "errors": Dataset, "assignment": Dataset,
-    "canonical": Dataset (lazy, bucket columns per ``keep_buckets``)}.
-    """
-    import ray.data as rd
-
-    from ..stages.canon import union_find
-
-    combined = extract_triples(docs_ds)
-    # staging partitioned by record_kind: the linking and remap passes
-    # read only triple rows (with error columns pruned at the source),
-    # the quarantine sink reads only error rows
-    combined.write_parquet(staging_dir, partition_cols=["record_kind"])
-
-    triples = _read_kind(staging_dir, 0,
-                         columns=["doc_id", "subj", "subj_kind", "pred",
-                                  "obj", "obj_kind", "obj_datatype",
-                                  "obj_lang", "span_start", "span_end",
-                                  "stmt_index"])
-    errors = _read_kind(staging_dir, 1,
-                        columns=["doc_id", "span_start", "span_end",
-                                 "error_layer", "error_kind", "error_msg"])
-    mentions = mentions_dataset(triples)
-    if alias_table is None:
-        alias_table = corpus_alias_table(mentions)
-    edges = link_edges_dataset(mentions, alias_table,
-                               threshold=link_threshold)
-    assignment, mapping = union_find(edges, mode=uf_mode)
-    if mapping is None:
-        canonical = canonicalize_triples(triples, labels_ds=assignment,
-                                         via="join")
-    else:
-        canonical = canonicalize_triples(triples, mapping=mapping)
-    canonical = dedup_triples(canonical, num_buckets=dedup_buckets,
-                              keep_buckets=keep_buckets,
-                              hot_subjects=hot_subjects)
-    return {"staging": staging_dir, "errors": errors,
-            "assignment": assignment, "canonical": canonical}
+# staged parse-table columns read back per record_kind partition
+_TRIPLE_COLS = ["doc_id", "subj", "subj_kind", "pred", "obj", "obj_kind",
+                "obj_datatype", "obj_lang", "span_start", "span_end",
+                "stmt_index"]
+_ERROR_COLS = ["doc_id", "span_start", "span_end", "error_layer",
+               "error_kind", "error_msg"]
 
 
-def _read_kind(staging_dir: str, kind: int, columns: list[str],
+def _read_kind(staging_dirs: list[str], kind: int, columns: list[str],
                num_blocks: int | None = None):
-    """Read one record_kind partition of a staged parse table; a missing
-    partition (e.g. no errors in the corpus) yields an empty Dataset with
-    the schema PINNED (empty Ray datasets drop schemas otherwise).
-    ``num_blocks`` coalesces a many-tiny-file partition (each staging
-    write task emits one file per partition) into few read tasks."""
+    """Read one record_kind partition of one or more staged parse tables;
+    a missing partition (e.g. no errors in the corpus) yields an empty
+    Dataset with the schema PINNED (empty Ray datasets drop schemas
+    otherwise).  ``num_blocks`` coalesces a many-tiny-file partition
+    (each staging write task emits one file per partition) into few read
+    tasks."""
     import pyarrow as pa
     import ray.data as rd
 
     from ..stages.extract import TRIPLES_SCHEMA
 
-    part = os.path.join(staging_dir, f"record_kind={kind}")
-    if os.path.isdir(part):
+    # list-mode read_parquet wants FILES (Ray 2.49 rejects directories)
+    parts = [os.path.join(d, f"record_kind={kind}") for d in staging_dirs]
+    files = [os.path.join(p, f) for p in parts if os.path.isdir(p)
+             for f in sorted(os.listdir(p)) if f.endswith(".parquet")]
+    if files:
         kw = {"override_num_blocks": num_blocks} if num_blocks else {}
-        return rd.read_parquet(part, columns=columns, **kw)
+        return rd.read_parquet(files, columns=columns, **kw)
     fields = [TRIPLES_SCHEMA.field(c) for c in columns]
     return rd.from_arrow(pa.Table.from_arrays(
         [pa.array([], f.type) for f in fields], schema=pa.schema(fields)))
 
 
-def build_kg_fused(docs_ds, alias_table: dict, link_threshold: float = 0.85,
-                   dedup_buckets: int = 64, keep_buckets: bool = True,
-                   hot_subjects: set | None = None, concurrency=None,
-                   staging_dir: str | None = None, batch_size: int = 4096):
-    """Fused single-pass variant: parse + doc-local blank linking in one
-    actor-pool stage (stages/fused_link).  Only the small IRI↔KB
-    equivalence set reaches the global union-find, so the broadcast remap
-    stays broadcast-scale at ANY corpus size — this is the shape that
-    removes the per-doc mapping growth entirely (NOTES_r1 §2).
+def build_kg_fused(docs_ds, alias_table: dict, staging_dir: str,
+                   dedup_buckets: int = 64, keep_buckets: bool = True):
+    """Production shape for a given KB: parse + doc-local blank linking
+    in one actor-pool stage (stages/fused_link).  Only the small IRI↔KB
+    equivalence set reaches the global union-find, so the broadcast
+    remap stays broadcast-scale at ANY corpus size — this is the shape
+    that removes the per-doc mapping growth entirely (NOTES_r1 §2).
+
+    The parse+link output is written ONCE to a durable staging table
+    under ``staging_dir``, PARTITIONED BY record_kind: the union-find
+    pass then reads only the (tiny) edge partition instead of rescanning
+    the whole corpus, and the remap pass reads only triple rows with
+    error columns pruned — each downstream consumer scans exactly the
+    bytes it needs.
 
     Requires a provided alias_table (there is no corpus-derivation pass
     in the fused shape).  Returns {"errors", "edges", "assignment",
@@ -292,80 +246,40 @@ def build_kg_fused(docs_ds, alias_table: dict, link_threshold: float = 0.85,
     """
     import ray
 
-    from ..stages.canon import union_find
-    from ..stages.extract import keep_errors, keep_triples
-    from ..stages.fused_link import FusedParseLink, keep_edges
+    from ..runtime import fixed_pool
+    from ..stages.fused_link import FusedParseLink
 
-    if concurrency is None:
-        # FIXED pool sized to ~3/4 of the node: a fixed pool spins all
-        # actors up front (measured 11 s vs 16 s for autoscaling
-        # (2, cpus) at 960k docs — the autoscaler ramps too slowly),
-        # a pool of exactly `cpus` deadlocks the upstream read, and the
-        # staging write + read tasks need real headroom (sweep at 32
-        # CPUs: 24 actors 7.7 s, 28 actors 10.1 s, 31 actors 17.3 s)
-        from ..runtime import fixed_pool
-
-        concurrency = fixed_pool()
     ref = ray.put(alias_table)
-    # batch_size 4096: larger batches amortize the per-batch vectorized
-    # setup (measured 7.7 s vs 9.8 s @1024 for the parse+stage phase at
-    # 960k docs) while output amplification (~50×) keeps per-task heap
-    # bounded; lower this for corpora with much longer documents
-    combined = docs_ds.map_batches(
-        FusedParseLink,
-        fn_constructor_kwargs={"alias_ref": ref,
-                               "threshold": link_threshold},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1)
-    if staging_dir is not None:
-        # parse+link ONCE into a durable staging table PARTITIONED BY
-        # record_kind: the union-find pass then reads only the (tiny)
-        # edge partition instead of rescanning the whole corpus, and the
-        # remap pass reads only triple rows with error columns pruned —
-        # each downstream consumer scans exactly the bytes it needs
-        combined.write_parquet(staging_dir, partition_cols=["record_kind"])
-        triples = _read_kind(staging_dir, 0,
-                             columns=["doc_id", "subj", "subj_kind",
-                                      "pred", "obj", "obj_kind",
-                                      "obj_datatype", "obj_lang",
-                                      "span_start", "span_end",
-                                      "stmt_index"])
-        errors = _read_kind(staging_dir, 1,
-                            columns=["doc_id", "span_start", "span_end",
-                                     "error_layer", "error_kind",
-                                     "error_msg"])
-        edges_raw = _read_kind(staging_dir, 2, columns=["subj", "obj"],
-                               num_blocks=4)
-        edges = edges_raw.rename_columns({"subj": "src", "obj": "dst"})
-    else:
-        triples = combined.map_batches(keep_triples, batch_format="pyarrow",
-                                       zero_copy_batch=True)
-        errors = combined.map_batches(keep_errors, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-        edges = combined.map_batches(keep_edges, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-    assignment, mapping = union_find(edges)
-    if mapping is None:
-        # edge set beyond broadcast scale (distributed-UF regime): use
-        # the all-shuffle join remap, same as build_kg/build_kg_staged
-        canonical = canonicalize_triples(triples, labels_ds=assignment,
-                                         via="join")
-    else:
-        canonical = canonicalize_triples(triples, mapping=mapping)
-    canonical = dedup_triples(canonical, num_buckets=dedup_buckets,
-                              keep_buckets=keep_buckets,
-                              hot_subjects=hot_subjects)
+    # FIXED pool sized to ~3/4 of the node: a fixed pool spins all
+    # actors up front (measured 11 s vs 16 s for autoscaling (2, cpus)
+    # at 960k docs — the autoscaler ramps too slowly), a pool of exactly
+    # `cpus` deadlocks the upstream read, and the staging write + read
+    # tasks need real headroom (sweep at 32 CPUs: 24 actors 7.7 s, 28
+    # actors 10.1 s, 31 actors 17.3 s).  batch_size 4096: larger batches
+    # amortize the per-batch vectorized setup (measured 7.7 s vs 9.8 s
+    # @1024 for the parse+stage phase at 960k docs) while output
+    # amplification (~50×) keeps per-task heap bounded.
+    docs_ds.map_batches(
+        FusedParseLink, fn_constructor_kwargs={"alias_ref": ref},
+        batch_format="pyarrow", batch_size=4096,
+        concurrency=fixed_pool(), num_cpus=1,
+    ).write_parquet(staging_dir, partition_cols=["record_kind"])
+    triples = _read_kind([staging_dir], 0, _TRIPLE_COLS)
+    errors = _read_kind([staging_dir], 1, _ERROR_COLS)
+    edges = _read_kind([staging_dir], 2, ["subj", "obj"], num_blocks=4) \
+        .rename_columns({"subj": "src", "obj": "dst"})
+    assignment, canonical = _canonical_tail(triples, edges, dedup_buckets,
+                                            keep_buckets)
     return {"errors": errors, "edges": edges, "assignment": assignment,
             "canonical": canonical}
 
 
-def build_kg_incremental(new_docs_ds, staged_dir: str,
-                         link_threshold: float = 0.85,
-                         dedup_buckets: int = 64):
-    """Incremental KG build: parse ONLY the new documents, stage their
-    parsed triples next to the previous increments' parquet, and rerun
-    the GLOBAL stages (mention derivation, corpus alias table, link
-    scoring, union-find, canonicalize, dedup) over the union — the
+def build_kg_incremental(new_docs_ds, staged_dir: str):
+    """Incremental KG build: parse ONLY the new documents into a staged
+    parse table next to the previous increments' (same record_kind
+    layout as the fused staging), then rerun build_kg's global stages
+    (mention derivation, corpus alias table, link scoring, union-find,
+    canonicalize, dedup) over the union of all staged triples — the
     honest incremental contract: new evidence can merge entities that
     earlier increments kept apart, so canonicalization must see the
     merged corpus, but the expensive parse runs only on the delta and
@@ -373,53 +287,38 @@ def build_kg_incremental(new_docs_ds, staged_dir: str,
     far below the raw corpus; the dedup shuffle is the usual 16-byte
     hash exchange).
 
-    Returns {"canonical", "errors", "staged_dir"}; calling again with
-    more docs repeats the pattern.  Determinism end-to-end means an
-    increment sequence reproduces the single-shot ``build_kg`` store
-    exactly (parity-tested).
+    Returns {"canonical", "errors" (this increment's quarantine, read
+    back from its staging), "staged_dir", ...build_kg's global
+    outputs}; calling again with more docs repeats the pattern.
+    Determinism end-to-end means an increment sequence reproduces the
+    single-shot ``build_kg`` store exactly (parity-tested).
     """
     import re
-
-    import ray.data as rd
 
     # number the increment from existing inc-* entries ONLY (ADVICE r4:
     # a stray marker/temp file must not shift the count into a collision
     # that silently merges two increments' parquet)
     inc_pat = re.compile(r"^inc-(\d+)$")
-    prev = [int(m.group(1)) for d in
-            (os.listdir(staged_dir) if os.path.isdir(staged_dir) else [])
-            if (m := inc_pat.match(d))]
+    old = [d for d in
+           (os.listdir(staged_dir) if os.path.isdir(staged_dir) else [])
+           if inc_pat.match(d)]
+    prev = [int(inc_pat.match(d).group(1)) for d in old]
+    # increments staged before the record_kind layout hold bare parquet
+    # files that _read_kind never lists; refuse rather than drop them
+    for d in (os.path.join(staged_dir, d) for d in old):
+        if os.path.isdir(d) and any(f.endswith(".parquet")
+                                    for f in os.listdir(d)):
+            raise ValueError(
+                f"{d} uses the old unpartitioned staging layout; rebuild "
+                f"{staged_dir} from its documents")
     inc_dir = os.path.join(staged_dir,
                            f"inc-{(max(prev) + 1 if prev else 0):04d}")
-    combined = extract_triples(new_docs_ds)
-    errors = combined.map_batches(keep_errors, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    new_triples = combined.map_batches(keep_triples,
-                                       batch_format="pyarrow",
-                                       zero_copy_batch=True)
-    new_triples.write_parquet(inc_dir)
-
-    # list-of-paths read_parquet wants FILES (Ray 2.49 rejects
-    # directories in list mode) — enumerate each increment's parquet
-    inc_files = [os.path.join(staged_dir, d, f)
-                 for d in sorted(os.listdir(staged_dir))
-                 if inc_pat.match(d)
-                 for f in sorted(os.listdir(os.path.join(staged_dir, d)))
-                 if f.endswith(".parquet")]
-    all_triples = rd.read_parquet(inc_files)
-    mentions = mentions_dataset(all_triples)
-    alias_table = corpus_alias_table(mentions)
-    edges = link_edges_dataset(mentions, alias_table,
-                               threshold=link_threshold)
-    from ..stages.canon import union_find
-
-    assignment, mapping = union_find(edges)
-    if mapping is None:
-        canonical = canonicalize_triples(all_triples,
-                                         labels_ds=assignment,
-                                         via="join")
-    else:
-        canonical = canonicalize_triples(all_triples, mapping=mapping)
-    canonical = dedup_triples(canonical, num_buckets=dedup_buckets)
-    return {"canonical": canonical, "errors": errors,
-            "staged_dir": staged_dir}
+    extract_triples(new_docs_ds).write_parquet(
+        inc_dir, partition_cols=["record_kind"])
+    incs = [os.path.join(staged_dir, d)
+            for d in sorted(os.listdir(staged_dir)) if inc_pat.match(d)]
+    return {"staged_dir": staged_dir,
+            "errors": _read_kind([inc_dir], 1, _ERROR_COLS),
+            **_link_and_canonicalize(_read_kind(incs, 0, _TRIPLE_COLS),
+                                     alias_table=None, dedup_buckets=64,
+                                     keep_buckets=False)}

@@ -207,38 +207,29 @@ def _driver_union_find_core(edges_ds) -> tuple[list[str], list[str]]:
 
 
 def _driver_union_find(edges_ds):
-    names, labels = _driver_union_find_core(edges_ds)
+    """Driver union-find → (assignment Dataset, non-identity mapping as
+    an Arrow (nodes, labels) pair — stays vectorized all the way into
+    the broadcast remap, no Python dict)."""
     import ray.data as rd
 
-    return rd.from_arrow(pa.Table.from_arrays(
-        [names.cast(pa.string()), labels.cast(pa.string())],
-        names=["node", "label"]))
+    names, labels = (a.cast(pa.string())
+                     for a in _driver_union_find_core(edges_ds))
+    changed = pc.not_equal(names, labels)
+    return (rd.from_arrow(pa.Table.from_arrays([names, labels],
+                                               names=["node", "label"])),
+            (names.filter(changed), labels.filter(changed)))
 
 
-def union_find(edges_ds, num_partitions: int = 16, max_rounds: int = 12,
-               mode: str = "auto"):
-    """Like :func:`connected_components` but returns
-    ``(assignment_dataset, mapping_dict_or_None)`` — when the driver path
+def union_find(edges_ds, num_partitions: int = 16, max_rounds: int = 12):
+    """Like :func:`connected_components` (mode="auto") but returns
+    ``(assignment_dataset, mapping_or_None)`` — when the driver path
     ran, the non-identity mapping comes back directly without a Dataset
     round-trip (build_kg feeds it straight to the broadcast remap)."""
-    if mode != "distributed":
-        edges_ds = edges_ds.materialize()
-        if mode == "driver" or edges_ds.count() <= DRIVER_CC_MAX_EDGES:
-            names, labels = _driver_union_find_core(edges_ds)
-            names = names.cast(pa.string())
-            labels = labels.cast(pa.string())
-            import ray.data as rd
-
-            assignment = rd.from_arrow(pa.Table.from_arrays(
-                [names, labels], names=["node", "label"]))
-            # non-identity mapping as Arrow arrays — stays vectorized all
-            # the way into the broadcast remap (no Python dict)
-            changed = pc.not_equal(names, labels)
-            mapping = (names.filter(changed), labels.filter(changed))
-            return assignment, mapping
-    assignment = connected_components(edges_ds, num_partitions, max_rounds,
-                                      mode="distributed")
-    return assignment, None
+    edges_ds = edges_ds.materialize()
+    if edges_ds.count() <= DRIVER_CC_MAX_EDGES:
+        return _driver_union_find(edges_ds)
+    return connected_components(edges_ds, num_partitions, max_rounds,
+                                mode="distributed"), None
 
 
 # Above this many edges the equivalence graph stops being broadcast-scale
@@ -261,11 +252,9 @@ def connected_components(edges_ds, num_partitions: int = 16,
     force a path.
     """
     if mode == "driver":
-        return _driver_union_find(edges_ds)
+        return _driver_union_find(edges_ds)[0]
     if mode == "auto":
-        edges_ds = edges_ds.materialize()
-        if edges_ds.count() <= DRIVER_CC_MAX_EDGES:
-            return _driver_union_find(edges_ds)
+        return union_find(edges_ds, num_partitions, max_rounds)[0]
     # The iterative rounds are many small sort-shuffles; push-based
     # shuffle adds per-round pipelining overhead that dominates there
     # (measured 49 s vs 26 s on 530k synthetic star edges).  A Dataset
@@ -273,15 +262,15 @@ def connected_components(edges_ds, num_partitions: int = 16,
     # current context is a no-op here — mutate the context captured by
     # the input dataset (inherited by everything derived from it) and
     # restore it after the (eager, materialized-per-round) loop.
-    _ctx = getattr(edges_ds, "context", None)
-    _push_saved = getattr(_ctx, "use_push_based_shuffle", None)
-    if _ctx is not None:
-        _ctx.use_push_based_shuffle = False
+    from ray.data.context import ShuffleStrategy
+
+    ctx = edges_ds.context
+    saved = ctx.shuffle_strategy
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
     try:
         return _cc_rounds(edges_ds, num_partitions, max_rounds)
     finally:
-        if _ctx is not None and _push_saved is not None:
-            _ctx.use_push_based_shuffle = _push_saved
+        ctx.shuffle_strategy = saved
 
 
 def _cc_rounds(edges_ds, num_partitions: int, max_rounds: int):

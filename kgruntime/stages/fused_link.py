@@ -1,4 +1,4 @@
-"""Fused parse + doc-local entity linking (opt-in pipeline variant).
+"""Fused parse + doc-local entity linking (pipelines/kg.py:build_kg_fused).
 
 Insight (NOTES_r1 §2): a blank node's KB link is *derivable inside its
 own document* — its name literal plus the broadcast alias table — so the
@@ -194,10 +194,3 @@ class FusedParseLink:
              empty_s, empty_s, empty_s],
             schema=parsed.schema)
         return pa.concat_tables([parsed, edge_table])
-
-
-def keep_edges(batch: pa.Table) -> pa.Table:
-    """Edge rows → (src, dst) equivalence pairs."""
-    t = batch.filter(pc.equal(batch["record_kind"], RECORD_EDGE))
-    return pa.Table.from_arrays(
-        [t["subj"], t["obj"]], names=["src", "dst"])

@@ -8,10 +8,14 @@ point the north-star pipeline runs on a real cluster:
 
 On the fixed-size cluster the job connects to the running Ray instance
 (`RAY_ADDRESS` from the job environment); locally it starts a one-node
-session.  The checkpointed shape (default) commits fragment rounds with
-lineage + counters so re-submitting the identical command after any
-failure resumes from the last committed fragment (pipelines/kg.py:135,
-test: test_end_to_end_pipeline_and_checkpoint).
+session.  Two shapes:
+
+* ``checkpointed`` (default) — ``run_checkpointed``: commits fragment
+  rounds with lineage + counters, so re-submitting the identical
+  command after any failure resumes from the last committed fragment
+  (test: test_end_to_end_pipeline_and_checkpoint).
+* ``fused`` — ``build_kg_fused``: one parse+link pass staged to
+  ``OUTPUT/_staging``, then the canonical store under ``OUTPUT/data``.
 
 This script owns its Ray session (CLI surface) — library code never
 calls ray.init (driver contract, CLAUDE.md).
@@ -35,7 +39,7 @@ def main() -> int:
                          "available — sources/documents.py falls back)")
     ap.add_argument("--output", required=True, help="triple-store root")
     ap.add_argument("--shape", default="checkpointed",
-                    choices=["checkpointed", "fused", "staged"])
+                    choices=["checkpointed", "fused"])
     ap.add_argument("--epoch", type=int, default=0,
                     help="checkpoint epoch (lineage key; bump to force "
                          "a fresh build into a new epoch dir)")
@@ -49,13 +53,13 @@ def main() -> int:
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
                  include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
 
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
-    ctx.use_push_based_shuffle = True
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
-    from kgruntime.pipelines.kg import (build_kg_fused, build_kg_staged,
-                                        run_checkpointed)
+    from kgruntime.pipelines.kg import build_kg_fused, run_checkpointed
     from kgruntime.stages.linking import build_alias_table
     from kgruntime.stages.materialize import write_triple_store
     from kgruntime.synth import goldens
@@ -82,15 +86,11 @@ def main() -> int:
     else:
         import ray.data as rd
 
-        docs = rd.read_parquet(args.input)
-        staging = os.path.join(args.output, "_staging")
-        if args.shape == "fused":
-            res = build_kg_fused(docs, alias_table=aliases,
-                                 staging_dir=staging,
-                                 dedup_buckets=args.num_buckets)
-        else:
-            res = build_kg_staged(docs, staging, alias_table=aliases,
-                                  dedup_buckets=args.num_buckets)
+        res = build_kg_fused(rd.read_parquet(args.input),
+                             alias_table=aliases,
+                             staging_dir=os.path.join(args.output,
+                                                      "_staging"),
+                             dedup_buckets=args.num_buckets)
         write_triple_store(res["canonical"],
                            os.path.join(args.output, "data"),
                            pre_bucketed=True)

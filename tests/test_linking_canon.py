@@ -21,6 +21,10 @@ from kgruntime.stages.materialize import (
 )
 from kgruntime.synth import make_documents_table
 
+import kg_corpus
+
+FOAF_NAME = "http://xmlns.com/foaf/0.1/name"
+
 
 def _docs(ray, n=29):
     import ray.data as rd
@@ -97,10 +101,13 @@ def test_union_find_driver_vs_distributed(ray_session):
     edges = rd.from_items(rows)
     drv = {r["node"]: r["label"]
            for r in connected_components(edges, mode="driver").take_all()}
+    strategy = edges.context.shuffle_strategy
     dist = {r["node"]: r["label"]
             for r in connected_components(edges, mode="distributed",
                                           num_partitions=4).take_all()}
     assert drv == dist
+    # the rounds switch the shuffle strategy only for their own duration
+    assert edges.context.shuffle_strategy == strategy
 
 
 def test_canonicalize_broadcast_and_join(ray_session):
@@ -160,11 +167,10 @@ def test_global_dedup(ray_session):
 
 
 def test_end_to_end_pipeline_and_checkpoint(ray_session, tmp_path):
-    from kgruntime.pipelines.kg import build_kg, run_checkpointed
-    from kgruntime.synth import write_corpus
+    from kgruntime.pipelines.kg import run_checkpointed
 
     corpus = str(tmp_path / "corpus")
-    write_corpus(corpus, 40, seed=11, rows_per_file=10)  # 4 fragments
+    kg_corpus.write_corpus(corpus, 40, seed=11, rows_per_file=10)  # 4 frags
     out_dir = str(tmp_path / "store")
 
     res = run_checkpointed(corpus, out_dir, epoch=0, fragments_per_round=2)
@@ -208,56 +214,69 @@ def test_linking_to_canonical_flow(ray_session):
     """Same name in several docs → blanks canonicalize to one KB entity."""
     from kgruntime.pipelines.kg import build_kg
 
-    docs = _docs(ray_session, n=58)  # two clones of every golden
-    res = build_kg(docs)
+    res = build_kg(kg_corpus.documents(24))  # four clones of every payload
     assert "edges" in res
     canon = res["canonical"].take_all()
-    # p15 clones: [] foaf:knows [ foaf:name "Bob" ] — every clone's Bob-blank
-    # must collapse onto the same KB IRI
+    names = {}
+    for r in canon:
+        if r["pred"] == FOAF_NAME:
+            names.setdefault(r["obj"], set()).add(r["subj"])
+    # every clone's [ foaf:name "Bob" ] blank collapses onto one KB IRI,
+    # and the clones' identical rows dedup to one
     bob = "http://kb.example/entity/bob"
-    name_rows = [r for r in canon
-                 if r["pred"] == "http://xmlns.com/foaf/0.1/name"
-                 and r["obj"] == "Bob"]
-    assert len(name_rows) == 1 and name_rows[0]["subj"] == bob
+    assert names["Bob"] == {bob}
+    bob_rows = [r for r in canon if r["pred"] == FOAF_NAME
+                and r["obj"] == "Bob"]
+    assert len(bob_rows) == 1 and bob_rows[0]["subj"] == bob
+    # a named IRI keeps its own id: it ranks before its KB entity
+    assert names["Alice"] == {"http://example.org/people/alice"}
+    # the two-name blank bridges both KB entities into the IRI's
+    # component, so its second name lands on the IRI
+    goblin = "http://example.org/#green-goblin"
+    assert names["Green Goblin"] == {goblin}
+    assert names["Norman Osborn"] == {goblin}
+    # the malformed payload is quarantined whole
+    assert "Carol" not in names
+    assert res["errors"].count() == 4
 
 
-def test_build_kg_staged_matches_build_kg(ray_session, tmp_path):
-    """The staged (parse-once, parquet staging) pipeline produces the
-    same canonical store as the in-memory variant."""
-    from kgruntime.pipelines.kg import build_kg, build_kg_staged
-
-    docs = _docs(ray_session, n=40)
-    mem = build_kg(docs, materialize_intermediate=True)["canonical"] \
-        .take_all()
-    staged = build_kg_staged(_docs(ray_session, n=40),
-                             str(tmp_path / "staging"),
-                             keep_buckets=False)["canonical"].take_all()
-    key = ["subj", "pred", "obj", "obj_datatype", "obj_lang"]
-    assert sorted(tuple(r[k] for k in key) for r in mem) == \
-        sorted(tuple(r[k] for k in key) for r in staged)
-
-
-def test_build_kg_fused_matches_build_kg(ray_session):
+def test_build_kg_fused_matches_build_kg(ray_session, tmp_path):
     """The fused parse+link shape must produce the identical canonical
-    store as the staged/unfused pipeline (given the same alias table)."""
+    store and quarantine as build_kg (given the same alias table)."""
     from kgruntime.pipelines.kg import build_kg, build_kg_fused
-    from kgruntime.stages.linking import build_alias_table
-    from kgruntime.synth import goldens
-    from kgruntime.ttl import parse_turtle
-    from kgruntime.ttl.builder import LITERAL, XSD_STRING
 
-    names = {r[3] for _, src, _ in goldens() for r in parse_turtle(src)
-             if r[4] == LITERAL and (r[5] == XSD_STRING or r[6])}
-    aliases = build_alias_table(names)
-
-    ref = build_kg(_docs(ray_session, n=58), alias_table=aliases,
-                   materialize_intermediate=True)["canonical"].take_all()
-    fused = build_kg_fused(_docs(ray_session, n=58), alias_table=aliases,
-                           keep_buckets=False)["canonical"].take_all()
+    aliases = kg_corpus.kb_alias_table()
+    ref = build_kg(kg_corpus.documents(36, seed=7, malformed_every=5),
+                   alias_table=aliases, materialize_intermediate=True)
+    fused = build_kg_fused(kg_corpus.documents(36, seed=7,
+                                               malformed_every=5),
+                           alias_table=aliases,
+                           staging_dir=str(tmp_path / "staging"),
+                           keep_buckets=False)
     key = ["subj", "subj_kind", "pred", "obj", "obj_kind",
            "obj_datatype", "obj_lang"]
-    assert sorted(tuple(r[k] for k in key) for r in ref) == \
-        sorted(tuple(r[k] for k in key) for r in fused)
+    rows = [sorted(tuple(r[k] for k in key)
+                   for r in res["canonical"].take_all())
+            for res in (ref, fused)]
+    assert rows[0] and rows[0] == rows[1]
+    assert fused["errors"].count() == ref["errors"].count() > 0
+
+
+def test_corpus_alias_table_drops_rare_and_empty_names(ray_session):
+    """Only names seen at least min_count times become KB entities;
+    names that normalize to "" never do."""
+    import ray.data as rd
+
+    from kgruntime.pipelines.kg import corpus_alias_table
+
+    texts = ["Bob", "bob!", "Alice", "Человек-паук", "Человек-паук",
+             "Carol", "Carol", "Carol"]
+    mentions = rd.from_items([{"mention_text": t} for t in texts])
+    assert corpus_alias_table(mentions) == {
+        "bob": "http://kb.example/entity/bob",
+        "carol": "http://kb.example/entity/carol"}
+    assert corpus_alias_table(mentions, min_count=3) == {
+        "carol": "http://kb.example/entity/carol"}
 
 
 def test_remap_never_rewrites_literals(ray_session):

@@ -174,14 +174,15 @@ def test_read_triple_store_bucket_pruning(ray_session, tmp_path):
 def test_cli_corpus_pipeline(tmp_path):
     """`python -m kgruntime.cli --corpus` runs the checkpointed pipeline
     end-to-end in its own process (owns its own Ray session)."""
-    from kgruntime.synth import write_corpus
+    from kg_corpus import write_corpus
 
     corpus = str(tmp_path / "c")
     out = str(tmp_path / "o")
     write_corpus(corpus, 20, seed=3, rows_per_file=10)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     r = subprocess.run(
         [sys.executable, "-m", "kgruntime.cli", "--corpus", corpus, out],
-        capture_output=True, text=True, cwd="/root/repo", timeout=280)
+        capture_output=True, text=True, cwd=root, timeout=280)
     assert r.returncode == 0, r.stderr[-500:]
     assert "processed 2 fragments" in r.stdout
     assert len(os.listdir(os.path.join(out, "_manifest"))) == 2

@@ -1981,10 +1981,10 @@ def test_incremental_kg_build_matches_single_shot(ray_session,
                                                   tmp_path):
     import ray.data as rd
 
+    from kg_corpus import documents_table
     from kgruntime.pipelines.kg import build_kg, build_kg_incremental
-    from kgruntime.synth import make_documents_table
 
-    docs = make_documents_table(120, seed=42, malformed_every=0)
+    docs = documents_table(48, seed=42)
     half = docs.num_rows // 2
 
     full = build_kg(rd.from_arrow(docs))["canonical"].to_pandas()

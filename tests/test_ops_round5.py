@@ -43,13 +43,10 @@ def test_plan_star_join_orders_cheapest_first():
 
 @pytest.fixture(scope="module")
 def kg_store(ray_session):
-    import ray.data as rd
-
+    from kg_corpus import documents
     from kgruntime.pipelines.kg import build_kg
-    from kgruntime.synth import make_documents_table
 
-    docs = rd.from_arrow(make_documents_table(120, seed=42))
-    return build_kg(docs)["canonical"].materialize()
+    return build_kg(documents(48, seed=42))["canonical"].materialize()
 
 
 def test_planned_star_bgp_plan_invariant(kg_store):
@@ -100,11 +97,11 @@ def test_incremental_numbering_ignores_stray_files(ray_session, tmp_path):
     errors come back like build_kg's."""
     import ray.data as rd
 
+    from kg_corpus import documents_table
     from kgruntime.pipelines.kg import build_kg_incremental
-    from kgruntime.synth import make_documents_table
 
     staged = str(tmp_path / "stage")
-    docs = make_documents_table(40, seed=7, malformed_every=5)
+    docs = documents_table(40, seed=7, malformed_every=5)
     r1 = build_kg_incremental(rd.from_arrow(docs.slice(0, 20)), staged)
     assert "errors" in r1 and r1["errors"].count() > 0
     # drop a stray file + dir that the old len(listdir) count would trip on
@@ -116,6 +113,47 @@ def test_incremental_numbering_ignores_stray_files(ray_session, tmp_path):
     incs = sorted(d for d in os.listdir(staged) if d.startswith("inc-"))
     assert incs == ["inc-0000", "inc-0001"]
     assert r2["canonical"].count() > 0
+
+
+def test_incremental_refuses_unpartitioned_staging(ray_session, tmp_path):
+    """An increment staged in the old layout (bare parquet files, no
+    record_kind= partition) raises instead of being silently skipped."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from kg_corpus import documents_table
+    from kgruntime.pipelines.kg import build_kg_incremental
+
+    legacy = tmp_path / "stage" / "inc-0000"
+    legacy.mkdir(parents=True)
+    pq.write_table(pa.table({"subj": ["_:b0"]}), str(legacy / "0.parquet"))
+    with pytest.raises(ValueError, match="old unpartitioned"):
+        build_kg_incremental(rd.from_arrow(documents_table(6)),
+                             str(tmp_path / "stage"))
+    assert sorted(p.name for p in (tmp_path / "stage").iterdir()) \
+        == ["inc-0000"]
+
+
+def test_incremental_errors_read_back_from_staging(ray_session, tmp_path):
+    """An increment's quarantine is its staged record_kind=1 partition
+    (the delta is parsed once, not re-parsed for the errors)."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from kg_corpus import documents_table
+    from kgruntime.pipelines.kg import build_kg_incremental
+
+    staged = str(tmp_path / "stage")
+    docs = documents_table(30, seed=3, malformed_every=4)
+    build_kg_incremental(rd.from_arrow(docs.slice(0, 12)), staged)
+    res = build_kg_incremental(rd.from_arrow(docs.slice(12)), staged)
+    part = os.path.join(staged, "inc-0001", "record_kind=1")
+    staged_errors = pq.ParquetDataset(part).read().num_rows
+    # docs 12..29: malformed_every hits 15, 19, 23, 27; the malformed
+    # payload hits 17, 23, 29
+    assert staged_errors == res["errors"].count() == 6
 
 
 # ------------------------------------------------- round-5 new pipelines
