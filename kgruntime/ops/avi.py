@@ -99,6 +99,12 @@ def avi_info(payload: bytes) -> dict:
             continue
         for c2, s2, z2 in _walk(payload, start + 4, start + size):
             if c2 == b"avih":
+                # the 10 fields read below span 40 bytes: a short chunk
+                # would raise struct.error or read into the next chunk
+                if z2 < 40 or len(payload) < s2 + 40:
+                    raise ValueError(
+                        "AVI avih header truncated: "
+                        f"{max(0, min(z2, len(payload) - s2))} of 40 bytes")
                 us, _, _, _, n, _, _, _, w, h = struct.unpack(
                     "<10I", payload[s2:s2 + 40])
                 info = {"n_frames": int(n), "width": int(w),

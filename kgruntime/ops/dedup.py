@@ -455,9 +455,10 @@ def minhash_near_dups(docs_ds, threshold: float = 0.7, num_perm: int = 64,
 
 
 def dedup_components(pairs_ds):
-    """Near-dup pairs → duplicate clusters via the same distributed
-    union-find used for entity canonicalization (stages/canon.py)."""
-    from ..stages.canon import connected_components
+    """Near-dup pairs → duplicate clusters via the same union-find used
+    for entity canonicalization (``stages/canon.union_find``: driver
+    union-find under DRIVER_CC_MAX_EDGES, distributed rounds beyond)."""
+    from ..stages.canon import union_find
 
     def to_edges(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -465,13 +466,13 @@ def dedup_components(pairs_ds):
             names=["src", "dst"])
 
     edges = pairs_ds.map_batches(to_edges, batch_format="pyarrow")
-    return connected_components(edges)
+    return union_find(edges)[0]
 
 
 def minhash_dup_clusters(docs_ds, threshold: float = 0.7,
                          num_perm: int = 64, bands: int = 16):
     """Near-duplicate clusters: MinHash-LSH pairs → connected components
-    (the same distributed union-find as entity canonicalization); each
+    (``stages/canon.union_find``, as in entity canonicalization); each
     member doc gets its component's min doc_id as ``cluster_id``.
 
     Doc ids are zero-padded to 20 digits on the way into the union-find
@@ -480,7 +481,7 @@ def minhash_dup_clusters(docs_ds, threshold: float = 0.7,
     oracle's ``min(doc_id)`` exactly.  Non-negative ids assumed.
     Returns (doc_id, cluster_id) for every doc in some near-dup pair.
     """
-    from ..stages.canon import connected_components
+    from ..stages.canon import union_find
 
     pairs = minhash_near_dups(docs_ds, threshold=threshold,
                               num_perm=num_perm, bands=bands)
@@ -491,8 +492,8 @@ def minhash_dup_clusters(docs_ds, threshold: float = 0.7,
              pc.utf8_lpad(pc.cast(t["doc_b"], pa.string()), 20, "0")],
             names=["src", "dst"])
 
-    comp = connected_components(
-        pairs.map_batches(to_edges, batch_format="pyarrow"))
+    comp = union_find(
+        pairs.map_batches(to_edges, batch_format="pyarrow"))[0]
 
     def to_ints(t: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(

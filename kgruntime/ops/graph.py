@@ -128,13 +128,13 @@ def int_pairs_components(pairs_ds, col_a: str, col_b: str,
     zero-pads ids to full int64 width (19 digits) so the KG union-find's
     rank-minimum STRING label is the numeric minimum (negative ids would
     scramble the ordering and are refused loudly), runs
-    ``stages/canon.connected_components`` (driver union-find under
+    ``stages/canon.union_find`` (driver union-find under
     DRIVER_CC_MAX_EDGES, distributed min-label rounds beyond), and casts
     the assignment back to ints as (out_id, out_label)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..stages.canon import connected_components
+    from ..stages.canon import union_find
 
     def to_edges(t: pa.Table) -> pa.Table:
         if t.num_rows:
@@ -146,8 +146,8 @@ def int_pairs_components(pairs_ds, col_a: str, col_b: str,
         b = pc.utf8_lpad(pc.cast(t[col_b], pa.string()), 19, "0")
         return pa.table({"src": a, "dst": b})
 
-    asn = connected_components(
-        pairs_ds.map_batches(to_edges, batch_format="pyarrow"))
+    asn = union_find(
+        pairs_ds.map_batches(to_edges, batch_format="pyarrow"))[0]
 
     def back(t: pa.Table) -> pa.Table:
         return pa.table({

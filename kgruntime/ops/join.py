@@ -31,9 +31,9 @@ def _bucket_array(col, num_buckets: int) -> pa.Array:
     if pa.types.is_integer(col.type):
         vals = col.to_numpy(zero_copy_only=False)
         return pa.array((vals % num_buckets).astype("int32"), pa.int32())
-    # vectorized string hash (polars ahash via canon._hash_col, crc32
-    # fallback) — a per-row Python crc32 here was the dominant cost of
-    # the join-path remap at 1.66M rows
+    # vectorized string hash (polars ahash via canon._hash_col) — a
+    # per-row Python crc32 here was the dominant cost of the join-path
+    # remap at 1.66M rows
     from ..stages.canon import _hash_col
 
     return _hash_col(col, mod=num_buckets)

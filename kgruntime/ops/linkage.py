@@ -181,7 +181,7 @@ def entity_clusters(ds, name_col: str = "p_name", max_dist: int = 3,
 
     Scale shape: the pair stage is the blocked Levenshtein join
     (distinct-name collapse + capped token blocks); components run on
-    the KG union-find (``stages/canon.connected_components`` — string
+    the KG union-find (``stages/canon.union_find`` — string
     labels ARE the canonical names, so no id remap is needed); cluster
     sizes are one node-bounded groupby joined back through the
     bucketed hash join.  Output: (name, canonical, cluster_size) for
@@ -189,7 +189,7 @@ def entity_clusters(ds, name_col: str = "p_name", max_dist: int = 3,
     """
     from ray.data.aggregate import Count
 
-    from ..stages.canon import connected_components
+    from ..stages.canon import union_find
     from .join import bucketed_hash_join
 
     pairs = fuzzy_name_matches(ds, name_col=name_col,
@@ -198,8 +198,8 @@ def entity_clusters(ds, name_col: str = "p_name", max_dist: int = 3,
     def to_edges(t: pa.Table) -> pa.Table:
         return pa.table({"src": t["name_a"], "dst": t["name_b"]})
 
-    asn = connected_components(
-        pairs.map_batches(to_edges, batch_format="pyarrow")) \
+    asn = union_find(
+        pairs.map_batches(to_edges, batch_format="pyarrow"))[0] \
         .materialize()   # two consumers: sizes + decoration
 
     def rename_key(t: pa.Table) -> pa.Table:

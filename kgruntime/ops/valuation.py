@@ -469,7 +469,9 @@ def term_concentration_by_source(docs_ds):
 
 
 def term_concentration_by_source_sql(table: str = "documents") -> str:
-    """Oracle twin: identical integer inverse-Simpson arithmetic."""
+    """Oracle twin: identical integer inverse-Simpson arithmetic.  The
+    T²·10⁶ numerator runs in HUGEINT: in BIGINT it overflows above about
+    3.04M tokens per source."""
     return f"""
 WITH tc_c AS (
   SELECT source, w AS term, count(*)::BIGINT AS c
@@ -486,7 +488,7 @@ tc_top AS (
     ON r.source = c.source AND c.c = r.cmax
   GROUP BY c.source)
 SELECT r.source, r.n_tokens, r.n_terms,
-       ((r.n_tokens * r.n_tokens * 1000000) // r.sq)::BIGINT
+       ((r.n_tokens::HUGEINT * r.n_tokens * 1000000) // r.sq)::BIGINT
          AS eff_terms_ppm,
        t.top_term,
        ((r.cmax * 1000000) // r.n_tokens)::BIGINT AS top_share_ppm

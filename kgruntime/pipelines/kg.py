@@ -103,14 +103,8 @@ def _canonical_tail(triples, edges, dedup_buckets, keep_buckets):
     """union-find → remap → dedup, shared by every build shape.
     Returns (assignment, canonical)."""
     assignment, mapping = union_find(edges)
-    if mapping is None:
-        # distributed-UF regime: the assignment is beyond broadcast
-        # scale, so the remap must be the all-shuffle join path — never
-        # collect it to the driver
-        canonical = canonicalize_triples(triples, labels_ds=assignment,
-                                         via="join")
-    else:
-        canonical = canonicalize_triples(triples, mapping=mapping)
+    canonical = canonicalize_triples(triples, mapping=mapping,
+                                     labels_ds=assignment)
     return assignment, dedup_triples(canonical, num_buckets=dedup_buckets,
                                      keep_buckets=keep_buckets)
 

@@ -2,45 +2,51 @@
 (SURVEY.md §2f N4, north_rule "canonicalizes equivalent IRIs/blank nodes
 via a distributed union-find over groupby-aggregate shuffles").
 
-Two interchangeable implementations behind one API:
+One entry per step:
 
-* **driver mode** (auto-selected while |edges| ≤ DRIVER_CC_MAX_EDGES —
-  the same broadcast-size contract the remap relies on): stream the
-  edge list to the driver, dictionary-encode endpoints, and run
-  vectorized numpy min-label propagation with pointer jumping.
-* **distributed mode** (beyond-memory edge sets): iterative min-label
-  propagation
+* :func:`union_find` — sameAs edges → (assignment, mapping_or_None).
+  While |edges| ≤ DRIVER_CC_MAX_EDGES it streams the edge list to the
+  driver, dictionary-encodes endpoints and runs vectorized numpy
+  min-label propagation with pointer jumping; the non-identity mapping
+  comes back as a ``(nodes, labels)`` Arrow pair.  Beyond that it runs
+  iterative min-label propagation
 
       label(x) ← min(label(x), min_{(x,y)∈E} label(y))
 
   where each round is purely Ray Data wide ops — a bucketed hash join
   expressed as ONE ``groupby(bucket)`` shuffle (labels and edges
   co-partitioned on hash(key), vectorized per-bucket lookup) plus one
-  ``groupby(node).min(label)``.  No driver-held state, no per-group
-  Python row loops.  Convergence in O(component diameter) rounds;
-  entity-equivalence graphs from linking are star-shaped (mention → KB
-  entity) so one confirming round usually suffices.  Early stop: the
-  hash-sum of (node,label) assignments is compared between rounds with
-  a tiny aggregate (seeded with the initial assignment's sum).
-
-Both modes produce the identical assignment (tested), with canonical
-label = rank-minimum member (IRIs preferred over blank nodes).
-
-The final mapping (node → component-min label) is applied to the triples
-table either by broadcast (``ray.put`` once, vectorized ``index_in``
-lookup per batch — right when |mapping| ≪ |triples|, the common case
-since only linked entities appear) or by two hash joins (``via="join"``)
-when the mapping itself is beyond broadcast size.
+  ``groupby(node).min(label)`` — until the hash-sum of the (node,
+  label) assignment repeats (labels only decrease, so it does; a
+  component of diameter d takes about d rounds).  The mapping is then
+  None: the assignment is beyond broadcast scale.  Both paths give the
+  identical assignment (tested), with canonical label = rank-minimum
+  member (IRIs preferred over blank nodes).
+* :func:`canonicalize_triples` — rewrite subj/obj to component labels.
+  With a mapping: ``ray.put`` once, a polars join per batch, no shuffle
+  of the triples.  Without: one bucketed shuffle of skinny node
+  references against the assignment, whose hit table is applied
+  map-side when small (the common case) or by one doc_id co-shuffle.
 """
 
 from __future__ import annotations
-
-import zlib
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data.aggregate import Min, Sum
+
+# Above this many edges the equivalence graph stops being broadcast-scale
+# and the union-find runs as distributed groupby rounds.
+DRIVER_CC_MAX_EDGES = 20_000_000
+
+# Hash buckets of the distributed rounds' and the join remap's exchanges.
+NUM_BUCKETS = 16
+
+# Hit tables (one row per actually-remapped subj/obj position) up to this
+# many rows are ray.put once and applied map-side — the common case when a
+# huge assignment is sparsely applicable to this triples table.
+HITS_BROADCAST_MAX = 2_000_000
 
 
 def _rank(col: pa.Array) -> pa.Array:
@@ -75,30 +81,22 @@ def _bidir(batch: pa.Table) -> pa.Table:
 
 
 def _hash_col(col, mod: int | None = None) -> pa.Array:
-    """Vectorized deterministic-within-job string hash (polars/ahash);
-    Python crc32 fallback.  Used for shuffle buckets and convergence
-    checksums — never persisted, so cross-version stability isn't
-    required."""
-    try:
-        import polars as pl
+    """Vectorized deterministic-within-job string hash (polars/ahash).
+    Used for shuffle buckets and convergence checksums — never
+    persisted, so cross-version stability isn't required."""
+    import polars as pl
 
-        col = (col.combine_chunks()
-               if isinstance(col, pa.ChunkedArray) else col)
-        h = pl.from_arrow(col).hash(seed=7).to_arrow()
-        # mask to 32 bits: checksum SUMS of ~10^6 values must stay exactly
-        # representable (wider hashes overflow into float and the sum
-        # becomes order-dependent → convergence never detects)
-        h = pc.cast(pc.bit_wise_and(h, pa.scalar((1 << 32) - 1, pa.uint64())),
-                    pa.int64())
-    except Exception:
-        h = pa.array([zlib.crc32(str(v).encode())
-                      for v in col.to_pylist()], pa.int64())
-    if mod is not None:
-        import numpy as np
-
-        return pa.array((h.to_numpy(zero_copy_only=False) % mod)
-                        .astype("int32"), pa.int32())
-    return h
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    h = pl.from_arrow(col).hash(seed=7).to_arrow()
+    # mask to 32 bits: checksum SUMS of ~10^6 values must stay exactly
+    # representable (wider hashes overflow into float and the sum
+    # becomes order-dependent → convergence never detects)
+    h = pc.cast(pc.bit_wise_and(h, pa.scalar((1 << 32) - 1, pa.uint64())),
+                pa.int64())
+    if mod is None:
+        return h
+    return pa.array((h.to_numpy(zero_copy_only=False) % mod)
+                    .astype("int32"), pa.int32())
 
 
 def _crc_sum(batch: pa.Table) -> pa.Table:
@@ -106,7 +104,7 @@ def _crc_sum(batch: pa.Table) -> pa.Table:
     return pa.Table.from_arrays([_hash_col(joined)], names=["crc"])
 
 
-def _tag(key, other, label, is_edge: int, num_buckets: int) -> pa.Table:
+def _tag(key, other, label, is_edge: int) -> pa.Table:
     """Unify label rows (key=node, other=node, label) and edge rows
     (key=nbr, other=edge_node, label=null) into one bucketed schema."""
     key = key.combine_chunks() if isinstance(key, pa.ChunkedArray) else key
@@ -118,7 +116,7 @@ def _tag(key, other, label, is_edge: int, num_buckets: int) -> pa.Table:
     else:
         label_arr = (label.combine_chunks()
                      if isinstance(label, pa.ChunkedArray) else label)
-    bucket = _hash_col(key, mod=num_buckets)
+    bucket = _hash_col(key, mod=NUM_BUCKETS)
     return pa.Table.from_arrays(
         [bucket, key, other, label_arr,
          pa.array([is_edge] * n, pa.int8())],
@@ -146,115 +144,22 @@ def _bucket_propagate(group: pa.Table) -> pa.Table:
         names=["node", "label"])
 
 
-def _driver_union_find_core(edges_ds) -> tuple[list[str], list[str]]:
-    """Classic union-find with path halving over the collected edge
-    list.  Streams (src, dst) batches to the driver — NOT the triples —
-    and is chosen only when the equivalence graph is below the broadcast
-    threshold (the same size contract the broadcast remap already
-    relies on).  Canonical label = rank-minimum member (IRIs beat
-    blanks), identical to the distributed rounds' fixpoint.
-    Returns parallel (nodes, labels) lists."""
-    import numpy as np
+def union_find(edges_ds):
+    """sameAs edges (src, dst, ...) → ``(assignment, mapping_or_None)``.
 
-    # Collect edge endpoints and dictionary-encode to int codes (C speed)
-    chunks_src, chunks_dst = [], []
-    for batch in edges_ds.select_columns(["src", "dst"]) \
-            .iter_batches(batch_format="pyarrow"):
-        chunks_src.append(batch["src"].combine_chunks()
-                          if isinstance(batch["src"], pa.ChunkedArray)
-                          else batch["src"])
-        chunks_dst.append(batch["dst"].combine_chunks()
-                          if isinstance(batch["dst"], pa.ChunkedArray)
-                          else batch["dst"])
-    if not chunks_src:
-        e = pa.array([], pa.string())
-        return e, e
-    both = pa.chunked_array(chunks_src + chunks_dst).combine_chunks()
-    enc = both.dictionary_encode()
-    nodes = enc.dictionary.to_pylist()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    n_edges = len(codes) // 2
-    ia, ib = codes[:n_edges], codes[n_edges:]
-    n = len(nodes)
+    ``assignment`` is a Dataset (node, label) whose ``label`` is the
+    rank-minimum node id of the component (IRIs preferred over blanks) —
+    deterministic, so retries/reruns produce identical canonical ids.
 
-    # priority ordinal per node: rank-prefixed string order (IRIs < blanks)
-    ranked = pc.binary_join_element_wise(
-        pc.if_else(pc.starts_with(enc.dictionary, "_:"), "1", "0"),
-        enc.dictionary, "")
-    order = pc.array_sort_indices(ranked).to_numpy(zero_copy_only=False)
-    prio = np.empty(n, np.int64)
-    prio[order] = np.arange(n)
-
-    # vectorized min-label propagation + pointer jumping (numpy CC)
-    inv = np.empty(n, np.int64)
-    inv[prio] = np.arange(n)              # ordinal -> node index
-    lab = prio.copy()
-    while True:
-        before = lab.copy()
-        m = np.minimum(lab[ia], lab[ib])  # relax every edge
-        np.minimum.at(lab, ia, m)
-        np.minimum.at(lab, ib, m)
-        for _ in range(64):               # pointer jumping to fixpoint
-            nxt = lab[inv[lab]]
-            if np.array_equal(nxt, lab):
-                break
-            lab = nxt
-        if np.array_equal(lab, before):
-            break
-    canon_idx = inv[lab]
-    labels_arr = pc.take(enc.dictionary, pa.array(canon_idx, pa.int64()))
-    return enc.dictionary, labels_arr
-
-
-def _driver_union_find(edges_ds):
-    """Driver union-find → (assignment Dataset, non-identity mapping as
-    an Arrow (nodes, labels) pair — stays vectorized all the way into
-    the broadcast remap, no Python dict)."""
-    import ray.data as rd
-
-    names, labels = (a.cast(pa.string())
-                     for a in _driver_union_find_core(edges_ds))
-    changed = pc.not_equal(names, labels)
-    return (rd.from_arrow(pa.Table.from_arrays([names, labels],
-                                               names=["node", "label"])),
-            (names.filter(changed), labels.filter(changed)))
-
-
-def union_find(edges_ds, num_partitions: int = 16, max_rounds: int = 12):
-    """Like :func:`connected_components` (mode="auto") but returns
-    ``(assignment_dataset, mapping_or_None)`` — when the driver path
-    ran, the non-identity mapping comes back directly without a Dataset
-    round-trip (build_kg feeds it straight to the broadcast remap)."""
+    While |edges| ≤ DRIVER_CC_MAX_EDGES (the broadcast-size contract of
+    the remap) the driver union-find runs and ``mapping`` is its
+    non-identity part as a ``(nodes, labels)`` Arrow pair, ready for the
+    broadcast remap.  Beyond that the distributed min-label rounds run
+    and ``mapping`` is None: the assignment is never collected.
+    """
     edges_ds = edges_ds.materialize()
     if edges_ds.count() <= DRIVER_CC_MAX_EDGES:
         return _driver_union_find(edges_ds)
-    return connected_components(edges_ds, num_partitions, max_rounds,
-                                mode="distributed"), None
-
-
-# Above this many edges the equivalence graph stops being broadcast-scale
-# and CC must run as distributed groupby rounds.
-DRIVER_CC_MAX_EDGES = 20_000_000
-
-
-def connected_components(edges_ds, num_partitions: int = 16,
-                         max_rounds: int = 12, mode: str = "auto"):
-    """sameAs edges (src, dst, ...) → assignment Dataset (node, label).
-
-    ``label`` is the rank-minimum node id of the component (IRIs
-    preferred over blanks) — deterministic, so retries/reruns produce
-    identical canonical ids.
-
-    mode="auto" picks the driver union-find (one streamed pass, path
-    compression) while |edges| ≤ DRIVER_CC_MAX_EDGES — the same
-    broadcast-size contract as the default remap — and the distributed
-    min-label-propagation rounds beyond that.  "driver"/"distributed"
-    force a path.
-    """
-    if mode == "driver":
-        return _driver_union_find(edges_ds)[0]
-    if mode == "auto":
-        return union_find(edges_ds, num_partitions, max_rounds)[0]
     # The iterative rounds are many small sort-shuffles; push-based
     # shuffle adds per-round pipelining overhead that dominates there
     # (measured 49 s vs 26 s on 530k synthetic star edges).  A Dataset
@@ -268,25 +173,71 @@ def connected_components(edges_ds, num_partitions: int = 16,
     saved = ctx.shuffle_strategy
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
     try:
-        return _cc_rounds(edges_ds, num_partitions, max_rounds)
+        return _cc_rounds(edges_ds), None
     finally:
         ctx.shuffle_strategy = saved
 
 
-def _cc_rounds(edges_ds, num_partitions: int, max_rounds: int):
+def _driver_union_find(edges_ds):
+    """Vectorized union-find over the collected edge list.  Streams
+    (src, dst) batches to the driver — NOT the triples.  Canonical label
+    = rank-minimum member (IRIs beat blanks), identical to the
+    distributed rounds' fixpoint.  Returns (assignment Dataset,
+    non-identity (nodes, labels) Arrow pair)."""
+    import numpy as np
+    import ray.data as rd
+
+    src, dst = [], []
+    for batch in edges_ds.select_columns(["src", "dst"]) \
+            .iter_batches(batch_format="pyarrow"):
+        src += batch["src"].chunks
+        dst += batch["dst"].chunks
+    nodes = labels = pa.array([], pa.string())
+    if src:
+        # dictionary-encode edge endpoints to int codes (C speed)
+        enc = pa.chunked_array(src + dst).combine_chunks().dictionary_encode()
+        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        n_edges = len(codes) // 2
+        ia, ib = codes[:n_edges], codes[n_edges:]
+        n = len(enc.dictionary)
+
+        # priority ordinal per node: rank-prefixed string order
+        order = pc.array_sort_indices(_rank(enc.dictionary)) \
+            .to_numpy(zero_copy_only=False)
+        prio = np.empty(n, np.int64)
+        prio[order] = np.arange(n)
+
+        # vectorized min-label propagation + pointer jumping (numpy CC)
+        inv = np.empty(n, np.int64)
+        inv[prio] = np.arange(n)              # ordinal -> node index
+        lab = prio.copy()
+        while True:
+            before = lab.copy()
+            m = np.minimum(lab[ia], lab[ib])  # relax every edge
+            np.minimum.at(lab, ia, m)
+            np.minimum.at(lab, ib, m)
+            for _ in range(64):               # pointer jumping to fixpoint
+                nxt = lab[inv[lab]]
+                if np.array_equal(nxt, lab):
+                    break
+                lab = nxt
+            if np.array_equal(lab, before):
+                break
+        nodes = enc.dictionary.cast(pa.string())
+        labels = pc.take(nodes, pa.array(inv[lab], pa.int64()))
+    changed = pc.not_equal(nodes, labels)
+    return (rd.from_arrow(pa.Table.from_arrays([nodes, labels],
+                                               names=["node", "label"])),
+            (nodes.filter(changed), labels.filter(changed)))
+
+
+def _cc_rounds(edges_ds):
     # Pin the (small) edge set: it is re-joined every round, and leaving
     # it lazy would re-execute the whole upstream (mention detection +
     # scorer pool) once per round.  |edges| ≪ |triples| by construction.
+    # (never empty: union_find routes only > DRIVER_CC_MAX_EDGES here)
     bidir = edges_ds.map_batches(_bidir, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()
-    if bidir.count() == 0:
-        # empty equivalence graph: empty blocks lose their schema through
-        # join/groupby, so short-circuit with a typed empty assignment
-        import ray.data as rd
-
-        return rd.from_arrow(pa.Table.from_arrays(
-            [pa.array([], pa.string()), pa.array([], pa.string())],
-            names=["node", "label"]))
     # initial labels: min(self, neighbors)
     labels = bidir.groupby("edge_node").aggregate(Min("nbr", alias_name="label"))
     labels = labels.map_batches(
@@ -297,6 +248,7 @@ def _cc_rounds(edges_ds, num_partitions: int, max_rounds: int):
             names=["node", "label"]),
         batch_format="pyarrow")
     labels = labels.materialize()
+    n_blocks = labels.num_blocks()
 
     def _checksum(ds):
         return ds.map_batches(_crc_sum, batch_format="pyarrow") \
@@ -309,174 +261,119 @@ def _cc_rounds(edges_ds, num_partitions: int, max_rounds: int):
     # the edge side of the per-round union never changes — tag and pin it
     # once instead of re-hashing 2|E| keys every round
     bidir_tagged = bidir.map_batches(
-        lambda t: _tag(t["nbr"], t["edge_node"], None, 1, num_partitions),
+        lambda t: _tag(t["nbr"], t["edge_node"], None, 1),
         batch_format="pyarrow").materialize()
-    for _ in range(max_rounds):
+    # Each round moves a label one hop, so a long chain needs as many
+    # rounds as its diameter; labels only decrease, so the assignment
+    # (and its checksum) reaches a fixpoint and the loop ends there.
+    while True:
         # propagate: every edge endpoint receives its neighbor's label via
         # an explicit bucketed hash join — labels and edges co-partition
-        # on hash(key) % num_partitions with one groupby shuffle, and the
+        # on hash(key) % NUM_BUCKETS with one groupby shuffle, and the
         # per-bucket lookup is vectorized (index_in/take).  This is the
         # portable partitioned-join pattern; Ray's native Dataset.join is
         # avoided here because empty hash partitions drop their schema
         # (ArrowInvalid on the key FieldRef) as of Ray 2.49.
         tagged = labels.map_batches(
-            lambda t: _tag(t["node"], t["node"], t["label"], 0,
-                           num_partitions),
+            lambda t: _tag(t["node"], t["node"], t["label"], 0),
             batch_format="pyarrow").union(bidir_tagged)
         msgs = tagged.groupby("bucket").map_groups(
             _bucket_propagate, batch_format="pyarrow")
-        new_labels = msgs \
+        # a sort shuffle yields one block per input block, and the union
+        # adds the edge blocks every round: coalesce back to the initial
+        # block count so a round costs the same in round 2 and round 20
+        labels = msgs \
             .groupby("node").aggregate(Min("label", alias_name="label")) \
-            .materialize()
-        crc = _checksum(new_labels)
-        labels = new_labels
+            .repartition(n_blocks).materialize()
+        crc = _checksum(labels)
         if crc == prev_crc:
             break
         prev_crc = crc
     return labels.map_batches(_unrank_table, batch_format="pyarrow")
 
 
-def assignment_to_mapping(labels_ds) -> dict[str, str]:
-    """Collect the non-identity part of the assignment to the driver.
-
-    Safe when |linked entities| ≪ |triples| (the broadcast-side
-    contract); for the join path use :func:`canonicalize_triples` with
-    ``via="join"`` instead.
-    """
-    out = {}
-    for batch in labels_ds.iter_batches(batch_format="pyarrow"):
-        for n, l in zip(batch["node"].to_pylist(),
-                        batch["label"].to_pylist()):
-            if n != l:
-                out[n] = l
-    return out
+def _set_nodes(batch: pa.Table, name: str, new) -> pa.Table:
+    """Write remapped values ``new`` into node column ``name`` (subj or
+    obj).  Literals (kind 2) are NEVER remapped — a literal whose lexical
+    value equals a mapped node id keeps its value — and the kind is
+    recomputed: a blank rewritten to a KB IRI changes kind 1 → 0."""
+    kind_name = f"{name}_kind"
+    if kind_name in batch.schema.names:
+        kinds = batch[kind_name]
+        new = pc.if_else(pc.equal(kinds, 2), batch[name].combine_chunks(),
+                         new)
+        new_kinds = pc.if_else(
+            pc.equal(kinds, 2), kinds,
+            pc.cast(pc.if_else(pc.starts_with(new, "_:"), 1, 0), pa.uint8()))
+        batch = batch.set_column(batch.schema.get_field_index(kind_name),
+                                 kind_name, pc.cast(new_kinds, pa.uint8()))
+    return batch.set_column(batch.schema.get_field_index(name), name, new)
 
 
 class _Remap:
-    """Vectorized canonical-id rewrite; mapping fetched once per actor."""
+    """Vectorized canonical-id rewrite against a ``(nodes, labels)``
+    Arrow pair, built once per worker process."""
 
-    def __init__(self, mapping_ref=None, mapping=None):
-        import ray
+    def __init__(self, mapping):
+        import polars as pl
 
-        if mapping is None:
-            mapping = ray.get(mapping_ref) if mapping_ref is not None else {}
-        if isinstance(mapping, tuple):      # (keys_array, vals_array)
-            keys, vals = mapping
-        else:
-            keys = pa.array(list(mapping.keys()), pa.string())
-            vals = pa.array(list(mapping.values()), pa.string())
-        self.n = len(keys)
-        if self.n == 0:
-            return
-        try:
-            import polars as pl
-
-            # zero-copy Arrow → polars; Rust-side hash join per batch.
-            # A Python dict of the same mapping costs seconds to build
-            # PER WORKER at multi-million entries (blank-node mappings
-            # grow with the corpus) — this was the superlinear term in
-            # the remap stage at 4M-doc scale.
-            self._pl = pl
-            self.map_df = pl.DataFrame({"k": pl.from_arrow(keys),
-                                        "v": pl.from_arrow(vals)})
-        except Exception:
-            self._pl = None
-            self.lookup = dict(zip(keys.to_pylist(), vals.to_pylist()))
+        keys, vals = mapping
+        # zero-copy Arrow → polars; Rust-side hash join per batch.
+        # A Python dict of the same mapping costs seconds to build
+        # PER WORKER at multi-million entries (blank-node mappings
+        # grow with the corpus) — this was the superlinear term in
+        # the remap stage at 4M-doc scale.
+        self.map_df = pl.DataFrame({"k": pl.from_arrow(keys),
+                                    "v": pl.from_arrow(vals)})
 
     def _remap_col(self, col):
-        if self.n == 0:
-            return col
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        if self._pl is not None:
-            pl = self._pl
-            df = pl.DataFrame({"k": pl.from_arrow(col)}).with_row_index("i")
-            j = df.join(self.map_df, on="k", how="left").sort("i")
-            out = j.select(pl.coalesce(pl.col("v"), pl.col("k"))
-                           .alias("o"))["o"].to_arrow()
-            return out.cast(pa.string())
-        enc = col.dictionary_encode()
-        get = self.lookup.get
-        uniq = enc.dictionary.to_pylist()
-        mapped = pa.array([get(u, u) for u in uniq], pa.string())
-        return pc.take(mapped, pc.cast(enc.indices, pa.int64()))
+        import polars as pl
+
+        df = pl.DataFrame({"k": pl.from_arrow(col.combine_chunks())}) \
+            .with_row_index("i")
+        j = df.join(self.map_df, on="k", how="left").sort("i")
+        out = j.select(pl.coalesce(pl.col("v"), pl.col("k"))
+                       .alias("o"))["o"].to_arrow()
+        return out.cast(pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        for name, kind_name in (("subj", "subj_kind"), ("obj", "obj_kind")):
-            i = batch.schema.get_field_index(name)
-            col = self._remap_col(batch[name])
-            has_kind = kind_name in batch.schema.names
-            if has_kind:
-                kinds = batch[kind_name]
-                # literals (kind 2) are NEVER remapped — a literal whose
-                # lexical value equals a mapped node id must keep its
-                # original value, not just its kind
-                col = pc.if_else(pc.equal(kinds, 2),
-                                 batch[name].combine_chunks()
-                                 if isinstance(batch[name], pa.ChunkedArray)
-                                 else batch[name],
-                                 col)
-            batch = batch.set_column(i, name, col)
-            # a blank rewritten to a KB IRI changes kind 1 → 0
-            if has_kind:
-                ki = batch.schema.get_field_index(kind_name)
-                blank_now = pc.starts_with(col, "_:")
-                new_kinds = pc.if_else(
-                    pc.equal(kinds, 2), kinds,
-                    pc.cast(pc.if_else(blank_now, 1, 0), pa.uint8()))
-                batch = batch.set_column(ki, kind_name,
-                                         pc.cast(new_kinds, pa.uint8()))
+        for name in ("subj", "obj"):
+            batch = _set_nodes(batch, name, self._remap_col(batch[name]))
         return batch
 
 
-def canonicalize_triples(triples_ds, labels_ds=None, mapping=None,
-                         via: str = "broadcast", num_partitions: int = 16,
-                         concurrency=None):
+def canonicalize_triples(triples_ds, mapping=None, labels_ds=None):
     """Rewrite subj/obj to canonical component labels.
 
-    via="broadcast": ``ray.put`` the mapping once (a dict or a
-    ``(keys_array, vals_array)`` Arrow pair); tasks do a vectorized
-    ``index_in`` per batch (no shuffle of the triples).
-    via="join": two hash joins (subj, then obj) against the assignment —
-    the all-shuffle path for mappings too large to broadcast.
+    ``mapping`` — the non-identity ``(nodes, labels)`` Arrow pair that
+    :func:`union_find` returns on its driver path — is ``ray.put`` once
+    and applied per batch by a polars join (no shuffle of the triples).
+    Without one (the distributed regime, where the assignment is beyond
+    broadcast scale) the triples are joined against the assignment
+    ``labels_ds`` by :func:`_join_remap`.
     """
-    if via == "broadcast":
-        import ray
+    if mapping is None:
+        return _join_remap(triples_ds, labels_ds)
+    if len(mapping[0]) == 0:
+        return triples_ds
 
-        from .broadcast import cached_get
+    import ray
 
-        if mapping is None:
-            mapping = assignment_to_mapping(labels_ds)
-        empty = (len(mapping[0]) == 0 if isinstance(mapping, tuple)
-                 else not mapping)
-        if empty:
-            return triples_ds
-        ref = ray.put(mapping)
+    from .broadcast import cached_get
 
-        # plain-task stage (no actor-pool spin-up): the mapping is light
-        # lookup state; the built _Remap (key/value Arrow arrays) is
-        # memoized once per worker process
-        def remap(batch: pa.Table) -> pa.Table:
-            inst = cached_get(ref, build=lambda m: _Remap(mapping=m),
-                              tag="remap")
-            return inst(batch)
+    ref = ray.put(mapping)
 
-        return triples_ds.map_batches(remap, batch_format="pyarrow",
-                                      zero_copy_batch=True)
+    # plain-task stage (no actor-pool spin-up): the mapping is light
+    # lookup state; the built _Remap (key/value Arrow arrays) is
+    # memoized once per worker process
+    def remap(batch: pa.Table) -> pa.Table:
+        return cached_get(ref, build=_Remap, tag="remap")(batch)
 
-    assert labels_ds is not None
-    names = set(triples_ds.schema().names)
-    if {"doc_id", "stmt_index"} <= names:
-        return _join_remap_exploded(triples_ds, labels_ds, num_partitions)
-    return _join_remap_legacy(triples_ds, labels_ds, num_partitions)
+    return triples_ds.map_batches(remap, batch_format="pyarrow",
+                                  zero_copy_batch=True)
 
 
-# Hit tables (one row per actually-remapped subj/obj position) up to this
-# many rows are ray.put once and applied map-side — the common case when a
-# huge assignment is sparsely applicable to this triples table.
-HITS_BROADCAST_MAX = 2_000_000
-
-
-def _explode_refs(batch: pa.Table, num_buckets: int) -> pa.Table:
+def _explode_refs(batch: pa.Table) -> pa.Table:
     """Triples batch → skinny (bucket, key, doc_id, stmt_index, pos) node
     references: pos 0 = subj, pos 1 = non-literal obj.  This is the only
     stream the assignment join shuffles — never the full triple payload."""
@@ -492,7 +389,7 @@ def _explode_refs(batch: pa.Table, num_buckets: int) -> pa.Table:
                                stmt.filter(keep))
         n = len(vals)
         parts.append(pa.Table.from_arrays(
-            [_hash_col(vals, mod=num_buckets), vals, doc, stmt,
+            [_hash_col(vals, mod=NUM_BUCKETS), vals, doc, stmt,
              pa.array([pos] * n, pa.int8()), pa.nulls(n, pa.string())],
             names=["bucket", "key", "doc_id", "stmt_index", "pos", "label"]))
     return pa.concat_tables(parts)
@@ -546,8 +443,7 @@ def _apply_hits(batch: pa.Table, hits: pa.Table) -> pa.Table:
     multiplies."""
     import numpy as np
 
-    for pos, col, kind_name in ((0, "subj", "subj_kind"),
-                                (1, "obj", "obj_kind")):
+    for pos, col in enumerate(("subj", "obj")):
         side = hits.filter(pc.equal(hits["pos"], pos)) \
             .select(["doc_id", "stmt_index", "node", "label"])
         if not side.num_rows:
@@ -561,38 +457,23 @@ def _apply_hits(batch: pa.Table, hits: pa.Table) -> pa.Table:
         j = key.join(side, keys=["doc_id", "stmt_index", "node"],
                      join_type="left outer").sort_by("__row")
         lab = j["label"].combine_chunks()
-        orig = batch[col].combine_chunks()
-        merged = pc.if_else(pc.is_valid(lab), lab, orig)
-        if kind_name in batch.schema.names:
-            kinds = batch[kind_name]
-            merged = pc.if_else(pc.equal(kinds, 2), orig, merged)
-        i = batch.schema.get_field_index(col)
-        batch = batch.set_column(i, col, merged)
-        if kind_name in batch.schema.names:
-            ki = batch.schema.get_field_index(kind_name)
-            blank_now = pc.starts_with(merged, "_:")
-            new_kinds = pc.if_else(
-                pc.equal(batch[kind_name], 2), batch[kind_name],
-                pc.cast(pc.if_else(blank_now, 1, 0), pa.uint8()))
-            batch = batch.set_column(ki, kind_name,
-                                     pc.cast(new_kinds, pa.uint8()))
+        batch = _set_nodes(batch, col, pc.if_else(
+            pc.is_valid(lab), lab, batch[col].combine_chunks()))
     return batch
 
 
-def _join_remap_exploded(triples_ds, labels_ds, num_partitions: int):
-    """ONE-shuffle join remap (VERDICT r1 #6).  The legacy path shipped
-    the full triple payload through two bucketed joins (subj, then obj);
-    this ships only a skinny (node, doc_id, stmt_index, pos) reference
-    stream through a single bucketed lookup against the assignment, then
-    applies the resulting hit table either map-side (broadcast, the
-    common sparse-application case — zero full-table shuffles) or via
-    one doc_id-bucketed co-shuffle."""
+def _join_remap(triples_ds, labels_ds):
+    """ONE-shuffle join remap for an assignment beyond broadcast scale.
+    Ships only a skinny (node, doc_id, stmt_index, pos) reference stream
+    — never the full triple payload — through a single bucketed lookup
+    against the assignment, then applies the resulting hit table either
+    map-side (broadcast, the common sparse-application case — zero
+    full-table shuffles) or via one doc_id-bucketed co-shuffle."""
     import ray
-    import ray.data as rd
 
     tagged_labels = labels_ds.map_batches(
         lambda t: pa.Table.from_arrays(
-            [_hash_col(t["node"], mod=num_partitions),
+            [_hash_col(t["node"], mod=NUM_BUCKETS),
              t["node"].combine_chunks(),
              pa.nulls(t.num_rows, pa.string()),
              pa.nulls(t.num_rows, pa.int64()),
@@ -601,8 +482,7 @@ def _join_remap_exploded(triples_ds, labels_ds, num_partitions: int):
             names=["bucket", "key", "doc_id", "stmt_index", "pos",
                    "label"]),
         batch_format="pyarrow")
-    refs = triples_ds.map_batches(
-        lambda t: _explode_refs(t, num_partitions), batch_format="pyarrow")
+    refs = triples_ds.map_batches(_explode_refs, batch_format="pyarrow")
     hits = refs.union(tagged_labels).groupby("bucket").map_groups(
         _hit_lookup, batch_format="pyarrow").materialize()
     n_hits = hits.count()
@@ -623,8 +503,7 @@ def _join_remap_exploded(triples_ds, labels_ds, num_partitions: int):
             .aggregate([("label", "min")])
         mapping = (agg["node"].combine_chunks(),
                    agg["label_min"].combine_chunks())
-        return canonicalize_triples(triples_ds, mapping=mapping,
-                                    via="broadcast")
+        return canonicalize_triples(triples_ds, mapping=mapping)
     # hits beyond broadcast: ONE full-table co-shuffle on hash(doc_id)
     schema = triples_ds.schema()
     tri_names = list(schema.names)
@@ -639,7 +518,7 @@ def _join_remap_exploded(triples_ds, labels_ds, num_partitions: int):
         arrays += [pa.nulls(t.num_rows, pa.int8()),
                    pa.nulls(t.num_rows, pa.string()),
                    pa.nulls(t.num_rows, pa.string()),
-                   _hash_col(t["doc_id"], mod=num_partitions)]
+                   _hash_col(t["doc_id"], mod=NUM_BUCKETS)]
         return pa.Table.from_arrays(arrays, names=tri_names + extra)
 
     def tag_hits(t: pa.Table) -> pa.Table:
@@ -658,7 +537,7 @@ def _join_remap_exploded(triples_ds, labels_ds, num_partitions: int):
             else:
                 arrays.append(pa.nulls(t.num_rows, tri_types[c]))
         arrays += [t["pos"], t["node"], t["label"],
-                   _hash_col(t["doc_id"], mod=num_partitions)]
+                   _hash_col(t["doc_id"], mod=NUM_BUCKETS)]
         return pa.Table.from_arrays(arrays, names=tri_names + extra)
 
     def fold_bucket(g: pa.Table) -> pa.Table:
@@ -678,44 +557,3 @@ def _join_remap_exploded(triples_ds, labels_ds, num_partitions: int):
     hit_tagged = hits.map_batches(tag_hits, batch_format="pyarrow")
     return tri_tagged.union(hit_tagged).groupby("bucket2").map_groups(
         fold_bucket, batch_format="pyarrow")
-
-
-def _join_remap_legacy(triples_ds, labels_ds, num_partitions: int):
-    # legacy two-join path: for triples tables without (doc_id,
-    # stmt_index) — left-outer bucketed joins keep unmapped nodes as-is
-    from ..ops.join import bucketed_hash_join
-
-    out = triples_ds
-    for col in ("subj", "obj"):
-        side = labels_ds.rename_columns({"node": f"__n_{col}",
-                                         "label": f"__l_{col}"})
-        out = bucketed_hash_join(out, side, col, f"__n_{col}",
-                                 how="left outer",
-                                 num_buckets=num_partitions)
-
-        def fold(batch: pa.Table, col=col) -> pa.Table:
-            lab = batch[f"__l_{col}"]
-            i = batch.schema.get_field_index(col)
-            merged = pc.if_else(pc.is_valid(lab), lab, batch[col])
-            kind_name = f"{col}_kind"
-            if kind_name in batch.schema.names:
-                # literals never remap, even on a joined label hit
-                merged = pc.if_else(pc.equal(batch[kind_name], 2),
-                                    batch[col].combine_chunks()
-                                    if isinstance(batch[col], pa.ChunkedArray)
-                                    else batch[col],
-                                    merged)
-            batch = batch.set_column(i, col, merged)
-            if kind_name in batch.schema.names:
-                ki = batch.schema.get_field_index(kind_name)
-                kinds = batch[kind_name]
-                blank_now = pc.starts_with(merged, "_:")
-                new_kinds = pc.if_else(
-                    pc.equal(kinds, 2), kinds,
-                    pc.cast(pc.if_else(blank_now, 1, 0), pa.uint8()))
-                batch = batch.set_column(ki, kind_name,
-                                         pc.cast(new_kinds, pa.uint8()))
-            return batch.drop_columns([f"__l_{col}"])
-
-        out = out.map_batches(fold, batch_format="pyarrow")
-    return out

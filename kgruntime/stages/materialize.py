@@ -38,33 +38,18 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import PARSER_VERSION
+from .canon import _hash_col
 
-TRIPLE_KEY = ["subj", "pred", "obj", "obj_datatype", "obj_lang"]
-
-
-def local_dedup(batch: pa.Table) -> pa.Table:
-    """Combiner: distinct (s,p,o,dt,lang) within one batch, keeping the
-    first row's lineage columns (vectorized pyarrow group_by)."""
-    if batch.num_rows == 0:
-        return batch
-    gb = batch.group_by(TRIPLE_KEY, use_threads=False)
-    aggs = [(c, "first") for c in batch.schema.names if c not in TRIPLE_KEY]
-    out = gb.aggregate(aggs)
-    renames = {f"{c}_first": c for c, _ in aggs}
-    return out.rename_columns([renames.get(n, n) for n in out.schema.names])
+FULL_KEY = ["subj", "pred", "obj", "obj_datatype", "obj_lang",
+            "subj_kind", "obj_kind"]
 
 
-FULL_KEY = TRIPLE_KEY + ["subj_kind", "obj_kind"]
-
-
-def dedup_triples(triples_ds, keep_lineage: bool = False,
-                  num_buckets: int = 64,
+def dedup_triples(triples_ds, num_buckets: int = 64,
                   hot_subjects: set | None = None, salt_factor: int = 8,
                   keep_buckets: bool = False):
     """N5 global exact dedup of the triple store, fused with the store's
@@ -80,35 +65,16 @@ def dedup_triples(triples_ds, keep_lineage: bool = False,
     ``write_triple_store(pre_bucketed=True)`` can write without another
     pass (one shuffle serves both dedup and store layout).
 
-    ``keep_lineage=True`` keeps the first row's lineage per group
-    (heavier map_groups path; audits only, not the hot path).
+    Lineage columns are dropped: the store keeps one row per distinct
+    (s, p, o, datatype, lang, kinds).  The bucket hash is
+    ``canon._hash_col``, so equal keys always land in equal buckets.
     """
-    if keep_lineage:
-        pre = triples_ds.map_batches(local_dedup, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-
-        def first_row(group: pa.Table) -> pa.Table:
-            return group.slice(0, 1)
-
-        return pre.groupby(TRIPLE_KEY).map_groups(first_row,
-                                                  batch_format="pyarrow")
-
-    import ray
-
-    from .broadcast import cached_get
-
-    hot_ref = ray.put(hot_subjects or set())
+    add_buckets = _add_buckets_fn(num_buckets, hot_subjects, salt_factor)
 
     def pre(batch: pa.Table) -> pa.Table:
         t = batch.select(FULL_KEY)
-        t = t.group_by(FULL_KEY, use_threads=False).aggregate([])
-        bucketer = cached_get(
-            hot_ref,
-            build=lambda hs: AddBuckets(num_buckets=num_buckets,
-                                        hot_subjects=hs,
-                                        salt_factor=salt_factor),
-            tag=f"buckets-{num_buckets}-{salt_factor}")
-        return bucketer(t)
+        return add_buckets(t.group_by(FULL_KEY, use_threads=False)
+                           .aggregate([]))
 
     def distinct_bucket(g: pa.Table) -> pa.Table:
         return g.group_by(FULL_KEY + ["subj_bucket", "sub_salt"],
@@ -123,46 +89,55 @@ def dedup_triples(triples_ds, keep_lineage: bool = False,
     return out
 
 
-def _crc_bucket(col, mod: int) -> pa.Array:
-    """Vectorized bucket hash (polars/ahash via canon._hash_col with a
-    crc32 fallback).  Bucket layout is a *physical* property — readers
-    scan all buckets, so cross-version hash stability is not a
-    correctness requirement."""
-    from .canon import _hash_col
-
-    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    return _hash_col(col, mod=mod)
-
-
 class AddBuckets:
     """Append (subj_bucket, sub_salt) partition columns.
 
     ``hot_subjects`` (a set broadcast via ``ray.put``) get an extra salt
     in [0, salt_factor) derived from the object value, splitting a hot
-    subject's rows across ``salt_factor`` writer partitions.
+    subject's rows across ``salt_factor`` writer partitions.  Buckets
+    come from ``canon._hash_col`` (polars/ahash).  Bucket layout is a
+    *physical* property — readers scan all buckets, so cross-version
+    hash stability is not a correctness requirement.
     """
 
-    def __init__(self, num_buckets: int = 64, hot_ref=None,
+    def __init__(self, num_buckets: int = 64,
                  hot_subjects: set | None = None, salt_factor: int = 8):
-        import ray
-
-        if hot_subjects is None:
-            hot_subjects = ray.get(hot_ref) if hot_ref is not None else set()
         self.num_buckets = num_buckets
         self.salt_factor = salt_factor
         self.hot = (pa.array(sorted(hot_subjects), pa.string())
                     if hot_subjects else None)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        bucket = _crc_bucket(batch["subj"], self.num_buckets)
+        bucket = _hash_col(batch["subj"], mod=self.num_buckets)
         if self.hot is not None and len(self.hot):
             is_hot = pc.is_valid(pc.index_in(batch["subj"], value_set=self.hot))
-            obj_salt = _crc_bucket(batch["obj"], self.salt_factor)
+            obj_salt = _hash_col(batch["obj"], mod=self.salt_factor)
             salt = pc.if_else(is_hot, obj_salt, pa.scalar(0, pa.int32()))
         else:
             salt = pa.array([0] * batch.num_rows, pa.int32())
         return batch.append_column("subj_bucket", bucket) \
                     .append_column("sub_salt", salt)
+
+
+def _add_buckets_fn(num_buckets: int, hot_subjects, salt_factor: int):
+    """Batch function appending (subj_bucket, sub_salt) in a plain-task
+    stage: the hot-subject set is light broadcast state, and the built
+    :class:`AddBuckets` is memoized once per worker process."""
+    import ray
+
+    from .broadcast import cached_get
+
+    ref = ray.put(hot_subjects or set())
+
+    def add_buckets(batch: pa.Table) -> pa.Table:
+        return cached_get(
+            ref,
+            build=lambda hs: AddBuckets(num_buckets=num_buckets,
+                                        hot_subjects=hs,
+                                        salt_factor=salt_factor),
+            tag=f"buckets-{num_buckets}-{salt_factor}")(batch)
+
+    return add_buckets
 
 
 def find_hot_subjects(triples_ds, threshold: int = 100_000) -> set[str]:
@@ -192,32 +167,13 @@ def write_triple_store(triples_ds, out_dir: str, num_buckets: int = 64,
 
     ``pre_bucketed=True``: the input already carries subj_bucket/sub_salt
     (from ``dedup_triples(keep_buckets=True)``) — write directly, no
-    extra pass.  Otherwise a plain-task stage appends them (hot-subject
-    set is light broadcast state, memoized per worker process).
+    extra pass.  Otherwise a plain-task stage appends them.
     """
-    if pre_bucketed:
-        triples_ds.write_parquet(out_dir, partition_cols=["subj_bucket"])
-        return out_dir
-
-    import ray
-
-    from .broadcast import cached_get
-
-    hot_ref = ray.put(hot_subjects or set())
-
-    def add_buckets(batch: pa.Table) -> pa.Table:
-        inst = cached_get(
-            hot_ref,
-            build=lambda hs: AddBuckets(num_buckets=num_buckets,
-                                        hot_subjects=hs,
-                                        salt_factor=salt_factor),
-            tag=f"buckets-{num_buckets}-{salt_factor}")
-        return inst(batch)
-
-    with_buckets = triples_ds.map_batches(add_buckets,
-                                          batch_format="pyarrow",
-                                          zero_copy_batch=True)
-    with_buckets.write_parquet(out_dir, partition_cols=["subj_bucket"])
+    if not pre_bucketed:
+        triples_ds = triples_ds.map_batches(
+            _add_buckets_fn(num_buckets, hot_subjects, salt_factor),
+            batch_format="pyarrow", zero_copy_batch=True)
+    triples_ds.write_parquet(out_dir, partition_cols=["subj_bucket"])
     return out_dir
 
 

@@ -7,17 +7,15 @@ import os
 import pyarrow as pa
 import pytest
 
-from kgruntime.stages.canon import (
-    assignment_to_mapping, canonicalize_triples, connected_components,
-)
+from kgruntime.stages import canon
+from kgruntime.stages.canon import canonicalize_triples, union_find
 from kgruntime.stages.extract import triples_dataset
 from kgruntime.stages.linking import (
     LinkScorer, build_alias_table, detect_mentions, link_edges_dataset,
     mentions_dataset, normalize_name,
 )
 from kgruntime.stages.materialize import (
-    commit_fragment, committed_fragments, dedup_triples, local_dedup,
-    pending_fragments,
+    commit_fragment, committed_fragments, dedup_triples, pending_fragments,
 )
 from kgruntime.synth import make_documents_table
 
@@ -71,8 +69,7 @@ def test_union_find_merges_star(ray_session):
         {"src": "http://x/c2", "dst": "http://x/c3", "score": 1.0,
          "doc_id": "d3", "mention_text": "c"},
     ])
-    labels = connected_components(edges, num_partitions=2)
-    mapping = {r["node"]: r["label"] for r in labels.take_all()}
+    mapping = {r["node"]: r["label"] for r in union_find(edges)[0].take_all()}
     # IRI-ranked canonical: blanks map to the KB IRI, not vice versa
     assert mapping["_:d1/0"] == "http://kb.example/entity/bob"
     assert mapping["_:d2/0"] == "http://kb.example/entity/bob"
@@ -82,8 +79,10 @@ def test_union_find_merges_star(ray_session):
     assert mapping["http://x/c3"] == "http://x/c1"
 
 
-def test_union_find_driver_vs_distributed(ray_session):
-    """Both CC modes must compute the identical assignment."""
+def test_union_find_driver_vs_distributed(ray_session, monkeypatch):
+    """The driver union-find and the distributed rounds must compute the
+    identical assignment, including on a long chain that needs one round
+    per hop (the rounds run to their fixpoint, not to a round cap)."""
     import random
 
     import ray.data as rd
@@ -98,13 +97,21 @@ def test_union_find_driver_vs_distributed(ray_session):
         rng.shuffle(nodes)
         for a, b in zip(nodes, nodes[1:]):
             rows.append({"src": a, "dst": b})
+    chain = [f"http://x/c{i:02d}" for i in range(15)]
+    rows += [{"src": a, "dst": b} for a, b in zip(chain, chain[1:])]
     edges = rd.from_items(rows)
-    drv = {r["node"]: r["label"]
-           for r in connected_components(edges, mode="driver").take_all()}
+    asn, mapping = union_find(edges)
+    drv = {r["node"]: r["label"] for r in asn.take_all()}
+    assert drv["http://x/c14"] == "http://x/c00"
+    # the driver's mapping is the non-identity part of its assignment
+    assert dict(zip(*(a.to_pylist() for a in mapping))) == {
+        n: l for n, l in drv.items() if n != l}
+
+    monkeypatch.setattr(canon, "DRIVER_CC_MAX_EDGES", 0)
     strategy = edges.context.shuffle_strategy
-    dist = {r["node"]: r["label"]
-            for r in connected_components(edges, mode="distributed",
-                                          num_partitions=4).take_all()}
+    asn, mapping = union_find(edges)
+    assert mapping is None
+    dist = {r["node"]: r["label"] for r in asn.take_all()}
     assert drv == dist
     # the rounds switch the shuffle strategy only for their own duration
     assert edges.context.shuffle_strategy == strategy
@@ -114,43 +121,30 @@ def test_canonicalize_broadcast_and_join(ray_session):
     import ray.data as rd
 
     tri = rd.from_items([
-        {"subj": "_:d1/0", "subj_kind": 1, "pred": "http://p/",
-         "obj": "_:d2/0", "obj_kind": 1, "obj_datatype": "", "obj_lang": "",
+        {"doc_id": "d1", "subj": "_:d1/0", "subj_kind": 1,
+         "pred": "http://p/", "obj": "_:d2/0", "obj_kind": 1,
+         "obj_datatype": "", "obj_lang": "",
          "span_start": 0, "span_end": 1, "stmt_index": 0},
-        {"subj": "http://s/", "subj_kind": 0, "pred": "http://p/",
-         "obj": "x", "obj_kind": 2,
+        {"doc_id": "d1", "subj": "http://s/", "subj_kind": 0,
+         "pred": "http://p/", "obj": "x", "obj_kind": 2,
          "obj_datatype": "http://www.w3.org/2001/XMLSchema#string",
          "obj_lang": "", "span_start": 0, "span_end": 1, "stmt_index": 1},
     ])
-    mapping = {"_:d1/0": "http://kb/a", "_:d2/0": "http://kb/b"}
+    mapping = (pa.array(["_:d1/0", "_:d2/0"]),
+               pa.array(["http://kb/a", "http://kb/b"]))
     out = canonicalize_triples(tri, mapping=mapping).take_all()
-    remapped = {(r["subj"], r["obj"]) for r in out}
-    assert ("http://kb/a", "http://kb/b") in remapped
-    assert ("http://s/", "x") in remapped
+    remapped = {(r["subj"], r["subj_kind"], r["obj"], r["obj_kind"])
+                for r in out}
+    assert remapped == {("http://kb/a", 0, "http://kb/b", 0),
+                        ("http://s/", 0, "x", 2)}
 
     labels = rd.from_items([
         {"node": "_:d1/0", "label": "http://kb/a"},
         {"node": "_:d2/0", "label": "http://kb/b"},
     ])
-    out2 = canonicalize_triples(tri, labels_ds=labels, via="join",
-                                num_partitions=2).take_all()
-    assert {(r["subj"], r["obj"]) for r in out2} == remapped
-
-
-def test_local_dedup_combiner():
-    t = pa.table({
-        "subj": ["a", "a", "b"], "pred": ["p", "p", "p"],
-        "obj": ["o", "o", "o"], "obj_datatype": ["", "", ""],
-        "obj_lang": ["", "", ""], "subj_kind": pa.array([0, 0, 0], pa.uint8()),
-        "obj_kind": pa.array([0, 0, 0], pa.uint8()),
-        "doc_id": ["d", "d", "d"],
-        "span_start": pa.array([1, 2, 3], pa.int32()),
-        "span_end": pa.array([2, 3, 4], pa.int32()),
-        "stmt_index": pa.array([0, 1, 2], pa.int32()),
-    })
-    out = local_dedup(t)
-    assert out.num_rows == 2
-    assert set(out.schema.names) == set(t.schema.names)
+    out2 = canonicalize_triples(tri, labels_ds=labels).take_all()
+    assert {(r["subj"], r["subj_kind"], r["obj"], r["obj_kind"])
+            for r in out2} == remapped
 
 
 def test_global_dedup(ray_session):
@@ -262,6 +256,30 @@ def test_build_kg_fused_matches_build_kg(ray_session, tmp_path):
     assert fused["errors"].count() == ref["errors"].count() > 0
 
 
+@pytest.mark.parametrize("kb", ["corpus", "given"])
+def test_build_kg_join_regime_matches_broadcast(ray_session, monkeypatch,
+                                                kb):
+    """build_kg's canonical store is the same whether the union-find
+    runs on the driver (broadcast remap) or as distributed rounds (no
+    mapping: the exploded join remap against the assignment)."""
+    from kgruntime.pipelines.kg import build_kg
+
+    aliases = kg_corpus.kb_alias_table() if kb == "given" else None
+    key = ["subj", "subj_kind", "pred", "obj", "obj_kind",
+           "obj_datatype", "obj_lang"]
+
+    def rows():
+        res = build_kg(kg_corpus.documents(36, seed=7, malformed_every=5),
+                       alias_table=aliases)
+        return sorted(tuple(r[k] for k in key)
+                      for r in res["canonical"].take_all())
+
+    broadcast = rows()
+    monkeypatch.setattr(canon, "DRIVER_CC_MAX_EDGES", 0)
+    joined = rows()
+    assert len(broadcast) == 68 and joined == broadcast
+
+
 def test_corpus_alias_table_drops_rare_and_empty_names(ray_session):
     """Only names seen at least min_count times become KB entities;
     names that normalize to "" never do."""
@@ -285,15 +303,17 @@ def test_remap_never_rewrites_literals(ray_session):
     import ray.data as rd
 
     tri = rd.from_items([
-        {"subj": "http://s/", "subj_kind": 0, "pred": "http://p/",
+        {"doc_id": "d1", "subj": "http://s/", "subj_kind": 0,
+         "pred": "http://p/",
          "obj": "_:d1/0", "obj_kind": 2,   # literal that LOOKS like a node
          "obj_datatype": "http://www.w3.org/2001/XMLSchema#string",
          "obj_lang": "", "span_start": 0, "span_end": 1, "stmt_index": 0},
-        {"subj": "_:d1/0", "subj_kind": 1, "pred": "http://p/",
-         "obj": "_:d1/0", "obj_kind": 1, "obj_datatype": "", "obj_lang": "",
+        {"doc_id": "d1", "subj": "_:d1/0", "subj_kind": 1,
+         "pred": "http://p/", "obj": "_:d1/0", "obj_kind": 1,
+         "obj_datatype": "", "obj_lang": "",
          "span_start": 0, "span_end": 1, "stmt_index": 1},
     ])
-    mapping = {"_:d1/0": "http://kb/a"}
+    mapping = (pa.array(["_:d1/0"]), pa.array(["http://kb/a"]))
     out = canonicalize_triples(tri, mapping=mapping).take_all()
     by_stmt = {r["stmt_index"]: r for r in out}
     assert by_stmt[0]["obj"] == "_:d1/0"          # literal untouched
@@ -301,8 +321,7 @@ def test_remap_never_rewrites_literals(ray_session):
     assert by_stmt[1]["obj"] == "http://kb/a"     # node remapped
 
     labels = rd.from_items([{"node": "_:d1/0", "label": "http://kb/a"}])
-    out2 = canonicalize_triples(tri, labels_ds=labels, via="join",
-                                num_partitions=2).take_all()
+    out2 = canonicalize_triples(tri, labels_ds=labels).take_all()
     by_stmt2 = {r["stmt_index"]: r for r in out2}
     assert by_stmt2[0]["obj"] == "_:d1/0"
     assert by_stmt2[0]["obj_kind"] == 2
@@ -332,13 +351,13 @@ def test_link_scorer_tfidf_properties():
 
 def test_exploded_join_remap_matches_legacy(ray_session, monkeypatch):
     """The single-shuffle exploded join remap (hits-broadcast AND
-    co-shuffle variants) must agree with the legacy two-join path on a
-    collection-shaped table where many triples share (doc_id,
-    stmt_index) and the same blank node recurs as subj and obj — the
-    shape that would multiply rows under a (doc, stmt)-only join key."""
+    co-shuffle variants) must agree with the broadcast remap of the
+    same assignment on a collection-shaped table where many triples
+    share (doc_id, stmt_index) and the same blank node recurs as subj
+    and obj — the shape that would multiply rows under a (doc,
+    stmt)-only join key."""
+    import pyarrow.compute as pc
     import ray.data as rd
-
-    from kgruntime.stages import canon
 
     tri = pa.table({
         "doc_id": ["d1"] * 5 + ["d2"] * 2,
@@ -358,16 +377,20 @@ def test_exploded_join_remap_matches_legacy(ray_session, monkeypatch):
         "label": ["http://kb/L", "_:c1", "http://kb/Q", "_:z"],
     })
     tds, lds = rd.from_arrow(tri), rd.from_arrow(labels)
+    changed = pc.not_equal(labels["node"], labels["label"])
+    mapping = (labels["node"].filter(changed).combine_chunks(),
+               labels["label"].filter(changed).combine_chunks())
 
-    def run(f):
-        rows = f(tds, lds, 4).take_all()
+    def run(**kw):
+        rows = canonicalize_triples(tds, **kw).take_all()
         assert len(rows) == tri.num_rows          # no multiplication
         rows.sort(key=lambda r: (r["doc_id"], r["stmt_index"],
                                  r["pred"], r["subj"], r["obj"]))
         return [(r["doc_id"], r["stmt_index"], r["subj"], r["subj_kind"],
                  r["obj"], r["obj_kind"]) for r in rows]
 
-    expected = run(canon._join_remap_legacy)
-    assert run(canon._join_remap_exploded) == expected      # hits bcast
+    expected = run(mapping=mapping)
+    assert ("d1", 0, "http://kb/L", 0, "A", 2) in expected
+    assert run(labels_ds=lds) == expected                   # hits bcast
     monkeypatch.setattr(canon, "HITS_BROADCAST_MAX", 0)     # co-shuffle
-    assert run(canon._join_remap_exploded) == expected
+    assert run(labels_ds=lds) == expected

@@ -272,6 +272,23 @@ def test_term_concentration_hand_computed(ray_session):
     assert out.loc["s2", "top_term"] == "x"
 
 
+def test_term_concentration_sql_past_bigint_square():
+    """The SQL twin's T²·10⁶ numerator must not overflow BIGINT: one
+    source of 3.1M tokens of a single term is 1,000,000 ppm."""
+    import duckdb
+    import pandas as pd
+
+    from kgruntime.ops.valuation import term_concentration_by_source_sql
+
+    n = 3_100_000   # 3100 docs of 1000 tokens (one huge text splits slowly)
+    documents = pd.DataFrame({"source": ["s1"] * 3100,
+                              "text": [" ".join(["a"] * 1000)] * 3100})
+    con = duckdb.connect()
+    con.register("documents", documents)
+    row = con.execute(term_concentration_by_source_sql()).fetchall()
+    assert row == [("s1", n, 1, 1_000_000, "a", 1_000_000)]
+
+
 def test_coarse_group_map_matches_plain_groupby(ray_session):
     """coarse_group_map must reproduce groupby(keys).map_groups(fn)
     exactly — per-key groups arrive intact in one coarse block — and
@@ -494,6 +511,26 @@ def test_avi_rejects_non_mjpeg_loudly():
     sz = struct.unpack("<I", good[j + 4:j + 8])[0]
     with _pt.raises(ValueError, match="declares"):
         decode_avi_mjpeg(good[:k])
+
+
+def test_avi_rejects_truncated_avih():
+    """A short avih chunk raises a truncation ValueError instead of a
+    struct.error or a read into the next chunk."""
+    import struct
+
+    import pytest as _pt
+
+    from kgruntime.ops.avi import avi_info, encode_avi_mjpeg
+
+    good = encode_avi_mjpeg(_gradient_frames(n=2))
+    i = good.find(b"avih")
+    # the payload ends 20 bytes into the avih body
+    with _pt.raises(ValueError, match="avih header truncated: 20 of 40"):
+        avi_info(good[:i + 8 + 20])
+    # the chunk declares fewer than the 40 bytes its fields need
+    short = good[:i + 4] + struct.pack("<I", 16) + good[i + 8:]
+    with _pt.raises(ValueError, match="avih header truncated: 16 of 40"):
+        avi_info(short)
 
 
 def test_frame_sampler_real_path(ray_session):
