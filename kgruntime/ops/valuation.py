@@ -88,8 +88,10 @@ def loo_source_influence(docs_ds):
         return tt.group_by(["h", "source", "b"],
                            use_threads=False).aggregate([])
 
-    part_schema = pa.schema([("source", pa.string()),
-                             ("own", pa.int64()), ("nh", pa.int64())])
+    # one distinct-hash total row per bucket, flagged by ``total`` (any
+    # source value, '' included, can be a genuine source)
+    part_schema = pa.schema([("source", pa.string()), ("own", pa.int64()),
+                             ("nh", pa.int64()), ("total", pa.bool_())])
 
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         u = g.drop_duplicates(["h", "source"])
@@ -98,10 +100,11 @@ def loo_source_influence(docs_ds):
         excl = set(ns[ns == 1].index)
         own = u[u["h"].isin(excl)].groupby("source").size()
         return pa.table({
-            "source": pa.array([""] + own.index.tolist(), pa.string()),
+            "source": pa.array([None] + own.index.tolist(), pa.string()),
             "own": pa.array([0] + own.to_numpy(np.int64).tolist(),
                             pa.int64()),
-            "nh": pa.array([nh] + [0] * len(own), pa.int64())},
+            "nh": pa.array([nh] + [0] * len(own), pa.int64()),
+            "total": pa.array([True] + [False] * len(own), pa.bool_())},
             schema=part_schema)
 
     parts = docs_ds.select_columns(["source", "text"]) \
@@ -110,7 +113,7 @@ def loo_source_influence(docs_ds):
         .groupby("b").map_groups(per_bucket, batch_format="pandas") \
         .to_pandas()
     n_hashes = int(parts["nh"].sum())
-    own = parts[parts["source"] != ""] \
+    own = parts[~parts["total"]] \
         .groupby("source", as_index=False)["own"].sum()
     if own.empty:
         own = pd.DataFrame({"source": pd.Series([], dtype=str),

@@ -2,7 +2,7 @@
 
     read fragments → N1 normalize → fused parse (L*/P*/B*) → triples
       ├→ quarantine (errors)
-      └→ N2 mentions → N3 LinkScorer pool → sameAs edges
+      └→ N2 mentions → N3 LinkScorer tasks → sameAs edges
            → N4 union-find → canonical mapping
       → canonicalized triples → N5 dedup → partitioned triple store
       → N6 counters + N7 fragment manifests
@@ -222,10 +222,12 @@ def _read_kind(staging_dirs: list[str], kind: int, columns: list[str],
 def build_kg_fused(docs_ds, alias_table: dict, staging_dir: str,
                    dedup_buckets: int = 64, keep_buckets: bool = True):
     """Production shape for a given KB: parse + doc-local blank linking
-    in one actor-pool stage (stages/fused_link).  Only the small IRI↔KB
-    equivalence set reaches the global union-find, so the broadcast
-    remap stays broadcast-scale at ANY corpus size — this is the shape
-    that removes the per-doc mapping growth entirely (NOTES_r1 §2).
+    in one plain-task stage (stages/fused_link; the FusedParseLink is
+    built once per worker process from the broadcast alias table).
+    Only the small IRI↔KB equivalence set reaches the global union-find,
+    so the broadcast remap stays broadcast-scale at ANY corpus size —
+    this is the shape that removes the per-doc mapping growth entirely
+    (NOTES_r1 §2).
 
     The parse+link output is written ONCE to a durable staging table
     under ``staging_dir``, PARTITIONED BY record_kind: the union-find
@@ -240,23 +242,27 @@ def build_kg_fused(docs_ds, alias_table: dict, staging_dir: str,
     """
     import ray
 
-    from ..runtime import fixed_pool
+    from ..stages.broadcast import cached_get
     from ..stages.fused_link import FusedParseLink
 
     ref = ray.put(alias_table)
-    # FIXED pool sized to ~3/4 of the node: a fixed pool spins all
-    # actors up front (measured 11 s vs 16 s for autoscaling (2, cpus)
-    # at 960k docs — the autoscaler ramps too slowly), a pool of exactly
-    # `cpus` deadlocks the upstream read, and the staging write + read
-    # tasks need real headroom (sweep at 32 CPUs: 24 actors 7.7 s, 28
-    # actors 10.1 s, 31 actors 17.3 s).  batch_size 4096: larger batches
-    # amortize the per-batch vectorized setup (measured 7.7 s vs 9.8 s
-    # @1024 for the parse+stage phase at 960k docs) while output
+
+    # Tasks, not an actor pool: each actor is a fresh worker process
+    # (~0.7 CPU-s to start on a 4-CPU host) that dies with the Dataset,
+    # so the raylet starts replacements during the next stages — 1-7
+    # process starts per job.  Task workers are reused across stages
+    # and jobs, and cached_get builds the scorer once per process
+    # (perfbench kg_fused_distinct, 2000 docs, 4 CPUs: median 11.44 →
+    # 4.77 busy CPU-s per job, 12/12 pairs).  batch_size 4096: larger
+    # batches amortize the per-batch vectorized setup (measured 7.7 s vs
+    # 9.8 s @1024 for the parse+stage phase at 960k docs) while output
     # amplification (~50×) keeps per-task heap bounded.
+    def parse_link(batch):
+        return cached_get(ref, build=lambda a: FusedParseLink(alias_table=a),
+                          tag="fused")(batch)
+
     docs_ds.map_batches(
-        FusedParseLink, fn_constructor_kwargs={"alias_ref": ref},
-        batch_format="pyarrow", batch_size=4096,
-        concurrency=fixed_pool(), num_cpus=1,
+        parse_link, batch_format="pyarrow", batch_size=4096,
     ).write_parquet(staging_dir, partition_cols=["record_kind"])
     triples = _read_kind([staging_dir], 0, _TRIPLE_COLS)
     errors = _read_kind([staging_dir], 1, _ERROR_COLS)

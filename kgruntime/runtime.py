@@ -39,11 +39,3 @@ def pool_range(frac: float = 0.25, lo: int = 2,
     hi = min(hi, max(lo + 1, cpus - max(1, cpus // 4)))
     return (lo, max(hi, lo + 1))
 
-
-def fixed_pool(headroom_frac: float = 0.25, lo: int = 2) -> int:
-    """FIXED pool size: all cluster CPUs minus ~headroom_frac for the
-    upstream read / staging write (a pool of exactly `cpus` deadlocks
-    the read; autoscaling ramps too slowly for minutes-long stages —
-    both measured, see BASELINE.md)."""
-    cpus = cluster_cpus()
-    return max(lo, cpus - max(2, int(cpus * headroom_frac)))

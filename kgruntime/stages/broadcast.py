@@ -1,30 +1,45 @@
-"""Broadcast-side cache for stateless task stages.
+"""Broadcast-side cache for task stages with per-worker state.
 
 ``ray.get`` of the same ObjectRef inside one worker process re-pays
-deserialization per call; actor pools amortize it via ``__init__`` but
-pay pool-startup latency instead.  For *light* lookup state (a dict, a
-key array) a plain-task stage + this per-process memo gets both: zero
-pool spin-up and one deserialization per worker process.
+deserialization per call; an actor pool amortizes it via ``__init__``
+but starts a fresh worker process per actor for every Dataset (~0.7
+CPU-s each on a 4-CPU host) and kills it when the Dataset finishes.  A
+plain-task stage + this per-process memo gets both: no pool and one
+fetch + build per worker process — for light lookup state (a dict, a key
+array) and for built scorers alike (the KG path's ``FusedParseLink`` and
+``LinkScorer`` stages).
+
+The cache is BOUNDED: one built value per tag.  Task workers outlive the
+job that put the ref, and every job puts new refs, so a cache keyed by
+(ref, tag) would keep every old job's scorer / remap mapping forever.
+The ref is compared on every call, so a stale entry is rebuilt, never
+served.
 """
 
 from __future__ import annotations
 
-_CACHE: dict = {}
+# tag -> (ref hex, built value)
+_CACHE: dict[str, tuple] = {}
 
 
 def cached_get(ref, build=None, tag: str = ""):
     """ray.get(ref), memoized per worker process.
 
     ``build`` (optional) post-processes the fetched object (e.g. wraps a
-    dict into a lookup structure); the BUILT value is what gets cached,
-    keyed by (ref, tag).
+    dict into a lookup structure); the BUILT value is what gets cached.
+    Each ``tag`` holds one entry, replaced when called with a different
+    ref, so the tag must name everything ``build`` bakes in besides the
+    ref's object (e.g. a threshold).  Two stages of one pipeline that
+    share a tag but not a ref rebuild whenever a worker switches between
+    them, which only light state (e.g. ``AddBuckets``) can afford.
     """
     import ray
 
-    key = (ref.hex() if hasattr(ref, "hex") else id(ref), tag)
-    hit = _CACHE.get(key)
-    if hit is None:
+    key = ref.hex()
+    hit = _CACHE.get(tag)
+    if hit is None or hit[0] != key:
+        _CACHE.pop(tag, None)        # drop the old value before building
         obj = ray.get(ref)
-        hit = build(obj) if build is not None else obj
-        _CACHE[key] = hit
-    return hit
+        hit = (key, build(obj) if build is not None else obj)
+        _CACHE[tag] = hit
+    return hit[1]

@@ -234,7 +234,7 @@ def _driver_union_find(edges_ds):
 def _cc_rounds(edges_ds):
     # Pin the (small) edge set: it is re-joined every round, and leaving
     # it lazy would re-execute the whole upstream (mention detection +
-    # scorer pool) once per round.  |edges| ≪ |triples| by construction.
+    # scorer stage) once per round.  |edges| ≪ |triples| by construction.
     # (never empty: union_find routes only > DRIVER_CC_MAX_EDGES here)
     bidir = edges_ds.map_batches(_bidir, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()

@@ -4,11 +4,13 @@ Insight (NOTES_r1 §2): a blank node's KB link is *derivable inside its
 own document* — its name literal plus the broadcast alias table — so the
 per-doc part of the canonical mapping (which grows linearly with the
 corpus and eventually outgrows broadcast) never needs to exist as a
-global structure.  This stage:
+global structure.  This stage (a plain-task ``map_batches``; the
+:class:`FusedParseLink` is built once per worker process from the
+broadcast alias table by ``stages/broadcast.cached_get``):
 
 1. parses a batch of documents (same fused L/P/B as stages/extract);
 2. per document, scores name-literal mentions against the alias table
-   (same LinkScorer semantics, loaded once per actor);
+   (same LinkScorer semantics and index);
 3. rewrites linked BLANK ids to their KB canonical in place
    (doc-local, no shuffle, no global mapping);
 4. emits the residual IRI↔KB equivalences as edge rows (record_kind=2)
@@ -36,13 +38,13 @@ RECORD_EDGE = 2
 
 
 class FusedParseLink:
-    """Actor-pool stage: documents batch → triples (blank-canonicalized)
-    + quarantine rows + IRI-equivalence edge rows, in one pass."""
+    """Batch function: documents batch → triples (blank-canonicalized)
+    + quarantine rows + IRI-equivalence edge rows, in one pass.  Built
+    once per worker process (its scorer index and memo are the state
+    worth keeping), then called per batch from a task stage."""
 
-    def __init__(self, alias_ref=None, alias_table: dict | None = None,
-                 threshold: float = 0.85):
-        self.scorer = LinkScorer(alias_ref=alias_ref,
-                                 alias_table=alias_table,
+    def __init__(self, alias_table: dict, threshold: float = 0.85):
+        self.scorer = LinkScorer(alias_table=alias_table,
                                  threshold=threshold)
         self.threshold = threshold
 

@@ -2,7 +2,8 @@
 
 No reference counterpart (the reference is a parser); designed from
 scratch per BASELINE.json north_rule: "batched mention detection and
-entity-link scoring in stateful actor pools".
+entity-link scoring in stateful actor pools" — the state is kept per
+worker process, without the pool (see N3).
 
 N2 — mention detection: a *stateless, vectorized* ``map_batches`` over
 the triples table.  A mention is a name-like literal attached to an
@@ -10,12 +11,14 @@ entity: ``obj_kind == LITERAL`` and (plain/xsd:string or lang-tagged).
 Output one row per mention: (doc_id, entity, entity_kind, pred,
 mention_text, span_start, span_end).
 
-N3 — LinkScorer: the canonical stateful-actor-pool pattern.  The alias
-table (normalized name → KB entity IRI) is built ONCE on the driver,
-``ray.put`` into the object store, and each actor fetches it ONCE in
-``__init__`` — never re-shipped per batch.  Scoring is deterministic
-(string-normalization + containment heuristics), so task retries are
-safe and tests are exact.
+N3 — LinkScorer: a stateful scorer run as a plain-task stage.  The
+alias table (normalized name → KB entity IRI) is built ONCE on the
+driver and ``ray.put`` into the object store; each worker process
+fetches it and builds the scorer index ONCE, through the per-process
+``stages/broadcast.cached_get`` — never re-shipped or rebuilt per
+batch, and no actor pool whose processes start per Dataset.  Scoring is
+deterministic (string-normalization + containment heuristics), so task
+retries are safe and tests are exact.
 
 Output edges with ``score >= threshold`` are ``owl:sameAs``-style
 equivalences (entity ↔ KB entity) feeding the distributed union-find
@@ -108,32 +111,27 @@ _POSTINGS_CAP = 200
 
 
 class LinkScorer:
-    """N3: stateful actor — alias table + char-trigram TF-IDF index
-    loaded/built once per worker.
+    """N3: stateful scorer — alias table + char-trigram TF-IDF index,
+    built once per worker process.
 
     Scoring: exact normalized-alias hit → 1.0; otherwise a TF-IDF cosine
     over char trigrams (binary TF, idf = 1 + ln(N/df) computed from the
     alias table itself).  Fully deterministic (sorted-alias tie-break),
     so task retries are safe and tests are exact.
 
-    Use as::
+    Use as (what :func:`link_edges_dataset` does)::
 
         ref = ray.put(alias_table)          # broadcast once
-        edges = mentions.map_batches(
-            LinkScorer, fn_constructor_kwargs={"alias_ref": ref,
-                                               "threshold": 0.85},
-            batch_format="pyarrow", batch_size=8192,
-            concurrency=(2, 8), num_cpus=1)
+        def link(batch):
+            return cached_get(ref, build=lambda a: LinkScorer(
+                alias_table=a, threshold=0.85), tag="link-0.85")(batch)
+        edges = mentions.map_batches(link, batch_format="pyarrow",
+                                     batch_size=8192)
     """
 
-    def __init__(self, alias_ref=None, alias_table: dict | None = None,
-                 threshold: float = 0.85):
+    def __init__(self, alias_table: dict, threshold: float = 0.85):
         import math
 
-        import ray
-
-        if alias_table is None:
-            alias_table = ray.get(alias_ref) if alias_ref is not None else {}
         self.aliases = alias_table
         self.threshold = threshold
         keys = sorted(alias_table)
@@ -225,30 +223,30 @@ def mentions_dataset(triples_ds):
 
 
 def link_edges_dataset(mentions_ds, alias_table: dict, threshold: float = 0.85,
-                       concurrency=None, batch_size: int = 8192):
-    """Mentions Dataset → sameAs-edge Dataset via the LinkScorer pool.
+                       batch_size: int = 8192):
+    """Mentions Dataset → sameAs-edge Dataset via LinkScorer tasks.
 
     The alias table is broadcast with ``ray.put`` (one object-store copy
-    per node at cluster scale, fetched in each actor's ``__init__``).
-    Pool autoscales to ~3/4 of cluster CPUs by default, leaving headroom
-    for the upstream parse and downstream shuffle stages.
+    per node at cluster scale).  The stage is a plain task
+    ``map_batches``: each worker process builds the LinkScorer once
+    (``cached_get``, keyed by the ref and the threshold) and keeps its
+    memo across batches, so no actor pool starts — and later kills —
+    worker processes for this Dataset.
     """
     import ray
 
-    if concurrency is None:
-        # memoized scoring is cheap per batch — a modest pool saturates
-        # it and avoids paying startup for actors that would sit idle;
-        # the bound still scales with the cluster (pool_range), only the
-        # fraction is small
-        from ..runtime import pool_range
+    from .broadcast import cached_get
 
-        concurrency = pool_range(frac=0.25, lo=2)
     ref = ray.put(alias_table)
-    edges = mentions_ds.map_batches(
-        LinkScorer,
-        fn_constructor_kwargs={"alias_ref": ref, "threshold": threshold},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency, num_cpus=1)
+
+    def link(batch: pa.Table) -> pa.Table:
+        return cached_get(
+            ref, build=lambda a: LinkScorer(alias_table=a,
+                                            threshold=threshold),
+            tag=f"link-{threshold!r}")(batch)
+
+    edges = mentions_ds.map_batches(link, batch_format="pyarrow",
+                                    batch_size=batch_size)
 
     # combiner: IRI-subject mentions repeat across documents, producing
     # massively duplicated (src, dst) edges — distinct within each batch

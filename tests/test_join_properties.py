@@ -87,7 +87,7 @@ def test_asof_join_directions_match_single_frame(ray_session, direction):
 
 
 def test_pool_sizers_scale_with_cluster(ray_session):
-    from kgruntime.runtime import cluster_cpus, fixed_pool, pool_range
+    from kgruntime.runtime import cluster_cpus, pool_range
 
     cpus = cluster_cpus()
     assert cpus >= 1
@@ -97,5 +97,3 @@ def test_pool_sizers_scale_with_cluster(ray_session):
     want_hi = min(max(4, int(cpus * 0.25)),
                   max(lo + 1, cpus - max(1, cpus // 4)))
     assert lo == 2 and hi == max(want_hi, lo + 1) and hi > lo
-    fp = fixed_pool()
-    assert 2 <= fp < cpus or cpus <= 2

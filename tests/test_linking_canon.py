@@ -1,4 +1,4 @@
-"""Tests for N2/N3 (mention detection, LinkScorer pool), N4 (distributed
+"""Tests for N2/N3 (mention detection, LinkScorer tasks), N4 (distributed
 union-find), N5 (dedup + salted partitioned write), N6/N7 (manifest,
 resume)."""
 
@@ -236,24 +236,59 @@ def test_linking_to_canonical_flow(ray_session):
 
 def test_build_kg_fused_matches_build_kg(ray_session, tmp_path):
     """The fused parse+link shape must produce the identical canonical
-    store and quarantine as build_kg (given the same alias table)."""
+    store and quarantine as build_kg (given the same alias table).  The
+    second table runs after the first in the same Ray session, so a task
+    worker that served the previous job's cached scorer would show."""
     from kgruntime.pipelines.kg import build_kg, build_kg_fused
 
-    aliases = kg_corpus.kb_alias_table()
-    ref = build_kg(kg_corpus.documents(36, seed=7, malformed_every=5),
-                   alias_table=aliases, materialize_intermediate=True)
-    fused = build_kg_fused(kg_corpus.documents(36, seed=7,
-                                               malformed_every=5),
-                           alias_table=aliases,
-                           staging_dir=str(tmp_path / "staging"),
-                           keep_buckets=False)
+    full = kg_corpus.kb_alias_table()
+    fewer = {k: v for k, v in full.items() if k != "bob"}
     key = ["subj", "subj_kind", "pred", "obj", "obj_kind",
            "obj_datatype", "obj_lang"]
-    rows = [sorted(tuple(r[k] for k in key)
-                   for r in res["canonical"].take_all())
-            for res in (ref, fused)]
-    assert rows[0] and rows[0] == rows[1]
-    assert fused["errors"].count() == ref["errors"].count() > 0
+    stores = []
+    for i, aliases in enumerate((full, fewer)):
+        ref = build_kg(kg_corpus.documents(36, seed=7, malformed_every=5),
+                       alias_table=aliases, materialize_intermediate=True)
+        fused = build_kg_fused(kg_corpus.documents(36, seed=7,
+                                                   malformed_every=5),
+                               alias_table=aliases,
+                               staging_dir=str(tmp_path / f"staging{i}"),
+                               keep_buckets=False)
+        rows = [sorted(tuple(r[k] for k in key)
+                       for r in res["canonical"].take_all())
+                for res in (ref, fused)]
+        assert rows[0] and rows[0] == rows[1]
+        assert fused["errors"].count() == ref["errors"].count() > 0
+        stores.append(rows[0])
+    # dropping "bob" leaves its blank nodes unlinked: the stores differ
+    assert stores[0] != stores[1]
+
+
+def test_cached_get_keeps_one_entry_per_tag(ray_session):
+    """A new ref under a tag replaces the entry (a worker that outlives
+    jobs does not keep every old job's state) and its value is served;
+    a repeated ref is served without rebuilding."""
+    from kgruntime.stages import broadcast
+
+    tag = "test-one-entry"
+    builds = []
+
+    def build(d):
+        builds.append(d["v"])
+        return d["v"]
+
+    first = ray_session.put({"v": 1})
+    second = ray_session.put({"v": 2})
+    before = len(broadcast._CACHE)
+    try:
+        assert broadcast.cached_get(first, build=build, tag=tag) == 1
+        assert broadcast.cached_get(first, build=build, tag=tag) == 1
+        assert broadcast.cached_get(second, build=build, tag=tag) == 2
+        assert len(broadcast._CACHE) == before + 1
+        assert broadcast.cached_get(second, build=build, tag=tag) == 2
+        assert builds == [1, 2]
+    finally:
+        broadcast._CACHE.pop(tag, None)
 
 
 @pytest.mark.parametrize("kb", ["corpus", "given"])

@@ -188,6 +188,33 @@ def test_loo_source_influence_hand_computed(ray_session):
     assert out.loc["s2", "delta_dup_ppm"] == 500_000 - 333_333
 
 
+def test_loo_source_influence_empty_string_source(ray_session):
+    """A genuine '' source owning exclusive texts keeps its own-hash
+    count (the per-bucket distinct-hash total is a flagged row, not a
+    '' source); the result equals the DuckDB oracle twin."""
+    import duckdb
+
+    from kgruntime.ops.valuation import (loo_source_influence,
+                                         loo_source_influence_sql)
+
+    rows = [(1, "a b", ""), (2, "a b", ""), (3, "x y z", ""),
+            (4, "c d e f", "s2"), (5, "a b", "s2"), (6, "g h", "s3")]
+    got = loo_source_influence(_docs(rows))
+    con = duckdb.connect()
+    documents = pa.table({"source": [r[2] for r in rows],
+                          "text": [r[1] for r in rows]})
+    con.register("documents", documents)
+    want = con.execute(loo_source_influence_sql()).fetchdf()
+    assert got["source"].tolist() == want["source"].tolist() == \
+        ["", "s2", "s3"]
+    for col in want.columns[1:]:
+        assert got[col].astype("int64").tolist() == \
+            want[col].astype("int64").tolist(), col
+    # drop '' → N'=3, H=4 distinct texts, '' owns only "x y z" →
+    # H'=3, dups'=0
+    assert got.set_index("source").loc["", "loo_dup_ppm"] == 0
+
+
 def test_quality_threshold_sweep_monotone(ray_session):
     from kgruntime.ops.valuation import quality_threshold_sweep
 
