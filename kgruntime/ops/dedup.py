@@ -1376,6 +1376,52 @@ ORDER BY a.doc_a, b.doc_b
 
 # --- rare-token blocking: inverted-index candidate pair generation --------
 
+def _posting_pairs(max_df: int, count_col: str):
+    """Segment kernel (``groups.segment_map``) over posting-list
+    partials ``(key, docs, over)`` — one row per key per upstream block.
+    Per key: nothing if any row carries the overflow marker or the
+    DISTINCT docs number fewer than 2 or more than ``max_df``;
+    otherwise every doc pair once.  Pairs are summed per block into
+    ``(doc_a, doc_b, count_col)``, ``doc_a < doc_b``."""
+    from .groups import run_starts, segment_pairs
+
+    schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                        (count_col, pa.int64())])
+
+    def kernel(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        if t.num_rows == 0:
+            return schema.empty_table()
+        seg = np.repeat(np.arange(len(starts)),
+                        np.diff(np.append(starts, t.num_rows)))
+        over = np.logical_or.reduceat(
+            t["over"].to_numpy(zero_copy_only=False), starts)
+        docs = t["docs"].combine_chunks()
+        doc = pc.list_flatten(docs).to_numpy(zero_copy_only=False)
+        key = seg[pc.list_parent_indices(docs).to_numpy()]
+        keep = ~over[key]
+        doc, key = doc[keep], key[keep]
+        # distinct (key, doc), docs ascending within each key
+        order = np.lexsort((doc, key))
+        doc, key = doc[order], key[order]
+        first = run_starts(key, doc)
+        doc, key = doc[first], key[first]
+        ks = np.flatnonzero(run_starts(key))
+        sizes = np.diff(np.append(ks, len(key)))
+        ok = (sizes >= 2) & (sizes <= max_df)
+        ii, jj = segment_pairs(ks[ok], sizes[ok])
+        a, b = doc[ii], doc[jj]
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        ps = np.flatnonzero(run_starts(a, b))
+        return pa.table({"doc_a": pa.array(a[ps], pa.int64()),
+                         "doc_b": pa.array(b[ps], pa.int64()),
+                         count_col: pa.array(
+                             np.diff(np.append(ps, len(a))), pa.int64())},
+                        schema=schema)
+
+    return kernel
+
+
 def rare_token_pairs(docs_ds, max_df: int = 3):
     """Entity-resolution-style blocking: pair up documents that share a
     RARE word bigram (document frequency ≤ ``max_df``), returning
@@ -1388,11 +1434,16 @@ def rare_token_pairs(docs_ds, max_df: int = 3):
     marker the moment the block-local df exceeds ``max_df`` (local df >
     max_df ⇒ global df > max_df, so hot shingles never ship their
     posting lists; a hot shingle costs one marker row per block,
-    bounding every group by n_blocks, not n_docs).  Shingle groups
-    then emit pairs only when the total df stays ≤ max_df, and the
-    final (doc_a, doc_b) rollup is pre-combined per group.
+    bounding every group by n_blocks, not n_docs).  Shingles are then
+    exchanged on the coarse segment primitive (``groups.segment_map``,
+    string key) and ONE pair kernel per coarse block, shared with
+    ``winnow_dup_pairs``, emits pairs for the shingles whose total df
+    stays ≤ max_df, pre-summed per block before the final
+    (doc_a, doc_b) rollup: two exchanges.
     """
     from ray.data.aggregate import Sum
+
+    from .groups import segment_map
 
     _explode_schema = pa.schema([("w", pa.string()),
                                  ("docs", pa.list_(pa.int64())),
@@ -1424,29 +1475,11 @@ def rare_token_pairs(docs_ds, max_df: int = 3):
         return g.select(["w", "docs", "over"]).to_arrow() \
             .cast(_explode_schema)
 
-    def pairs_for_word(g: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                          "doc_b": pa.array([], pa.int64()),
-                          "n_shared_rare": pa.array([], pa.int64())})
-        if pc.any(g["over"]).as_py():
-            return empty
-        members = sorted({d for lst in g["docs"].to_pylist() for d in lst})
-        if not (2 <= len(members) <= max_df):
-            return empty
-        a, b = [], []
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a.append(members[i])
-                b.append(members[j])
-        return pa.table({"doc_a": pa.array(a, pa.int64()),
-                         "doc_b": pa.array(b, pa.int64()),
-                         "n_shared_rare": pa.array([1] * len(a),
-                                                   pa.int64())})
-
-    return docs_ds.select_columns(["doc_id", "text"]) \
+    return segment_map(
+        docs_ds.select_columns(["doc_id", "text"])
         .map_batches(explode_rare, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("w").map_groups(pairs_for_word, batch_format="pyarrow") \
+                     zero_copy_batch=True),
+        "w", _posting_pairs(max_df, "n_shared_rare")) \
         .groupby(["doc_a", "doc_b"]) \
         .aggregate(Sum("n_shared_rare", alias_name="n_shared_rare"))
 
@@ -2368,9 +2401,12 @@ def winnow_dup_pairs(docs_ds, k: int = 3, w: int = 4, max_df: int = 8,
     to ONE row per block (≤ ``max_df``-doc posting list or an overflow
     marker, exactly the rare_token_pairs bound: hot fingerprints never
     ship posting lists).  Only (fp, small-doc-list) rows cross the
-    exchange; text never does.
+    exchange; text never does.  The fingerprint exchange and its pair
+    kernel are rare_token_pairs', then the (doc_a, doc_b) rollup.
     """
     from ray.data.aggregate import Sum
+
+    from .groups import segment_map
 
     _part_schema = pa.schema([("fp", pa.int64()),
                               ("docs", pa.list_(pa.int64())),
@@ -2414,30 +2450,11 @@ def winnow_dup_pairs(docs_ds, k: int = 3, w: int = 4, max_df: int = 8,
                          "docs": docs_col,
                          "over": pa.array(over)}, schema=_part_schema)
 
-    _pair_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                              ("n_shared", pa.int64())])
-
-    def pairs_for_fp(g: pa.Table) -> pa.Table:
-        empty = _pair_schema.empty_table()
-        if pc.any(g["over"]).as_py():
-            return empty
-        members = sorted({d for lst in g["docs"].to_pylist() for d in lst})
-        if not (2 <= len(members) <= max_df):
-            return empty
-        a, b = [], []
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a.append(members[i])
-                b.append(members[j])
-        return pa.table({"doc_a": pa.array(a, pa.int64()),
-                         "doc_b": pa.array(b, pa.int64()),
-                         "n_shared": pa.array([1] * len(a), pa.int64())},
-                        schema=_pair_schema)
-
-    agg = docs_ds.select_columns(["doc_id", "text"]) \
+    agg = segment_map(
+        docs_ds.select_columns(["doc_id", "text"])
         .map_batches(winnow_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("fp").map_groups(pairs_for_fp, batch_format="pyarrow") \
+                     zero_copy_batch=True),
+        "fp", _posting_pairs(max_df, "n_shared")) \
         .groupby(["doc_a", "doc_b"]) \
         .aggregate(Sum("n_shared", alias_name="n_shared"))
 

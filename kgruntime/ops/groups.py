@@ -1,20 +1,40 @@
-"""Coarse-grouped map_groups — the scale fix for fine-grained groupbys.
+"""Coarse-grouped segments — the scale fix for fine-grained groupbys.
 
 ``ds.groupby(keys).map_groups(fn)`` pays a per-GROUP split/convert cost
 inside Ray; with an unbounded key (LSH band buckets, text hashes) the
 group count grows with the corpus and that overhead dominates — the
 round-5 curate_corpus ablation measured 253 s for a 31.8M-group
 sort-aggregate and 167 s for a 9.4k-group map_groups at 38.4M docs
-(BASELINE.md).  This helper keeps the SEMANTICS of per-key groups but
-exchanges on a COARSE bucket (hash(keys) % ~4×CPUs): within each
-coarse block the rows are lexsorted by the true keys and ``fn`` runs
-per key-slice IN-PROCESS — Ray group overhead is paid ~128×, not
-|distinct keys|×.
+(BASELINE.md).  Even at a few thousand groups the Python call per group
+costs more than the query: one call per block, not one per group.
+
+``segment_map`` is the one primitive.  It exchanges on a COARSE bucket,
+``hash(keys) % default_num_buckets()`` (~4×CPUs), and calls
+``fn(block, starts)`` once per coarse block:
+
+- ``block`` holds every row of the coarse bucket (without the helper's
+  bucket column), lexsorted by ``keys`` (stable: rows of one key keep
+  their arrival order);
+- ``starts`` is the int64 array of the row offsets where a key segment
+  (one true key group) begins; segment ``i`` ends where ``i+1`` begins,
+  the last one at ``block.num_rows``.
+
+``fn`` returns a pa.Table with a consistent schema, and is a vectorized
+kernel over all segments at once (sort + diff/cumsum/reduceat), so Ray
+group overhead is paid ~128×, not |distinct keys|×.  ``fn`` must accept
+a zero-row block (``starts`` empty) and return its empty result: that
+block is passed through, never special-cased away.
+
+Keys may be integer or string columns.  Integers are mixed with a
+splitmix64 constant; strings first go through the seed-7 polars hash
+of ``stages/canon._hash_col`` (deterministic within a job, which is all
+an exchange needs).
 
 Losslessness: equal keys hash to the same coarse bucket, so every true
 group arrives intact in exactly one block.
 
-Options:
+``coarse_group_map`` is the per-group form on top of it: the segment
+loop that calls a per-group ``fn(group)`` with two options —
 - ``min_group_size``: skip groups smaller than this (lossless for
   pair-generation fns, where singleton buckets emit nothing —
   and on realistic corpora MOST LSH buckets are singletons).
@@ -27,18 +47,58 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _MIX = np.int64(-7046029254386353131)   # splitmix64 odd constant
 
 
-def coarse_group_map(ds, keys, fn, coarse: int | None = None,
-                     min_group_size: int = 1,
-                     passthrough_max_size: int = 0):
-    """Equivalent of ``ds.groupby(keys).map_groups(fn,
-    batch_format="pyarrow")`` for INTEGER key columns, exchanged on a
-    coarse bucket.  ``fn`` receives each true key group as a pa.Table
-    (without the helper's bucket column) and must return a pa.Table
-    with a consistent schema."""
+def _key_ints(col) -> np.ndarray:
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        from ..stages.canon import _hash_col
+
+        col = _hash_col(col)
+    else:
+        col = col.combine_chunks()
+    return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+
+
+def run_starts(*cols: np.ndarray) -> np.ndarray:
+    """Mask of the rows that start a run of equal rows in sorted
+    ``cols`` (all empty for zero rows)."""
+    change = np.ones(len(cols[0]), bool)
+    if len(change):
+        change[1:] = False
+        for c in cols:
+            change[1:] |= c[1:] != c[:-1]
+    return change
+
+
+def sort_segments(t: pa.Table, keys: list[str]):
+    """``t`` lexsorted by ``keys`` (stable) and the int64 start offsets
+    of its key segments."""
+    t = t.take(pc.sort_indices(t, sort_keys=[(k, "ascending")
+                                              for k in keys]))
+    return t, np.flatnonzero(run_starts(
+        *(t[k].to_numpy() for k in keys)))
+
+
+def segment_pairs(starts: np.ndarray, sizes: np.ndarray):
+    """Row-index pairs ``(i, j)``, ``i < j``, of every two rows inside
+    one segment, for segments given by ``starts``/``sizes`` — built per
+    distinct size from one ``triu_indices``, no per-segment Python."""
+    ii, jj = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for s in np.unique(sizes[sizes >= 2]):
+        a, b = np.triu_indices(int(s), k=1)
+        base = starts[sizes == s][:, None]
+        ii.append((base + a).ravel())
+        jj.append((base + b).ravel())
+    return np.concatenate(ii), np.concatenate(jj)
+
+
+def segment_map(ds, keys, fn, coarse: int | None = None):
+    """Apply ``fn(block, starts)`` once per coarse block of ``ds``
+    exchanged on ``hash(keys)`` (see the module docstring for the
+    contract)."""
     from .join import default_num_buckets
 
     if isinstance(keys, str):
@@ -47,50 +107,49 @@ def coarse_group_map(ds, keys, fn, coarse: int | None = None,
         coarse = default_num_buckets()
 
     def add_cg(t: pa.Table) -> pa.Table:
-        acc = None
+        acc = np.zeros(t.num_rows, np.int64)
         for k in keys:
-            v = t[k].combine_chunks().to_numpy(zero_copy_only=False) \
-                .astype(np.int64, copy=False)
-            m = v * _MIX               # int64 wrap is fine (hash mix)
-            acc = m if acc is None else acc ^ m
+            acc ^= _key_ints(t[k]) * _MIX   # int64 wrap is fine (hash mix)
         return t.append_column(
             "__cg", pa.array((acc % coarse).astype("int32"), pa.int32()))
 
     def per_coarse(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__cg"])
-        cols = [g[k].combine_chunks().to_numpy(zero_copy_only=False)
-                for k in keys]
-        order = np.lexsort(tuple(reversed(cols)))
-        gs = g.take(pa.array(order))
-        n = gs.num_rows
-        change = np.zeros(n, bool)
-        change[0] = True
-        for a in cols:
-            asorted = a[order]
-            change[1:] |= asorted[1:] != asorted[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        outs = []
-        passthrough = []
-        for s, e in zip(starts, ends):
-            size = e - s
-            if size < min_group_size:
-                continue
-            if passthrough_max_size and size <= passthrough_max_size:
-                passthrough.append((s, size))
-                continue
-            outs.append(fn(gs.slice(s, size)))
-        if passthrough:
-            # one vectorized take for all small groups
-            idx = np.concatenate([np.arange(s, s + z)
-                                  for s, z in passthrough])
-            outs.append(gs.take(pa.array(idx)))
+        return fn(*sort_segments(g.drop_columns(["__cg"]), keys))
+
+    return ds.map_batches(add_cg, batch_format="pyarrow",
+                          zero_copy_batch=True) \
+        .groupby("__cg").map_groups(per_coarse, batch_format="pyarrow")
+
+
+def _per_group(fn, min_group_size: int = 1, passthrough_max_size: int = 0):
+    """The segment kernel of ``coarse_group_map``: ``fn`` per group."""
+
+    def per_block(gs: pa.Table, starts: np.ndarray) -> pa.Table:
+        sizes = np.diff(np.append(starts, gs.num_rows))
+        keep = sizes >= min_group_size
+        small = keep & (sizes <= passthrough_max_size)
+        outs = [fn(gs.slice(s, z))
+                for s, z in zip(starts[keep & ~small], sizes[keep & ~small])]
+        if small.any():
+            # one vectorized filter for all small groups
+            outs.append(gs.filter(pa.array(np.repeat(small, sizes))))
         if not outs:
             # empty result with fn's schema: probe fn on an empty slice
             return fn(gs.slice(0, 0))
         return pa.concat_tables(outs, promote_options="default") \
             .combine_chunks()
 
-    return ds.map_batches(add_cg, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__cg").map_groups(per_coarse, batch_format="pyarrow")
+    return per_block
+
+
+def coarse_group_map(ds, keys, fn, coarse: int | None = None,
+                     min_group_size: int = 1,
+                     passthrough_max_size: int = 0):
+    """Equivalent of ``ds.groupby(keys).map_groups(fn,
+    batch_format="pyarrow")``, exchanged on a coarse bucket.  ``fn``
+    receives each true key group as a pa.Table (without the helper's
+    bucket column) and must return a pa.Table with a consistent
+    schema."""
+    return segment_map(ds, keys,
+                       _per_group(fn, min_group_size, passthrough_max_size),
+                       coarse=coarse)

@@ -9,9 +9,9 @@ and DuckDB's built-in ``levenshtein`` — parity is exact, not
 approximate.
 
 Scale shape (100-TB reading):
-* the record table is collapsed to distinct (name, n_records) by a
-  per-batch combiner + ONE small groupby — raw records never reach the
-  pairing stage;
+* the record table is collapsed to distinct (name, n_records) per
+  batch, and the token blocks sum those partial counts — raw records
+  never reach the pairing stage;
 * blocks are token-keyed and deterministically CAPPED (first ``cap``
   names in lexicographic order, replayed by the oracle's
   ``row_number() OVER (PARTITION BY tok ORDER BY name)``), so a hot
@@ -63,24 +63,29 @@ def _lev_batch(a_strs: list[str], b_strs: list[str]) -> np.ndarray:
     return res
 
 
+_LEV_CHUNK = 1 << 16   # pairs per _lev_batch call: bounds its DP tables
+
+
 def fuzzy_name_matches(ds, name_col: str = "p_name", max_dist: int = 3,
                        cap: int = 256):
     """(name_a, name_b, dist, n_a, n_b) for every distinct-name pair
     that shares a whitespace token and sits within ``max_dist`` edits
     (dist ≥ 1 — identical names are already the same entity).  ``n_*``
     carry the record counts that would merge.
+
+    Scale shape, two exchanges: each batch's ``value_counts`` explode
+    straight into (tok, name, n) rows, exchanged by ``tok`` on the
+    coarse segment primitive (``groups.segment_map``); one kernel per
+    coarse block sums ``n`` per (tok, name) — so the lexicographic
+    ``cap`` ranks GLOBAL distinct names, as the oracle's ``fz_names``
+    CTE does — caps every token, builds all in-token pairs and runs
+    one batched Levenshtein.  The second exchange is the
+    (name_a, name_b) rollup.
     """
-    from ray.data.aggregate import Min, Sum
+    import polars as pl
+    from ray.data.aggregate import Min
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t[name_col].combine_chunks())
-        return pa.table({"name": vc.field("values"),
-                         "n": pc.cast(vc.field("counts"), pa.int64())})
-
-    names = ds.select_columns([name_col]) \
-        .map_batches(count_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("name").aggregate(Sum("n", alias_name="n"))
+    from .groups import run_starts, segment_map, segment_pairs
 
     _tok_schema = pa.schema([("tok", pa.string()), ("name", pa.string()),
                              ("n", pa.int64())])
@@ -88,49 +93,51 @@ def fuzzy_name_matches(ds, name_col: str = "p_name", max_dist: int = 3,
     def explode_tokens(t: pa.Table) -> pa.Table:
         # distinct tokens per name (a repeated token must occupy ONE
         # block slot, mirroring the oracle's DISTINCT before row_number)
-        nm = t["name"].to_pylist()
-        nn = t["n"].to_pylist()
-        toks, onames, ons = [], [], []
-        for name, n in zip(nm, nn):
-            for tok in sorted(set(name.split(" "))):
-                toks.append(tok)
-                onames.append(name)
-                ons.append(n)
-        return pa.table({"tok": toks, "name": onames, "n": ons},
-                        schema=_tok_schema)
+        vc = pc.value_counts(t[name_col].combine_chunks())
+        return pl.from_arrow(pa.table({"name": vc.field("values"),
+                                       "n": vc.field("counts")})) \
+            .with_columns(pl.col("name").str.split(" ").list.unique()
+                          .alias("tok")) \
+            .explode("tok").to_arrow() \
+            .select(["tok", "name", "n"]).cast(_tok_schema)
 
     _pair_schema = pa.schema([
         ("name_a", pa.string()), ("name_b", pa.string()),
         ("dist", pa.int64()), ("n_a", pa.int64()), ("n_b", pa.int64())])
 
-    def pairs_in_block(g: pa.Table) -> pa.Table:
-        empty = _pair_schema.empty_table()
-        order = pc.sort_indices(g["name"])
-        nm = pc.take(g["name"], order).to_pylist()[:cap]
-        nn = pc.take(g["n"], order).to_pylist()[:cap]
-        if len(nm) < 2:
-            return empty
-        ii, jj = np.triu_indices(len(nm), k=1)
-        a = [nm[i] for i in ii]
-        b = [nm[j] for j in jj]
-        dist = _lev_batch(a, b)
+    def pairs_in_block(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        # per (tok, name): global n; per tok: the first ``cap`` names
+        capped = pl.from_arrow(g).group_by(["tok", "name"]) \
+            .agg(pl.col("n").sum()).sort(["tok", "name"]) \
+            .filter(pl.int_range(pl.len()).over("tok") < cap)
+        tstarts = np.flatnonzero(run_starts(capped["tok"].to_numpy()))
+        ii, jj = segment_pairs(tstarts,
+                               np.diff(np.append(tstarts, len(capped))))
+        # a pair sharing two tokens of this block is scored once
+        pairs = pl.DataFrame({
+            "name_a": capped["name"].gather(ii),
+            "name_b": capped["name"].gather(jj),
+            "n_a": capped["n"].gather(ii),
+            "n_b": capped["n"].gather(jj)}).unique()
+        a = pairs["name_a"].to_list()
+        b = pairs["name_b"].to_list()
+        dist = np.concatenate(
+            [np.zeros(0, np.int64)]
+            + [_lev_batch(a[i:i + _LEV_CHUNK], b[i:i + _LEV_CHUNK])
+               for i in range(0, len(a), _LEV_CHUNK)])
         keep = (dist >= 1) & (dist <= max_dist)
-        if not keep.any():
-            return empty
-        ki = np.flatnonzero(keep)
-        return pa.table({
-            "name_a": [a[i] for i in ki],
-            "name_b": [b[i] for i in ki],
-            "dist": pa.array(dist[ki], pa.int64()),
-            "n_a": pa.array([nn[i] for i in ii[ki]], pa.int64()),
-            "n_b": pa.array([nn[j] for j in jj[ki]], pa.int64()),
-        }, schema=_pair_schema)
+        return pairs.with_columns(pl.Series("dist", dist)) \
+            .filter(pl.Series(keep)).to_arrow() \
+            .select(_pair_schema.names).cast(_pair_schema)
 
     # a pair that shares two tokens surfaces in two blocks — the rollup
     # dedups it (dist/n_* are identical wherever it appears, so Min is
     # a pure pick-one)
-    return names.map_batches(explode_tokens, batch_format="pyarrow") \
-        .groupby("tok").map_groups(pairs_in_block, batch_format="pyarrow") \
+    return segment_map(
+        ds.select_columns([name_col])
+        .map_batches(explode_tokens, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        "tok", pairs_in_block) \
         .groupby(["name_a", "name_b"]).aggregate(
             Min("dist", alias_name="dist"),
             Min("n_a", alias_name="n_a"),

@@ -1,11 +1,16 @@
 """Sessionization / windowed aggregates over the events log
 (ray_guide "Streaming-shaped workloads" pattern).
 
-Ray Data has no event-time windows; the idiom is: partition by key,
-sort within the group, and window with pandas inside
-``groupby(key).map_groups``.  The ordering assumption (events of one
-user fit one group and sort by ts) is stated here and holds because
-groups are per-user.
+Ray Data has no event-time windows.  ``sessionize`` exchanges events by
+``user_id`` on the coarse segment primitive (``groups.segment_map``)
+and runs ONE vectorized kernel per coarse block: lexsort by (user, ts,
+event_id), mark a session start wherever the user changes or the gap
+exceeds the limit, and reduce every session at once with
+``np.add.reduceat`` — no Python call per user.  The ordering
+assumption (all events of one user arrive in one block) holds because
+the exchange is keyed by user.  Most other per-user operators here
+still window with pandas inside ``groupby(key).map_groups``, one call
+per user.
 
 Both operators carry exact DuckDB oracles (window functions), so they
 run under the driver's value-hash gate.
@@ -13,42 +18,60 @@ run under the driver's value-hash gate.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 SESSION_GAP_MIN = 30
+_UNIT_PER_MIN = {"s": 60, "ms": 60_000, "us": 60_000_000,
+                 "ns": 60_000_000_000}
 
 
-def _sessionize_group(g: pd.DataFrame) -> pd.DataFrame:
-    g = g.sort_values(["ts", "event_id"])
-    gap = g["ts"].diff().dt.total_seconds().div(60)
-    new_session = (gap.isna() | (gap > SESSION_GAP_MIN)).cumsum()
-    import numpy as np
+def _cents(value) -> pa.ChunkedArray:
+    """Exact int64 cents, rounded half away from zero like DuckDB
+    ``round()``."""
+    return pc.cast(pc.round(pc.multiply(value, 100.0),
+                            round_mode="half_towards_infinity"), pa.int64())
 
+
+def _sessionize_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    # (ts, event_id) order inside each user: the user segments keep
+    # their offsets, so ``starts`` still marks every user's first event
+    t = t.take(pc.sort_indices(t, sort_keys=[("user_id", "ascending"),
+                                              ("ts", "ascending"),
+                                              ("event_id", "ascending")]))
+    ts_type = t.schema.field("ts").type
+    uid = t["user_id"].to_numpy()
+    ts = pc.cast(t["ts"], pa.int64()).to_numpy()
+    new = np.zeros(len(uid), bool)
+    new[starts] = True
+    new[1:] |= ts[1:] - ts[:-1] > \
+        SESSION_GAP_MIN * _UNIT_PER_MIN[ts_type.unit]
+    s = np.flatnonzero(new)
     # sum exact integer cents, not floats: float sums are summation-
     # order-dependent in the last ulp, which breaks the value-hash gate
     # (the oracle SQL mirrors the cents formula)
-    # half-away-from-zero like DuckDB round() — np.rint is banker's
-    v = g["value"].to_numpy() * 100
-    g = g.assign(cents=np.copysign(np.floor(np.abs(v) + 0.5), v)
-                 .astype(np.int64))
-    out = g.groupby(new_session).agg(
-        user_id=("user_id", "first"),
-        session_start=("ts", "min"),
-        n_events=("event_id", "count"),
-        cents=("cents", "sum"),
-    )
-    out["total_value"] = out.pop("cents") / 100.0
-    return out.reset_index(drop=True)
+    cents = _cents(t["value"]).to_numpy()
+    total = np.add.reduceat(cents, s) if len(s) else cents
+    return pa.table({
+        "user_id": pa.array(uid[s], pa.int64()),
+        "session_start": pa.array(ts[s], pa.int64()).cast(ts_type),
+        "n_events": pa.array(np.diff(np.append(s, len(uid))), pa.int64()),
+        "total_value": pa.array(total / 100.0, pa.float64())})
 
 
 def sessionize(events_ds):
-    """events → one row per (user, session): 30-minute-gap sessions.
+    """events → one row per (user, session): 30-minute-gap sessions
+    (a gap of exactly 30 minutes does not split).
 
     Output: (user_id, session_start, n_events, total_value).
     """
-    return events_ds.groupby("user_id").map_groups(
-        _sessionize_group, batch_format="pandas")
+    from .groups import segment_map
+
+    return segment_map(
+        events_ds.select_columns(["user_id", "ts", "event_id", "value"]),
+        "user_id", _sessionize_block)
 
 
 SESSIONIZE_SQL = f"""
@@ -1231,28 +1254,30 @@ def rfm_segments(events_ds, n_bands: int = 5):
     share a band — the ``rank() OVER`` twin), so every value is pure
     integer arithmetic and replays in SQL.
 
-    Scale shape: events reduce to one per-user row via a single
-    ``groupby(user_id)`` (Max/Count/Sum over int64 epoch-µs and exact
-    cents); band boundaries come from per-metric DISTINCT-VALUE
-    histograms (bounded by the day span, the max per-user event count
-    and the cents value range — corpus-size-independent, the
-    value_percentile_ranks precedent) broadcast into one final lookup
-    pass.  No global sort, no per-user window.
+    Scale shape, two exchanges: events reduce to one per-user row via a
+    single ``groupby(user_id)`` (Max/Count/Sum over int64 epoch-µs and
+    exact cents), materialized once.  The global max timestamp comes
+    from a map-only pass (one row per block).  Band boundaries come
+    from ONE ``groupby(["metric", "value"]).count()`` over the three
+    metrics unpivoted into a (metric, value) stream: per-metric
+    DISTINCT-VALUE histograms (bounded by the day span, the max
+    per-user event count and the cents value range — corpus-size-
+    independent, the value_percentile_ranks precedent), collected with
+    ``to_pandas()`` and broadcast into one final scoring pass, which derives
+    ``rec_days`` again rather than storing it.  No global sort, no
+    per-user window.
     """
-    import numpy as np
-    import pyarrow.compute as pc
     import ray
     from ray.data.aggregate import Count, Max, Sum
 
     from .ann import _cached_state
 
     us_per_day = 86_400_000_000
+    metrics = ("rec_days", "freq", "mon_cents")
 
     def prep(t: pa.Table) -> pa.Table:
         ts_us = pc.cast(t["ts"], pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = _cents(t["value"])
         return pa.Table.from_arrays([t["user_id"], ts_us, cents],
                                     names=["user_id", "ts_us", "cents"])
 
@@ -1262,27 +1287,41 @@ def rfm_segments(events_ds, n_bands: int = 5):
         .aggregate(Max("ts_us", alias_name="last_us"),
                    Count(alias_name="freq"),
                    Sum("cents", alias_name="mon_cents")) \
-        .materialize()   # feeds the histograms AND the scoring pass
+        .materialize()   # feeds gmax, the histogram AND the scoring pass
 
-    gmax = per.max("last_us")
+    def block_max(t: pa.Table) -> pa.Table:
+        return pa.table({"m": pa.array([pc.max(t["last_us"]).as_py()],
+                                       pa.int64())})
 
-    def decorate(t: pa.Table) -> pa.Table:
-        rec = pc.divide(pc.subtract(pa.scalar(gmax, pa.int64()),
-                                    t["last_us"]),
-                        pa.scalar(us_per_day, pa.int64()))
-        return t.append_column("rec_days", pc.cast(rec, pa.int64()))
+    gmax = max((r["m"] for r in per.map_batches(
+        block_max, batch_format="pyarrow").take_all()
+        if r["m"] is not None), default=0)
 
-    per = per.map_batches(decorate, batch_format="pyarrow").materialize()
+    def metric_cols(t: pa.Table) -> dict:
+        last = t["last_us"].to_numpy(zero_copy_only=False)
+        return {"rec_days": (gmax - last) // us_per_day,
+                "freq": t["freq"].to_numpy(zero_copy_only=False),
+                "mon_cents": t["mon_cents"].to_numpy(zero_copy_only=False)}
+
+    def unpivot(t: pa.Table) -> pa.Table:
+        m = metric_cols(t)
+        return pa.table({
+            "metric": pa.array(np.repeat(np.arange(len(metrics)),
+                                         t.num_rows), pa.int64()),
+            "value": pa.array(np.concatenate([m[c] for c in metrics]),
+                              pa.int64())})
 
     # distinct-value histograms → strictly-less cumulative counts
-    luts = {}
+    h = per.map_batches(unpivot, batch_format="pyarrow") \
+        .groupby(["metric", "value"]).count().to_pandas() \
+        .sort_values(["metric", "value"], kind="mergesort")
     n_users = per.count()
-    for col in ("rec_days", "freq", "mon_cents"):
-        h = per.groupby(col).count().to_pandas() \
-            .sort_values(col, kind="mergesort")
-        vals = h[col].to_numpy(np.int64)
+    luts = {}
+    for i, col in enumerate(metrics):
+        hc = h[h["metric"] == i]
+        vals = hc["value"].to_numpy(np.int64)
         n_lt = np.concatenate(
-            [[0], h["count()"].to_numpy(np.int64).cumsum()[:-1]])
+            [[0], hc["count()"].to_numpy(np.int64).cumsum()[:-1]])
         luts[col] = (vals, 1 + (n_bands * n_lt) // n_users)
     ref = ray.put(luts)
 
@@ -1290,24 +1329,16 @@ def rfm_segments(events_ds, n_bands: int = 5):
         import ray as _ray
 
         m = _cached_state(ref, lambda: _ray.get(ref))
-        cols = {"user_id": t["user_id"].to_numpy(zero_copy_only=False)}
+        cols = {"user_id": t["user_id"].to_numpy(zero_copy_only=False),
+                **metric_cols(t)}
         for col, out_name in (("rec_days", "r_score"), ("freq", "f_score"),
                               ("mon_cents", "m_score")):
             vals, bands = m[col]
-            v = t[col].to_numpy(zero_copy_only=False)
-            cols[col] = v
-            cols[out_name] = bands[np.searchsorted(vals, v)]
-        rfm = cols["r_score"] * 100 + cols["f_score"] * 10 \
+            cols[out_name] = bands[np.searchsorted(vals, cols[col])]
+        cols["rfm"] = cols["r_score"] * 100 + cols["f_score"] * 10 \
             + cols["m_score"]
-        return pa.table({
-            "user_id": pa.array(cols["user_id"], pa.int64()),
-            "rec_days": pa.array(cols["rec_days"], pa.int64()),
-            "freq": pa.array(cols["freq"], pa.int64()),
-            "mon_cents": pa.array(cols["mon_cents"], pa.int64()),
-            "r_score": pa.array(cols["r_score"], pa.int64()),
-            "f_score": pa.array(cols["f_score"], pa.int64()),
-            "m_score": pa.array(cols["m_score"], pa.int64()),
-            "rfm": pa.array(rfm, pa.int64())})
+        return pa.table({c: pa.array(cols[c], pa.int64()) for c in (
+            "user_id", *metrics, "r_score", "f_score", "m_score", "rfm")})
 
     return per.map_batches(score, batch_format="pyarrow")
 

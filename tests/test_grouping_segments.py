@@ -1,0 +1,305 @@
+"""Segment-primitive grouping ops (``ops/groups.segment_map``) against
+their DuckDB twins on MULTI-BLOCK inputs — the partials of one key come
+from several blocks — plus a pin on the exchange count of the grouping
+queries, so a change that re-adds an exchange fails here."""
+
+from __future__ import annotations
+
+import datetime as dt
+import logging
+import os
+import re
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+N_BLOCKS = 4
+
+
+def _multi_block(tmp_path, name: str, parts: list[pa.Table]):
+    """One parquet file per part, read back as (at least) one block
+    per part."""
+    import ray.data as rd
+
+    d = tmp_path / name
+    d.mkdir()
+    for i, t in enumerate(parts):
+        pq.write_table(t, d / f"part-{i}.parquet")
+    ds = rd.read_parquet(str(d), override_num_blocks=N_BLOCKS)
+    return ds, pa.concat_tables(parts)
+
+
+def _sql(table_name: str, table: pa.Table, sql: str):
+    import duckdb
+
+    con = duckdb.connect()
+    con.register(table_name, table)
+    try:
+        return con.sql(sql).df()
+    finally:
+        con.close()
+
+
+def _rows(df, cols):
+    return sorted(tuple(r) for r in df[cols].itertuples(index=False))
+
+
+# ------------------------------------------------------------ sessionize
+
+
+def _events(rows) -> pa.Table:
+    return pa.table({
+        "event_id": pa.array([r[0] for r in rows], pa.int64()),
+        "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
+        "user_id": pa.array([r[2] for r in rows], pa.int64()),
+        "value": pa.array([r[3] for r in rows], pa.float64())})
+
+
+def test_sessionize_multi_block_matches_sql(ray_session, tmp_path):
+    from kgruntime.ops.sessions import SESSIONIZE_SQL, sessionize
+
+    t0 = dt.datetime(2024, 1, 1)
+    m = dt.timedelta(minutes=1)
+    us = dt.timedelta(microseconds=1)
+    parts = [
+        # user 1: equal ts with different event_id; a gap of exactly
+        # 30 min (no split), then 30 min + 1 µs (split)
+        _events([(2, t0, 1, 1.0), (7, t0 + 30 * m, 1, 2.0)]),
+        _events([(1, t0, 1, 0.5), (9, t0 + 60 * m + us, 1, 4.0),
+                 (20, t0, 2, 3.25)]),            # user 2: one event
+        # user 3: negative half-cents (-0.5 and -12.5 cents round away
+        # from zero), across blocks
+        _events([(30, t0, 3, -0.005), (31, t0 + 5 * m, 3, -0.125)]),
+        _events([(32, t0 + 10 * m, 3, 0.125), (33, t0 + 99 * m, 3, -2.5),
+                 (8, t0 + 30 * m, 1, 0.25)]),
+    ]
+    ds, whole = _multi_block(tmp_path, "events", parts)
+    out = sessionize(ds)
+    got = out.to_pandas()
+    want = _sql("events", whole, SESSIONIZE_SQL)
+    cols = ["user_id", "session_start", "n_events", "total_value"]
+    assert _rows(got, cols) == _rows(want, cols)
+    assert len(got) == 5
+    # the output schema is the one the per-user pandas kernel produced
+    schema = pa.schema([("user_id", pa.int64()),
+                        ("session_start", pa.timestamp("us")),
+                        ("n_events", pa.int64()),
+                        ("total_value", pa.float64())])
+    assert pa.schema(list(out.schema().base_schema)) == schema
+
+
+# -------------------------------------------------- posting-list pairs
+
+
+def _docs(rows) -> pa.Table:
+    return pa.table({"doc_id": pa.array([r[0] for r in rows], pa.int64()),
+                     "text": pa.array([r[1] for r in rows], pa.string())})
+
+
+def _posting_parts(max_df: int) -> list[pa.Table]:
+    """Texts built of two-word keys ("hot key", ...):
+    - "hot key" exceeds max_df inside block 0 (an overflow marker there)
+      and has a two-doc list in block 1: no pairs;
+    - "wide key" sits in max_df + 1 docs, never more than 2 per block
+      (no marker anywhere): no pairs;
+    - "rare key" is in max_df docs over three blocks, doc 5 twice (the
+      same document in two partial rows): pairs;
+    - "pair key" is in docs 5 and 6: one pair, which "rare key" also
+      contributes to."""
+    hot = [(100 + i, f"hot key x{i}") for i in range(max_df + 1)]
+    return [
+        _docs(hot + [(5, "rare key pair key u0"), (40, "wide key z0"),
+                     (41, "wide key z1")]),
+        _docs([(200, "hot key y0"), (201, "hot key y1"),
+               (5, "rare key pair key u0"), (42, "wide key z2")]),
+        _docs([(6, "rare key pair key u1")]
+              + [(43 + i, f"wide key z{3 + i}") for i in range(max_df - 2)]),
+        _docs([(7, "rare key u2")]),
+    ]
+
+
+def test_rare_token_pairs_multi_block_matches_sql(ray_session, tmp_path):
+    from kgruntime.ops.dedup import rare_token_pairs, rare_token_pairs_sql
+
+    max_df = 3
+    ds, whole = _multi_block(tmp_path, "docs", _posting_parts(max_df))
+    got = rare_token_pairs(ds, max_df=max_df).to_pandas()
+    want = _sql("documents", whole, rare_token_pairs_sql(max_df=max_df))
+    cols = ["doc_a", "doc_b", "n_shared_rare"]
+    assert _rows(got, cols) == _rows(want, cols)
+    pairs = {(a, b): n for a, b, n in _rows(got, cols)}
+    assert pairs[(5, 6)] == 3          # "rare key", "key pair", "pair key"
+    assert (5, 7) in pairs and (6, 7) in pairs
+    assert not any(a >= 40 or b >= 40 for a, b in pairs)
+    assert (200, 201) not in pairs
+
+
+def test_winnow_dup_pairs_multi_block_matches_sql(ray_session, tmp_path):
+    """k=1, w=1 selects every token as a fingerprint, so the posting
+    lists are the documents' token sets."""
+    from kgruntime.ops.dedup import winnow_dup_pairs, winnow_dup_pairs_sql
+
+    max_df = 3
+    kw = dict(k=1, w=1, max_df=max_df, min_shared=1)
+    ds, whole = _multi_block(tmp_path, "docs", _posting_parts(max_df))
+    got = winnow_dup_pairs(ds, **kw).to_pandas()
+    want = _sql("documents", whole, winnow_dup_pairs_sql(**kw))
+    cols = ["doc_a", "doc_b", "n_shared"]
+    assert _rows(got, cols) == _rows(want, cols)
+    pairs = {(a, b): n for a, b, n in _rows(got, cols)}
+    assert pairs[(5, 6)] == 2          # "rare", "pair" ("key" is hot)
+    assert not any(a >= 40 or b >= 40 for a, b in pairs)
+
+
+# ------------------------------------------------------------ linkage
+
+
+def test_fuzzy_name_matches_multi_block_matches_sql(ray_session, tmp_path):
+    """'red apple' is spread over three blocks (its n must be summed);
+    the token 'blue' has five distinct names over the blocks, more than
+    ``cap`` = 3, none of them more than 2 per block."""
+    from kgruntime.ops.linkage import (fuzzy_name_matches,
+                                       fuzzy_name_matches_sql)
+
+    def part(names):
+        return pa.table({"p_name": pa.array(names, pa.string())})
+
+    parts = [part(["red apple", "blue a4", "blue a1"]),
+             part(["red apple", "red appla", "blue a5"]),
+             part(["red apple", "blue a2"]),
+             part(["blue a3", "red appla", "blue a1"])]
+    ds, whole = _multi_block(tmp_path, "part", parts)
+    got = fuzzy_name_matches(ds, max_dist=3, cap=3).to_pandas()
+    want = _sql("part", whole, fuzzy_name_matches_sql(max_dist=3, cap=3))
+    cols = ["name_a", "name_b", "dist", "n_a", "n_b"]
+    assert _rows(got, cols) == _rows(want, cols)
+    rows = {(a, b): (d, na, nb) for a, b, d, na, nb in _rows(got, cols)}
+    assert rows[("red appla", "red apple")] == (1, 2, 3)
+    # capped to blue a1..a3: a4/a5 only share 'blue' with the others
+    assert set(rows) == {("red appla", "red apple"), ("blue a1", "blue a2"),
+                         ("blue a1", "blue a3"), ("blue a2", "blue a3")}
+
+
+# ---------------------------------------------------------------- rfm
+
+
+def test_rfm_segments_multi_block_band_ties_match_sql(ray_session,
+                                                      tmp_path):
+    """Ten users whose freq / mon_cents / rec_days tie across the band
+    boundaries of 5 bands (rank cut points 2, 4, 6, 8), spread over
+    blocks."""
+    from kgruntime.ops.sessions import rfm_segments, rfm_segments_sql
+
+    t0 = dt.datetime(2024, 1, 1)
+    freq = [1, 1, 2, 2, 2, 3, 3, 4, 4, 4]
+    cents = [100, 100, 250, 250, 100, 300, 300, 300, 50, 50]
+    days = [0, 0, 3, 3, 3, 9, 1, 1, 0, 5]
+    rows, eid = [], 0
+    for u in range(10):
+        for j in range(freq[u]):
+            # the user's total is cents[u]; the last event is days[u]
+            # days before the global max
+            v = cents[u] / 100 if j == 0 else 0.0
+            rows.append((eid, t0 - dt.timedelta(days=days[u], hours=j),
+                         u, v))
+            eid += 1
+    parts = [_events(rows[i::N_BLOCKS]) for i in range(N_BLOCKS)]
+    ds, whole = _multi_block(tmp_path, "events", parts)
+    got = rfm_segments(ds, n_bands=5).to_pandas()
+    want = _sql("events", whole, rfm_segments_sql(n_bands=5))
+    cols = ["user_id", "rec_days", "freq", "mon_cents", "r_score",
+            "f_score", "m_score", "rfm"]
+    assert _rows(got, cols) == _rows(want, cols)
+    f = dict(zip(got["user_id"], got["f_score"]))
+    assert f[2] == f[3] == f[4] and f[7] == f[8] == f[9]
+
+
+# --------------------------------------------- exchange-count regression
+
+
+class _PlanCounter(logging.Handler):
+    """Counts the exchange operators of the Ray Data plans logged by
+    this process."""
+
+    def __init__(self):
+        super().__init__(level=logging.INFO)
+        self.exchanges = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        msg = record.getMessage()
+        if msg.startswith("Execution plan of Dataset"):
+            self.exchanges += len(re.findall(r"AllToAllOperator\[", msg))
+
+
+def _grouping_tables(path) -> str:
+    import random
+
+    rng = random.Random(3)
+    # alphabetic words, 30+ tokens: the documents pass curate's gate
+    words = ["data", "table", "query", "merge", "batch", "vector", "scan",
+             "join", "order", "spark", "stream", "window", "column"] \
+        + [f"rare{c}" for c in "abcdefghij"]
+    texts = []
+    for i in range(60):
+        if i > 5 and i % 7 == 0:
+            texts.append(texts[i - 3])
+        else:
+            texts.append(" ".join(rng.choice(words)
+                                  for _ in range(rng.randint(30, 60))))
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(60), pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array(["en"] * 60, pa.string()),
+        "source": pa.array([f"s{i % 4}" for i in range(60)], pa.string()),
+        "n_chars": pa.array([len(t) for t in texts], pa.int64())}),
+        os.path.join(path, "documents.parquet"))
+    adj, noun = ["red", "blue", "green"], ["bolt", "nut", "gear", "bold"]
+    pq.write_table(pa.table({
+        "p_partkey": pa.array(range(80), pa.int64()),
+        "p_name": pa.array([f"{rng.choice(adj)} {rng.choice(noun)}"
+                            for _ in range(80)], pa.string())}),
+        os.path.join(path, "part.parquet"))
+    t0 = dt.datetime(2024, 1, 1)
+    n = 300
+    pq.write_table(pa.table({
+        "event_id": pa.array(range(n), pa.int64()),
+        "ts": pa.array([t0 + dt.timedelta(minutes=17 * i
+                                          + rng.randrange(17))
+                        for i in range(n)], pa.timestamp("us")),
+        "user_id": pa.array([rng.randrange(12) for _ in range(n)],
+                            pa.int64()),
+        "event_type": pa.array([rng.choice(["view", "click", "purchase"])
+                                for _ in range(n)], pa.string()),
+        "value": pa.array([rng.randrange(-500, 5000) / 100
+                           for _ in range(n)], pa.float64()),
+        "props": pa.array(["{}"] * n, pa.string())}),
+        os.path.join(path, "events.parquet"))
+    return str(path)
+
+
+# the grouping queries of the benchmark's ops_grouping job and their
+# exchanges: the posting-list pairs, fuzzy linkage and rfm each run two,
+# sessionize one
+EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
+             "fuzzy_name_matches": 2, "rfm_segments": 2, "sessionize": 1,
+             "curate_corpus": 3, "minhash_near_dups": 2}
+
+
+@pytest.mark.parametrize("query", sorted(EXCHANGES))
+def test_grouping_query_exchange_count(ray_session, tmp_path, query):
+    import pandas as pd
+
+    import __ray_entry__ as E
+
+    sf = _grouping_tables(tmp_path)
+    counter = _PlanCounter()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(counter)
+    try:
+        res = E.queries()[query](sf)
+        df = res if isinstance(res, pd.DataFrame) else res.to_pandas()
+    finally:
+        logger.removeHandler(counter)
+    assert len(df.columns)
+    assert counter.exchanges == EXCHANGES[query]

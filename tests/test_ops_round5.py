@@ -319,11 +319,14 @@ def test_term_concentration_sql_past_bigint_square():
 def test_coarse_group_map_matches_plain_groupby(ray_session):
     """coarse_group_map must reproduce groupby(keys).map_groups(fn)
     exactly — per-key groups arrive intact in one coarse block — and
-    honor min_group_size / passthrough_max_size."""
+    honor min_group_size / passthrough_max_size; so must the segment
+    primitive under it, for integer and string keys, and an empty block
+    must reach fn."""
     import numpy as np
     import ray.data as rd
 
-    from kgruntime.ops.groups import coarse_group_map
+    from kgruntime.ops.groups import (_per_group, coarse_group_map,
+                                      segment_map, sort_segments)
 
     rng = np.random.RandomState(0)
     k1 = rng.randint(-50, 50, 500).astype("int64")
@@ -365,6 +368,51 @@ def test_coarse_group_map_matches_plain_groupby(ray_session):
                             passthrough_max_size=1000).to_pandas() \
         .sort_values("v").reset_index(drop=True)
     assert got3["v"].tolist() == list(range(500))
+
+    # the segment primitive: one vectorized call per coarse block, the
+    # block lexsorted by the keys and ``starts`` its key segments
+    def summarize_segments(t: pa.Table, starts) -> pa.Table:
+        vv = t["v"].to_numpy()
+        sums = np.add.reduceat(vv, starts) if len(starts) else vv
+        return pa.table({"k1": t["k1"].take(starts),
+                         "k2": t["k2"].take(starts),
+                         "n": pa.array(np.diff(np.append(starts, len(vv))),
+                                       pa.int64()),
+                         "sv": pa.array(sums, pa.int64())},
+                        schema=out_schema)
+
+    got4 = segment_map(ds, ["k1", "k2"], summarize_segments).to_pandas() \
+        .sort_values(["k1", "k2"]).reset_index(drop=True)
+    assert want.equals(got4)
+
+    # string keys (hashed for the exchange), alone and mixed with ints
+    names = np.array([f"name-{i}" for i in range(40)] + [""])
+    ds_s = rd.from_arrow(pa.table({"s": names[rng.randint(0, 41, 500)],
+                                   "k2": k2, "v": v}))
+
+    def count_by(keys):
+        def count(g: pa.Table) -> pa.Table:
+            return pa.table({**{k: g[k].slice(0, 1) for k in keys},
+                             "n": pa.array([g.num_rows], pa.int64())})
+        return count
+
+    for keys in (["s"], ["s", "k2"]):
+        want_s = ds_s.groupby(keys).map_groups(
+            count_by(keys), batch_format="pyarrow").to_pandas() \
+            .sort_values(keys).reset_index(drop=True)
+        got_s = coarse_group_map(ds_s, keys, count_by(keys)).to_pandas() \
+            .sort_values(keys).reset_index(drop=True)
+        assert want_s.equals(got_s)
+        if keys == ["s"]:
+            assert len(got_s) == 41     # the empty string is a key too
+
+    # a zero-row block reaches fn as an empty block (no IndexError) and
+    # yields fn's empty result
+    empty = pa.table({"k1": k1, "k2": k2, "v": v}).slice(0, 0)
+    blk, starts = sort_segments(empty, ["k1", "k2"])
+    assert blk.num_rows == 0 and len(starts) == 0
+    assert _per_group(summarize)(blk, starts).schema == out_schema
+    assert summarize_segments(blk, starts).num_rows == 0
 
 
 def test_minhash_two_phase_parity(ray_session):
