@@ -10,13 +10,24 @@ here (or in kgruntime) calls ``ray.init`` / ``ray.shutdown``.
   query (same column names; floats rounded identically on both sides).
   KG/fuzzy-hash/LSH pipelines are genuinely non-SQL-expressible and are
   covered by pytest golden parity instead (rows-only here).
+
+Every query is one row of ``_QUERIES`` (a ``Q``): the op it runs, its
+input, the post-step and the SQL twin.  ``_registry()`` and
+``oracle_sql()`` are derived from that table and ``run()`` executes a
+row; a hand-written ``_q_*`` function exists only where a query really
+composes stages, and its row points at it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import os
+import re
+import shutil
 from collections.abc import Callable
-from typing import Any
+from functools import partial
+from typing import Any, NamedTuple
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -76,6 +87,18 @@ def _driver_checked() -> set[str]:
     return seen
 
 
+def _window_order(names, seen: set[str]) -> list[str]:
+    """The driver-window order of the registry ``names``, given the set
+    of names that already have a driver CORRECTNESS row: the
+    never-checked entries lead in registration order, then the
+    flagships, then everything else (``scripts/gen_query_index.py``
+    calls this with the seen-set of its as-of artifacts)."""
+    order = dict.fromkeys(k for k in names if k not in seen)
+    order.update(dict.fromkeys(k for k in _FLAGSHIPS if k in names))
+    order.update(dict.fromkeys(names))
+    return list(order)
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
     """Registry, ordered for the driver's 50-slot correctness window.
 
@@ -89,416 +112,283 @@ def queries() -> dict[str, Callable[[str], Any]]:
     scripts/check_oracle.py regardless of window position.
     """
     q = _registry()
-    seen = _driver_checked()
-    ordered: dict[str, Callable[[str], Any]] = {
-        k: v for k, v in q.items() if k not in seen}
-    for k in _FLAGSHIPS:
-        if k in q and k not in ordered:
-            ordered[k] = q[k]
-    for k, v in q.items():
-        if k not in ordered:
-            ordered[k] = v
-    return ordered
+    return {k: q[k] for k in _window_order(q, _driver_checked())}
 
 
 def _registry() -> dict[str, Callable[[str], Any]]:
-    # Registration order only breaks ties inside queries()'s
-    # never-driver-checked group — the driver window itself is derived.
-    from kgruntime import relational as R
-
-    q: dict[str, Callable[[str], Any]] = {
-        # --- round-5 registrations first: within the never-checked
-        # block the window takes registration order, and the round's
-        # NEW claims should earn their driver rows first ---
-        "kg_planned_bgp": _q_kg_planned_bgp,
-        "maxsim_topk": _q_maxsim_topk,
-        "loo_source_influence": _q_loo_source_influence,
-        "quality_threshold_sweep": _q_quality_sweep,
-        "url_canonical_dups": _q_url_canonical_dups,
-        "source_token_budget": _q_source_token_budget,
-        "page_stitch_pairs": _q_page_stitch,
-        "term_concentration": _q_term_concentration,
-        # --- never driver-checked (late r3 registrations) ---
-        "incremental_dup_check": _q_incremental_dups,
-        "split_leakage": _q_split_leakage,
-        "embedding_dup_clusters": _q_emb_dup_clusters,
-        "value_percentile_ranks": _q_pct_ranks,
-        "events_profile": _q_events_profile,
-        "capped_duplicate_sample": _q_capped_dups,
-        "reservoir_per_lang": _q_reservoir_lang,
-        "asof_purchase_next_click": R.q_asof_purchase_next_click,
-        "nation_trade_volume": R.q_nation_trade_volume,
-        "media_png_features": _q_media_png,
-        "media_resize": _q_media_resize,
-        "media_frame_features": _q_media_frame_features,
-        # --- new round-4 ops (must be inside the window) ---
-        "media_jpeg_features": _q_media_jpeg,
-        "media_wav_features": _q_media_wav,
-        "char_entropy": _q_char_entropy,
-        "bigram_lm_scores": _q_bigram_lm,
-        "embedding_outliers": _q_embedding_outliers,
-        "purchase_click_window": _q_purchase_click_window,
-        "knn_graph": _q_knn_graph,
-        "cms_heavy_bigrams": _q_cms_heavy_bigrams,
-        "kmv_distinct_users": _q_kmv_distinct,
-        "temperature_mix_sample": _q_temp_mix,
-        "corpus_diff": _q_corpus_diff,
-        "user_value_trend": _q_user_value_trend,
-        "bloom_filtered_brand_revenue": R.q_bloom_filtered_brand_revenue,
-        "hll_hopping_users": _q_hll_hopping,
-        "trimmed_mean_value": _q_trimmed_mean,
-        "triangle_census": _q_triangle_census,
-        "span_corrupt": _q_span_corrupt,
-        "ngram_dedup_rewrite": _q_ngram_dedup,
-        "bpe_merges": _q_bpe_merges,
-        "k_core_members": _q_k_core,
-        "vocab_drift": _q_vocab_drift,
-        "orc_roundtrip_stats": _q_orc_roundtrip,
-        "ipc_roundtrip_stats": _q_ipc_roundtrip,
-        "int8_quant_recall": _q_int8_recall,
-        "peak_concurrent_users": _q_peak_concurrency,
-        "incremental_near_dups": _q_incremental_near_dups,
-        "hard_negatives": _q_hard_negatives,
-        "padding_waste": _q_padding_waste,
-        "partitioned_export_prune": _q_partitioned_prune,
-        "fuzzy_name_matches": _q_fuzzy_names,
-        "winnow_dup_pairs": _q_winnow_pairs,
-        # --- r3-green entries kept inside the window (flagship KG,
-        # dedup/ANN/curation core) ---
-        "kg_canonical_fused": _q_kg_fused,
-        "curate_corpus": _q_curate_corpus,
-        "near_dedup_corpus": _q_near_dedup_corpus,
-        "minhash_near_dups": _q_minhash,
-        "ann_topk_ivf": _q_ann_ivf,
-        "kmeans_clusters": _q_kmeans_clusters,
-        "user_components": _q_user_components,
-        # --- below slot 50: every entry has a green driver row ---
-        "embedding_near_dups": _q_emb_near_dups,
-        "ann_topk": _q_ann_topk,
-        "simhash_near_dups": _q_simhash,
-        "kg_canonical_staged": _q_kg_canonical,
-        "kg_triples": _q_kg_triples,
-        "ann_topk_lsh": _q_ann_lsh,
-        "knn_label_vote": _q_knn_label_vote,
-        "clean_corpus": _q_clean_corpus,
-        "pii_scan": _q_pii_scan,
-        "normalized_dup_docs": _q_normalized_dups,
-        "rare_token_pairs": _q_rare_token_pairs,
-        "pack_sequences": _q_pack,
-        "pagerank_users": _q_pagerank,
-        "decayed_user_value": _q_decayed_value,
-        "event_path_trigrams": _q_event_trigrams,
-        "session_conversion_by_dow": _q_session_conversion,
-        "top_terms_per_source": _q_top_terms_source,
-        "bloom_distinct_user_days": _q_bloom_user_days,
-        "hll_distinct_users": _q_hll,
-        "doc_rarity_scores": _q_rarity,
-        "dup_rate_by_source": _q_dup_rate,
-        "prefix_overlap_pairs": _q_prefix_overlap,
-        "suffix_overlap_pairs": _q_suffix_overlap,
-        # --- round-4d registrations: below slot 50 on purpose (the r4
-        # window is at exact capacity with never-driver-checked entries;
-        # these rotate INTO the r5 window, and check_oracle.py gates
-        # them locally every round) ---
-        "set_sim_join_pairs": _q_set_sim_join,
-        "pmi_collocations": _q_pmi_collocations,
-        "phrase_search_hits": _q_phrase_search,
-        "rfm_segments": _q_rfm_segments,
-        "media_gif_frames": _q_media_gif,
-        "kg_bgp_rest_first": _q_kg_bgp,
-        "mad_by_type": _q_mad_by_type,
-        "curriculum_order": _q_curriculum,
-        "weighted_sample": _q_weighted_sample,
-        "click_attribution": _q_click_attr,
-        "principal_component": _q_principal_component,
-        "minhash_error_audit": _q_minhash_audit,
-        "late_event_audit": _q_late_events,
-        "embedding_drift": _q_embedding_drift,
-        # --- round-4e registrations (also below slot 50; rotate into
-        # the r5 window, locally gated by check_oracle.py) ---
-        "dq_audit": _q_dq_audit,
-        "lexical_topk": _q_lexical_topk,
-        "rrf_fusion": _q_rrf_fusion,
-        "entity_clusters": _q_entity_clusters,
-        "session_incident_overlap": _q_session_incidents,
-        "user_hourly_locf": _q_user_hourly_locf,
-        "mg_heavy_trigrams": _q_mg_heavy_trigrams,
-        "lpa_communities": _q_lpa_communities,
-        "bootstrap_stats": _q_bootstrap_stats,
-        "media_phash_dups": _q_media_phash_dups,
-        "cdc_chunk_dedup": _q_cdc_chunks,
-        "embargo_split_audit": _q_embargo_split,
-        "cluster_safe_split": _q_cluster_safe_split,
-        "vocab_coverage": _q_vocab_coverage,
-        # --- round-4f registrations (below slot 50; rotate into the
-        # r5 window, locally gated by check_oracle.py) ---
-        "value_purchase_auc": _q_value_auc,
-        "langid_confusion": _q_langid_confusion,
-        "shingle_novelty": _q_shingle_novelty,
-        "trigram_diversity": _q_trigram_diversity,
-        "bpe_fertility": _q_bpe_fertility,
-        "revenue_cube": _q_revenue_cube,
-        "user_active_time": _q_user_active_time,
-        "compression_quality": _q_compression_quality,
-        "decile_lift": _q_decile_lift,
-        "basket_affinity": _q_basket_affinity,
-        "ann_recall_audit": _q_ann_recall,
-        "bot_regularity": _q_bot_regularity,
-        "mmr_diverse_topk": _q_mmr_topk,
-        # --- round-4g registrations (below slot 50; rotate into the
-        # r5 window, locally gated by check_oracle.py) ---
-        "pit_training_features": _q_pit_features,
-        "source_overlap_matrix": _q_source_overlap,
-        "near_split_leakage": _q_near_split_leakage,
-        "dsir_importance": _q_dsir,
-        "rec_negative_samples": R.q_rec_negative_samples,
-        "markov_next_event": _q_markov_next_event,
-        "rp_projection_recall": _q_rp_recall,
-        "dp_noisy_counts": _q_dp_noisy,
-        "encoding_advisor": _q_encoding_advisor,
-        "join_skew_audit": _q_join_skew,
-        "range_partition_plan": _q_range_plan,
-        "community_modularity": _q_modularity,
-        "stickiness_dau_mau": _q_stickiness,
-        "cdc_upsert_merge": _q_cdc_merge,
-        "feature_cross_hash": _q_feature_cross,
-        "zorder_layout_audit": _q_zorder,
-        "max_coverage_picks": _q_max_coverage,
-        "gzjsonl_roundtrip_stats": _q_gzjsonl_roundtrip,
-        "scd2_segment_revenue": R.q_scd2_segment_revenue,
-        "retrieval_rank_agreement": _q_rank_agreement,
-        "epoch_shuffle_audit": _q_epoch_shuffle,
-        "dedup_sensitivity_sweep": _q_dedup_sweep,
-        "triplet_mining": _q_triplet_mining,
-        "pareto_front_parts": R.q_pareto_front_parts,
-        "media_bmp_features": _q_media_bmp,
-        "peak_user_rate": _q_peak_rate,
-        "events_quarantine": _q_events_quarantine,
-        "embedding_gram": _q_embedding_gram,
-        "join_strategy_advisor": R.q_join_strategy_advisor,
-        "ks_value_drift": _q_ks_drift,
-        "benford_audit": _q_benford,
-        "subtree_balance_rollup": _q_subtree_rollup,
-        "streaming_emit_audit": _q_streaming_emit,
-        "pq_quant_recall": _q_pq_recall,
-        "bitmap_index_queries": _q_bitmap_index,
-        "multi_query_lexical": _q_multi_lexical,
-        "k_anonymity_audit": _q_k_anonymity,
-        "personalized_pagerank": _q_ppr,
-        "copy_genealogy": _q_copy_genealogy,
-        "composition_drift": _q_composition_drift,
-        "conversion_delay_pcts": _q_conv_delay,
-        "supplier_performance": R.q_supplier_performance,
-        "kg_star_query": _q_kg_star,
-        "trending_part_types": R.q_trending_part_types,
-        "kg_incremental_build": _q_kg_incremental,
-        "kg_pred_catalog": _q_kg_pred_catalog,
-        # --- entries below are outside the driver's 50-query window
-        # (every one has a green driver row from r1–r3) ---
-        "media_frames": _q_media_frames,
-        "minhash_dup_clusters": _q_minhash_clusters,
-        "label_centroids": _q_label_centroids,
-        "langid_mismatch": _q_langid_mismatch,
-        "zscore_by_source": _q_zscore,
-        "chunk_documents": _q_chunks,
-        "bigram_counts": _q_bigrams,
-        "redact_terms": _q_redact,
-        "length_deciles": _q_deciles,
-        "kg_quarantine": _q_kg_quarantine,
-        "kg_mentions": _q_kg_mentions,
-        "kg_link_edges": _q_kg_link_edges,
-        "kg_assignment": _q_kg_assignment,
-        "kg_canonical_store": _q_kg_canonical,
-        "media_features": _q_media_features,
-        "cooccurrence_edges": _q_cooccur,
-        "windowed_event_dedup": _q_win_dedup,
-        "event_anomalies": _q_anomalies,
-        "split_assign": _q_split_assign,
-        "source_mix_weights": _q_source_mix,
-        "blocklist_filter": _q_blocklist,
-        # long-green suite (driver-verified green in rounds 1 and 2)
-        "pricing_summary": R.q_pricing_summary,
-        "orders_by_status": R.q_orders_by_status,
-        "top_customers": R.q_top_customers,
-        "customers_per_region": R.q_customers_per_region,
-        "events_by_type_day": R.q_events_by_type_day,
-        "user_activity": R.q_user_activity,
-        "parts_by_brand": R.q_parts_by_brand,
-        "revenue_by_part_type": R.q_revenue_by_part_type,
-        "discounted_orders": R.q_discounted_orders,
-        "customers_without_orders": R.q_customers_without_orders,
-        "distinct_users_per_type": R.q_distinct_users_per_type,
-        "shipping_priority": R.q_shipping_priority,
-        "top_event_per_user": R.q_top_event_per_user,
-        "asof_click_purchase": R.q_asof_click_purchase,
-        "value_bands": R.q_value_bands,
-        "top_type_per_user": R.q_top_type_per_user,
-        "event_value_quantiles": R.q_event_value_quantiles,
-        "local_supplier_revenue": R.q_local_supplier_revenue,
-        "props_k_stats": R.q_props_k_stats,
-        "corr_qty_price": R.q_corr_qty_price,
-        "user_event_pivot": R.q_user_event_pivot,
-        "rollup_region_nation": R.q_rollup_region_nation,
-        "top3_per_nation": R.q_top3_per_nation,
-        "monthly_revenue_ma3": R.q_monthly_revenue_ma3,
-        "long_docs_p90": R.q_long_docs_p90,
-        "events_dow_hour": R.q_events_dow_hour,
-        "orders_priority_share": R.q_orders_priority_share,
-        "doc_stats": _q_doc_stats,
-        "token_stats": _q_token_stats,
-        "quality_scores": _q_quality_scores,
-        "lang_distribution": _q_lang_distribution,
-        "exact_dup_docs": _q_exact_dup_docs,
-        "jaccard_adjacent": _q_jaccard_adjacent,
-        "term_frequencies": _q_term_freqs,
-        "vocab_per_lang": _q_vocab_lang,
-        "stratified_sample": _q_strat_sample,
-        "repetition_scores": _q_repetition,
-        "contamination_check": _q_contamination,
-        "tfidf_doc_terms": _q_tfidf_terms,
-        "token_shards": _q_token_shards,
-        "langid_pred": _q_langid,
-        "doc_fingerprints": _q_fingerprints,
-        "sessionize": _q_sessionize,
-        "tumbling_hourly": _q_tumbling,
-        "hopping_2h_1h": _q_hopping,
-        "user_gap_stats": _q_user_gaps,
-        "running_user_totals": _q_running_totals,
-        "event_transitions": _q_transitions,
-        "funnel_counts": _q_funnel,
-        "retention_cohorts": _q_retention,
-    }
-    return q
+    """Every row of ``_QUERIES`` as a ``fn(sf_dir)``, in table order
+    (which only breaks ties inside queries()'s never-checked group)."""
+    return {q.name: partial(run, q) for q in _QUERIES}
 
 
-def _docs_ds(sf_dir):
+def oracle_sql() -> dict[str, str]:
+    return {q.name: _sql_text(q) for q in _QUERIES if q.sql is not None}
+
+
+class Q(NamedTuple):
+    """One registered query.
+
+    ``op`` is a ``"module:function"`` ref, or a hand-written ``_q_*``
+    function of ``sf_dir`` (then only ``name`` and ``sql`` apply).
+    ``src`` is the op's input: a table under ``sf_dir`` read with
+    ``cols`` (``_read``), ``"sf_dir"`` for ops that take the directory,
+    or a loader ``fn(sf_dir)`` returning the input (or a tuple of the
+    op's positional args).
+    ``kw`` are the op's keyword args.  With ``sort`` set the result
+    goes to pandas (columns pinned to ``pin`` if it is empty) and is
+    sorted by ``sort``.  ``sql`` is the twin: literal SQL, or a
+    ``"module:name"`` ref to a SQL string or to a function called with
+    ``sql_kw`` (default: the op's ``kw``).
+    """
+    name: str
+    op: str | Callable[[str], Any]
+    src: str | Callable[[str], tuple] = "documents"
+    cols: list[str] | None = None
+    kw: dict = {}
+    sort: str | list[str] | None = None
+    pin: list[str] | None = None
+    sql: str | None = None
+    sql_kw: dict | None = None
+
+
+_REF = re.compile(r"[\w.]+:\w+")
+
+
+def _resolve(ref: str) -> Any:
+    mod, attr = ref.split(":")
+    return getattr(importlib.import_module(mod), attr)
+
+
+def run(spec: Q, sf_dir: str) -> Any:
+    """Execute one table row against the tables under ``sf_dir``."""
+    if callable(spec.op):
+        return spec.op(sf_dir)
+    if callable(spec.src):
+        args = spec.src(sf_dir)
+        args = args if isinstance(args, tuple) else (args,)
+    elif spec.src == "sf_dir":
+        args = (sf_dir,)
+    else:
+        args = (_read(sf_dir, spec.src, spec.cols),)
+    out = _resolve(spec.op)(*args, **spec.kw)
+    if spec.sort is None:
+        return out
+    import pandas as pd
+
+    df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+    if spec.pin:
+        df = _pin_cols(df, spec.pin)
+    return df.sort_values(spec.sort).reset_index(drop=True)
+
+
+def _sql_text(spec: Q) -> str:
+    if not _REF.fullmatch(spec.sql):
+        return spec.sql
+    obj = _resolve(spec.sql)
+    if isinstance(obj, str):
+        return obj
+    return obj(**(spec.kw if spec.sql_kw is None else spec.sql_kw))
+
+
+def _pin_cols(df, cols):
+    """Ray 2.49 drops the schema of an all-empty dataset (CLAUDE.md
+    gotcha); pin the expected columns so degenerate corpora sort/compare
+    instead of KeyError-ing."""
+    return df.reindex(columns=cols) if df.empty else df
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+# documents rows read the text-pipeline columns unless they name others
+_READ_COLS = {"documents": ["doc_id", "text", "lang", "source", "n_chars"]}
+
+
+def _read(sf_dir, table, cols=None):
     import ray.data as rd
 
-    return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang", "source",
-                                    "n_chars"])
+    return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
+                           columns=cols or _READ_COLS.get(table))
 
 
-def _q_value_auc(sf_dir):
-    """Exact tie-aware AUC of event value as a purchase detector
-    (kgruntime/ops/evalm.py:binary_auc)."""
-    from kgruntime.ops.evalm import binary_auc
-
-    return binary_auc(_events_ds(sf_dir))
-
-
-def _value_auc_oracle() -> str:
-    from kgruntime.ops.evalm import binary_auc_sql
-
-    return binary_auc_sql()
-
-
-def _q_langid_confusion(sf_dir):
-    """Language-ID confusion summary: per-class precision/recall/F1
-    (kgruntime/ops/text.py:langid_confusion)."""
-    from kgruntime.ops.text import langid_confusion
-
-    return langid_confusion(_docs_ds(sf_dir))
+_EMB_DIM = 64   # testdata embeddings.parquet dimension (all scale factors)
+_ANN_N_QUERIES = 10
+_ANN_K = 5
+# sampling rates per language for the deterministic hash sample (the
+# oracle CASE thresholds are generated from the same dict)
+_SAMPLE_RATES = {"en": 0.5, "de": 0.25, "fr": 0.25, "es": 0.1, "zh": 0.1}
+_PHRASE = "table value"
+_LEX_QUERY = "dup scan filter"   # one rare term (df≈5%) + two common
+_MQ_QUERIES = [_LEX_QUERY, "merge sort window", "vector batch stream"]
+_PROFILE_COLS = ["event_id", "user_id", "event_type", "value", "ts"]
+_STOPWORDS_SQL = ("['the','a','an','and','or','of','to','in','is','are',"
+                  "'was','were','be','been','for','on','with','as','at',"
+                  "'by','it','this','that','from']")
 
 
-def _langid_confusion_oracle() -> str:
-    from kgruntime.ops.text import langid_confusion_sql
+def _strong_ties(sf_dir):
+    """Strong-tie (n_shared ≥ 5) co-occurrence graph: the raw graph is
+    near-complete at bench scale (avg degree ~1000 — 197M triangles at
+    sf0.1), so the graph queries run on the edges that carry signal;
+    the threshold is replicated in the twins' HAVING."""
+    from kgruntime.ops.sessions import cooccurrence_edges
 
-    return langid_confusion_sql()
-
-
-def _q_shingle_novelty(sf_dir):
-    """Per-doc copied-fraction vs earlier corpus
-    (kgruntime/ops/dedup.py:shingle_novelty)."""
-    from kgruntime.ops.dedup import shingle_novelty
-
-    return shingle_novelty(_docs_ds(sf_dir))
+    ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
+    return cooccurrence_edges(ev).filter(expr="n_shared >= 5")
 
 
-def _shingle_novelty_oracle() -> str:
-    from kgruntime.ops.dedup import shingle_novelty_sql
+def _user_graph(sf_dir):
+    """The co-occurrence edges in both directions (src, dst)."""
+    import pyarrow as pa
 
-    return shingle_novelty_sql()
+    from kgruntime.ops.sessions import cooccurrence_edges
 
+    def both_dirs(t: pa.Table) -> pa.Table:
+        return pa.concat_tables([
+            pa.Table.from_arrays([t["user_a"], t["user_b"]],
+                                 names=["src", "dst"]),
+            pa.Table.from_arrays([t["user_b"], t["user_a"]],
+                                 names=["src", "dst"])])
 
-def _q_trigram_diversity(sf_dir):
-    """Per-source trigram diversity ppm
-    (kgruntime/ops/text.py:trigram_diversity)."""
-    from kgruntime.ops.text import trigram_diversity
-
-    return trigram_diversity(_docs_ds(sf_dir))
-
-
-def _trigram_diversity_oracle() -> str:
-    from kgruntime.ops.text import trigram_diversity_sql
-
-    return trigram_diversity_sql()
+    pairs = cooccurrence_edges(_read(sf_dir, "events")) \
+        .select_columns(["user_a", "user_b"])
+    return pairs.map_batches(both_dirs, batch_format="pyarrow")
 
 
-def _q_bpe_fertility(sf_dir):
-    """Per-language BPE tokenizer fertility
-    (kgruntime/ops/bpe.py:bpe_fertility)."""
-    from kgruntime.ops.bpe import bpe_fertility
+def _with_prior(sf_dir):
+    """The corpus and its synthetic prior snapshot."""
+    from kgruntime.ops.dedup import synth_prior_snapshot
 
-    return bpe_fertility(_docs_ds(sf_dir))
-
-
-def _bpe_fertility_oracle() -> str:
-    from kgruntime.ops.bpe import bpe_fertility_sql
-
-    return bpe_fertility_sql()
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    return docs, synth_prior_snapshot(docs)
 
 
-def _q_revenue_cube(sf_dir):
-    """CUBE(priority, status) revenue from one corpus pass
-    (kgruntime/relational.py:q_revenue_cube)."""
-    from kgruntime.relational import q_revenue_cube
+def _load_queries(sf_dir):
+    """(query matrix, query ids, query labels) of the first
+    ``_ANN_N_QUERIES`` embeddings."""
+    # ORDER BY vec_id LIMIT N as a DuckDB streaming top-k over the
+    # parquet: only the N query rows ever reach the driver.  (The r3
+    # version read + sorted the WHOLE embeddings table driver-side — a
+    # full-corpus materialization at 100x.)  Vectors go list<float> →
+    # matrix via flatten().to_numpy().reshape, never to_pylist.
+    import duckdb
 
-    return q_revenue_cube(sf_dir)
-
-
-def _q_user_active_time(sf_dir):
-    """Merged activity-interval union per user
-    (kgruntime/ops/sessions.py:user_active_time)."""
-    from kgruntime.ops.sessions import user_active_time
-
-    return user_active_time(_events_ds(sf_dir))
-
-
-def _user_active_time_oracle() -> str:
-    from kgruntime.ops.sessions import user_active_time_sql
-
-    return user_active_time_sql()
-
-
-def _q_compression_quality(sf_dir):
-    """Per-doc zlib compressibility signal — rows-only (no SQL codec)
-    (kgruntime/ops/text.py:compression_quality)."""
-    from kgruntime.ops.text import compression_quality
-
-    return compression_quality(_docs_ds(sf_dir))
+    path = os.path.join(sf_dir, "embeddings.parquet")
+    t = duckdb.sql(
+        f"SELECT vec_id, embedding, label FROM read_parquet('{path}') "
+        f"ORDER BY vec_id LIMIT {_ANN_N_QUERIES}").arrow()
+    ids = t["vec_id"].to_pylist()
+    q = t["embedding"].combine_chunks().flatten() \
+        .to_numpy(zero_copy_only=False) \
+        .astype(np.float64, copy=False).reshape(len(ids), -1)
+    return q, ids, t["label"].to_pylist()
 
 
-def _q_decile_lift(sf_dir):
-    """Decile lift / calibration of value as a purchase detector
-    (kgruntime/ops/evalm.py:decile_lift)."""
-    from kgruntime.ops.evalm import decile_lift
+def _query_vec(sf_dir):
+    """The min-vec_id embedding via a pushdown LIMIT-1 read."""
+    import duckdb
 
-    return decile_lift(_events_ds(sf_dir))
-
-
-def _decile_lift_oracle() -> str:
-    from kgruntime.ops.evalm import decile_lift_sql
-
-    return decile_lift_sql()
+    path = os.path.join(sf_dir, "embeddings.parquet")
+    t = duckdb.sql(f"SELECT embedding FROM read_parquet('{path}') "
+                   f"ORDER BY vec_id LIMIT 1").arrow()
+    return t["embedding"].combine_chunks().flatten() \
+        .to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
 
 
-def _q_basket_affinity(sf_dir):
-    """Part-type co-purchase lift
-    (kgruntime/relational.py:q_basket_affinity)."""
-    from kgruntime.relational import q_basket_affinity
+def _ann_probe(sf_dir):
+    """(embeddings, query matrix, query ids) for the recall audits."""
+    return (_read(sf_dir, "embeddings", ["vec_id", "embedding"]),
+            *_load_queries(sf_dir)[:2])
 
-    return q_basket_affinity(sf_dir)
+
+def _ann_probe_factory(sf_dir):
+    """``_ann_probe`` with a fresh-Dataset factory for ops that scan the
+    embeddings more than once."""
+    return (partial(_read, sf_dir, "embeddings", ["vec_id", "embedding"]),
+            *_load_queries(sf_dir)[:2])
+
+
+# ---------------------------------------------------------------------------
+# hand-written pipelines (queries that compose stages)
+# ---------------------------------------------------------------------------
+
+def _docs_ds(sf_dir):
+    return _read(sf_dir, "documents")
+
+
+def _per_batch(sf_dir, fn):
+    return _docs_ds(sf_dir).map_batches(fn, batch_format="pyarrow") \
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+
+def _media(synth, tag, sf_dir):
+    """100 synthesized media payloads from ``synth`` (a ref to one of
+    ops/media.py's ``synth_*`` builders): REAL codec bytes (PNG, BMP,
+    baseline JPEG, PCM WAV, MJPEG/AVI, animated GIF), so features derive
+    from true pixels and waveforms — rows-only (binary inputs are
+    synthesized, not SQL-visible)."""
+    import ray.data as rd
+
+    refs = [f"media://doc-{i:06d}/{tag}" for i in range(100)]
+    return rd.from_arrow(_resolve(synth)(refs))
+
+
+def _sha256_col(df, col, sort):
+    """Sort a media frame and replace its binary payload column by
+    hashes for a stable driver value compare."""
+    df = df.sort_values(sort).reset_index(drop=True)
+    df[col] = df.pop(col).map(lambda b: hashlib.sha256(b).hexdigest())
+    return df
+
+
+def _q_media_frames(sf_dir):
+    """Video frame sampling over MJPEG/AVI: each sampled frame is its
+    embedded baseline-JPEG byte string — container-only sampling,
+    unsampled frames never decode."""
+    from kgruntime.ops.media import sample_frames
+
+    avi = _media("kgruntime.ops.media:synth_avi_table", "0", sf_dir)
+    return _sha256_col(sample_frames(avi).to_pandas(), "frame_payload",
+                       ["media_ref", "frame_index"])
+
+
+def _q_media_frame_features(sf_dir):
+    """Composed media pipeline over MJPEG/AVI: container walk → sampled
+    frames (embedded JPEG bytes) → per-frame features decoded by the
+    real baseline-JPEG codec (ops/jpeg.py)."""
+    from kgruntime.ops.media import frame_features, sample_frames
+
+    avi = _media("kgruntime.ops.media:synth_avi_table", "0", sf_dir)
+    return frame_features(sample_frames(avi), feat_dim=8)
+
+
+def _q_media_gif(sf_dir):
+    """Sampled animated-GIF frames (stdlib LZW + palette decode,
+    ops/gif.py) and their features."""
+    from kgruntime.ops.media import gif_frame_features
+
+    gif = _media("kgruntime.ops.media:synth_gif_table", "gif", sf_dir)
+    return _sha256_col(gif_frame_features(gif).to_pandas(), "frame_rgb",
+                       ["media_ref", "frame_index"])
+
+
+def _q_media_resize(sf_dir):
+    from kgruntime.ops.media import resize_raw_images
+
+    raw = _media("kgruntime.ops.media:synth_raw_images", "raw", sf_dir)
+    return _sha256_col(resize_raw_images(raw).to_pandas(), "payload",
+                       "media_ref")
+
+
+def _q_media_phash_dups(sf_dir):
+    """Perceptual-hash (dHash) near-dup image pairs over REAL PNG
+    bytes — rows-only (binary inputs are synthesized)."""
+    import ray.data as rd
+
+    from kgruntime.ops.media import phash_near_dups, synth_png_neardup_table
+
+    return phash_near_dups(rd.from_arrow(synth_png_neardup_table()))
 
 
 def _q_doc_stats(sf_dir):
@@ -516,22 +406,6 @@ def _q_doc_stats(sf_dir):
     return df
 
 
-def _q_token_stats(sf_dir):
-    from kgruntime.ops.text import token_stats
-
-    return _docs_ds(sf_dir).map_batches(
-        token_stats, batch_format="pyarrow").to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_quality_scores(sf_dir):
-    from kgruntime.ops.text import quality_scores
-
-    return _docs_ds(sf_dir).map_batches(
-        quality_scores, batch_format="pyarrow").to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
 def _q_lang_distribution(sf_dir):
     from ray.data.aggregate import Count
 
@@ -540,26 +414,38 @@ def _q_lang_distribution(sf_dir):
         .to_pandas().sort_values("lang").reset_index(drop=True)
 
 
-def _q_exact_dup_docs(sf_dir):
-    # shuffle keyed on the 128-bit content hash (16-byte key), with text
-    # verified exactly inside each hash group — never a full-text
-    # groupby key (kgruntime/ops/dedup.py:exact_dedup_groups)
-    from kgruntime.ops.dedup import exact_dedup_groups
+def _q_token_stats(sf_dir):
+    from kgruntime.ops.text import token_stats
 
-    return exact_dedup_groups(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("keep_id").reset_index(drop=True)
+    return _per_batch(sf_dir, token_stats)
 
 
-def _q_jaccard_adjacent(sf_dir):
-    from kgruntime.ops.dedup import jaccard_adjacent_pairs
+def _q_quality_scores(sf_dir):
+    from kgruntime.ops.text import quality_scores
 
-    return jaccard_adjacent_pairs(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_a").reset_index(drop=True)
+    return _per_batch(sf_dir, quality_scores)
 
 
-# sampling rates per language for the deterministic hash sample (the
-# oracle CASE thresholds are generated from the same dict)
-_SAMPLE_RATES = {"en": 0.5, "de": 0.25, "fr": 0.25, "es": 0.1, "zh": 0.1}
+def _q_repetition(sf_dir):
+    from kgruntime.ops.text import repetition_scores
+
+    return _per_batch(sf_dir, repetition_scores)
+
+
+def _q_fingerprints(sf_dir):
+    from kgruntime.ops.text import fingerprints
+
+    return _per_batch(sf_dir, fingerprints)
+
+
+def _q_langid(sf_dir):
+    from kgruntime.ops.text import LangId
+    from kgruntime.runtime import pool_range
+
+    return _docs_ds(sf_dir).map_batches(
+        LangId, batch_format="pyarrow",
+        concurrency=pool_range(frac=0.25, lo=1), num_cpus=1) \
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 def _q_term_freqs(sf_dir):
@@ -570,13 +456,6 @@ def _q_term_freqs(sf_dir):
         .reset_index(drop=True)
 
 
-def _q_vocab_lang(sf_dir):
-    from kgruntime.ops.text import vocab_per_lang
-
-    return vocab_per_lang(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("lang").reset_index(drop=True)
-
-
 def _q_strat_sample(sf_dir):
     from kgruntime.ops.sample import stratified_sample
 
@@ -585,125 +464,12 @@ def _q_strat_sample(sf_dir):
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def _q_repetition(sf_dir):
-    from kgruntime.ops.text import repetition_scores
+def _q_bloom_user_days(sf_dir):
+    from kgruntime.ops.sketch import bloom_distinct_user_days
 
-    return _docs_ds(sf_dir).map_batches(
-        repetition_scores, batch_format="pyarrow").to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_contamination(sf_dir):
-    from kgruntime.ops.text import contamination_check
-
-    return contamination_check(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_tfidf_terms(sf_dir):
-    from kgruntime.ops.text import tfidf_doc_terms
-
-    return tfidf_doc_terms(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values(["doc_id", "rnk"]).reset_index(drop=True)
-
-
-def _q_token_shards(sf_dir):
-    from kgruntime.ops.shard import token_budget_shards
-
-    return token_budget_shards(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _events_ds(sf_dir):
-    import ray.data as rd
-
-    return rd.read_parquet(os.path.join(sf_dir, "events.parquet"))
-
-
-def _q_char_entropy(sf_dir):
-    from kgruntime.ops.quality import char_entropy_scores
-
-    return char_entropy_scores(_docs_ds(sf_dir))
-
-
-def _q_bigram_lm(sf_dir):
-    from kgruntime.ops.quality import bigram_lm_scores
-
-    return bigram_lm_scores(_docs_ds(sf_dir))
-
-
-def _q_embedding_outliers(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.ann import embedding_outliers
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "label", "embedding"])
-    return embedding_outliers(emb)
-
-
-def _q_media_wav(sf_dir):
-    """REAL audio codec path: payloads are actual PCM WAV bytes (RIFF
-    container + numpy sample decode, ops/wav.py; per-ref seeded sine
-    mixtures at ragged durations); features derive from true waveforms
-    (framed RMS, ZCR, rFFT band energies) — rows-only (binary inputs
-    are synthesized, not SQL-visible)."""
-    import ray.data as rd
-
-    from kgruntime.ops.media import decode_features, synth_wav_table
-
-    refs = [f"media://doc-{i:06d}/wav" for i in range(100)]
-    return decode_features(rd.from_arrow(synth_wav_table(refs)))
-
-
-def _q_knn_graph(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.ann import knn_graph
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    return knn_graph(emb, dim=_EMB_DIM, k=5, n_planes=6, n_tables=2)
-
-
-def _q_cms_heavy_bigrams(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.sketch import cms_heavy_bigrams
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-    return cms_heavy_bigrams(docs)
-
-
-def _q_kmv_distinct(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.sketch import kmv_distinct
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "user_id"])
-    return kmv_distinct(ev)
-
-
-def _q_span_corrupt(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.text import span_corrupt
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-    return span_corrupt(docs)
-
-
-def _q_ngram_dedup(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.dedup import ngram_dedup_rewrite
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-    return ngram_dedup_rewrite(docs)
+    # hash-checked projection is the exact part of the sketch
+    return bloom_distinct_user_days(_read(sf_dir, "events"))[
+        ["m", "k", "n_set_bits"]]
 
 
 def _roundtrip_stats(sf_dir, writer, reader, fmt):
@@ -711,8 +477,6 @@ def _roundtrip_stats(sf_dir, writer, reader, fmt):
     it back through the matching source, and aggregate — proving the
     sink+source pair preserves the corpus (oracle: the same aggregate
     straight off the parquet)."""
-    import shutil
-
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
@@ -750,275 +514,11 @@ def _q_ipc_roundtrip(sf_dir):
                             read_documents_ipc, "ipc")
 
 
-def _q_vocab_drift(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.dedup import synth_prior_snapshot, vocab_drift
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-    return vocab_drift(docs, synth_prior_snapshot(docs))
-
-
-def _q_k_core(sf_dir):
-    """2-core of the strong-tie (n_shared ≥ 5) co-occurrence graph —
-    same edge set as triangle_census."""
-    import ray.data as rd
-
-    from kgruntime.ops.graph import k_core
-    from kgruntime.ops.sessions import cooccurrence_edges
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type", "ts"])
-    edges = cooccurrence_edges(ev).filter(expr="n_shared >= 5")
-    return k_core(edges, k=2, rounds=8)
-
-
-def _q_bpe_merges(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.bpe import bpe_merges
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["text"])
-    return bpe_merges(docs, rounds=8)
-
-
-def _q_triangle_census(sf_dir):
-    """Strong-tie (n_shared ≥ 5) co-occurrence graph: the raw graph is
-    near-complete at bench scale (avg degree ~1000 — 197M triangles at
-    sf0.1), so the census runs on the edges that carry signal; the
-    threshold is replicated in the oracle's HAVING."""
-    import ray.data as rd
-
-    from kgruntime.ops.graph import triangle_count
-    from kgruntime.ops.sessions import cooccurrence_edges
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type", "ts"])
-    edges = cooccurrence_edges(ev).filter(expr="n_shared >= 5")
-    return triangle_count(edges)
-
-
-def _q_hll_hopping(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.sessions import hll_distinct_hopping
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
-    return hll_distinct_hopping(ev)
-
-
-def _q_trimmed_mean(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.stats import trimmed_mean_by_group
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value"])
-    return trimmed_mean_by_group(ev)
-
-
-def _q_user_value_trend(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.sessions import user_value_trend
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "value"])
-    return user_value_trend(ev)
-
-
-def _q_temp_mix(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.sample import temperature_mix_sample
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["source", "doc_id"])
-    return temperature_mix_sample(docs)
-
-
-def _q_corpus_diff(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.dedup import corpus_diff, synth_prior_snapshot
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-    return corpus_diff(docs, synth_prior_snapshot(docs))
-
-
-def _q_purchase_click_window(sf_dir):
-    from kgruntime.ops.sessions import purchase_click_window
-
-    return purchase_click_window(_events_ds(sf_dir))
-
-
-def _q_sessionize(sf_dir):
-    from kgruntime.ops.sessions import sessionize
-
-    return sessionize(_events_ds(sf_dir)).to_pandas() \
-        .sort_values(["user_id", "session_start"]).reset_index(drop=True)
-
-
-def _q_tumbling(sf_dir):
-    from kgruntime.ops.sessions import tumbling_hourly
-
-    return tumbling_hourly(_events_ds(sf_dir)).to_pandas() \
-        .sort_values(["event_type", "window_start"]).reset_index(drop=True)
-
-
-def _q_hopping(sf_dir):
-    from kgruntime.ops.sessions import hopping_windows
-
-    return hopping_windows(_events_ds(sf_dir)).to_pandas() \
-        .sort_values(["event_type", "window_start"]).reset_index(drop=True)
-
-
-def _q_user_gaps(sf_dir):
-    from kgruntime.ops.sessions import user_gap_stats
-
-    return user_gap_stats(_events_ds(sf_dir)).to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-
-
-def _q_running_totals(sf_dir):
-    from kgruntime.ops.sessions import running_user_totals
-
-    return running_user_totals(_events_ds(sf_dir)).to_pandas() \
-        .sort_values(["user_id", "event_id"]).reset_index(drop=True)
-
-
-def _pin_cols(df, cols):
-    """Ray 2.49 drops the schema of an all-empty dataset (CLAUDE.md
-    gotcha); pin the expected columns so degenerate corpora sort/compare
-    instead of KeyError-ing."""
-    return df.reindex(columns=cols) if df.empty else df
-
-
-def _q_transitions(sf_dir):
-    from kgruntime.ops.sessions import event_transitions
-
-    return _pin_cols(event_transitions(_events_ds(sf_dir)).to_pandas(),
-                     ["from_type", "to_type", "n_pairs"]) \
-        .sort_values(["from_type", "to_type"]).reset_index(drop=True)
-
-
-def _q_funnel(sf_dir):
-    from kgruntime.ops.sessions import funnel_counts
-
-    return _pin_cols(funnel_counts(_events_ds(sf_dir)).to_pandas(),
-                     ["stage_idx", "stage", "n_users"]) \
-        .sort_values("stage_idx").reset_index(drop=True)
-
-
-def _q_retention(sf_dir):
-    from kgruntime.ops.sessions import retention_cohorts
-
-    return _pin_cols(retention_cohorts(_events_ds(sf_dir)).to_pandas(),
-                     ["cohort_day", "day_offset", "n_users"]) \
-        .sort_values(["cohort_day", "day_offset"]).reset_index(drop=True)
-
-
-def _q_win_dedup(sf_dir):
-    from kgruntime.ops.sessions import windowed_event_dedup
-
-    return _pin_cols(windowed_event_dedup(_events_ds(sf_dir)).to_pandas(),
-                     ["event_id", "user_id", "event_type", "ts"]) \
-        .sort_values("event_id").reset_index(drop=True)
-
-
-def _q_cooccur(sf_dir):
-    from kgruntime.ops.sessions import cooccurrence_edges
-
-    return _pin_cols(cooccurrence_edges(_events_ds(sf_dir)).to_pandas(),
-                     ["user_a", "user_b", "n_shared"]) \
-        .sort_values(["user_a", "user_b"]).reset_index(drop=True)
-
-
-def _q_pagerank(sf_dir):
-    import pyarrow as pa
-
-    from kgruntime.ops.graph import pagerank
-    from kgruntime.ops.sessions import cooccurrence_edges
-
-    pairs = cooccurrence_edges(_events_ds(sf_dir)) \
-        .select_columns(["user_a", "user_b"])
-
-    def both_dirs(t: pa.Table) -> pa.Table:
-        return pa.concat_tables([
-            pa.Table.from_arrays([t["user_a"], t["user_b"]],
-                                 names=["src", "dst"]),
-            pa.Table.from_arrays([t["user_b"], t["user_a"]],
-                                 names=["src", "dst"])])
-
-    edges = pairs.map_batches(both_dirs, batch_format="pyarrow")
-    return _pin_cols(pagerank(edges).to_pandas(),
-                     ["user_id", "rank_scaled"]) \
-        .sort_values("user_id").reset_index(drop=True)
-
-
-def _q_ppr(sf_dir):
-    """Personalized PageRank (seed teleport to the 5 smallest nodes)
-    (kgruntime/ops/graph.py:personalized_pagerank)."""
-    import pyarrow as pa
-
-    from kgruntime.ops.graph import personalized_pagerank
-    from kgruntime.ops.sessions import cooccurrence_edges
-
-    pairs = cooccurrence_edges(_events_ds(sf_dir)) \
-        .select_columns(["user_a", "user_b"])
-
-    def both_dirs(t: pa.Table) -> pa.Table:
-        return pa.concat_tables([
-            pa.Table.from_arrays([t["user_a"], t["user_b"]],
-                                 names=["src", "dst"]),
-            pa.Table.from_arrays([t["user_b"], t["user_a"]],
-                                 names=["src", "dst"])])
-
-    edges = pairs.map_batches(both_dirs, batch_format="pyarrow")
-    return personalized_pagerank(edges).to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-
-
-def _ppr_oracle() -> str:
-    from kgruntime.ops.graph import personalized_pagerank_sql
-
-    return personalized_pagerank_sql()
-
-
-_ANN_N_QUERIES = 10
-_ANN_K = 5
-
-
-def _load_queries(sf_dir):
-    # ORDER BY vec_id LIMIT N as a DuckDB streaming top-k over the
-    # parquet: only the N query rows ever reach the driver.  (The r3
-    # version read + sorted the WHOLE embeddings table driver-side — a
-    # full-corpus materialization at 100x.)  Vectors go list<float> →
-    # matrix via flatten().to_numpy().reshape, never to_pylist.
-    import duckdb
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    t = duckdb.sql(
-        f"SELECT vec_id, embedding FROM read_parquet('{path}') "
-        f"ORDER BY vec_id LIMIT {_ANN_N_QUERIES}").arrow()
-    ids = t["vec_id"].to_pylist()
-    emb = t["embedding"].combine_chunks()
-    q = emb.flatten().to_numpy(zero_copy_only=False) \
-        .astype(np.float64, copy=False).reshape(len(ids), -1)
-    return q, ids
-
-
 def _q_partitioned_prune(sf_dir):
     """Write the corpus hive-partitioned by lang, then answer an
     English-only aggregate by reading ONLY the lang=en partition
     directory — partition pruning at the read (the resumable-output +
     prune-at-the-read conventions in one query)."""
-    import shutil
-
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
@@ -1033,653 +533,12 @@ def _q_partitioned_prune(sf_dir):
         Sum("n_chars", alias_name="total_chars"))
 
 
-def _q_fuzzy_names(sf_dir):
-    """Blocked edit-distance record linkage over distinct part names
-    (kgruntime/ops/linkage.py)."""
-    import ray.data as rd
-
-    from kgruntime.ops.linkage import fuzzy_name_matches
-
-    parts = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                            columns=["p_name"])
-    return fuzzy_name_matches(parts)
-
-
-def _q_set_sim_join(sf_dir):
-    """Prefix-filtered exact Jaccard set-similarity self-join
-    (kgruntime/ops/dedup.py:set_sim_join)."""
-    from kgruntime.ops.dedup import set_sim_join
-
-    return set_sim_join(_docs_ds(sf_dir))
-
-
-def _q_pmi_collocations(sf_dir):
-    """Integer-exact PMI collocation ranking
-    (kgruntime/ops/text.py:pmi_collocations)."""
-    from kgruntime.ops.text import pmi_collocations
-
-    return pmi_collocations(_docs_ds(sf_dir))
-
-
-_PHRASE = "table value"
-
-
-def _q_phrase_search(sf_dir):
-    """Positional-inverted-index phrase search
-    (kgruntime/ops/text.py:phrase_search)."""
-    from kgruntime.ops.text import phrase_search
-
-    return phrase_search(_docs_ds(sf_dir), _PHRASE)
-
-
-def _q_embedding_drift(sf_dir):
-    """Per-dimension mean drift vs a prior snapshot (vec_id % 5 != 0,
-    the synth-prior convention)
-    (kgruntime/ops/ann.py:embedding_drift)."""
-    import ray.data as rd
-
-    from kgruntime.ops.ann import embedding_drift
-
-    import pyarrow.compute as _pc
-
-    cur = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-
-    def prior_mask(t):
-        # Ray filter(expr=...) can't parse `%` BinOps — Arrow mask
-        mod5 = _pc.subtract(t["vec_id"],
-                            _pc.multiply(_pc.divide(t["vec_id"], 5), 5))
-        return t.filter(_pc.not_equal(mod5, 0))
-
-    prior = cur.map_batches(prior_mask, batch_format="pyarrow")
-    return embedding_drift(cur.select_columns(["embedding"]),
-                           prior.select_columns(["embedding"]))
-
-
-def _q_dq_audit(sf_dir):
-    """Data-quality constraint audit: nulls, domains, PK uniqueness,
-    FK integrity, policy thresholds (kgruntime/ops/dq.py:dq_audit)."""
-    import ray.data as rd
-
-    from kgruntime.ops.dq import dq_audit
-
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    lineitem = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_quantity", "l_discount"])
-    customer = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                               columns=["c_custkey"])
-    return dq_audit(orders, lineitem, customer)
-
-
-def _dq_audit_oracle() -> str:
-    from kgruntime.ops.dq import DQ_AUDIT_SQL
-
-    return DQ_AUDIT_SQL
-
-
-_LEX_QUERY = "dup scan filter"   # one rare term (df≈5%) + two common
-
-
-def _q_lexical_topk(sf_dir):
-    """Integer BM25-family lexical retrieval
-    (kgruntime/ops/text.py:lexical_topk)."""
-    from kgruntime.ops.text import lexical_topk
-
-    return lexical_topk(_docs_ds(sf_dir), _LEX_QUERY)
-
-
-def _lexical_topk_oracle() -> str:
-    from kgruntime.ops.text import lexical_topk_sql
-
-    return lexical_topk_sql(_LEX_QUERY)
-
-
-def _q_rrf_fusion(sf_dir):
-    """Hybrid retrieval: reciprocal-rank fusion of the lexical and
-    embedding rankings (kgruntime/ops/ann.py:rrf_fusion).  Query
-    vector = the min-vec_id row via a pushdown LIMIT-1 read."""
-    import duckdb
-
-    from kgruntime.ops.ann import rrf_fusion
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    t = duckdb.sql(f"SELECT embedding FROM read_parquet('{path}') "
-                   f"ORDER BY vec_id LIMIT 1").arrow()
-    qvec = t["embedding"].combine_chunks().flatten() \
-        .to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-    import ray.data as rd
-
-    emb = rd.read_parquet(path, columns=["vec_id", "embedding"])
-    return rrf_fusion(_docs_ds(sf_dir), emb, _LEX_QUERY, qvec)
-
-
-def _rrf_fusion_oracle() -> str:
-    from kgruntime.ops.ann import rrf_fusion_sql
-
-    return rrf_fusion_sql(_LEX_QUERY)
-
-
-def _q_rank_agreement(sf_dir):
-    """Kendall-tau agreement between the lexical and embedding top-r
-    rankings (kgruntime/ops/ann.py:rank_agreement)."""
-    import duckdb
-
-    import ray.data as rd
-
-    from kgruntime.ops.ann import rank_agreement
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    t = duckdb.sql(f"SELECT embedding FROM read_parquet('{path}') "
-                   f"ORDER BY vec_id LIMIT 1").arrow()
-    qvec = t["embedding"].combine_chunks().flatten() \
-        .to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-    emb = rd.read_parquet(path, columns=["vec_id", "embedding"])
-    return rank_agreement(_docs_ds(sf_dir), emb, _LEX_QUERY, qvec)
-
-
-def _rank_agreement_oracle() -> str:
-    from kgruntime.ops.ann import rank_agreement_sql
-
-    return rank_agreement_sql(_LEX_QUERY)
-
-
-def _q_epoch_shuffle(sf_dir):
-    """Deterministic per-epoch shuffle-order audit
-    (kgruntime/ops/sample.py:epoch_shuffle_audit)."""
-    from kgruntime.ops.sample import epoch_shuffle_audit
-
-    return epoch_shuffle_audit(_docs_ds(sf_dir))
-
-
-def _epoch_shuffle_oracle() -> str:
-    from kgruntime.ops.sample import epoch_shuffle_audit_sql
-
-    return epoch_shuffle_audit_sql()
-
-
-def _q_peak_rate(sf_dir):
-    """Per-user peak sliding-window event rate
-    (kgruntime/ops/sessions.py:peak_user_rate)."""
-    from kgruntime.ops.sessions import peak_user_rate
-
-    return peak_user_rate(_events_ds(sf_dir))
-
-
-def _peak_rate_oracle() -> str:
-    from kgruntime.ops.sessions import peak_user_rate_sql
-
-    return peak_user_rate_sql()
-
-
-def _q_events_quarantine(sf_dir):
-    """Record validation with quarantine split over a deterministically
-    corrupted ingest view
-    (kgruntime/ops/dq.py:validate_and_quarantine)."""
-    from kgruntime.ops.dq import validate_and_quarantine
-
-    return validate_and_quarantine(_events_ds(sf_dir))
-
-
-def _events_quarantine_oracle() -> str:
-    from kgruntime.ops.dq import validate_and_quarantine_sql
-
-    return validate_and_quarantine_sql()
-
-
-def _q_embedding_gram(sf_dir):
-    """Exact distributed gram matrix over fixed-point embedding units
-    (kgruntime/ops/ann.py:embedding_gram_matrix)."""
-    import ray.data as rd
-
-    from kgruntime.ops.ann import embedding_gram_matrix
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["embedding"])
-    return embedding_gram_matrix(emb)
-
-
-def _embedding_gram_oracle() -> str:
-    from kgruntime.ops.ann import embedding_gram_matrix_sql
-
-    return embedding_gram_matrix_sql()
-
-
-def _q_ks_drift(sf_dir):
-    """Exact two-sample KS distance between click and purchase value
-    distributions (kgruntime/ops/stats.py:ks_two_samples)."""
-    from kgruntime.ops.stats import ks_two_samples
-
-    return ks_two_samples(_events_ds(sf_dir))
-
-
-def _ks_drift_oracle() -> str:
-    from kgruntime.ops.stats import ks_two_samples_sql
-
-    return ks_two_samples_sql()
-
-
-def _q_benford(sf_dir):
-    """Benford first-digit audit of event values
-    (kgruntime/ops/stats.py:benford_audit)."""
-    from kgruntime.ops.stats import benford_audit
-
-    return benford_audit(_events_ds(sf_dir))
-
-
-def _benford_oracle() -> str:
-    from kgruntime.ops.stats import benford_audit_sql
-
-    return benford_audit_sql()
-
-
-def _q_subtree_rollup(sf_dir):
-    """Hierarchy subtree rollup by path doubling
-    (kgruntime/ops/graph.py:subtree_balance_rollup)."""
-    import ray.data as rd
-
-    from kgruntime.ops.graph import subtree_balance_rollup
-
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_acctbal"])
-    return subtree_balance_rollup(cust)
-
-
-def _subtree_rollup_oracle() -> str:
-    from kgruntime.ops.graph import subtree_balance_rollup_sql
-
-    return subtree_balance_rollup_sql()
-
-
-def _q_streaming_emit(sf_dir):
-    """Watermark + allowed-lateness emit accounting vs batch truth
-    (kgruntime/ops/sessions.py:streaming_emit_audit)."""
-    from kgruntime.ops.sessions import streaming_emit_audit
-
-    return streaming_emit_audit(_events_ds(sf_dir))
-
-
-def _streaming_emit_oracle() -> str:
-    from kgruntime.ops.sessions import streaming_emit_audit_sql
-
-    return streaming_emit_audit_sql()
-
-
-def _q_bitmap_index(sf_dir):
-    """Bitmap secondary index build + conjunctive predicate counts
-    (kgruntime/ops/shard.py:bitmap_index_queries)."""
-    from kgruntime.ops.shard import bitmap_index_queries
-
-    return bitmap_index_queries(_events_ds(sf_dir))
-
-
-def _bitmap_index_oracle() -> str:
-    from kgruntime.ops.shard import bitmap_index_queries_sql
-
-    return bitmap_index_queries_sql()
-
-
-_MQ_QUERIES = [_LEX_QUERY, "merge sort window", "vector batch stream"]
-
-
-def _q_multi_lexical(sf_dir):
-    """Batched lexical retrieval for three queries in one corpus scan
-    (kgruntime/ops/text.py:multi_query_lexical)."""
-    from kgruntime.ops.text import multi_query_lexical
-
-    return multi_query_lexical(_docs_ds(sf_dir), _MQ_QUERIES)
-
-
-def _multi_lexical_oracle() -> str:
-    from kgruntime.ops.text import multi_query_lexical_sql
-
-    return multi_query_lexical_sql(_MQ_QUERIES)
-
-
-def _q_k_anonymity(sf_dir):
-    """k-anonymity audit over (lang, source, n_chars bucket)
-    (kgruntime/ops/dq.py:k_anonymity_audit)."""
-    from kgruntime.ops.dq import k_anonymity_audit
-
-    return k_anonymity_audit(_docs_ds(sf_dir))
-
-
-def _k_anonymity_oracle() -> str:
-    from kgruntime.ops.dq import k_anonymity_audit_sql
-
-    return k_anonymity_audit_sql()
-
-
-def _q_copy_genealogy(sf_dir):
-    """Document copy-provenance edges
-    (kgruntime/ops/dedup.py:copy_genealogy)."""
-    from kgruntime.ops.dedup import copy_genealogy
-
-    return copy_genealogy(_docs_ds(sf_dir))
-
-
-def _copy_genealogy_oracle() -> str:
-    from kgruntime.ops.dedup import copy_genealogy_sql
-
-    return copy_genealogy_sql()
-
-
-def _q_composition_drift(sf_dir):
-    """Per-source lang-mix L1 drift between corpus halves
-    (kgruntime/ops/dq.py:composition_drift)."""
-    from kgruntime.ops.dq import composition_drift
-
-    return composition_drift(_docs_ds(sf_dir))
-
-
-def _composition_drift_oracle() -> str:
-    from kgruntime.ops.dq import composition_drift_sql
-
-    return composition_drift_sql()
-
-
-def _q_conv_delay(sf_dir):
-    """Click→purchase delay p50/p90 per isodow
-    (kgruntime/ops/sessions.py:conversion_delay_percentiles)."""
-    from kgruntime.ops.sessions import conversion_delay_percentiles
-
-    return conversion_delay_percentiles(_events_ds(sf_dir))
-
-
-def _conv_delay_oracle() -> str:
-    from kgruntime.ops.sessions import conversion_delay_percentiles_sql
-
-    return conversion_delay_percentiles_sql()
-
-
-def _q_dedup_sweep(sf_dir):
-    """Normalization-ladder dedup sensitivity sweep
-    (kgruntime/ops/dedup.py:dedup_sensitivity_sweep)."""
-    from kgruntime.ops.dedup import dedup_sensitivity_sweep
-
-    return dedup_sensitivity_sweep(_docs_ds(sf_dir))
-
-
-def _dedup_sweep_oracle() -> str:
-    from kgruntime.ops.dedup import dedup_sensitivity_sweep_sql
-
-    return dedup_sensitivity_sweep_sql()
-
-
-def _q_entity_clusters(sf_dir):
-    """End-to-end entity resolution: fuzzy match pairs → connected
-    components → canonical entity
-    (kgruntime/ops/linkage.py:entity_clusters)."""
-    import ray.data as rd
-
-    from kgruntime.ops.linkage import entity_clusters
-
-    parts = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                            columns=["p_name"])
-    return entity_clusters(parts)
-
-
-def _entity_clusters_oracle() -> str:
-    from kgruntime.ops.linkage import entity_clusters_sql
-
-    return entity_clusters_sql()
-
-
-def _q_session_incidents(sf_dir):
-    """Interval overlap join: sessions × busy-hour incidents
-    (kgruntime/ops/sessions.py:session_incident_overlap)."""
-    from kgruntime.ops.sessions import session_incident_overlap
-
-    return session_incident_overlap(_events_ds(sf_dir))
-
-
-def _session_incidents_oracle() -> str:
-    from kgruntime.ops.sessions import session_incident_overlap_sql
-
-    return session_incident_overlap_sql()
-
-
-def _q_user_hourly_locf(sf_dir):
-    """Hourly LOCF resample rollup per user
-    (kgruntime/ops/sessions.py:user_hourly_locf)."""
-    from kgruntime.ops.sessions import user_hourly_locf
-
-    return user_hourly_locf(_events_ds(sf_dir))
-
-
-def _user_hourly_locf_oracle() -> str:
-    from kgruntime.ops.sessions import USER_HOURLY_LOCF_SQL
-
-    return USER_HOURLY_LOCF_SQL
-
-
-def _q_mg_heavy_trigrams(sf_dir):
-    """Misra-Gries mergeable summaries + exact recount
-    (kgruntime/ops/sketch.py:mg_heavy_trigrams)."""
-    from kgruntime.ops.sketch import mg_heavy_trigrams
-
-    return mg_heavy_trigrams(_docs_ds(sf_dir))
-
-
-def _mg_heavy_trigrams_oracle() -> str:
-    from kgruntime.ops.sketch import mg_heavy_trigrams_sql
-
-    return mg_heavy_trigrams_sql()
-
-
-def _q_lpa_communities(sf_dir):
-    """Label-propagation communities over the strong-tie co-occurrence
-    graph (kgruntime/ops/graph.py:lpa_communities)."""
-    import ray.data as rd
-
-    from kgruntime.ops.graph import lpa_communities
-    from kgruntime.ops.sessions import cooccurrence_edges
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type", "ts"])
-    edges = cooccurrence_edges(ev).filter(expr="n_shared >= 5")
-    return lpa_communities(edges, rounds=4)
-
-
-def _lpa_communities_oracle() -> str:
-    from kgruntime.ops.graph import lpa_communities_sql
-
-    return lpa_communities_sql(rounds=4)
-
-
-def _q_media_phash_dups(sf_dir):
-    """Perceptual-hash (dHash) near-dup image pairs over REAL PNG
-    bytes — rows-only (binary inputs are synthesized, not SQL-visible)
-    (kgruntime/ops/media.py:phash_near_dups)."""
-    import ray.data as rd
-
-    from kgruntime.ops.media import (phash_near_dups,
-                                     synth_png_neardup_table)
-
-    return phash_near_dups(rd.from_arrow(synth_png_neardup_table()))
-
-
-def _q_bootstrap_stats(sf_dir):
-    """Deterministic Poisson bootstrap replicate statistics
-    (kgruntime/ops/sample.py:bootstrap_stats)."""
-    from kgruntime.ops.sample import bootstrap_stats
-
-    return bootstrap_stats(_docs_ds(sf_dir))
-
-
-def _bootstrap_stats_oracle() -> str:
-    from kgruntime.ops.sample import bootstrap_stats_sql
-
-    return bootstrap_stats_sql()
-
-
-def _q_cdc_chunks(sf_dir):
-    """Content-defined chunking dedup audit
-    (kgruntime/ops/dedup.py:cdc_chunk_dedup)."""
-    from kgruntime.ops.dedup import cdc_chunk_dedup
-
-    return cdc_chunk_dedup(_docs_ds(sf_dir))
-
-
-def _cdc_chunks_oracle() -> str:
-    from kgruntime.ops.dedup import cdc_chunk_dedup_sql
-
-    return cdc_chunk_dedup_sql()
-
-
-def _q_embargo_split(sf_dir):
-    """Temporal backtest split + embargo + entity-leakage audit
-    (kgruntime/ops/sample.py:embargo_split_audit)."""
-    from kgruntime.ops.sample import embargo_split_audit
-
-    return embargo_split_audit(_events_ds(sf_dir))
-
-
-def _embargo_split_oracle() -> str:
-    from kgruntime.ops.sample import embargo_split_audit_sql
-
-    return embargo_split_audit_sql()
-
-
-def _q_cluster_safe_split(sf_dir):
-    """Near-dup-cluster-safe split assignment
-    (kgruntime/ops/dedup.py:cluster_safe_split)."""
-    from kgruntime.ops.dedup import cluster_safe_split
-
-    return cluster_safe_split(_docs_ds(sf_dir))
-
-
-def _cluster_safe_split_oracle() -> str:
-    from kgruntime.ops.dedup import cluster_safe_split_sql
-
-    return cluster_safe_split_sql()
-
-
-def _q_vocab_coverage(sf_dir):
-    """Vocabulary coverage curve
-    (kgruntime/ops/text.py:vocab_coverage)."""
-    from kgruntime.ops.text import vocab_coverage
-
-    return vocab_coverage(_docs_ds(sf_dir))
-
-
-def _vocab_coverage_oracle() -> str:
-    from kgruntime.ops.text import vocab_coverage_sql
-
-    return vocab_coverage_sql()
-
-
-def _q_late_events(sf_dir):
-    """Watermark / late-data audit
-    (kgruntime/ops/sessions.py:late_event_audit)."""
-    import ray.data as rd
-
-    from kgruntime.ops.sessions import late_event_audit
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "event_type", "ts"])
-    return late_event_audit(ev)
-
-
-def _q_minhash_audit(sf_dir):
-    """Sketch-quality audit: MinHash estimates vs exact Jaccard
-    (kgruntime/ops/dedup.py:minhash_error_audit)."""
-    from kgruntime.ops.dedup import minhash_error_audit
-
-    return minhash_error_audit(_docs_ds(sf_dir))
-
-
-def _q_principal_component(sf_dir):
-    """Top principal direction by exact fixed-point power iteration
-    (kgruntime/ops/ann.py:principal_component)."""
-    import ray.data as rd
-
-    from kgruntime.ops.ann import principal_component
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["embedding"])
-    return principal_component(emb)
-
-
-def _q_click_attr(sf_dir):
-    """Multi-touch purchase attribution with exact dyadic weights
-    (kgruntime/ops/sessions.py:click_attribution)."""
-    import ray.data as rd
-
-    from kgruntime.ops.sessions import click_attribution
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_id",
-                                  "event_type", "value"])
-    return click_attribution(ev)
-
-
-def _q_weighted_sample(sf_dir):
-    """Deterministic weighted sampling without replacement
-    (kgruntime/ops/sample.py:weighted_priority_sample)."""
-    from kgruntime.ops.sample import weighted_priority_sample
-
-    return weighted_priority_sample(_docs_ds(sf_dir))
-
-
-def _q_curriculum(sf_dir):
-    """Interleaved stratified curriculum ordering
-    (kgruntime/ops/shard.py:curriculum_order)."""
-    from kgruntime.ops.shard import curriculum_order
-
-    return curriculum_order(_docs_ds(sf_dir))
-
-
-def _q_mad_by_type(sf_dir):
-    """Exact integer median + MAD per event type
-    (kgruntime/ops/stats.py:mad_by_group)."""
-    import ray.data as rd
-
-    from kgruntime.ops.stats import mad_by_group
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value"])
-    return mad_by_group(ev)
-
-
-def _q_rfm_segments(sf_dir):
-    """Integer-exact RFM segmentation
-    (kgruntime/ops/sessions.py:rfm_segments)."""
-    import ray.data as rd
-
-    from kgruntime.ops.sessions import rfm_segments
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "value"])
-    return rfm_segments(ev)
-
-
-def _q_winnow_pairs(sf_dir):
-    """Winnowing (MOSS) fingerprint near-dup pairs
-    (kgruntime/ops/dedup.py:winnow_dup_pairs)."""
-    from kgruntime.ops.dedup import winnow_dup_pairs
-
-    return winnow_dup_pairs(_docs_ds(sf_dir))
-
-
-def _q_padding_waste(sf_dir):
-    from kgruntime.ops.shard import padding_waste
-
-    return padding_waste(_docs_ds(sf_dir))
-
-
 def _q_incremental_near_dups(sf_dir):
     """New docs (absent from the prior snapshot) LSH-matched against
     the prior corpus — the incremental-ingest near-dup shape."""
-    import ray.data as rd
+    from kgruntime.ops.dedup import incremental_near_dups
 
-    from kgruntime.ops.dedup import (incremental_near_dups,
-                                     synth_prior_snapshot)
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
+    docs, prior = _with_prior(sf_dir)
 
     def only_new(t):
         import pyarrow as pa
@@ -1689,640 +548,118 @@ def _q_incremental_near_dups(sf_dir):
 
     new = docs.map_batches(only_new, batch_format="pyarrow",
                            zero_copy_batch=True)
-    return incremental_near_dups(new, synth_prior_snapshot(docs))
+    return incremental_near_dups(new, prior)
 
 
-def _q_peak_concurrency(sf_dir):
-    from kgruntime.ops.sessions import peak_concurrent_users
+def _q_embedding_drift(sf_dir):
+    """Per-dimension mean drift vs a prior snapshot (vec_id % 5 != 0,
+    the synth-prior convention)."""
+    import pyarrow.compute as pc
 
-    return peak_concurrent_users(_events_ds(sf_dir))
+    from kgruntime.ops.ann import embedding_drift
+
+    cur = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+
+    def prior_mask(t):
+        # Ray filter(expr=...) can't parse `%` BinOps — Arrow mask
+        mod5 = pc.subtract(t["vec_id"],
+                           pc.multiply(pc.divide(t["vec_id"], 5), 5))
+        return t.filter(pc.not_equal(mod5, 0))
+
+    prior = cur.map_batches(prior_mask, batch_format="pyarrow")
+    return embedding_drift(cur.select_columns(["embedding"]),
+                           prior.select_columns(["embedding"]))
+
+
+def _q_dq_audit(sf_dir):
+    """Data-quality constraint audit: nulls, domains, PK uniqueness,
+    FK integrity, policy thresholds."""
+    from kgruntime.ops.dq import dq_audit
+
+    return dq_audit(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity", "l_discount"]),
+        _read(sf_dir, "customer", ["c_custkey"]))
+
+
+def _q_rrf_fusion(sf_dir):
+    """Hybrid retrieval: reciprocal-rank fusion of the lexical and
+    embedding rankings of the min-vec_id query vector."""
+    from kgruntime.ops.ann import rrf_fusion
+
+    return rrf_fusion(_docs_ds(sf_dir),
+                      _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
+                      _LEX_QUERY, _query_vec(sf_dir))
+
+
+def _q_rank_agreement(sf_dir):
+    """Kendall-tau agreement between the lexical and embedding top-r
+    rankings of the min-vec_id query vector."""
+    from kgruntime.ops.ann import rank_agreement
+
+    return rank_agreement(_docs_ds(sf_dir),
+                          _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
+                          _LEX_QUERY, _query_vec(sf_dir))
+
+
+def _q_emb_near_dups(sf_dir):
+    from kgruntime.ops.dedup import embedding_near_dups
+
+    path = os.path.join(sf_dir, "embeddings.parquet")
+    dim = len(pq.read_table(path, columns=["embedding"])["embedding"][0])
+    # random-ish synthetic embeddings: cosine ≥ 0.35 is already the
+    # ~99.9th percentile; 6-plane × 8-table LSH gives ~0.7 recall there
+    return embedding_near_dups(
+        _read(sf_dir, "embeddings", ["vec_id", "embedding"]), dim=dim,
+        threshold=0.35, n_planes=6, n_tables=8)
+
+
+def _neighbors(out):
+    return out.to_pandas()[["query_id", "neighbor_id"]] \
+        .sort_values(["query_id", "neighbor_id"]).reset_index(drop=True)
+
+
+def _q_ann_topk(sf_dir):
+    from kgruntime.ops.ann import brute_force_topk
+
+    return _neighbors(brute_force_topk(*_ann_probe(sf_dir), k=_ANN_K))
+
+
+def _q_ann_ivf(sf_dir):
+    from kgruntime.ops.ann import ivf_topk
+
+    return _neighbors(ivf_topk(*_ann_probe(sf_dir), k=_ANN_K))
+
+
+def _q_ann_lsh(sf_dir):
+    from kgruntime.ops.ann import lsh_topk
+
+    emb, q, ids = _ann_probe(sf_dir)
+    return _neighbors(lsh_topk(emb, q, ids, dim=len(q[0]), k=_ANN_K))
 
 
 def _q_triplet_mining(sf_dir):
     """Contrastive triplet mining: hardest positive + hardest negative
-    per anchor (kgruntime/ops/ann.py:triplet_mining)."""
-    import duckdb
-
-    import ray.data as rd
-
+    per anchor."""
     from kgruntime.ops.ann import triplet_mining
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    emb = rd.read_parquet(path,
-                          columns=["vec_id", "embedding", "label"])
-    t = duckdb.sql(
-        f"SELECT vec_id, embedding, label FROM read_parquet('{path}') "
-        f"ORDER BY vec_id LIMIT {_ANN_N_QUERIES}").arrow()
-    ids = t["vec_id"].to_pylist()
-    labels = t["label"].to_pylist()
-    q = t["embedding"].combine_chunks().flatten() \
-        .to_numpy(zero_copy_only=False) \
-        .astype(np.float64, copy=False).reshape(len(ids), -1)
-    return triplet_mining(emb, q, ids, labels)
-
-
-def _triplet_mining_oracle() -> str:
-    from kgruntime.ops.ann import triplet_mining_sql
-
-    return triplet_mining_sql(n_queries=_ANN_N_QUERIES)
-
-
-def _q_pq_recall(sf_dir):
-    """Product-quantization (ADC) recall audit
-    (kgruntime/ops/ann.py:pq_quant_recall)."""
-    import ray.data as rd
-
-    from kgruntime.ops.ann import pq_quant_recall
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    q, ids = _load_queries(sf_dir)
-    return pq_quant_recall(emb, q, ids, k=_ANN_K)
-
-
-def _pq_recall_oracle() -> str:
-    from kgruntime.ops.ann import pq_quant_recall_sql
-
-    return pq_quant_recall_sql(dim=_EMB_DIM, k=_ANN_K,
-                               n_queries=_ANN_N_QUERIES)
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
+    return triplet_mining(emb, *_load_queries(sf_dir))
 
 
 def _q_hard_negatives(sf_dir):
-    import duckdb
-
-    import ray.data as rd
-
     from kgruntime.ops.ann import hard_negatives
 
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding", "label"])
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    t = duckdb.sql(
-        f"SELECT vec_id, embedding, label FROM read_parquet('{path}') "
-        f"ORDER BY vec_id LIMIT {_ANN_N_QUERIES}").arrow()
-    ids = t["vec_id"].to_pylist()
-    labels = t["label"].to_pylist()
-    q = t["embedding"].combine_chunks().flatten()         .to_numpy(zero_copy_only=False)         .astype(np.float64, copy=False).reshape(len(ids), -1)
-    return hard_negatives(emb, q, ids, labels, k=_ANN_K)
-
-
-def _q_int8_recall(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.ann import int8_quant_recall
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    q, ids = _load_queries(sf_dir)
-    return int8_quant_recall(emb, q, ids, k=_ANN_K)
-
-
-def _q_ann_topk(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.ann import brute_force_topk
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    q, ids = _load_queries(sf_dir)
-    out = brute_force_topk(emb, q, ids, k=_ANN_K).to_pandas()
-    return out[["query_id", "neighbor_id"]] \
-        .sort_values(["query_id", "neighbor_id"]).reset_index(drop=True)
-
-
-def _q_ann_lsh(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.ann import lsh_topk
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    q, ids = _load_queries(sf_dir)
-    dim = len(q[0])
-    out = lsh_topk(emb, q, ids, dim=dim, k=_ANN_K).to_pandas()
-    return out[["query_id", "neighbor_id"]] \
-        .sort_values(["query_id", "neighbor_id"]).reset_index(drop=True)
-
-
-def _q_ann_ivf(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.ann import ivf_topk
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    q, ids = _load_queries(sf_dir)
-    out = ivf_topk(emb, q, ids, k=_ANN_K).to_pandas()
-    return out[["query_id", "neighbor_id"]] \
-        .sort_values(["query_id", "neighbor_id"]).reset_index(drop=True)
-
-
-def _q_ann_recall(sf_dir):
-    """IVF-vs-brute recall audit
-    (kgruntime/ops/ann.py:ann_recall_audit)."""
-    import ray.data as rd
-
-    from kgruntime.ops.ann import ann_recall_audit
-
-    def emb():
-        return rd.read_parquet(
-            os.path.join(sf_dir, "embeddings.parquet"),
-            columns=["vec_id", "embedding"])
-
-    q, ids = _load_queries(sf_dir)
-    return ann_recall_audit(emb, q, ids, k=_ANN_K)
-
-
-def _ann_recall_oracle() -> str:
-    from kgruntime.ops.ann import ann_recall_audit_sql
-
-    return ann_recall_audit_sql(k=_ANN_K, n_queries=_ANN_N_QUERIES)
-
-
-def _q_pit_features(sf_dir):
-    """Point-in-time training features for purchase label events
-    (kgruntime/ops/sessions.py:pit_training_features)."""
-    from kgruntime.ops.sessions import pit_training_features
-
-    return pit_training_features(_events_ds(sf_dir))
-
-
-def _pit_features_oracle() -> str:
-    from kgruntime.ops.sessions import pit_training_features_sql
-
-    return pit_training_features_sql()
-
-
-def _q_source_overlap(sf_dir):
-    """Cross-source content-overlap matrix
-    (kgruntime/ops/dedup.py:source_overlap_matrix)."""
-    from kgruntime.ops.dedup import source_overlap_matrix
-
-    return source_overlap_matrix(_docs_ds(sf_dir))
-
-
-def _source_overlap_oracle() -> str:
-    from kgruntime.ops.dedup import source_overlap_matrix_sql
-
-    return source_overlap_matrix_sql()
-
-
-def _q_near_split_leakage(sf_dir):
-    """Near-duplicate cross-split contamination audit
-    (kgruntime/ops/sample.py:near_split_leakage)."""
-    from kgruntime.ops.sample import near_split_leakage
-
-    return near_split_leakage(_docs_ds(sf_dir))
-
-
-def _near_split_leakage_oracle() -> str:
-    from kgruntime.ops.sample import near_split_leakage_sql
-
-    return near_split_leakage_sql()
-
-
-def _q_dsir(sf_dir):
-    """DSIR-style hashed-bigram importance scoring vs the en-domain
-    target (kgruntime/ops/text.py:dsir_importance)."""
-    from kgruntime.ops.text import dsir_importance
-
-    return dsir_importance(_docs_ds(sf_dir))
-
-
-def _dsir_oracle() -> str:
-    from kgruntime.ops.text import dsir_importance_sql
-
-    return dsir_importance_sql()
-
-
-def _q_markov_next_event(sf_dir):
-    """Markov next-event predictor trained on train-split users,
-    exact accuracy on test users
-    (kgruntime/ops/sessions.py:markov_next_event_accuracy)."""
-    from kgruntime.ops.sessions import markov_next_event_accuracy
-
-    return markov_next_event_accuracy(_events_ds(sf_dir))
-
-
-def _markov_oracle() -> str:
-    from kgruntime.ops.sessions import markov_next_event_accuracy_sql
-
-    return markov_next_event_accuracy_sql()
-
-
-def _q_rp_recall(sf_dir):
-    """Signed-random-projection recall audit
-    (kgruntime/ops/ann.py:rp_projection_recall)."""
-    import ray.data as rd
-
-    from kgruntime.ops.ann import rp_projection_recall
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    q, ids = _load_queries(sf_dir)
-    return rp_projection_recall(emb, q, ids, k=_ANN_K)
-
-
-def _rp_recall_oracle() -> str:
-    from kgruntime.ops.ann import rp_projection_recall_sql
-
-    return rp_projection_recall_sql(dim=_EMB_DIM, k=_ANN_K,
-                                    n_queries=_ANN_N_QUERIES)
-
-
-def _q_dp_noisy(sf_dir):
-    """Deterministic discrete-Laplace noisy count release
-    (kgruntime/ops/stats.py:dp_noisy_counts)."""
-    from kgruntime.ops.stats import dp_noisy_counts
-
-    return dp_noisy_counts(_events_ds(sf_dir))
-
-
-def _dp_noisy_oracle() -> str:
-    from kgruntime.ops.stats import dp_noisy_counts_sql
-
-    return dp_noisy_counts_sql()
-
-
-def _q_encoding_advisor(sf_dir):
-    """Columnar encoding advisor over events
-    (kgruntime/ops/dq.py:encoding_advisor)."""
-    from kgruntime.ops.dq import encoding_advisor
-
-    return encoding_advisor(_events_ds(sf_dir))
-
-
-def _encoding_advisor_oracle() -> str:
-    from kgruntime.ops.dq import encoding_advisor_sql
-
-    return encoding_advisor_sql()
-
-
-def _q_join_skew(sf_dir):
-    """Join-key skew audit over lineitem.l_partkey
-    (kgruntime/ops/stats.py:join_skew_audit)."""
-    import ray.data as rd
-
-    from kgruntime.ops.stats import join_skew_audit
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey"])
-    return join_skew_audit(li)
-
-
-def _join_skew_oracle() -> str:
-    from kgruntime.ops.stats import join_skew_audit_sql
-
-    return join_skew_audit_sql()
-
-
-def _q_range_plan(sf_dir):
-    """Balanced range-partition boundary planning + exact validation
-    (kgruntime/ops/shard.py:range_partition_planner)."""
-    from kgruntime.ops.shard import range_partition_planner
-
-    return range_partition_planner(_events_ds(sf_dir))
-
-
-def _range_plan_oracle() -> str:
-    from kgruntime.ops.shard import range_partition_planner_sql
-
-    return range_partition_planner_sql()
-
-
-def _q_modularity(sf_dir):
-    """Exact-integer modularity audit of the LPA partition over the
-    strong-tie co-occurrence graph
-    (kgruntime/ops/graph.py:community_modularity)."""
-    import ray.data as rd
-
-    from kgruntime.ops.graph import community_modularity
-    from kgruntime.ops.sessions import cooccurrence_edges
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type", "ts"])
-    edges = cooccurrence_edges(ev).filter(expr="n_shared >= 5")
-    return community_modularity(edges, rounds=4)
-
-
-def _modularity_oracle() -> str:
-    from kgruntime.ops.graph import community_modularity_sql
-
-    return community_modularity_sql(rounds=4)
-
-
-def _q_stickiness(sf_dir):
-    """Monthly DAU/MAU stickiness
-    (kgruntime/ops/sessions.py:stickiness_dau_mau)."""
-    from kgruntime.ops.sessions import stickiness_dau_mau
-
-    return stickiness_dau_mau(_events_ds(sf_dir))
-
-
-def _stickiness_oracle() -> str:
-    from kgruntime.ops.sessions import stickiness_dau_mau_sql
-
-    return stickiness_dau_mau_sql()
-
-
-def _q_cdc_merge(sf_dir):
-    """CDC upsert/delete merge with change-beats-base semantics
-    (kgruntime/ops/dedup.py:cdc_upsert_merge)."""
-    from kgruntime.ops.dedup import cdc_upsert_merge
-
-    return cdc_upsert_merge(_events_ds(sf_dir))
-
-
-def _cdc_merge_oracle() -> str:
-    from kgruntime.ops.dedup import cdc_upsert_merge_sql
-
-    return cdc_upsert_merge_sql()
-
-
-def _q_feature_cross(sf_dir):
-    """Feature-hashing collision audit for the user×type×dow cross
-    (kgruntime/ops/text.py:feature_cross_hash)."""
-    from kgruntime.ops.text import feature_cross_hash
-
-    return feature_cross_hash(_events_ds(sf_dir))
-
-
-def _feature_cross_oracle() -> str:
-    from kgruntime.ops.text import feature_cross_hash_sql
-
-    return feature_cross_hash_sql()
-
-
-def _q_zorder(sf_dir):
-    """Z-order vs insertion layout pruning audit
-    (kgruntime/ops/shard.py:zorder_layout_audit)."""
-    from kgruntime.ops.shard import zorder_layout_audit
-
-    return zorder_layout_audit(_events_ds(sf_dir))
-
-
-def _zorder_oracle() -> str:
-    from kgruntime.ops.shard import zorder_layout_audit_sql
-
-    return zorder_layout_audit_sql()
-
-
-def _q_max_coverage(sf_dir):
-    """Greedy max-coverage corpus selection
-    (kgruntime/ops/text.py:max_coverage_selection)."""
-    from kgruntime.ops.text import max_coverage_selection
-
-    return max_coverage_selection(_docs_ds(sf_dir))
-
-
-def _max_coverage_oracle() -> str:
-    from kgruntime.ops.text import max_coverage_selection_sql
-
-    return max_coverage_selection_sql()
-
-
-def _q_bot_regularity(sf_dir):
-    """Inter-event regularity bot audit
-    (kgruntime/ops/sessions.py:bot_regularity_audit)."""
-    from kgruntime.ops.sessions import bot_regularity_audit
-
-    return bot_regularity_audit(_events_ds(sf_dir))
-
-
-def _bot_regularity_oracle() -> str:
-    from kgruntime.ops.sessions import bot_regularity_audit_sql
-
-    return bot_regularity_audit_sql()
-
-
-def _q_mmr_topk(sf_dir):
-    """MMR-diversified retrieval (kgruntime/ops/ann.py:mmr_topk)."""
-    import ray.data as rd
-
-    from kgruntime.ops.ann import mmr_topk
-
-    def emb():
-        return rd.read_parquet(
-            os.path.join(sf_dir, "embeddings.parquet"),
-            columns=["vec_id", "embedding"])
-
-    q, ids = _load_queries(sf_dir)
-    return mmr_topk(emb, q, ids, k=_ANN_K)
-
-
-def _mmr_topk_oracle() -> str:
-    from kgruntime.ops.ann import mmr_topk_sql
-
-    return mmr_topk_sql(k=_ANN_K, n_queries=_ANN_N_QUERIES)
-
-
-_PROFILE_COLS = ["event_id", "user_id", "event_type", "value", "ts"]
-
-
-def _q_capped_dups(sf_dir):
-    from kgruntime.ops.text import capped_duplicate_sample
-
-    return capped_duplicate_sample(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_incremental_dups(sf_dir):
-    from kgruntime.ops.dedup import incremental_dup_check
-
-    return _pin_cols(incremental_dup_check(_docs_ds(sf_dir)).to_pandas(),
-                     ["doc_id", "dup_of_prior"]) \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_split_leakage(sf_dir):
-    from kgruntime.ops.sample import split_leakage
-
-    return _pin_cols(split_leakage(_docs_ds(sf_dir)).to_pandas(),
-                     ["keep_id", "n_docs", "n_splits"]) \
-        .sort_values("keep_id").reset_index(drop=True)
-
-
-def _q_emb_dup_clusters(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.dedup import embedding_dup_clusters
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    return _pin_cols(
-        embedding_dup_clusters(emb, dim=_EMB_DIM, threshold=0.35,
-                               n_planes=6, n_tables=8).to_pandas(),
-        ["vec_id", "cluster"]) \
-        .sort_values("vec_id").reset_index(drop=True)
-
-
-def _q_curate_corpus(sf_dir):
-    from kgruntime.ops.text import curate_corpus
-
-    return curate_corpus(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_events_profile(sf_dir):
-    from kgruntime.ops.stats import table_profile
-
-    return table_profile(_events_ds(sf_dir), _PROFILE_COLS)
-
-
-def _q_pct_ranks(sf_dir):
-    from kgruntime.ops.stats import value_percentile_ranks
-
-    return value_percentile_ranks(_events_ds(sf_dir)).to_pandas() \
-        .sort_values("event_id").reset_index(drop=True)
-
-
-def _q_user_components(sf_dir):
-    from kgruntime.ops.graph import user_components
-
-    return _pin_cols(user_components(_events_ds(sf_dir)).to_pandas(),
-                     ["user_id", "component"]) \
-        .sort_values("user_id").reset_index(drop=True)
-
-
-def _q_bloom_user_days(sf_dir):
-    from kgruntime.ops.sketch import bloom_distinct_user_days
-
-    # hash-checked projection is the exact part of the sketch
-    return bloom_distinct_user_days(_events_ds(sf_dir))[
-        ["m", "k", "n_set_bits"]]
-
-
-def _q_reservoir_lang(sf_dir):
-    from kgruntime.ops.sample import reservoir_per_group
-
-    return reservoir_per_group(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values(["lang", "doc_id"]).reset_index(drop=True)
-
-
-def _q_pii_scan(sf_dir):
-    from kgruntime.ops.text import pii_scan
-
-    return pii_scan(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_normalized_dups(sf_dir):
-    from kgruntime.ops.text import normalized_dup_docs
-
-    return normalized_dup_docs(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("keep_id").reset_index(drop=True)
-
-
-def _q_rare_token_pairs(sf_dir):
-    from kgruntime.ops.dedup import rare_token_pairs
-
-    return _pin_cols(rare_token_pairs(_docs_ds(sf_dir)).to_pandas(),
-                     ["doc_a", "doc_b", "n_shared_rare"]) \
-        .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def _q_event_trigrams(sf_dir):
-    from kgruntime.ops.sessions import event_path_trigrams
-
-    return _pin_cols(event_path_trigrams(_events_ds(sf_dir)).to_pandas(),
-                     ["t1", "t2", "t3", "n_paths"]) \
-        .sort_values(["t1", "t2", "t3"]).reset_index(drop=True)
-
-
-def _q_session_conversion(sf_dir):
-    from kgruntime.ops.sessions import session_conversion_by_dow
-
-    return _pin_cols(
-        session_conversion_by_dow(_events_ds(sf_dir)).to_pandas(),
-        ["dow", "n_sessions", "n_converted", "conversion_rate"]) \
-        .sort_values("dow").reset_index(drop=True)
-
-
-def _q_decayed_value(sf_dir):
-    from kgruntime.ops.sessions import decayed_user_value
-
-    return decayed_user_value(_events_ds(sf_dir)).to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-
-
-def _q_top_terms_source(sf_dir):
-    from kgruntime.ops.text import top_terms_per_source
-
-    return _pin_cols(top_terms_per_source(_docs_ds(sf_dir)).to_pandas(),
-                     ["source", "rnk", "word", "cnt"]) \
-        .sort_values(["source", "rnk"]).reset_index(drop=True)
-
-
-def _q_kmeans_clusters(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.ann import kmeans_clusters
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    return kmeans_clusters(emb).to_pandas() \
-        .sort_values("vec_id").reset_index(drop=True)
-
-
-def _q_clean_corpus(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.text import clean_corpus
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "n_chars"])
-    return clean_corpus(docs).to_pandas() \
-        .sort_values("keep_id").reset_index(drop=True)
-
-
-def _clean_corpus_sql() -> str:
-    return rf"""
-        WITH toks AS (
-          SELECT doc_id, n_chars, text,
-                 CASE WHEN trim(text) = '' THEN []::VARCHAR[]
-                      ELSE regexp_split_to_array(trim(text), '\s+')
-                 END AS t
-          FROM documents),
-        q AS (
-          SELECT doc_id, text, n_chars,
-                 CASE WHEN len(t) = 0 THEN 0.0 ELSE
-                   round(least(1.0, len(t) / 50.0)
-                     * (0.5 + 0.5 * (len(list_filter(t, x ->
-                          regexp_matches(x, '^[A-Za-z]+$')))::DOUBLE
-                          / len(t)))
-                     * (1.0 - 0.5 * (len(list_filter(t, x ->
-                          list_contains({_STOPWORDS_SQL}, lower(x))))::DOUBLE
-                          / len(t))), 6) END AS quality
-          FROM toks),
-        pass AS (
-          SELECT * FROM q WHERE quality >= 0.5 AND n_chars >= 20)
-        SELECT min(doc_id) AS keep_id, count(*) AS n_copies, quality
-        FROM pass GROUP BY text, quality ORDER BY keep_id
-    """
-
-
-def _q_label_centroids(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.ann import label_centroids
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["label", "embedding"])
-    return label_centroids(emb).sort_values(["label", "i"]) \
-        .reset_index(drop=True)
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
+    return hard_negatives(emb, *_load_queries(sf_dir), k=_ANN_K)
 
 
 def _q_knn_label_vote(sf_dir):
     # composition: broadcast brute-force top-k (ops/ann.py) + majority
     # label vote over the tiny (queries × k) result on the driver
-    import ray.data as rd
-
     from kgruntime.ops.ann import brute_force_topk
 
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    q, ids = _load_queries(sf_dir)
-    out = brute_force_topk(emb, q, ids, k=_ANN_K).to_pandas()
+    out = brute_force_topk(*_ann_probe(sf_dir), k=_ANN_K).to_pandas()
 
     # labels for ONLY the ≤ queries×k neighbor ids, via a
     # predicate-pushdown parquet read (pattern: relational.py
@@ -2345,16 +682,14 @@ def _q_knn_label_vote(sf_dir):
 
 # --- KG pipeline queries (rows-only checks) ---
 
-def _q_kg_triples(sf_dir):
-    from kgruntime.stages.extract import triples_dataset
-
-    return triples_dataset(_synth_docs(sf_dir))
+_RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+_FOAF = "http://xmlns.com/foaf/0.1/"
 
 
-def _q_kg_quarantine(sf_dir):
-    from kgruntime.stages.extract import errors_dataset
+def _q_kg_canonical(sf_dir):
+    from kgruntime.pipelines.kg import build_kg
 
-    return errors_dataset(_synth_docs(sf_dir, malformed_every=10))
+    return build_kg(_synth_docs(sf_dir))["canonical"]
 
 
 def _q_kg_mentions(sf_dir):
@@ -2374,12 +709,6 @@ def _q_kg_assignment(sf_dir):
     from kgruntime.pipelines.kg import build_kg
 
     return build_kg(_synth_docs(sf_dir))["assignment"]
-
-
-def _q_kg_canonical(sf_dir):
-    from kgruntime.pipelines.kg import build_kg
-
-    return build_kg(_synth_docs(sf_dir))["canonical"]
 
 
 def _q_kg_fused(sf_dir):
@@ -2402,20 +731,15 @@ def _q_kg_fused(sf_dir):
                           staging_dir=staging)["canonical"]
 
 
-# --- training-data ops (rows-only checks) ---
-
 def _q_kg_bgp(sf_dir):
     """SPARQL-style 2-hop BGP join over the canonical store:
     ``?x rdf:rest ?y . ?y rdf:first ?v`` — collection-cell traversal
     (kgruntime/stages/materialize.py:bgp_2hop); rows-only (the store
     is parser output, not SQL-visible)."""
-    from kgruntime.pipelines.kg import build_kg
     from kgruntime.stages.materialize import bgp_2hop
 
-    rdf = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-    store = build_kg(_synth_docs(sf_dir))["canonical"]
-    return bgp_2hop(store, rdf + "rest", rdf + "first").to_pandas() \
-        .sort_values(["x", "y", "v"]).reset_index(drop=True)
+    return bgp_2hop(_q_kg_canonical(sf_dir), _RDF + "rest", _RDF + "first") \
+        .to_pandas().sort_values(["x", "y", "v"]).reset_index(drop=True)
 
 
 def _q_kg_star(sf_dir):
@@ -2425,16 +749,13 @@ def _q_kg_star(sf_dir):
     pattern reads ONLY its predicate's partition
     (kgruntime/stages/materialize.py:write_pred_partitioned/star_bgp);
     rows-only (parser output, not SQL-visible)."""
-    from kgruntime.pipelines.kg import build_kg
     from kgruntime.stages.materialize import (star_bgp,
                                               write_pred_partitioned)
 
-    rdf = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-    foaf = "http://xmlns.com/foaf/0.1/"
-    store = build_kg(_synth_docs(sf_dir))["canonical"]
+    store = _q_kg_canonical(sf_dir)
     tag = os.path.basename(os.path.normpath(sf_dir))
     path = write_pred_partitioned(store, f"/tmp/kgio/vp-{tag}")
-    return star_bgp(path, rdf + "type", foaf + "name").to_pandas() \
+    return star_bgp(path, _RDF + "type", _FOAF + "name").to_pandas() \
         .sort_values(["s", "a", "b"]).reset_index(drop=True)
 
 
@@ -2444,14 +765,11 @@ def _q_kg_planned_bgp(sf_dir):
     result parity-tested against both fixed orders)
     (kgruntime/stages/materialize.py:planned_star_bgp); rows-only
     (parser output, not SQL-visible)."""
-    from kgruntime.pipelines.kg import build_kg
     from kgruntime.stages.materialize import planned_star_bgp
 
-    rdf = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-    foaf = "http://xmlns.com/foaf/0.1/"
     rel = "http://www.perceive.net/schemas/relationship/enemyOf"
-    store = build_kg(_synth_docs(sf_dir))["canonical"]
-    return planned_star_bgp(store, [rdf + "type", foaf + "name", rel]) \
+    return planned_star_bgp(_q_kg_canonical(sf_dir),
+                            [_RDF + "type", _FOAF + "name", rel]) \
         .to_pandas().sort_values(["s", "v0", "v1", "v2"]) \
         .reset_index(drop=True)
 
@@ -2461,12 +779,10 @@ def _q_kg_incremental(sf_dir):
     stages over the staged parsed layer) — reproduces the single-shot
     store exactly (kgruntime/pipelines/kg.py:build_kg_incremental);
     rows-only (parser output, not SQL-visible)."""
-    import shutil
+    import ray.data as rd
 
     from kgruntime.pipelines.kg import build_kg_incremental
     from kgruntime.synth import make_documents_table
-
-    import ray.data as rd
 
     n = _n_docs_for(sf_dir)
     docs = make_documents_table(n, seed=42, malformed_every=0)
@@ -2485,962 +801,35 @@ def _q_kg_pred_catalog(sf_dir):
     the SPARQL-planner statistics table
     (kgruntime/stages/materialize.py:predicate_catalog); rows-only
     (parser output, not SQL-visible)."""
-    from kgruntime.pipelines.kg import build_kg
     from kgruntime.stages.materialize import predicate_catalog
 
-    store = build_kg(_synth_docs(sf_dir))["canonical"]
-    return predicate_catalog(store)
-
-
-def _q_maxsim_topk(sf_dir):
-    """Late-interaction (ColBERT-style) multi-vector retrieval: per
-    query token, max dot over doc-token embeddings, summed — exact
-    int64 (kgruntime/ops/text.py:maxsim_topk)."""
-    from kgruntime.ops.text import maxsim_topk
-
-    return maxsim_topk(_docs_ds(sf_dir))
-
-
-def _q_loo_source_influence(sf_dir):
-    """Leave-one-out per-source influence on mean tokens/doc and exact
-    dup rate — closed-form from partial aggregates, no per-source
-    rescan (kgruntime/ops/valuation.py:loo_source_influence)."""
-    from kgruntime.ops.valuation import loo_source_influence
-
-    return loo_source_influence(_docs_ds(sf_dir))
-
-
-def _q_quality_sweep(sf_dir):
-    """Curation policy curve: docs/tokens surviving each integer
-    quality threshold, from an 11-bucket per-batch rollup
-    (kgruntime/ops/valuation.py:quality_threshold_sweep)."""
-    from kgruntime.ops.valuation import quality_threshold_sweep
-
-    return quality_threshold_sweep(_docs_ds(sf_dir))
-
-
-def _q_url_canonical_dups(sf_dir):
-    """Canonical-URL duplicate groups (case/port/utm/trailing-slash
-    folds, Arrow regex kernels) over deterministic per-doc URLs
-    (kgruntime/ops/valuation.py:url_canonical_dups)."""
-    from kgruntime.ops.valuation import url_canonical_dups
-
-    return url_canonical_dups(_docs_ds(sf_dir))
-
-
-def _q_source_token_budget(sf_dir):
-    """Water-filling per-source token budget (closed-form integer water
-    level from one rollup — the dominant-domain cap)
-    (kgruntime/ops/valuation.py:source_token_budget)."""
-    from kgruntime.ops.valuation import source_token_budget
-
-    return source_token_budget(_docs_ds(sf_dir))
-
-
-def _q_page_stitch(sf_dir):
-    """Cross-doc continuation stitching: doc_a's suffix window ==
-    doc_b's prefix window, one 8-byte-key bucketed join
-    (kgruntime/ops/dedup.py:page_stitch_pairs)."""
-    from kgruntime.ops.dedup import page_stitch_pairs
-
-    return page_stitch_pairs(_docs_ds(sf_dir))
-
-
-def _q_term_concentration(sf_dir):
-    """Per-source inverse-Simpson effective term count + top-term
-    share — the one-template-domain audit
-    (kgruntime/ops/valuation.py:term_concentration_by_source)."""
-    from kgruntime.ops.valuation import term_concentration_by_source
-
-    return term_concentration_by_source(_docs_ds(sf_dir))
-
-
-def _q_minhash(sf_dir):
-    from kgruntime.ops.dedup import minhash_near_dups
-
-    return minhash_near_dups(_docs_ds(sf_dir), threshold=0.5)
-
-
-def _q_minhash_clusters(sf_dir):
-    from kgruntime.ops.dedup import minhash_dup_clusters
-
-    return minhash_dup_clusters(_docs_ds(sf_dir), threshold=0.5) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_near_dedup_corpus(sf_dir):
-    from kgruntime.ops.dedup import near_dedup_corpus
-
-    return near_dedup_corpus(_docs_ds(sf_dir), threshold=0.5) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_split_assign(sf_dir):
-    from kgruntime.ops.sample import split_assign
-
-    return split_assign(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_source_mix(sf_dir):
-    from kgruntime.ops.text import source_mix_weights
-
-    return source_mix_weights(_docs_ds(sf_dir))
-
-
-def _q_blocklist(sf_dir):
-    from kgruntime.ops.text import blocklist_filter
-
-    return blocklist_filter(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_redact(sf_dir):
-    from kgruntime.ops.text import redact_terms
-
-    return redact_terms(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_deciles(sf_dir):
-    from kgruntime.ops.stats import value_deciles
-
-    return value_deciles(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_pack(sf_dir):
-    from kgruntime.ops.shard import pack_sequences
-
-    return pack_sequences(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("shard_id").reset_index(drop=True)
-
-
-def _q_langid_mismatch(sf_dir):
-    from kgruntime.ops.text import langid_mismatch_by_source
-
-    return langid_mismatch_by_source(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("source").reset_index(drop=True)
-
-
-def _q_zscore(sf_dir):
-    from kgruntime.ops.stats import zscore_by_source
-
-    return zscore_by_source(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_anomalies(sf_dir):
-    from kgruntime.ops.stats import event_anomalies
-
-    return _pin_cols(event_anomalies(_events_ds(sf_dir)).to_pandas(),
-                     ["event_id", "event_type", "value", "zscore"]) \
-        .sort_values("event_id").reset_index(drop=True)
-
-
-def _q_hll(sf_dir):
-    from kgruntime.ops.sketch import hll_distinct
-
-    return hll_distinct(_events_ds(sf_dir))
-
-
-def _q_rarity(sf_dir):
-    from kgruntime.ops.text import doc_rarity_scores
-
-    return doc_rarity_scores(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_dup_rate(sf_dir):
-    from kgruntime.ops.dedup import dup_rate_by_source
-
-    return dup_rate_by_source(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values("source").reset_index(drop=True)
-
-
-def _q_prefix_overlap(sf_dir):
-    from kgruntime.ops.dedup import sorted_neighbor_overlap
-
-    return _pin_cols(
-        sorted_neighbor_overlap(_docs_ds(sf_dir), min_prefix=10).to_pandas(),
-        ["doc_a", "doc_b", "common_prefix_len"]) \
-        .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def _q_suffix_overlap(sf_dir):
-    from kgruntime.ops.dedup import suffix_overlap_pairs
-
-    return _pin_cols(
-        suffix_overlap_pairs(_docs_ds(sf_dir), min_suffix=10).to_pandas(),
-        ["doc_a", "doc_b", "common_prefix_len"]) \
-        .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def _q_chunks(sf_dir):
-    from kgruntime.ops.text import chunk_documents
-
-    return chunk_documents(_docs_ds(sf_dir)).to_pandas() \
-        .sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
-
-
-def _q_bigrams(sf_dir):
-    from kgruntime.ops.text import bigram_counts
-
-    return bigram_counts(_docs_ds(sf_dir)).to_pandas() \
-        .reset_index(drop=True)
-
-
-def _q_simhash(sf_dir):
-    from kgruntime.ops.dedup import simhash_near_dups
-
-    return simhash_near_dups(_docs_ds(sf_dir), max_hamming=3)
-
-
-def _q_emb_near_dups(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.dedup import embedding_near_dups
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-    t = pq.read_metadata(os.path.join(sf_dir, "embeddings.parquet"))
-    dim = len(pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                            columns=["embedding"])["embedding"][0])
-    # random-ish synthetic embeddings: cosine ≥ 0.35 is already the
-    # ~99.9th percentile; 6-plane × 8-table LSH gives ~0.7 recall there
-    return embedding_near_dups(emb, dim=dim, threshold=0.35,
-                               n_planes=6, n_tables=8)
-
-
-def _q_langid(sf_dir):
-    from kgruntime.ops.text import LangId
-    from kgruntime.runtime import pool_range
-
-    return _docs_ds(sf_dir).map_batches(
-        LangId, batch_format="pyarrow",
-        concurrency=pool_range(frac=0.25, lo=1), num_cpus=1) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_fingerprints(sf_dir):
-    from kgruntime.ops.text import fingerprints
-
-    return _docs_ds(sf_dir) \
-        .map_batches(fingerprints, batch_format="pyarrow") \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def _q_media_features(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.media import decode_features, synth_media_table
-
-    refs = [f"media://doc-{i:06d}/0" for i in range(100)]
-    return decode_features(rd.from_arrow(synth_media_table(refs)))
-
-
-def _q_media_png(sf_dir):
-    """REAL codec path: payloads are actual PNG bytes (stdlib zlib +
-    numpy filter decode, ops/png.py); features derive from true pixels
-    — rows-only (binary inputs are synthesized, not SQL-visible)."""
-    import ray.data as rd
-
-    from kgruntime.ops.media import decode_features, synth_png_table
-
-    refs = [f"media://doc-{i:06d}/png" for i in range(100)]
-    return decode_features(rd.from_arrow(synth_png_table(refs)))
-
-
-def _q_media_bmp(sf_dir):
-    """REAL codec path: payloads are actual 24-bit BMP bytes (stdlib
-    struct + numpy row decode, ops/bmp.py); features derive from true
-    pixels — rows-only (binary inputs are synthesized)."""
-    import ray.data as rd
-
-    from kgruntime.ops.media import decode_features, synth_bmp_table
-
-    refs = [f"media://doc-{i:06d}/bmp" for i in range(100)]
-    return decode_features(rd.from_arrow(synth_bmp_table(refs)))
-
-
-def _q_media_jpeg(sf_dir):
-    """REAL lossy codec path: payloads are actual baseline JPEG bytes
-    (stdlib struct + numpy Huffman/IDCT decode, ops/jpeg.py; sampling
-    cycles 4:4:4 / 4:2:0 / 4:2:2); features derive from true pixels —
-    rows-only (binary inputs are synthesized, not SQL-visible)."""
-    import ray.data as rd
-
-    from kgruntime.ops.media import decode_features, synth_jpeg_table
-
-    refs = [f"media://doc-{i:06d}/jpg" for i in range(100)]
-    return decode_features(rd.from_arrow(synth_jpeg_table(refs)))
-
-
-def _q_media_frames(sf_dir):
-    """REAL video frame sampling: payloads are actual MJPEG/AVI bytes
-    (RIFF container walk, ops/avi.py); each sampled frame is its
-    embedded baseline-JPEG byte string — container-only sampling,
-    unsampled frames never decode; rows-only (binary inputs are
-    synthesized, not SQL-visible)."""
-    import hashlib as _hl
-
-    import ray.data as rd
-
-    from kgruntime.ops.media import sample_frames, synth_avi_table
-
-    refs = [f"media://doc-{i:06d}/0" for i in range(100)]
-    out = sample_frames(rd.from_arrow(synth_avi_table(refs))) \
-        .to_pandas().sort_values(["media_ref", "frame_index"]) \
-        .reset_index(drop=True)
-    # binary frame payloads → hashes for a stable driver value compare
-    out["frame_payload"] = out.pop("frame_payload").map(
-        lambda b: _hl.sha256(b).hexdigest())
-    return out
-
-
-def _q_media_frame_features(sf_dir):
-    """Composed media pipeline over REAL MJPEG/AVI: container walk →
-    sampled frames (embedded JPEG bytes) → per-frame features decoded
-    by the real baseline-JPEG codec (ops/jpeg.py).  Both stages are
-    actor pools whose decoder state is built once per actor
-    (ops/media.py FrameFeaturizer); rows-only (binary inputs are
-    synthesized, not SQL-visible)."""
-    import ray.data as rd
-
-    from kgruntime.ops.media import (frame_features, sample_frames,
-                                     synth_avi_table)
-
-    refs = [f"media://doc-{i:06d}/0" for i in range(100)]
-    frames = sample_frames(rd.from_arrow(synth_avi_table(refs)))
-    return frame_features(frames, feat_dim=8)
-
-
-def _q_media_gif(sf_dir):
-    """REAL multi-frame codec path: payloads are actual animated-GIF
-    bytes (stdlib LZW + palette decode, ops/gif.py); sampled frames and
-    their features derive from true pixels — the frame-sampling shape
-    with a genuine video-like container; rows-only (binary inputs are
-    synthesized, not SQL-visible)."""
-    import ray.data as rd
-
-    from kgruntime.ops.media import gif_frame_features, synth_gif_table
-
-    refs = [f"media://doc-{i:06d}/gif" for i in range(100)]
-    out = gif_frame_features(rd.from_arrow(synth_gif_table(refs))) \
-        .to_pandas().sort_values(["media_ref", "frame_index"]) \
-        .reset_index(drop=True)
-    # binary frame payloads → hashes for a stable driver value compare
-    out["frame_rgb"] = out.pop("frame_rgb").map(
-        lambda b: __import__("hashlib").sha256(b).hexdigest())
-    return out
-
-
-def _q_media_resize(sf_dir):
-    import ray.data as rd
-
-    from kgruntime.ops.media import resize_raw_images, synth_raw_images
-
-    refs = [f"media://doc-{i:06d}/raw" for i in range(100)]
-    out = resize_raw_images(rd.from_arrow(synth_raw_images(refs))) \
-        .to_pandas().sort_values("media_ref").reset_index(drop=True)
-    # binary payload hashes keep the driver's value compare stable
-    out["payload"] = out.pop("payload").map(
-        lambda b: __import__("hashlib").sha256(b).hexdigest())
-    return out
+    return predicate_catalog(_q_kg_canonical(sf_dir))
 
 
 # ---------------------------------------------------------------------------
-# oracle SQL (DuckDB; views pre-registered by the driver)
+# literal SQL twins (DuckDB; views pre-registered by the driver)
 # ---------------------------------------------------------------------------
 
-_STOPWORDS_SQL = ("['the','a','an','and','or','of','to','in','is','are',"
-                  "'was','were','be','been','for','on','with','as','at',"
-                  "'by','it','this','that','from']")
-
-
-def _sessions_sql():
-    from kgruntime.ops.sessions import SESSIONIZE_SQL
-
-    return SESSIONIZE_SQL
-
-
-def _tumbling_sql():
-    from kgruntime.ops.sessions import TUMBLING_HOURLY_SQL
-
-    return TUMBLING_HOURLY_SQL
-
-
-def _hopping_sql():
-    from kgruntime.ops.sessions import HOPPING_2H_1H_SQL
-
-    return HOPPING_2H_1H_SQL
-
-
-def _user_gaps_sql():
-    from kgruntime.ops.sessions import USER_GAP_STATS_SQL
-
-    return USER_GAP_STATS_SQL
-
-
-def _transitions_sql():
-    from kgruntime.ops.sessions import EVENT_TRANSITIONS_SQL
-
-    return EVENT_TRANSITIONS_SQL
-
-
-def _funnel_sql():
-    from kgruntime.ops.sessions import funnel_counts_sql
-
-    return funnel_counts_sql()
-
-
-def _retention_sql():
-    from kgruntime.ops.sessions import RETENTION_COHORTS_SQL
-
-    return RETENTION_COHORTS_SQL
-
-
-def _win_dedup_sql():
-    from kgruntime.ops.sessions import windowed_event_dedup_sql
-
-    return windowed_event_dedup_sql()
-
-
-def _cooccur_sql():
-    from kgruntime.ops.sessions import cooccurrence_edges_sql
-
-    return cooccurrence_edges_sql()
-
-
-def _pagerank_sql():
-    from kgruntime.ops.graph import pagerank_cooccurrence_sql
-
-    return pagerank_cooccurrence_sql()
-
-
-def _term_freqs_sql():
-    from kgruntime.ops.text import TERM_FREQUENCIES_SQL
-
-    return TERM_FREQUENCIES_SQL
-
-
-def _vocab_lang_sql():
-    from kgruntime.ops.text import VOCAB_PER_LANG_SQL
-
-    return VOCAB_PER_LANG_SQL
-
-
-def _strat_sample_sql():
-    from kgruntime.ops.sample import stratified_sample_sql
-
-    return stratified_sample_sql(_SAMPLE_RATES,
-                                 columns="doc_id, lang, source")
-
-
-def _running_totals_sql():
-    from kgruntime.ops.sessions import RUNNING_USER_TOTALS_SQL
-
-    return RUNNING_USER_TOTALS_SQL
-
-
-def _repetition_sql():
-    from kgruntime.ops.text import REPETITION_SCORES_SQL
-
-    return REPETITION_SCORES_SQL
-
-
-def _contamination_sql():
-    from kgruntime.ops.text import contamination_sql
-
-    return contamination_sql()
-
-
-def _tfidf_terms_sql():
-    from kgruntime.ops.text import tfidf_doc_terms_sql
-
-    return tfidf_doc_terms_sql()
-
-
-def _token_shards_sql():
-    from kgruntime.ops.shard import token_budget_shards_sql
-
-    return token_budget_shards_sql()
-
-
-def _langid_oracle_sql():
-    from kgruntime.ops.text import LANGID_SQL
-
-    return LANGID_SQL
-
-
-def _fingerprints_sql():
-    from kgruntime.ops.text import FINGERPRINTS_SQL
-
-    return FINGERPRINTS_SQL
-
-
-_EMB_DIM = 64   # testdata embeddings.parquet dimension (all scale factors)
-
-
-def _minhash_sql():
-    from kgruntime.ops.dedup import minhash_near_dups_sql
-
-    return minhash_near_dups_sql(threshold=0.5)   # mirrors _q_minhash
-
-
-def _minhash_clusters_sql():
-    from kgruntime.ops.dedup import minhash_dup_clusters_sql
-
-    return minhash_dup_clusters_sql(threshold=0.5)
-
-
-def _near_dedup_sql():
-    from kgruntime.ops.dedup import near_dedup_corpus_sql
-
-    return near_dedup_corpus_sql(threshold=0.5)
-
-
-def _split_assign_sql():
-    from kgruntime.ops.sample import split_assign_sql
-
-    return split_assign_sql()
-
-
-def _source_mix_sql():
-    from kgruntime.ops.text import source_mix_weights_sql
-
-    return source_mix_weights_sql()
-
-
-def _blocklist_sql():
-    from kgruntime.ops.text import blocklist_filter_sql
-
-    return blocklist_filter_sql()
-
-
-def _redact_sql():
-    from kgruntime.ops.text import redact_terms_sql
-
-    return redact_terms_sql()
-
-
-def _deciles_sql():
-    from kgruntime.ops.stats import value_deciles_sql
-
-    return value_deciles_sql()
-
-
-def _pack_sql():
-    from kgruntime.ops.shard import pack_sequences_sql
-
-    return pack_sequences_sql()
-
-
-def _langid_mismatch_sql():
-    from kgruntime.ops.text import langid_mismatch_sql
-
-    return langid_mismatch_sql()
-
-
-def _zscore_sql():
-    from kgruntime.ops.stats import zscore_by_source_sql
-
-    return zscore_by_source_sql()
-
-
-def _anomalies_sql():
-    from kgruntime.ops.stats import event_anomalies_sql
-
-    return event_anomalies_sql()
-
-
-def _hll_sql():
-    from kgruntime.ops.sketch import hll_distinct_sql
-
-    return hll_distinct_sql()
-
-
-def _rarity_sql():
-    from kgruntime.ops.text import DOC_RARITY_SQL
-
-    return DOC_RARITY_SQL
-
-
-def _dup_rate_sql():
-    from kgruntime.ops.dedup import DUP_RATE_BY_SOURCE_SQL
-
-    return DUP_RATE_BY_SOURCE_SQL
-
-
-def _prefix_overlap_sql():
-    from kgruntime.ops.dedup import sorted_neighbor_overlap_sql
-
-    return sorted_neighbor_overlap_sql(min_prefix=10)
-
-
-def _suffix_overlap_sql():
-    from kgruntime.ops.dedup import sorted_neighbor_overlap_sql
-
-    return sorted_neighbor_overlap_sql(min_prefix=10,
-                                       text_expr="reverse(text)")
-
-
-def _chunks_sql():
-    from kgruntime.ops.text import chunk_documents_sql
-
-    return chunk_documents_sql()
-
-
-def _bigrams_sql():
-    from kgruntime.ops.text import bigram_counts_sql
-
-    return bigram_counts_sql()
-
-
-def _simhash_sql():
-    from kgruntime.ops.dedup import simhash_near_dups_sql
-
-    return simhash_near_dups_sql(max_hamming=3)   # mirrors _q_simhash
-
-
-def _emb_near_dups_sql():
-    from kgruntime.ops.dedup import embedding_near_dups_sql
-
-    return embedding_near_dups_sql(dim=_EMB_DIM, threshold=0.35,
-                                   n_planes=6, n_tables=8)
-
-
-def _ann_lsh_sql():
-    from kgruntime.ops.ann import lsh_topk_sql
-
-    return lsh_topk_sql(dim=_EMB_DIM, k=_ANN_K, n_queries=_ANN_N_QUERIES)
-
-
-def _ann_ivf_sql():
-    from kgruntime.ops.ann import ivf_topk_sql
-
-    return ivf_topk_sql(k=_ANN_K, n_queries=_ANN_N_QUERIES)
-
-
-def _kmeans_clusters_sql():
-    from kgruntime.ops.ann import kmeans_clusters_sql
-
-    return kmeans_clusters_sql()
-
-
-def _pii_scan_sql():
-    from kgruntime.ops.text import pii_scan_sql
-
-    return pii_scan_sql()
-
-
-def _normalized_dups_sql():
-    from kgruntime.ops.text import normalized_dup_docs_sql
-
-    return normalized_dup_docs_sql()
-
-
-def _rare_token_pairs_sql():
-    from kgruntime.ops.dedup import rare_token_pairs_sql
-
-    return rare_token_pairs_sql()
-
-
-def _event_trigrams_sql():
-    from kgruntime.ops.sessions import EVENT_PATH_TRIGRAMS_SQL
-
-    return EVENT_PATH_TRIGRAMS_SQL
-
-
-def _session_conversion_sql():
-    from kgruntime.ops.sessions import SESSION_CONVERSION_BY_DOW_SQL
-
-    return SESSION_CONVERSION_BY_DOW_SQL
-
-
-def _decayed_value_sql():
-    from kgruntime.ops.sessions import decayed_user_value_sql
-
-    return decayed_user_value_sql()
-
-
-def _top_terms_source_sql():
-    from kgruntime.ops.text import top_terms_per_source_sql
-
-    return top_terms_per_source_sql()
-
-
-def _capped_dups_sql():
-    from kgruntime.ops.text import capped_duplicate_sample_sql
-
-    return capped_duplicate_sample_sql()
-
-
-def _incremental_dups_sql():
-    from kgruntime.ops.dedup import incremental_dup_check_sql
-
-    return incremental_dup_check_sql()
-
-
-def _split_leakage_sql():
-    from kgruntime.ops.sample import split_leakage_sql
-
-    return split_leakage_sql()
-
-
-def _emb_dup_clusters_sql():
-    from kgruntime.ops.dedup import embedding_dup_clusters_sql
-
-    return embedding_dup_clusters_sql(dim=_EMB_DIM, threshold=0.35,
-                                      n_planes=6, n_tables=8)
-
-
-def _curate_corpus_sql():
-    from kgruntime.ops.text import curate_corpus_sql
-
-    return curate_corpus_sql()
-
-
-def _events_profile_sql():
-    from kgruntime.ops.stats import table_profile_sql
-
-    return table_profile_sql(_PROFILE_COLS, "events")
-
-
-def _pct_ranks_sql():
-    from kgruntime.ops.stats import value_percentile_ranks_sql
-
-    return value_percentile_ranks_sql()
-
-
-def _user_components_sql():
-    from kgruntime.ops.graph import user_components_sql
-
-    return user_components_sql()
-
-
-def _bloom_user_days_sql():
-    from kgruntime.ops.sketch import bloom_distinct_sql
-
-    return bloom_distinct_sql()
-
-
-def _reservoir_lang_sql():
-    from kgruntime.ops.sample import reservoir_per_group_sql
-
-    return reservoir_per_group_sql()
-
-
-def oracle_sql() -> dict[str, str]:
-    from kgruntime import relational as R
-
-    return {
-        "pricing_summary": R.Q_PRICING_SUMMARY_SQL,
-        "orders_by_status": R.Q_ORDERS_BY_STATUS_SQL,
-        "top_customers": R.Q_TOP_CUSTOMERS_SQL,
-        "customers_per_region": R.Q_CUSTOMERS_PER_REGION_SQL,
-        "events_by_type_day": R.Q_EVENTS_BY_TYPE_DAY_SQL,
-        "user_activity": R.Q_USER_ACTIVITY_SQL,
-        "parts_by_brand": R.Q_PARTS_BY_BRAND_SQL,
-        "revenue_by_part_type": R.Q_REVENUE_BY_PART_TYPE_SQL,
-        "discounted_orders": R.Q_DISCOUNTED_ORDERS_SQL,
-        "customers_without_orders": R.Q_CUSTOMERS_WITHOUT_ORDERS_SQL,
-        "distinct_users_per_type": R.Q_DISTINCT_USERS_PER_TYPE_SQL,
-        "shipping_priority": R.Q_SHIPPING_PRIORITY_SQL,
-        "top_event_per_user": R.Q_TOP_EVENT_PER_USER_SQL,
-        "asof_click_purchase": R.Q_ASOF_CLICK_PURCHASE_SQL,
-        "value_bands": R.Q_VALUE_BANDS_SQL,
-        "top_type_per_user": R.Q_TOP_TYPE_PER_USER_SQL,
-        "event_value_quantiles": R.Q_EVENT_VALUE_QUANTILES_SQL,
-        "local_supplier_revenue": R.Q_LOCAL_SUPPLIER_REVENUE_SQL,
-        "props_k_stats": R.Q_PROPS_K_STATS_SQL,
-        "corr_qty_price": R.Q_CORR_QTY_PRICE_SQL,
-        "user_event_pivot": R.Q_USER_EVENT_PIVOT_SQL,
-        "rollup_region_nation": R.Q_ROLLUP_REGION_NATION_SQL,
-        "top3_per_nation": R.Q_TOP3_PER_NATION_SQL,
-        "monthly_revenue_ma3": R.Q_MONTHLY_REVENUE_MA3_SQL,
-        "long_docs_p90": R.Q_LONG_DOCS_P90_SQL,
-        "events_dow_hour": R.Q_EVENTS_DOW_HOUR_SQL,
-        "orders_priority_share": R.Q_ORDERS_PRIORITY_SHARE_SQL,
-        "term_frequencies": _term_freqs_sql(),
-        "vocab_per_lang": _vocab_lang_sql(),
-        "stratified_sample": _strat_sample_sql(),
-        "running_user_totals": _running_totals_sql(),
-        "repetition_scores": _repetition_sql(),
-        "contamination_check": _contamination_sql(),
-        "tfidf_doc_terms": _tfidf_terms_sql(),
-        "token_shards": _token_shards_sql(),
-        "langid_pred": _langid_oracle_sql(),
-        "doc_fingerprints": _fingerprints_sql(),
-        "minhash_near_dups": _minhash_sql(),
-        "minhash_dup_clusters": _minhash_clusters_sql(),
-        "near_dedup_corpus": _near_dedup_sql(),
-        "split_assign": _split_assign_sql(),
-        "source_mix_weights": _source_mix_sql(),
-        "blocklist_filter": _blocklist_sql(),
-        "redact_terms": _redact_sql(),
-        "length_deciles": _deciles_sql(),
-        "pack_sequences": _pack_sql(),
-        "hll_distinct_users": _hll_sql(),
-        "doc_rarity_scores": _rarity_sql(),
-        "dup_rate_by_source": _dup_rate_sql(),
-        "prefix_overlap_pairs": _prefix_overlap_sql(),
-        "suffix_overlap_pairs": _suffix_overlap_sql(),
-        "langid_mismatch": _langid_mismatch_sql(),
-        "zscore_by_source": _zscore_sql(),
-        "event_anomalies": _anomalies_sql(),
-        "chunk_documents": _chunks_sql(),
-        "bigram_counts": _bigrams_sql(),
-        "simhash_near_dups": _simhash_sql(),
-        "embedding_near_dups": _emb_near_dups_sql(),
-        "ann_topk_lsh": _ann_lsh_sql(),
-        "ann_topk_ivf": _ann_ivf_sql(),
-        "kmeans_clusters": _kmeans_clusters_sql(),
-        "pii_scan": _pii_scan_sql(),
-        "normalized_dup_docs": _normalized_dups_sql(),
-        "rare_token_pairs": _rare_token_pairs_sql(),
-        "event_path_trigrams": _event_trigrams_sql(),
-        "session_conversion_by_dow": _session_conversion_sql(),
-        "decayed_user_value": _decayed_value_sql(),
-        "maxsim_topk": _maxsim_topk_oracle(),
-        "loo_source_influence": _loo_source_influence_oracle(),
-        "quality_threshold_sweep": _quality_sweep_oracle(),
-        "url_canonical_dups": _url_canonical_dups_oracle(),
-        "source_token_budget": _source_token_budget_oracle(),
-        "page_stitch_pairs": _page_stitch_oracle(),
-        "term_concentration": _term_concentration_oracle(),
-        "char_entropy": _char_entropy_oracle(),
-        "bigram_lm_scores": _bigram_lm_oracle(),
-        "embedding_outliers": _embedding_outliers_oracle(),
-        "purchase_click_window": _purchase_click_oracle(),
-        "knn_graph": _knn_graph_oracle(),
-        "cms_heavy_bigrams": _cms_oracle(),
-        "kmv_distinct_users": _kmv_oracle(),
-        "temperature_mix_sample": _temp_mix_oracle(),
-        "corpus_diff": _corpus_diff_oracle(),
-        "user_value_trend": _user_value_trend_oracle(),
-        "bloom_filtered_brand_revenue": _bloom_brand_oracle(),
-        "hll_hopping_users": _hll_hopping_oracle(),
-        "trimmed_mean_value": _trimmed_mean_oracle(),
-        "triangle_census": _triangle_oracle(),
-        "span_corrupt": _span_corrupt_oracle(),
-        "ngram_dedup_rewrite": _ngram_dedup_oracle(),
-        "bpe_merges": _bpe_oracle(),
-        "k_core_members": _k_core_oracle(),
-        "vocab_drift": _vocab_drift_oracle(),
-        "orc_roundtrip_stats": _ROUNDTRIP_STATS_SQL,
-        "ipc_roundtrip_stats": _ROUNDTRIP_STATS_SQL,
-        "gzjsonl_roundtrip_stats": _ROUNDTRIP_STATS_SQL,
-        "scd2_segment_revenue": R.Q_SCD2_SEGMENT_REVENUE_SQL,
-        "retrieval_rank_agreement": _rank_agreement_oracle(),
-        "epoch_shuffle_audit": _epoch_shuffle_oracle(),
-        "dedup_sensitivity_sweep": _dedup_sweep_oracle(),
-        "triplet_mining": _triplet_mining_oracle(),
-        "pareto_front_parts": R.Q_PARETO_FRONT_PARTS_SQL,
-        "peak_user_rate": _peak_rate_oracle(),
-        "events_quarantine": _events_quarantine_oracle(),
-        "embedding_gram": _embedding_gram_oracle(),
-        "join_strategy_advisor": R.Q_JOIN_STRATEGY_ADVISOR_SQL,
-        "ks_value_drift": _ks_drift_oracle(),
-        "benford_audit": _benford_oracle(),
-        "subtree_balance_rollup": _subtree_rollup_oracle(),
-        "streaming_emit_audit": _streaming_emit_oracle(),
-        "pq_quant_recall": _pq_recall_oracle(),
-        "bitmap_index_queries": _bitmap_index_oracle(),
-        "multi_query_lexical": _multi_lexical_oracle(),
-        "k_anonymity_audit": _k_anonymity_oracle(),
-        "personalized_pagerank": _ppr_oracle(),
-        "copy_genealogy": _copy_genealogy_oracle(),
-        "composition_drift": _composition_drift_oracle(),
-        "conversion_delay_pcts": _conv_delay_oracle(),
-        "supplier_performance": R.Q_SUPPLIER_PERFORMANCE_SQL,
-        "trending_part_types": R.Q_TRENDING_PART_TYPES_SQL,
-        "int8_quant_recall": _int8_recall_oracle(),
-        "peak_concurrent_users": _peak_concurrency_oracle(),
-        "incremental_near_dups": _incremental_near_dups_oracle(),
-        "hard_negatives": _hard_negatives_oracle(),
-        "padding_waste": _padding_waste_oracle(),
-        "partitioned_export_prune": """
+_ROUNDTRIP_STATS_SQL = """
+    SELECT source, count(*) AS n_docs,
+           sum(n_chars)::BIGINT AS total_chars
+    FROM documents GROUP BY source ORDER BY source
+"""
+
+_PARTITIONED_PRUNE_SQL = """
     SELECT source, count(*) AS n_docs,
            sum(n_chars)::BIGINT AS total_chars
     FROM documents WHERE lang = 'en' GROUP BY source ORDER BY source
-""",
-        "fuzzy_name_matches": _fuzzy_names_oracle(),
-        "winnow_dup_pairs": _winnow_pairs_oracle(),
-        "set_sim_join_pairs": _set_sim_join_oracle(),
-        "pmi_collocations": _pmi_oracle(),
-        "phrase_search_hits": _phrase_search_oracle(),
-        "rfm_segments": _rfm_oracle(),
-        "mad_by_type": _mad_oracle(),
-        "curriculum_order": _curriculum_oracle(),
-        "weighted_sample": _weighted_sample_oracle(),
-        "click_attribution": _click_attr_oracle(),
-        "principal_component": _pc_oracle(),
-        "minhash_error_audit": _minhash_audit_oracle(),
-        "late_event_audit": _late_events_oracle(),
-        "embedding_drift": _emb_drift_oracle(),
-        "dq_audit": _dq_audit_oracle(),
-        "lexical_topk": _lexical_topk_oracle(),
-        "rrf_fusion": _rrf_fusion_oracle(),
-        "entity_clusters": _entity_clusters_oracle(),
-        "session_incident_overlap": _session_incidents_oracle(),
-        "user_hourly_locf": _user_hourly_locf_oracle(),
-        "mg_heavy_trigrams": _mg_heavy_trigrams_oracle(),
-        "lpa_communities": _lpa_communities_oracle(),
-        "bootstrap_stats": _bootstrap_stats_oracle(),
-        "cdc_chunk_dedup": _cdc_chunks_oracle(),
-        "embargo_split_audit": _embargo_split_oracle(),
-        "cluster_safe_split": _cluster_safe_split_oracle(),
-        "vocab_coverage": _vocab_coverage_oracle(),
-        "value_purchase_auc": _value_auc_oracle(),
-        "langid_confusion": _langid_confusion_oracle(),
-        "shingle_novelty": _shingle_novelty_oracle(),
-        "trigram_diversity": _trigram_diversity_oracle(),
-        "bpe_fertility": _bpe_fertility_oracle(),
-        "revenue_cube": R.Q_REVENUE_CUBE_SQL,
-        "user_active_time": _user_active_time_oracle(),
-        "decile_lift": _decile_lift_oracle(),
-        "basket_affinity": R.Q_BASKET_AFFINITY_SQL,
-        "ann_recall_audit": _ann_recall_oracle(),
-        "bot_regularity": _bot_regularity_oracle(),
-        "mmr_diverse_topk": _mmr_topk_oracle(),
-        "pit_training_features": _pit_features_oracle(),
-        "source_overlap_matrix": _source_overlap_oracle(),
-        "near_split_leakage": _near_split_leakage_oracle(),
-        "dsir_importance": _dsir_oracle(),
-        "rec_negative_samples": R.Q_REC_NEGATIVE_SAMPLES_SQL,
-        "markov_next_event": _markov_oracle(),
-        "rp_projection_recall": _rp_recall_oracle(),
-        "dp_noisy_counts": _dp_noisy_oracle(),
-        "encoding_advisor": _encoding_advisor_oracle(),
-        "join_skew_audit": _join_skew_oracle(),
-        "range_partition_plan": _range_plan_oracle(),
-        "community_modularity": _modularity_oracle(),
-        "stickiness_dau_mau": _stickiness_oracle(),
-        "cdc_upsert_merge": _cdc_merge_oracle(),
-        "feature_cross_hash": _feature_cross_oracle(),
-        "zorder_layout_audit": _zorder_oracle(),
-        "max_coverage_picks": _max_coverage_oracle(),
-        "top_terms_per_source": _top_terms_source_sql(),
-        "user_components": _user_components_sql(),
-        "curate_corpus": _curate_corpus_sql(),
-        "asof_purchase_next_click": R.Q_ASOF_PURCHASE_NEXT_CLICK_SQL,
-        "split_leakage": _split_leakage_sql(),
-        "nation_trade_volume": R.Q_NATION_TRADE_VOLUME_SQL,
-        "incremental_dup_check": _incremental_dups_sql(),
-        "capped_duplicate_sample": _capped_dups_sql(),
-        "embedding_dup_clusters": _emb_dup_clusters_sql(),
-        "events_profile": _events_profile_sql(),
-        "value_percentile_ranks": _pct_ranks_sql(),
-        "bloom_distinct_user_days": _bloom_user_days_sql(),
-        "reservoir_per_lang": _reservoir_lang_sql(),
-        "doc_stats": """
+"""
+
+_DOC_STATS_SQL = """
             SELECT source, count(*) AS n_docs,
                    round(avg(n_chars), 4) AS avg_chars,
                    sum(n_chars)::BIGINT AS total_chars
             FROM documents GROUP BY source ORDER BY source
-        """,
-        "token_stats": r"""
+        """
+
+_TOKEN_STATS_SQL = r"""
             SELECT doc_id,
                    CASE WHEN trim(text) = '' THEN 0
                         ELSE len(regexp_split_to_array(trim(text), '\s+'))
@@ -3454,8 +843,9 @@ def oracle_sql() -> dict[str, str]:
                           len(regexp_split_to_array(trim(text), '\s+')), 6)
                    END AS avg_token_len
             FROM documents ORDER BY doc_id
-        """,
-        "quality_scores": rf"""
+        """
+
+_QUALITY_SCORES_SQL = rf"""
             WITH toks AS (
               SELECT doc_id,
                      CASE WHEN trim(text) = '' THEN []::VARCHAR[]
@@ -3480,27 +870,43 @@ def oracle_sql() -> dict[str, str]:
                             list_contains({_STOPWORDS_SQL}, lower(x))))::DOUBLE
                             / len(t))), 6) END AS quality
             FROM toks ORDER BY doc_id
-        """,
-        "clean_corpus": _clean_corpus_sql(),
-        "sessionize": _sessions_sql(),
-        "tumbling_hourly": _tumbling_sql(),
-        "hopping_2h_1h": _hopping_sql(),
-        "user_gap_stats": _user_gaps_sql(),
-        "event_transitions": _transitions_sql(),
-        "funnel_counts": _funnel_sql(),
-        "retention_cohorts": _retention_sql(),
-        "cooccurrence_edges": _cooccur_sql(),
-        "pagerank_users": _pagerank_sql(),
-        "windowed_event_dedup": _win_dedup_sql(),
-        "lang_distribution": """
+        """
+
+_CLEAN_CORPUS_SQL = rf"""
+        WITH toks AS (
+          SELECT doc_id, n_chars, text,
+                 CASE WHEN trim(text) = '' THEN []::VARCHAR[]
+                      ELSE regexp_split_to_array(trim(text), '\s+')
+                 END AS t
+          FROM documents),
+        q AS (
+          SELECT doc_id, text, n_chars,
+                 CASE WHEN len(t) = 0 THEN 0.0 ELSE
+                   round(least(1.0, len(t) / 50.0)
+                     * (0.5 + 0.5 * (len(list_filter(t, x ->
+                          regexp_matches(x, '^[A-Za-z]+$')))::DOUBLE
+                          / len(t)))
+                     * (1.0 - 0.5 * (len(list_filter(t, x ->
+                          list_contains({_STOPWORDS_SQL}, lower(x))))::DOUBLE
+                          / len(t))), 6) END AS quality
+          FROM toks),
+        pass AS (
+          SELECT * FROM q WHERE quality >= 0.5 AND n_chars >= 20)
+        SELECT min(doc_id) AS keep_id, count(*) AS n_copies, quality
+        FROM pass GROUP BY text, quality ORDER BY keep_id
+    """
+
+_LANG_DISTRIBUTION_SQL = """
             SELECT lang, count(*) AS n_docs
             FROM documents GROUP BY lang ORDER BY lang
-        """,
-        "exact_dup_docs": """
+        """
+
+_EXACT_DUP_DOCS_SQL = """
             SELECT text, min(doc_id) AS keep_id, count(*) AS n_dups
             FROM documents GROUP BY text ORDER BY keep_id
-        """,
-        "jaccard_adjacent": r"""
+        """
+
+_JACCARD_ADJACENT_SQL = r"""
             WITH toks AS (
               SELECT doc_id,
                      CASE WHEN trim(text) = '' THEN []::VARCHAR[]
@@ -3525,8 +931,9 @@ def oracle_sql() -> dict[str, str]:
             FROM grams a JOIN grams b ON b.doc_id = a.doc_id + 1
             WHERE a.doc_id % 2 = 0
             ORDER BY doc_a
-        """,
-        "ann_topk": f"""
+        """
+
+_ANN_TOPK_SQL = f"""
             WITH q AS (SELECT vec_id, embedding FROM embeddings
                        ORDER BY vec_id LIMIT {_ANN_N_QUERIES})
             SELECT query_id, neighbor_id FROM (
@@ -3540,8 +947,9 @@ def oracle_sql() -> dict[str, str]:
               WHERE e.vec_id != q.vec_id)
             WHERE rnk <= {_ANN_K}
             ORDER BY query_id, neighbor_id
-        """,
-        "label_centroids": """
+        """
+
+_LABEL_CENTROIDS_SQL = """
             WITH e AS (
               SELECT label, generate_subscripts(embedding, 1) AS i,
                      CAST(round(CAST(unnest(embedding) AS DOUBLE)
@@ -3550,8 +958,9 @@ def oracle_sql() -> dict[str, str]:
             SELECT label, i,
                    round(sum(u) / (count(*) * 1000000.0), 6) AS centroid
             FROM e GROUP BY label, i ORDER BY label, i
-        """,
-        "knn_label_vote": f"""
+        """
+
+_KNN_LABEL_VOTE_SQL = f"""
             WITH q AS (SELECT vec_id, embedding FROM embeddings
                        ORDER BY vec_id LIMIT {_ANN_N_QUERIES}),
             nn AS (
@@ -3576,282 +985,568 @@ def oracle_sql() -> dict[str, str]:
               FROM v)
             SELECT query_id, label AS pred_label, n_votes
             FROM r WHERE rn = 1 ORDER BY query_id
-        """,
-    }
-
-
-def _char_entropy_oracle() -> str:
-    from kgruntime.ops.quality import char_entropy_sql
-
-    return char_entropy_sql()
-
-
-def _bigram_lm_oracle() -> str:
-    from kgruntime.ops.quality import bigram_lm_sql
-
-    return bigram_lm_sql()
-
-
-def _embedding_outliers_oracle() -> str:
-    from kgruntime.ops.ann import embedding_outliers_sql
-
-    return embedding_outliers_sql()
-
-
-def _knn_graph_oracle() -> str:
-    from kgruntime.ops.ann import knn_graph_sql
-
-    return knn_graph_sql(dim=_EMB_DIM, k=5, n_planes=6, n_tables=2)
-
-
-def _cms_oracle() -> str:
-    from kgruntime.ops.sketch import cms_heavy_bigrams_sql
-
-    return cms_heavy_bigrams_sql()
-
-
-def _kmv_oracle() -> str:
-    from kgruntime.ops.sketch import kmv_distinct_sql
-
-    return kmv_distinct_sql()
-
-
-def _temp_mix_oracle() -> str:
-    from kgruntime.ops.sample import temperature_mix_sample_sql
-
-    return temperature_mix_sample_sql()
-
-
-def _corpus_diff_oracle() -> str:
-    from kgruntime.ops.dedup import corpus_diff_sql
-
-    return corpus_diff_sql()
-
-
-def _user_value_trend_oracle() -> str:
-    from kgruntime.ops.sessions import user_value_trend_sql
-
-    return user_value_trend_sql()
-
-
-def _bloom_brand_oracle() -> str:
-    from kgruntime.relational import bloom_filtered_brand_revenue_sql
-
-    return bloom_filtered_brand_revenue_sql()
-
-
-def _hll_hopping_oracle() -> str:
-    from kgruntime.ops.sessions import hll_distinct_hopping_sql
-
-    return hll_distinct_hopping_sql()
-
-
-def _trimmed_mean_oracle() -> str:
-    from kgruntime.ops.stats import trimmed_mean_by_group_sql
-
-    return trimmed_mean_by_group_sql()
-
-
-def _triangle_oracle() -> str:
-    from kgruntime.ops.graph import triangle_count_sql
-
-    return triangle_count_sql()
-
-
-def _span_corrupt_oracle() -> str:
-    from kgruntime.ops.text import span_corrupt_sql
-
-    return span_corrupt_sql()
-
-
-def _ngram_dedup_oracle() -> str:
-    from kgruntime.ops.dedup import ngram_dedup_rewrite_sql
-
-    return ngram_dedup_rewrite_sql()
-
-
-def _bpe_oracle() -> str:
-    from kgruntime.ops.bpe import bpe_merges_sql
-
-    return bpe_merges_sql(rounds=8)
-
-
-def _incremental_near_dups_oracle() -> str:
-    from kgruntime.ops.dedup import incremental_near_dups_sql
-
-    return incremental_near_dups_sql()
-
-
-def _peak_concurrency_oracle() -> str:
-    from kgruntime.ops.sessions import PEAK_CONCURRENT_USERS_SQL
-
-    return PEAK_CONCURRENT_USERS_SQL
-
-
-def _emb_drift_oracle() -> str:
-    from kgruntime.ops.ann import embedding_drift_sql
-
-    return embedding_drift_sql()
-
-
-def _late_events_oracle() -> str:
-    from kgruntime.ops.sessions import late_event_audit_sql
-
-    return late_event_audit_sql()
-
-
-def _minhash_audit_oracle() -> str:
-    from kgruntime.ops.dedup import minhash_error_audit_sql
-
-    return minhash_error_audit_sql()
-
-
-def _pc_oracle() -> str:
-    from kgruntime.ops.ann import principal_component_sql
-
-    return principal_component_sql()
-
-
-def _click_attr_oracle() -> str:
-    from kgruntime.ops.sessions import click_attribution_sql
-
-    return click_attribution_sql()
-
-
-def _weighted_sample_oracle() -> str:
-    from kgruntime.ops.sample import weighted_priority_sample_sql
-
-    return weighted_priority_sample_sql()
-
-
-def _curriculum_oracle() -> str:
-    from kgruntime.ops.shard import curriculum_order_sql
-
-    return curriculum_order_sql()
-
-
-def _mad_oracle() -> str:
-    from kgruntime.ops.stats import mad_by_group_sql
-
-    return mad_by_group_sql()
-
-
-def _rfm_oracle() -> str:
-    from kgruntime.ops.sessions import rfm_segments_sql
-
-    return rfm_segments_sql()
-
-
-def _phrase_search_oracle() -> str:
-    from kgruntime.ops.text import phrase_search_sql
-
-    return phrase_search_sql(_PHRASE)
-
-
-def _pmi_oracle() -> str:
-    from kgruntime.ops.text import pmi_collocations_sql
-
-    return pmi_collocations_sql()
-
-
-def _maxsim_topk_oracle() -> str:
-    from kgruntime.ops.text import maxsim_topk_sql
-
-    return maxsim_topk_sql()
-
-
-def _loo_source_influence_oracle() -> str:
-    from kgruntime.ops.valuation import loo_source_influence_sql
-
-    return loo_source_influence_sql()
-
-
-def _quality_sweep_oracle() -> str:
-    from kgruntime.ops.valuation import quality_threshold_sweep_sql
-
-    return quality_threshold_sweep_sql()
-
-
-def _url_canonical_dups_oracle() -> str:
-    from kgruntime.ops.valuation import url_canonical_dups_sql
-
-    return url_canonical_dups_sql()
-
-
-def _source_token_budget_oracle() -> str:
-    from kgruntime.ops.valuation import source_token_budget_sql
-
-    return source_token_budget_sql()
-
-
-def _term_concentration_oracle() -> str:
-    from kgruntime.ops.valuation import term_concentration_by_source_sql
-
-    return term_concentration_by_source_sql()
-
-
-def _page_stitch_oracle() -> str:
-    from kgruntime.ops.dedup import page_stitch_pairs_sql
-
-    return page_stitch_pairs_sql()
-
-
-def _set_sim_join_oracle() -> str:
-    from kgruntime.ops.dedup import set_sim_join_sql
-
-    return set_sim_join_sql()
-
-
-def _fuzzy_names_oracle() -> str:
-    from kgruntime.ops.linkage import fuzzy_name_matches_sql
-
-    return fuzzy_name_matches_sql()
-
-
-def _winnow_pairs_oracle() -> str:
-    from kgruntime.ops.dedup import winnow_dup_pairs_sql
-
-    return winnow_dup_pairs_sql()
-
-
-def _padding_waste_oracle() -> str:
-    from kgruntime.ops.shard import padding_waste_sql
-
-    return padding_waste_sql()
-
-
-def _hard_negatives_oracle() -> str:
-    from kgruntime.ops.ann import hard_negatives_sql
-
-    return hard_negatives_sql(k=_ANN_K, n_queries=_ANN_N_QUERIES)
-
-
-def _int8_recall_oracle() -> str:
-    from kgruntime.ops.ann import int8_quant_recall_sql
-
-    return int8_quant_recall_sql(k=_ANN_K, n_queries=_ANN_N_QUERIES)
-
-
-def _k_core_oracle() -> str:
-    from kgruntime.ops.graph import k_core_sql
-
-    return k_core_sql(k=2, rounds=8)
-
-
-def _vocab_drift_oracle() -> str:
-    from kgruntime.ops.dedup import vocab_drift_sql
-
-    return vocab_drift_sql()
-
-
-_ROUNDTRIP_STATS_SQL = """
-    SELECT source, count(*) AS n_docs,
-           sum(n_chars)::BIGINT AS total_chars
-    FROM documents GROUP BY source ORDER BY source
-"""
-
-
-def _purchase_click_oracle() -> str:
-    from kgruntime.ops.sessions import purchase_click_window_sql
-
-    return purchase_click_window_sql()
+        """
+
+
+# ---------------------------------------------------------------------------
+# the query table
+# ---------------------------------------------------------------------------
+
+_QUERIES: tuple[Q, ...] = (
+    # Row order only breaks ties inside queries()'s never-driver-checked
+    # group (the driver window itself is derived).
+    # --- round-5 registrations first: within the never-checked block
+    # the window takes registration order, and the round's NEW claims
+    # should earn their driver rows first ---
+    Q("kg_planned_bgp", _q_kg_planned_bgp),
+    Q("maxsim_topk", "kgruntime.ops.text:maxsim_topk",
+      sql="kgruntime.ops.text:maxsim_topk_sql"),
+    Q("loo_source_influence", "kgruntime.ops.valuation:loo_source_influence",
+      sql="kgruntime.ops.valuation:loo_source_influence_sql"),
+    Q("quality_threshold_sweep",
+      "kgruntime.ops.valuation:quality_threshold_sweep",
+      sql="kgruntime.ops.valuation:quality_threshold_sweep_sql"),
+    Q("url_canonical_dups", "kgruntime.ops.valuation:url_canonical_dups",
+      sql="kgruntime.ops.valuation:url_canonical_dups_sql"),
+    Q("source_token_budget", "kgruntime.ops.valuation:source_token_budget",
+      sql="kgruntime.ops.valuation:source_token_budget_sql"),
+    Q("page_stitch_pairs", "kgruntime.ops.dedup:page_stitch_pairs",
+      sql="kgruntime.ops.dedup:page_stitch_pairs_sql"),
+    Q("term_concentration",
+      "kgruntime.ops.valuation:term_concentration_by_source",
+      sql="kgruntime.ops.valuation:term_concentration_by_source_sql"),
+    # --- never driver-checked (late r3 registrations) ---
+    Q("incremental_dup_check", "kgruntime.ops.dedup:incremental_dup_check",
+      sort="doc_id", pin=["doc_id", "dup_of_prior"],
+      sql="kgruntime.ops.dedup:incremental_dup_check_sql"),
+    Q("split_leakage", "kgruntime.ops.sample:split_leakage", sort="keep_id",
+      pin=["keep_id", "n_docs", "n_splits"],
+      sql="kgruntime.ops.sample:split_leakage_sql"),
+    Q("embedding_dup_clusters", "kgruntime.ops.dedup:embedding_dup_clusters",
+      src="embeddings", cols=["vec_id", "embedding"],
+      kw=dict(dim=_EMB_DIM, threshold=0.35, n_planes=6, n_tables=8),
+      sort="vec_id", pin=["vec_id", "cluster"],
+      sql="kgruntime.ops.dedup:embedding_dup_clusters_sql"),
+    Q("value_percentile_ranks", "kgruntime.ops.stats:value_percentile_ranks",
+      src="events", sort="event_id",
+      sql="kgruntime.ops.stats:value_percentile_ranks_sql"),
+    Q("events_profile", "kgruntime.ops.stats:table_profile", src="events",
+      kw=dict(columns=_PROFILE_COLS),
+      sql="kgruntime.ops.stats:table_profile_sql",
+      sql_kw=dict(columns=_PROFILE_COLS, table="events")),
+    Q("capped_duplicate_sample", "kgruntime.ops.text:capped_duplicate_sample",
+      sort="doc_id", sql="kgruntime.ops.text:capped_duplicate_sample_sql"),
+    Q("reservoir_per_lang", "kgruntime.ops.sample:reservoir_per_group",
+      sort=["lang", "doc_id"],
+      sql="kgruntime.ops.sample:reservoir_per_group_sql"),
+    Q("asof_purchase_next_click",
+      "kgruntime.relational:q_asof_purchase_next_click", src="sf_dir",
+      sql="kgruntime.relational:Q_ASOF_PURCHASE_NEXT_CLICK_SQL"),
+    Q("nation_trade_volume", "kgruntime.relational:q_nation_trade_volume",
+      src="sf_dir", sql="kgruntime.relational:Q_NATION_TRADE_VOLUME_SQL"),
+    Q("media_png_features", "kgruntime.ops.media:decode_features",
+      src=partial(_media, "kgruntime.ops.media:synth_png_table", "png")),
+    Q("media_resize", _q_media_resize),
+    Q("media_frame_features", _q_media_frame_features),
+    # --- new round-4 ops (must be inside the window) ---
+    Q("media_jpeg_features", "kgruntime.ops.media:decode_features",
+      src=partial(_media, "kgruntime.ops.media:synth_jpeg_table", "jpg")),
+    Q("media_wav_features", "kgruntime.ops.media:decode_features",
+      src=partial(_media, "kgruntime.ops.media:synth_wav_table", "wav")),
+    Q("char_entropy", "kgruntime.ops.quality:char_entropy_scores",
+      sql="kgruntime.ops.quality:char_entropy_sql"),
+    Q("bigram_lm_scores", "kgruntime.ops.quality:bigram_lm_scores",
+      sql="kgruntime.ops.quality:bigram_lm_sql"),
+    Q("embedding_outliers", "kgruntime.ops.ann:embedding_outliers",
+      src="embeddings", cols=["vec_id", "label", "embedding"],
+      sql="kgruntime.ops.ann:embedding_outliers_sql"),
+    Q("purchase_click_window", "kgruntime.ops.sessions:purchase_click_window",
+      src="events", sql="kgruntime.ops.sessions:purchase_click_window_sql"),
+    Q("knn_graph", "kgruntime.ops.ann:knn_graph", src="embeddings",
+      cols=["vec_id", "embedding"],
+      kw=dict(dim=_EMB_DIM, k=5, n_planes=6, n_tables=2),
+      sql="kgruntime.ops.ann:knn_graph_sql"),
+    Q("cms_heavy_bigrams", "kgruntime.ops.sketch:cms_heavy_bigrams",
+      cols=["doc_id", "text"],
+      sql="kgruntime.ops.sketch:cms_heavy_bigrams_sql"),
+    Q("kmv_distinct_users", "kgruntime.ops.sketch:kmv_distinct", src="events",
+      cols=["event_type", "user_id"],
+      sql="kgruntime.ops.sketch:kmv_distinct_sql"),
+    Q("temperature_mix_sample", "kgruntime.ops.sample:temperature_mix_sample",
+      cols=["source", "doc_id"],
+      sql="kgruntime.ops.sample:temperature_mix_sample_sql"),
+    Q("corpus_diff", "kgruntime.ops.dedup:corpus_diff", src=_with_prior,
+      sql="kgruntime.ops.dedup:corpus_diff_sql"),
+    Q("user_value_trend", "kgruntime.ops.sessions:user_value_trend",
+      src="events", cols=["user_id", "ts", "value"],
+      sql="kgruntime.ops.sessions:user_value_trend_sql"),
+    Q("bloom_filtered_brand_revenue",
+      "kgruntime.relational:q_bloom_filtered_brand_revenue", src="sf_dir",
+      sql="kgruntime.relational:bloom_filtered_brand_revenue_sql"),
+    Q("hll_hopping_users", "kgruntime.ops.sessions:hll_distinct_hopping",
+      src="events", cols=["user_id", "ts"],
+      sql="kgruntime.ops.sessions:hll_distinct_hopping_sql"),
+    Q("trimmed_mean_value", "kgruntime.ops.stats:trimmed_mean_by_group",
+      src="events", cols=["event_type", "value"],
+      sql="kgruntime.ops.stats:trimmed_mean_by_group_sql"),
+    Q("triangle_census", "kgruntime.ops.graph:triangle_count",
+      src=_strong_ties, sql="kgruntime.ops.graph:triangle_count_sql"),
+    Q("span_corrupt", "kgruntime.ops.text:span_corrupt",
+      cols=["doc_id", "text"], sql="kgruntime.ops.text:span_corrupt_sql"),
+    Q("ngram_dedup_rewrite", "kgruntime.ops.dedup:ngram_dedup_rewrite",
+      cols=["doc_id", "text"],
+      sql="kgruntime.ops.dedup:ngram_dedup_rewrite_sql"),
+    Q("bpe_merges", "kgruntime.ops.bpe:bpe_merges", cols=["text"],
+      kw=dict(rounds=8), sql="kgruntime.ops.bpe:bpe_merges_sql"),
+    Q("k_core_members", "kgruntime.ops.graph:k_core", src=_strong_ties,
+      kw=dict(k=2, rounds=8), sql="kgruntime.ops.graph:k_core_sql"),
+    Q("vocab_drift", "kgruntime.ops.dedup:vocab_drift", src=_with_prior,
+      sql="kgruntime.ops.dedup:vocab_drift_sql"),
+    Q("orc_roundtrip_stats", _q_orc_roundtrip, sql=_ROUNDTRIP_STATS_SQL),
+    Q("ipc_roundtrip_stats", _q_ipc_roundtrip, sql=_ROUNDTRIP_STATS_SQL),
+    Q("int8_quant_recall", "kgruntime.ops.ann:int8_quant_recall",
+      src=_ann_probe, kw=dict(k=_ANN_K),
+      sql="kgruntime.ops.ann:int8_quant_recall_sql",
+      sql_kw=dict(k=_ANN_K, n_queries=_ANN_N_QUERIES)),
+    Q("peak_concurrent_users", "kgruntime.ops.sessions:peak_concurrent_users",
+      src="events", sql="kgruntime.ops.sessions:PEAK_CONCURRENT_USERS_SQL"),
+    Q("incremental_near_dups", _q_incremental_near_dups,
+      sql="kgruntime.ops.dedup:incremental_near_dups_sql"),
+    Q("hard_negatives", _q_hard_negatives,
+      sql="kgruntime.ops.ann:hard_negatives_sql",
+      sql_kw=dict(k=_ANN_K, n_queries=_ANN_N_QUERIES)),
+    Q("padding_waste", "kgruntime.ops.shard:padding_waste",
+      sql="kgruntime.ops.shard:padding_waste_sql"),
+    Q("partitioned_export_prune", _q_partitioned_prune,
+      sql=_PARTITIONED_PRUNE_SQL),
+    Q("fuzzy_name_matches", "kgruntime.ops.linkage:fuzzy_name_matches",
+      src="part", cols=["p_name"],
+      sql="kgruntime.ops.linkage:fuzzy_name_matches_sql"),
+    Q("winnow_dup_pairs", "kgruntime.ops.dedup:winnow_dup_pairs",
+      sql="kgruntime.ops.dedup:winnow_dup_pairs_sql"),
+    # --- r3-green entries kept inside the window (flagship KG,
+    # dedup/ANN/curation core) ---
+    Q("kg_canonical_fused", _q_kg_fused),
+    Q("curate_corpus", "kgruntime.ops.text:curate_corpus", sort="doc_id",
+      sql="kgruntime.ops.text:curate_corpus_sql"),
+    Q("near_dedup_corpus", "kgruntime.ops.dedup:near_dedup_corpus",
+      kw=dict(threshold=0.5), sort="doc_id",
+      sql="kgruntime.ops.dedup:near_dedup_corpus_sql"),
+    Q("minhash_near_dups", "kgruntime.ops.dedup:minhash_near_dups",
+      kw=dict(threshold=0.5), sql="kgruntime.ops.dedup:minhash_near_dups_sql"),
+    Q("ann_topk_ivf", _q_ann_ivf, sql="kgruntime.ops.ann:ivf_topk_sql",
+      sql_kw=dict(k=_ANN_K, n_queries=_ANN_N_QUERIES)),
+    Q("kmeans_clusters", "kgruntime.ops.ann:kmeans_clusters", src="embeddings",
+      cols=["vec_id", "embedding"], sort="vec_id",
+      sql="kgruntime.ops.ann:kmeans_clusters_sql"),
+    Q("user_components", "kgruntime.ops.graph:user_components", src="events",
+      sort="user_id", pin=["user_id", "component"],
+      sql="kgruntime.ops.graph:user_components_sql"),
+    # --- below slot 50: every entry has a green driver row ---
+    Q("embedding_near_dups", _q_emb_near_dups,
+      sql="kgruntime.ops.dedup:embedding_near_dups_sql",
+      sql_kw=dict(dim=_EMB_DIM, threshold=0.35, n_planes=6, n_tables=8)),
+    Q("ann_topk", _q_ann_topk, sql=_ANN_TOPK_SQL),
+    Q("simhash_near_dups", "kgruntime.ops.dedup:simhash_near_dups",
+      kw=dict(max_hamming=3), sql="kgruntime.ops.dedup:simhash_near_dups_sql"),
+    Q("kg_canonical_staged", _q_kg_canonical),
+    Q("kg_triples", "kgruntime.stages.extract:triples_dataset",
+      src=_synth_docs),
+    Q("ann_topk_lsh", _q_ann_lsh, sql="kgruntime.ops.ann:lsh_topk_sql",
+      sql_kw=dict(dim=_EMB_DIM, k=_ANN_K, n_queries=_ANN_N_QUERIES)),
+    Q("knn_label_vote", _q_knn_label_vote, sql=_KNN_LABEL_VOTE_SQL),
+    Q("clean_corpus", "kgruntime.ops.text:clean_corpus",
+      cols=["doc_id", "text", "n_chars"], sort="keep_id",
+      sql=_CLEAN_CORPUS_SQL),
+    Q("pii_scan", "kgruntime.ops.text:pii_scan", sort="doc_id",
+      sql="kgruntime.ops.text:pii_scan_sql"),
+    Q("normalized_dup_docs", "kgruntime.ops.text:normalized_dup_docs",
+      sort="keep_id", sql="kgruntime.ops.text:normalized_dup_docs_sql"),
+    Q("rare_token_pairs", "kgruntime.ops.dedup:rare_token_pairs",
+      sort=["doc_a", "doc_b"], pin=["doc_a", "doc_b", "n_shared_rare"],
+      sql="kgruntime.ops.dedup:rare_token_pairs_sql"),
+    Q("pack_sequences", "kgruntime.ops.shard:pack_sequences", sort="shard_id",
+      sql="kgruntime.ops.shard:pack_sequences_sql"),
+    Q("pagerank_users", "kgruntime.ops.graph:pagerank", src=_user_graph,
+      sort="user_id", pin=["user_id", "rank_scaled"],
+      sql="kgruntime.ops.graph:pagerank_cooccurrence_sql"),
+    Q("decayed_user_value", "kgruntime.ops.sessions:decayed_user_value",
+      src="events", sort="user_id",
+      sql="kgruntime.ops.sessions:decayed_user_value_sql"),
+    Q("event_path_trigrams", "kgruntime.ops.sessions:event_path_trigrams",
+      src="events", sort=["t1", "t2", "t3"], pin=["t1", "t2", "t3", "n_paths"],
+      sql="kgruntime.ops.sessions:EVENT_PATH_TRIGRAMS_SQL"),
+    Q("session_conversion_by_dow",
+      "kgruntime.ops.sessions:session_conversion_by_dow", src="events",
+      sort="dow", pin=["dow", "n_sessions", "n_converted", "conversion_rate"],
+      sql="kgruntime.ops.sessions:SESSION_CONVERSION_BY_DOW_SQL"),
+    Q("top_terms_per_source", "kgruntime.ops.text:top_terms_per_source",
+      sort=["source", "rnk"], pin=["source", "rnk", "word", "cnt"],
+      sql="kgruntime.ops.text:top_terms_per_source_sql"),
+    Q("bloom_distinct_user_days", _q_bloom_user_days,
+      sql="kgruntime.ops.sketch:bloom_distinct_sql"),
+    Q("hll_distinct_users", "kgruntime.ops.sketch:hll_distinct", src="events",
+      sql="kgruntime.ops.sketch:hll_distinct_sql"),
+    Q("doc_rarity_scores", "kgruntime.ops.text:doc_rarity_scores",
+      sort="doc_id", sql="kgruntime.ops.text:DOC_RARITY_SQL"),
+    Q("dup_rate_by_source", "kgruntime.ops.dedup:dup_rate_by_source",
+      sort="source", sql="kgruntime.ops.dedup:DUP_RATE_BY_SOURCE_SQL"),
+    Q("prefix_overlap_pairs", "kgruntime.ops.dedup:sorted_neighbor_overlap",
+      kw=dict(min_prefix=10), sort=["doc_a", "doc_b"],
+      pin=["doc_a", "doc_b", "common_prefix_len"],
+      sql="kgruntime.ops.dedup:sorted_neighbor_overlap_sql"),
+    Q("suffix_overlap_pairs", "kgruntime.ops.dedup:suffix_overlap_pairs",
+      kw=dict(min_suffix=10), sort=["doc_a", "doc_b"],
+      pin=["doc_a", "doc_b", "common_prefix_len"],
+      sql="kgruntime.ops.dedup:sorted_neighbor_overlap_sql",
+      sql_kw=dict(min_prefix=10, text_expr="reverse(text)")),
+    # --- round-4d/4e/4f/4g registrations: below slot 50 on purpose;
+    # they rotate into the window, and check_oracle.py gates them
+    # locally every round ---
+    Q("set_sim_join_pairs", "kgruntime.ops.dedup:set_sim_join",
+      sql="kgruntime.ops.dedup:set_sim_join_sql"),
+    Q("pmi_collocations", "kgruntime.ops.text:pmi_collocations",
+      sql="kgruntime.ops.text:pmi_collocations_sql"),
+    Q("phrase_search_hits", "kgruntime.ops.text:phrase_search",
+      kw=dict(phrase=_PHRASE), sql="kgruntime.ops.text:phrase_search_sql"),
+    Q("rfm_segments", "kgruntime.ops.sessions:rfm_segments", src="events",
+      cols=["user_id", "ts", "value"],
+      sql="kgruntime.ops.sessions:rfm_segments_sql"),
+    Q("media_gif_frames", _q_media_gif),
+    Q("kg_bgp_rest_first", _q_kg_bgp),
+    Q("mad_by_type", "kgruntime.ops.stats:mad_by_group", src="events",
+      cols=["event_type", "value"],
+      sql="kgruntime.ops.stats:mad_by_group_sql"),
+    Q("curriculum_order", "kgruntime.ops.shard:curriculum_order",
+      sql="kgruntime.ops.shard:curriculum_order_sql"),
+    Q("weighted_sample", "kgruntime.ops.sample:weighted_priority_sample",
+      sql="kgruntime.ops.sample:weighted_priority_sample_sql"),
+    Q("click_attribution", "kgruntime.ops.sessions:click_attribution",
+      src="events", cols=["user_id", "ts", "event_id", "event_type", "value"],
+      sql="kgruntime.ops.sessions:click_attribution_sql"),
+    Q("principal_component", "kgruntime.ops.ann:principal_component",
+      src="embeddings", cols=["embedding"],
+      sql="kgruntime.ops.ann:principal_component_sql"),
+    Q("minhash_error_audit", "kgruntime.ops.dedup:minhash_error_audit",
+      sql="kgruntime.ops.dedup:minhash_error_audit_sql"),
+    Q("late_event_audit", "kgruntime.ops.sessions:late_event_audit",
+      src="events", cols=["event_id", "event_type", "ts"],
+      sql="kgruntime.ops.sessions:late_event_audit_sql"),
+    Q("embedding_drift", _q_embedding_drift,
+      sql="kgruntime.ops.ann:embedding_drift_sql"),
+    Q("dq_audit", _q_dq_audit, sql="kgruntime.ops.dq:DQ_AUDIT_SQL"),
+    Q("lexical_topk", "kgruntime.ops.text:lexical_topk",
+      kw=dict(query=_LEX_QUERY), sql="kgruntime.ops.text:lexical_topk_sql"),
+    Q("rrf_fusion", _q_rrf_fusion, sql="kgruntime.ops.ann:rrf_fusion_sql",
+      sql_kw=dict(query_text=_LEX_QUERY)),
+    Q("entity_clusters", "kgruntime.ops.linkage:entity_clusters", src="part",
+      cols=["p_name"], sql="kgruntime.ops.linkage:entity_clusters_sql"),
+    Q("session_incident_overlap",
+      "kgruntime.ops.sessions:session_incident_overlap", src="events",
+      sql="kgruntime.ops.sessions:session_incident_overlap_sql"),
+    Q("user_hourly_locf", "kgruntime.ops.sessions:user_hourly_locf",
+      src="events", sql="kgruntime.ops.sessions:USER_HOURLY_LOCF_SQL"),
+    Q("mg_heavy_trigrams", "kgruntime.ops.sketch:mg_heavy_trigrams",
+      sql="kgruntime.ops.sketch:mg_heavy_trigrams_sql"),
+    Q("lpa_communities", "kgruntime.ops.graph:lpa_communities",
+      src=_strong_ties, kw=dict(rounds=4),
+      sql="kgruntime.ops.graph:lpa_communities_sql"),
+    Q("bootstrap_stats", "kgruntime.ops.sample:bootstrap_stats",
+      sql="kgruntime.ops.sample:bootstrap_stats_sql"),
+    Q("media_phash_dups", _q_media_phash_dups),
+    Q("cdc_chunk_dedup", "kgruntime.ops.dedup:cdc_chunk_dedup",
+      sql="kgruntime.ops.dedup:cdc_chunk_dedup_sql"),
+    Q("embargo_split_audit", "kgruntime.ops.sample:embargo_split_audit",
+      src="events", sql="kgruntime.ops.sample:embargo_split_audit_sql"),
+    Q("cluster_safe_split", "kgruntime.ops.dedup:cluster_safe_split",
+      sql="kgruntime.ops.dedup:cluster_safe_split_sql"),
+    Q("vocab_coverage", "kgruntime.ops.text:vocab_coverage",
+      sql="kgruntime.ops.text:vocab_coverage_sql"),
+    Q("value_purchase_auc", "kgruntime.ops.evalm:binary_auc", src="events",
+      sql="kgruntime.ops.evalm:binary_auc_sql"),
+    Q("langid_confusion", "kgruntime.ops.text:langid_confusion",
+      sql="kgruntime.ops.text:langid_confusion_sql"),
+    Q("shingle_novelty", "kgruntime.ops.dedup:shingle_novelty",
+      sql="kgruntime.ops.dedup:shingle_novelty_sql"),
+    Q("trigram_diversity", "kgruntime.ops.text:trigram_diversity",
+      sql="kgruntime.ops.text:trigram_diversity_sql"),
+    Q("bpe_fertility", "kgruntime.ops.bpe:bpe_fertility",
+      sql="kgruntime.ops.bpe:bpe_fertility_sql"),
+    Q("revenue_cube", "kgruntime.relational:q_revenue_cube", src="sf_dir",
+      sql="kgruntime.relational:Q_REVENUE_CUBE_SQL"),
+    Q("user_active_time", "kgruntime.ops.sessions:user_active_time",
+      src="events", sql="kgruntime.ops.sessions:user_active_time_sql"),
+    Q("compression_quality", "kgruntime.ops.text:compression_quality"),
+    Q("decile_lift", "kgruntime.ops.evalm:decile_lift", src="events",
+      sql="kgruntime.ops.evalm:decile_lift_sql"),
+    Q("basket_affinity", "kgruntime.relational:q_basket_affinity",
+      src="sf_dir", sql="kgruntime.relational:Q_BASKET_AFFINITY_SQL"),
+    Q("ann_recall_audit", "kgruntime.ops.ann:ann_recall_audit",
+      src=_ann_probe_factory, kw=dict(k=_ANN_K),
+      sql="kgruntime.ops.ann:ann_recall_audit_sql",
+      sql_kw=dict(k=_ANN_K, n_queries=_ANN_N_QUERIES)),
+    Q("bot_regularity", "kgruntime.ops.sessions:bot_regularity_audit",
+      src="events", sql="kgruntime.ops.sessions:bot_regularity_audit_sql"),
+    Q("mmr_diverse_topk", "kgruntime.ops.ann:mmr_topk", src=_ann_probe_factory,
+      kw=dict(k=_ANN_K), sql="kgruntime.ops.ann:mmr_topk_sql",
+      sql_kw=dict(k=_ANN_K, n_queries=_ANN_N_QUERIES)),
+    Q("pit_training_features", "kgruntime.ops.sessions:pit_training_features",
+      src="events", sql="kgruntime.ops.sessions:pit_training_features_sql"),
+    Q("source_overlap_matrix", "kgruntime.ops.dedup:source_overlap_matrix",
+      sql="kgruntime.ops.dedup:source_overlap_matrix_sql"),
+    Q("near_split_leakage", "kgruntime.ops.sample:near_split_leakage",
+      sql="kgruntime.ops.sample:near_split_leakage_sql"),
+    Q("dsir_importance", "kgruntime.ops.text:dsir_importance",
+      sql="kgruntime.ops.text:dsir_importance_sql"),
+    Q("rec_negative_samples", "kgruntime.relational:q_rec_negative_samples",
+      src="sf_dir", sql="kgruntime.relational:Q_REC_NEGATIVE_SAMPLES_SQL"),
+    Q("markov_next_event", "kgruntime.ops.sessions:markov_next_event_accuracy",
+      src="events",
+      sql="kgruntime.ops.sessions:markov_next_event_accuracy_sql"),
+    Q("rp_projection_recall", "kgruntime.ops.ann:rp_projection_recall",
+      src=_ann_probe, kw=dict(k=_ANN_K),
+      sql="kgruntime.ops.ann:rp_projection_recall_sql",
+      sql_kw=dict(dim=_EMB_DIM, k=_ANN_K, n_queries=_ANN_N_QUERIES)),
+    Q("dp_noisy_counts", "kgruntime.ops.stats:dp_noisy_counts", src="events",
+      sql="kgruntime.ops.stats:dp_noisy_counts_sql"),
+    Q("encoding_advisor", "kgruntime.ops.dq:encoding_advisor", src="events",
+      sql="kgruntime.ops.dq:encoding_advisor_sql"),
+    Q("join_skew_audit", "kgruntime.ops.stats:join_skew_audit", src="lineitem",
+      cols=["l_partkey"], sql="kgruntime.ops.stats:join_skew_audit_sql"),
+    Q("range_partition_plan", "kgruntime.ops.shard:range_partition_planner",
+      src="events", sql="kgruntime.ops.shard:range_partition_planner_sql"),
+    Q("community_modularity", "kgruntime.ops.graph:community_modularity",
+      src=_strong_ties, kw=dict(rounds=4),
+      sql="kgruntime.ops.graph:community_modularity_sql"),
+    Q("stickiness_dau_mau", "kgruntime.ops.sessions:stickiness_dau_mau",
+      src="events", sql="kgruntime.ops.sessions:stickiness_dau_mau_sql"),
+    Q("cdc_upsert_merge", "kgruntime.ops.dedup:cdc_upsert_merge", src="events",
+      sql="kgruntime.ops.dedup:cdc_upsert_merge_sql"),
+    Q("feature_cross_hash", "kgruntime.ops.text:feature_cross_hash",
+      src="events", sql="kgruntime.ops.text:feature_cross_hash_sql"),
+    Q("zorder_layout_audit", "kgruntime.ops.shard:zorder_layout_audit",
+      src="events", sql="kgruntime.ops.shard:zorder_layout_audit_sql"),
+    Q("max_coverage_picks", "kgruntime.ops.text:max_coverage_selection",
+      sql="kgruntime.ops.text:max_coverage_selection_sql"),
+    Q("gzjsonl_roundtrip_stats", _q_gzjsonl_roundtrip,
+      sql=_ROUNDTRIP_STATS_SQL),
+    Q("scd2_segment_revenue", "kgruntime.relational:q_scd2_segment_revenue",
+      src="sf_dir", sql="kgruntime.relational:Q_SCD2_SEGMENT_REVENUE_SQL"),
+    Q("retrieval_rank_agreement", _q_rank_agreement,
+      sql="kgruntime.ops.ann:rank_agreement_sql",
+      sql_kw=dict(query_text=_LEX_QUERY)),
+    Q("epoch_shuffle_audit", "kgruntime.ops.sample:epoch_shuffle_audit",
+      sql="kgruntime.ops.sample:epoch_shuffle_audit_sql"),
+    Q("dedup_sensitivity_sweep", "kgruntime.ops.dedup:dedup_sensitivity_sweep",
+      sql="kgruntime.ops.dedup:dedup_sensitivity_sweep_sql"),
+    Q("triplet_mining", _q_triplet_mining,
+      sql="kgruntime.ops.ann:triplet_mining_sql",
+      sql_kw=dict(n_queries=_ANN_N_QUERIES)),
+    Q("pareto_front_parts", "kgruntime.relational:q_pareto_front_parts",
+      src="sf_dir", sql="kgruntime.relational:Q_PARETO_FRONT_PARTS_SQL"),
+    Q("media_bmp_features", "kgruntime.ops.media:decode_features",
+      src=partial(_media, "kgruntime.ops.media:synth_bmp_table", "bmp")),
+    Q("peak_user_rate", "kgruntime.ops.sessions:peak_user_rate", src="events",
+      sql="kgruntime.ops.sessions:peak_user_rate_sql"),
+    Q("events_quarantine", "kgruntime.ops.dq:validate_and_quarantine",
+      src="events", sql="kgruntime.ops.dq:validate_and_quarantine_sql"),
+    Q("embedding_gram", "kgruntime.ops.ann:embedding_gram_matrix",
+      src="embeddings", cols=["embedding"],
+      sql="kgruntime.ops.ann:embedding_gram_matrix_sql"),
+    Q("join_strategy_advisor", "kgruntime.relational:q_join_strategy_advisor",
+      src="sf_dir", sql="kgruntime.relational:Q_JOIN_STRATEGY_ADVISOR_SQL"),
+    Q("ks_value_drift", "kgruntime.ops.stats:ks_two_samples", src="events",
+      sql="kgruntime.ops.stats:ks_two_samples_sql"),
+    Q("benford_audit", "kgruntime.ops.stats:benford_audit", src="events",
+      sql="kgruntime.ops.stats:benford_audit_sql"),
+    Q("subtree_balance_rollup", "kgruntime.ops.graph:subtree_balance_rollup",
+      src="customer", cols=["c_custkey", "c_acctbal"],
+      sql="kgruntime.ops.graph:subtree_balance_rollup_sql"),
+    Q("streaming_emit_audit", "kgruntime.ops.sessions:streaming_emit_audit",
+      src="events", sql="kgruntime.ops.sessions:streaming_emit_audit_sql"),
+    Q("pq_quant_recall", "kgruntime.ops.ann:pq_quant_recall", src=_ann_probe,
+      kw=dict(k=_ANN_K), sql="kgruntime.ops.ann:pq_quant_recall_sql",
+      sql_kw=dict(dim=_EMB_DIM, k=_ANN_K, n_queries=_ANN_N_QUERIES)),
+    Q("bitmap_index_queries", "kgruntime.ops.shard:bitmap_index_queries",
+      src="events", sql="kgruntime.ops.shard:bitmap_index_queries_sql"),
+    Q("multi_query_lexical", "kgruntime.ops.text:multi_query_lexical",
+      kw=dict(queries=_MQ_QUERIES),
+      sql="kgruntime.ops.text:multi_query_lexical_sql"),
+    Q("k_anonymity_audit", "kgruntime.ops.dq:k_anonymity_audit",
+      sql="kgruntime.ops.dq:k_anonymity_audit_sql"),
+    Q("personalized_pagerank", "kgruntime.ops.graph:personalized_pagerank",
+      src=_user_graph, sort="user_id",
+      sql="kgruntime.ops.graph:personalized_pagerank_sql"),
+    Q("copy_genealogy", "kgruntime.ops.dedup:copy_genealogy",
+      sql="kgruntime.ops.dedup:copy_genealogy_sql"),
+    Q("composition_drift", "kgruntime.ops.dq:composition_drift",
+      sql="kgruntime.ops.dq:composition_drift_sql"),
+    Q("conversion_delay_pcts",
+      "kgruntime.ops.sessions:conversion_delay_percentiles", src="events",
+      sql="kgruntime.ops.sessions:conversion_delay_percentiles_sql"),
+    Q("supplier_performance", "kgruntime.relational:q_supplier_performance",
+      src="sf_dir", sql="kgruntime.relational:Q_SUPPLIER_PERFORMANCE_SQL"),
+    Q("kg_star_query", _q_kg_star),
+    Q("trending_part_types", "kgruntime.relational:q_trending_part_types",
+      src="sf_dir", sql="kgruntime.relational:Q_TRENDING_PART_TYPES_SQL"),
+    Q("kg_incremental_build", _q_kg_incremental),
+    Q("kg_pred_catalog", _q_kg_pred_catalog),
+    # --- outside the driver's 50-query window (every one has a green
+    # driver row from r1–r3) ---
+    Q("media_frames", _q_media_frames),
+    Q("minhash_dup_clusters", "kgruntime.ops.dedup:minhash_dup_clusters",
+      kw=dict(threshold=0.5), sort="doc_id",
+      sql="kgruntime.ops.dedup:minhash_dup_clusters_sql"),
+    Q("label_centroids", "kgruntime.ops.ann:label_centroids", src="embeddings",
+      cols=["label", "embedding"], sort=["label", "i"],
+      sql=_LABEL_CENTROIDS_SQL),
+    Q("langid_mismatch", "kgruntime.ops.text:langid_mismatch_by_source",
+      sort="source", sql="kgruntime.ops.text:langid_mismatch_sql"),
+    Q("zscore_by_source", "kgruntime.ops.stats:zscore_by_source",
+      sort="doc_id", sql="kgruntime.ops.stats:zscore_by_source_sql"),
+    Q("chunk_documents", "kgruntime.ops.text:chunk_documents",
+      sort=["doc_id", "chunk_id"],
+      sql="kgruntime.ops.text:chunk_documents_sql"),
+    # sort=[]: to pandas in the order the op produced
+    Q("bigram_counts", "kgruntime.ops.text:bigram_counts", sort=[],
+      sql="kgruntime.ops.text:bigram_counts_sql"),
+    Q("redact_terms", "kgruntime.ops.text:redact_terms", sort="doc_id",
+      sql="kgruntime.ops.text:redact_terms_sql"),
+    Q("length_deciles", "kgruntime.ops.stats:value_deciles", sort="doc_id",
+      sql="kgruntime.ops.stats:value_deciles_sql"),
+    Q("kg_quarantine", "kgruntime.stages.extract:errors_dataset",
+      src=partial(_synth_docs, malformed_every=10)),
+    Q("kg_mentions", _q_kg_mentions),
+    Q("kg_link_edges", _q_kg_link_edges),
+    Q("kg_assignment", _q_kg_assignment),
+    Q("kg_canonical_store", _q_kg_canonical),
+    Q("media_features", "kgruntime.ops.media:decode_features",
+      src=partial(_media, "kgruntime.ops.media:synth_media_table", "0")),
+    Q("cooccurrence_edges", "kgruntime.ops.sessions:cooccurrence_edges",
+      src="events", sort=["user_a", "user_b"],
+      pin=["user_a", "user_b", "n_shared"],
+      sql="kgruntime.ops.sessions:cooccurrence_edges_sql"),
+    Q("windowed_event_dedup", "kgruntime.ops.sessions:windowed_event_dedup",
+      src="events", sort="event_id",
+      pin=["event_id", "user_id", "event_type", "ts"],
+      sql="kgruntime.ops.sessions:windowed_event_dedup_sql"),
+    Q("event_anomalies", "kgruntime.ops.stats:event_anomalies", src="events",
+      sort="event_id", pin=["event_id", "event_type", "value", "zscore"],
+      sql="kgruntime.ops.stats:event_anomalies_sql"),
+    Q("split_assign", "kgruntime.ops.sample:split_assign", sort="doc_id",
+      sql="kgruntime.ops.sample:split_assign_sql"),
+    Q("source_mix_weights", "kgruntime.ops.text:source_mix_weights",
+      sql="kgruntime.ops.text:source_mix_weights_sql"),
+    Q("blocklist_filter", "kgruntime.ops.text:blocklist_filter", sort="doc_id",
+      sql="kgruntime.ops.text:blocklist_filter_sql"),
+    # long-green suite (driver-verified green in rounds 1 and 2)
+    Q("pricing_summary", "kgruntime.relational:q_pricing_summary",
+      src="sf_dir", sql="kgruntime.relational:Q_PRICING_SUMMARY_SQL"),
+    Q("orders_by_status", "kgruntime.relational:q_orders_by_status",
+      src="sf_dir", sql="kgruntime.relational:Q_ORDERS_BY_STATUS_SQL"),
+    Q("top_customers", "kgruntime.relational:q_top_customers", src="sf_dir",
+      sql="kgruntime.relational:Q_TOP_CUSTOMERS_SQL"),
+    Q("customers_per_region", "kgruntime.relational:q_customers_per_region",
+      src="sf_dir", sql="kgruntime.relational:Q_CUSTOMERS_PER_REGION_SQL"),
+    Q("events_by_type_day", "kgruntime.relational:q_events_by_type_day",
+      src="sf_dir", sql="kgruntime.relational:Q_EVENTS_BY_TYPE_DAY_SQL"),
+    Q("user_activity", "kgruntime.relational:q_user_activity", src="sf_dir",
+      sql="kgruntime.relational:Q_USER_ACTIVITY_SQL"),
+    Q("parts_by_brand", "kgruntime.relational:q_parts_by_brand", src="sf_dir",
+      sql="kgruntime.relational:Q_PARTS_BY_BRAND_SQL"),
+    Q("revenue_by_part_type", "kgruntime.relational:q_revenue_by_part_type",
+      src="sf_dir", sql="kgruntime.relational:Q_REVENUE_BY_PART_TYPE_SQL"),
+    Q("discounted_orders", "kgruntime.relational:q_discounted_orders",
+      src="sf_dir", sql="kgruntime.relational:Q_DISCOUNTED_ORDERS_SQL"),
+    Q("customers_without_orders",
+      "kgruntime.relational:q_customers_without_orders", src="sf_dir",
+      sql="kgruntime.relational:Q_CUSTOMERS_WITHOUT_ORDERS_SQL"),
+    Q("distinct_users_per_type",
+      "kgruntime.relational:q_distinct_users_per_type", src="sf_dir",
+      sql="kgruntime.relational:Q_DISTINCT_USERS_PER_TYPE_SQL"),
+    Q("shipping_priority", "kgruntime.relational:q_shipping_priority",
+      src="sf_dir", sql="kgruntime.relational:Q_SHIPPING_PRIORITY_SQL"),
+    Q("top_event_per_user", "kgruntime.relational:q_top_event_per_user",
+      src="sf_dir", sql="kgruntime.relational:Q_TOP_EVENT_PER_USER_SQL"),
+    Q("asof_click_purchase", "kgruntime.relational:q_asof_click_purchase",
+      src="sf_dir", sql="kgruntime.relational:Q_ASOF_CLICK_PURCHASE_SQL"),
+    Q("value_bands", "kgruntime.relational:q_value_bands", src="sf_dir",
+      sql="kgruntime.relational:Q_VALUE_BANDS_SQL"),
+    Q("top_type_per_user", "kgruntime.relational:q_top_type_per_user",
+      src="sf_dir", sql="kgruntime.relational:Q_TOP_TYPE_PER_USER_SQL"),
+    Q("event_value_quantiles", "kgruntime.relational:q_event_value_quantiles",
+      src="sf_dir", sql="kgruntime.relational:Q_EVENT_VALUE_QUANTILES_SQL"),
+    Q("local_supplier_revenue",
+      "kgruntime.relational:q_local_supplier_revenue", src="sf_dir",
+      sql="kgruntime.relational:Q_LOCAL_SUPPLIER_REVENUE_SQL"),
+    Q("props_k_stats", "kgruntime.relational:q_props_k_stats", src="sf_dir",
+      sql="kgruntime.relational:Q_PROPS_K_STATS_SQL"),
+    Q("corr_qty_price", "kgruntime.relational:q_corr_qty_price", src="sf_dir",
+      sql="kgruntime.relational:Q_CORR_QTY_PRICE_SQL"),
+    Q("user_event_pivot", "kgruntime.relational:q_user_event_pivot",
+      src="sf_dir", sql="kgruntime.relational:Q_USER_EVENT_PIVOT_SQL"),
+    Q("rollup_region_nation", "kgruntime.relational:q_rollup_region_nation",
+      src="sf_dir", sql="kgruntime.relational:Q_ROLLUP_REGION_NATION_SQL"),
+    Q("top3_per_nation", "kgruntime.relational:q_top3_per_nation",
+      src="sf_dir", sql="kgruntime.relational:Q_TOP3_PER_NATION_SQL"),
+    Q("monthly_revenue_ma3", "kgruntime.relational:q_monthly_revenue_ma3",
+      src="sf_dir", sql="kgruntime.relational:Q_MONTHLY_REVENUE_MA3_SQL"),
+    Q("long_docs_p90", "kgruntime.relational:q_long_docs_p90", src="sf_dir",
+      sql="kgruntime.relational:Q_LONG_DOCS_P90_SQL"),
+    Q("events_dow_hour", "kgruntime.relational:q_events_dow_hour",
+      src="sf_dir", sql="kgruntime.relational:Q_EVENTS_DOW_HOUR_SQL"),
+    Q("orders_priority_share", "kgruntime.relational:q_orders_priority_share",
+      src="sf_dir", sql="kgruntime.relational:Q_ORDERS_PRIORITY_SHARE_SQL"),
+    Q("doc_stats", _q_doc_stats, sql=_DOC_STATS_SQL),
+    Q("token_stats", _q_token_stats, sql=_TOKEN_STATS_SQL),
+    Q("quality_scores", _q_quality_scores, sql=_QUALITY_SCORES_SQL),
+    Q("lang_distribution", _q_lang_distribution, sql=_LANG_DISTRIBUTION_SQL),
+    Q("exact_dup_docs", "kgruntime.ops.dedup:exact_dedup_groups",
+      sort="keep_id", sql=_EXACT_DUP_DOCS_SQL),
+    Q("jaccard_adjacent", "kgruntime.ops.dedup:jaccard_adjacent_pairs",
+      sort="doc_a", sql=_JACCARD_ADJACENT_SQL),
+    Q("term_frequencies", _q_term_freqs,
+      sql="kgruntime.ops.text:TERM_FREQUENCIES_SQL"),
+    Q("vocab_per_lang", "kgruntime.ops.text:vocab_per_lang", sort="lang",
+      sql="kgruntime.ops.text:VOCAB_PER_LANG_SQL"),
+    Q("stratified_sample", _q_strat_sample,
+      sql="kgruntime.ops.sample:stratified_sample_sql",
+      sql_kw=dict(rates=_SAMPLE_RATES, columns="doc_id, lang, source")),
+    Q("repetition_scores", _q_repetition,
+      sql="kgruntime.ops.text:REPETITION_SCORES_SQL"),
+    Q("contamination_check", "kgruntime.ops.text:contamination_check",
+      sort="doc_id", sql="kgruntime.ops.text:contamination_sql"),
+    Q("tfidf_doc_terms", "kgruntime.ops.text:tfidf_doc_terms",
+      sort=["doc_id", "rnk"], sql="kgruntime.ops.text:tfidf_doc_terms_sql"),
+    Q("token_shards", "kgruntime.ops.shard:token_budget_shards", sort="doc_id",
+      sql="kgruntime.ops.shard:token_budget_shards_sql"),
+    Q("langid_pred", _q_langid, sql="kgruntime.ops.text:LANGID_SQL"),
+    Q("doc_fingerprints", _q_fingerprints,
+      sql="kgruntime.ops.text:FINGERPRINTS_SQL"),
+    Q("sessionize", "kgruntime.ops.sessions:sessionize", src="events",
+      sort=["user_id", "session_start"],
+      sql="kgruntime.ops.sessions:SESSIONIZE_SQL"),
+    Q("tumbling_hourly", "kgruntime.ops.sessions:tumbling_hourly",
+      src="events", sort=["event_type", "window_start"],
+      sql="kgruntime.ops.sessions:TUMBLING_HOURLY_SQL"),
+    Q("hopping_2h_1h", "kgruntime.ops.sessions:hopping_windows", src="events",
+      sort=["event_type", "window_start"],
+      sql="kgruntime.ops.sessions:HOPPING_2H_1H_SQL"),
+    Q("user_gap_stats", "kgruntime.ops.sessions:user_gap_stats", src="events",
+      sort="user_id", sql="kgruntime.ops.sessions:USER_GAP_STATS_SQL"),
+    Q("running_user_totals", "kgruntime.ops.sessions:running_user_totals",
+      src="events", sort=["user_id", "event_id"],
+      sql="kgruntime.ops.sessions:RUNNING_USER_TOTALS_SQL"),
+    Q("event_transitions", "kgruntime.ops.sessions:event_transitions",
+      src="events", sort=["from_type", "to_type"],
+      pin=["from_type", "to_type", "n_pairs"],
+      sql="kgruntime.ops.sessions:EVENT_TRANSITIONS_SQL"),
+    Q("funnel_counts", "kgruntime.ops.sessions:funnel_counts", src="events",
+      sort="stage_idx", pin=["stage_idx", "stage", "n_users"],
+      sql="kgruntime.ops.sessions:funnel_counts_sql"),
+    Q("retention_cohorts", "kgruntime.ops.sessions:retention_cohorts",
+      src="events", sort=["cohort_day", "day_offset"],
+      pin=["cohort_day", "day_offset", "n_users"],
+      sql="kgruntime.ops.sessions:RETENTION_COHORTS_SQL"),
+
+)

@@ -62,6 +62,17 @@ def goldens() -> list[tuple[str, str, str]]:
     return _GOLDENS
 
 
+def _required_goldens() -> list[tuple[str, str, str]]:
+    """``goldens()``, or FileNotFoundError when the directory holds none
+    (the corpus cycles them, so there is nothing to build from)."""
+    g = goldens()
+    if not g:
+        raise FileNotFoundError(
+            f"no reference goldens (p*.ttl) in {GOLDEN_DIR}: the "
+            "synthetic documents corpus is built from them")
+    return g
+
+
 def _split_text(src: str, rng: random.Random) -> list[str]:
     """Split a Turtle payload into 1-3 chunks at top-level newlines so a
     doc's text spans exercise multi-span concatenation.  Chunks must
@@ -127,7 +138,7 @@ def make_documents_table(n_docs: int, seed: int = 42,
     ``malformed_every`` > 0 injects a lex-broken text span in every k-th
     doc (for quarantine-path testing).
     """
-    g = goldens()
+    g = _required_goldens()
     rows = [_doc_row(i, seed, malformed_every, g, distinct=distinct)
             for i in range(start, start + n_docs)]
     return pa.Table.from_arrays(
@@ -144,6 +155,8 @@ def synth_documents_dataset(n_docs: int, seed: int = 42,
     ``map_batches`` over index batches, each task synthesizing its slice
     independently (per-doc seeding ⇒ batching-invariant output)."""
     import ray.data as rd
+
+    _required_goldens()
 
     def gen(batch: pa.Table) -> pa.Table:
         ids = batch["id"].to_pylist()

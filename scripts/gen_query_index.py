@@ -1,6 +1,7 @@
 """Generate QUERY_INDEX.md — the machine-checkable per-query audit
 index (VERDICT r4 item 8): one row per registry entry with the backing
-op function, oracle coverage, and driver CORRECTNESS-row history.
+op function, the SHA-256 prefix of its oracle SQL (so a change to SQL
+text shows as drift too), and driver CORRECTNESS-row history.
 
 Run:  python scripts/gen_query_index.py          (writes QUERY_INDEX.md)
       python scripts/gen_query_index.py --check  (exit 1 on drift)
@@ -11,12 +12,13 @@ CORRECTNESS_r*.json artifacts it was built from, and the contract test
 list — so a NEW driver artifact landing after the round does not turn
 the committed index stale-red (the r4 rotation-test lesson); the next
 session regenerates with the new artifact included.  No Ray session is
-needed — the registry is a dict of lazy callables.
+needed — the query table names its ops as lazy "module:function" refs.
 """
 
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 import re
@@ -33,9 +35,9 @@ def correctness_files() -> list[str]:
 
 
 def build_index(files: list[str] | None = None) -> str:
-    """Render the index from the registry + the given artifact list
-    (defaults to all committed CORRECTNESS files).  The registry order
-    is recomputed AS-OF the same list, mirroring queries()."""
+    """Render the index from the query table + the given artifact list
+    (defaults to all committed CORRECTNESS files).  The window order is
+    recomputed AS-OF the same list by queries()' own ordering rule."""
     sys.path.insert(0, ROOT)
     import __ray_entry__ as E
 
@@ -58,17 +60,8 @@ def build_index(files: list[str] | None = None) -> str:
                 st = "fail"
             hist.setdefault(name, {})[rnd] = st
 
-    # as-of window order: mirror queries()' derivation with this seen-set
-    reg = E._registry()
-    seen = set(hist)
-    q: dict = {k: v for k, v in reg.items() if k not in seen}
-    for k in E._FLAGSHIPS:
-        if k in reg and k not in q:
-            q[k] = reg[k]
-    for k, v in reg.items():
-        if k not in q:
-            q[k] = v
-
+    rows = {spec.name: spec for spec in E._QUERIES}
+    q = E._window_order(rows, set(hist))
     sql = E.oracle_sql()
     lines = [
         "# QUERY_INDEX — generated by scripts/gen_query_index.py; "
@@ -82,18 +75,23 @@ def build_index(files: list[str] | None = None) -> str:
         "Driver column: latest CORRECTNESS row among the as-of "
         "artifacts (pass = SQL hash match, ran = rows-only, — = never "
         "in the driver's 50-slot window; the FULL registry is gated "
-        "locally every round by scripts/check_oracle.py).",
+        "locally every round by scripts/check_oracle.py).  Op column: "
+        "the op a table row runs, or its hand-written "
+        "`__ray_entry__._q_*` pipeline.  Oracle column: `sql` + the "
+        "first 8 hex digits of the SHA-256 of the oracle SQL text.",
         "",
         "| # | query | op function | oracle | driver row |",
         "|---|---|---|---|---|",
     ]
-    for i, (name, fn) in enumerate(q.items(), 1):
-        mod = getattr(fn, "__module__", "?")
-        fname = getattr(fn, "__name__", "?")
+    for i, name in enumerate(q, 1):
+        op = rows[name].op
+        op = (f"{op.__module__}.{op.__name__}" if callable(op)
+              else op.replace(":", "."))
         h = hist.get(name)
         drv = (f"r{max(h)} {h[max(h)]}" if h else "—")
-        orc = "sql" if name in sql else "rows-only"
-        lines.append(f"| {i} | {name} | `{mod}.{fname}` | {orc} | {drv} |")
+        orc = (f"sql {hashlib.sha256(sql[name].encode()).hexdigest()[:8]}"
+               if name in sql else "rows-only")
+        lines.append(f"| {i} | {name} | `{op}` | {orc} | {drv} |")
     return "\n".join(lines) + "\n"
 
 

@@ -886,7 +886,7 @@ def test_value_deciles_reference(ray_session, vals):
 
 def test_event_query_wrappers_survive_empty_corpus(ray_session, tmp_path):
     """Ray 2.49 drops schemas of all-empty datasets; the driver-gate
-    wrappers pin their columns so a degenerate corpus returns an empty
+    queries pin their columns so a degenerate corpus returns an empty
     frame instead of KeyError."""
     import pyarrow.parquet as pq
 
@@ -900,9 +900,9 @@ def test_event_query_wrappers_survive_empty_corpus(ray_session, tmp_path):
         "value": pa.array([], pa.float64()),
         "props": pa.array([], pa.string()),
     }), tmp_path / "events.parquet")
-    for fn in (E._q_transitions, E._q_funnel, E._q_retention):
-        out = fn(str(tmp_path))
-        assert len(out) == 0, fn.__name__
+    for name in ("event_transitions", "funnel_counts", "retention_cohorts"):
+        out = E.queries()[name](str(tmp_path))
+        assert len(out) == 0, name
 
 
 def test_event_anomalies_flags_outlier(ray_session):

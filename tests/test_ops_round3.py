@@ -473,15 +473,35 @@ def test_csv_corpus_ingest(ray_session, tmp_path):
 
 def test_registry_contract_invariants():
     """Driver-contract guards under the SELF-MAINTAINING order
-    (round 5): every oracle key resolves to a query, no duplicate
-    names, never-driver-checked entries lead (in one contiguous
-    block), and the flagships follow immediately after that block —
-    inside the 50-slot window whenever saturation permits."""
+    (round 5): every query-table row names each query once and its
+    op / SQL refs import and resolve, every input table is one the
+    driver registers, every oracle key resolves to a query,
+    never-driver-checked entries lead (in one contiguous block), and
+    the flagships follow immediately after that block — inside the
+    50-slot window whenever saturation permits.  No Ray session."""
+    import importlib.util
+    from pathlib import Path
+
     import __ray_entry__ as E
+
+    spec = importlib.util.spec_from_file_location(
+        "check_oracle",
+        Path(__file__).resolve().parents[1] / "scripts" / "check_oracle.py")
+    check_oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_oracle)
+    names = [row.name for row in E._QUERIES]
+    assert len(names) == len(set(names))
+    for row in E._QUERIES:
+        assert callable(row.op) or callable(E._resolve(row.op)), row.name
+        assert callable(row.src) or row.src == "sf_dir" \
+            or row.src in check_oracle.TABLES, row.name
+        if row.sql is not None and E._REF.fullmatch(row.sql):
+            ref = E._resolve(row.sql)
+            assert isinstance(ref, str) or callable(ref), row.name
 
     q = list(E.queries())
     o = E.oracle_sql()
-    assert len(q) == len(set(q))
+    assert sorted(q) == sorted(names)
     assert set(o) <= set(q)
     seen = E._driver_checked()
     never = [k for k in q if k not in seen]
