@@ -32,6 +32,8 @@ from typing import Any, NamedTuple
 import numpy as np
 import pyarrow.parquet as pq
 
+from perfbench.corpus import Profile, make_corpus
+
 
 def _n_docs_for(sf_dir: str) -> int:
     """Deterministic synthetic-corpus size keyed to the scale factor."""
@@ -42,13 +44,19 @@ def _n_docs_for(sf_dir: str) -> int:
         return 290
 
 
-def _synth_docs(sf_dir: str, malformed_every: int = 0):
+# the KG queries' corpus: seeded Turtle documents (perfbench/corpus.py)
+# with distinct texts and every 40th document malformed
+PROFILE = Profile(n_docs=0, pool=0, subj_skew=1.0, n_subjects=500)
+
+
+def _corpus(sf_dir: str, prof: Profile = PROFILE):
+    return make_corpus(42, prof._replace(n_docs=_n_docs_for(sf_dir)))
+
+
+def _synth_docs(sf_dir: str, prof: Profile = PROFILE):
     import ray.data as rd
 
-    from kgruntime.synth import make_documents_table
-
-    return rd.from_arrow(make_documents_table(
-        _n_docs_for(sf_dir), seed=42, malformed_every=malformed_every))
+    return rd.from_arrow(_corpus(sf_dir, prof).table)
 
 
 def entry() -> Any:
@@ -683,7 +691,7 @@ def _q_knn_label_vote(sf_dir):
 # --- KG pipeline queries (rows-only checks) ---
 
 _RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-_FOAF = "http://xmlns.com/foaf/0.1/"
+_EX = "http://ex.org/ns/"
 
 
 def _q_kg_canonical(sf_dir):
@@ -716,17 +724,15 @@ def _q_kg_fused(sf_dir):
     parity with build_kg is pytest-verified)."""
     import tempfile
 
+    import ray.data as rd
+
     from kgruntime.pipelines.kg import build_kg_fused
     from kgruntime.stages.linking import build_alias_table
-    from kgruntime.synth import goldens
-    from kgruntime.ttl import parse_turtle
-    from kgruntime.ttl.builder import LITERAL, XSD_STRING
 
-    names = {r[3] for _, src, _ in goldens() for r in parse_turtle(src)
-             if r[4] == LITERAL and (r[5] == XSD_STRING or r[6])}
+    corpus = _corpus(sf_dir)
     staging = tempfile.mkdtemp(prefix="kg-fused-")
-    return build_kg_fused(_synth_docs(sf_dir),
-                          alias_table=build_alias_table(names),
+    return build_kg_fused(rd.from_arrow(corpus.table),
+                          alias_table=build_alias_table(corpus.gazetteer),
                           keep_buckets=False,
                           staging_dir=staging)["canonical"]
 
@@ -744,7 +750,7 @@ def _q_kg_bgp(sf_dir):
 
 def _q_kg_star(sf_dir):
     """PRoST-style star BGP over a predicate-partitioned (vertical)
-    store layout: ``?s rdf:type ?t . ?s foaf:name ?n`` — the store is
+    store layout: ``?s rdf:type ?t . ?s ex:name ?n`` — the store is
     re-materialized hive-partitioned by predicate hash and each
     pattern reads ONLY its predicate's partition
     (kgruntime/stages/materialize.py:write_pred_partitioned/star_bgp);
@@ -755,7 +761,7 @@ def _q_kg_star(sf_dir):
     store = _q_kg_canonical(sf_dir)
     tag = os.path.basename(os.path.normpath(sf_dir))
     path = write_pred_partitioned(store, f"/tmp/kgio/vp-{tag}")
-    return star_bgp(path, _RDF + "type", _FOAF + "name").to_pandas() \
+    return star_bgp(path, _RDF + "type", _EX + "name").to_pandas() \
         .sort_values(["s", "a", "b"]).reset_index(drop=True)
 
 
@@ -767,9 +773,8 @@ def _q_kg_planned_bgp(sf_dir):
     (parser output, not SQL-visible)."""
     from kgruntime.stages.materialize import planned_star_bgp
 
-    rel = "http://www.perceive.net/schemas/relationship/enemyOf"
-    return planned_star_bgp(_q_kg_canonical(sf_dir),
-                            [_RDF + "type", _FOAF + "name", rel]) \
+    return planned_star_bgp(_q_kg_canonical(sf_dir), [
+        _RDF + "type", _EX + "name", _EX + "worksFor"]) \
         .to_pandas().sort_values(["s", "v0", "v1", "v2"]) \
         .reset_index(drop=True)
 
@@ -782,10 +787,9 @@ def _q_kg_incremental(sf_dir):
     import ray.data as rd
 
     from kgruntime.pipelines.kg import build_kg_incremental
-    from kgruntime.synth import make_documents_table
 
-    n = _n_docs_for(sf_dir)
-    docs = make_documents_table(n, seed=42, malformed_every=0)
+    docs = _corpus(sf_dir).table
+    n = docs.num_rows
     tag = os.path.basename(os.path.normpath(sf_dir))
     staged = f"/tmp/kgio/incr-{tag}"
     shutil.rmtree(staged, ignore_errors=True)
@@ -1415,7 +1419,7 @@ _QUERIES: tuple[Q, ...] = (
     Q("length_deciles", "kgruntime.ops.stats:value_deciles", sort="doc_id",
       sql="kgruntime.ops.stats:value_deciles_sql"),
     Q("kg_quarantine", "kgruntime.stages.extract:errors_dataset",
-      src=partial(_synth_docs, malformed_every=10)),
+      src=partial(_synth_docs, prof=PROFILE._replace(bad_every=10))),
     Q("kg_mentions", _q_kg_mentions),
     Q("kg_link_edges", _q_kg_link_edges),
     Q("kg_assignment", _q_kg_assignment),

@@ -22,41 +22,65 @@ import subprocess
 import sys
 import time
 
+from perfbench.corpus import Profile, make_corpus, name_pools
+
 DEFAULT_SF_DIR = "/root/testdata/sf0.1"
-# docs multiplier: synthetic corpus is ~280 B of Turtle per doc; ×768
-# the documents-table row count gives a compute-dominated headline on
-# sf0.1 (3.84M docs ≈ 1.1 GB ≈ 19M raw triples) so the scaling
+# docs multiplier: ×768 the documents-table row count gives a
+# compute-dominated headline on sf0.1 (3.84M docs; the corpus below is
+# ~970 B of Turtle and ~36 raw triples per doc, ≈ 3.7 GB) so the scaling
 # measurement reflects throughput, not the ~5 s of fixed phase-barrier /
 # job-launch overhead that otherwise dominates the 32-CPU run
-# (measured efficiency: 0.54 at 960k docs → 0.71 at 1.92M → 0.80 at
-# 3.84M with the identical pipeline).
+# (measured on the earlier ~280 B/doc corpus: efficiency 0.54 at 960k
+# docs → 0.71 at 1.92M → 0.80 at 3.84M with the identical pipeline).
 DOCS_MULTIPLIER = int(os.environ.get("KG_BENCH_DOCS_MULT", "768"))
-# Default corpus: every document TEXT is distinct (one doc-unique
-# statement appended per doc) — the realistic web profile, so the
-# headline measures the parser, not the parse memo.  Set
-# KG_BENCH_DUP_CORPUS=1 for the original 29-payload cycling corpus
-# (99.3% exact-duplicate texts), which benchmarks the memo's win on
-# duplicate-heavy data (measured: 40.1 s -> 30.0 s at 3.84M docs).
-DISTINCT_CORPUS = os.environ.get("KG_BENCH_DUP_CORPUS", "0") != "1"
+# The corpus fans one seeded base corpus (perfbench/corpus.py, every
+# 40th document malformed) out to n_docs documents: row i is base row
+# i mod BASE.n_docs under its own doc_id, with a doc-unique comment as
+# its first line, so every document TEXT is distinct and the headline
+# measures the parser, not the parse memo.
+BASE = Profile(n_docs=10_000, pool=0, subj_skew=1.0, n_subjects=10_000)
 
 
 def corpus_path(n_docs: int, seed: int = 42) -> str:
-    suffix = "-d" if DISTINCT_CORPUS else ""
-    return f"/tmp/kgbench/corpus-{n_docs}-{seed}{suffix}"
+    return f"/tmp/kgbench/gen-{n_docs}-{seed}"
 
 
 def ensure_corpus(n_docs: int, seed: int = 42) -> str:
-    """Materialize the deterministic corpus once (parallel synthesis via
+    """Materialize the deterministic corpus once (parallel fan-out via
     Ray), then reuse it across runs — the bench reads from parquet like
     the real pipeline reads from Lance fragments."""
     path = corpus_path(n_docs, seed)
     marker = os.path.join(path, "_complete")
     if os.path.exists(marker):
         return path
-    from kgruntime.synth import synth_documents_dataset
+    import pyarrow as pa
+    import ray.data as rd
 
-    ds = synth_documents_dataset(n_docs, seed=seed,
-                                 distinct=DISTINCT_CORPUS)
+    from kgruntime.synth import DOCUMENTS_SCHEMA, SPAN_STRUCT
+
+    base = make_corpus(seed, BASE._replace(
+        n_docs=min(n_docs, BASE.n_docs))).table["spans"].to_pylist()
+
+    def fan_out(batch: pa.Table) -> pa.Table:
+        ids, rows = [], []
+        for i in batch["id"].to_pylist():
+            ids.append(f"doc-{i:06d}")
+            line = f"# {ids[-1]}\n"
+            spans, shift = [], 0
+            for s in base[i % len(base)]:
+                s = dict(s, offset=s["offset"] + shift)
+                if s["kind"] == "text" and not shift:
+                    s["text"] = line + s["text"]
+                    shift = len(line)
+                spans.append(s)
+            rows.append(spans)
+        return pa.Table.from_arrays(
+            [pa.array(ids, pa.string()),
+             pa.array(rows, pa.list_(SPAN_STRUCT))],
+            schema=DOCUMENTS_SCHEMA)
+
+    ds = rd.range(n_docs).map_batches(fan_out, batch_format="pyarrow",
+                                      batch_size=4000)
     os.makedirs(path, exist_ok=True)
     ds.write_parquet(path, min_rows_per_file=10_000)
     with open(marker, "w") as f:
@@ -68,24 +92,15 @@ def run_headline(sf_dir: str) -> dict:
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from kgruntime.pipelines.kg import build_kg
     from kgruntime.stages.linking import build_alias_table
-    from kgruntime.synth import goldens
-    from kgruntime.ttl import parse_turtle
-    from kgruntime.ttl.builder import LITERAL, XSD_STRING
 
     n_docs = DOCS_MULTIPLIER * pq.read_metadata(
         os.path.join(sf_dir, "documents.parquet")).num_rows
     corpus = ensure_corpus(n_docs)
 
-    # static alias table from the golden payloads' name-like literals
-    # (driver-side, untimed — in production the KB is a fixed input)
-    names = set()
-    for _, src, _ in goldens():
-        for r in parse_turtle(src):
-            if r[4] == LITERAL and (r[5] == XSD_STRING or r[6]):
-                names.add(r[3])
-    aliases = build_alias_table(names)
+    # static alias table from the corpus seed's gazetteer (driver-side,
+    # untimed — in production the KB is a fixed input)
+    aliases = build_alias_table(name_pools(42)[0])
 
     import shutil
 

@@ -62,18 +62,11 @@ def main() -> int:
     from kgruntime.pipelines.kg import build_kg_fused, run_checkpointed
     from kgruntime.stages.linking import build_alias_table
     from kgruntime.stages.materialize import write_triple_store
-    from kgruntime.synth import goldens
-    from kgruntime.ttl import parse_turtle
-    from kgruntime.ttl.builder import LITERAL, XSD_STRING
+    from perfbench.corpus import name_pools
 
-    # KB alias table: fixed job input in production; derived from the
-    # golden KB payloads here (same construction as bench.py)
-    names = set()
-    for _, src, _ in goldens():
-        for r in parse_turtle(src):
-            if r[4] == LITERAL and (r[5] == XSD_STRING or r[6]):
-                names.add(r[3])
-    aliases = build_alias_table(names)
+    # KB alias table: fixed job input in production; here the gazetteer
+    # of the corpus seed bench.py writes (same construction as bench.py)
+    aliases = build_alias_table(name_pools(42)[0])
 
     t0 = time.perf_counter()
     if args.shape == "checkpointed":

@@ -12,18 +12,18 @@ Six small payloads that exercise every linking path of the pipelines:
 * ``alice``     — ``PREFIX`` syntax, a typed literal and another Bob;
 * ``malformed`` — a lex error, so the whole document is quarantined.
 
-Documents are built with the library's own ``synth._doc_row`` so span
-splitting and media interleaving match the synthetic corpus; entries
-are ``(name, source, "")`` like ``synth.goldens()``.
+Each document cuts its payload into 1-3 text spans at line boundaries
+and interleaves 0-2 media spans, seeded per document.
 """
 
 from __future__ import annotations
 
 import os
+import random
 
 import pyarrow as pa
 
-from kgruntime.synth import DOCUMENTS_SCHEMA, SPAN_STRUCT, _doc_row
+from kgruntime.synth import DOCUMENTS_SCHEMA, SPAN_STRUCT
 
 PEOPLE = """\
 @prefix foaf: <http://xmlns.com/foaf/0.1/> .
@@ -78,16 +78,61 @@ MALFORMED = """\
 <http://bad.example/a b> foaf:knows <http://example.org/people/carol> .
 """
 
-PAYLOADS = [("people", PEOPLE, ""), ("bob", BOB, ""), ("bridge", BRIDGE, ""),
-            ("list", LIST, ""), ("alice", ALICE, ""),
-            ("malformed", MALFORMED, "")]
+PAYLOADS = [("people", PEOPLE), ("bob", BOB), ("bridge", BRIDGE),
+            ("list", LIST), ("alice", ALICE), ("malformed", MALFORMED)]
+
+
+def _split_text(src: str, rng: random.Random) -> list[str]:
+    """Split a Turtle payload into 1-3 chunks at top-level newlines so a
+    doc's text spans exercise multi-span concatenation.  Chunks must
+    concatenate back to the exact source (span-sequence invariant)."""
+    lines = src.splitlines(keepends=True)
+    if len(lines) < 4 or rng.random() < 0.4:
+        return [src]
+    n_cuts = rng.randint(1, min(2, len(lines) - 1))
+    cuts = sorted(rng.sample(range(1, len(lines)), n_cuts))
+    chunks, prev = [], 0
+    for c in cuts + [len(lines)]:
+        chunks.append("".join(lines[prev:c]))
+        prev = c
+    return [c for c in chunks if c]
+
+
+def _doc_row(i: int, seed: int, malformed_every: int) -> tuple[str, list]:
+    """One document, seeded per index; every ``malformed_every``-th
+    document gets a lex-broken line appended."""
+    doc_id = f"doc-{i:06d}"
+    _, src = PAYLOADS[i % len(PAYLOADS)]
+    if malformed_every and i % malformed_every == malformed_every - 1:
+        src = src + "\n<http://bad.example/a b> <http://x/> <http://y/> ."
+    rng = random.Random((seed << 32) ^ i)
+    chunks = _split_text(src, rng)
+    spans = []
+    offset = 0
+    n_media = rng.randint(0, 2)
+    media_positions = set(rng.sample(range(len(chunks) + 1), n_media)) \
+        if n_media else set()
+    mi = 0
+    for j, chunk in enumerate(chunks):
+        if j in media_positions:
+            spans.append({"kind": "media", "text": "",
+                          "media_ref": f"media://{doc_id}/{mi}",
+                          "offset": offset})
+            mi += 1
+        spans.append({"kind": "text", "text": chunk,
+                      "media_ref": "", "offset": offset})
+        offset += len(chunk)
+    if len(chunks) in media_positions:
+        spans.append({"kind": "media", "text": "",
+                      "media_ref": f"media://{doc_id}/{mi}",
+                      "offset": offset})
+    return doc_id, spans
 
 
 def documents_table(n_docs: int, seed: int = 42,
                     malformed_every: int = 0) -> pa.Table:
     """``n_docs`` documents cycling through PAYLOADS."""
-    rows = [_doc_row(i, seed, malformed_every, PAYLOADS)
-            for i in range(n_docs)]
+    rows = [_doc_row(i, seed, malformed_every) for i in range(n_docs)]
     return pa.Table.from_arrays(
         [pa.array([r[0] for r in rows], pa.string()),
          pa.array([r[1] for r in rows], pa.list_(SPAN_STRUCT))],
@@ -120,6 +165,14 @@ def kb_alias_table() -> dict[str, str]:
     from kgruntime.ttl.builder import LITERAL, XSD_STRING
 
     return build_alias_table(
-        r[3] for name, src, _ in PAYLOADS if name != "malformed"
+        r[3] for name, src in PAYLOADS if name != "malformed"
         for r in parse_turtle(src)
         if r[4] == LITERAL and (r[5] == XSD_STRING or r[6]))
+
+
+def doc_local(v: str, kind: int, doc_id: str) -> str:
+    """A pipeline blank label back to the parser's default one:
+    ``_:{doc_id}/n`` → ``_:n`` and ``_:{doc_id}/L/x`` → ``_:x``."""
+    if kind != 1:
+        return v
+    return "_:" + v[len(doc_id) + 3:].removeprefix("L/")

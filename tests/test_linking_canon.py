@@ -17,16 +17,11 @@ from kgruntime.stages.linking import (
 from kgruntime.stages.materialize import (
     commit_fragment, committed_fragments, dedup_triples, pending_fragments,
 )
-from kgruntime.synth import make_documents_table
+from kgruntime.synth import DOCUMENTS_SCHEMA
 
 import kg_corpus
 
 FOAF_NAME = "http://xmlns.com/foaf/0.1/name"
-
-
-def _docs(ray, n=29):
-    import ray.data as rd
-    return rd.from_arrow(make_documents_table(n, seed=7))
 
 
 def test_normalize_name():
@@ -45,14 +40,14 @@ def test_link_scorer_unit():
 
 
 def test_mention_detection_vectorized(ray_session):
-    tri = triples_dataset(_docs(ray_session, n=2))  # p01, p02 clones
+    tri = triples_dataset(kg_corpus.documents(5))  # one of each payload
     m = mentions_dataset(tri).take_all()
     texts = {r["mention_text"] for r in m}
     assert "Green Goblin" in texts and "Spiderman" in texts
     # lang-tagged literal is a mention too
     assert "Человек-паук" in texts
     # typed non-string literals are not mentions
-    assert all(r["mention_text"] != "2" for r in m)
+    assert all(r["mention_text"] not in ("1", "2", "42") for r in m)
 
 
 def test_union_find_merges_star(ray_session):
@@ -148,14 +143,19 @@ def test_canonicalize_broadcast_and_join(ray_session):
 
 
 def test_global_dedup(ray_session):
-    # p22: "\n" short-string escape ≡ real newline in long string → 1 triple
-    tri = triples_dataset(_docs(ray_session, n=29))
-    import pyarrow.compute as pc
+    # "\n" short-string escape ≡ real newline in long string → 1 triple
+    import ray.data as rd
 
-    doc22 = f"doc-{21:06d}"  # p22 is golden index 21
-    d = dedup_triples(tri.filter(expr=f'doc_id == "{doc22}"')
-                      if hasattr(tri, "filter") else tri)
-    rows = [r for r in d.take_all()]
+    text = ('<http://example.org/s> <http://example.org/p> '
+            '"The first line\\nThe second line\\n  more" .\n'
+            '<http://example.org/s> <http://example.org/p> """The first line\n'
+            'The second line\n  more""" .\n')
+    tri = triples_dataset(rd.from_arrow(pa.Table.from_pylist(
+        [{"doc_id": "doc-esc", "spans": [{"kind": "text", "text": text,
+                                          "media_ref": "", "offset": 0}]}],
+        schema=DOCUMENTS_SCHEMA)))
+    assert tri.count() == 2
+    rows = dedup_triples(tri).take_all()
     assert len(rows) == 1
     assert rows[0]["obj"] == "The first line\nThe second line\n  more"
 

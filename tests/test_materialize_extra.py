@@ -5,12 +5,19 @@ import subprocess
 import sys
 
 import pyarrow as pa
+import pytest
 
+from kg_corpus import doc_local
 from kgruntime.stages.extract import parse_batch
 from kgruntime.stages.materialize import (
     dedup_triples, find_hot_subjects, write_triple_store,
 )
 from kgruntime.synth import DOCUMENTS_SCHEMA, SPAN_STRUCT
+from perfbench.corpus import Profile, make_corpus
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+needs_ref = pytest.mark.skipif(not os.path.isdir("/root/reference"),
+                               reason="/root/reference absent")
 
 
 def _triples_table(n_hot=500, n_cold=50):
@@ -66,19 +73,38 @@ def test_media_only_document_emits_nothing():
     assert out.num_rows == 0  # no triples, no quarantine row
 
 
+def _cli(path: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "kgruntime.cli", path],
+                          capture_output=True, text=True, cwd=REPO)
+
+
+@needs_ref
 def test_cli_parse_and_diagnostics():
-    r = subprocess.run(
-        [sys.executable, "-m", "kgruntime.cli",
-         "/root/reference/tests/positive/p02.ttl"],
-        capture_output=True, text=True, cwd="/root/repo")
+    r = _cli("/root/reference/tests/positive/p02.ttl")
     assert r.returncode == 0
     assert r.stdout.strip().endswith(".")
-    r2 = subprocess.run(
-        [sys.executable, "-m", "kgruntime.cli",
-         "/root/reference/examples/syntax_error.ttl"],
-        capture_output=True, text=True, cwd="/root/repo")
+    r2 = _cli("/root/reference/examples/syntax_error.ttl")
     assert r2.returncode == 1
     assert "error[lex/" in r2.stderr and "^" in r2.stderr
+
+
+def test_cli_parse_and_diagnostics_generated(tmp_path):
+    """The CLI prints a good generated document's ground truth, and for
+    the lex-bad line exits 1 with a diagnostic pointing at the space."""
+    c = make_corpus(17, Profile(40, 0, 1.0, 100, bad_every=4))
+    good = next(i for i, t in enumerate(c.truth) if t)
+    bad = next(t for t in c.texts if "<http://bad.example/a b>" in t)
+    (tmp_path / "good.ttl").write_text(c.texts[good])
+    (tmp_path / "bad.ttl").write_text(bad)
+    r = _cli(str(tmp_path / "good.ttl"))
+    assert r.returncode == 0
+    assert tuple(r.stdout.splitlines()) == c.truth[good]
+    r2 = _cli(str(tmp_path / "bad.ttl"))
+    assert r2.returncode == 1
+    pos = bad.index("<http://bad.example/a b>") + len("<http://bad.example/a")
+    line, col = bad.count("\n", 0, pos) + 1, pos - bad.rfind("\n", 0, pos)
+    assert "error[lex/Unexpected]" in r2.stderr
+    assert f"bad.ttl:{line}:{col}\n" in r2.stderr and "^" in r2.stderr
 
 
 def test_nquads_roundtrip_sink(ray_session, tmp_path):
@@ -121,6 +147,7 @@ def test_unknown_span_kind_quarantined():
     assert out[0]["error_layer"] == "span"
 
 
+@needs_ref
 def test_from_ttl_files_migration_path(ray_session):
     """Reference users' .ttl files stream straight through the pipeline."""
     import glob
@@ -151,6 +178,32 @@ def test_from_ttl_files_migration_path(ray_session):
         exp = canonical_lines([(rw(s, sk), sk, p, rw(o, ok), ok, dt, lg)
                                for s, sk, p, o, ok, dt, lg in exp_rows])
         assert canonical_lines(per_doc[name]) == exp, name
+
+
+def test_from_ttl_files_migration_path_generated(ray_session, tmp_path):
+    """Generated documents written as .ttl files stream through the
+    pipeline and give exactly their ground truth."""
+    from kgruntime.sources.documents import from_ttl_files
+    from kgruntime.stages.extract import triples_dataset
+    from kgruntime.ttl.nquads import canonical_lines
+
+    c = make_corpus(19, Profile(8, 0, 1.0, 50, bad_every=9))
+    files = []
+    for doc_id, text in zip(c.table["doc_id"].to_pylist(), c.texts):
+        files.append(str(tmp_path / f"{doc_id}.ttl"))
+        with open(files[-1], "w") as f:
+            f.write(text)
+    per_doc = {}
+    for r in triples_dataset(from_ttl_files(files)).take_all():
+        d = r["doc_id"]
+        per_doc.setdefault(d, []).append(
+            (doc_local(r["subj"], r["subj_kind"], d), r["subj_kind"],
+             r["pred"], doc_local(r["obj"], r["obj_kind"], d),
+             r["obj_kind"], r["obj_datatype"], r["obj_lang"]))
+    assert len(per_doc) == len(files)
+    for f, truth in zip(files, c.truth):
+        name = os.path.basename(f)
+        assert tuple(canonical_lines(per_doc[name])) == truth, name
 
 
 def test_read_triple_store_bucket_pruning(ray_session, tmp_path):

@@ -290,19 +290,21 @@ def test_jaccard_adjacent_pairs(ray_session):
 
 
 def test_distinct_corpus_mode():
-    """distinct=True makes every document text unique while keeping the
-    payload parseable; default mode is unchanged."""
-    from kgruntime.stages.extract import concat_text_spans, parse_batch
-    from kgruntime.synth import make_documents_table
+    """pool=0 makes every document text unique and parseable (one
+    doc-unique statement per doc); pool=k draws every text from k
+    payloads."""
+    import pyarrow.compute as pc
 
-    t = make_documents_table(100, seed=3, distinct=True)
-    _, texts, errs = concat_text_spans(t)
+    from kgruntime.stages.extract import concat_text_spans, parse_batch
+    from perfbench.corpus import Profile, make_corpus
+
+    c = make_corpus(3, Profile(100, 0, 1.0, 100, bad_every=101))
+    _, texts, errs = concat_text_spans(c.table)
     assert len(set(texts)) == 100
     assert not any(errs)
-    out = parse_batch(t)
-    import pyarrow.compute as pc
+    out = parse_batch(c.table)
     assert pc.sum(pc.cast(pc.equal(out["record_kind"], 1),
                           "int64")).as_py() == 0
-    # one extra doc-unique triple per doc vs the cycling corpus
-    base = parse_batch(make_documents_table(100, seed=3))
-    assert out.num_rows == base.num_rows + 100
+    assert out.num_rows == sum(map(len, c.triples))
+    pooled = make_corpus(3, Profile(100, 10, 1.0, 100, bad_every=101))
+    assert len(set(concat_text_spans(pooled.table)[1])) <= 10

@@ -1,36 +1,35 @@
-"""End-to-end Ray Data extraction over the synthetic input_hint corpus
-(SURVEY.md §5 harness contract + FIXTURES.md §5)."""
-
-import pyarrow.compute as pc
+"""End-to-end Ray Data extraction over the seeded input_hint corpus
+(perfbench/corpus.py; SURVEY.md §5 harness contract + FIXTURES.md §5)."""
 
 from kgruntime.stages.extract import (
     errors_dataset, extract_triples, normalize_spans, triples_dataset,
 )
-from kgruntime.synth import (
-    corpus_checksum, expected_triples_for, goldens, make_documents_table,
-)
 from kgruntime.ttl.nquads import canonical_lines
+from kg_corpus import doc_local
+from perfbench.corpus import Profile, corpus_hash, make_corpus
 
-N_DOCS = 58  # 2 × 29 goldens
+N_DOCS = 58
 
 
-def _docs_ds(ray, n=N_DOCS, malformed_every=0):
+def _corpus(n=N_DOCS, bad_every=5, pool=0, seed=7):
+    return make_corpus(seed, Profile(n, pool, 1.0, 100, bad_every))
+
+
+def _docs_ds(ray, n=N_DOCS, bad_every=5):
     import ray.data as rd
-    return rd.from_arrow(make_documents_table(n, seed=7,
-                                              malformed_every=malformed_every))
+    return rd.from_arrow(_corpus(n, bad_every).table)
 
 
 def test_synth_deterministic():
-    a = make_documents_table(40, seed=7)
-    b = make_documents_table(40, seed=7)
-    assert corpus_checksum(a) == corpus_checksum(b)
-    assert corpus_checksum(a) != corpus_checksum(make_documents_table(40, seed=8))
+    a = _corpus(40).table
+    assert corpus_hash(a) == corpus_hash(_corpus(40).table)
+    assert corpus_hash(a) != corpus_hash(_corpus(40, seed=8).table)
 
 
 def test_span_sequence_equality(ray_session):
     """N1 invariant: output spans == input spans (kind, text, media_ref,
     order) — BASELINE.json input_hint per-row invariant."""
-    table = make_documents_table(N_DOCS, seed=7)
+    table = _corpus().table
     ds = _docs_ds(ray_session).map_batches(normalize_spans,
                                            batch_format="pyarrow")
     out = ds.take_all()
@@ -45,32 +44,42 @@ def test_span_sequence_equality(ray_session):
 
 
 def test_full_corpus_parity(ray_session):
-    """Every synthesized doc's triples must exactly match its golden .nq
-    with per-doc rewritten blank labels — corpus P/R = 1.0."""
-    tri = triples_dataset(_docs_ds(ray_session)).take_all()
+    """Every good document's triples, with the doc-scoped blank labels
+    mapped back, are exactly its ground-truth N-Quads (corpus P/R = 1.0);
+    every malformed document is quarantined and emits no triple."""
+    c = _corpus()
+    rows = extract_triples(_docs_ds(ray_session)).take_all()
     per_doc: dict[str, list] = {}
-    for r in tri:
-        per_doc.setdefault(r["doc_id"], []).append(
-            (r["subj"], r["subj_kind"], r["pred"], r["obj"], r["obj_kind"],
-             r["obj_datatype"], r["obj_lang"]))
-    n_goldens = len(goldens())
-    for i in range(N_DOCS):
-        doc_id = f"doc-{i:06d}"
-        got = canonical_lines(per_doc.get(doc_id, []))
-        exp = canonical_lines(expected_triples_for(doc_id, i % n_goldens))
-        assert got == exp, f"{doc_id} (golden {i % n_goldens})"
+    for r in rows:
+        if r["record_kind"] == 0:
+            d = r["doc_id"]
+            per_doc.setdefault(d, []).append(
+                (doc_local(r["subj"], r["subj_kind"], d), r["subj_kind"],
+                 r["pred"], doc_local(r["obj"], r["obj_kind"], d),
+                 r["obj_kind"], r["obj_datatype"], r["obj_lang"]))
+    bad = {r["doc_id"] for r in rows if r["record_kind"] == 1}
+    ids = c.table["doc_id"].to_pylist()
+    assert bad == {d for d, t in zip(ids, c.truth) if t is None}
+    assert len(bad) == N_DOCS // 5
+    for doc_id, exp in zip(ids, c.truth):
+        if exp is not None:
+            assert tuple(canonical_lines(per_doc[doc_id])) == exp, doc_id
+    assert bad.isdisjoint(per_doc)
 
 
 def test_quarantine_path(ray_session):
-    combined = extract_triples(_docs_ds(ray_session, n=30, malformed_every=5))
+    c = _corpus(30)
+    combined = extract_triples(_docs_ds(ray_session, n=30))
     rows = combined.take_all()
     errors = [r for r in rows if r["record_kind"] == 1]
     triples = [r for r in rows if r["record_kind"] == 0]
     bad_docs = {r["doc_id"] for r in errors}
-    assert bad_docs == {f"doc-{i:06d}" for i in range(4, 30, 5)}
+    assert bad_docs == {d for d, t in zip(c.table["doc_id"].to_pylist(),
+                                          c.truth) if t is None}
+    assert len(bad_docs) == 6
     # malformed docs emit no triples; good docs aren't quarantined
     assert bad_docs.isdisjoint({r["doc_id"] for r in triples})
-    err_ds = errors_dataset(_docs_ds(ray_session, n=30, malformed_every=5))
+    err_ds = errors_dataset(_docs_ds(ray_session, n=30))
     schema_names = err_ds.schema().names
     assert schema_names == ["doc_id", "span_start", "span_end",
                             "error_layer", "error_kind", "error_msg"]
@@ -84,18 +93,18 @@ def test_blank_labels_are_doc_scoped(ray_session):
     # generated and labeled namespaces are disjoint
     gen = {b for b in blanks if "/L/" not in b}
     lab = {b for b in blanks if "/L/" in b}
-    assert gen.isdisjoint(lab)
+    assert gen and lab and gen.isdisjoint(lab)
 
 
 def test_parse_memo_parity():
     """The per-process parse memo (sentinel template + per-doc blank
-    substitution) must be byte-identical to a direct labeled parse."""
+    substitution) must be byte-identical to a direct labeled parse, on a
+    corpus drawn from 20 payloads so most texts hit the memo."""
     import kgruntime.stages.extract as X
     from kgruntime.stages.extract import RECORD_TRIPLE, concat_text_spans
-    from kgruntime.synth import make_documents_table
     from kgruntime.ttl import parse_turtle
 
-    t = make_documents_table(120, seed=7, malformed_every=10)
+    t = _corpus(120, bad_every=10, pool=20).table
     out = X.parse_batch(t)
     got = {}
     for r in out.to_pylist():
@@ -107,6 +116,7 @@ def test_parse_memo_parity():
 
     # reference: the ORIGINAL per-doc labeled parse, no memo involved
     doc_ids, texts, errs = concat_text_spans(t)
+    assert len(set(texts)) < 40
     n_ok = 0
     for doc_id, text, err in zip(doc_ids, texts, errs):
         if err:
@@ -122,4 +132,4 @@ def test_parse_memo_parity():
             continue
         assert got.get(doc_id, []) == [tuple(r) for r in rows], doc_id
         n_ok += 1
-    assert n_ok > 50
+    assert n_ok > 100

@@ -9,12 +9,16 @@ dots, %XX decoding, keyword boundaries) we encode the reference's
 semantics and mark the divergence.
 """
 
+import glob
+import os
+
 import pytest
 
 from kgruntime.ttl import (
     BuildError, LexError, ParseError, parse_turtle,
 )
 from kgruntime.ttl.nquads import canonical_lines, parse_nquads
+from perfbench.corpus import Profile, make_corpus
 
 # --- turtle-syntax-good: must parse without error ---
 
@@ -315,17 +319,36 @@ def test_eval(name, src, expected):
     assert got == canonical_lines(parse_nquads(expected))
 
 
+@pytest.mark.skipif(not os.path.isdir("/root/reference"),
+                    reason="/root/reference absent")
 def test_concatenated_goldens_single_doc():
     """All 29 golden payloads concatenated into ONE document parse as a
     single statement stream (directive state threads across sections in
     document order) — deterministic, no crash."""
-    from kgruntime.synth import goldens
-
-    src = "\n".join(src for _, src, _ in goldens())
+    paths = sorted(glob.glob("/root/reference/tests/positive/p*.ttl"))
+    src = "\n".join(open(p).read() for p in paths)
     rows1 = parse_turtle(src)
     rows2 = parse_turtle(src)
     assert rows1 == rows2
     assert len(rows1) > 100
+
+
+def test_concatenated_generated_docs_single_doc():
+    """The good documents of a generated corpus concatenated into ONE
+    document parse as a single statement stream: deterministic, and its
+    blank-free triples are exactly the union of the documents' blank-free
+    ground truth (directive state threads across sections)."""
+    c = make_corpus(13, Profile(60, 0, 1.0, 100, bad_every=61))
+    src = "\n".join(c.texts)
+    rows1 = parse_turtle(src)
+    rows2 = parse_turtle(src)
+    assert rows1 == rows2
+    assert len(rows1) > 100
+
+    def ground(lines):
+        return {line for line in lines if "_:" not in line}
+    assert ground(canonical_lines(rows1)) == \
+        set().union(*(ground(t) for t in c.truth))
 
 
 EVAL2 = [
