@@ -104,18 +104,6 @@ def add_text_hash(batch: pa.Table) -> pa.Table:
     return batch.append_column("text_hash", pa.array(h, pa.string()))
 
 
-def exact_dedup(docs_ds):
-    """Distinct documents by content hash; keeps ``min(doc_id)`` as the
-    canonical representative.  Returns (doc_id→keep mapping Dataset) with
-    columns (text_hash, keep_id, n_dups)."""
-    from ray.data.aggregate import Count, Min
-
-    return docs_ds.map_batches(add_text_hash, batch_format="pyarrow") \
-        .groupby("text_hash") \
-        .aggregate(Min("doc_id", alias_name="keep_id"),
-                   Count(alias_name="n_dups"))
-
-
 def _local_exact_combine(batch: pa.Table) -> pa.Table:
     """Batch-local combiner: vectorized Arrow group_by collapses in-batch
     duplicates before the exchange."""
@@ -628,33 +616,6 @@ def jaccard_adjacent_pairs(docs_ds, num_buckets: int = 8):
     return j.map_batches(score, batch_format="pyarrow")
 
 
-def verify_pairs_jaccard(pairs_ds, docs_ds, threshold: float,
-                         num_partitions: int = 8):
-    """Exact n-gram Jaccard verification of candidate pairs: two bucketed
-    hash joins ship only (pair, text) rows — never a full cross product."""
-    from .join import bucketed_hash_join
-
-    texts_a = docs_ds.select_columns(["doc_id", "text"]) \
-        .rename_columns({"text": "text_a"})
-    texts_b = docs_ds.select_columns(["doc_id", "text"]) \
-        .rename_columns({"text": "text_b", "doc_id": "doc_id_b"})
-    j1 = bucketed_hash_join(pairs_ds, texts_a, "doc_a", "doc_id",
-                            num_buckets=num_partitions)
-    j2 = bucketed_hash_join(j1, texts_b, "doc_b", "doc_id_b",
-                            num_buckets=num_partitions)
-
-    def score(t: pa.Table) -> pa.Table:
-        ta = t["text_a"].to_pylist()
-        tb = t["text_b"].to_pylist()
-        jac = [round(exact_jaccard(x, y), 6) for x, y in zip(ta, tb)]
-        out = pa.Table.from_arrays(
-            [t["doc_a"], t["doc_b"], pa.array(jac, pa.float64())],
-            names=["doc_a", "doc_b", "jaccard"])
-        return out.filter(pc.greater_equal(out["jaccard"], threshold))
-
-    return j2.map_batches(score, batch_format="pyarrow")
-
-
 # ---------------------------------------------------------------------------
 # SimHash
 # ---------------------------------------------------------------------------
@@ -814,6 +775,11 @@ def _cos_pairs(group: pa.Table, threshold: float) -> pa.Table:
     # deterministic regardless of shuffle arrival order
     ids = group["vec_id"].combine_chunks() \
         .to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+    if len(ids) < 2:
+        return pa.Table.from_arrays(
+            [pa.array([], pa.int64()), pa.array([], pa.int64()),
+             pa.array([], pa.float64())],
+            names=["vec_a", "vec_b", "cosine"])
     emb = group["embedding"].combine_chunks().flatten() \
         .to_numpy(zero_copy_only=False).astype(np.float64, copy=False) \
         .reshape(len(ids), -1)
@@ -821,11 +787,6 @@ def _cos_pairs(group: pa.Table, threshold: float) -> pa.Table:
     ids, emb = ids[order], emb[order]
     keep = len(_cap_hot_bucket(ids.tolist(), 256, "embedding_lsh"))
     ids, emb = ids[:keep], emb[:keep]
-    if len(ids) < 2:
-        return pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.int64()),
-             pa.array([], pa.float64())],
-            names=["vec_a", "vec_b", "cosine"])
     # exact-integer cosine: fixed-point dot / (√n2a · √n2b), each float
     # op a single IEEE round — bit-identical to the SQL twin.  Pair
     # extraction via triu_indices over the already-computed dot matrix
@@ -849,12 +810,15 @@ def _cos_pairs(group: pa.Table, threshold: float) -> pa.Table:
 
 def embedding_near_dups(emb_ds, dim: int, threshold: float = 0.95,
                         n_planes: int = 10, n_tables: int = 1):
+    from .groups import coarse_group_map
+
     bucketed = emb_ds.map_batches(
         hyperplane_explode,
         fn_kwargs={"dim": dim, "n_planes": n_planes, "n_tables": n_tables},
         batch_format="pyarrow")
-    pairs = bucketed.groupby("bucket").map_groups(
-        lambda g: _cos_pairs(g, threshold), batch_format="pyarrow")
+    pairs = coarse_group_map(bucketed, "bucket",
+                             lambda g: _cos_pairs(g, threshold),
+                             min_group_size=2)
     return pairs.groupby(["vec_a", "vec_b"]).max("cosine") \
         .rename_columns({"max(cosine)": "cosine"})
 
@@ -1789,8 +1753,7 @@ def _explode_ngrams(n: int):
     return fn
 
 
-def ngram_dedup_rewrite(docs_ds, n: int = 5, min_df: int = 2,
-                        num_buckets: int = 32):
+def ngram_dedup_rewrite(docs_ds, n: int = 5, min_df: int = 2):
     """Substring-level dedup (Lee et al. 2022, "Deduplicating Training
     Data Makes Language Models Better", §3 EXACTSUBSTR — re-expressed
     over word n-grams instead of suffix arrays): every word ``n``-gram
@@ -1811,9 +1774,10 @@ def ngram_dedup_rewrite(docs_ds, n: int = 5, min_df: int = 2,
     3. *mark starts* — re-derive (doc_id, pos, gh) streamed (recompute
        beats materializing a 3× corpus explode) and inner-join the
        heavy set → duplicated-span start positions.
-    4. *rebuild* — starts collected per doc (groupby doc_id), LEFT
-       bucketed join back to the docs (each doc's text crosses exactly
-       one exchange), covered = union of [s, s+n) per start, rewrite.
+    4. *rebuild* — docs and start marks meet in ONE doc_id segment
+       exchange (``groups.segment_map``; each doc's text crosses
+       exactly one exchange), covered = union of [s, s+n) per start,
+       rewrite.
 
     n=5/min_df=2 measured scale-stable on the synthetic corpus:
     duplicated grams = 4.6% of the gram vocabulary at sf0.01 and 5.1%
@@ -1822,6 +1786,7 @@ def ngram_dedup_rewrite(docs_ds, n: int = 5, min_df: int = 2,
     """
     from ray.data.aggregate import Sum
 
+    from .groups import segment_map
     from .join import bucketed_hash_join
 
     docs = docs_ds.select_columns(["doc_id", "text"])
@@ -1848,59 +1813,47 @@ def ngram_dedup_rewrite(docs_ds, n: int = 5, min_df: int = 2,
     starts = bucketed_hash_join(
         docs.map_batches(_explode_ngrams(n), batch_format="pyarrow",
                          zero_copy_batch=True),
-        heavy, "gh", "gh_h", num_buckets=num_buckets)
+        heavy, "gh", "gh_h")
 
-    # rebuild: union docs + start marks under a doc-id bucket and rewrite
-    # per bucket (acero joins reject list payloads; a per-doc map_groups
-    # would be one Python call per doc — per-BUCKET dict assembly keeps
-    # the group count fixed at num_buckets while text still crosses
-    # exactly one exchange).
+    # rebuild: union docs + start marks and rewrite per doc_id segment
+    # (acero joins reject list payloads; the segment exchange keeps the
+    # Python call per coarse block while text crosses exactly one
+    # exchange)
     def tag_docs(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "b": pa.array((ids % num_buckets).astype(np.int64)),
-            "doc_id": t["doc_id"], "text": t["text"],
-            "pos": pa.nulls(t.num_rows, pa.int64())})
+        return t.append_column("pos", pa.nulls(t.num_rows, pa.int64()))
 
     def tag_marks(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "b": pa.array((ids % num_buckets).astype(np.int64)),
-            "doc_id": t["doc_id"],
-            "text": pa.nulls(t.num_rows, pa.string()),
-            "pos": t["pos"]})
+        return pa.table({"doc_id": t["doc_id"],
+                         "text": pa.nulls(t.num_rows, pa.string()),
+                         "pos": t["pos"]})
 
     both = docs.map_batches(tag_docs, batch_format="pyarrow") \
         .union(starts.select_columns(["doc_id", "pos"])
                .map_batches(tag_marks, batch_format="pyarrow"))
 
-    def rebuild(g: pa.Table) -> pa.Table:
-        has_text = pc.is_valid(g["text"])
-        dt = g.filter(has_text)
-        mk = g.filter(pc.invert(has_text))
-        by_doc: dict[int, list[int]] = {}
-        for d, p in zip(mk["doc_id"].to_numpy(zero_copy_only=False),
-                        mk["pos"].to_numpy(zero_copy_only=False)):
-            by_doc.setdefault(int(d), []).append(int(p))
-        out_id, out_nt, out_nr, out_tx = [], [], [], []
-        for doc_id, text in zip(dt["doc_id"].to_pylist(),
-                                dt["text"].to_pylist()):
-            toks = text.split(" ")
+    def rebuild(g: pa.Table, seg: np.ndarray) -> pa.Table:
+        # a doc's segment holds its text row and its span-start marks
+        ids = g["doc_id"].to_numpy()
+        texts = g["text"].to_pylist()
+        pos = g["pos"].to_pylist()
+        out_nt, out_nr, out_tx = [], [], []
+        for s, e in zip(seg, np.append(seg[1:], g.num_rows)):
+            toks = next(x for x in texts[s:e] if x is not None).split(" ")
             covered = np.zeros(len(toks), bool)
-            for s in by_doc.get(doc_id, ()):
-                covered[s - 1:s - 1 + n] = True
-            out_id.append(doc_id)
+            for p in pos[s:e]:
+                if p is not None:
+                    covered[p - 1:p - 1 + n] = True
             out_nt.append(len(toks))
             out_nr.append(int(covered.sum()))
             out_tx.append(" ".join(
                 tok for tok, c in zip(toks, covered) if not c))
         return pa.table({
-            "doc_id": pa.array(out_id, pa.int64()),
+            "doc_id": pa.array(ids[seg], pa.int64()),
             "n_tokens": pa.array(out_nt, pa.int64()),
             "n_removed": pa.array(out_nr, pa.int64()),
             "clean_text": pa.array(out_tx, pa.string())})
 
-    return both.groupby("b").map_groups(rebuild, batch_format="pyarrow")
+    return segment_map(both, "doc_id", rebuild)
 
 
 def ngram_dedup_rewrite_sql(n: int = 5, min_df: int = 2,
@@ -2561,9 +2514,11 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
     (corpus-growing on real web text) to a FIXED d×w = 4×8192 int64
     sketch (256 KiB at any corpus size).  Estimate error only affects
     selectivity, never correctness, and the SQL twin replays the
-    identical sketch.  Prefix postings carry (h, doc_id, n) ints; hot
-    prefix tokens are capped DETERMINISTICALLY at ``cap`` docs in
-    doc_id order (the row_number twin); verification Bloom-prefilters
+    identical sketch.  Prefix postings carry (h, doc_id, n) ints and
+    meet in one segment exchange on h (``groups.segment_map``: one
+    vectorized call per coarse block, not one per token); hot prefix
+    tokens are capped DETERMINISTICALLY at ``cap`` docs in doc_id order
+    (the row_number twin); verification Bloom-prefilters
     the sets table with the candidate doc ids (fixed 64-KiB broadcast
     bits, the bloom_filtered_brand_revenue pattern) so the two bucketed
     hash joins shuffle only candidate docs' sets, never the corpus.
@@ -2573,6 +2528,7 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
     from ray.data.aggregate import Max, Sum
 
     from .ann import _cached_state
+    from .groups import segment_map, segment_pairs
     from .join import bucketed_hash_join
 
     # --- the ONLY text pass: per-doc sorted distinct shingle hashes,
@@ -2668,24 +2624,22 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
 
     pair_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
 
-    def cands_for_token(g: pa.Table) -> pa.Table:
-        # deterministic cap: first `cap` docs in doc_id order (the SQL
-        # row_number twin), then the integer size filter, then the
-        # PPJoin POSITIONAL filter: a pair sharing this token at
-        # df-order positions (pa, pb) has |∩| ≤ 1 + min(na−pa, nb−pb),
-        # and J ≥ τ needs (τn+τd)·|∩| ≥ τn·(na+nb) — pairs that cannot
-        # reach τ never leave the block.  LOSSLESS: it only removes
-        # pairs exact verification would reject, so the SQL twin (which
-        # verifies every capped candidate) is unchanged.
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ids, kind="mergesort")
+    def cands_per_token(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        # deterministic cap: first `cap` docs of each token in doc_id
+        # order (the SQL row_number twin), then the integer size filter,
+        # then the PPJoin POSITIONAL filter: a pair sharing this token
+        # at df-order positions (pa, pb) has |∩| ≤ 1 + min(na−pa,
+        # nb−pb), and J ≥ τ needs (τn+τd)·|∩| ≥ τn·(na+nb) — pairs that
+        # cannot reach τ never leave the block.  LOSSLESS: it only
+        # removes pairs exact verification would reject, so the SQL
+        # twin (which verifies every capped candidate) is unchanged.
+        ids = g["doc_id"].to_numpy()
+        order = np.lexsort((ids, g["h"].to_numpy()))
         ids = ids[order]
-        ns = g["n"].to_numpy(zero_copy_only=False)[order]
-        ps = g["pos"].to_numpy(zero_copy_only=False)[order]
-        ids, ns, ps = ids[:cap], ns[:cap], ps[:cap]
-        if len(ids) < 2:
-            return pair_schema.empty_table()
-        ai, bi = np.triu_indices(len(ids), k=1)
+        ns = g["n"].to_numpy()[order]
+        ps = g["pos"].to_numpy()[order]
+        sizes = np.diff(np.append(starts, g.num_rows))
+        ai, bi = segment_pairs(starts, np.minimum(sizes, cap))
         lo = np.minimum(ns[ai], ns[bi])
         hi = np.maximum(ns[ai], ns[bi])
         keep = tau_den * lo >= tau_num * hi
@@ -2703,8 +2657,7 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
     # materialize the DEDUPED candidate table (tiny: bounded by real
     # near-pairs + cap collisions) — it feeds the Bloom bits, the
     # emptiness probe and the verify join
-    cands = postings.groupby("h") \
-        .map_groups(cands_for_token, batch_format="pyarrow") \
+    cands = segment_map(postings, "h", cands_per_token) \
         .groupby(["doc_a", "doc_b"]) \
         .aggregate(Max("doc_a", alias_name="_one")) \
         .select_columns(["doc_a", "doc_b"]) \
@@ -2964,8 +2917,19 @@ FROM aud_e
 # content-defined chunking (CDC) dedup audit
 # ---------------------------------------------------------------------------
 
-def cdc_chunk_dedup(docs_ds, k: int = 3, div: int = 4,
-                    num_buckets: int = 256):
+def _doc_count_sum(doc: np.ndarray, flag: np.ndarray, count_name: str,
+                   sum_name: str) -> pa.Table:
+    """Per-doc ``(doc_id, count_name, sum_name)``: the doc's row count
+    and the sum of its 0/1 ``flag``."""
+    r = pa.table({"doc_id": pa.array(doc, pa.int64()),
+                  "f": pa.array(flag.astype(np.int64), pa.int64())}) \
+        .group_by("doc_id", use_threads=False) \
+        .aggregate([("f", "count"), ("f", "sum")])
+    return pa.table({"doc_id": r["doc_id"], count_name: r["f_count"],
+                     sum_name: r["f_sum"]})
+
+
+def cdc_chunk_dedup(docs_ds, k: int = 3, div: int = 4):
     """Content-defined chunking dedup — the storage-dedup shape: token
     position ``pos`` ends a chunk when the md5-60 of its trailing
     ``k``-gram ≡ 0 (mod ``div``) (expected chunk length ≈ ``div``
@@ -2978,17 +2942,14 @@ def cdc_chunk_dedup(docs_ds, k: int = 3, div: int = 4,
 
     Scale shape: chunking is one streamed pass (per-worker memoized
     gram hashes — hashing scales with distinct grams); only 16-byte
-    ``(chunk_hash, doc_id)`` rows cross ONE ``groupby(bucket)``
-    exchange, where a vectorized per-bucket value_count flags dups and
-    pre-aggregates per doc; a final doc-keyed groupby sums the
-    partials.  Chunk text never leaves its block.
+    ``(chash, doc_id)`` rows cross ONE segment exchange on the chunk
+    hash (``groups.segment_map``), where a segment of ≥ 2 rows flags
+    dups and each block pre-aggregates per doc; a final doc-keyed
+    groupby sums the partials.  Chunk text never leaves its block.
     """
-    import pandas as pd
     from ray.data.aggregate import Sum
 
-    _occ_schema = pa.schema([("bucket", pa.int64()),
-                             ("chash", pa.int64()),
-                             ("doc_id", pa.int64())])
+    from .groups import segment_map
 
     def chunks(t: pa.Table) -> pa.Table:
         out_h, out_d = [], []
@@ -3007,32 +2968,19 @@ def cdc_chunk_dedup(docs_ds, k: int = 3, div: int = 4,
                 out_h.append(_md5_60(
                     " ".join(toks[start:]).encode()))
                 out_d.append(d)
-        h = np.array(out_h, np.int64)
-        return pa.table({"bucket": h % num_buckets,
-                         "chash": h,
-                         "doc_id": np.array(out_d, np.int64)},
-                        schema=_occ_schema)
+        return pa.table({"chash": pa.array(out_h, pa.int64()),
+                         "doc_id": pa.array(out_d, pa.int64())})
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        # Arrow out: this feeds a downstream groupby, and Ray's sort
-        # over pandas blocks is ~20× slower (measured 6.0 s → 1.3 s
-        # for this op at sf0.1)
-        cnt = g.groupby("chash")["doc_id"].transform("size")
-        g = g.assign(dup=(cnt >= 2).astype(np.int64))
-        out = g.groupby("doc_id", sort=False).agg(
-            n_chunks=("chash", "size"), n_dup_chunks=("dup", "sum")) \
-            .reset_index()
-        return pa.table({
-            "doc_id": pa.array(out["doc_id"].to_numpy(np.int64)),
-            "n_chunks": pa.array(out["n_chunks"].to_numpy(np.int64)),
-            "n_dup_chunks": pa.array(
-                out["n_dup_chunks"].to_numpy(np.int64))})
+    def per_block(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        sizes = np.diff(np.append(starts, g.num_rows))
+        return _doc_count_sum(g["doc_id"].to_numpy(),
+                              np.repeat(sizes >= 2, sizes),
+                              "n_chunks", "n_dup_chunks")
 
-    return docs_ds.select_columns(["doc_id", "text"]) \
-        .map_batches(chunks, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").map_groups(per_bucket,
-                                      batch_format="pandas") \
+    return segment_map(docs_ds.select_columns(["doc_id", "text"])
+                       .map_batches(chunks, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       "chash", per_block) \
         .groupby("doc_id").aggregate(
             Sum("n_chunks", alias_name="n_chunks"),
             Sum("n_dup_chunks", alias_name="n_dup_chunks"))
@@ -3164,33 +3112,20 @@ FROM css_lab GROUP BY 1 ORDER BY split
 
 # --- shingle novelty: per-doc copied-fraction vs earlier corpus ---
 
-def shingle_novelty(docs_ds, k: int = 8, num_buckets: int = 256):
-    """Per-doc novelty audit — what fraction of a doc's distinct
-    ``k``-token shingles already occur in an EARLIER doc (lower
-    ``doc_id``): ``(doc_id, n_grams, n_copied, copied_ppm)``.  This is
-    the exact per-doc "how much of this is copied from the corpus so
-    far" measure (the memorization-risk signal) that sampling detectors
-    (MinHash, winnowing) only approximate.
+def _first_doc(g: pa.Table, starts: np.ndarray):
+    """``(doc_id, first)`` of a block of ``_shingle_doc_rows`` sorted by
+    ``h``: ``first`` is the smallest doc_id of each row's shingle — its
+    global first occurrence, since every row of a shingle shares a
+    segment."""
+    doc = g["doc_id"].to_numpy()
+    sizes = np.diff(np.append(starts, g.num_rows))
+    return doc, np.repeat(np.minimum.reduceat(doc, starts), sizes)
 
-    Scale shape: one streamed tokenize pass emits distinct
-    ``(bucket, h, doc_id)`` 24-byte rows (per-worker memoized gram
-    hashes — hashing scales with distinct grams); ONE
-    ``groupby(bucket)`` exchange where ``bucket = h % num_buckets``
-    means every occurrence of a shingle lands in the same group, so the
-    bucket-local ``min(doc_id)`` IS the global first occurrence — no
-    min-table join back.  Each bucket pre-aggregates to per-doc
-    ``(n_grams, n_copied)`` partials (Arrow out — the 20× pandas-block
-    sort lesson) and a final int-keyed ``groupby(doc_id)`` sums them.
-    Size ``num_buckets`` ≈ corpus_rows / target_block so one bucket
-    fits a worker heap.  Docs with < k tokens have no shingles and are
-    absent, matching the twin's ``len(s) >= k`` guard.
-    """
-    import pandas as pd
-    from ray.data.aggregate import Sum
 
-    _row_schema = pa.schema([("bucket", pa.int64()),
-                             ("h", pa.int64()),
-                             ("doc_id", pa.int64())])
+def _shingle_doc_rows(k: int):
+    """Batch fn: one ``(h, doc_id)`` row per distinct ``k``-token
+    shingle of each doc (md5-60, memoized per worker); docs with < k
+    tokens emit none."""
 
     def explode(t: pa.Table) -> pa.Table:
         out_h, out_d = [], []
@@ -3203,25 +3138,44 @@ def shingle_novelty(docs_ds, k: int = 8, num_buckets: int = 256):
                   for i in range(len(toks) - k + 1)}
             out_h.extend(hs)
             out_d.extend([d] * len(hs))
-        h = np.array(out_h, np.uint64).astype(np.int64)
-        return pa.table({"bucket": h % num_buckets,
-                         "h": h,
-                         "doc_id": np.array(out_d, np.int64)},
-                        schema=_row_schema)
+        return pa.table({
+            "h": pa.array(np.array(out_h, np.uint64).astype(np.int64)),
+            "doc_id": pa.array(out_d, pa.int64())})
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        md = g.groupby("h")["doc_id"].transform("min")
-        g = g.assign(copied=(g["doc_id"] > md).astype(np.int64))
-        out = g.groupby("doc_id", sort=False).agg(
-            n_grams=("h", "size"), n_copied=("copied", "sum")) \
-            .reset_index()
-        return pa.Table.from_pandas(out, preserve_index=False)
+    return explode
 
-    agg = docs_ds.select_columns(["doc_id", "text"]) \
-        .map_batches(explode, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").map_groups(per_bucket,
-                                      batch_format="pandas") \
+
+def shingle_novelty(docs_ds, k: int = 8):
+    """Per-doc novelty audit — what fraction of a doc's distinct
+    ``k``-token shingles already occur in an EARLIER doc (lower
+    ``doc_id``): ``(doc_id, n_grams, n_copied, copied_ppm)``.  This is
+    the exact per-doc "how much of this is copied from the corpus so
+    far" measure (the memorization-risk signal) that sampling detectors
+    (MinHash, winnowing) only approximate.
+
+    Scale shape: one streamed tokenize pass emits distinct
+    ``(h, doc_id)`` 16-byte rows (per-worker memoized gram hashes —
+    hashing scales with distinct grams); ONE segment exchange on ``h``
+    (``groups.segment_map``) puts every occurrence of a shingle in one
+    segment, so the segment's ``min(doc_id)`` IS the global first
+    occurrence — no min-table join back.  Each block pre-aggregates to
+    per-doc ``(n_grams, n_copied)`` partials and a final int-keyed
+    ``groupby(doc_id)`` sums them.  Docs with < k tokens have no
+    shingles and are absent, matching the twin's ``len(s) >= k`` guard.
+    """
+    from ray.data.aggregate import Sum
+
+    from .groups import segment_map
+
+    def per_block(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        doc, first = _first_doc(g, starts)
+        return _doc_count_sum(doc, doc > first, "n_grams", "n_copied")
+
+    agg = segment_map(docs_ds.select_columns(["doc_id", "text"])
+                      .map_batches(_shingle_doc_rows(k),
+                                   batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      "h", per_block) \
         .groupby("doc_id").aggregate(
             Sum("n_grams", alias_name="n_grams"),
             Sum("n_copied", alias_name="n_copied"))
@@ -3279,26 +3233,24 @@ def source_overlap_matrix(docs_ds, k: int = 3):
     copying too).
 
     Scale shape: source cardinality is catalog-small (asserted ≤ 62),
-    so presence is a per-shingle BITMASK.  ONE bucketed exchange plus a
+    so presence is a per-shingle BITMASK.  ONE segment exchange plus a
     tiny mask rollup, no per-shingle-group Python and no pair blow-up:
 
       1. batch-local distinct (md5-60 shingle hash, source_bit) rows
-         keyed by ``bucket = h % num_buckets`` (the shingle_novelty
-         shape — every occurrence of a shingle lands in one bucket);
-      2. each bucket group drop-duplicates (h, bit) and sums distinct
-         bits per h — the presence-OR — then pre-counts its masks,
-         emitting ≤ 2^n_sources rows per bucket (Arrow out: the
-         20× pandas-block lesson);
+         exchanged on the hash (``groups.segment_map`` — every
+         occurrence of a shingle lands in one segment);
+      2. each block ORs the bits of each segment — the presence mask —
+         then pre-counts its masks, emitting ≤ 2^n_sources rows;
       3. a final ``groupby(mask).sum`` leaves ≤ 2^n_sources rows — the
          only thing the driver ever sees; pair expansion happens there
          in exact integers.
 
     Text never crosses an exchange (8-byte shingle hashes do).
     """
-    import pandas as pd
     from ray.data.aggregate import Sum
 
-    num_buckets = 256
+    from .groups import segment_map
+
     srcs = sorted(docs_ds.select_columns(["source"]).unique("source")
                   or [])
     assert len(srcs) <= 62, "bitmask overlap assumes catalog-small sources"
@@ -3315,28 +3267,24 @@ def source_overlap_matrix(docs_ds, k: int = 3):
                   for i in range(len(toks) - k + 1)}
             out_h.extend(hs)
             out_b.extend([bit[s]] * len(hs))
-        h = np.array(out_h, np.uint64).astype(np.int64)
         b = pa.table({
-            "bucket": pa.array(h % num_buckets, pa.int64()),
-            "h": pa.array(h, pa.int64()),
+            "h": pa.array(np.array(out_h, np.uint64).astype(np.int64)),
             "bitv": pa.array(out_b, pa.int64()),
         })
-        return b.group_by(["bucket", "h", "bitv"], use_threads=False) \
-            .aggregate([]).select(["bucket", "h", "bitv"])
+        return b.group_by(["h", "bitv"], use_threads=False) \
+            .aggregate([]).select(["h", "bitv"])
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        m = g.drop_duplicates(["h", "bitv"]) \
-            .groupby("h", sort=False)["bitv"].sum()
-        cnt = m.value_counts()
-        return pa.table({
-            "mask": pa.array(cnt.index.to_numpy(np.int64)),
-            "n": pa.array(cnt.to_numpy(np.int64))})
+    def per_block(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        m, n = np.unique(np.bitwise_or.reduceat(g["bitv"].to_numpy(),
+                                                starts),
+                         return_counts=True)
+        return pa.table({"mask": pa.array(m, pa.int64()),
+                         "n": pa.array(n, pa.int64())})
 
-    masks = docs_ds.select_columns(["text", "source"]) \
-        .map_batches(explode, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").map_groups(per_bucket,
-                                      batch_format="pandas") \
+    masks = segment_map(docs_ds.select_columns(["text", "source"])
+                        .map_batches(explode, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                        "h", per_block) \
         .groupby("mask").aggregate(Sum("n", alias_name="n")) \
         .take_all()
 
@@ -3622,8 +3570,7 @@ FROM dss_v GROUP BY level ORDER BY level
 # document copy genealogy
 # ---------------------------------------------------------------------------
 
-def copy_genealogy(docs_ds, k: int = 8, num_buckets: int = 256,
-                   min_shared: int = 5):
+def copy_genealogy(docs_ds, k: int = 8, min_shared: int = 5):
     """Document copy-genealogy edges: for every doc that shares ≥
     ``min_shared`` distinct ``k``-token shingles with EARLIER docs, the
     single most likely source — the earlier doc that FIRST introduced
@@ -3631,9 +3578,9 @@ def copy_genealogy(docs_ds, k: int = 8, num_buckets: int = 256,
     Output: (doc_id, source_doc, n_shared) — the provenance edge list
     behind the shingle_novelty copied-fraction scores.
 
-    Scale shape: the shingle_novelty bucket exchange (every occurrence
-    of a shingle lands in one ``h % num_buckets`` group, so the
-    bucket-local min doc IS the global first introduction); buckets
+    Scale shape: the shingle_novelty segment exchange on the shingle
+    hash (every occurrence of a shingle lands in one segment, so the
+    segment's min doc IS the global first introduction); blocks
     pre-count (source_doc=min, later_doc) pairs, one int-keyed groupby
     sums them, and the per-doc argmax rides ``stats.grouped_topk``'s
     partial top-1 prune — no per-doc Python beyond tiny survivor sets.
@@ -3641,45 +3588,25 @@ def copy_genealogy(docs_ds, k: int = 8, num_buckets: int = 256,
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    _row_schema = pa.schema([("bucket", pa.int64()),
-                             ("h", pa.int64()),
-                             ("doc_id", pa.int64())])
+    from .groups import segment_map
+    from .stats import grouped_topk
 
-    def explode(t: pa.Table) -> pa.Table:
-        out_h, out_d = [], []
-        for d, txt in zip(t["doc_id"].to_pylist(),
-                          t["text"].to_pylist()):
-            toks = [w for w in txt.split(" ") if w]
-            if len(toks) < k:
-                continue
-            hs = {_md5_60_memo(" ".join(toks[i:i + k]))
-                  for i in range(len(toks) - k + 1)}
-            out_h.extend(hs)
-            out_d.extend([d] * len(hs))
-        h = np.array(out_h, np.uint64).astype(np.int64)
-        return pa.table({"bucket": h % num_buckets,
-                         "h": h,
-                         "doc_id": np.array(out_d, np.int64)},
-                        schema=_row_schema)
+    def per_block(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        doc, first = _first_doc(g, starts)
+        later = doc > first
+        r = pa.table({"doc_id": pa.array(doc[later], pa.int64()),
+                      "source_doc": pa.array(first[later], pa.int64())}) \
+            .group_by(["doc_id", "source_doc"], use_threads=False) \
+            .aggregate([([], "count_all")])
+        return pa.table({"doc_id": r["doc_id"],
+                         "source_doc": r["source_doc"],
+                         "n": r["count_all"]})
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        md = g.groupby("h")["doc_id"].transform("min")
-        g = g.assign(src=md)
-        pairs = g[g["doc_id"] > g["src"]]
-        cnt = pairs.groupby(["doc_id", "src"], sort=False).size() \
-            .rename("n").reset_index()
-        return pa.table({
-            "doc_id": pa.array(cnt["doc_id"].to_numpy(np.int64)),
-            "source_doc": pa.array(cnt["src"].to_numpy(np.int64)),
-            "n": pa.array(cnt["n"].to_numpy(np.int64))})
-
-    from ..ops.stats import grouped_topk
-
-    pair_counts = docs_ds.select_columns(["doc_id", "text"]) \
-        .map_batches(explode, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").map_groups(per_bucket,
-                                      batch_format="pandas") \
+    pair_counts = segment_map(docs_ds.select_columns(["doc_id", "text"])
+                              .map_batches(_shingle_doc_rows(k),
+                                           batch_format="pyarrow",
+                                           zero_copy_batch=True),
+                              "h", per_block) \
         .groupby(["doc_id", "source_doc"]) \
         .aggregate(Sum("n", alias_name="n_shared")) \
         .filter(expr=f"n_shared >= {min_shared}")

@@ -34,13 +34,10 @@ Losslessness: equal keys hash to the same coarse bucket, so every true
 group arrives intact in exactly one block.
 
 ``coarse_group_map`` is the per-group form on top of it: the segment
-loop that calls a per-group ``fn(group)`` with two options —
-- ``min_group_size``: skip groups smaller than this (lossless for
-  pair-generation fns, where singleton buckets emit nothing —
-  and on realistic corpora MOST LSH buckets are singletons).
-- ``passthrough_max_size``: groups ≤ this size are emitted unchanged
-  without calling ``fn`` (lossless when fn is the identity on small
-  groups, e.g. a top-k cap).  Mutually exclusive with min_group_size.
+loop that calls a per-group ``fn(group)``, skipping groups smaller than
+``min_group_size`` (lossless for pair-generation fns, where singleton
+buckets emit nothing — and on realistic corpora MOST LSH buckets are
+singletons).
 """
 
 from __future__ import annotations
@@ -95,7 +92,7 @@ def segment_pairs(starts: np.ndarray, sizes: np.ndarray):
     return np.concatenate(ii), np.concatenate(jj)
 
 
-def segment_map(ds, keys, fn, coarse: int | None = None):
+def segment_map(ds, keys, fn):
     """Apply ``fn(block, starts)`` once per coarse block of ``ds``
     exchanged on ``hash(keys)`` (see the module docstring for the
     contract)."""
@@ -103,8 +100,7 @@ def segment_map(ds, keys, fn, coarse: int | None = None):
 
     if isinstance(keys, str):
         keys = [keys]
-    if coarse is None:
-        coarse = default_num_buckets()
+    coarse = default_num_buckets()
 
     def add_cg(t: pa.Table) -> pa.Table:
         acc = np.zeros(t.num_rows, np.int64)
@@ -121,18 +117,14 @@ def segment_map(ds, keys, fn, coarse: int | None = None):
         .groupby("__cg").map_groups(per_coarse, batch_format="pyarrow")
 
 
-def _per_group(fn, min_group_size: int = 1, passthrough_max_size: int = 0):
+def _per_group(fn, min_group_size: int = 1):
     """The segment kernel of ``coarse_group_map``: ``fn`` per group."""
 
     def per_block(gs: pa.Table, starts: np.ndarray) -> pa.Table:
         sizes = np.diff(np.append(starts, gs.num_rows))
         keep = sizes >= min_group_size
-        small = keep & (sizes <= passthrough_max_size)
-        outs = [fn(gs.slice(s, z))
-                for s, z in zip(starts[keep & ~small], sizes[keep & ~small])]
-        if small.any():
-            # one vectorized filter for all small groups
-            outs.append(gs.filter(pa.array(np.repeat(small, sizes))))
+        outs = [fn(gs.slice(s, z)) for s, z in zip(starts[keep],
+                                                   sizes[keep])]
         if not outs:
             # empty result with fn's schema: probe fn on an empty slice
             return fn(gs.slice(0, 0))
@@ -142,14 +134,10 @@ def _per_group(fn, min_group_size: int = 1, passthrough_max_size: int = 0):
     return per_block
 
 
-def coarse_group_map(ds, keys, fn, coarse: int | None = None,
-                     min_group_size: int = 1,
-                     passthrough_max_size: int = 0):
+def coarse_group_map(ds, keys, fn, min_group_size: int = 1):
     """Equivalent of ``ds.groupby(keys).map_groups(fn,
     batch_format="pyarrow")``, exchanged on a coarse bucket.  ``fn``
     receives each true key group as a pa.Table (without the helper's
     bucket column) and must return a pa.Table with a consistent
     schema."""
-    return segment_map(ds, keys,
-                       _per_group(fn, min_group_size, passthrough_max_size),
-                       coarse=coarse)
+    return segment_map(ds, keys, _per_group(fn, min_group_size))

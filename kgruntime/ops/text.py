@@ -1265,6 +1265,15 @@ def normalized_text_hash(text_col) -> pa.Array:
                      for x in s.to_pylist()], pa.binary(16))
 
 
+def _hash_halves(h: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """``normalized_text_hash`` output → its (hi, lo) big-endian int64
+    halves, decoded zero-copy from the binary(16) buffer."""
+    raw = np.frombuffer(h.buffers()[1], np.uint8)[
+        h.offset * 16:(h.offset + len(h)) * 16]
+    pair = np.ascontiguousarray(raw.reshape(-1, 16)).view(">i8")
+    return pair[:, 0].astype(np.int64), pair[:, 1].astype(np.int64)
+
+
 def normalized_dup_docs(docs_ds):
     """Exact dedup AFTER text normalization (casefold, strip
     non-alphanumerics to spaces, collapse whitespace) — catches the
@@ -1370,10 +1379,11 @@ def curate_corpus(docs_ds, min_quality: float = 0.5, min_chars: int = 20,
     Returns (doc_id, n_tokens, shard_id) for the curated corpus.
 
     Scale shape: both gates are ONE vectorized pass; normalized-dedup
-    keep-first runs as a SINGLE hash-bucketed exchange — rows carry
-    ``b = h % num_buckets`` and each of the ≤ 4×CPU bucket groups does
-    a vectorized lexsort keep-first locally (equal texts share h hence
-    a bucket, so bucket-local keep-first IS global keep-first).  This
+    keep-first runs as a SINGLE segment exchange on the 16-byte
+    normalized hash (``groups.segment_map``) and each coarse block
+    does a vectorized lexsort keep-first locally (equal texts share a
+    hash segment, so segment-local keep-first IS global keep-first).
+    This
     replaced the r4 shape (16-byte-hash groupby + text semi-join): at
     38.4M docs the ``groupby(h)`` sort-aggregate over ~32M
     NEAR-UNIQUE groups cost 253 s and the join another 49 s — one
@@ -1383,8 +1393,6 @@ def curate_corpus(docs_ds, min_quality: float = 0.5, min_chars: int = 20,
     the gated stream stages to parquet instead of materializing (the
     ``build_kg_fused`` staging pattern for beyond-object-store scale).
     """
-    import numpy as np
-
     from .shard import token_budget_shards
 
     def gate(t: pa.Table) -> pa.Table:
@@ -1411,40 +1419,22 @@ def curate_corpus(docs_ds, min_quality: float = 0.5, min_chars: int = 20,
         gated = rd.read_parquet(staging_dir,
                                 columns=["doc_id", "text"])
 
-    from .join import default_num_buckets
+    from .groups import segment_map
 
-    nb = default_num_buckets()
-
-    def _h_halves(h_arr: pa.Array):
-        """binary(16) hash array → (hi, lo) uint64 views, zero-copy."""
-        a = h_arr.combine_chunks() if isinstance(
-            h_arr, pa.ChunkedArray) else h_arr
-        raw = np.frombuffer(a.buffers()[1], np.uint8)[
-            a.offset * 16:(a.offset + len(a)) * 16]
-        pair = np.ascontiguousarray(raw.reshape(-1, 16)).view(">u8")
-        return pair[:, 0].astype(np.uint64), pair[:, 1].astype(np.uint64)
-
-    def add_hash_bucket(t: pa.Table) -> pa.Table:
-        h = normalized_text_hash(t["text"])
-        hi, _ = _h_halves(h)
+    def add_hash(t: pa.Table) -> pa.Table:
+        hi, lo = _hash_halves(normalized_text_hash(t["text"]))
         return pa.table({"doc_id": t["doc_id"], "text": t["text"],
-                         "h": h,
-                         "b": pa.array((hi % nb).astype("int32"),
-                                       pa.int32())})
+                         "hi": hi, "lo": lo})
 
-    def keep_first(g: pa.Table) -> pa.Table:
-        hi, lo = _h_halves(g["h"])
-        dv = g["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.lexsort((dv, lo, hi))      # within h: doc_id ASC
-        first = np.ones(len(order), bool)
-        first[1:] = (hi[order[1:]] != hi[order[:-1]]) \
-            | (lo[order[1:]] != lo[order[:-1]])
-        sel = np.sort(order[first])           # deterministic block order
-        return g.take(pa.array(sel)).select(["doc_id", "text"])
+    def keep_first(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        # within each (hi, lo) segment: doc_id ASC, the first row wins
+        order = np.lexsort((g["doc_id"].to_numpy(), g["lo"].to_numpy(),
+                            g["hi"].to_numpy()))
+        return g.take(order[starts]).select(["doc_id", "text"])
 
-    surv = gated.map_batches(add_hash_bucket, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-        .groupby("b").map_groups(keep_first, batch_format="pyarrow")
+    surv = segment_map(gated.map_batches(add_hash, batch_format="pyarrow",
+                                         zero_copy_batch=True),
+                       ["hi", "lo"], keep_first)
     return token_budget_shards(surv, budget=budget)
 
 
@@ -1501,50 +1491,32 @@ def capped_duplicate_sample(docs_ds, k: int = 2):
     dedup: repeated documents stay represented (bounded) so frequency
     still carries signal, but no dup cluster can dominate a shard.
 
-    Exchange keyed on a COARSE bucket of the 16-byte normalized hash
-    (hash-group count ≈ distinct texts, corpus-growing — the r5
-    coarse-group lesson); each ~4×CPU bucket ranks ALL its hash groups
-    in one vectorized lexsort + cumcount pass."""
-    import numpy as np
-
-    from .join import default_num_buckets
-
-    nb = default_num_buckets()
+    One segment exchange on the 16-byte normalized hash
+    (``groups.segment_map``; hash-group count ≈ distinct texts,
+    corpus-growing — the r5 coarse-group lesson); each coarse block
+    ranks ALL its hash groups in one vectorized lexsort pass."""
+    from .groups import segment_map
 
     def norm(t: pa.Table) -> pa.Table:
-        h = normalized_text_hash(t["text"])
-        raw = np.frombuffer(h.buffers()[1], np.uint8)[
-            h.offset * 16:(h.offset + len(h)) * 16]
-        pair = np.ascontiguousarray(raw.reshape(-1, 16)).view(">u8")
-        hi = pair[:, 0].astype(np.int64)
-        lo = pair[:, 1].astype(np.int64)
-        return pa.table({"doc_id": t["doc_id"],
-                         "hi": pa.array(hi, pa.int64()),
-                         "lo": pa.array(lo, pa.int64()),
-                         "b": pa.array((hi % nb).astype("int32"),
-                                       pa.int32())})
+        hi, lo = _hash_halves(normalized_text_hash(t["text"]))
+        return pa.table({"doc_id": t["doc_id"], "hi": hi, "lo": lo})
 
-    def cap(g: pa.Table) -> pa.Table:
-        hi = g["hi"].combine_chunks().to_numpy(zero_copy_only=False)
-        lo = g["lo"].combine_chunks().to_numpy(zero_copy_only=False)
-        dv = g["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.lexsort((dv, lo, hi))
-        new = np.ones(len(order), bool)
-        new[1:] = (hi[order[1:]] != hi[order[:-1]]) \
-            | (lo[order[1:]] != lo[order[:-1]])
-        # rank within hash group = position since last group start
-        idx = np.arange(len(order))
-        start = np.maximum.accumulate(np.where(new, idx, 0))
-        rank = idx - start + 1
+    def cap(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        dv = g["doc_id"].to_numpy()
+        order = np.lexsort((dv, g["lo"].to_numpy(), g["hi"].to_numpy()))
+        # rank within hash group = position since its segment start
+        sizes = np.diff(np.append(starts, g.num_rows))
+        rank = np.arange(g.num_rows) - np.repeat(starts, sizes) + 1
         keep = rank <= k
         return pa.table({
             "doc_id": pa.array(dv[order[keep]], pa.int64()),
             "copy_rank": pa.array(rank[keep], pa.int64()),
         })
 
-    return docs_ds.select_columns(["doc_id", "text"]) \
-        .map_batches(norm, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("b").map_groups(cap, batch_format="pyarrow")
+    return segment_map(docs_ds.select_columns(["doc_id", "text"])
+                       .map_batches(norm, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       ["hi", "lo"], cap)
 
 
 def capped_duplicate_sample_sql(k: int = 2,
@@ -2215,26 +2187,25 @@ GROUP BY p.pct ORDER BY pct
 
 # --- n-gram diversity: distinct/total trigram ratio per source ---
 
-def trigram_diversity(docs_ds, num_buckets: int = 256):
+def trigram_diversity(docs_ds):
     """Per-source lexical diversity — distinct token trigrams over
     total trigram occurrences, in exact ppm:
     ``(source, n_grams, n_distinct, diversity_ppm)``.  The
     self-repetition health check run per crawl/source before mixing
     training data (a collapsed or templated source scores low).
 
-    Scale shape: each batch pre-aggregates to
-    ``(bucket, h, source, cnt)`` combiner rows (distinct gram × source
-    per batch, memoized md5-60 hashing); ONE ``groupby(bucket)``
-    exchange — ``bucket = h % num_buckets`` co-locates all copies of a
-    gram, so per-bucket ``drop_duplicates(h, source)`` counts are
-    exact global distincts and ``sum(cnt)`` exact totals; a final
-    |sources|-row groupby merges bucket partials.  Text never crosses
-    an exchange.
+    Scale shape: each batch pre-aggregates to ``(h, source, cnt)``
+    combiner rows (distinct gram × source per batch, memoized md5-60
+    hashing); ONE segment exchange on ``h`` (``groups.segment_map``)
+    co-locates all copies of a gram, so per-block distinct
+    ``(h, source)`` counts are exact global distincts and ``sum(cnt)``
+    exact totals; a final |sources|-row groupby merges block partials.
+    Text never crosses an exchange.
     """
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     from .dedup import _md5_60_memo
+    from .groups import segment_map
 
     def partial(t: pa.Table) -> pa.Table:
         agg: dict[tuple[int, str], int] = {}
@@ -2248,25 +2219,24 @@ def trigram_diversity(docs_ds, num_buckets: int = 256):
         hs = np.fromiter((k[0] for k in agg), np.uint64, len(agg)) \
             .astype(np.int64)
         return pa.table({
-            "bucket": pa.array(hs % num_buckets, pa.int64()),
             "h": pa.array(hs, pa.int64()),
             "source": pa.array([k[1] for k in agg], pa.string()),
             "cnt": pa.array(list(agg.values()), pa.int64()),
         })
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        tot = g.groupby("source", sort=False)["cnt"].sum()
-        dis = g.drop_duplicates(["h", "source"]) \
-            .groupby("source", sort=False)["h"].size()
-        out = pd.DataFrame({"n_grams": tot, "n_distinct": dis}) \
-            .fillna(0).astype(np.int64).reset_index()
-        return pa.Table.from_pandas(out, preserve_index=False)
+    def per_block(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        d = g.group_by(["h", "source"], use_threads=False) \
+            .aggregate([("cnt", "sum")]) \
+            .group_by("source", use_threads=False) \
+            .aggregate([("cnt_sum", "sum"), ("h", "count")])
+        return pa.table({"source": d["source"],
+                         "n_grams": d["cnt_sum_sum"],
+                         "n_distinct": d["h_count"]})
 
-    agg = docs_ds.select_columns(["source", "text"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").map_groups(per_bucket,
-                                      batch_format="pandas") \
+    agg = segment_map(docs_ds.select_columns(["source", "text"])
+                      .map_batches(partial, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                      "h", per_block) \
         .groupby("source").aggregate(
             Sum("n_grams", alias_name="n_grams"),
             Sum("n_distinct", alias_name="n_distinct"))

@@ -32,8 +32,8 @@ def loo_source_influence(docs_ds):
 
     Scale shape: NO per-source rescan — one streamed pass yields
     per-source (docs, tokens) partials, and the dup side is ONE
-    text-hash exchange: ``groupby(h, source)`` counts, then a per-hash
-    rollup marking hashes exclusive to a single source.  The closed
+    text-hash segment exchange: distinct ``(h, source)`` rows, then a
+    per-hash rollup marking hashes exclusive to a single source.  The closed
     forms: ``loo_mean(s) = (T − T_s)/(N − N_s)`` and ``loo_dups(s) =
     (N − N_s) − (H − own_s)`` where ``H`` is distinct texts and
     ``own_s`` counts hashes appearing ONLY in ``s`` (removing ``s``
@@ -67,50 +67,48 @@ def loo_source_influence(docs_ds):
                                      Sum("tk", alias_name="n_tokens")) \
         .to_pandas()
 
-    # --- pass 2: text-hash ownership via ONE coarse-bucketed exchange
-    # (groupby(h) would make |distinct texts| groups — the r5
-    # coarse-group lesson); each ~4×CPU bucket computes its distinct-
-    # hash count and per-source exclusive-hash counts fully vectorized
-    # in pandas and emits |sources|+1 partial rows ---
-    from .join import default_num_buckets
-
-    nb = default_num_buckets()
+    # --- pass 2: text-hash ownership via ONE segment exchange on the
+    # hash (``groups.segment_map``; groupby(h) would make |distinct
+    # texts| groups — the r5 coarse-group lesson); each coarse block
+    # computes its distinct-hash count and per-source exclusive-hash
+    # counts in Arrow and emits |sources|+1 partial rows ---
+    from .groups import segment_map
 
     def hash_rows(t: pa.Table) -> pa.Table:
         h = np.array([_md5_60(x.encode())
                       for x in t["text"].to_pylist()], np.int64)
         tt = pa.table({"h": pa.array(h, pa.int64()),
-                       "source": t["source"],
-                       "b": pa.array((h % nb).astype("int32"),
-                                     pa.int32())})
+                       "source": t["source"]})
         # per-batch (h, source) pre-dedup shrinks the exchange on
         # duplicate-heavy batches
-        return tt.group_by(["h", "source", "b"],
-                           use_threads=False).aggregate([])
+        return tt.group_by(["h", "source"], use_threads=False).aggregate([])
 
-    # one distinct-hash total row per bucket, flagged by ``total`` (any
+    # one distinct-hash total row per block, flagged by ``total`` (any
     # source value, '' included, can be a genuine source)
     part_schema = pa.schema([("source", pa.string()), ("own", pa.int64()),
                              ("nh", pa.int64()), ("total", pa.bool_())])
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        u = g.drop_duplicates(["h", "source"])
-        ns = u.groupby("h")["source"].nunique()
-        nh = int(len(ns))
-        excl = set(ns[ns == 1].index)
-        own = u[u["h"].isin(excl)].groupby("source").size()
-        return pa.table({
-            "source": pa.array([None] + own.index.tolist(), pa.string()),
-            "own": pa.array([0] + own.to_numpy(np.int64).tolist(),
-                            pa.int64()),
-            "nh": pa.array([nh] + [0] * len(own), pa.int64()),
-            "total": pa.array([True] + [False] * len(own), pa.bool_())},
-            schema=part_schema)
+    def per_block(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        u = g.group_by(["h", "source"], use_threads=False).aggregate([])
+        ns = u.group_by("h", use_threads=False) \
+            .aggregate([([], "count_all")])
+        excl = ns.filter(pc.equal(ns["count_all"], 1))["h"]
+        own = u.filter(pc.is_in(u["h"], value_set=excl.combine_chunks())) \
+            .group_by("source", use_threads=False) \
+            .aggregate([([], "count_all")])
+        n = own.num_rows
+        return pa.concat_tables([
+            pa.table({"source": [None], "own": [0], "nh": [ns.num_rows],
+                      "total": [True]}, schema=part_schema),
+            pa.table({"source": own["source"], "own": own["count_all"],
+                      "nh": pa.array(np.zeros(n, np.int64)),
+                      "total": pa.array(np.zeros(n, bool))},
+                     schema=part_schema)])
 
-    parts = docs_ds.select_columns(["source", "text"]) \
-        .map_batches(hash_rows, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("b").map_groups(per_bucket, batch_format="pandas") \
+    parts = segment_map(docs_ds.select_columns(["source", "text"])
+                        .map_batches(hash_rows, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                        "h", per_block) \
         .to_pandas()
     n_hashes = int(parts["nh"].sum())
     own = parts[~parts["total"]] \

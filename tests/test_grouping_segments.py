@@ -260,6 +260,15 @@ def _grouping_tables(path) -> str:
         "p_name": pa.array([f"{rng.choice(adj)} {rng.choice(noun)}"
                             for _ in range(80)], pa.string())}),
         os.path.join(path, "part.parquet"))
+    # 40 vectors in 8 near-duplicate families (cosine ~0.99 within one)
+    base = [[rng.gauss(0, 1) for _ in range(16)] for _ in range(8)]
+    pq.write_table(pa.table({
+        "vec_id": pa.array(range(40), pa.int64()),
+        "embedding": pa.array([[x + rng.gauss(0, 0.1) for x in base[i % 8]]
+                               for i in range(40)],
+                              pa.list_(pa.float32())),
+        "label": pa.array([i % 8 for i in range(40)], pa.int32())}),
+        os.path.join(path, "embeddings.parquet"))
     t0 = dt.datetime(2024, 1, 1)
     n = 300
     pq.write_table(pa.table({
@@ -278,12 +287,18 @@ def _grouping_tables(path) -> str:
     return str(path)
 
 
-# the grouping queries of the benchmark's ops_grouping job and their
-# exchanges: the posting-list pairs, fuzzy linkage and rfm each run two,
-# sessionize one
+# the exchanges of every query that runs on the segment primitive: the
+# grouping queries of the benchmark's ops_grouping job (the posting-list
+# pairs, fuzzy linkage and rfm each run two, sessionize one) and the
+# dedup, text and valuation queries keyed on a hash or a doc id
 EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "fuzzy_name_matches": 2, "rfm_segments": 2, "sessionize": 1,
-             "curate_corpus": 3, "minhash_near_dups": 2}
+             "curate_corpus": 3, "minhash_near_dups": 2,
+             "set_sim_join_pairs": 6, "cdc_chunk_dedup": 2,
+             "shingle_novelty": 2, "source_overlap_matrix": 3,
+             "copy_genealogy": 3, "ngram_dedup_rewrite": 4,
+             "embedding_near_dups": 2, "capped_duplicate_sample": 1,
+             "trigram_diversity": 3, "loo_source_influence": 2}
 
 
 @pytest.mark.parametrize("query", sorted(EXCHANGES))

@@ -7,8 +7,8 @@ import pytest
 
 from kgruntime.ops.ann import brute_force_topk, lsh_topk
 from kgruntime.ops.dedup import (
-    MinHasher, SimHasher, embedding_near_dups, exact_dedup, exact_jaccard,
-    minhash_near_dups, simhash_near_dups, verify_pairs_jaccard,
+    MinHasher, SimHasher, embedding_near_dups, exact_jaccard,
+    minhash_near_dups, simhash_near_dups,
 )
 from kgruntime.ops.media import (
     MediaDecoder, decode_features, sample_frames, synth_media_table,
@@ -52,25 +52,8 @@ def test_minhash_lsh_finds_planted_dups(ray_session):
 
 
 def test_exact_jaccard_and_verify(ray_session):
-    import ray.data as rd
-
     assert exact_jaccard(BASE, BASE) == 1.0
     assert exact_jaccard(BASE, "nothing in common here at all") < 0.05
-    docs = rd.from_arrow(_doc_table([BASE, BASE.replace("lazy", "sleepy"),
-                                     "other text entirely"]))
-    pairs = rd.from_items([{"doc_a": 0, "doc_b": 1}, {"doc_a": 0, "doc_b": 2}])
-    out = verify_pairs_jaccard(pairs, docs, threshold=0.5).take_all()
-    assert len(out) == 1 and {out[0]["doc_a"], out[0]["doc_b"]} == {0, 1}
-    assert out[0]["jaccard"] > 0.5
-
-
-def test_exact_dedup(ray_session):
-    import ray.data as rd
-
-    ds = rd.from_arrow(_doc_table(["aaa", "bbb", "aaa", "ccc", "aaa"]))
-    out = exact_dedup(ds).take_all()
-    by_hash = {r["keep_id"]: r["n_dups"] for r in out}
-    assert by_hash[0] == 3 and by_hash[1] == 1 and by_hash[3] == 1
 
 
 def test_simhash_close_and_far(ray_session):

@@ -133,7 +133,8 @@ def _docs_tbl(texts):
     })
 
 
-def test_shingle_novelty_exact_vs_brute(ray_session):
+def test_shingle_novelty_exact_vs_brute(ray_session, monkeypatch):
+    """Exact on a 3-block input under any coarse bucket count (5, 7)."""
     import ray.data as rd
 
     from kgruntime.ops.dedup import shingle_novelty
@@ -146,10 +147,6 @@ def test_shingle_novelty_exact_vs_brute(ray_session):
         "z z",                      # doc 3: < k tokens -> absent
         "p q r a b c",              # doc 4: 'a b c' copied
     ]
-    out = shingle_novelty(rd.from_arrow(_docs_tbl(texts)).repartition(3),
-                          k=k, num_buckets=7).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-
     # brute-force reference
     grams = {i: {" ".join(t.split()[j:j + k])
                  for j in range(len(t.split()) - k + 1)}
@@ -160,19 +157,26 @@ def test_shingle_novelty_exact_vs_brute(ray_session):
             first.setdefault(g, i)
     exp = {i: (len(gs), sum(first[g] < i for g in gs))
            for i, gs in grams.items()}
-
-    assert list(out["doc_id"]) == sorted(exp)
-    for _, r in out.iterrows():
-        ng, nc = exp[r["doc_id"]]
-        assert (r["n_grams"], r["n_copied"]) == (ng, nc)
-        assert r["copied_ppm"] == 1_000_000 * nc // ng
     assert exp[2][1] == exp[2][0]          # doc 2 fully copied
     assert 3 not in exp                    # short doc absent
+
+    for nb in (5, 7):
+        monkeypatch.setattr("kgruntime.ops.join.default_num_buckets",
+                            lambda nb=nb: nb)
+        out = shingle_novelty(
+            rd.from_arrow(_docs_tbl(texts)).repartition(3), k=k) \
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        assert list(out["doc_id"]) == sorted(exp)
+        for _, r in out.iterrows():
+            ng, nc = exp[r["doc_id"]]
+            assert (r["n_grams"], r["n_copied"]) == (ng, nc)
+            assert r["copied_ppm"] == 1_000_000 * nc // ng
 
 
 # --------------------------------------------- trigram_diversity
 
-def test_trigram_diversity_exact(ray_session):
+def test_trigram_diversity_exact(ray_session, monkeypatch):
+    """Exact on a 2-block input under any coarse bucket count (5, 7)."""
     import ray.data as rd
 
     from kgruntime.ops.text import trigram_diversity
@@ -186,8 +190,6 @@ def test_trigram_diversity_exact(ray_session):
             "m n",                  # too short: no trigrams
         ], pa.string()),
     })
-    out = trigram_diversity(rd.from_arrow(tbl).repartition(2),
-                            num_buckets=5).to_pandas()
 
     def ref(texts):
         grams = []
@@ -198,12 +200,17 @@ def test_trigram_diversity_exact(ray_session):
 
     n1, d1 = ref(["a b c a b c a b c", "a b c d"])
     n2, d2 = ref(["u v w x y", "m n"])
-    got = {r["source"]: r for _, r in out.iterrows()}
-    assert (got["s1"]["n_grams"], got["s1"]["n_distinct"]) == (n1, d1)
-    assert (got["s2"]["n_grams"], got["s2"]["n_distinct"]) == (n2, d2)
-    assert got["s1"]["diversity_ppm"] == 1_000_000 * d1 // n1
-    assert got["s2"]["diversity_ppm"] == 1_000_000 * d2 // n2
-    assert list(out["source"]) == ["s1", "s2"]
+    for nb in (5, 7):
+        monkeypatch.setattr("kgruntime.ops.join.default_num_buckets",
+                            lambda nb=nb: nb)
+        out = trigram_diversity(rd.from_arrow(tbl).repartition(2)) \
+            .to_pandas()
+        got = {r["source"]: r for _, r in out.iterrows()}
+        assert (got["s1"]["n_grams"], got["s1"]["n_distinct"]) == (n1, d1)
+        assert (got["s2"]["n_grams"], got["s2"]["n_distinct"]) == (n2, d2)
+        assert got["s1"]["diversity_ppm"] == 1_000_000 * d1 // n1
+        assert got["s2"]["diversity_ppm"] == 1_000_000 * d2 // n2
+        assert list(out["source"]) == ["s1", "s2"]
 
 
 # --------------------------------------------- bpe_fertility

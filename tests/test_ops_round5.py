@@ -319,9 +319,8 @@ def test_term_concentration_sql_past_bigint_square():
 def test_coarse_group_map_matches_plain_groupby(ray_session):
     """coarse_group_map must reproduce groupby(keys).map_groups(fn)
     exactly — per-key groups arrive intact in one coarse block — and
-    honor min_group_size / passthrough_max_size; so must the segment
-    primitive under it, for integer and string keys, and an empty block
-    must reach fn."""
+    honor min_group_size; so must the segment primitive under it, for
+    integer and string keys, and an empty block must reach fn."""
     import numpy as np
     import ray.data as rd
 
@@ -359,15 +358,6 @@ def test_coarse_group_map_matches_plain_groupby(ray_session):
                             min_group_size=3).to_pandas()
     assert set(map(tuple, got2[["k1", "k2"]].values)) == \
         set(map(tuple, want[want["n"] >= 3][["k1", "k2"]].values))
-
-    # passthrough emits small groups' ROWS unchanged (identity fn case)
-    def ident(g: pa.Table) -> pa.Table:
-        return g
-
-    got3 = coarse_group_map(ds, ["k1", "k2"], ident,
-                            passthrough_max_size=1000).to_pandas() \
-        .sort_values("v").reset_index(drop=True)
-    assert got3["v"].tolist() == list(range(500))
 
     # the segment primitive: one vectorized call per coarse block, the
     # block lexsorted by the keys and ``starts`` its key segments
