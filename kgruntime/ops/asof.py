@@ -9,8 +9,9 @@ sides are co-partitioned by the ``by`` key with ONE union +
 Partitioning assumptions (stated per the scale contract):
 
 * one bucket's rows (left + right side together) fit a worker's heap —
-  at 100 TB raise ``num_buckets`` well past the core count (buckets are
-  hash-distributed across the cluster) and/or pre-filter columns;
+  the bucket count is ``join.default_num_buckets()`` (4× the cluster's
+  CPUs), so a 100 TB input needs a cluster whose buckets each fit a
+  worker and/or pre-filtered columns;
 * the right side is unique per (by, on) — enforced deterministically
   inside each bucket when ``unique_right=True`` (keep the row with the
   lexicographically-largest payload, i.e. ``max()`` per key), matching
@@ -32,15 +33,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .join import _bucket_array
+from .join import _bucket_array, default_num_buckets
 
 _BUCKET = "__ab"
 _SIDE = "__asof_side"
 
 
 def asof_join(left, right, by: str, on: str, how: str = "left",
-              num_buckets: int = 32, unique_right: bool = True,
-              direction: str = "backward"):
+              unique_right: bool = True, direction: str = "backward"):
     """As-of join: for each left row, attach the right row with the
     greatest ``on`` value ≤ the left row's ``on`` (the default
     direction="backward"); direction="forward" takes the smallest ``on``
@@ -65,6 +65,7 @@ def asof_join(left, right, by: str, on: str, how: str = "left",
     all_names = l_names + [c for c in r_names if c not in (by, on)]
     r_extras = [c for c in r_names if c not in (by, on)]
     out_names = l_names + r_extras
+    num_buckets = default_num_buckets()
 
     def prep(side: int, own: set):
         def fn(t: pa.Table) -> pa.Table:

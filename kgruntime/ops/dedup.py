@@ -575,7 +575,7 @@ def exact_jaccard(text_a: str, text_b: str, n: int = 3) -> float:
     return len(a & b) / max(1, len(a | b))
 
 
-def jaccard_adjacent_pairs(docs_ds, num_buckets: int = 8):
+def jaccard_adjacent_pairs(docs_ds):
     """Oracle-checkable exact Jaccard surface: word-3-gram Jaccard of
     each (even doc_id, doc_id+1) pair via ONE bucketed hash join — a
     deterministic linear-size pair set, so the driver's DuckDB oracle can
@@ -597,8 +597,7 @@ def jaccard_adjacent_pairs(docs_ds, num_buckets: int = 8):
         .map_batches(evens, batch_format="pyarrow", zero_copy_batch=True)
     right = docs_ds.select_columns(["doc_id", "text"]) \
         .rename_columns({"doc_id": "doc_b", "text": "text_b"})
-    j = bucketed_hash_join(left, right, "join_key", "doc_b",
-                           num_buckets=num_buckets)
+    j = bucketed_hash_join(left, right, "join_key", "doc_b")
 
     def score(t: pa.Table) -> pa.Table:
         import numpy as np

@@ -20,7 +20,7 @@ import pyarrow as pa
 
 
 def pagerank(edges_ds, iters: int = 5, scale: int = 10 ** 9,
-             damp: int = 85, num_buckets: int = 32):
+             damp: int = 85):
     """PageRank over a DIRECTED edge list Dataset (src:int64,
     dst:int64); returns (user_id, rank_scaled) with ranks at
     ``scale`` fixed-point.  Nodes are the distinct sources (feed a
@@ -50,8 +50,7 @@ def pagerank(edges_ds, iters: int = 5, scale: int = 10 ** 9,
     # degree rides on the edges so per-round state is (u, r) only
     e2 = bucketed_hash_join(
         edges_ds, deg.rename_columns({"src": "u"}),
-        left_on="src", right_on="u",
-        num_buckets=num_buckets).materialize()
+        left_on="src", right_on="u").materialize()
 
     def init_ranks(t: pa.Table) -> pa.Table:
         return pa.table({"u": t["src"],
@@ -74,8 +73,7 @@ def pagerank(edges_ds, iters: int = 5, scale: int = 10 ** 9,
                                        pa.int64())})
 
     for _ in range(iters):
-        j = bucketed_hash_join(e2, ranks, left_on="src", right_on="u",
-                               num_buckets=num_buckets)
+        j = bucketed_hash_join(e2, ranks, left_on="src", right_on="u")
         sums = j.map_batches(contrib, batch_format="pyarrow",
                              zero_copy_batch=True) \
             .groupby("dst").aggregate(Sum("c", alias_name="c"))
@@ -841,8 +839,7 @@ GROUP BY a.anc ORDER BY a.anc
 # ---------------------------------------------------------------------------
 
 def personalized_pagerank(edges_ds, n_seeds: int = 5, iters: int = 5,
-                          scale: int = 10 ** 9, damp: int = 85,
-                          num_buckets: int = 32):
+                          scale: int = 10 ** 9, damp: int = 85):
     """Personalized PageRank over a symmetrized edge list: the teleport
     mass goes ONLY to the ``n_seeds`` smallest node ids (the "rank
     relative to a seed set" recsys/trust-propagation variant of
@@ -873,8 +870,7 @@ def personalized_pagerank(edges_ds, n_seeds: int = 5, iters: int = 5,
 
     e2 = bucketed_hash_join(
         edges_ds, deg.rename_columns({"src": "u"}),
-        left_on="src", right_on="u",
-        num_buckets=num_buckets).materialize()
+        left_on="src", right_on="u").materialize()
 
     r0 = scale // n_nodes
 
@@ -902,8 +898,7 @@ def personalized_pagerank(edges_ds, n_seeds: int = 5, iters: int = 5,
                                        pa.int64())})
 
     for _ in range(iters):
-        j = bucketed_hash_join(e2, ranks, left_on="src", right_on="u",
-                               num_buckets=num_buckets)
+        j = bucketed_hash_join(e2, ranks, left_on="src", right_on="u")
         sums = j.map_batches(contrib, batch_format="pyarrow",
                              zero_copy_batch=True) \
             .groupby("dst").aggregate(Sum("c", alias_name="c"))

@@ -92,6 +92,33 @@ def segment_pairs(starts: np.ndarray, sizes: np.ndarray):
     return np.concatenate(ii), np.concatenate(jj)
 
 
+def segment_ids(starts: np.ndarray, n: int) -> np.ndarray:
+    """The segment index of each of ``n`` rows, for segments given by
+    ``starts``."""
+    return np.repeat(np.arange(len(starts)),
+                     np.diff(np.append(starts, n)))
+
+
+def segment_searchsorted(seg, values, probe_seg, probes,
+                         side: str = "left") -> np.ndarray:
+    """``np.searchsorted`` that never crosses a segment: for each probe,
+    the index into ``values`` where it would be inserted among the
+    values of its own segment ``probe_seg``.  ``seg`` (non-decreasing)
+    is each value's segment and ``values`` are sorted inside each
+    segment.  Exact for any int64 values: one lexsort of the values and
+    the probes together (segment, value, tie rank), no composite key."""
+    n = len(values)
+    is_probe = np.r_[np.zeros(n, bool), np.ones(len(probes), bool)]
+    # at an equal value a "left" probe goes before the values
+    tie = is_probe if side == "right" else ~is_probe
+    order = np.lexsort((tie, np.r_[values, probes], np.r_[seg, probe_seg]))
+    is_val = ~is_probe[order]
+    before = np.cumsum(is_val) - is_val
+    out = np.empty(len(probes), np.int64)
+    out[order[~is_val] - n] = before[~is_val]
+    return out
+
+
 def segment_map(ds, keys, fn):
     """Apply ``fn(block, starts)`` once per coarse block of ``ds``
     exchanged on ``hash(keys)`` (see the module docstring for the
@@ -106,7 +133,9 @@ def segment_map(ds, keys, fn):
         acc = np.zeros(t.num_rows, np.int64)
         for k in keys:
             acc ^= _key_ints(t[k]) * _MIX   # int64 wrap is fine (hash mix)
-        return t.append_column(
+        # drop the schema metadata (pandas' from a parquet file): the
+        # exchange cannot hash a metadata dict and warns once per block
+        return t.replace_schema_metadata(None).append_column(
             "__cg", pa.array((acc % coarse).astype("int32"), pa.int32()))
 
     def per_coarse(g: pa.Table) -> pa.Table:

@@ -1,31 +1,40 @@
 """Sessionization / windowed aggregates over the events log
 (ray_guide "Streaming-shaped workloads" pattern).
 
-Ray Data has no event-time windows.  ``sessionize`` exchanges events by
-``user_id`` on the coarse segment primitive (``groups.segment_map``)
-and runs ONE vectorized kernel per coarse block: lexsort by (user, ts,
-event_id), mark a session start wherever the user changes or the gap
-exceeds the limit, and reduce every session at once with
-``np.add.reduceat`` — no Python call per user.  The ordering
-assumption (all events of one user arrive in one block) holds because
-the exchange is keyed by user.  Most other per-user operators here
-still window with pandas inside ``groupby(key).map_groups``, one call
-per user.
+Ray Data has no event-time windows.  Every per-user operator here
+exchanges events by ``user_id`` on the coarse segment primitive
+(``groups.segment_map``) and runs ONE vectorized kernel per coarse
+block — no Python call per user.  The kernels share the per-user
+decisions, each written once below: the time order (``_timeline``:
+user, ts, event_id), the 30-minute session rule (``_new_sessions``),
+the half-away cents (``_cents``), consecutive event types
+(``_ngrams``) and, for as-of and window probes,
+``groups.segment_searchsorted``, which never crosses a user.  The
+ordering assumption (all events of one user arrive in one block) holds
+because the exchange is keyed by user.
 
-Both operators carry exact DuckDB oracles (window functions), so they
-run under the driver's value-hash gate.
+Every operator carries an exact DuckDB twin (window functions), so it
+runs under the driver's value-hash gate.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .groups import (run_starts, segment_ids, segment_map, segment_pairs,
+                     segment_searchsorted)
+
+logger = logging.getLogger(__name__)
+
 SESSION_GAP_MIN = 30
-_UNIT_PER_MIN = {"s": 60, "ms": 60_000, "us": 60_000_000,
-                 "ns": 60_000_000_000}
+_US_PER_MIN = 60_000_000
+_US_PER_HOUR = 3_600_000_000
+_US_PER_DAY = 86_400_000_000
 
 
 def _cents(value) -> pa.ChunkedArray:
@@ -35,30 +44,71 @@ def _cents(value) -> pa.ChunkedArray:
                             round_mode="half_towards_infinity"), pa.int64())
 
 
-def _sessionize_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
-    # (ts, event_id) order inside each user: the user segments keep
-    # their offsets, so ``starts`` still marks every user's first event
-    t = t.take(pc.sort_indices(t, sort_keys=[("user_id", "ascending"),
-                                              ("ts", "ascending"),
-                                              ("event_id", "ascending")]))
-    ts_type = t.schema.field("ts").type
-    uid = t["user_id"].to_numpy()
-    ts = pc.cast(t["ts"], pa.int64()).to_numpy()
-    new = np.zeros(len(uid), bool)
+def _timeline(t: pa.Table, starts: np.ndarray, keys=("user_id",)):
+    """A segment block in time order: sorted by ``keys``, ts and, when
+    the block has one, event_id (the twins' ``ORDER BY ts, event_id``).
+    The key segments keep their offsets, so ``starts`` stays valid.
+    Returns the block, its ts as int64 µs and each row's segment."""
+    cols = [*keys, "ts"] + ["event_id"] * ("event_id" in t.column_names)
+    t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending")
+                                              for c in cols]))
+    us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
+    return t, us.to_numpy(), segment_ids(starts, t.num_rows)
+
+
+def _new_sessions(us: np.ndarray, starts: np.ndarray,
+                  gap_us: int = SESSION_GAP_MIN * _US_PER_MIN):
+    """Mask of the rows of a time-ordered block that open a session: a
+    user's first event, or an event more than ``gap_us`` after the one
+    before (a gap of exactly the limit does not split)."""
+    new = np.zeros(len(us), bool)
     new[starts] = True
-    new[1:] |= ts[1:] - ts[:-1] > \
-        SESSION_GAP_MIN * _UNIT_PER_MIN[ts_type.unit]
-    s = np.flatnonzero(new)
+    new[1:] |= us[1:] - us[:-1] > gap_us
+    return new
+
+
+def _gaps(us: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each event's µs gap to the user's previous one (0 at a user's
+    first event)."""
+    g = np.diff(us, prepend=us[:1])
+    g[starts] = 0
+    return g
+
+
+def _ngrams(t: pa.Table, seg: np.ndarray, n: int):
+    """The event_type columns of every ``n`` consecutive events of one
+    user in a time-ordered block, and the offset of each n-gram's
+    first event."""
+    m = max(len(seg) - n + 1, 0)
+    i = np.flatnonzero(seg[:m] == seg[n - 1:n - 1 + m])
+    return [t["event_type"].take(i + k) for k in range(n)], i
+
+
+def _counts(cols: dict, name: str) -> pa.Table:
+    """The distinct rows of ``cols`` with their multiplicity ``name``
+    (a block's pre-combined partial for a rollup)."""
+    return pa.table(cols).group_by(list(cols), use_threads=False) \
+        .aggregate([([], "count_all")]).rename_columns([*cols, name])
+
+
+def _is(t: pa.Table, event_type: str) -> np.ndarray:
+    return pc.equal(t["event_type"], event_type) \
+        .to_numpy(zero_copy_only=False)
+
+
+def _sessionize_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    t, us, _ = _timeline(t, starts)
+    s = np.flatnonzero(_new_sessions(us, starts))
     # sum exact integer cents, not floats: float sums are summation-
     # order-dependent in the last ulp, which breaks the value-hash gate
     # (the oracle SQL mirrors the cents formula)
-    cents = _cents(t["value"]).to_numpy()
-    total = np.add.reduceat(cents, s) if len(s) else cents
+    total = np.add.reduceat(_cents(t["value"]).to_numpy(), s)
     return pa.table({
-        "user_id": pa.array(uid[s], pa.int64()),
-        "session_start": pa.array(ts[s], pa.int64()).cast(ts_type),
-        "n_events": pa.array(np.diff(np.append(s, len(uid))), pa.int64()),
-        "total_value": pa.array(total / 100.0, pa.float64())})
+        "user_id": t["user_id"].take(s),
+        "session_start": pa.array(us[s], pa.timestamp("us"))
+        .cast(t.schema.field("ts").type),
+        "n_events": np.diff(np.append(s, len(us))),
+        "total_value": total / 100.0})
 
 
 def sessionize(events_ds):
@@ -67,8 +117,6 @@ def sessionize(events_ds):
 
     Output: (user_id, session_start, n_events, total_value).
     """
-    from .groups import segment_map
-
     return segment_map(
         events_ds.select_columns(["user_id", "ts", "event_id", "value"]),
         "user_id", _sessionize_block)
@@ -103,8 +151,6 @@ def tumbling_hourly(events_ds):
     types a per-type pandas group would hold 1/5 of the whole corpus in
     one worker's heap.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
 
     def add_window(t: pa.Table) -> pa.Table:
@@ -112,11 +158,8 @@ def tumbling_hourly(events_ds):
                     pa.timestamp("us"))
         # exact integer cents: distributed float sums are summation-
         # order-dependent in the last ulp (oracle mirrors the formula)
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
         return pa.Table.from_arrays(
-            [t["event_type"], w, cents],
+            [t["event_type"], w, _cents(t["value"])],
             names=["event_type", "window_start", "cents"])
 
     def finish(t: pa.Table) -> pa.Table:
@@ -151,8 +194,6 @@ def hopping_windows(events_ds, size_hours: int = 2, hop_hours: int = 1):
     rows), then ONE native hash groupby; the shuffle carries the
     aggregated (type, window) rows, pre-combined per block by Ray.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
 
     if size_hours % hop_hours:
@@ -162,9 +203,7 @@ def hopping_windows(events_ds, size_hours: int = 2, hop_hours: int = 1):
     def explode(t: pa.Table) -> pa.Table:
         base = pc.cast(pc.floor_temporal(t["ts"], unit="hour"),
                        pa.timestamp("us"))
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = _cents(t["value"])
         parts = []
         for i in range(n_copies):
             w = pc.subtract(base, pa.scalar(i * hop_hours * 3_600_000_000,
@@ -199,36 +238,30 @@ ORDER BY event_type, window_start
 """
 
 
-def _gap_group(g: pd.DataFrame) -> pd.DataFrame:
-    g = g.sort_values(["ts", "event_id"], kind="mergesort")
+def _gap_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    t, us, _ = _timeline(t, starts)
     # integer microseconds end-to-end: float seconds would accumulate
     # representation error and drift from the epoch_us() oracle
-    # (explicit datetime64[us] — pandas resolution is version-dependent)
-    us = g["ts"].to_numpy().astype("datetime64[us]").astype("int64")
-    gaps = us[1:] - us[:-1]
-    if len(gaps) == 0:
-        return pd.DataFrame(columns=["user_id", "n_gaps", "avg_gap_sec",
-                                     "max_gap_sec"])
-    avg = (float(gaps.sum()) / len(gaps)) / 1e6
-    import numpy as np
-
-    avg = float(np.copysign(np.floor(abs(avg) * 1e6 + 0.5), avg) / 1e6)
-    return pd.DataFrame({
-        "user_id": [int(g["user_id"].iloc[0])],
-        "n_gaps": [len(gaps)],
-        "avg_gap_sec": [avg],
-        "max_gap_sec": [float(gaps.max()) / 1e6],
-    })
+    g = _gaps(us, starts)
+    ng = np.diff(np.append(starts, len(us))) - 1
+    k = ng > 0
+    avg = (np.add.reduceat(g, starts)[k].astype(np.float64) / ng[k]) / 1e6
+    avg = np.copysign(np.floor(np.abs(avg) * 1e6 + 0.5), avg) / 1e6
+    return pa.table({
+        "user_id": t["user_id"].take(starts[k]),
+        "n_gaps": ng[k],
+        "avg_gap_sec": avg,
+        "max_gap_sec": np.maximum.reduceat(g, starts)[k] / 1e6})
 
 
 def user_gap_stats(events_ds):
     """Per-user inter-event gap statistics — the lag()-window shape:
     (user_id, n_gaps, avg_gap_sec, max_gap_sec); users with a single
-    event produce no row.  Per-user groups are small, so the
-    partition-by-key + in-group sort idiom (same as sessionize) holds.
+    event produce no row.
     """
-    return events_ds.select_columns(["user_id", "ts", "event_id"]) \
-        .groupby("user_id").map_groups(_gap_group, batch_format="pandas")
+    return segment_map(events_ds.select_columns(["user_id", "ts",
+                                                 "event_id"]),
+                       "user_id", _gap_block)
 
 
 USER_GAP_STATS_SQL = """
@@ -245,41 +278,24 @@ GROUP BY user_id ORDER BY user_id
 """
 
 
-def _running_group(g: pd.DataFrame) -> pd.DataFrame:
-    g = g.sort_values(["ts", "event_id"], kind="mergesort")
+def _running_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    t, _, seg = _timeline(t, starts)
     # exact integer centi-units: a float cumsum's value depends on
     # DuckDB's segment-tree accumulation order, an int cumsum doesn't
-    cents = g["value_cents"].to_numpy("int64")
-    return pd.DataFrame({
-        "user_id": g["user_id"].to_numpy(),
-        "event_id": g["event_id"].to_numpy(),
-        "cum_value_cents": cents.cumsum(),
-    })
+    cents = _cents(t["value"]).to_numpy()
+    cum = np.cumsum(cents)
+    cum -= (cum - cents)[starts][seg]     # restart at each user
+    return pa.table({"user_id": t["user_id"], "event_id": t["event_id"],
+                     "cum_value_cents": cum})
 
 
 def running_user_totals(events_ds):
     """Per-user running total of event value (the cumulative-window
     shape: SUM OVER PARTITION BY user ORDER BY ts ROWS UNBOUNDED
-    PRECEDING), one row per event.  Same partition-by-user idiom as
-    sessionize — per-user groups are bounded, the shuffle key is the
-    user id, and values are exact integer cents so the result is
-    identical under any accumulation order."""
-    def prep(t):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        return pa.Table.from_arrays(
-            [t["user_id"], t["event_id"], t["ts"], cents],
-            names=["user_id", "event_id", "ts", "value_cents"])
-
-    return events_ds.select_columns(
-        ["user_id", "event_id", "ts", "value"]) \
-        .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("user_id").map_groups(_running_group,
-                                       batch_format="pandas")
+    PRECEDING), one row per event, in exact integer cents so the result
+    is identical under any accumulation order."""
+    return segment_map(events_ds.select_columns(
+        ["user_id", "event_id", "ts", "value"]), "user_id", _running_block)
 
 
 RUNNING_USER_TOTALS_SQL = """
@@ -295,36 +311,25 @@ ORDER BY user_id, event_id
 
 # --- event-sequence analytics: transitions, funnels, retention ---
 
-def _transition_group(g: pd.DataFrame) -> pa.Table:
-    # Return ARROW: this feeds the (from, to) groupby rollup, and Ray's
-    # sort/aggregate over pandas blocks is ~20x slower (CLAUDE.md lesson)
-    g = g.sort_values(["ts", "event_id"], kind="mergesort")
-    et = g["event_type"].to_numpy()
-    if len(et) < 2:
-        return pa.table({"from_type": pa.array([], pa.string()),
-                         "to_type": pa.array([], pa.string()),
-                         "n_pairs": pa.array([], pa.int64())})
-    pairs = pd.DataFrame({"from_type": et[:-1], "to_type": et[1:]})
-    counts = pairs.groupby(["from_type", "to_type"], sort=False) \
-        .size().rename("n_pairs").reset_index()
-    return pa.Table.from_pandas(counts, preserve_index=False)
+def _transition_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    t, _, seg = _timeline(t, starts)
+    (a, b), _ = _ngrams(t, seg, 2)
+    return _counts({"from_type": a, "to_type": b}, "n_pairs")
 
 
 def event_transitions(events_ds):
     """Markov transition counts between consecutive events per user —
     the lead()-window shape: (from_type, to_type, n_pairs).
 
-    Scale shape: per-user groups are bounded (same idiom as sessionize);
-    each group emits at most |types|² partial-count rows, then ONE tiny
-    native groupby rolls them up — the second shuffle carries
-    pre-combined counts, never events.
+    Scale shape: each coarse user block emits at most |types|²
+    pre-combined rows, then ONE tiny native groupby rolls them up — the
+    second shuffle carries counts, never events.
     """
     from ray.data.aggregate import Sum
 
-    return events_ds.select_columns(["user_id", "ts", "event_id",
-                                     "event_type"]) \
-        .groupby("user_id").map_groups(_transition_group,
-                                       batch_format="pandas") \
+    return segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_id", "event_type"]),
+        "user_id", _transition_block) \
         .groupby(["from_type", "to_type"]) \
         .aggregate(Sum("n_pairs", alias_name="n_pairs"))
 
@@ -353,49 +358,44 @@ def funnel_counts(events_ds, stages: tuple[str, ...] = FUNNEL_STAGES):
 
     Scale shape: conditional first-times via ONE native
     (user, type) Min groupby (pre-combined per block, shuffle carries
-    one int per user per stage); the per-user depth walk then runs over
-    |stages|-row groups; the final rollup is |stages| rows.
+    one int per user per stage); the depth walk then runs once per
+    coarse user block as a users × stages matrix; the final rollup is
+    |stages| rows.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Min
+    from ray.data.aggregate import Min, Sum
 
-    stages = tuple(stages)
-    stage_idx = {s: i for i, s in enumerate(stages)}
+    stages = pa.array(list(stages), pa.string())
 
     def prep(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t["event_type"],
-                        value_set=pa.array(list(stages), pa.string()))
-        t = t.filter(keep)
+        t = t.filter(pc.is_in(t["event_type"], value_set=stages))
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
         return pa.Table.from_arrays(
             [t["user_id"], t["event_type"], us],
             names=["user_id", "event_type", "ts_us"])
 
-    def _depth_group(g: pd.DataFrame) -> pa.Table:
-        # Arrow out: feeds the (stage_idx, stage) groupby rollup
-        first = dict(zip(g["event_type"], g["first_us"]))
-        last = None
-        reached = []
-        for i, s in enumerate(stages):
-            t = first.get(s)
-            if t is None or (last is not None and t <= last):
-                break
-            reached.append((i, s))
-            last = t
-        return pa.table({
-            "stage_idx": pa.array([i for i, _ in reached], pa.int64()),
-            "stage": pa.array([s for _, s in reached], pa.string()),
-        })
+    def depth(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a user reaches stage k when they reach k-1 and their first
+        # stage-k event is strictly later than their first stage-(k-1)
+        u = segment_ids(starts, t.num_rows)
+        k = pc.index_in(t["event_type"], value_set=stages) \
+            .to_numpy(zero_copy_only=False)
+        first = np.zeros((len(starts), len(stages)), np.int64)
+        reach = np.zeros(first.shape, bool)
+        first[u, k] = t["first_us"].to_numpy()
+        reach[u, k] = True
+        reach[:, 1:] &= first[:, 1:] > first[:, :-1]
+        n = np.logical_and.accumulate(reach, axis=1).sum(axis=0)
+        i = np.flatnonzero(n)
+        return pa.table({"stage_idx": i, "stage": stages.take(i),
+                         "n_users": n[i]})
 
     mins = events_ds.select_columns(["user_id", "event_type", "ts"]) \
         .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby(["user_id", "event_type"]) \
         .aggregate(Min("ts_us", alias_name="first_us"))
-    return mins.groupby("user_id") \
-        .map_groups(_depth_group, batch_format="pandas") \
+    return segment_map(mins, "user_id", depth) \
         .groupby(["stage_idx", "stage"]) \
-        .aggregate(Count(alias_name="n_users"))
+        .aggregate(Sum("n_users", alias_name="n_users"))
 
 
 def funnel_counts_sql(stages: tuple[str, ...] = FUNNEL_STAGES) -> str:
@@ -427,9 +427,6 @@ ORDER BY s.i
 """
 
 
-_US_PER_DAY = 86_400_000_000
-
-
 def retention_cohorts(events_ds):
     """Retention-cohort analysis: users grouped by first-active day,
     counted per activity-day offset — (cohort_day, day_offset, n_users).
@@ -440,8 +437,6 @@ def retention_cohorts(events_ds):
     the final (cohort, offset) rollup is calendar-bounded (days²), tiny
     at any corpus size.
     """
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
     def prep(t: pa.Table) -> pa.Table:
@@ -453,23 +448,22 @@ def retention_cohorts(events_ds):
             names=["user_id", "day_idx"])
         return out.group_by(["user_id", "day_idx"]).aggregate([])
 
-    def _cohort_group(g: pd.DataFrame):
-        import numpy as np
+    def cohorts(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # finish the per-block (user, day) dedup; a user's cohort is
+        # their first day
+        seg = segment_ids(starts, t.num_rows)
+        day = t["day_idx"].to_numpy()
+        o = np.lexsort((day, seg))
+        seg, day = seg[o], day[o]
+        cohort = day[starts][seg]
+        k = run_starts(seg, day)
+        return pa.table({"cohort_day": cohort[k],
+                         "day_offset": (day - cohort)[k]})
 
-        # the batch-level dedup is per-block only; finish it per user.
-        # Return ARROW: this feeds the (cohort, offset) groupby, and
-        # Ray's sort/aggregate over pandas blocks is ~20x slower.
-        days = np.unique(g["day_idx"].to_numpy("int64"))
-        cohort = int(days.min())
-        return pa.table({
-            "cohort_day": pa.array(np.full(len(days), cohort), pa.int64()),
-            "day_offset": pa.array(days - cohort, pa.int64()),
-        })
-
-    return events_ds.select_columns(["user_id", "ts"]) \
-        .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("user_id").map_groups(_cohort_group,
-                                       batch_format="pandas") \
+    return segment_map(events_ds.select_columns(["user_id", "ts"])
+                       .map_batches(prep, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                       "user_id", cohorts) \
         .groupby(["cohort_day", "day_offset"]) \
         .aggregate(Count(alias_name="n_users"))
 
@@ -489,28 +483,21 @@ ORDER BY cohort_day, day_offset
 """
 
 
-_US_PER_HOUR = 3_600_000_000
-
-
 def cooccurrence_edges(events_ds, cap: int = 200):
     """Co-occurrence edge construction — the log→graph shape: user
     pairs active in the same (event_type, hour) bucket, with shared-
     bucket counts.  Output (user_a, user_b, n_shared), user_a < user_b.
 
     Scale shape: per-batch (bucket, user) dedup shrinks the exchange to
-    distinct memberships; per-bucket pair generation is O(members²) so
-    hot buckets are capped (smallest ``cap`` user ids, logged — the
-    same guard as the LSH buckets) and the cap is replicated in the
-    oracle with a row_number() window; the final edge rollup is one
-    native groupby carrying only pair rows.
+    distinct memberships; ``segment_map`` on (event_type, hr) generates
+    each coarse block's pairs at once (``segment_pairs``).  Hot buckets
+    are capped (smallest ``cap`` user ids, logged — the same guard as
+    the LSH buckets) and the cap is replicated in the oracle with a
+    row_number() window.  The rollup is a second ``segment_map`` on the
+    packed pair key with ``np.add.reduceat``: a native
+    ``groupby(key).aggregate`` over this unbounded key pays a per-group
+    Python cost too (CLAUDE.md lesson).
     """
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
-    from .dedup import _cap_hot_bucket
-
     def prep(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
         hr = pc.divide(us, pa.scalar(_US_PER_HOUR, pa.int64()))
@@ -519,73 +506,39 @@ def cooccurrence_edges(events_ds, cap: int = 200):
             names=["event_type", "hr", "user_id"])
         return out.group_by(["event_type", "hr", "user_id"]).aggregate([])
 
-    # Per-bucket map_groups would pay Ray's per-group overhead on the
-    # (huge) number of tiny (type, hour) buckets; instead co-locate
-    # whole buckets into a few coarse hash partitions and generate the
-    # pairs with a numpy segment sweep inside each.
-    num_parts = 64
+    def bucket_pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # each bucket's distinct users in id order
+        seg = segment_ids(starts, t.num_rows)
+        uid = t["user_id"].to_numpy()
+        o = np.lexsort((uid, seg))
+        k = run_starts(seg[o], uid[o])
+        seg, uid = seg[o][k], uid[o][k]
+        first = np.flatnonzero(run_starts(seg))
+        size = np.diff(np.append(first, len(uid)))
+        hot = size > cap
+        if hot.any():
+            logger.warning(
+                "cooccurrence: %d hot buckets truncated to %d members "
+                "(%d dropped); their pairs are incomplete",
+                hot.sum(), cap, (size[hot] - cap).sum())
+        ia, ib = segment_pairs(first, np.minimum(size, cap))
+        # pack the (a, b) pair into ONE int64 key (user ids < 2^31) and
+        # pre-combine within the block before the exchange
+        key, n = np.unique((uid[ia] << np.int64(32)) | uid[ib],
+                           return_counts=True)
+        return pa.table({"key": key, "cnt": n})
 
-    def add_part(t: pa.Table) -> pa.Table:
-        import zlib
+    def rollup(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        key = t["key"].to_numpy()[starts]
+        return pa.table({
+            "user_a": key >> np.int64(32),
+            "user_b": key & np.int64(0xFFFFFFFF),
+            "n_shared": np.add.reduceat(t["cnt"].to_numpy(), starts)})
 
-        keys = [f"{e}\x1f{h}" for e, h in
-                zip(t["event_type"].to_pylist(), t["hr"].to_pylist())]
-        part = pa.array([zlib.crc32(k.encode()) % num_parts for k in keys],
-                        pa.int64())
-        return t.append_column("part", part)
-
-    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["event_type", "hr", "user_id"],
-                          kind="mergesort")
-        et = g["event_type"].to_numpy()
-        hr = g["hr"].to_numpy("int64")
-        uid = g["user_id"].to_numpy("int64")
-        # bucket segment starts: change in (event_type, hr)
-        change = np.ones(len(g), bool)
-        if len(g) > 1:
-            change[1:] = (et[1:] != et[:-1]) | (hr[1:] != hr[:-1])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(g))
-        outs = []
-        for s0, s1 in zip(starts, ends):
-            users = np.unique(uid[s0:s1])
-            users = np.asarray(_cap_hot_bucket(list(users), cap,
-                                               "cooccurrence"), np.int64)
-            if len(users) < 2:
-                continue
-            ia, ib = np.triu_indices(len(users), k=1)
-            # pack the (a, b) pair into ONE int64 shuffle key (user ids
-            # < 2^31 — CLAUDE.md lesson: never shuffle on multi-column
-            # keys when an int pack exists: measured 17x here) and
-            # pre-combine within the partition before the exchange
-            outs.append((users[ia] << np.int64(32)) | users[ib])
-        # return ARROW, not pandas: Ray's sort/aggregate over pandas
-        # blocks is ~20x slower (584 s vs 30 s measured on this rollup)
-        if not outs:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
-        uk, cnt = np.unique(np.concatenate(outs), return_counts=True)
-        return pa.table({"key": pa.array(uk, pa.int64()),
-                         "cnt": pa.array(cnt.astype(np.int64), pa.int64())})
-
-    def finish(t: pa.Table) -> pa.Table:
-        key = t["key"].to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(key >> np.int64(32), pa.int64()),
-             pa.array(key & np.int64(0xFFFFFFFF), pa.int64()),
-             t["n_shared"]],
-            names=["user_a", "user_b", "n_shared"])
-
-    from ray.data.aggregate import Sum
-
-    return events_ds.select_columns(["event_type", "ts", "user_id"]) \
-        .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part") \
-        .map_groups(part_pairs, batch_format="pandas") \
-        .groupby("key") \
-        .aggregate(Sum("cnt", alias_name="n_shared")) \
-        .map_batches(finish, batch_format="pyarrow")
+    members = events_ds.select_columns(["event_type", "ts", "user_id"]) \
+        .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
+    return segment_map(segment_map(members, ["event_type", "hr"],
+                                   bucket_pairs), "key", rollup)
 
 
 def cooccur_cte_body(cap: int = 200, table: str = "events") -> str:
@@ -625,38 +578,35 @@ def windowed_event_dedup(events_ds, window_min: int = 5):
     applies before counting.  Returns the surviving events
     (event_id, user_id, event_type, ts).
 
-    Scale shape: partition by (user, type) — bounded groups, same idiom
-    as sessionize — sort within the group, and keep rows whose gap to
-    the PREVIOUS KEPT row is ≥ the window (a cummax-style scan, exact
-    integer microseconds).  Note the kept-row semantics: a burst
-    t=0,3,6 min with a 5-min window keeps 0 and 6 (3 suppressed, and a
-    suppressed row does NOT extend the window).
+    Scale shape: ``segment_map`` on (user, type), time order inside each
+    segment, and keep rows whose gap to the PREVIOUS KEPT row is ≥ the
+    window (exact integer microseconds).  Note the kept-row semantics:
+    a burst t=0,3,6 min with a 5-min window keeps 0 and 6 (3
+    suppressed, and a suppressed row does NOT extend the window).  Each
+    row's successor is the first row a window later in its segment (one
+    within-segment ``searchsorted``); the kept rows are the chains from
+    the segment starts, followed for all segments at once.
     """
-    import numpy as np
-    import pyarrow as pa
+    win = window_min * _US_PER_MIN
 
-    def _group(g: pd.DataFrame):
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        us = g["ts"].to_numpy().astype("datetime64[us]").astype("int64")
-        win = window_min * 60_000_000
-        keep = np.zeros(len(g), bool)
-        last = None
-        for i, t in enumerate(us):
-            if last is None or t - last >= win:
-                keep[i] = True
-                last = t
-        out = g[keep]
-        return pa.table({
-            "event_id": pa.array(out["event_id"].to_numpy("int64")),
-            "user_id": pa.array(out["user_id"].to_numpy("int64")),
-            "event_type": pa.array(out["event_type"].to_numpy(), pa.string()),
-            "ts": pa.array(out["ts"].to_numpy().astype("datetime64[us]")),
-        })
+    def keep_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, seg = _timeline(t, starts, ("user_id", "event_type"))
+        # at least the next row, so a zero window keeps every row
+        nxt = np.maximum(segment_searchsorted(seg, us, seg, us + win),
+                         np.arange(len(us)) + 1)
+        end = np.append(starts, len(us))[1:][seg]
+        keep = np.zeros(len(us), bool)
+        cur = starts
+        while len(cur):
+            keep[cur] = True
+            n = nxt[cur]
+            cur = n[n < end[cur]]
+        return t.filter(keep).select(["event_id", "user_id", "event_type",
+                                      "ts"])
 
-    return events_ds.select_columns(
-        ["event_id", "user_id", "event_type", "ts"]) \
-        .groupby(["user_id", "event_type"]) \
-        .map_groups(_group, batch_format="pandas")
+    return segment_map(events_ds.select_columns(
+        ["event_id", "user_id", "event_type", "ts"]),
+        ["user_id", "event_type"], keep_block)
 
 
 def windowed_event_dedup_sql(window_min: int = 5,
@@ -690,19 +640,10 @@ FROM walk WHERE keep ORDER BY event_id
 
 # --- event-sequence mining: per-user event-type trigram paths --------------
 
-def _trigram_group(g: pd.DataFrame) -> pa.Table:
-    # Arrow out: feeds the (t1,t2,t3) rollup groupby
-    g = g.sort_values(["ts", "event_id"], kind="mergesort")
-    et = g["event_type"].to_numpy()
-    if len(et) < 3:
-        return pa.table({"t1": pa.array([], pa.string()),
-                         "t2": pa.array([], pa.string()),
-                         "t3": pa.array([], pa.string()),
-                         "n_paths": pa.array([], pa.int64())})
-    tri = pd.DataFrame({"t1": et[:-2], "t2": et[1:-1], "t3": et[2:]})
-    counts = tri.groupby(["t1", "t2", "t3"], sort=False) \
-        .size().rename("n_paths").reset_index()
-    return pa.Table.from_pandas(counts, preserve_index=False)
+def _trigram_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    t, _, seg = _timeline(t, starts)
+    (a, b, c), _ = _ngrams(t, seg, 3)
+    return _counts({"t1": a, "t2": b, "t3": c}, "n_paths")
 
 
 def event_path_trigrams(events_ds):
@@ -710,15 +651,14 @@ def event_path_trigrams(events_ds):
     user, rolled up corpus-wide — (t1, t2, t3, n_paths), the
     double-lead() window shape.
 
-    Scale shape mirrors event_transitions: bounded per-user groups emit
+    Scale shape mirrors event_transitions: each coarse user block emits
     ≤ |types|³ pre-combined rows; the rollup shuffle carries counts,
     never events."""
     from ray.data.aggregate import Sum
 
-    return events_ds.select_columns(["user_id", "ts", "event_id",
-                                     "event_type"]) \
-        .groupby("user_id").map_groups(_trigram_group,
-                                       batch_format="pandas") \
+    return segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_id", "event_type"]),
+        "user_id", _trigram_block) \
         .groupby(["t1", "t2", "t3"]) \
         .aggregate(Sum("n_paths", alias_name="n_paths"))
 
@@ -739,30 +679,22 @@ ORDER BY t1, t2, t3
 
 # --- session conversion by day-of-week -------------------------------------
 
-_US_PER_DAY_I = 86_400_000_000
-
-
-def _conversion_group(g: pd.DataFrame) -> pa.Table:
-    import numpy as np
-
-    g = g.sort_values(["ts", "event_id"], kind="mergesort")
-    gap = g["ts"].diff().dt.total_seconds().div(60)
-    sid = (gap.isna() | (gap > SESSION_GAP_MIN)).cumsum()
-    conv = g["event_type"].eq("purchase").groupby(sid).any()
-    start_us = g["ts"].astype("int64").groupby(sid).min()
+def _conversion_block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+    t, us, _ = _timeline(t, starts)
+    s = np.flatnonzero(_new_sessions(us, starts))
+    conv = np.maximum.reduceat(_is(t, "purchase"), s)
     # epoch-day arithmetic on BOTH sides (no engine dow() semantics):
     # (day_idx + 4) % 7 with 0 = Sunday (1970-01-01 was a Thursday).
     # DuckDB's // TRUNCATES toward zero while numpy's floors — mirror
     # trunc explicitly, and canonicalize the modulo to non-negative on
     # both sides so pre-epoch timestamps agree too
-    a = start_us.to_numpy()
-    tdiv = np.sign(a) * (np.abs(a) // _US_PER_DAY_I)
-    dow = ((tdiv + 4) % 7 + 7) % 7
-    df = pd.DataFrame({"dow": dow,
-                       "conv": conv.to_numpy().astype(np.int64)})
-    counts = df.groupby("dow", sort=False).agg(
-        n_sessions=("conv", "size"), n_converted=("conv", "sum"))
-    return pa.Table.from_pandas(counts.reset_index(), preserve_index=False)
+    a = us[s]
+    dow = ((np.sign(a) * (np.abs(a) // _US_PER_DAY) + 4) % 7 + 7) % 7
+    n = np.bincount(dow, minlength=7)
+    i = np.flatnonzero(n)
+    return pa.table({"dow": i, "n_sessions": n[i],
+                     "n_converted": np.bincount(dow[conv],
+                                                minlength=7)[i]})
 
 
 def session_conversion_by_dow(events_ds):
@@ -770,15 +702,13 @@ def session_conversion_by_dow(events_ds):
     sessions containing a purchase, per day-of-week of session start:
     (dow, n_sessions, n_converted, conversion_rate).
 
-    Per-user groups are bounded; each emits ≤ 7 pre-combined rows; the
-    final rollup is 7 rows."""
-    import pyarrow.compute as pc
+    Each coarse user block emits ≤ 7 pre-combined rows; the final
+    rollup is 7 rows."""
     from ray.data.aggregate import Sum
 
-    agg = events_ds.select_columns(["user_id", "ts", "event_id",
-                                    "event_type"]) \
-        .groupby("user_id").map_groups(_conversion_group,
-                                       batch_format="pandas") \
+    agg = segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_id", "event_type"]),
+        "user_id", _conversion_block) \
         .groupby("dow") \
         .aggregate(Sum("n_sessions", alias_name="n_sessions"),
                    Sum("n_converted", alias_name="n_converted"))
@@ -808,7 +738,7 @@ sessions AS (
   FROM marked),
 per_session AS (
   SELECT user_id, session_id,
-         ((epoch_us(min(ts)) // {_US_PER_DAY_I} + 4) % 7 + 7) % 7 AS dow,
+         ((epoch_us(min(ts)) // {_US_PER_DAY} + 4) % 7 + 7) % 7 AS dow,
          max(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS conv
   FROM sessions GROUP BY user_id, session_id)
 SELECT dow, count(*) AS n_sessions, sum(conv)::BIGINT AS n_converted,
@@ -833,27 +763,22 @@ def decayed_user_value(events_ds, horizon: int = _DECAY_HORIZON_DAYS):
     ``sum / 2^horizon`` rounds identically on both engines.  (Bound:
     cents·2^30 ≈ 1e15/event — int64 holds ~9e3 such events per user;
     beyond that, split the sum by day first.)"""
-    import pyarrow.compute as pc
     from ray.data.aggregate import Max, Sum
 
     days = events_ds.select_columns(["ts"]).map_batches(
         lambda t: pa.table({"day": pc.divide(
             pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()),
-            pa.scalar(_US_PER_DAY_I, pa.int64()))}),
+            pa.scalar(_US_PER_DAY, pa.int64()))}),
         batch_format="pyarrow", zero_copy_batch=True)
     ref_day = days.aggregate(Max("day"))["max(day)"]
 
     def prep(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
         d = pc.subtract(
             pa.scalar(ref_day, pa.int64()),
-            pc.divide(us, pa.scalar(_US_PER_DAY_I, pa.int64()))) \
+            pc.divide(us, pa.scalar(_US_PER_DAY, pa.int64()))) \
             .to_numpy(zero_copy_only=False)
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100.0),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64()).to_numpy(zero_copy_only=False)
+        cents = _cents(t["value"]).to_numpy()
         w = np.where((d >= 0) & (d <= horizon),
                      np.int64(1) << np.maximum(horizon - d, 0), 0)
         # enforce the documented exact-int64 bound: cents·2^horizon must
@@ -874,8 +799,6 @@ def decayed_user_value(events_ds, horizon: int = _DECAY_HORIZON_DAYS):
         .aggregate(Sum("wcents", alias_name="decayed_cents_x"))
 
     def finish(t: pa.Table) -> pa.Table:
-        import numpy as np
-
         # half-away-from-zero for EITHER sign (decayed cents can go
         # negative on refund rows; _round6 is floor-based and only
         # half-away for non-negative inputs)
@@ -891,14 +814,14 @@ def decayed_user_value(events_ds, horizon: int = _DECAY_HORIZON_DAYS):
 def decayed_user_value_sql(horizon: int = _DECAY_HORIZON_DAYS) -> str:
     return f"""
 WITH ref AS (
-  SELECT max(epoch_us(ts) // {_US_PER_DAY_I}) AS ref_day FROM events),
+  SELECT max(epoch_us(ts) // {_US_PER_DAY}) AS ref_day FROM events),
 w AS (
   SELECT user_id,
-         CASE WHEN ref.ref_day - epoch_us(ts) // {_US_PER_DAY_I}
+         CASE WHEN ref.ref_day - epoch_us(ts) // {_US_PER_DAY}
                    BETWEEN 0 AND {horizon}
               THEN CAST(round(value * 100) AS BIGINT)
                    * (1::BIGINT << ({horizon} - (ref.ref_day
-                        - epoch_us(ts) // {_US_PER_DAY_I})))
+                        - epoch_us(ts) // {_US_PER_DAY})))
               ELSE 0 END AS wcents
   FROM events, ref)
 SELECT user_id, sum(wcents)::BIGINT AS decayed_cents_x,
@@ -913,46 +836,26 @@ def purchase_click_window(events_ds, days: int = 7):
     user made in the half-open window ``[ts - days, ts)`` — the
     attribution shape (events × events on user + time band).
 
-    Never materializes the pair blow-up: partition by user, then one
-    vectorized two-pointer (``np.searchsorted`` of purchase timestamps
-    into the user's sorted click timestamps) per group — O(n log n) per
-    user vs the O(clicks × purchases) join the SQL oracle runs.  The
-    per-user-groups-are-small assumption matches sessionize (module
-    docstring); a hot-user skew fix would salt the groupby key and
-    merge counts.
+    Never materializes the pair blow-up: ``segment_map`` by user, then
+    two within-user ``searchsorted`` probes of the purchase timestamps
+    into the time-ordered clicks, for every user of a coarse block at
+    once — O(n log n) vs the O(clicks × purchases) join the SQL oracle
+    runs.
     """
-    import numpy as np
-    import pyarrow.compute as pc
+    win = days * _US_PER_DAY
 
-    win_us = days * 86_400_000_000
-    empty = pa.table({"event_id": pa.array([], pa.int64()),
-                      "user_id": pa.array([], pa.int64()),
-                      "n_recent_clicks": pa.array([], pa.int64())})
+    def block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, seg = _timeline(t, starts)
+        p, c = np.flatnonzero(_is(t, "purchase")), \
+            np.flatnonzero(_is(t, "click"))
+        lo = segment_searchsorted(seg[c], us[c], seg[p], us[p] - win)
+        hi = segment_searchsorted(seg[c], us[c], seg[p], us[p])
+        return pa.table({"event_id": t["event_id"].take(p),
+                         "user_id": t["user_id"].take(p),
+                         "n_recent_clicks": hi - lo})
 
-    def group(g: pa.Table) -> pa.Table:
-        ts = g["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        is_click = pc.equal(g["event_type"], "click") \
-            .to_numpy(zero_copy_only=False)
-        is_p = pc.equal(g["event_type"], "purchase") \
-            .to_numpy(zero_copy_only=False)
-        if not is_p.any():
-            return empty
-        ids = g["event_id"].to_numpy(zero_copy_only=False)
-        cts = np.sort(ts[is_click])
-        pts = ts[is_p]
-        lo = np.searchsorted(cts, pts - win_us, side="left")
-        hi = np.searchsorted(cts, pts, side="left")
-        return pa.table({
-            "event_id": pa.array(ids[is_p], pa.int64()),
-            "user_id": pa.array(g["user_id"].to_numpy(
-                zero_copy_only=False)[is_p], pa.int64()),
-            "n_recent_clicks": pa.array(hi - lo, pa.int64()),
-        })
-
-    return events_ds.select_columns(
-        ["user_id", "ts", "event_type", "event_id"]) \
-        .groupby("user_id").map_groups(group, batch_format="pyarrow")
+    return segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_type", "event_id"]), "user_id", block)
 
 
 def purchase_click_window_sql(days: int = 7) -> str:
@@ -981,8 +884,6 @@ def user_value_trend(events_ds, digits: int = 6):
     ``(nΣxy − ΣxΣy) / (nΣx² − Σx²)`` is float (two exact-int→double
     casts and one divide — identical IEEE ops in DuckDB).
     """
-    import numpy as np
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count, Min, Sum
 
     us_per_min = 60_000_000
@@ -999,9 +900,7 @@ def user_value_trend(events_ds, digits: int = 6):
                               pa.int64()),
                       pa.scalar(us_per_min, pa.int64())),
             pa.scalar(base, pa.int64())).to_numpy(zero_copy_only=False)
-        y = pc.cast(pc.round(pc.multiply(t["value"], 100.0),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()).to_numpy(zero_copy_only=False)
+        y = _cents(t["value"]).to_numpy()
         return pa.table({
             "user_id": t["user_id"],
             "x": pa.array(x, pa.int64()),
@@ -1081,9 +980,6 @@ def hll_distinct_hopping(events_ds, size_hours: int = 2,
     At 100 TB this is the shape for "distinct users per sliding hour
     over a year of events" — |windows| × 64 tiny rows total exchange.
     """
-    import numpy as np
-    import pandas as pd
-    import pyarrow.compute as pc
     from ray.data.aggregate import Max
 
     from .sketch import (_ALPHA_64, _HLL_B, _HLL_M, _RANK_BITS,
@@ -1194,7 +1090,6 @@ def peak_concurrent_users(events_ds):
     delta DESC`` replays the same prefix maxima (permutation within an
     equal (ts, delta) run cannot change a run-end cumsum).
     """
-    import pyarrow.compute as pc
     from ray.data.aggregate import Max, Min
 
     def prep(t: pa.Table) -> pa.Table:
@@ -1210,8 +1105,6 @@ def peak_concurrent_users(events_ds):
             Min("ts", alias_name="s"), Max("ts", alias_name="e"))
 
     def sweep(g: pa.Table) -> pa.Table:
-        import numpy as np
-
         s = g["s"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         e = g["e"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         ts = np.concatenate([s, e])
@@ -1388,66 +1281,38 @@ def click_attribution(events_ds, horizon_min: int = 120):
     2^k unit scale makes the sum order-independent exact int64
     (the decayed_user_value idiom), so it hash-replays in SQL.
 
-    Scale shape: one ``groupby(user_id)`` shuffle; per group a single
-    numpy two-pointer sweep over the user's time-sorted events (no
-    clicks×purchases blow-up — each purchase touches only its window
-    slice).  Returns ARROW tables from map_groups (the 20× sort
-    lesson does not bite: this rollup is terminal).
+    Scale shape: one ``segment_map`` on user_id; per coarse block two
+    within-user ``searchsorted`` probes count each purchase's window
+    clicks ``m`` (no clicks×purchases blow-up).  With ``n = min(m, H)``
+    the n most recent clicks weigh ``2^(H−1) … 2^(H−n)``, so a purchase
+    attributes ``cents · (2^H − 2^(H−n))`` units in closed form.
     """
-    import numpy as np
-    import pyarrow.compute as pc
+    win = horizon_min * _US_PER_MIN
 
-    out_schema = pa.schema([("user_id", pa.int64()),
-                            ("n_purchases", pa.int64()),
-                            ("n_attributed", pa.int64()),
-                            ("attr_units", pa.int64())])
+    def block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, seg = _timeline(t, starts)
+        p, c = np.flatnonzero(_is(t, "purchase")), \
+            np.flatnonzero(_is(t, "click"))
+        # clicks strictly before the purchase instant, within win
+        n = np.minimum(
+            segment_searchsorted(seg[c], us[c], seg[p], us[p])
+            - segment_searchsorted(seg[c], us[c], seg[p], us[p] - win),
+            _ATTR_H)
+        w = (np.int64(1) << _ATTR_H) - (np.int64(1) << (_ATTR_H - n))
+        # Python ints: a per-user sum past int64 raises in pa.array
+        # instead of wrapping (the twin sums into HUGEINT)
+        units = _cents(t["value"]).to_numpy()[p].astype(object) \
+            * w.astype(object)
+        u = np.flatnonzero(run_starts(seg[p]))   # purchase-making users
+        return pa.table({
+            "user_id": t["user_id"].take(p[u]),
+            "n_purchases": np.diff(np.append(u, len(p))),
+            "n_attributed": np.add.reduceat(n, u),
+            "attr_units": pa.array(np.add.reduceat(units, u), pa.int64())})
 
-    def per_user(g: pa.Table) -> pa.Table:
-        ts = pc.cast(g["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        typ = np.asarray(g["event_type"].to_pylist(), dtype=object)
-        cents = np.asarray(
-            pc.cast(pc.round(pc.multiply(g["value"], 100.0),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()).to_numpy(zero_copy_only=False))
-        # most-recent-first within a purchase's window: sort by ts asc,
-        # event_id asc, then walk back from the purchase position
-        order = np.lexsort((eid, ts))
-        ts, eid, typ, cents = ts[order], eid[order], typ[order], \
-            cents[order]
-        is_click = typ == "click"
-        click_pos = np.nonzero(is_click)[0]
-        click_ts = ts[click_pos]
-        win = horizon_min * 60_000_000
-        total_units = 0
-        n_attr = 0
-        n_pur = 0
-        for p in np.nonzero(typ == "purchase")[0]:
-            n_pur += 1
-            # clicks strictly before the purchase instant, within win
-            hi = int(np.searchsorted(click_ts, ts[p], side="left"))
-            lo = int(np.searchsorted(click_ts, ts[p] - win,
-                                     side="left"))
-            ranks = 0
-            for ci in range(hi - 1, lo - 1, -1):   # most recent first
-                if ranks >= _ATTR_H:
-                    break
-                total_units += int(cents[p]) << (_ATTR_H - 1 - ranks)
-                ranks += 1
-                n_attr += 1
-        if n_pur == 0:       # oracle emits purchase-making users only
-            return out_schema.empty_table()
-        uid = g["user_id"][0].as_py()
-        return pa.table({"user_id": pa.array([uid], pa.int64()),
-                         "n_purchases": pa.array([n_pur], pa.int64()),
-                         "n_attributed": pa.array([n_attr], pa.int64()),
-                         "attr_units": pa.array([total_units],
-                                                pa.int64())},
-                        schema=out_schema)
-
-    return events_ds.select_columns(
-        ["user_id", "ts", "event_id", "event_type", "value"]) \
-        .groupby("user_id").map_groups(per_user, batch_format="pyarrow")
+    return segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_id", "event_type", "value"]),
+        "user_id", block)
 
 
 def click_attribution_sql(horizon_min: int = 120,
@@ -1493,8 +1358,10 @@ ORDER BY n.user_id
 # watermark / late-data audit
 # ---------------------------------------------------------------------------
 
-def late_event_audit(events_ds, late_ms: int = 3_600_000,
-                     bucket_size: int = 4096):
+_ARRIVAL_BUCKET = 4096   # late_event_audit's prefix-scan bucket (event ids)
+
+
+def late_event_audit(events_ds, late_ms: int = 3_600_000):
     """Streaming-ingest watermark audit: treating ``event_id`` order as
     ARRIVAL order, an event is late when its event-time ``ts`` sits
     more than ``late_ms`` behind the watermark (the running max ts over
@@ -1505,13 +1372,11 @@ def late_event_audit(events_ds, late_ms: int = 3_600_000,
 
     Scale shape: the running max is the token_budget_shards two-phase
     prefix scan transposed to MAX — phase 1 is one per-bucket
-    (event_id // bucket_size) max-ts groupby whose result (one int per
+    (event_id // _ARRIVAL_BUCKET) max-ts groupby whose result (one int per
     bucket) turns into exclusive prefix maxima on the driver and
     broadcasts; phase 2 finishes each bucket locally (cummax over
-    ≤ bucket_size rows).  No global sort, no window shuffle.
+    ≤ _ARRIVAL_BUCKET rows).  No global sort, no window shuffle.
     """
-    import numpy as np
-    import pyarrow.compute as pc
     import ray
     from ray.data.aggregate import Count, Max, Sum
 
@@ -1523,7 +1388,7 @@ def late_event_audit(events_ds, late_ms: int = 3_600_000,
             "event_type": t["event_type"],
             "ts_us": pc.cast(t["ts"], pa.int64()),
             "bucket": pc.divide(t["event_id"],
-                                pa.scalar(bucket_size, pa.int64()))})
+                                pa.scalar(_ARRIVAL_BUCKET, pa.int64()))})
 
     prepped = events_ds.select_columns(["event_id", "event_type", "ts"]) \
         .map_batches(prep, batch_format="pyarrow",
@@ -1604,17 +1469,13 @@ def session_incident_overlap(events_ds, busy_num: int = 12,
 
     Scale shape: the incident side is time-bounded (≤ |hours in the
     corpus| rows — KB at any corpus size), built by one combiner
-    groupby and broadcast as a sorted int64 hour-index array; the
-    session side streams, and the overlap count per session is two
-    ``searchsorted`` probes (an interval [s,e] touches hour h iff
-    ``floor(s) ≤ h ≤ floor(e)``) — no all-to-all interval join ever
-    happens.
+    groupby and captured as a sorted int64 hour-index array; the
+    session side is one ``segment_map`` on user_id, and the overlap
+    count per session is two ``searchsorted`` probes (an interval [s,e]
+    touches hour h iff ``floor(s) ≤ h ≤ floor(e)``) — no all-to-all
+    interval join ever happens.
     """
-    import numpy as np
-    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
-
-    _HOUR_US = 3_600_000_000
 
     def hour_partial(t: pa.Table) -> pa.Table:
         h = pc.floor_temporal(t["ts"], unit="hour")
@@ -1629,36 +1490,26 @@ def session_incident_overlap(events_ds, busy_num: int = 12,
     total = sum(int(r["n"]) for r in hours)
     n_hours = len(hours)
     busy = np.sort(np.array(
-        [int(r["h"]) // _HOUR_US for r in hours
+        [int(r["h"]) // _US_PER_HOUR for r in hours
          if int(r["n"]) * n_hours * busy_den >= busy_num * total],
         np.int64))
 
-    def bounds(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        gap = g["ts"].diff().dt.total_seconds().div(60)
-        sid = (gap.isna() | (gap > SESSION_GAP_MIN)).cumsum()
-        out = g.groupby(sid).agg(user_id=("user_id", "first"),
-                                 session_start=("ts", "min"),
-                                 session_end=("ts", "max"),
-                                 n_events=("event_id", "count"))
-        return out.reset_index(drop=True)
+    def overlap(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, _ = _timeline(t, starts)
+        s = np.flatnonzero(_new_sessions(us, starts))
+        e = np.append(s, len(us))[1:] - 1
+        n_inc = np.searchsorted(busy, us[e] // _US_PER_HOUR, side="right") \
+            - np.searchsorted(busy, us[s] // _US_PER_HOUR, side="left")
+        k = n_inc >= 1
+        return pa.table({
+            "user_id": t["user_id"].take(s[k]),
+            "session_start": pa.array(us[s[k]], pa.timestamp("us")),
+            "n_events": (e - s + 1)[k],
+            "n_incidents": n_inc[k]})
 
-    sess = events_ds.select_columns(["user_id", "ts", "event_id"]) \
-        .groupby("user_id").map_groups(bounds, batch_format="pandas")
-
-    def overlap(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["session_start"].values.astype("datetime64[us]") \
-            .astype(np.int64) // _HOUR_US
-        e = df["session_end"].values.astype("datetime64[us]") \
-            .astype(np.int64) // _HOUR_US
-        n_inc = (np.searchsorted(busy, e, side="right")
-                 - np.searchsorted(busy, s, side="left")).astype(np.int64)
-        out = df.assign(n_incidents=n_inc)
-        out = out[out["n_incidents"] >= 1]
-        return out[["user_id", "session_start", "n_events",
-                    "n_incidents"]].astype({"n_events": np.int64})
-
-    return sess.map_batches(overlap, batch_format="pandas")
+    return segment_map(events_ds.select_columns(["user_id", "ts",
+                                                 "event_id"]),
+                       "user_id", overlap)
 
 
 def session_incident_overlap_sql(busy_num: int = 12,
@@ -1710,36 +1561,32 @@ def user_hourly_locf(events_ds):
     ``(user_id, n_hours, sum_locf_cents)`` — the sum proves every
     grid cell without shipping the grid.
 
-    Scale shape: one ``groupby(user_id).map_groups`` — the grid never
-    leaves the task (cells = hours spanned, bounded by the corpus time
-    range); the fill is a single vectorized ``searchsorted`` of hour
-    ends into the user's sorted event times.  Duplicate timestamps
+    Scale shape: one ``segment_map`` on user_id — the grid never leaves
+    the task (cells = hours spanned, bounded by the corpus time range);
+    the fill is one within-user ``searchsorted`` of every hour end into
+    the time-ordered events of a coarse block.  Duplicate timestamps
     resolve to the highest event_id (the sort order), matching the
     oracle's ``arg_max(cents, event_id)`` pre-collapse + ASOF join.
     """
-    import numpy as np
+    def locf(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, seg = _timeline(t, starts)
+        h0 = us[starts] // _US_PER_HOUR
+        n = us[np.append(starts, len(us))[1:] - 1] // _US_PER_HOUR - h0 + 1
+        # every user's grid hours, user after user
+        first = np.cumsum(n) - n
+        gseg = np.repeat(np.arange(len(starts)), n)
+        hour = np.arange(n.sum()) - first[gseg] + h0[gseg]
+        idx = segment_searchsorted(seg, us, gseg,
+                                   (hour + 1) * _US_PER_HOUR) - 1
+        return pa.table({
+            "user_id": t["user_id"].take(starts),
+            "n_hours": n,
+            "sum_locf_cents": np.add.reduceat(
+                _cents(t["value"]).to_numpy()[idx], first)})
 
-    _HOUR_US = 3_600_000_000
-
-    def locf(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        ts_us = g["ts"].values.astype("datetime64[us]") \
-            .astype(np.int64)
-        v = g["value"].to_numpy() * 100
-        cents = np.copysign(np.floor(np.abs(v) + 0.5), v) \
-            .astype(np.int64)
-        h0, h1 = ts_us[0] // _HOUR_US, ts_us[-1] // _HOUR_US
-        probes = (np.arange(h0, h1 + 1, dtype=np.int64) + 1) * _HOUR_US
-        idx = np.searchsorted(ts_us, probes, side="left") - 1
-        return pd.DataFrame({
-            "user_id": [int(g["user_id"].iloc[0])],
-            "n_hours": np.array([h1 - h0 + 1], np.int64),
-            "sum_locf_cents": np.array([int(cents[idx].sum())],
-                                       np.int64)})
-
-    return events_ds.select_columns(["user_id", "ts", "event_id",
-                                     "value"]) \
-        .groupby("user_id").map_groups(locf, batch_format="pandas")
+    return segment_map(events_ds.select_columns(["user_id", "ts",
+                                                 "event_id", "value"]),
+                       "user_id", locf)
 
 
 USER_HOURLY_LOCF_SQL = """
@@ -1774,41 +1621,27 @@ def user_active_time(events_ds, window_min: int = 30):
     rollup raw event counts overstate (100 events in one minute ≠ 100
     windows of activity).
 
-    Scale shape: one native ``groupby(user_id)``; each per-user group
-    is a vectorized numpy gaps-and-islands pass (sort starts, exclusive
-    running-max of ends via shifted ``maximum.accumulate``, island sum
-    by ``reduceat``) on exact int64 microseconds — no Python loop, no
-    floats, no second exchange.  The twin replays the same islands with
-    a window running max.
+    Scale shape: one ``segment_map`` on user_id; each coarse block is
+    one vectorized gaps-and-islands pass on exact int64 microseconds.
+    In time order the interval ends are sorted too, so an event opens a
+    new island when it starts after the previous event's end — the
+    session rule with the window as the gap — and an island's length
+    is the window plus every later event's step.  The twin replays the
+    same islands with a window running max.
     """
-    import numpy as np
+    win = window_min * _US_PER_MIN
 
-    win_us = window_min * 60 * 1_000_000
-
-    def merge(g: pa.Table) -> pa.Table:
-        s = g["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        s = np.sort(s)
-        e = s + win_us
-        # exclusive running max of interval ends
-        prev_max = np.empty_like(e)
-        prev_max[0] = np.iinfo(np.int64).min
-        if len(e) > 1:
-            prev_max[1:] = np.maximum.accumulate(e)[:-1]
-        new_island = s > prev_max
-        starts = np.flatnonzero(new_island)
-        island_end = np.maximum.accumulate(e)
-        # last index of each island -> its running max end
-        last = np.r_[starts[1:] - 1, len(e) - 1]
-        active = int((island_end[last] - s[starts]).sum())
+    def merge(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, _ = _timeline(t, starts)
+        new = _new_sessions(us, starts, win)
         return pa.table({
-            "user_id": g["user_id"].slice(0, 1),
-            "n_intervals": pa.array([len(starts)], pa.int64()),
-            "active_us": pa.array([active], pa.int64()),
-        })
+            "user_id": t["user_id"].take(starts),
+            "n_intervals": np.add.reduceat(new.astype(np.int64), starts),
+            "active_us": np.add.reduceat(
+                np.where(new, win, _gaps(us, starts)), starts)})
 
-    return events_ds.select_columns(["user_id", "ts"]) \
-        .groupby("user_id").map_groups(merge, batch_format="pyarrow") \
-        .sort("user_id")
+    return segment_map(events_ds.select_columns(["user_id", "ts"]),
+                       "user_id", merge)
 
 
 def user_active_time_sql(window_min: int = 30,
@@ -1847,40 +1680,33 @@ def bot_regularity_audit(events_ds, min_gaps: int = 5,
     ``10⁶ · (n·Σg² − (Σg)²) // (Σg)²``, and ``is_bot`` flags users
     with ≥ ``min_gaps`` gaps, machine-fast mean cadence and
     near-constant intervals (human traffic is bursty; schedulers
-    aren't).  All arithmetic is Python-bigint / HUGEINT exact — Σg²
-    overflows int64 at day-scale gaps, so the per-group reduction
-    deliberately leaves numpy for the two scalar sums.
+    aren't).  All arithmetic is bigint / HUGEINT exact — Σg² overflows
+    int64 at day-scale gaps, so it is summed over Python ints.
 
-    Scale shape: one native ``groupby(user_id)``; each group reduces
-    in-task to a single stats row (gaps from the group's own sorted
+    Scale shape: one ``segment_map`` on user_id; each coarse block
+    reduces to one stats row per user (gaps from the user's own sorted
     timestamps — no cross-user state, no second exchange).
     """
-    def stats(g: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = np.sort(g["ts"].cast(pa.int64()).to_numpy(
-            zero_copy_only=False))
-        n = len(us)
-        gaps = np.diff(us)
-        ng = len(gaps)
-        sg = int(gaps.sum())
-        sg2 = sum(int(x) * int(x) for x in gaps)   # bigint-exact
-        mean_gap = sg // ng if ng else 0
-        var2n = ng * sg2 - sg * sg
-        rvar = (1_000_000 * var2n) // (sg * sg) if sg > 0 else 0
-        is_bot = int(ng >= min_gaps and mean_gap < max_mean_gap_us
-                     and rvar < max_rvar_ppm)
+    def stats(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, _ = _timeline(t, starts)
+        g = _gaps(us, starts)
+        ng = np.diff(np.append(starts, len(us))) - 1
+        sg = np.add.reduceat(g, starts)
+        sg2 = np.add.reduceat(g.astype(object) ** 2, starts)
+        mean_gap = np.where(ng > 0, sg // np.maximum(ng, 1), 0)
+        sq = sg.astype(object) ** 2
+        rvar = np.where(sg > 0, 1_000_000 * (ng * sg2 - sq)
+                        // np.where(sg > 0, sq, 1), 0).astype(np.int64)
         return pa.table({
-            "user_id": g["user_id"].slice(0, 1),
-            "n_events": pa.array([n], pa.int64()),
-            "mean_gap_us": pa.array([mean_gap], pa.int64()),
-            "rvar_ppm": pa.array([rvar], pa.int64()),
-            "is_bot": pa.array([is_bot], pa.int64()),
-        })
+            "user_id": t["user_id"].take(starts),
+            "n_events": ng + 1,
+            "mean_gap_us": mean_gap,
+            "rvar_ppm": rvar,
+            "is_bot": ((ng >= min_gaps) & (mean_gap < max_mean_gap_us)
+                       & (rvar < max_rvar_ppm)).astype(np.int64)})
 
-    return events_ds.select_columns(["user_id", "ts"]) \
-        .groupby("user_id").map_groups(stats, batch_format="pyarrow") \
-        .sort("user_id")
+    return segment_map(events_ds.select_columns(["user_id", "ts"]),
+                       "user_id", stats)
 
 
 def bot_regularity_audit_sql(min_gaps: int = 5,
@@ -1935,76 +1761,49 @@ def pit_training_features(events_ds):
       * ``mins_since_prev``           — whole minutes since the user's
                                         previous event (−1 if first)
 
-    Shape: ONE shuffle (the per-user groupby); inside each group a
-    vectorized ``np.searchsorted`` sweep over the user's time-sorted
-    arrays — O(n log n) per user vs the O(labels × events) band join
-    the SQL twin runs.  All features are exact integers (cents,
-    counts, floor-minutes), so the value hash is merge-order-free.
+    Shape: ONE shuffle (``segment_map`` on user_id); inside each coarse
+    block within-user ``searchsorted`` probes over the time-ordered
+    events — O(n log n) vs the O(labels × events) band join the SQL
+    twin runs.  All features are exact integers (cents, counts,
+    floor-minutes), so the value hash is merge-order-free.
     """
-    import numpy as np
-    import pyarrow.compute as pc
+    d30 = 30 * _US_PER_DAY
+    d7 = 7 * _US_PER_DAY
 
-    d30 = 30 * 86_400_000_000
-    d7 = 7 * 86_400_000_000
-    empty = pa.table({
-        "event_id": pa.array([], pa.int64()),
-        "user_id": pa.array([], pa.int64()),
-        "n_prior_events": pa.array([], pa.int64()),
-        "prior_purchase_cents_30d": pa.array([], pa.int64()),
-        "n_types_7d": pa.array([], pa.int64()),
-        "mins_since_prev": pa.array([], pa.int64()),
-    })
-
-    def group(g: pa.Table) -> pa.Table:
-        ts = g["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        ts, eid = ts[order], eid[order]
-        et = g["event_type"].take(pa.array(order))
-        is_p = pc.equal(et, "purchase").to_numpy(zero_copy_only=False)
-        if not is_p.any():
-            return empty
-        v = g["value"].to_numpy(zero_copy_only=False)[order] * 100.0
-        cents = np.copysign(np.floor(np.abs(v) + 0.5), v).astype(np.int64)
-
-        lts = ts[is_p]                        # label timestamps
+    def block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, seg = _timeline(t, starts)
+        p = np.flatnonzero(_is(t, "purchase"))
+        lts, lseg = us[p], seg[p]                 # label timestamps
         # all-time strictly-prior count (ties on ts excluded, matching
         # the twin's e.ts < l.ts)
-        n_prior = np.searchsorted(ts, lts, side="left")
+        n_prior = segment_searchsorted(seg, us, lseg, lts) - starts[lseg]
         # prior purchase cents in [ts-30d, ts): prefix sums over the
-        # purchase-only sorted arrays
-        pts = ts[is_p]
-        pcum = np.concatenate(([0], np.cumsum(cents[is_p])))
-        lo = np.searchsorted(pts, lts - d30, side="left")
-        hi = np.searchsorted(pts, lts, side="left")
-        p30 = pcum[hi] - pcum[lo]
+        # purchases
+        pcum = np.concatenate(([0], np.cumsum(_cents(t["value"])
+                                              .to_numpy()[p])))
+        p30 = pcum[segment_searchsorted(lseg, lts, lseg, lts)] \
+            - pcum[segment_searchsorted(lseg, lts, lseg, lts - d30)]
         # distinct types in [ts-7d, ts): one presence test per type in
-        # the group (type cardinality is tiny)
-        ntypes = np.zeros(len(lts), np.int64)
-        for t in pc.unique(et).to_pylist():
-            tts = ts[pc.equal(et, t).to_numpy(zero_copy_only=False)]
-            lo7 = np.searchsorted(tts, lts - d7, side="left")
-            hi7 = np.searchsorted(tts, lts, side="left")
-            ntypes += (hi7 > lo7)
+        # the block (type cardinality is tiny)
+        ntypes = np.zeros(len(p), np.int64)
+        for typ in pc.unique(t["event_type"]).to_pylist():
+            m = _is(t, typ)
+            ntypes += segment_searchsorted(seg[m], us[m], lseg, lts) \
+                > segment_searchsorted(seg[m], us[m], lseg, lts - d7)
         # minutes since the previous event in (ts, event_id) order
-        prev = np.concatenate(([np.int64(-1)], ts[:-1]))
-        lbl_pos = np.flatnonzero(is_p)
-        mins = np.where(lbl_pos == 0, np.int64(-1),
-                        (lts - prev[lbl_pos]) // 60_000_000)
+        mins = np.where(p == starts[lseg], -1,
+                        (lts - us[p - 1]) // _US_PER_MIN)
         return pa.table({
-            "event_id": pa.array(eid[is_p], pa.int64()),
-            "user_id": pa.array(g["user_id"].to_numpy(
-                zero_copy_only=False)[order][is_p], pa.int64()),
-            "n_prior_events": pa.array(n_prior, pa.int64()),
-            "prior_purchase_cents_30d": pa.array(p30, pa.int64()),
-            "n_types_7d": pa.array(ntypes, pa.int64()),
-            "mins_since_prev": pa.array(mins, pa.int64()),
-        })
+            "event_id": t["event_id"].take(p),
+            "user_id": t["user_id"].take(p),
+            "n_prior_events": n_prior,
+            "prior_purchase_cents_30d": p30,
+            "n_types_7d": ntypes,
+            "mins_since_prev": mins})
 
-    return events_ds.select_columns(
-        ["user_id", "ts", "event_type", "event_id", "value"]) \
-        .groupby("user_id").map_groups(group, batch_format="pyarrow")
+    return segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_type", "event_id", "value"]),
+        "user_id", block)
 
 
 def pit_training_features_sql() -> str:
@@ -2049,41 +1848,30 @@ def markov_next_event_accuracy(events_ds):
     Output per prev_type seen on BOTH sides:
     (prev_type, n_pairs, n_correct, acc_ppm) — exact integers.
 
-    Scale shape: ONE per-user groupby computes each user's ordered
-    consecutive-pair counts and tags them train/test from the pure
-    user_id hash (zero extra exchange); a native
+    Scale shape: ONE ``segment_map`` on user_id computes the ordered
+    consecutive pairs and tags them train/test from the pure user_id
+    hash (zero extra exchange); a native
     ``groupby(split, prev, nxt).sum`` leaves a |types|²-bounded matrix
     — the only thing the driver sees; argmax + accuracy finish there.
     """
-    import numpy as np
     from ray.data.aggregate import Sum
 
     from .sample import _KNUTH, _M32
 
     cut = int(0.2 * _M32)   # sorted-name cuts: test < 0.2, train rest
 
-    _schema = pa.schema([("split", pa.string()), ("prev", pa.string()),
-                         ("nxt", pa.string()), ("cnt", pa.int64())])
+    def block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, _, seg = _timeline(t, starts)
+        (prev, nxt), i = _ngrams(t, seg, 2)
+        # uint64 wraps mod 2^64, a multiple of _M32: Python's exact
+        # (uid · _KNUTH) % _M32, negative ids included
+        h = t["user_id"].to_numpy()[i].astype(np.uint64) * np.uint64(_KNUTH)
+        split = np.where(h % np.uint64(_M32) < cut, "test", "train")
+        return _counts({"split": pa.array(split, pa.string()),
+                        "prev": prev, "nxt": nxt}, "cnt")
 
-    def group(g: pd.DataFrame) -> pa.Table:
-        # Arrow out: this feeds a downstream groupby (the 20×
-        # pandas-block sort lesson)
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        et = g["event_type"].to_numpy()
-        if len(et) < 2:
-            return _schema.empty_table()
-        uid = int(g["user_id"].iloc[0])
-        split = "test" if (uid * _KNUTH) % _M32 < cut else "train"
-        pairs = pd.DataFrame({"prev": et[:-1], "nxt": et[1:]})
-        out = pairs.groupby(["prev", "nxt"], sort=False).size() \
-            .rename("cnt").reset_index()
-        out.insert(0, "split", split)
-        return pa.Table.from_pandas(out, preserve_index=False) \
-            .cast(_schema)
-
-    mat = events_ds.select_columns(
-        ["user_id", "ts", "event_id", "event_type"]) \
-        .groupby("user_id").map_groups(group, batch_format="pandas") \
+    mat = segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_id", "event_type"]), "user_id", block) \
         .groupby(["split", "prev", "nxt"]) \
         .aggregate(Sum("cnt", alias_name="cnt")).take_all()
 
@@ -2166,7 +1954,6 @@ def stickiness_dau_mau(events_ds):
     per-batch-distinct 16-byte int pairs, and every rollup after that
     is calendar-bounded.
     """
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
 
     def prep(t: pa.Table) -> pa.Table:
@@ -2239,31 +2026,27 @@ def peak_user_rate(events_ds, window_min: int = 60, cap: int = 20):
     the rate-limiter / abuse-throttle audit.  Output: (user_id,
     n_events, peak_in_window, over_cap).
 
-    Scale shape: one per-user groupby; inside each group a vectorized
-    two-pointer (``searchsorted`` of each event's window start into the
-    sorted timestamps) — O(n log n) per user vs the O(n²) band join
-    the twin runs.  The sliding maximum equals the maximum over
+    Scale shape: one ``segment_map`` on user_id; inside each coarse
+    block one within-user ``searchsorted`` of each event's window start
+    into the sorted timestamps — O(n log n) vs the O(n²) band join the
+    twin runs.  The sliding maximum equals the maximum over
     event-ENDING windows because any window's count is dominated by
     the one ending at its last contained event.
     """
-    import numpy as np
+    win = window_min * _US_PER_MIN
 
-    win_us = window_min * 60_000_000
-
-    def group(g: pd.DataFrame) -> pa.Table:
-        us = np.sort(g["ts"].to_numpy().astype("datetime64[us]")
-                     .astype(np.int64))
-        lo = np.searchsorted(us, us - win_us + 1, side="left")
-        peak = int((np.arange(len(us)) - lo + 1).max())
+    def block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, seg = _timeline(t, starts)
+        lo = segment_searchsorted(seg, us, seg, us - win + 1)
+        peak = np.maximum.reduceat(np.arange(len(us)) - lo + 1, starts)
         return pa.table({
-            "user_id": pa.array([int(g["user_id"].iloc[0])],
-                                pa.int64()),
-            "n_events": pa.array([len(us)], pa.int64()),
-            "peak_in_window": pa.array([peak], pa.int64()),
-            "over_cap": pa.array([int(peak > cap)], pa.int64())})
+            "user_id": t["user_id"].take(starts),
+            "n_events": np.diff(np.append(starts, len(us))),
+            "peak_in_window": peak,
+            "over_cap": (peak > cap).astype(np.int64)})
 
-    return events_ds.select_columns(["user_id", "ts"]) \
-        .groupby("user_id").map_groups(group, batch_format="pandas")
+    return segment_map(events_ds.select_columns(["user_id", "ts"]),
+                       "user_id", block)
 
 
 def peak_user_rate_sql(window_min: int = 60, cap: int = 20) -> str:
@@ -2281,8 +2064,7 @@ FROM pur_w GROUP BY user_id ORDER BY user_id
 """
 
 
-def streaming_emit_audit(events_ds, lateness_min: int = 30,
-                         bucket_size: int = 4096):
+def streaming_emit_audit(events_ds, lateness_min: int = 30):
     """What an event-time streaming engine WOULD have emitted vs the
     batch truth: each event's ARRIVAL time is its event time plus a
     deterministic md5-jitter of up to 2 h (simulated network delay —
@@ -2301,8 +2083,6 @@ def streaming_emit_audit(events_ds, lateness_min: int = 30,
     (window, status) count partials into a window-bounded groupby.  No
     global sort.
     """
-    import numpy as np
-    import pyarrow.compute as pc
     import ray
     from ray.data.aggregate import Max, Sum
 
@@ -2434,45 +2214,30 @@ def conversion_delay_percentiles(events_ds):
     order statistics under the verified 1-based ``ceil(q·n)``
     quantile_disc rule.  Output: (dow, n_pairs, p50_s, p90_s).
 
-    Scale shape: the as-of backward match is the pit_training_features
-    per-user searchsorted sweep (one groupby); the quantile input is a
-    (dow, delay_s) COUNT histogram — bounded by the corpus time span
-    in seconds × 7, never the corpus — finished on the driver.
+    Scale shape: the as-of backward match is one within-user
+    ``searchsorted`` per coarse user block (``segment_map``); the
+    quantile input is a (dow, delay_s) COUNT histogram — bounded by the
+    corpus time span in seconds × 7, never the corpus — finished on the
+    driver.
     """
-    import numpy as np
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
-    empty = pa.table({"dow": pa.array([], pa.int64()),
-                      "delay_s": pa.array([], pa.int64())})
-
-    def group(g: pa.Table) -> pa.Table:
-        ts = g["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        eid = g["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts))
-        ts = ts[order]
-        et = g["event_type"].take(pa.array(order))
-        is_p = pc.equal(et, "purchase").to_numpy(zero_copy_only=False)
-        is_c = pc.equal(et, "click").to_numpy(zero_copy_only=False)
-        if not is_p.any() or not is_c.any():
-            return empty
-        cts = ts[is_c]
-        pts = ts[is_p]
-        idx = np.searchsorted(cts, pts, side="left") - 1
-        keep = idx >= 0
-        if not keep.any():
-            return empty
-        delay = (pts[keep] - cts[idx[keep]]) // 1_000_000
-        dow = pc.day_of_week(
-            pa.array(pts[keep].astype("datetime64[us]")),
-            count_from_zero=False, week_start=1)
+    def block(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        t, us, seg = _timeline(t, starts)
+        p, c = np.flatnonzero(_is(t, "purchase")), \
+            np.flatnonzero(_is(t, "click"))
+        # the most recent click strictly before each purchase, if the
+        # user has one (-1 picks the sentinel segment)
+        idx = segment_searchsorted(seg[c], us[c], seg[p], us[p]) - 1
+        k = np.append(seg[c], -1)[idx] == seg[p]
+        pts = us[p[k]]
+        dow = pc.day_of_week(pa.array(pts, pa.timestamp("us")),
+                             count_from_zero=False, week_start=1)
         return pa.table({"dow": pc.cast(dow, pa.int64()),
-                         "delay_s": pa.array(delay, pa.int64())})
+                         "delay_s": (pts - us[c[idx[k]]]) // 1_000_000})
 
-    hist = events_ds.select_columns(
-        ["user_id", "ts", "event_type", "event_id"]) \
-        .groupby("user_id").map_groups(group, batch_format="pyarrow") \
+    hist = segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_type", "event_id"]), "user_id", block) \
         .groupby(["dow", "delay_s"]) \
         .aggregate(Count(alias_name="n")).take_all()
     per: dict[int, list[tuple[int, int]]] = {}

@@ -89,6 +89,142 @@ def test_sessionize_multi_block_matches_sql(ray_session, tmp_path):
     assert pa.schema(list(out.schema().base_schema)) == schema
 
 
+# ------------------------------------------------ per-user timeline ops
+
+
+def _timeline_parts() -> list[pa.Table]:
+    """Events for the per-user operators of ``ops/sessions.py``, dealt
+    round-robin over ``N_BLOCKS`` parts so most users span blocks."""
+    import random
+
+    t0 = dt.datetime(2024, 3, 1, 9)
+    m = dt.timedelta(minutes=1)
+    us = dt.timedelta(microseconds=1)
+    rows = [
+        # user 1: equal ts with different event_id (and type), a gap of
+        # exactly 30 min (no split), then 30 min + 1 µs (split)
+        (2, t0, 1, "view", 1.0), (1, t0, 1, "click", 0.5),
+        (7, t0 + 30 * m, 1, "purchase", 2.0),
+        (9, t0 + 60 * m + us, 1, "purchase", 4.0),
+        (20, t0, 2, "view", 3.25),                     # user 2: one event
+        # user 3: negative half-cents; clicks 3 min apart (the 5-min
+        # window dedup keeps 0 and 6)
+        (30, t0, 3, "click", -0.005), (31, t0 + 3 * m, 3, "click", -0.125),
+        (32, t0 + 6 * m, 3, "click", 0.125),
+        (33, t0 + 9 * m, 3, "purchase", -2.5),
+    ]
+    # users 40-44 share one (view, hour) bucket: over a cap of 3
+    rows += [(40 + i, t0 + 5 * 60 * m + i * m, 40 + i, "view", 0.01 * i)
+             for i in range(5)]
+    # user 50: a 10-second cadence (a bot)
+    rows += [(50 + i, t0 + dt.timedelta(seconds=10 * i), 50, "click", 0.0)
+             for i in range(8)]
+    # users 10-17 (10 and 13 in markov's test split): three days of
+    # random traffic
+    rng = random.Random(5)
+    for i in range(150):
+        rows.append((100 + i, t0 + rng.randrange(3 * 24 * 60) * m,
+                     rng.randrange(10, 18),
+                     rng.choice(["view", "view", "click", "purchase"]),
+                     rng.choice([-0.005, 0.125, 1.5, 2.675, -3.0, 10.0])))
+    return [_typed_events(rows[i::N_BLOCKS]) for i in range(N_BLOCKS)]
+
+
+def _typed_events(rows) -> pa.Table:
+    return pa.table({
+        "event_id": pa.array([r[0] for r in rows], pa.int64()),
+        "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
+        "user_id": pa.array([r[2] for r in rows], pa.int64()),
+        "event_type": pa.array([r[3] for r in rows], pa.string()),
+        "value": pa.array([r[4] for r in rows], pa.float64())})
+
+
+# the registered queries whose per-user (or per-bucket) work runs as
+# segment_map kernels in ops/sessions.py
+TIMELINE_QUERIES = [
+    "user_gap_stats", "running_user_totals", "event_transitions",
+    "funnel_counts", "retention_cohorts", "cooccurrence_edges",
+    "windowed_event_dedup", "event_path_trigrams",
+    "session_conversion_by_dow", "purchase_click_window",
+    "click_attribution", "session_incident_overlap", "user_hourly_locf",
+    "user_active_time", "bot_regularity", "pit_training_features",
+    "markov_next_event", "peak_user_rate", "conversion_delay_pcts"]
+
+
+def _df(res):
+    import pandas as pd
+
+    return res if isinstance(res, pd.DataFrame) else res.to_pandas()
+
+
+@pytest.mark.parametrize("query", TIMELINE_QUERIES)
+def test_timeline_query_multi_block_matches_sql(ray_session, tmp_path,
+                                                query):
+    import ray.data as rd
+
+    import __ray_entry__ as E
+
+    spec = next(q for q in E._QUERIES if q.name == query)
+    if query == "cooccurrence_edges":
+        spec = spec._replace(kw=dict(cap=3))
+    op, sql = E._resolve(spec.op), E._sql_text(spec)
+    ds, whole = _multi_block(tmp_path, "events", _timeline_parts())
+    want = _sql("events", whole, sql)
+    cols = list(want.columns)
+    assert len(want)
+    assert _rows(_df(op(ds, **spec.kw)), cols) == _rows(want, cols)
+    # a zero-row input gives zero rows on both sides
+    empty = whole.slice(0, 0)
+    assert len(_df(op(rd.from_arrow(empty), **spec.kw))) == 0
+    assert len(_sql("events", empty, sql)) == 0
+
+
+def test_segment_searchsorted_matches_per_segment():
+    import numpy as np
+
+    from kgruntime.ops.groups import segment_searchsorted
+
+    rng = np.random.default_rng(0)
+    big = np.iinfo(np.int64).max
+    for _ in range(200):
+        segs = [np.sort(rng.choice([-big, -3, 0, 2, 5, big],
+                                   rng.integers(0, 6)))
+                for _ in range(rng.integers(1, 5))]
+        seg = np.concatenate([np.full(len(v), i, np.int64)
+                              for i, v in enumerate(segs)])
+        vals = np.concatenate(segs).astype(np.int64)
+        first = np.cumsum([0] + [len(v) for v in segs])
+        pseg = rng.integers(0, len(segs), 6)
+        probes = rng.choice([-big, -3, 0, 1, 2, 5, big], 6)
+        for side in ("left", "right"):
+            want = [first[s] + np.searchsorted(segs[s], p, side)
+                    for s, p in zip(pseg, probes)]
+            got = segment_searchsorted(seg, vals, pseg, probes, side)
+            assert got.tolist() == want
+
+
+def test_segment_map_kernel_sees_no_schema_metadata(ray_session,
+                                                    tmp_path):
+    """A parquet file written from pandas carries schema metadata that
+    the exchange cannot hash (one warning per block): the key step
+    drops it, so the kernel sees none."""
+    import pandas as pd
+    import ray.data as rd
+
+    from kgruntime.ops.groups import segment_map
+
+    path = tmp_path / "t.parquet"
+    pq.write_table(pa.Table.from_pandas(
+        pd.DataFrame({"k": [1, 2, 1], "v": [1, 2, 3]})), path)
+    assert pq.read_schema(path).metadata
+
+    def seen(t: pa.Table, starts) -> pa.Table:
+        return pa.table({"bare": [t.schema.metadata is None] * t.num_rows})
+
+    out = segment_map(rd.read_parquet(str(path)), "k", seen).to_pandas()
+    assert len(out) == 3 and out["bare"].all()
+
+
 # -------------------------------------------------- posting-list pairs
 
 
@@ -289,8 +425,9 @@ def _grouping_tables(path) -> str:
 
 # the exchanges of every query that runs on the segment primitive: the
 # grouping queries of the benchmark's ops_grouping job (the posting-list
-# pairs, fuzzy linkage and rfm each run two, sessionize one) and the
-# dedup, text and valuation queries keyed on a hash or a doc id
+# pairs, fuzzy linkage and rfm each run two, sessionize one), the
+# dedup, text and valuation queries keyed on a hash or a doc id, and
+# the per-user timeline queries of ops/sessions.py
 EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "fuzzy_name_matches": 2, "rfm_segments": 2, "sessionize": 1,
              "curate_corpus": 3, "minhash_near_dups": 2,
@@ -298,13 +435,21 @@ EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "shingle_novelty": 2, "source_overlap_matrix": 3,
              "copy_genealogy": 3, "ngram_dedup_rewrite": 4,
              "embedding_near_dups": 2, "capped_duplicate_sample": 1,
-             "trigram_diversity": 3, "loo_source_influence": 2}
+             "trigram_diversity": 3, "loo_source_influence": 2,
+             "funnel_counts": 3, "event_transitions": 2,
+             "retention_cohorts": 2, "cooccurrence_edges": 2,
+             "event_path_trigrams": 2, "session_conversion_by_dow": 2,
+             "session_incident_overlap": 2, "markov_next_event": 2,
+             "conversion_delay_pcts": 2, "user_active_time": 1,
+             "bot_regularity": 1, "user_gap_stats": 1,
+             "running_user_totals": 1, "windowed_event_dedup": 1,
+             "purchase_click_window": 1, "click_attribution": 1,
+             "user_hourly_locf": 1, "pit_training_features": 1,
+             "peak_user_rate": 1}
 
 
 @pytest.mark.parametrize("query", sorted(EXCHANGES))
 def test_grouping_query_exchange_count(ray_session, tmp_path, query):
-    import pandas as pd
-
     import __ray_entry__ as E
 
     sf = _grouping_tables(tmp_path)
@@ -312,8 +457,7 @@ def test_grouping_query_exchange_count(ray_session, tmp_path, query):
     logger = logging.getLogger("ray.data")
     logger.addHandler(counter)
     try:
-        res = E.queries()[query](sf)
-        df = res if isinstance(res, pd.DataFrame) else res.to_pandas()
+        df = _df(E.queries()[query](sf))
     finally:
         logger.removeHandler(counter)
     assert len(df.columns)
