@@ -99,19 +99,19 @@ def segment_ids(starts: np.ndarray, n: int) -> np.ndarray:
                      np.diff(np.append(starts, n)))
 
 
-def segment_searchsorted(seg, values, probe_seg, probes,
-                         side: str = "left") -> np.ndarray:
-    """``np.searchsorted`` that never crosses a segment: for each probe,
-    the index into ``values`` where it would be inserted among the
-    values of its own segment ``probe_seg``.  ``seg`` (non-decreasing)
-    is each value's segment and ``values`` are sorted inside each
-    segment.  Exact for any int64 values: one lexsort of the values and
-    the probes together (segment, value, tie rank), no composite key."""
+def segment_searchsorted(seg, values, probe_seg, probes) -> np.ndarray:
+    """``np.searchsorted`` (side "left") that never crosses a segment:
+    for each probe, the index into ``values`` where it would be inserted
+    among the values of its own segment ``probe_seg``.  ``seg``
+    (non-decreasing) is each value's segment and ``values`` are sorted
+    inside each segment.  Exact for any int64 values: one lexsort of the
+    values and the probes together (segment, value, tie rank), no
+    composite key."""
     n = len(values)
     is_probe = np.r_[np.zeros(n, bool), np.ones(len(probes), bool)]
-    # at an equal value a "left" probe goes before the values
-    tie = is_probe if side == "right" else ~is_probe
-    order = np.lexsort((tie, np.r_[values, probes], np.r_[seg, probe_seg]))
+    # at an equal value a probe goes before the values (side "left")
+    order = np.lexsort((~is_probe, np.r_[values, probes],
+                        np.r_[seg, probe_seg]))
     is_val = ~is_probe[order]
     before = np.cumsum(is_val) - is_val
     out = np.empty(len(probes), np.int64)

@@ -1561,28 +1561,25 @@ def user_hourly_locf(events_ds):
     ``(user_id, n_hours, sum_locf_cents)`` — the sum proves every
     grid cell without shipping the grid.
 
-    Scale shape: one ``segment_map`` on user_id — the grid never leaves
-    the task (cells = hours spanned, bounded by the corpus time range);
-    the fill is one within-user ``searchsorted`` of every hour end into
-    the time-ordered events of a coarse block.  Duplicate timestamps
-    resolve to the highest event_id (the sort order), matching the
-    oracle's ``arg_max(cents, event_id)`` pre-collapse + ASOF join.
+    Scale shape: one ``segment_map`` on user_id, and no grid is built:
+    in time order event i is the latest one for the grid hours from its
+    own hour up to the next event's, so it weighs ``hour[i+1] - hour[i]``
+    in the sum, and a user's last event weighs 1 (its own hour ends the
+    grid) — O(events) per block.  Duplicate timestamps resolve to the
+    highest event_id (the sort order; an earlier tie weighs 0), matching
+    the oracle's ``arg_max(cents, event_id)`` pre-collapse + ASOF join.
     """
     def locf(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        t, us, seg = _timeline(t, starts)
-        h0 = us[starts] // _US_PER_HOUR
-        n = us[np.append(starts, len(us))[1:] - 1] // _US_PER_HOUR - h0 + 1
-        # every user's grid hours, user after user
-        first = np.cumsum(n) - n
-        gseg = np.repeat(np.arange(len(starts)), n)
-        hour = np.arange(n.sum()) - first[gseg] + h0[gseg]
-        idx = segment_searchsorted(seg, us, gseg,
-                                   (hour + 1) * _US_PER_HOUR) - 1
+        t, us, _ = _timeline(t, starts)
+        hour = us // _US_PER_HOUR
+        last = np.append(starts, len(us))[1:] - 1
+        w = np.diff(hour, append=0)
+        w[last] = 1
         return pa.table({
             "user_id": t["user_id"].take(starts),
-            "n_hours": n,
+            "n_hours": hour[last] - hour[starts] + 1,
             "sum_locf_cents": np.add.reduceat(
-                _cents(t["value"]).to_numpy()[idx], first)})
+                _cents(t["value"]).to_numpy() * w, starts)})
 
     return segment_map(events_ds.select_columns(["user_id", "ts",
                                                  "event_id", "value"]),

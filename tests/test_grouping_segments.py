@@ -196,11 +196,9 @@ def test_segment_searchsorted_matches_per_segment():
         first = np.cumsum([0] + [len(v) for v in segs])
         pseg = rng.integers(0, len(segs), 6)
         probes = rng.choice([-big, -3, 0, 1, 2, 5, big], 6)
-        for side in ("left", "right"):
-            want = [first[s] + np.searchsorted(segs[s], p, side)
-                    for s, p in zip(pseg, probes)]
-            got = segment_searchsorted(seg, vals, pseg, probes, side)
-            assert got.tolist() == want
+        want = [first[s] + np.searchsorted(segs[s], p)
+                for s, p in zip(pseg, probes)]
+        assert segment_searchsorted(seg, vals, pseg, probes).tolist() == want
 
 
 def test_segment_map_kernel_sees_no_schema_metadata(ray_session,
