@@ -642,8 +642,7 @@ def _q_ann_ivf(sf_dir):
 def _q_ann_lsh(sf_dir):
     from kgruntime.ops.ann import lsh_topk
 
-    emb, q, ids = _ann_probe(sf_dir)
-    return _neighbors(lsh_topk(emb, q, ids, dim=len(q[0]), k=_ANN_K))
+    return _neighbors(lsh_topk(*_ann_probe(sf_dir), k=_ANN_K))
 
 
 def _q_triplet_mining(sf_dir):
@@ -1068,8 +1067,9 @@ _QUERIES: tuple[Q, ...] = (
       src="events", sql="kgruntime.ops.sessions:purchase_click_window_sql"),
     Q("knn_graph", "kgruntime.ops.ann:knn_graph", src="embeddings",
       cols=["vec_id", "embedding"],
-      kw=dict(dim=_EMB_DIM, k=5, n_planes=6, n_tables=2),
-      sql="kgruntime.ops.ann:knn_graph_sql"),
+      kw=dict(k=5, n_planes=6, n_tables=2),
+      sql="kgruntime.ops.ann:knn_graph_sql",
+      sql_kw=dict(dim=_EMB_DIM, k=5, n_planes=6, n_tables=2)),
     Q("cms_heavy_bigrams", "kgruntime.ops.sketch:cms_heavy_bigrams",
       cols=["doc_id", "text"],
       sql="kgruntime.ops.sketch:cms_heavy_bigrams_sql"),

@@ -1,231 +1,264 @@
-"""Approximate-nearest-neighbor search over an embedding column.
+"""Approximate-nearest-neighbor search and the embedding-space audits.
 
-Baseline: brute-force cosine top-k — the query matrix is broadcast once
-(``ray.put``), every batch does one float64 matmul against it, emits its
-*local* top-k per query (k rows per query per batch), and a final tiny
-``groupby(query_id)`` merge keeps the global top-k.  The shuffle carries
-O(num_queries × k × num_batches) rows — never the embeddings.
+Every broadcast-query top-k op (``brute_force_topk``, ``lsh_topk``,
+``ivf_topk``, ``ann_recall_audit``, ``int8_quant_recall``,
+``hard_negatives``, ``rp_projection_recall``, ``triplet_mining``,
+``pq_quant_recall`` and the embedding side of ``rrf_fusion``) is one
+skeleton, written once:
 
-Scale path: bucketed LSH (hyperplane signatures from ops/dedup) so each
-query only scans matching buckets; recall measured against brute force
-in tests.
+1. the op ``ray.put``s ONE state dict (``_scored``): the prepared
+   query matrix ``q``, ``query_ids``, ``k``, the ranking function
+   ``rank`` and everything else a scorer bakes in (LSH planes, IVF
+   centroids, PQ codebooks, projection planes, anchor labels), so the
+   ref names all of it;
+2. every worker process fetches that state once
+   (``stages/broadcast.cached_get``, one tag per op) and scores each
+   batch with ``_topk_partials``: ``rank(state, batch, ids)`` returns
+   one (key matrix, mask) pair per method — exact, int8, rp, pq,
+   cosine, pos/neg — where the mask drops self, same- or
+   different-label and unprobed candidates;
+3. ``_first_k`` keeps each query's first ``k`` rows per method under
+   (key DESC, neighbor_id ASC) — the global merge's own total order,
+   so the local prune is lossless when keys tie;
+4. ``_merged`` is the global merge: one ``groups.segment_map`` kernel
+   runs the same ``_first_k`` per query (or label, or vec_id), drops a
+   neighbor that arrives twice, and hands the ranked rows to a
+   ``finish`` that shapes the output (neighbors, ranks, or the recall
+   audits' two-method intersection).
+
+The exchange carries O(queries × k × batches) rows, never the
+embeddings.  ``lsh_topk`` and ``ivf_topk`` score each query against
+the rows of its probed buckets or lists only.  ``knn_graph`` (a
+self-join, no broadcast side) prunes per LSH bucket in a
+``segment_map`` kernel and merges per vec_id with the same two
+functions; ``embedding_outliers`` prunes and merges per label.
 """
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 
+from .groups import run_starts
 
-def _emb_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
-    """Zero-copy-ish (B, dim) float64 matrix from a list<float> column:
+logger = logging.getLogger(__name__)
+
+
+def _emb_matrix(batch: pa.Table) -> np.ndarray:
+    """(B, dim) float64 matrix of the ``embedding`` list<float> column:
     flatten the list values buffer and reshape — never ``to_pylist``
     (which boxes every float as a Python object)."""
-    arr = batch[col]
+    arr = batch["embedding"]
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     flat = arr.flatten().to_numpy(zero_copy_only=False)
     return flat.astype(np.float64, copy=False).reshape(len(arr), -1)
 
 
-def _ids_vector(batch: pa.Table, col: str = "vec_id") -> np.ndarray:
-    return batch[col].to_numpy(zero_copy_only=False).astype(np.int64,
-                                                            copy=False)
+def _ids_vector(batch: pa.Table) -> np.ndarray:
+    return batch["vec_id"].to_numpy(zero_copy_only=False).astype(
+        np.int64, copy=False)
 
 
-# Per-worker-process broadcast-state cache (task-pool pattern: the
-# scorer stages need no actor pool — state is one ray.get of the
-# broadcast ref, cached per process, so tasks skip actor startup cost
-# entirely and the streaming executor can use every idle CPU).  Bounded:
-# each ANN invocation ray.puts fresh state, so long-lived workers would
-# otherwise accumulate one stale entry per invocation.
-_STATE_CACHE: dict = {}
-_STATE_CACHE_MAX = 8
+def _labels(batch: pa.Table) -> np.ndarray:
+    return batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def _cached_state(ref, build):
-    key = ref.binary() if hasattr(ref, "binary") else id(ref)
-    st = _STATE_CACHE.get(key)
-    if st is None:
-        st = build()
-        while len(_STATE_CACHE) >= _STATE_CACHE_MAX:
-            _STATE_CACHE.pop(next(iter(_STATE_CACHE)))
-        _STATE_CACHE[key] = st
-    return st
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm (a zero row stays zero)."""
+    return v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
 
 
-_EMPTY_TOPK = pa.table({"query_id": pa.array([], pa.int64()),
-                        "neighbor_id": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64())})
+# --- the top-k skeleton (module docstring) ----------------------------------
+
+def _desc(key: np.ndarray) -> np.ndarray:
+    """An ascending sort key for ``key`` DESC: ``~key`` (−key−1, exact
+    for every int64) for integers, ``-key`` for floats."""
+    return ~key if key.dtype.kind == "i" else -key
 
 
-class BruteForceTopK:
-    """Scorer state built once per worker process (task-pool pattern):
-    normalized query matrix prepared in __init__, reused per batch."""
+def _first_k(segs, key: np.ndarray, nbr: np.ndarray, k: int):
+    """The one top-k prune: (positions, 0-based ranks) of the first
+    ``k`` rows of each segment — a run of equal ``segs`` columns — under
+    (``key`` DESC, ``nbr`` ASC), in (segment, rank) order.  A row equal
+    to the one before it in segment, key and neighbor (one pair scored
+    twice) counts once.
 
-    def __init__(self, queries_ref=None, queries: np.ndarray | None = None,
-                 query_ids: list[int] | None = None, k: int = 5):
-        import ray
-
-        if queries is None:
-            queries, query_ids = ray.get(queries_ref)
-        q = np.asarray(queries, dtype=np.float64)
-        self.q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
-        self.query_ids = np.asarray(list(query_ids), np.int64)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or len(self.query_ids) == 0:
-            return _EMPTY_TOPK
-        ids = _ids_vector(batch)
-        emb = _emb_matrix(batch)
-        emb = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
-                               1e-12)
-        sims = self.q @ emb.T                      # (Q, B)
-        k = min(self.k, sims.shape[1])
-        # local top-k per query (argpartition = O(B)); the global merge
-        # re-ranks by (-sim, id), so selection order here is free
-        part = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        return pa.Table.from_arrays(
-            [pa.array(np.repeat(self.query_ids, k), pa.int64()),
-             pa.array(ids[part].ravel(), pa.int64()),
-             pa.array(np.take_along_axis(sims, part, axis=1).ravel(),
-                      pa.float64())],
-            names=["query_id", "neighbor_id", "cosine"])
+    The batch-local prunes and the global merge all rank by this one
+    total order, so a local prune never drops a row the merge keeps,
+    ties included (``argpartition`` or an unstable argsort keeps an
+    arbitrary subset of a tie)."""
+    order = np.lexsort((nbr, _desc(key), *segs[::-1]))
+    segs = [c[order] for c in segs]
+    first = run_starts(*segs, key[order], nbr[order])
+    order = order[first]
+    segs = [c[first] for c in segs]
+    pos = np.arange(len(order))
+    rank = pos - np.maximum.accumulate(np.where(run_starts(*segs), pos, 0))
+    keep = rank < k
+    return order[keep], rank[keep]
 
 
-def _merge_topk(group: pa.Table, k: int) -> pa.Table:
-    sims = group["cosine"].to_pylist()
-    ids = group["neighbor_id"].to_pylist()
-    qid = group["query_id"][0].as_py()
-    # deterministic: sort by (-sim, neighbor_id); dedupe neighbors (a
-    # multi-table LSH probe can surface the same vector twice)
-    order, seen = [], set()
-    for i in sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i])):
-        if ids[i] not in seen:
-            seen.add(ids[i])
-            order.append(i)
-        if len(order) == k:
-            break
-    return pa.Table.from_arrays(
-        [pa.array([qid] * len(order), pa.int64()),
-         pa.array([ids[i] for i in order], pa.int64()),
-         pa.array([round(sims[i], 6) for i in order], pa.float64())],
-        names=["query_id", "neighbor_id", "cosine"])
+def _partials(key: str, kv, method, score, nbr) -> pa.Table:
+    """The rows every prune emits and ``_merged`` reads."""
+    return pa.table({key: kv, "method": pa.array(method, pa.int8()),
+                     "score": score,
+                     "neighbor_id": pa.array(nbr, pa.int64())})
 
 
-def _bf_score_batch(batch: pa.Table, ref, k: int) -> pa.Table:
-    scorer = _cached_state(ref, lambda: BruteForceTopK(queries_ref=ref, k=k))
-    return scorer(batch)
+def _topk_partials(st: dict, batch: pa.Table) -> pa.Table:
+    """The scorer of every broadcast-query top-k op: one batch against
+    the broadcast state ``st``.  ``st["rank"](st, batch, ids)`` returns
+    one (key matrix, mask or None) pair per method, each (queries,
+    rows); every query keeps its first ``st["k"]`` unmasked rows per
+    method."""
+    qids = st["query_ids"]
+    if batch.num_rows == 0 or len(qids) == 0:
+        none = np.zeros(0, np.int64)
+        return _partials("query_id", none, none,
+                         none.astype(st["q"].dtype), none)
+    ids = _ids_vector(batch)
+    qi, meth, key, col = [], [], [], []
+    for m, (s, mask) in enumerate(st["rank"](st, batch, ids)):
+        r, c = np.nonzero(np.ones(s.shape, bool) if mask is None else mask)
+        qi.append(r)
+        meth.append(np.full(len(r), m, np.int8))
+        key.append(s[r, c])
+        col.append(c)
+    qi, meth, key, col = map(np.concatenate, (qi, meth, key, col))
+    sel, _ = _first_k((qi, meth), key, ids[col], st["k"])
+    return _partials("query_id", qids[qi[sel]], meth[sel], key[sel],
+                     ids[col[sel]])
+
+
+def _scored(ds, tag: str, query_ids, k: int, **state):
+    """The per-batch partials of a broadcast-query top-k op: ``state``
+    with ``query_ids`` and ``k`` is ``ray.put`` once, fetched once per
+    worker process under ``tag`` (``cached_get``), and every batch of
+    ``ds`` goes through ``_topk_partials`` — a task pool, no actors."""
+    import ray
+
+    from ..stages.broadcast import cached_get
+
+    ref = ray.put(dict(state, query_ids=np.asarray(query_ids, np.int64),
+                       k=k))
+
+    def score(batch: pa.Table) -> pa.Table:
+        return _topk_partials(cached_get(ref, tag=tag), batch)
+
+    return ds.map_batches(score, batch_format="pyarrow",
+                          zero_copy_batch=True)
+
+
+def _merged(partials, key: str, k: int, finish):
+    """The global merge, one ``segment_map`` kernel: each (``key``,
+    method)'s first ``k`` rows by ``_first_k``, with their 1-based
+    ``rnk``, go to ``finish(table)``, which shapes the output."""
+    from .groups import segment_map
+
+    def kernel(block: pa.Table, starts) -> pa.Table:
+        sel, rank = _first_k(
+            (block[key].to_numpy(), block["method"].to_numpy()),
+            block["score"].to_numpy(), block["neighbor_id"].to_numpy(), k)
+        return finish(block.take(sel).append_column(
+            "rnk", pa.array(rank + 1, pa.int64())))
+
+    return segment_map(partials, key, kernel)
+
+
+def _neighbor_rows(t: pa.Table) -> pa.Table:
+    """(query_id, neighbor_id, cosine), the cosine rounded at 6
+    digits."""
+    return pa.table({
+        "query_id": t["query_id"], "neighbor_id": t["neighbor_id"],
+        "cosine": pa.array([round(x, 6) for x in t["score"].to_pylist()],
+                           pa.float64())})
+
+
+def _recall_rows(hit: str, k: int):
+    """The recall audits' finish: per query, the number of neighbors in
+    BOTH methods' top-k sets (a neighbor is in each set once) and its
+    ppm of ``k``."""
+
+    def finish(t: pa.Table) -> pa.Table:
+        q, n = t["query_id"].to_numpy(), t["neighbor_id"].to_numpy()
+        order = np.lexsort((n, q))
+        q, n = q[order], n[order]
+        both = (q[1:] == q[:-1]) & (n[1:] == n[:-1])
+        qs = np.unique(q)
+        hits = np.bincount(np.searchsorted(qs, q[1:][both]),
+                           minlength=len(qs))
+        return pa.table({"query_id": qs, hit: hits,
+                         "recall_ppm": hits * 1_000_000 // k})
+
+    return finish
+
+
+def _not_self(st: dict, ids: np.ndarray) -> np.ndarray:
+    return st["query_ids"][:, None] != ids[None, :]
+
+
+def _rank_cosine(st, batch, ids):
+    """Cosine of every query against every row, self masked."""
+    return [(st["q"] @ _unit_rows(_emb_matrix(batch)).T,
+             _not_self(st, ids))]
 
 
 def brute_force_topk(emb_ds, queries: np.ndarray, query_ids: list[int],
-                     k: int = 5, exclude_self: bool = True):
-    """Top-k cosine neighbors for each query vector.
-
-    ``exclude_self`` drops hits where neighbor_id == query_id (the usual
-    self-match when queries come from the same table).  Runs as a TASK
-    pool — the broadcast query matrix is fetched once per worker process
-    (``_cached_state``), so there is no actor-pool spin-up and no idle
-    reserved CPUs.
-    """
-    from functools import partial
-
-    import ray
-
-    ref = ray.put((np.asarray(queries, dtype=np.float64), list(query_ids)))
-    partials = emb_ds.map_batches(
-        partial(_bf_score_batch, ref=ref,
-                k=k + (1 if exclude_self else 0)),
-        batch_format="pyarrow", zero_copy_batch=True)
-    if exclude_self:
-        partials = partials.filter(expr="query_id != neighbor_id")
-    return partials.groupby("query_id").map_groups(
-        lambda g: _merge_topk(g, k), batch_format="pyarrow")
+                     k: int = 5):
+    """Top-k cosine neighbors of each query vector, self excluded:
+    (query_id, neighbor_id, cosine).  The normalized query matrix is
+    broadcast once; every batch is one float64 matmul against it."""
+    parts = _scored(emb_ds, "brute_force_topk-queries", query_ids, k,
+                    rank=_rank_cosine,
+                    q=_unit_rows(np.asarray(queries, np.float64)))
+    return _merged(parts, "query_id", k, _neighbor_rows)
 
 
-def _lsh_score_batch(batch: pa.Table, ref, dim: int, n_planes: int,
-                     n_tables: int, k: int) -> pa.Table:
-    scorer = _cached_state(
-        ref, lambda: _BucketScorer(ref, dim, n_planes, n_tables))
-    return scorer(batch, k)
+def _probed(st, raw, row_lists, ids):
+    """Cosine of each query against the rows of its probed lists only:
+    ``st["lists"]`` maps a list id (LSH bucket, IVF cid) to the indices
+    of the queries that probe it, ``row_lists`` holds each row's list
+    ids, one row per table; every other pair is masked."""
+    emb = _unit_rows(raw)
+    sims = np.zeros((len(st["q"]), len(ids)))
+    cand = np.zeros(sims.shape, bool)
+    for lid, q_idx in st["lists"].items():
+        rows = np.flatnonzero((row_lists == lid).any(axis=0))
+        if len(rows):
+            sims[np.ix_(q_idx, rows)] = st["q"][q_idx] @ emb[rows].T
+            cand[np.ix_(q_idx, rows)] = True
+    return [(sims, cand & _not_self(st, ids))]
 
 
-def lsh_topk(emb_ds, queries: np.ndarray, query_ids: list[int], dim: int,
-             k: int = 5, n_planes: int = 8, n_tables: int = 4,
-             exclude_self: bool = True):
+def _rank_lsh(st, batch, ids):
+    # keys from the RAW vectors (exact ints, shared with HyperplaneLSH
+    # and the SQL twin); scoring on the normalized ones
+    raw = _emb_matrix(batch)
+    return _probed(st, raw, st["lsh"].keys_for(raw), ids)
+
+
+def lsh_topk(emb_ds, queries: np.ndarray, query_ids: list[int],
+             k: int = 5, n_planes: int = 8, n_tables: int = 4):
     """Bucketed ANN: score only vectors whose hyperplane signature
     matches a query's bucket in ANY of ``n_tables`` independent tables
-    (multi-probe recall recovery: recall ≈ 1-(1-p^k)^L).  Same output
-    schema as brute force; approximate, ~n_tables/2^n_planes of the
-    brute-force compute at scale.  Task pool with per-process cached
-    broadcast state (see brute_force_topk)."""
-    from functools import partial
-
-    import ray
-
+    (multi-probe recall recovery: recall ≈ 1-(1-p^k)^L); the planes'
+    width is the queries'.  Same output as brute force; approximate,
+    ~n_tables/2^n_planes of the brute-force compute at scale."""
     from .dedup import HyperplaneLSH
 
-    lsh = HyperplaneLSH(dim, n_planes,
-                        n_tables=n_tables)  # same seed → same buckets
     q = np.asarray(queries, dtype=np.float64)
-    by_bucket: dict[int, list[int]] = {}
-    for t, q_keys in enumerate(lsh.keys_for(q)):
+    lsh = HyperplaneLSH(q.shape[1], n_planes,
+                        n_tables=n_tables)  # same seed → same buckets
+    lists: dict[int, list[int]] = {}
+    for q_keys in lsh.keys_for(q):
         for i, key in enumerate(q_keys):
-            by_bucket.setdefault(int(key), []).append(i)
-    ref = ray.put((q, list(query_ids), by_bucket))
-
-    partials = emb_ds.map_batches(
-        partial(_lsh_score_batch, ref=ref, dim=dim, n_planes=n_planes,
-                n_tables=n_tables, k=k),
-        batch_format="pyarrow", zero_copy_batch=True)
-    if exclude_self:
-        partials = partials.filter(expr="query_id != neighbor_id")
-    return partials.groupby("query_id").map_groups(
-        lambda g: _merge_topk(g, k), batch_format="pyarrow")
-
-
-class _BucketScorer:
-    def __init__(self, ref, dim, n_planes, n_tables):
-        import ray
-
-        from .dedup import HyperplaneLSH
-
-        self.q, self.query_ids, self.by_bucket = ray.get(ref)
-        self.qn = self.q / np.maximum(
-            np.linalg.norm(self.q, axis=1, keepdims=True), 1e-12)
-        self.lsh = HyperplaneLSH(dim, n_planes, n_tables=n_tables)
-
-    def __call__(self, batch: pa.Table, k: int) -> pa.Table:
-        if batch.num_rows == 0 or len(self.query_ids) == 0:
-            return _EMPTY_TOPK
-        ids = _ids_vector(batch)
-        raw = _emb_matrix(batch)
-        # keys from quantized RAW vectors (exact ints, shared with
-        # HyperplaneLSH + the SQL oracle); scoring on normalized
-        emb = raw / np.maximum(
-            np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
-        keys = self.lsh.keys_for(raw)               # (L, B)
-        qid_arr = np.asarray(self.query_ids, np.int64)
-        parts_q, parts_n, parts_s = [], [], []
-        for bucket, q_idx in self.by_bucket.items():
-            mask = (keys == bucket).any(axis=0)
-            if not mask.any():
-                continue
-            sub_ids = ids[mask]
-            sims = self.qn[q_idx] @ emb[mask].T
-            top = min(k + 1, sims.shape[1])
-            sel = np.argsort(-sims, axis=1)[:, :top]
-            parts_q.append(np.repeat(qid_arr[q_idx], top))
-            parts_n.append(sub_ids[sel].ravel())
-            parts_s.append(np.take_along_axis(sims, sel, axis=1).ravel())
-        if not parts_q:
-            return _EMPTY_TOPK
-        return pa.Table.from_arrays(
-            [pa.array(np.concatenate(parts_q), pa.int64()),
-             pa.array(np.concatenate(parts_n), pa.int64()),
-             pa.array(np.concatenate(parts_s), pa.float64())],
-            names=["query_id", "neighbor_id", "cosine"])
+            lists.setdefault(int(key), []).append(i)
+    parts = _scored(emb_ds, "lsh_topk-buckets", query_ids, k,
+                    rank=_rank_lsh, q=_unit_rows(q), lsh=lsh, lists=lists)
+    return _merged(parts, "query_id", k, _neighbor_rows)
 
 
 def lsh_topk_sql(dim: int, k: int = 5, n_planes: int = 8,
@@ -276,9 +309,11 @@ def _units_matrix(v: np.ndarray, scale: int = _UNIT_SCALE) -> np.ndarray:
     return np.copysign(np.floor(np.abs(v) * scale + 0.5), v).astype(np.int64)
 
 
-def _div_half_away(s: np.ndarray, n: int) -> np.ndarray:
-    """round(s / n) half-away-from-zero on exact integers (n > 0)."""
-    s = s.astype(np.int64)
+def _div_half_away(s: np.ndarray, n) -> np.ndarray:
+    """round(s / n) half-away-from-zero on exact integers; the divisor
+    ``n`` (> 0) is a scalar or broadcasts against ``s``."""
+    s = np.asarray(s, np.int64)
+    n = np.asarray(n, np.int64)
     return np.where(s >= 0, (2 * s + n) // (2 * n),
                     -((-2 * s + n) // (2 * n))).astype(np.int64)
 
@@ -313,36 +348,65 @@ def _assign_int(units: np.ndarray, cents: np.ndarray) -> np.ndarray:
     return np.argmin(cc[None, :] - 2 * (units @ cents.T), axis=1)
 
 
-def _fit_quantizer(emb_ds, n_centroids: int, train_size: int, iters: int,
-                   sample_mod: int | None = None) -> np.ndarray:
-    """Shared index-build recipe for ``ivf_topk`` and
-    ``kmeans_clusters`` (and mirrored CTE-for-CTE by
-    ``_kmeans_index_cte_sql``): md5-60 hash sample with a corpus-size-
-    derived modulus (the filtered collect is O(train_size) rows at ANY
-    corpus size, block-order independent), sorted + truncated, then
-    exact integer k-means.  Returns the int64 centroid matrix."""
+def _train_sample(emb_ds, train_size: int) -> np.ndarray:
+    """The index-build training sample of the IVF / k-means quantizer
+    and the PQ codebooks (mirrored by the twins' ``samp`` and
+    ``pq_samp`` CTEs): the rows whose md5-60 vec_id hash is 0 modulo
+    ``max(1, count // train_size)`` — an O(train_size) collect at any
+    corpus size, block-order independent — sorted by vec_id and
+    truncated, as fixed-point units."""
     from .dedup import _md5_60
 
-    if sample_mod is None:
-        sample_mod = max(1, emb_ds.count() // train_size)
+    mod = max(1, emb_ds.count() // train_size)
 
     def sample_batch(t: pa.Table) -> pa.Table:
         ids = t["vec_id"].to_pylist()
-        keep = [_md5_60(str(i).encode()) % sample_mod == 0 for i in ids]
-        return t.filter(pa.array(keep))
+        return t.filter(pa.array(
+            [_md5_60(str(i).encode()) % mod == 0 for i in ids]))
 
-    sample_rows = sorted(
+    rows = sorted(
         emb_ds.map_batches(sample_batch, batch_format="pyarrow").take_all(),
         key=lambda r: r["vec_id"])[:train_size]
-    sample = np.array([r["embedding"] for r in sample_rows], np.float64)
-    return _kmeans_fit_int(_units_matrix(sample),
-                           min(n_centroids, len(sample)), iters)
+    return _units_matrix(np.array([r["embedding"] for r in rows],
+                                  np.float64))
+
+
+def _fit_quantizer(emb_ds, n_centroids: int, train_size: int,
+                   iters: int) -> np.ndarray:
+    """Shared index-build recipe for ``ivf_topk`` and
+    ``kmeans_clusters`` (mirrored CTE-for-CTE by
+    ``_kmeans_index_cte_sql``): exact integer k-means over
+    ``_train_sample``.  Returns the int64 centroid matrix."""
+    sample = _train_sample(emb_ds, train_size)
+    return _kmeans_fit_int(sample, min(n_centroids, len(sample)), iters)
+
+
+def _ivf_state(queries: np.ndarray, cents: np.ndarray, n_probe: int):
+    """The IVF part of the broadcast state: the normalized queries, the
+    centroids, and the queries probing each list — a query's
+    ``n_probe`` nearest centroids by exact integer distance (stable
+    argsort: ties go to the smaller cid, as the SQL ORDER BY dist,
+    cid)."""
+    q = np.asarray(queries, np.float64)
+    qdist = np.sum(cents * cents, axis=1)[None, :] \
+        - 2 * (_units_matrix(q) @ cents.T)
+    lists: dict[int, list[int]] = {}
+    for qi, row in enumerate(np.argsort(qdist, axis=1,
+                                        kind="stable")[:, :n_probe]):
+        for cid in row:
+            lists.setdefault(int(cid), []).append(qi)
+    return dict(q=_unit_rows(q), cents=cents, lists=lists)
+
+
+def _rank_ivf(st, batch, ids):
+    raw = _emb_matrix(batch)
+    return _probed(st, raw, _assign_int(_units_matrix(raw),
+                                        st["cents"])[None, :], ids)
 
 
 def ivf_topk(emb_ds, queries: np.ndarray, query_ids: list[int],
              k: int = 5, n_centroids: int = 16, n_probe: int = 4,
-             sample_mod: int | None = None, train_size: int = 4096,
-             iters: int = 5, exclude_self: bool = True):
+             train_size: int = 4096, iters: int = 5):
     """IVF ANN: a coarse quantizer (integer k-means over a deterministic
     hash-sample of the corpus) splits vectors into ``n_centroids``
     inverted lists; each query scans only its ``n_probe`` nearest lists.
@@ -355,72 +419,10 @@ def ivf_topk(emb_ds, queries: np.ndarray, query_ids: list[int],
     within-list cosine ranking is float (identical op sequence on both
     sides).
     """
-    import ray
-
-    cents_u = _fit_quantizer(emb_ds, n_centroids, train_size, iters,
-                             sample_mod)
-
-    q = np.asarray(queries, np.float64)
-    qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
-    qu = _units_matrix(q)
-    qcc = np.sum(cents_u * cents_u, axis=1)
-    qdist = qcc[None, :] - 2 * (qu @ cents_u.T)
-    # stable ascending argsort: ties resolve to the smaller cid, same as
-    # the SQL ORDER BY dist, cid
-    probe = np.argsort(qdist, axis=1, kind="stable")[:, :n_probe]
-    by_list: dict[int, list[int]] = {}
-    for qi in range(len(qn)):
-        for cid in probe[qi]:
-            by_list.setdefault(int(cid), []).append(qi)
-    ref = ray.put((qn, list(query_ids), cents_u, by_list))
-
-    class ListScorer:
-        def __init__(self, r=None):
-            self.qn, self.query_ids, self.cents_u, self.by_list = \
-                ray.get(r if r is not None else ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0 or len(self.query_ids) == 0:
-                return _EMPTY_TOPK
-            ids = _ids_vector(batch)
-            raw = _emb_matrix(batch)
-            emb = raw / np.maximum(
-                np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
-            assign = _assign_int(_units_matrix(raw), self.cents_u)
-            qid_arr = np.asarray(self.query_ids, np.int64)
-            parts_q, parts_n, parts_s = [], [], []
-            for cid, q_idx in self.by_list.items():
-                mask = assign == cid
-                if not mask.any():
-                    continue
-                sub_ids = ids[mask]
-                sims = self.qn[q_idx] @ emb[mask].T
-                top = min(k + 1, sims.shape[1])
-                sel = np.argpartition(-sims, top - 1, axis=1)[:, :top] \
-                    if top < sims.shape[1] else \
-                    np.broadcast_to(np.arange(sims.shape[1]),
-                                    sims.shape).copy()
-                parts_q.append(np.repeat(qid_arr[q_idx], top))
-                parts_n.append(sub_ids[sel].ravel())
-                parts_s.append(np.take_along_axis(sims, sel, axis=1).ravel())
-            if not parts_q:
-                return _EMPTY_TOPK
-            return pa.Table.from_arrays(
-                [pa.array(np.concatenate(parts_q), pa.int64()),
-                 pa.array(np.concatenate(parts_n), pa.int64()),
-                 pa.array(np.concatenate(parts_s), pa.float64())],
-                names=["query_id", "neighbor_id", "cosine"])
-
-    def _ivf_score_batch(batch: pa.Table) -> pa.Table:
-        scorer = _cached_state(ref, lambda: ListScorer(ref))
-        return scorer(batch)
-
-    partials = emb_ds.map_batches(_ivf_score_batch, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    if exclude_self:
-        partials = partials.filter(expr="query_id != neighbor_id")
-    return partials.groupby("query_id").map_groups(
-        lambda g: _merge_topk(g, k), batch_format="pyarrow")
+    cents = _fit_quantizer(emb_ds, n_centroids, train_size, iters)
+    parts = _scored(emb_ds, "ivf_topk-lists", query_ids, k,
+                    rank=_rank_ivf, **_ivf_state(queries, cents, n_probe))
+    return _merged(parts, "query_id", k, _neighbor_rows)
 
 
 def _kmeans_index_cte_sql(n_centroids: int, train_size: int, iters: int,
@@ -536,40 +538,33 @@ def _ivf_cte_sql(k: int, n_centroids: int, n_probe: int, train_size: int,
           JOIN embeddings ne ON ne.vec_id = c.neighbor_id)"""
 
 
+def _rank_exact_vs_ivf(st, batch, ids):
+    return _rank_cosine(st, batch, ids) + _rank_ivf(st, batch, ids)
+
+
 def ann_recall_audit(emb_ds_factory, queries: np.ndarray,
                      query_ids: list[int], k: int = 5,
                      n_centroids: int = 16, n_probe: int = 4,
-                     train_size: int = 4096, iters: int = 5,
-                     sample_mod: int | None = None):
+                     train_size: int = 4096, iters: int = 5):
     """ANN index-quality audit — per query, the recall of IVF top-k
     against the exact brute-force top-k on the SAME corpus:
-    ``(query_id, n_hit, recall_ppm)``.  The accuracy-vs-cost check run
-    before trusting an approximate index at 100 TB (the ANN sibling of
-    ``minhash_error_audit``).
+    ``(query_id, n_hit, recall_ppm)``, ascending query_id.  The
+    accuracy-vs-cost check run before trusting an approximate index at
+    100 TB (the ANN sibling of ``minhash_error_audit``).
 
     ``emb_ds_factory`` is a zero-arg callable returning a fresh
-    embeddings Dataset — each kernel consumes its own stream, so
-    neither pipeline re-executes the other's lineage.  Both kernels are
-    the existing distributed ops (broadcast state, streamed scoring);
-    the driver only intersects |queries| × k id pairs.
+    embeddings Dataset: one for the quantizer fit, one for the scoring
+    pass, which ranks every batch both ways (brute force and the
+    probed lists) and intersects the two top-k sets in the merge.
     """
-    bf = brute_force_topk(emb_ds_factory(), queries, query_ids,
-                          k=k).to_pandas()
-    iv = ivf_topk(emb_ds_factory(), queries, query_ids, k=k,
-                  n_centroids=n_centroids, n_probe=n_probe,
-                  train_size=train_size, iters=iters,
-                  sample_mod=sample_mod).to_pandas()
-    ivf_pairs = set(zip(iv["query_id"], iv["neighbor_id"]))
-    rows = []
-    for qid in sorted(set(bf["query_id"])):
-        nbrs = bf.loc[bf["query_id"] == qid, "neighbor_id"]
-        n_hit = sum((qid, n) in ivf_pairs for n in nbrs)
-        rows.append((int(qid), n_hit, (1_000_000 * n_hit) // k))
-    return pa.table({
-        "query_id": pa.array([r[0] for r in rows], pa.int64()),
-        "n_hit": pa.array([r[1] for r in rows], pa.int64()),
-        "recall_ppm": pa.array([r[2] for r in rows], pa.int64()),
-    })
+    cents = _fit_quantizer(emb_ds_factory(), n_centroids, train_size,
+                           iters)
+    parts = _scored(emb_ds_factory(), "ann_recall_audit-lists", query_ids,
+                    k, rank=_rank_exact_vs_ivf,
+                    **_ivf_state(queries, cents, n_probe))
+    out = _merged(parts, "query_id", k, _recall_rows("n_hit", k))
+    return pa.Table.from_pandas(out.to_pandas().sort_values("query_id"),
+                                preserve_index=False)
 
 
 def ann_recall_audit_sql(k: int = 5, n_centroids: int = 16,
@@ -607,8 +602,7 @@ def ann_recall_audit_sql(k: int = 5, n_centroids: int = 16,
 
 
 def kmeans_clusters(emb_ds, n_centroids: int = 16,
-                    train_size: int = 4096, iters: int = 5,
-                    sample_mod: int | None = None):
+                    train_size: int = 4096, iters: int = 5):
     """Corpus clustering as a first-class op: fit the exact integer
     k-means quantizer (``_fit_quantizer`` — the IVF coarse index) and
     assign EVERY vector to its cluster, returning (vec_id, cid,
@@ -622,14 +616,12 @@ def kmeans_clusters(emb_ds, n_centroids: int = 16,
     shuffles.  Bit-exact SQL twin: ``kmeans_clusters_sql``."""
     import ray
 
-    cents_u = _fit_quantizer(emb_ds, n_centroids, train_size, iters,
-                             sample_mod)
-    ref = ray.put(cents_u)
+    from ..stages.broadcast import cached_get
+
+    ref = ray.put(_fit_quantizer(emb_ds, n_centroids, train_size, iters))
 
     def assign_batch(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        c = _cached_state(ref, lambda: _ray.get(ref))
+        c = cached_get(ref, tag="kmeans_clusters-centroids")
         if t.num_rows == 0:
             return pa.table({"vec_id": pa.array([], pa.int64()),
                              "cid": pa.array([], pa.int64())})
@@ -647,9 +639,7 @@ def kmeans_clusters(emb_ds, n_centroids: int = 16,
     cref = ray.put(counts)
 
     def attach_n(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        cn = _cached_state(cref, lambda: _ray.get(cref))
+        cn = cached_get(cref, tag="kmeans_clusters-counts")
         n = [int(cn.get(c, 0)) for c in t["cid"].to_pylist()]
         return t.append_column("cluster_n", pa.array(n, pa.int64()))
 
@@ -669,44 +659,47 @@ def kmeans_clusters_sql(n_centroids: int = 16, train_size: int = 4096,
     """
 
 
-def _units_of(vals: np.ndarray, scale: int) -> np.ndarray:
-    """float64 matrix → fixed-point int64 units (round half away)."""
-    return np.copysign(np.floor(np.abs(vals) * scale + 0.5),
-                       vals).astype(np.int64)
-
-
-def _label_sum_partial(t: pa.Table, label_col: str, vec_col: str,
-                       scale: int) -> pa.Table:
+def _label_sum_partial(t: pa.Table, scale: int) -> pa.Table:
     """One (label, n, Σunits[dim]) row per label in the batch — the
     vector-aggregate combiner shared by label_centroids and
     embedding_outliers."""
     if t.num_rows == 0:
         return pa.table({
-            label_col: pa.array([], t.schema.field(label_col).type),
+            "label": pa.array([], t.schema.field("label").type),
             "n": pa.array([], pa.int64()),
             "sums": pa.array([], pa.list_(pa.int64())),
         })
-    labels = t[label_col].to_numpy(zero_copy_only=False)
-    flat = t[vec_col].combine_chunks()
-    dim = len(flat[0])
-    vals = np.asarray(flat.flatten().to_numpy(zero_copy_only=False),
-                      dtype=np.float64).reshape(len(labels), dim)
-    units = _units_of(vals, scale)
+    labels = t["label"].to_numpy(zero_copy_only=False)
+    units = _units_matrix(_emb_matrix(t), scale)
     uniq, inv = np.unique(labels, return_inverse=True)
     onehot = np.zeros((len(uniq), len(labels)), np.int64)
     onehot[inv, np.arange(len(labels))] = 1
     sums = onehot @ units                     # (|labels|, dim)
     n = onehot.sum(axis=1)
     return pa.table({
-        label_col: uniq,
+        "label": uniq,
         "n": n,
         "sums": list(sums),
     })
 
 
-def label_centroids(emb_ds, label_col: str = "label",
-                    vec_col: str = "embedding", scale: int = 1_000_000,
-                    digits: int = 6):
+def _label_sums(emb_ds, scale: int):
+    """The driver fold of ``_label_sum_partial``: the labels ascending
+    (in the column's dtype), and per label its row count and unit sums
+    as Python ints (no overflow at any n)."""
+    parts = emb_ds.map_batches(
+        lambda t: _label_sum_partial(t, scale),
+        batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    labs, ns, tots = [], [], []
+    for lab, g in parts.groupby("label", sort=True):
+        labs.append(lab)
+        ns.append(int(g["n"].sum()))
+        tots.append(np.sum(np.stack(g["sums"].to_numpy()), axis=0,
+                           dtype=object))
+    return np.asarray(labs, parts["label"].dtype), ns, tots
+
+
+def label_centroids(emb_ds, scale: int = 1_000_000, digits: int = 6):
     """Element-wise mean embedding per label, as an exploded
     (label, i, centroid) pandas frame (i is the 1-based dimension).
 
@@ -721,30 +714,21 @@ def label_centroids(emb_ds, label_col: str = "label",
     """
     import pandas as pd
 
-    def partial(t: pa.Table) -> pa.Table:
-        return _label_sum_partial(t, label_col, vec_col, scale)
-
-    parts = emb_ds.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True).to_pandas()
+    labs, ns, tots = _label_sums(emb_ds, scale)
     rows = []
-    for lab, g in parts.groupby(label_col, sort=True):
-        n = int(g["n"].sum())
-        tot = np.sum(np.stack(g["sums"].to_numpy()), axis=0,
-                     dtype=object)  # Python ints: no overflow at any n
+    for lab, n, tot in zip(labs, ns, tots):
         for i, s in enumerate(tot, start=1):
             v = int(s) / (n * float(scale))
-            rows.append({label_col: lab, "i": i, "centroid":
+            rows.append({"label": lab, "i": i, "centroid":
                          np.copysign(np.floor(abs(v) * 10.0 ** digits + 0.5),
                                      v) / 10.0 ** digits})
-    df = pd.DataFrame(rows, columns=[label_col, "i", "centroid"])
-    df[label_col] = df[label_col].astype(parts[label_col].dtype)
+    df = pd.DataFrame(rows, columns=["label", "i", "centroid"])
+    df["label"] = df["label"].astype(labs.dtype)
     df["i"] = df["i"].astype(np.int64)
     return df.reset_index(drop=True)
 
 
-def embedding_outliers(emb_ds, k: int = 5, label_col: str = "label",
-                       vec_col: str = "embedding",
-                       scale: int = _UNIT_SCALE):
+def embedding_outliers(emb_ds, k: int = 5, scale: int = _UNIT_SCALE):
     """Top-``k`` farthest-from-centroid vectors per label — the
     embedding-space mislabel/outlier detector: (label, vec_id, dist2,
     rnk) with ``dist2`` = squared L2 distance to the label's mean
@@ -756,70 +740,43 @@ def embedding_outliers(emb_ds, k: int = 5, label_col: str = "label",
     |labels| × |blocks| tiny partials reach the driver; the float64
     centroid matrix (KB at any corpus size for a bounded label space)
     broadcasts via ``ray.put``.  (2) distances are a vectorized
-    ``(batch − mu[idx])²`` row-sum with a per-batch local top-k prune —
-    the final ``groupby(label)`` shuffle carries at most k rows per
-    (label, block), never vectors.  The strict (dist2 DESC, vec_id ASC)
-    total order makes local pruning lossless and the DuckDB
-    ``row_number()`` oracle replayable.
+    ``(batch − mu[idx])²`` row-sum with the per-batch ``_first_k``
+    prune per label, merged per label by ``_merged`` — the exchange
+    carries at most k rows per (label, block), never vectors.  The
+    strict (dist2 DESC, vec_id ASC) total order makes the local prune
+    lossless and the DuckDB ``row_number()`` oracle replayable.
     """
-    import pandas as pd
     import ray
 
-    parts = emb_ds.map_batches(
-        lambda t: _label_sum_partial(t, label_col, vec_col, scale),
-        batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    labs, mus = [], []
-    for lab, g in parts.groupby(label_col, sort=True):
-        n = int(g["n"].sum())
-        tot = np.sum(np.stack(g["sums"].to_numpy()), axis=0,
-                     dtype=object)             # Python ints: no overflow
-        # float(exact int) / (n·scale): the identical double DuckDB
-        # computes for sum(u) / (count(*) * scale.0)
-        mus.append(np.array([float(int(s)) for s in tot], np.float64)
-                   / (n * float(scale)))
-        labs.append(lab)
-    labs = np.asarray(labs)
-    state_ref = ray.put((labs, np.stack(mus)))
+    from ..stages.broadcast import cached_get
 
-    empty = pa.table({
-        label_col: pa.array([], pa.int32()),
-        "vec_id": pa.array([], pa.int64()),
-        "dist2": pa.array([], pa.float64()),
-    })
+    labs, ns, tots = _label_sums(emb_ds, scale)
+    # float(exact int) / (n·scale): the identical double DuckDB computes
+    # for sum(u) / (count(*) * scale.0)
+    mu = np.stack([np.array([float(int(s)) for s in tot], np.float64)
+                   / (n * float(scale)) for n, tot in zip(ns, tots)])
+    ref = ray.put((labs, mu))
 
     def dist_part(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        labels_arr, mu = ray.get(state_ref)
-        lab = t[label_col].to_numpy(zero_copy_only=False)
-        flat = t[vec_col].combine_chunks()
-        dim = len(flat[0])
-        vals = np.asarray(flat.flatten().to_numpy(zero_copy_only=False),
-                          dtype=np.float64).reshape(len(lab), dim)
-        x = _units_of(vals, scale).astype(np.float64) / float(scale)
-        d = x - mu[np.searchsorted(labels_arr, lab)]
-        dist2 = np.einsum("ij,ij->i", d, d)
-        dist2 = np.floor(dist2 * 1e6 + 0.5) / 1e6   # non-negative
-        df = pd.DataFrame({
-            label_col: lab,
-            "vec_id": t["vec_id"].to_numpy(zero_copy_only=False),
-            "dist2": dist2,
-        }).sort_values([label_col, "dist2", "vec_id"],
-                       ascending=[True, False, True], kind="mergesort")
-        df = df.groupby(label_col, sort=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False) \
-            .cast(empty.schema)
+        lab = t["label"].to_numpy(zero_copy_only=False)
+        ids = _ids_vector(t)
+        dist2 = np.zeros(0)
+        if len(ids):
+            labels, means = cached_get(ref, tag="embedding_outliers-means")
+            d = _units_matrix(_emb_matrix(t), scale) / float(scale) \
+                - means[np.searchsorted(labels, lab)]
+            dist2 = np.floor(np.einsum("ij,ij->i", d, d) * 1e6 + 0.5) / 1e6
+        sel, _ = _first_k((lab,), dist2, ids, k)
+        return _partials("label", lab[sel], np.zeros(len(sel), np.int8),
+                         dist2[sel], ids[sel])
 
-    def final_topk(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().sort_values(
-            ["dist2", "vec_id"], ascending=[False, True],
-            kind="mergesort").head(k)
-        df["rnk"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False)
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({"label": t["label"], "vec_id": t["neighbor_id"],
+                         "dist2": t["score"], "rnk": t["rnk"]})
 
-    return emb_ds.map_batches(dist_part, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby(label_col).map_groups(final_topk, batch_format="pyarrow")
+    return _merged(emb_ds.map_batches(dist_part, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                   "label", k, finish)
 
 
 def embedding_outliers_sql(k: int = 5,
@@ -849,13 +806,6 @@ def embedding_outliers_sql(k: int = 5,
 
 # --- kNN similarity graph: per-vector top-k neighbor edges (self-join) ---
 
-_EMPTY_KNN = pa.table({
-    "vec_id": pa.array([], pa.int64()),
-    "neighbor_id": pa.array([], pa.int64()),
-    "cosine": pa.array([], pa.float64()),
-})
-
-
 def _round6_signed(x: np.ndarray) -> np.ndarray:
     """Vectorized half-away-from-zero rounding at 6 digits — the value
     DuckDB's ``round(x, 6)`` produces for positive AND negative x
@@ -864,96 +814,83 @@ def _round6_signed(x: np.ndarray) -> np.ndarray:
                     -np.floor(-x * 1e6 + 0.5)) / 1e6
 
 
-def _knn_bucket_topk(group: pa.Table, k: int, cap: int) -> pa.Table:
-    """Directed local top-k inside one LSH bucket.
+def _knn_bucket_topk(block: pa.Table, starts: np.ndarray, k: int,
+                     cap: int) -> pa.Table:
+    """The ``segment_map`` kernel of ``knn_graph``: each vector's
+    directed local top-k among its LSH bucket-mates, for every bucket
+    of the block at once.
 
     Exact-integer cosine (``quantize_fp6`` dot / √n2a·√n2b — each float
-    op a single IEEE round, bit-identical to the SQL twin); the strict
-    (cosine DESC, neighbor_id ASC) total order makes per-bucket top-k
-    pruning LOSSLESS under the global merge: a neighbor dropped locally
-    is preceded by ≥k bucket-mates that also reach the global rank.
-    Deterministic 256-cap as in ``_cos_pairs`` (sort by vec_id first).
+    op a single IEEE round, bit-identical to the SQL twin); zero-norm
+    vectors never rank.  ``_first_k``'s (cosine DESC, neighbor_id ASC)
+    order makes the per-bucket prune LOSSLESS under the global merge: a
+    neighbor dropped locally is preceded by ≥k bucket-mates that also
+    reach the global rank.  A bucket keeps its ``cap`` smallest vec_ids
+    (deterministic, as in ``_cos_pairs``) and the truncation is logged.
     """
-    from .dedup import _cap_hot_bucket, quantize_fp6
+    from .dedup import quantize_fp6
+    from .groups import segment_ids, segment_pairs
 
-    ids = group["vec_id"].combine_chunks() \
-        .to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    emb = group["embedding"].combine_chunks().flatten() \
-        .to_numpy(zero_copy_only=False).astype(np.float64, copy=False) \
-        .reshape(len(ids), -1)
-    order = np.argsort(ids, kind="stable")
-    ids, emb = ids[order], emb[order]
-    keep = len(_cap_hot_bucket(ids.tolist(), cap, "knn_graph"))
-    ids, emb = ids[:keep], emb[:keep]
-    if len(ids) < 2:
-        return _EMPTY_KNN
-    q = quantize_fp6(emb)
-    dot = q @ q.T
-    n2 = np.diag(dot).astype(np.float64)
-    root = np.sqrt(n2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sim = dot / (root[:, None] * root[None, :])
-    # mask self-pairs and zero-norm rows/cols out of the ranking
-    np.fill_diagonal(sim, -np.inf)
-    sim[n2 == 0, :] = -np.inf
-    sim[:, n2 == 0] = -np.inf
-    top = min(k, sim.shape[1] - 1)
-    # columns are ascending-vec_id, so a STABLE argsort of -sim yields
-    # exactly (cosine DESC, neighbor_id ASC) — the SQL row_number order
-    sel = np.argsort(-sim, axis=1, kind="stable")[:, :top]
-    rows = np.repeat(np.arange(len(ids)), top)
-    cols = sel.ravel()
-    s = sim[rows, cols]
-    ok = np.isfinite(s)
-    if not ok.any():
-        return _EMPTY_KNN
-    return pa.Table.from_arrays(
-        [pa.array(ids[rows[ok]], pa.int64()),
-         pa.array(ids[cols[ok]], pa.int64()),
-         pa.array(s[ok], pa.float64())],
-        names=["vec_id", "neighbor_id", "cosine"])
+    n = block.num_rows
+    sizes = np.diff(np.append(starts, n))
+    hot = sizes > cap
+    if hot.any():
+        logger.warning(
+            "knn_graph: %d hot buckets truncated to %d members "
+            "(%d dropped); their neighbor lists are incomplete",
+            hot.sum(), cap, (sizes[hot] - cap).sum())
+    ids = _ids_vector(block)
+    order = np.lexsort((ids, segment_ids(starts, n)))
+    ids = ids[order]
+    q = quantize_fp6(_emb_matrix(block)[order])
+    n2 = np.einsum("ij,ij->i", q, q)
+    ii, jj = segment_pairs(starts, np.minimum(sizes, cap))
+    ok = (n2[ii] != 0) & (n2[jj] != 0)
+    ii, jj = ii[ok], jj[ok]
+    root = np.sqrt(n2.astype(np.float64))
+    sim = np.einsum("ij,ij->i", q[ii], q[jj]) / (root[ii] * root[jj])
+    rows, cols, sim = np.r_[ii, jj], np.r_[jj, ii], np.r_[sim, sim]
+    sel, _ = _first_k((rows,), sim, ids[cols], k)
+    return _partials("vec_id", ids[rows[sel]], np.zeros(len(sel), np.int8),
+                     sim[sel], ids[cols[sel]])
 
 
-def knn_graph(emb_ds, dim: int, k: int = 5, n_planes: int = 6,
-              n_tables: int = 2, cap: int = 256):
+def _knn_rows(t: pa.Table) -> pa.Table:
+    return pa.table({"vec_id": t["vec_id"], "neighbor_id": t["neighbor_id"],
+                     "cosine": _round6_signed(t["score"].to_numpy()),
+                     "rnk": t["rnk"]})
+
+
+def knn_graph(emb_ds, k: int = 5, n_planes: int = 6, n_tables: int = 2,
+              cap: int = 256):
     """Approximate kNN GRAPH over the whole embeddings table: for every
     vector, its top-``k`` most-cosine-similar bucket-mates across
-    ``n_tables`` seeded Rademacher-LSH tables — the self-join analogue
-    of ``lsh_topk`` (no broadcast query side; candidates come from a
-    ``groupby(bucket)`` shuffle, so the shape is all-data-scalable:
-    signatures+vectors shuffle once, no N² pair materialization).
+    ``n_tables`` seeded Rademacher-LSH tables (planes as wide as the
+    vectors) — the self-join analogue of ``lsh_topk`` (no broadcast
+    query side; candidates come from a bucket exchange, so the shape is
+    all-data-scalable: signatures+vectors shuffle once, no N² pair
+    materialization).
 
-    Three stages: explode to (table, bucket) rows → per-bucket directed
-    local top-k (lossless prune, see ``_knn_bucket_topk``) → dedup
-    cross-table repeats (identical exact scores → ``max``) → per-vector
-    global top-k.  Output: (vec_id, neighbor_id, cosine, rnk) with
-    cosine rounded half-away at 6 digits AFTER ranking on the exact
-    value.  Fully replayed by ``knn_graph_sql``.
+    Two exchanges: explode to (table, bucket) rows → per-bucket
+    directed local top-k (``_knn_bucket_topk`` on ``segment_map``) →
+    per-vector global top-k (``_merged``; a pair found in several
+    tables carries the identical exact score, so the merge's repeat
+    drop keeps it once).  Output: (vec_id, neighbor_id, cosine, rnk)
+    with cosine rounded half-away at 6 digits AFTER ranking on the
+    exact value.  Fully replayed by ``knn_graph_sql``.
     """
-    import pandas as pd
-
     from .dedup import hyperplane_explode
+    from .groups import segment_map
 
-    bucketed = emb_ds.map_batches(
-        hyperplane_explode,
-        fn_kwargs={"dim": dim, "n_planes": n_planes,
-                   "n_tables": n_tables},
-        batch_format="pyarrow", zero_copy_batch=True)
-    local = bucketed.groupby("bucket").map_groups(
-        lambda g: _knn_bucket_topk(g, k, cap), batch_format="pyarrow")
-    deduped = local.groupby(["vec_id", "neighbor_id"]).max("cosine") \
-        .rename_columns({"max(cosine)": "cosine"})
+    def explode(t: pa.Table) -> pa.Table:
+        return hyperplane_explode(t, dim=len(t["embedding"][0]),
+                                  n_planes=n_planes, n_tables=n_tables)
 
-    def final_topk(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().sort_values(
-            ["cosine", "neighbor_id"], ascending=[False, True],
-            kind="mergesort").head(k)
-        df["rnk"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        df["cosine"] = _round6_signed(df["cosine"].to_numpy())
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return deduped.groupby("vec_id").map_groups(
-        final_topk, batch_format="pyarrow")
+    bucketed = emb_ds.map_batches(explode, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+    local = segment_map(bucketed, "bucket",
+                        lambda b, s: _knn_bucket_topk(b, s, k, cap))
+    return _merged(local, "vec_id", k, _knn_rows)
 
 
 def knn_graph_sql(dim: int, k: int = 5, n_planes: int = 6,
@@ -1007,64 +944,21 @@ def knn_graph_sql(dim: int, k: int = 5, n_planes: int = 6,
 
 # --- int8 symmetric quantization recall audit ------------------------------
 
-def _div_half_away_vec(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """round(s / m) half-away-from-zero, exact int64, per-row divisor m
-    (broadcastable, > 0) — the vector form of ``_div_half_away``."""
-    s = s.astype(np.int64)
-    m = m.astype(np.int64)
-    return np.where(s >= 0, (2 * s + m) // (2 * m),
-                    -((-2 * s + m) // (2 * m))).astype(np.int64)
-
-
 def _int8_codes(units: np.ndarray):
     """Symmetric per-vector int8 codes from fixed-point units:
     m = max|u| (≥1), code = round_half_away(u·127 / m)."""
     m = np.maximum(np.abs(units).max(axis=1), 1).astype(np.int64)
-    return _div_half_away_vec(units * 127, m[:, None]), m
+    return _div_half_away(units * 127, m[:, None]), m
 
 
-class _QuantRecallScorer:
-    """Task-pool scorer (built once per worker via ``_cached_state``):
-    emits per-batch top-k partials under BOTH rankings."""
-
-    def __init__(self, ref, k: int):
-        import ray
-
-        queries, query_ids = ray.get(ref)
-        self.uq = _units_matrix(np.asarray(queries, np.float64))
-        self.q8, _ = _int8_codes(self.uq)      # query scale is rank-free
-        self.query_ids = np.asarray(list(query_ids), np.int64)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        empty = pa.table({"query_id": pa.array([], pa.int64()),
-                          "neighbor_id": pa.array([], pa.int64()),
-                          "key": pa.array([], pa.int64()),
-                          "method": pa.array([], pa.string())})
-        if batch.num_rows == 0 or len(self.query_ids) == 0:
-            return empty
-        ids = _ids_vector(batch)
-        ud = _units_matrix(_emb_matrix(batch))
-        d8, dm = _int8_codes(ud)
-        # exact fixed-point inner product vs dequantized-int8 key:
-        # (Σ q8·d8)·m_d ranks identically to the dequantized score
-        # because m_q/127² is a per-query constant
-        keys = {"exact": self.uq @ ud.T,
-                "int8": (self.q8 @ d8.T) * dm[None, :]}
-        k = min(self.k, len(ids))
-        qs, ns, ks, ms = [], [], [], []
-        for method, s in keys.items():
-            part = np.argpartition(-s, k - 1, axis=1)[:, :k]
-            qs.append(np.repeat(self.query_ids, k))
-            ns.append(ids[part].ravel())
-            ks.append(np.take_along_axis(s, part, axis=1).ravel())
-            ms.extend([method] * (len(self.query_ids) * k))
-        return pa.Table.from_arrays(
-            [pa.array(np.concatenate(qs), pa.int64()),
-             pa.array(np.concatenate(ns), pa.int64()),
-             pa.array(np.concatenate(ks), pa.int64()),
-             pa.array(ms, pa.string())],
-            names=["query_id", "neighbor_id", "key", "method"])
+def _rank_int8(st, batch, ids):
+    # exact fixed-point inner product vs dequantized-int8 key:
+    # (Σ q8·d8)·m_d ranks identically to the dequantized score because
+    # m_q/127² is a per-query constant
+    ud = _units_matrix(_emb_matrix(batch))
+    d8, dm = _int8_codes(ud)
+    m = _not_self(st, ids)
+    return [(st["q"] @ ud.T, m), ((st["q8"] @ d8.T) * dm[None, :], m)]
 
 
 def int8_quant_recall(emb_ds, queries: np.ndarray, query_ids: list[int],
@@ -1078,50 +972,14 @@ def int8_quant_recall(emb_ds, queries: np.ndarray, query_ids: list[int],
     baseline ``Σ u_q·u_d`` over round(x·10⁶) units; quantized
     ``(Σ q_q·q_d)·m_d`` over per-vector codes
     ``q = round_half_away(u·127 / max|u|)`` — so the DuckDB twin
-    replays both top-k sets and the recall bit-for-bit.
-
-    Task-pool shape (ann_topk precedent): broadcast query matrix fetched
-    once per worker process; per-batch work is three integer matmuls;
-    the exchange carries 2·k partial rows per (query, batch).
+    replays both top-k sets and the recall bit-for-bit.  Per batch:
+    three integer matmuls on the top-k skeleton; the exchange carries
+    2·k partial rows per (query, batch).
     """
-    import ray
-
-    ref = ray.put((np.asarray(queries, np.float64), list(query_ids)))
-
-    def score(batch: pa.Table, ref=ref, k=k) -> pa.Table:
-        scorer = _cached_state(ref, lambda: _QuantRecallScorer(ref, k + 1))
-        return scorer(batch)
-
-    partials = emb_ds.map_batches(score, batch_format="pyarrow",
-                                  zero_copy_batch=True) \
-        .filter(expr="query_id != neighbor_id")
-
-    def merge(group: pa.Table) -> pa.Table:
-        qid = group["query_id"][0].as_py()
-        nid = group["neighbor_id"].to_numpy(zero_copy_only=False)
-        key = group["key"].to_numpy(zero_copy_only=False)
-        meth = group["method"].to_pylist()
-        tops = {}
-        for want in ("exact", "int8"):
-            idx = [i for i, m in enumerate(meth) if m == want]
-            order = sorted(idx, key=lambda i: (-key[i], nid[i]))
-            seen, picked = set(), []
-            for i in order:
-                if nid[i] not in seen:
-                    seen.add(nid[i])
-                    picked.append(nid[i])
-                if len(picked) == k:
-                    break
-            tops[want] = set(picked)
-        n_match = len(tops["exact"] & tops["int8"])
-        return pa.table({
-            "query_id": pa.array([qid], pa.int64()),
-            "n_match": pa.array([n_match], pa.int64()),
-            "recall_ppm": pa.array([n_match * 1_000_000 // k],
-                                   pa.int64())})
-
-    return partials.groupby("query_id").map_groups(
-        merge, batch_format="pyarrow")
+    uq = _units_matrix(np.asarray(queries, np.float64))
+    parts = _scored(emb_ds, "int8_quant_recall-codes", query_ids, k,
+                    rank=_rank_int8, q=uq, q8=_int8_codes(uq)[0])
+    return _merged(parts, "query_id", k, _recall_rows("n_match", k))
 
 
 def int8_quant_recall_sql(k: int = 5, n_queries: int = 10,
@@ -1177,47 +1035,10 @@ ORDER BY query_id
 
 # --- hard negative mining (contrastive training data) ----------------------
 
-class _HardNegScorer:
-    """Task-pool scorer: for each anchor, the top-k highest-similarity
-    vectors with a DIFFERENT label (hard negatives)."""
-
-    def __init__(self, ref, k: int):
-        import ray
-
-        queries, query_ids, query_labels = ray.get(ref)
-        self.uq = _units_matrix(np.asarray(queries, np.float64))
-        self.query_ids = np.asarray(list(query_ids), np.int64)
-        self.query_labels = np.asarray(list(query_labels), np.int64)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        empty = pa.table({"query_id": pa.array([], pa.int64()),
-                          "negative_id": pa.array([], pa.int64()),
-                          "key": pa.array([], pa.int64())})
-        if batch.num_rows == 0 or len(self.query_ids) == 0:
-            return empty
-        ids = _ids_vector(batch)
-        labels = batch["label"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        ud = _units_matrix(_emb_matrix(batch))
-        s = self.uq @ ud.T                              # exact int64
-        # mask same-label candidates (and self).  Sentinel is min+1, NOT
-        # min: argpartition runs on -s and -int64.min wraps back to
-        # int64.min, which would rank masked entries FIRST and waste the
-        # local top-k slots on them.
-        low = np.iinfo(np.int64).min + 1
-        bad = (self.query_labels[:, None] == labels[None, :]) \
-            | (self.query_ids[:, None] == ids[None, :])
-        s = np.where(bad, low, s)
-        k = min(self.k, s.shape[1])
-        part = np.argpartition(-s, k - 1, axis=1)[:, :k]
-        keys = np.take_along_axis(s, part, axis=1)
-        keep = keys.ravel() != low
-        return pa.table({
-            "query_id": pa.array(np.repeat(self.query_ids, k)[keep],
-                                 pa.int64()),
-            "negative_id": pa.array(ids[part].ravel()[keep], pa.int64()),
-            "key": pa.array(keys.ravel()[keep], pa.int64())})
+def _rank_hard_negatives(st, batch, ids):
+    other = st["labels"][:, None] != _labels(batch)[None, :]
+    return [(st["q"] @ _units_matrix(_emb_matrix(batch)).T,
+             other & _not_self(st, ids))]
 
 
 def hard_negatives(emb_ds, queries: np.ndarray, query_ids: list[int],
@@ -1228,40 +1049,20 @@ def hard_negatives(emb_ds, queries: np.ndarray, query_ids: list[int],
 
     Ranking key = exact fixed-point inner product (int64 units, the
     int8_quant_recall convention), ties → negative_id ASC, so the
-    DuckDB twin replays the picks bit-for-bit.  Task-pool shape:
-    broadcast anchor matrix fetched once per worker; exchange carries
-    k partial rows per (anchor, batch).
+    DuckDB twin replays the picks bit-for-bit.  The top-k skeleton with
+    a different-label mask; the exchange carries k partial rows per
+    (anchor, batch).
     """
-    import ray
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({"query_id": t["query_id"],
+                         "negative_id": t["neighbor_id"],
+                         "neg_rank": t["rnk"]})
 
-    ref = ray.put((np.asarray(queries, np.float64), list(query_ids),
-                   [int(x) for x in query_labels]))
-
-    def score(batch: pa.Table, ref=ref, k=k) -> pa.Table:
-        scorer = _cached_state(ref, lambda: _HardNegScorer(ref, k))
-        return scorer(batch)
-
-    partials = emb_ds.map_batches(score, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-
-    def merge(group: pa.Table) -> pa.Table:
-        qid = group["query_id"][0].as_py()
-        nid = group["negative_id"].to_numpy(zero_copy_only=False)
-        key = group["key"].to_numpy(zero_copy_only=False)
-        order, seen = [], set()
-        for i in sorted(range(len(nid)), key=lambda i: (-key[i], nid[i])):
-            if nid[i] not in seen:
-                seen.add(nid[i])
-                order.append(i)
-            if len(order) == k:
-                break
-        return pa.table({
-            "query_id": pa.array([qid] * len(order), pa.int64()),
-            "negative_id": pa.array(nid[order], pa.int64()),
-            "neg_rank": pa.array(range(1, len(order) + 1), pa.int64())})
-
-    return partials.groupby("query_id").map_groups(
-        merge, batch_format="pyarrow")
+    parts = _scored(emb_ds, "hard_negatives-anchors", query_ids, k,
+                    rank=_rank_hard_negatives,
+                    q=_units_matrix(np.asarray(queries, np.float64)),
+                    labels=np.asarray(query_labels, np.int64))
+    return _merged(parts, "query_id", k, finish)
 
 
 def hard_negatives_sql(k: int = 5, n_queries: int = 10,
@@ -1302,8 +1103,23 @@ _PC_VCAP = 1 << 20          # |v| cap after each renormalization
 _PC_USHIFT = 1 << 21        # per-row projection rescale
 
 
-def principal_component(emb_ds, iters: int = 5, scale: int = 10_000,
-                        vec_col: str = "embedding"):
+def _unit_sums(ds, scale: int):
+    """(n, Σunits[dim]) of a whole embedding table: one (n, sums)
+    partial per batch, summed on the driver — vectors never leave their
+    batch."""
+    def partial(t: pa.Table) -> pa.Table:
+        units = _units_matrix(_emb_matrix(t), scale)
+        return pa.table({"n": pa.array([len(units)], pa.int64()),
+                         "sums": pa.array([units.sum(axis=0).tolist()],
+                                          pa.list_(pa.int64()))})
+
+    parts = ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True).to_pandas()
+    return int(parts["n"].sum()), np.sum(
+        np.stack(parts["sums"].map(np.asarray)), axis=0).astype(np.int64)
+
+
+def principal_component(emb_ds, iters: int = 5, scale: int = 10_000):
     """Top principal direction of the (mean-centered) embedding cloud by
     POWER ITERATION — restated entirely in exact int64 fixed point so
     the result replays bit-for-bit in SQL (the integer-k-means recipe
@@ -1327,39 +1143,19 @@ def principal_component(emb_ds, iters: int = 5, scale: int = 10_000,
     import pandas as pd
     import ray
 
-    dim = None
+    from ..stages.broadcast import cached_get
 
-    def sum_partial(t: pa.Table) -> pa.Table:
-        flat = t[vec_col].combine_chunks()
-        d = len(flat[0])
-        vals = np.asarray(flat.flatten().to_numpy(zero_copy_only=False),
-                          np.float64).reshape(-1, d)
-        units = _units_of(vals, scale)
-        return pa.table({"n": pa.array([len(units)], pa.int64()),
-                         "sums": pa.array([units.sum(axis=0).tolist()],
-                                          pa.list_(pa.int64()))})
-
-    parts = emb_ds.map_batches(sum_partial, batch_format="pyarrow",
-                               zero_copy_batch=True).to_pandas()
-    n_total = int(parts["n"].sum())
-    s = np.sum(np.stack(parts["sums"].map(np.asarray)), axis=0) \
-        .astype(np.int64)
+    n_total, s = _unit_sums(emb_ds, scale)
     dim = len(s)
-    mu = _div_half_away(s, n_total)
-    mu_ref = ray.put(mu)
+    mu_ref = ray.put(_div_half_away(s, n_total))
 
     def center(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        m = _cached_state(mu_ref, lambda: _ray.get(mu_ref))
-        flat = t[vec_col].combine_chunks()
-        vals = np.asarray(flat.flatten().to_numpy(zero_copy_only=False),
-                          np.float64).reshape(-1, len(m))
-        y = _units_of(vals, scale) - m
+        m = cached_get(mu_ref, tag="principal_component-mean")
+        y = _units_matrix(_emb_matrix(t), scale) - m
         return pa.table({"y": pa.array([r.tobytes() for r in
                                         y.astype("<i8")], pa.binary())})
 
-    ys = emb_ds.select_columns([vec_col]) \
+    ys = emb_ds.select_columns(["embedding"]) \
         .map_batches(center, batch_format="pyarrow",
                      zero_copy_batch=True).materialize()
 
@@ -1370,9 +1166,7 @@ def principal_component(emb_ds, iters: int = 5, scale: int = 10_000,
         v_ref = ray.put(v)
 
         def w_partial(t: pa.Table, _ref=v_ref) -> pa.Table:
-            import ray as _ray
-
-            vv = _cached_state(_ref, lambda: _ray.get(_ref))
+            vv = cached_get(_ref, tag="principal_component-direction")
             y = np.frombuffer(b"".join(t["y"].to_pylist()),
                               "<i8").reshape(-1, len(vv))
             u = _div_half_away(y @ vv, _PC_USHIFT)
@@ -1438,8 +1232,7 @@ SELECT i, v::BIGINT AS component_fp FROM {prev} ORDER BY i
 """
 
 
-def embedding_drift(cur_ds, prior_ds, scale: int = 10_000,
-                    vec_col: str = "embedding"):
+def embedding_drift(cur_ds, prior_ds, scale: int = 10_000):
     """Per-dimension mean drift between two embedding snapshots —
     ``(i, mean_cur, mean_prior, delta)`` in exact fixed-point units
     (half-away ``round(x·scale)`` sums, half-away integer means), the
@@ -1448,34 +1241,13 @@ def embedding_drift(cur_ds, prior_ds, scale: int = 10_000,
     distribution moved.
 
     Scale shape: each side reduces per batch to ONE (n, Σunits[dim])
-    row (the label_sum_partial vector-aggregate combiner with a single
-    implicit label); the driver sums |blocks| partials — vectors never
-    leave their batch.
+    row (``_unit_sums``); the driver sums |blocks| partials — vectors
+    never leave their batch.
     """
     import pandas as pd
 
-    def side_sums(ds):
-        def partial(t: pa.Table) -> pa.Table:
-            flat = t[vec_col].combine_chunks()
-            d = len(flat[0])
-            vals = np.asarray(
-                flat.flatten().to_numpy(zero_copy_only=False),
-                np.float64).reshape(-1, d)
-            units = _units_of(vals, scale)
-            return pa.table({"n": pa.array([len(units)], pa.int64()),
-                             "sums": pa.array(
-                                 [units.sum(axis=0).tolist()],
-                                 pa.list_(pa.int64()))})
-
-        parts = ds.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True).to_pandas()
-        n = int(parts["n"].sum())
-        s = np.sum(np.stack(parts["sums"].map(np.asarray)),
-                   axis=0).astype(np.int64)
-        return n, s
-
-    n_c, s_c = side_sums(cur_ds)
-    n_p, s_p = side_sums(prior_ds)
+    n_c, s_c = _unit_sums(cur_ds, scale)
+    n_p, s_p = _unit_sums(prior_ds, scale)
     mean_c = _div_half_away(s_c, n_c)
     mean_p = _div_half_away(s_p, n_p)
     dim = len(s_c)
@@ -1517,38 +1289,22 @@ FROM ed_c c JOIN ed_p p USING (i) ORDER BY c.i
 # hybrid retrieval: reciprocal-rank fusion of lexical + embedding rankings
 # ---------------------------------------------------------------------------
 
+def _rank_dot(st, batch, ids):
+    return [(st["q"] @ _units_matrix(_emb_matrix(batch)).T, None)]
+
+
 def _int_dot_topr(emb_ds, q_units: np.ndarray, r: int):
-    """Top-r vectors by exact fixed-point inner product against ONE
-    broadcast query (int64 units; ties → vec_id ASC).  Task-pool sweep
-    with per-block ``lexsort`` prune: ≤r rows leave each block, one
-    final partition merges — no global sort.  Dot magnitudes are
-    ≤ dim·scale² ≈ 6.4e13, far from the ``-s`` wrap point."""
-    import ray
-
-    ref = ray.put(q_units.astype(np.int64))
-
-    def score(batch: pa.Table, ref=ref, r=r) -> pa.Table:
-        q = _cached_state(ref, lambda: ray.get(ref))
-        units = _units_matrix(_emb_matrix(batch))
-        s = units @ q
-        ids = _ids_vector(batch)
-        idx = np.lexsort((ids, -s))[:r]
-        return pa.table({"vec_id": pa.array(ids[idx], pa.int64()),
-                         "s": pa.array(s[idx], pa.int64())})
-
-    def merge(t: pa.Table) -> pa.Table:
-        s = t["s"].combine_chunks().to_numpy(zero_copy_only=False)
-        ids = t["vec_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        idx = np.lexsort((ids, -s))[:r]
-        return t.take(pa.array(idx))
-
-    rows = emb_ds.select_columns(["vec_id", "embedding"]) \
-        .map_batches(score, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .repartition(1) \
-        .map_batches(merge, batch_format="pyarrow").take_all()
-    return [int(x["vec_id"]) for x in rows]
+    """Top-r vec_ids by exact fixed-point inner product against ONE
+    broadcast query (int64 units; ties → vec_id ASC): the top-k
+    skeleton with one query and no mask — ≤r rows leave each block,
+    one merge, no global sort.  Dot magnitudes are ≤ dim·scale² ≈
+    6.4e13."""
+    parts = _scored(emb_ds.select_columns(["vec_id", "embedding"]),
+                    "int_dot_topr-query", [0], r, rank=_rank_dot,
+                    q=q_units.astype(np.int64)[None, :])
+    out = _merged(parts, "query_id", r,
+                  lambda t: t.select(["neighbor_id", "rnk"])).to_pandas()
+    return out.sort_values("rnk")["neighbor_id"].astype(int).tolist()
 
 
 def rrf_fusion(docs_ds, emb_ds, query_text: str, query_vec: np.ndarray,
@@ -1663,6 +1419,8 @@ def mmr_topk(emb_ds_factory, queries: np.ndarray, query_ids: list[int],
     """
     import ray
 
+    from ..stages.broadcast import cached_get
+
     cand = brute_force_topk(emb_ds_factory(), queries, query_ids,
                             k=m).to_pandas()
     need = sorted(set(cand["neighbor_id"]) | set(query_ids))
@@ -1670,9 +1428,8 @@ def mmr_topk(emb_ds_factory, queries: np.ndarray, query_ids: list[int],
 
     def pick(t: pa.Table) -> pa.Table:
         import pyarrow.compute as _pc
-        import ray as _ray
 
-        ids = _cached_state(need_ref, lambda: _ray.get(need_ref))
+        ids = cached_get(need_ref, tag="mmr_topk-candidates")
         return t.filter(_pc.is_in(t["vec_id"],
                                   value_set=pa.array(ids, pa.int64())))
 
@@ -1791,48 +1548,10 @@ ORDER BY query_id, rank
 
 # --- signed random-projection (Johnson-Lindenstrauss) recall audit ---------
 
-class _RPRecallScorer:
-    """Task-pool scorer (built once per worker via ``_cached_state``):
-    per-batch top-k partials under the full-dim exact ranking AND the
-    ``n_proj``-dim signed-random-projection ranking."""
-
-    def __init__(self, ref, k: int, n_proj: int, seed: int):
-        import ray
-
-        queries, query_ids = ray.get(ref)
-        self.uq = _units_matrix(np.asarray(queries, np.float64))
-        rng = np.random.RandomState(seed)
-        self.S = (rng.randint(0, 2, size=(n_proj, self.uq.shape[1]))
-                  * 2 - 1).astype(np.int64)
-        self.vq = self.uq @ self.S.T            # exact int projections
-        self.query_ids = np.asarray(list(query_ids), np.int64)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        empty = pa.table({"query_id": pa.array([], pa.int64()),
-                          "neighbor_id": pa.array([], pa.int64()),
-                          "key": pa.array([], pa.int64()),
-                          "method": pa.array([], pa.string())})
-        if batch.num_rows == 0 or len(self.query_ids) == 0:
-            return empty
-        ids = _ids_vector(batch)
-        ud = _units_matrix(_emb_matrix(batch))
-        vd = ud @ self.S.T
-        keys = {"exact": self.uq @ ud.T, "rp": self.vq @ vd.T}
-        k = min(self.k, len(ids))
-        qs, ns, ks, ms = [], [], [], []
-        for method, s in keys.items():
-            part = np.argpartition(-s, k - 1, axis=1)[:, :k]
-            qs.append(np.repeat(self.query_ids, k))
-            ns.append(ids[part].ravel())
-            ks.append(np.take_along_axis(s, part, axis=1).ravel())
-            ms.extend([method] * (len(self.query_ids) * k))
-        return pa.Table.from_arrays(
-            [pa.array(np.concatenate(qs), pa.int64()),
-             pa.array(np.concatenate(ns), pa.int64()),
-             pa.array(np.concatenate(ks), pa.int64()),
-             pa.array(ms, pa.string())],
-            names=["query_id", "neighbor_id", "key", "method"])
+def _rank_rp(st, batch, ids):
+    ud = _units_matrix(_emb_matrix(batch))
+    m = _not_self(st, ids)
+    return [(st["q"] @ ud.T, m), (st["vq"] @ (ud @ st["S"].T).T, m)]
 
 
 def rp_projection_recall(emb_ds, queries: np.ndarray,
@@ -1848,51 +1567,17 @@ def rp_projection_recall(emb_ds, queries: np.ndarray,
     Both rankings use EXACT INT64 sort keys (ties → neighbor_id ASC):
     exact ``Σ u_q·u_d`` over round(x·10⁶) units; projected
     ``Σ (S u_q)·(S u_d)`` with the seeded ±1 matrix S — so the DuckDB
-    twin replays both top-k sets and the recall bit-for-bit.
-
-    Task-pool shape (ann_topk precedent): broadcast query matrix
-    fetched once per worker process; per-batch work is two integer
-    matmuls; the exchange carries 2·k partial rows per (query, batch).
+    twin replays both top-k sets and the recall bit-for-bit.  S rides
+    in the broadcast state; per batch: two integer matmuls on the top-k
+    skeleton, 2·k partial rows per (query, batch).
     """
-    import ray
-
-    ref = ray.put((np.asarray(queries, np.float64), list(query_ids)))
-
-    def score(batch: pa.Table, ref=ref) -> pa.Table:
-        scorer = _cached_state(
-            ref, lambda: _RPRecallScorer(ref, k + 1, n_proj, seed))
-        return scorer(batch)
-
-    partials = emb_ds.map_batches(score, batch_format="pyarrow",
-                                  zero_copy_batch=True) \
-        .filter(expr="query_id != neighbor_id")
-
-    def merge(group: pa.Table) -> pa.Table:
-        qid = group["query_id"][0].as_py()
-        nid = group["neighbor_id"].to_numpy(zero_copy_only=False)
-        key = group["key"].to_numpy(zero_copy_only=False)
-        meth = group["method"].to_pylist()
-        tops = {}
-        for want in ("exact", "rp"):
-            idx = [i for i, m in enumerate(meth) if m == want]
-            order = sorted(idx, key=lambda i: (-key[i], nid[i]))
-            seen, picked = set(), []
-            for i in order:
-                if nid[i] not in seen:
-                    seen.add(nid[i])
-                    picked.append(nid[i])
-                if len(picked) == k:
-                    break
-            tops[want] = set(picked)
-        n_match = len(tops["exact"] & tops["rp"])
-        return pa.table({
-            "query_id": pa.array([qid], pa.int64()),
-            "n_match": pa.array([n_match], pa.int64()),
-            "recall_ppm": pa.array([n_match * 1_000_000 // k],
-                                   pa.int64())})
-
-    return partials.groupby("query_id").map_groups(
-        merge, batch_format="pyarrow")
+    uq = _units_matrix(np.asarray(queries, np.float64))
+    S = (np.random.RandomState(seed).randint(0, 2, size=(n_proj,
+                                                         uq.shape[1]))
+         * 2 - 1).astype(np.int64)
+    parts = _scored(emb_ds, "rp_projection_recall-planes", query_ids, k,
+                    rank=_rank_rp, q=uq, S=S, vq=uq @ S.T)
+    return _merged(parts, "query_id", k, _recall_rows("n_match", k))
 
 
 def rp_projection_recall_sql(dim: int, k: int = 5, n_queries: int = 10,
@@ -2028,53 +1713,10 @@ FROM ra_p
 
 # --- triplet mining (anchor, hardest positive, hardest negative) -----------
 
-class _TripletScorer:
-    """Task-pool scorer: per anchor, the batch-local hardest SAME-label
-    (excluding self) and hardest DIFFERENT-label candidates."""
-
-    def __init__(self, ref):
-        import ray
-
-        queries, query_ids, query_labels = ray.get(ref)
-        self.uq = _units_matrix(np.asarray(queries, np.float64))
-        self.query_ids = np.asarray(list(query_ids), np.int64)
-        self.query_labels = np.asarray(list(query_labels), np.int64)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        empty = pa.table({"query_id": pa.array([], pa.int64()),
-                          "cand_id": pa.array([], pa.int64()),
-                          "key": pa.array([], pa.int64()),
-                          "kind": pa.array([], pa.string())})
-        if batch.num_rows == 0 or len(self.query_ids) == 0:
-            return empty
-        ids = _ids_vector(batch)
-        # id-ascending batch order so argmax's first-max tie-break IS
-        # the min-id tie-break the twin uses
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        labels = batch["label"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)[order]
-        ud = _units_matrix(_emb_matrix(batch))[order]
-        s = self.uq @ ud.T
-        low = np.iinfo(np.int64).min + 1
-        same = (self.query_labels[:, None] == labels[None, :]) \
-            & (self.query_ids[:, None] != ids[None, :])
-        diff = self.query_labels[:, None] != labels[None, :]
-        qs, cs, ks, kinds = [], [], [], []
-        for kind, mask in (("pos", same), ("neg", diff)):
-            sm = np.where(mask, s, low)
-            best = np.argmax(sm, axis=1)
-            keep = sm[np.arange(len(best)), best] != low
-            qs.append(self.query_ids[keep])
-            cs.append(ids[best[keep]])
-            ks.append(sm[np.arange(len(best)), best][keep])
-            kinds.extend([kind] * int(keep.sum()))
-        return pa.Table.from_arrays(
-            [pa.array(np.concatenate(qs), pa.int64()),
-             pa.array(np.concatenate(cs), pa.int64()),
-             pa.array(np.concatenate(ks), pa.int64()),
-             pa.array(kinds, pa.string())],
-            names=["query_id", "cand_id", "key", "kind"])
+def _rank_triplet(st, batch, ids):
+    s = st["q"] @ _units_matrix(_emb_matrix(batch)).T
+    same = st["labels"][:, None] == _labels(batch)[None, :]
+    return [(s, same & _not_self(st, ids)), (s, ~same)]
 
 
 def triplet_mining(emb_ds, queries: np.ndarray, query_ids: list[int],
@@ -2087,42 +1729,28 @@ def triplet_mining(emb_ds, queries: np.ndarray, query_ids: list[int],
     negative_id, margin).
 
     Ranking key = exact fixed-point inner product (int64 units), ties
-    → candidate id ASC.  Task-pool shape (hard_negatives precedent):
-    broadcast anchor matrix, 2 partial rows per (anchor, batch).
+    → candidate id ASC.  The top-k skeleton at k = 1 with a same-label
+    (method 0) and a different-label (method 1) mask; the ≤ 2 partial
+    rows per (anchor, batch) fold on the driver — no exchange.
     """
-    import ray
-
-    ref = ray.put((np.asarray(queries, np.float64), list(query_ids),
-                   [int(x) for x in query_labels]))
-
-    def score(batch: pa.Table, ref=ref) -> pa.Table:
-        scorer = _cached_state(ref, lambda: _TripletScorer(ref))
-        return scorer(batch)
-
-    rows = emb_ds.map_batches(score, batch_format="pyarrow",
-                              zero_copy_batch=True).take_all()
-    best: dict[tuple[int, str], tuple[int, int]] = {}
-    for r in rows:
-        kk = (int(r["query_id"]), r["kind"])
-        cand = (-int(r["key"]), int(r["cand_id"]))
+    parts = _scored(emb_ds, "triplet_mining-anchors", query_ids, 1,
+                    rank=_rank_triplet,
+                    q=_units_matrix(np.asarray(queries, np.float64)),
+                    labels=np.asarray(query_labels, np.int64))
+    best: dict[tuple[int, int], tuple[int, int]] = {}
+    for r in parts.take_all():
+        kk = (int(r["query_id"]), int(r["method"]))
+        cand = (-int(r["score"]), int(r["neighbor_id"]))
         if kk not in best or cand < best[kk]:
             best[kk] = cand
-    out = {"query_id": [], "positive_id": [], "negative_id": [],
-           "margin": []}
-    for q in sorted(set(query_ids)):
-        p = best.get((q, "pos"))
-        n = best.get((q, "neg"))
-        if p is None or n is None:
-            continue
-        out["query_id"].append(q)
-        out["positive_id"].append(p[1])
-        out["negative_id"].append(n[1])
-        out["margin"].append(-p[0] - (-n[0]))
+    qs = [q for q in sorted(set(query_ids))
+          if (q, 0) in best and (q, 1) in best]
     return pa.table({
-        "query_id": pa.array(out["query_id"], pa.int64()),
-        "positive_id": pa.array(out["positive_id"], pa.int64()),
-        "negative_id": pa.array(out["negative_id"], pa.int64()),
-        "margin": pa.array(out["margin"], pa.int64()),
+        "query_id": pa.array(qs, pa.int64()),
+        "positive_id": pa.array([best[q, 0][1] for q in qs], pa.int64()),
+        "negative_id": pa.array([best[q, 1][1] for q in qs], pa.int64()),
+        "margin": pa.array([best[q, 1][0] - best[q, 0][0] for q in qs],
+                           pa.int64()),
     })
 
 
@@ -2241,88 +1869,31 @@ GROUP BY a.i, b.i ORDER BY a.i, b.i
 # --- product quantization (PQ / ADC) recall audit --------------------------
 
 def _pq_fit(emb_ds, m: int, n_centroids: int, train_size: int,
-            iters: int, sample_mod: int | None = None):
-    """Per-subspace integer k-means codebooks from ONE shared md5-60
-    hash sample (the ``_fit_quantizer`` recipe, sliced ``m`` ways).
-    Returns (list of int64 centroid matrices, dim)."""
-    from .dedup import _md5_60
-
-    if sample_mod is None:
-        sample_mod = max(1, emb_ds.count() // train_size)
-
-    def sample_batch(t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_pylist()
-        keep = [_md5_60(str(i).encode()) % sample_mod == 0 for i in ids]
-        return t.filter(pa.array(keep))
-
-    rows = sorted(
-        emb_ds.map_batches(sample_batch,
-                           batch_format="pyarrow").take_all(),
-        key=lambda r: r["vec_id"])[:train_size]
-    sample = _units_matrix(np.array([r["embedding"] for r in rows],
-                                    np.float64))
-    dim = sample.shape[1]
-    assert dim % m == 0, "PQ requires dim divisible by m"
-    sub = dim // m
-    books = [_kmeans_fit_int(sample[:, s * sub:(s + 1) * sub],
-                             min(n_centroids, len(sample)), iters)
-             for s in range(m)]
-    return books, dim
+            iters: int) -> list[np.ndarray]:
+    """Per-subspace integer k-means codebooks from ONE shared
+    ``_train_sample`` (the ``_fit_quantizer`` recipe, sliced ``m``
+    ways): a list of int64 centroid matrices."""
+    sample = _train_sample(emb_ds, train_size)
+    assert sample.shape[1] % m == 0, "PQ requires dim divisible by m"
+    sub = sample.shape[1] // m
+    return [_kmeans_fit_int(sample[:, s * sub:(s + 1) * sub],
+                            min(n_centroids, len(sample)), iters)
+            for s in range(m)]
 
 
-class _PQRecallScorer:
-    """Task-pool scorer: per-batch top-k partials under the exact
-    full-dim ranking AND the PQ asymmetric-distance (ADC) ranking."""
-
-    def __init__(self, ref, k: int):
-        import ray
-
-        queries, query_ids, books = ray.get(ref)
-        self.uq = _units_matrix(np.asarray(queries, np.float64))
-        self.books = books
-        sub = self.uq.shape[1] // len(books)
-        # per-(query, subspace) LUT of exact integer dots q_s · c
-        self.luts = [self.uq[:, s * sub:(s + 1) * sub] @ books[s].T
-                     for s in range(len(books))]
-        self.sub = sub
-        self.query_ids = np.asarray(list(query_ids), np.int64)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        empty = pa.table({"query_id": pa.array([], pa.int64()),
-                          "neighbor_id": pa.array([], pa.int64()),
-                          "key": pa.array([], pa.int64()),
-                          "method": pa.array([], pa.string())})
-        if batch.num_rows == 0 or len(self.query_ids) == 0:
-            return empty
-        ids = _ids_vector(batch)
-        ud = _units_matrix(_emb_matrix(batch))
-        adc = np.zeros((len(self.query_ids), len(ids)), np.int64)
-        for s, book in enumerate(self.books):
-            codes = _assign_int(ud[:, s * self.sub:(s + 1) * self.sub],
-                                book)
-            adc += self.luts[s][:, codes]
-        keys = {"exact": self.uq @ ud.T, "pq": adc}
-        k = min(self.k, len(ids))
-        qs, ns, ks, ms = [], [], [], []
-        for method, sarr in keys.items():
-            part = np.argpartition(-sarr, k - 1, axis=1)[:, :k]
-            qs.append(np.repeat(self.query_ids, k))
-            ns.append(ids[part].ravel())
-            ks.append(np.take_along_axis(sarr, part, axis=1).ravel())
-            ms.extend([method] * (len(self.query_ids) * k))
-        return pa.Table.from_arrays(
-            [pa.array(np.concatenate(qs), pa.int64()),
-             pa.array(np.concatenate(ns), pa.int64()),
-             pa.array(np.concatenate(ks), pa.int64()),
-             pa.array(ms, pa.string())],
-            names=["query_id", "neighbor_id", "key", "method"])
+def _rank_pq(st, batch, ids):
+    ud = _units_matrix(_emb_matrix(batch))
+    sub = ud.shape[1] // len(st["books"])
+    adc = sum(lut[:, _assign_int(ud[:, s * sub:(s + 1) * sub], book)]
+              for s, (lut, book) in enumerate(zip(st["luts"],
+                                                  st["books"])))
+    m = _not_self(st, ids)
+    return [(st["q"] @ ud.T, m), (adc, m)]
 
 
 def pq_quant_recall(emb_ds, queries: np.ndarray, query_ids: list[int],
                     k: int = 5, m: int = 2, n_centroids: int = 8,
-                    train_size: int = 512, iters: int = 3,
-                    sample_mod: int | None = None):
+                    train_size: int = 512, iters: int = 3):
     """Recall@k of PRODUCT-QUANTIZED asymmetric-distance search
     (Jégou et al.'s PQ/ADC: the vector splits into ``m`` subspaces,
     each coded to its nearest of ``n_centroids`` integer-k-means
@@ -2334,55 +1905,22 @@ def pq_quant_recall(emb_ds, queries: np.ndarray, query_ids: list[int],
     ``_kmeans_fit_int`` (so the DuckDB twin replays the training
     bit-for-bit, per subspace), codes use the same
     ``|c|² − 2·u·c`` argmin, and both rankings sort on int64 keys with
-    neighbor-id tie-breaks.  Task-pool shape: codebooks + queries
-    broadcast once; per-batch work is m assignment matmuls + a LUT
-    gather; the exchange carries 2·k partial rows per (query, batch).
+    neighbor-id tie-breaks.  Codebooks and per-(query, subspace) LUTs
+    of exact integer dots ride in the broadcast state; per batch: m
+    assignment matmuls + a LUT gather on the top-k skeleton, 2·k
+    partial rows per (query, batch).
     """
-    import ray
-
     if emb_ds.count() == 0 or len(query_ids) == 0:
         return pa.table({"query_id": pa.array([], pa.int64()),
                          "n_match": pa.array([], pa.int64()),
                          "recall_ppm": pa.array([], pa.int64())})
-    books, _ = _pq_fit(emb_ds, m, n_centroids, train_size, iters,
-                       sample_mod)
-    ref = ray.put((np.asarray(queries, np.float64), list(query_ids),
-                   books))
-
-    def score(batch: pa.Table, ref=ref) -> pa.Table:
-        scorer = _cached_state(ref, lambda: _PQRecallScorer(ref, k + 1))
-        return scorer(batch)
-
-    partials = emb_ds.map_batches(score, batch_format="pyarrow",
-                                  zero_copy_batch=True) \
-        .filter(expr="query_id != neighbor_id")
-
-    def merge(group: pa.Table) -> pa.Table:
-        qid = group["query_id"][0].as_py()
-        nid = group["neighbor_id"].to_numpy(zero_copy_only=False)
-        key = group["key"].to_numpy(zero_copy_only=False)
-        meth = group["method"].to_pylist()
-        tops = {}
-        for want in ("exact", "pq"):
-            idx = [i for i, mm in enumerate(meth) if mm == want]
-            order = sorted(idx, key=lambda i: (-key[i], nid[i]))
-            seen, picked = set(), []
-            for i in order:
-                if nid[i] not in seen:
-                    seen.add(nid[i])
-                    picked.append(nid[i])
-                if len(picked) == k:
-                    break
-            tops[want] = set(picked)
-        n_match = len(tops["exact"] & tops["pq"])
-        return pa.table({
-            "query_id": pa.array([qid], pa.int64()),
-            "n_match": pa.array([n_match], pa.int64()),
-            "recall_ppm": pa.array([n_match * 1_000_000 // k],
-                                   pa.int64())})
-
-    return partials.groupby("query_id").map_groups(
-        merge, batch_format="pyarrow")
+    books = _pq_fit(emb_ds, m, n_centroids, train_size, iters)
+    uq = _units_matrix(np.asarray(queries, np.float64))
+    sub = uq.shape[1] // m
+    luts = [uq[:, s * sub:(s + 1) * sub] @ books[s].T for s in range(m)]
+    parts = _scored(emb_ds, "pq_quant_recall-codebooks", query_ids, k,
+                    rank=_rank_pq, q=uq, books=books, luts=luts)
+    return _merged(parts, "query_id", k, _recall_rows("n_match", k))
 
 
 def _pq_kmeans_cte_sql(prefix: str, lo: int, hi: int, n_centroids: int,

@@ -226,12 +226,10 @@ def bpe_fertility(docs_ds, rounds: int = 8):
            for r in final.take_all()}
     ref = ray.put(enc)
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
 
     def decorate(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        m = _cached_state(ref, lambda: _ray.get(ref))
+        m = cached_get(ref, tag="bpe_fertility-lengths")
         cnt = t["cnt"].to_numpy(zero_copy_only=False)
         nt = np.fromiter((m[w] for w in t["w"].to_pylist()),
                          np.int64, len(t))

@@ -321,7 +321,7 @@ def minhash_near_dups(docs_ds, threshold: float = 0.7, num_perm: int = 64,
     import ray
     import ray.data as rd
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
     from .groups import coarse_group_map
     from .join import bucketed_hash_join
 
@@ -407,7 +407,7 @@ def minhash_near_dups(docs_ds, threshold: float = 0.7, num_perm: int = 64,
     bits_ref = ray.put(bits.view(bool))
 
     def bloom_filter_sigs(t: pa.Table) -> pa.Table:
-        bb = _cached_state(bits_ref, lambda: ray.get(bits_ref))
+        bb = cached_get(bits_ref, tag="minhash_near_dups-bloom")
         hit = _bloom_test(bb, t["doc_id"].to_numpy(zero_copy_only=False))
         return t.filter(pa.array(hit))
 
@@ -2046,7 +2046,7 @@ def incremental_near_dups(new_ds, prior_ds, threshold: float = 0.7,
     import ray
     import ray.data as rd
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
     from .groups import coarse_group_map
     from .join import bucketed_hash_join
 
@@ -2161,20 +2161,23 @@ def incremental_near_dups(new_ds, prior_ds, threshold: float = 0.7,
 
         new_bits, pri_bits = bloom_ref("doc_id"), bloom_ref("match_id")
 
-        def bloom_filter(bits_ref):
+        def bloom_filter(bits_ref, side):
             def fn(t: pa.Table) -> pa.Table:
-                bb = _cached_state(bits_ref, lambda: ray.get(bits_ref))
+                bb = cached_get(bits_ref,
+                                tag=f"incremental_near_dups-{side}-bloom")
                 hit = _bloom_test(
                     bb, t["doc_id"].to_numpy(zero_copy_only=False))
                 return t.filter(pa.array(hit))
             return fn
 
         side_a = new_tbl.select_columns(["doc_id", "sig"]) \
-            .map_batches(bloom_filter(new_bits), batch_format="pyarrow") \
+            .map_batches(bloom_filter(new_bits, "new"),
+                         batch_format="pyarrow") \
             .map_batches(lambda t: t.rename_columns(["a_key", "sig_a"]),
                          batch_format="pyarrow")
         side_b = pri_tbl.select_columns(["doc_id", "sig"]) \
-            .map_batches(bloom_filter(pri_bits), batch_format="pyarrow") \
+            .map_batches(bloom_filter(pri_bits, "prior"),
+                         batch_format="pyarrow") \
             .map_batches(lambda t: t.rename_columns(["b_key", "sig_b"]),
                          batch_format="pyarrow")
         joined = bucketed_hash_join(cands, side_a, "doc_id", "a_key")
@@ -2526,7 +2529,7 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
     import ray.data as rd
     from ray.data.aggregate import Max, Sum
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
     from .groups import segment_map, segment_pairs
     from .join import bucketed_hash_join
 
@@ -2593,9 +2596,7 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
                              ("n", pa.int64()), ("pos", pa.int64())])
 
     def prefix_postings(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        sk = _cached_state(df_ref, lambda: _ray.get(df_ref))
+        sk = cached_get(df_ref, tag="set_sim_join-df")
         out_h, out_d, out_n, out_p = [], [], [], []
         for d, blob, n in zip(t["doc_id"].to_pylist(),
                               t["hs"].to_pylist(),
@@ -2685,9 +2686,7 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
     bits_ref = ray.put(bits.view(bool))   # _bloom_test needs bool bits
 
     def bloom_filter_sets(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        bb = _cached_state(bits_ref, lambda: _ray.get(bits_ref))
+        bb = cached_get(bits_ref, tag="set_sim_join-bloom")
         hit = _bloom_test(bb, t["doc_id"].to_numpy(zero_copy_only=False))
         return t.filter(pa.array(hit))
 

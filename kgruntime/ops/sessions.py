@@ -1163,7 +1163,7 @@ def rfm_segments(events_ds, n_bands: int = 5):
     import ray
     from ray.data.aggregate import Count, Max, Sum
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
 
     us_per_day = 86_400_000_000
     metrics = ("rec_days", "freq", "mon_cents")
@@ -1219,9 +1219,7 @@ def rfm_segments(events_ds, n_bands: int = 5):
     ref = ray.put(luts)
 
     def score(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        m = _cached_state(ref, lambda: _ray.get(ref))
+        m = cached_get(ref, tag="rfm_segments-bands")
         cols = {"user_id": t["user_id"].to_numpy(zero_copy_only=False),
                 **metric_cols(t)}
         for col, out_name in (("rec_days", "r_score"), ("freq", "f_score"),
@@ -1380,7 +1378,7 @@ def late_event_audit(events_ds, late_ms: int = 3_600_000):
     import ray
     from ray.data.aggregate import Count, Max, Sum
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
 
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -1406,9 +1404,7 @@ def late_event_audit(events_ds, late_ms: int = 3_600_000):
     off_ref = ray.put(offs)
 
     def finish(df):
-        import ray as _ray
-
-        m = _cached_state(off_ref, lambda: _ray.get(off_ref))
+        m = cached_get(off_ref, tag="late_event_audit-offsets")
         df = df.sort_values("event_id", kind="mergesort")
         ts = df["ts_us"].to_numpy(np.int64)
         # watermark BEFORE each event: exclusive running max, seeded
@@ -2083,7 +2079,7 @@ def streaming_emit_audit(events_ds, lateness_min: int = 30):
     import ray
     from ray.data.aggregate import Max, Sum
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
 
     hr_us = 3_600_000_000
     late_us = lateness_min * 60_000_000
@@ -2128,9 +2124,7 @@ def streaming_emit_audit(events_ds, lateness_min: int = 30):
                          ("dropped", pa.int64())])
 
     def finish(df: pd.DataFrame) -> pa.Table:
-        import ray as _ray
-
-        m = _cached_state(off_ref, lambda: _ray.get(off_ref))
+        m = cached_get(off_ref, tag="streaming_emit_audit-offsets")
         df = df.sort_values(["arrival", "event_id"], kind="mergesort")
         ts = df["ts_us"].to_numpy(np.int64)
         seed = m[int(df["bucket"].iloc[0])]

@@ -165,7 +165,7 @@ def pack_sequences(docs_ds, budget: int = 2000, bucket_size: int = 4096,
     """
     import ray
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
 
     # ints-only, two consumers (offsets + boundaries) — materialized
     # for the same reason as token_budget_shards
@@ -223,8 +223,8 @@ def pack_sequences(docs_ds, budget: int = 2000, bucket_size: int = 4096,
                        starts.index.to_numpy(np.int64)))
 
     def tag(t: pa.Table) -> pa.Table:
-        start_docs, shard_ids = _cached_state(bnd_ref, lambda: __import__(
-            "ray").get(bnd_ref))
+        start_docs, shard_ids = cached_get(
+            bnd_ref, tag="pack_sequences-boundaries")
         trimmed = pc.utf8_trim_whitespace(t["text"])
         n_tokens = pc.if_else(
             pc.equal(trimmed, ""), pa.scalar(0, pa.int64()),
@@ -406,7 +406,7 @@ def curriculum_order(docs_ds, n_strata: int = 10, n_shards: int = 8,
     from ray.data.aggregate import Count
 
     from .dedup import _md5_60
-    from ..ops.ann import _cached_state
+    from ..stages.broadcast import cached_get
 
     # --- stratum map: distinct n_chars histogram → decile buckets ---
     hist = docs_ds.groupby("n_chars").count().to_pandas() \
@@ -420,9 +420,7 @@ def curriculum_order(docs_ds, n_strata: int = 10, n_shards: int = 8,
     shift = 60 - rank_bits
 
     def prep(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        sv, sb = _cached_state(strat_ref, lambda: _ray.get(strat_ref))
+        sv, sb = cached_get(strat_ref, tag="curriculum_order-strata")
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         stratum = sb[np.searchsorted(sv, t["n_chars"].to_numpy(
             zero_copy_only=False))]
@@ -450,9 +448,7 @@ def curriculum_order(docs_ds, n_strata: int = 10, n_shards: int = 8,
     off_ref = ray.put(offs)
 
     def finish(g: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        m = _cached_state(off_ref, lambda: _ray.get(off_ref))
+        m = cached_get(off_ref, tag="curriculum_order-offsets")
         s = int(g["stratum"][0].as_py())
         base = m[(s, int(g["rbucket"][0].as_py()))]
         h = g["h"].to_numpy(zero_copy_only=False)

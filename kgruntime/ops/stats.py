@@ -555,12 +555,10 @@ def value_percentile_ranks(events_ds, key: str = "event_type",
         lut[k] = (cents, cum, int(cum[-1]))
     ref = ray.put(lut)
 
-    from .ann import _cached_state
+    from ..stages.broadcast import cached_get
 
     def rank(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        m = _cached_state(ref, lambda: _ray.get(ref))
+        m = cached_get(ref, tag="value_percentile_ranks-cume")
         keys = np.asarray(t[key].to_pylist(), dtype=object)
         cents = t["cents"].to_numpy(zero_copy_only=False)
         out = np.empty(len(keys), np.float64)

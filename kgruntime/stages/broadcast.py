@@ -14,6 +14,13 @@ job that put the ref, and every job puts new refs, so a cache keyed by
 (ref, tag) would keep every old job's scorer / remap mapping forever.
 The ref is compared on every call, so a stale entry is rebuilt, never
 served.
+
+It is the only per-process broadcast cache in kgruntime: every
+``ray.put`` state a task stage reads (the ANN top-k state of
+``ops/ann.py``, Bloom bits, offset and band tables, centroids) goes
+through ``cached_get``, each call site under its own tag named after
+the op and the state (``"int8_quant_recall-codes"``,
+``"set_sim_join-bloom"``), so two stages never evict each other.
 """
 
 from __future__ import annotations

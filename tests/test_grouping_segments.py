@@ -349,6 +349,100 @@ def test_rfm_segments_multi_block_band_ties_match_sql(ray_session,
     assert f[2] == f[3] == f[4] and f[7] == f[8] == f[9]
 
 
+# ---------------------------------------------------- ANN top-k skeleton
+
+
+def _ref_first_k(segs, key, nbr, k):
+    """(segment..., key, neighbor, rank) of each segment's first k
+    distinct rows under (key DESC, neighbor ASC), in Python ints."""
+    rows = sorted(set(zip(*(s.tolist() for s in segs), key.tolist(),
+                          nbr.tolist())),
+                  key=lambda r: (r[:-2], -r[-2], r[-1]))
+    out, seen = [], {}
+    for r in rows:
+        rank = seen.get(r[:-2], 0)
+        if rank < k:
+            out.append(r + (rank,))
+        seen[r[:-2]] = rank + 1
+    return out
+
+
+def test_first_k_matches_sorted_reference_on_ties():
+    """The one prune of ops/ann.py keeps each segment's first k rows
+    under (key DESC, neighbor ASC) on tie-heavy int64 (extremes
+    included) and float keys, a repeated row counted once."""
+    import numpy as np
+
+    from kgruntime.ops.ann import _first_k
+
+    rng = np.random.default_rng(5)
+    big = np.iinfo(np.int64)
+    pools = [np.array([big.min, -7, 0, 3, big.max], np.int64),
+             np.array([-2.5, 0.0, 0.125, 1.0, np.inf])]
+    for _ in range(300):
+        n = int(rng.integers(0, 40))
+        key = rng.choice(pools[int(rng.integers(2))], n)
+        segs = (rng.integers(0, 3, n), rng.integers(0, 2, n).astype(np.int8))
+        nbr = rng.integers(0, 6, n)
+        k = int(rng.integers(1, 5))
+        sel, rank = _first_k(segs, key, nbr, k)
+        got = [tuple(c[i] for c in (*segs, key, nbr)) + (r,)
+               for i, r in zip(sel.tolist(), rank.tolist())]
+        assert got == _ref_first_k(segs, key, nbr, k)
+
+
+# the queries on the ANN top-k skeleton, each against its SQL twin
+DUP_VECTOR_QUERIES = [
+    "ann_topk", "ann_topk_lsh", "ann_topk_ivf", "knn_label_vote",
+    "ann_recall_audit", "int8_quant_recall", "rp_projection_recall",
+    "pq_quant_recall", "hard_negatives", "triplet_mining",
+    "embedding_outliers", "knn_graph", "mmr_diverse_topk"]
+
+
+@pytest.mark.parametrize("query", DUP_VECTOR_QUERIES)
+def test_ann_query_on_duplicate_vectors_matches_sql(ray_session, tmp_path,
+                                                    monkeypatch, query):
+    """4 distinct 64-dim vectors × 40 identical copies (vec_id i is
+    copy i // 4 of vector i % 4, label (i // 4) % 3) in two 80-row
+    blocks: every neighbor set is decided by the vec_id tie-break
+    alone, so a local prune that keeps an arbitrary subset of a tie
+    (argpartition, an unstable argsort) disagrees with the twin."""
+    import random
+
+    import ray.data as rd
+
+    import __ray_entry__ as E
+
+    rng = random.Random(11)
+    base = [[rng.gauss(0, 1) for _ in range(64)] for _ in range(4)]
+    n = 160
+    whole = pa.table({
+        "vec_id": pa.array(range(n), pa.int64()),
+        "embedding": pa.array([base[i % 4] for i in range(n)],
+                              pa.list_(pa.float32())),
+        "label": pa.array([(i // 4) % 3 for i in range(n)], pa.int32())})
+    pq.write_table(whole, tmp_path / "embeddings.parquet")
+    parts = tmp_path / "emb_parts"
+    parts.mkdir()
+    for b in range(2):
+        pq.write_table(whole.slice(80 * b, 80),
+                       parts / f"part-{b}.parquet")
+    read = E._read
+
+    def multi_block_read(sf_dir, table, cols=None):
+        if table != "embeddings":
+            return read(sf_dir, table, cols)
+        return rd.read_parquet(str(parts), columns=cols,
+                               override_num_blocks=2)
+
+    monkeypatch.setattr(E, "_read", multi_block_read)
+    spec = next(q for q in E._QUERIES if q.name == query)
+    want = _sql("embeddings", whole, E._sql_text(spec))
+    cols = list(want.columns)
+    assert len(want)
+    assert _rows(_df(E.run(spec, str(tmp_path))), cols) == _rows(want, cols)
+
+
 # --------------------------------------------- exchange-count regression
 
 
@@ -424,8 +518,11 @@ def _grouping_tables(path) -> str:
 # the exchanges of every query that runs on the segment primitive: the
 # grouping queries of the benchmark's ops_grouping job (the posting-list
 # pairs, fuzzy linkage and rfm each run two, sessionize one), the
-# dedup, text and valuation queries keyed on a hash or a doc id, and
-# the per-user timeline queries of ops/sessions.py
+# dedup, text and valuation queries keyed on a hash or a doc id, the
+# per-user timeline queries of ops/sessions.py, and the ANN queries of
+# ops/ann.py (one merge each; knn_graph's bucket kernel adds one,
+# kmeans_clusters' per-cid count is its one, triplet_mining folds on
+# the driver)
 EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "fuzzy_name_matches": 2, "rfm_segments": 2, "sessionize": 1,
              "curate_corpus": 3, "minhash_near_dups": 2,
@@ -443,7 +540,13 @@ EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "running_user_totals": 1, "windowed_event_dedup": 1,
              "purchase_click_window": 1, "click_attribution": 1,
              "user_hourly_locf": 1, "pit_training_features": 1,
-             "peak_user_rate": 1}
+             "peak_user_rate": 1, "ann_topk": 1, "ann_topk_lsh": 1,
+             "ann_topk_ivf": 1, "knn_label_vote": 1,
+             "int8_quant_recall": 1, "rp_projection_recall": 1,
+             "pq_quant_recall": 1, "hard_negatives": 1,
+             "embedding_outliers": 1, "kmeans_clusters": 1,
+             "mmr_diverse_topk": 1, "ann_recall_audit": 1,
+             "triplet_mining": 0, "knn_graph": 2}
 
 
 @pytest.mark.parametrize("query", sorted(EXCHANGES))

@@ -104,7 +104,7 @@ def test_lsh_topk_recall(ray_session):
     ds, emb = _embedding_ds(ray_session, n=200)
     q = emb[:5]
     exact = brute_force_topk(ds, q, list(range(5)), k=3).take_all()
-    approx = lsh_topk(ds, q, list(range(5)), dim=16, k=3,
+    approx = lsh_topk(ds, q, list(range(5)), k=3,
                       n_planes=4).take_all()
     exact_set = {(r["query_id"], r["neighbor_id"]) for r in exact}
     approx_set = {(r["query_id"], r["neighbor_id"]) for r in approx}

@@ -501,7 +501,7 @@ def test_knn_graph_matches_numpy_reference(ray_session):
         sims.sort()
         expect[ids[i]] = [(int(nid), r + 1)
                           for r, (_, nid) in enumerate(sims[:k])]
-    out = knn_graph(rd.from_arrow(t), dim=dim, k=k, n_planes=4,
+    out = knn_graph(rd.from_arrow(t), k=k, n_planes=4,
                     n_tables=2).take_all()
     got = {}
     for r in out:
