@@ -378,6 +378,8 @@ def _fit_quantizer(emb_ds, n_centroids: int, train_size: int,
     ``_kmeans_index_cte_sql``): exact integer k-means over
     ``_train_sample``.  Returns the int64 centroid matrix."""
     sample = _train_sample(emb_ds, train_size)
+    if not len(sample):          # no rows: no centroids
+        return np.zeros((0, 0), np.int64)
     return _kmeans_fit_int(sample, min(n_centroids, len(sample)), iters)
 
 
@@ -618,7 +620,11 @@ def kmeans_clusters(emb_ds, n_centroids: int = 16,
 
     from ..stages.broadcast import cached_get
 
-    ref = ray.put(_fit_quantizer(emb_ds, n_centroids, train_size, iters))
+    cents = _fit_quantizer(emb_ds, n_centroids, train_size, iters)
+    if not len(cents):           # no rows: no batch reaches the maps below
+        return pa.table({c: pa.array([], pa.int64())
+                         for c in ("vec_id", "cid", "cluster_n")})
+    ref = ray.put(cents)
 
     def assign_batch(t: pa.Table) -> pa.Table:
         c = cached_get(ref, tag="kmeans_clusters-centroids")
@@ -690,6 +696,9 @@ def _label_sums(emb_ds, scale: int):
     parts = emb_ds.map_batches(
         lambda t: _label_sum_partial(t, scale),
         batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    if "label" not in parts:     # no rows: Ray gives the partials no columns
+        return np.zeros(0, emb_ds.schema().base_schema.field(
+            "label").type.to_pandas_dtype()), [], []
     labs, ns, tots = [], [], []
     for lab, g in parts.groupby("label", sort=True):
         labs.append(lab)
@@ -751,6 +760,10 @@ def embedding_outliers(emb_ds, k: int = 5, scale: int = _UNIT_SCALE):
     from ..stages.broadcast import cached_get
 
     labs, ns, tots = _label_sums(emb_ds, scale)
+    if not len(labs):            # no rows: nothing to merge
+        return pa.table({"label": labs, "vec_id": pa.array([], pa.int64()),
+                         "dist2": pa.array([], pa.float64()),
+                         "rnk": pa.array([], pa.int64())})
     # float(exact int) / (n·scale): the identical double DuckDB computes
     # for sum(u) / (count(*) * scale.0)
     mu = np.stack([np.array([float(int(s)) for s in tot], np.float64)

@@ -44,6 +44,33 @@ loop that calls a per-group ``fn(group)``, skipping groups smaller than
 ``min_group_size`` (lossless for pair-generation fns, where singleton
 buckets emit nothing — and on realistic corpora MOST LSH buckets are
 singletons).
+
+``prefix_scan(ds, prep, bucket, order, value, op, fn)`` is the global
+exclusive scan on top of it — a running total or watermark in one
+global order, with no global sort.  ``prep`` maps each batch of ``ds``
+to the scan's rows (materialized once, read by both phases); ``fn`` is
+called as ``fn(block, before)`` once per coarse block:
+
+- ``block`` holds whole buckets, sorted by ``(bucket, *order)``;
+- ``before`` is, per row, the int64 exclusive ``op``-scan of ``value``
+  over every row that comes earlier in the GLOBAL ``(bucket, *order)``
+  order; ``op`` is ``np.add`` or ``np.maximum`` and the first row gets
+  ``op``'s identity (0, int64 min).
+
+Phase 1 is one native ``groupby(bucket).aggregate``: the driver holds
+one row per bucket (per-block partials would hold blocks × buckets on
+hash-shuffled input) and turns the totals into two sorted int64
+arrays, bucket ids and exclusive offsets, broadcast once.  Phase 2 is
+one ``segment_map`` on ``bucket`` whose kernel adds the offsets
+vectorized over the block — for max, the offsets are monotone in
+bucket order, so one ``np.maximum.accumulate`` seeded at each segment
+start is exact.  Every step is integer arithmetic, so retries
+reproduce identical results.  The driver state is one int pair per
+bucket (at 10^10 rows and 4096-row buckets ~2.4M pairs; beyond that,
+re-bucket the totals one level up).  A zero-row input gives a zero-row
+result with ``fn``'s columns (``fn`` on ``prep`` of an empty block of
+the input's schema), where ``segment_map`` would give a schema-less
+one.
 """
 
 from __future__ import annotations
@@ -176,3 +203,71 @@ def coarse_group_map(ds, keys, fn, min_group_size: int = 1):
     bucket column) and must return a pa.Table with a consistent
     schema."""
     return segment_map(ds, keys, _per_group(fn, min_group_size))
+
+
+def collect(ds) -> pa.Table | None:
+    """The rows of a small Dataset as one pa.Table on the driver, or
+    None when it has no rows and no schema (Ray gives an empty
+    aggregate or an empty map result no columns)."""
+    import ray
+
+    # materialized first: to_arrow_refs of a lazy Dataset runs its plan
+    # twice (once more for the schema)
+    blocks = [b for b in ray.get(ds.materialize().to_arrow_refs())
+              if b.num_columns]
+    return pa.concat_tables(blocks) if blocks else None
+
+
+def prefix_scan(ds, prep, bucket: str, order: list[str], value: str, op,
+                fn):
+    """Call ``fn(block, before)`` once per coarse block of
+    ``ds.map_batches(prep)``, ``before`` being the global exclusive
+    ``op``-scan of ``value`` in ``(bucket, *order)`` order (see the
+    module docstring for the contract)."""
+    import ray
+    import ray.data as rd
+    from ray.data.aggregate import Max, Sum
+
+    from ..stages.broadcast import cached_get
+
+    keys = [(c, "ascending") for c in [bucket, *order]]
+    rows = ds.map_batches(prep, batch_format="pyarrow",
+                          zero_copy_batch=True).materialize()
+    agg = Sum if op is np.add else Max
+    totals = collect(rows.groupby(bucket).aggregate(
+        agg(value, alias_name="total")))
+    if totals is None or totals.num_rows == 0:
+        schema = ds.schema()
+        if schema is None:      # no columns to give fn
+            return rows
+        block = prep(schema.base_schema.empty_table())
+        return rd.from_arrow(fn(block.take(pc.sort_indices(
+            block, sort_keys=keys)), np.zeros(0, np.int64)))
+    totals = totals.sort_by(bucket)
+    ids = totals[bucket].to_numpy()
+    tot = totals["total"].to_numpy().astype(np.int64)
+    if op is np.add:
+        offs = np.cumsum(tot) - tot
+    else:
+        offs = np.r_[np.iinfo(np.int64).min, np.maximum.accumulate(tot)[:-1]]
+    ref = ray.put((ids, offs))
+
+    def kernel(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        bucket_ids, bucket_offs = cached_get(ref, tag="prefix_scan-offsets")
+        # the bucket segments keep their offsets under the finer sort
+        block = block.take(pc.sort_indices(block, sort_keys=keys))
+        v = pc.cast(block[value], pa.int64()).to_numpy()
+        seed = bucket_offs[np.searchsorted(
+            bucket_ids, block[bucket].to_numpy()[starts])]
+        # x[i] = the value of the row before i; at a segment start, the
+        # offset of everything in earlier buckets
+        x = np.empty(len(v), np.int64)
+        x[1:] = v[:-1]
+        x[starts] = seed
+        before = op.accumulate(x)
+        if op is np.add:        # restart the sum at every segment
+            before -= np.repeat(before[starts] - seed,
+                                np.diff(np.append(starts, len(v))))
+        return fn(block, before)
+
+    return segment_map(rows, bucket, kernel)

@@ -26,8 +26,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .groups import (run_starts, segment_ids, segment_map, segment_pairs,
-                     segment_searchsorted)
+from .groups import (collect, prefix_scan, run_starts, segment_ids,
+                     segment_map, segment_pairs, segment_searchsorted)
 
 logger = logging.getLogger(__name__)
 
@@ -1359,6 +1359,14 @@ ORDER BY n.user_id
 _ARRIVAL_BUCKET = 4096   # late_event_audit's prefix-scan bucket (event ids)
 
 
+def _watermark(before: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The watermark before each event from a max ``prefix_scan`` of
+    ts: the globally-first arrival has none (int64 min) and gets its
+    own ts, clamped BEFORE any subtraction (int64 min − ts would
+    wrap)."""
+    return np.where(before == np.iinfo(np.int64).min, ts, before)
+
+
 def late_event_audit(events_ds, late_ms: int = 3_600_000):
     """Streaming-ingest watermark audit: treating ``event_id`` order as
     ARRIVAL order, an event is late when its event-time ``ts`` sits
@@ -1368,18 +1376,12 @@ def late_event_audit(events_ds, late_ms: int = 3_600_000):
     that sizes allowed-lateness before configuring real event-time
     windows.
 
-    Scale shape: the running max is the token_budget_shards two-phase
-    prefix scan transposed to MAX — phase 1 is one per-bucket
-    (event_id // _ARRIVAL_BUCKET) max-ts groupby whose result (one int per
-    bucket) turns into exclusive prefix maxima on the driver and
-    broadcasts; phase 2 finishes each bucket locally (cummax over
-    ≤ _ARRIVAL_BUCKET rows).  No global sort, no window shuffle.
+    Scale shape: the running max is a ``groups.prefix_scan`` with
+    ``np.maximum`` over ``bucket = event_id // _ARRIVAL_BUCKET`` (2
+    exchanges, no global sort, no window shuffle); its kernel emits
+    one Arrow partial row per (coarse block, event_type), and the
+    driver folds those ≤ blocks × types rows.
     """
-    import ray
-    from ray.data.aggregate import Count, Max, Sum
-
-    from ..stages.broadcast import cached_get
-
     def prep(t: pa.Table) -> pa.Table:
         return pa.table({
             "event_id": t["event_id"],
@@ -1388,46 +1390,26 @@ def late_event_audit(events_ds, late_ms: int = 3_600_000):
             "bucket": pc.divide(t["event_id"],
                                 pa.scalar(_ARRIVAL_BUCKET, pa.int64()))})
 
-    prepped = events_ds.select_columns(["event_id", "event_type", "ts"]) \
-        .map_batches(prep, batch_format="pyarrow",
-                     zero_copy_batch=True).materialize()
-
-    sums = prepped.groupby("bucket") \
-        .aggregate(Max("ts_us", alias_name="mx")).to_pandas() \
-        .sort_values("bucket").reset_index(drop=True)
-    mx = sums["mx"].to_numpy(np.int64)
-    # exclusive prefix max per bucket (no prior bucket → int64 min)
-    excl = np.concatenate([[np.iinfo(np.int64).min],
-                           np.maximum.accumulate(mx)[:-1]])
-    offs = dict(zip(sums["bucket"].to_numpy(np.int64).tolist(),
-                    excl.tolist()))
-    off_ref = ray.put(offs)
-
-    def finish(df):
-        m = cached_get(off_ref, tag="late_event_audit-offsets")
-        df = df.sort_values("event_id", kind="mergesort")
-        ts = df["ts_us"].to_numpy(np.int64)
-        # watermark BEFORE each event: exclusive running max, seeded
-        # with the prior buckets' max
-        seed = m[int(df["bucket"].iloc[0])]
-        run = np.maximum.accumulate(np.concatenate([[seed], ts[:-1]]))
-        # the globally-first arrival has no watermark: clamp to its own
-        # ts BEFORE subtracting (int64.min − ts would wrap)
-        first = run == np.iinfo(np.int64).min
-        run[first] = ts[first]
-        late = np.maximum(run - ts, 0) // 1000
-        out = df[["event_type"]].copy()
+    def partials(t: pa.Table, before: np.ndarray) -> pa.Table:
+        ts = t["ts_us"].to_numpy()
+        late = np.maximum(_watermark(before, ts) - ts, 0) // 1000
         # threshold on the //1000 value — the SQL compares late_ms
-        out["is_late"] = (late > late_ms).astype(np.int64)
-        out["late_ms"] = late
-        return out
+        return pa.table({"event_type": t["event_type"],
+                         "n_late": pa.array(late > late_ms).cast(pa.int64()),
+                         "late_ms": pa.array(late, pa.int64())}) \
+            .group_by("event_type").aggregate([
+                ("late_ms", "count"), ("n_late", "sum"), ("late_ms", "max")])
 
-    per_event = prepped.groupby("bucket").map_groups(
-        finish, batch_format="pandas")
-    return per_event.groupby("event_type").aggregate(
-        Count(alias_name="n_events"),
-        Sum("is_late", alias_name="n_late"),
-        Max("late_ms", alias_name="max_lateness_ms"))
+    out = collect(prefix_scan(
+        events_ds.select_columns(["event_id", "event_type", "ts"]), prep,
+        "bucket", ["event_id"], "ts_us", np.maximum, partials)) \
+        .group_by("event_type").aggregate([
+            ("late_ms_count", "sum"), ("n_late_sum", "sum"),
+            ("late_ms_max", "max")]).sort_by("event_type")
+    return pa.table({"event_type": out["event_type"],
+                     "n_events": out["late_ms_count_sum"],
+                     "n_late": out["n_late_sum_sum"],
+                     "max_lateness_ms": out["late_ms_max_max"]})
 
 
 def late_event_audit_sql(late_ms: int = 3_600_000,
@@ -2070,21 +2052,15 @@ def streaming_emit_audit(events_ds, lateness_min: int = 30):
     accounting every streaming job configures.  Output per window:
     (whour, n_on_time, n_late_included, n_dropped, batch_count).
 
-    Scale shape: the late_event_audit prefix-scan skeleton transposed
-    to ARRIVAL-hour buckets — one per-bucket max groupby, broadcast
-    exclusive prefix maxima, local cummax finish emitting per-bucket
-    (window, status) count partials into a window-bounded groupby.  No
-    global sort.
+    Scale shape: the late_event_audit scan over ARRIVAL-hour buckets —
+    a max ``groups.prefix_scan`` in (arrival, event_id) order whose
+    kernel emits one Arrow partial row per (coarse block, window); the
+    driver folds those (windows are bounded by the log's hour span).
+    No global sort.
     """
-    import ray
-    from ray.data.aggregate import Max, Sum
-
-    from ..stages.broadcast import cached_get
-
-    hr_us = 3_600_000_000
-    late_us = lateness_min * 60_000_000
-
     from .dedup import _md5_60
+
+    late_us = lateness_min * _US_PER_MIN
 
     def prep(t: pa.Table) -> pa.Table:
         ids = t["event_id"].to_numpy(zero_copy_only=False)
@@ -2097,72 +2073,36 @@ def streaming_emit_audit(events_ds, lateness_min: int = 30):
             "event_id": pa.array(ids, pa.int64()),
             "ts_us": pa.array(ts_us, pa.int64()),
             "arrival": pa.array(arrival, pa.int64()),
-            "bucket": pa.array(arrival // hr_us, pa.int64())})
+            "bucket": pa.array(arrival // _US_PER_HOUR, pa.int64())})
 
-    prepped = events_ds.select_columns(["event_id", "ts"]) \
-        .map_batches(prep, batch_format="pyarrow",
-                     zero_copy_batch=True).materialize()
-    if prepped.count() == 0:     # empty stream: schema-drop gotcha
-        return pa.table({"whour": pa.array([], pa.int64()),
-                         "n_on_time": pa.array([], pa.int64()),
-                         "n_late_included": pa.array([], pa.int64()),
-                         "n_dropped": pa.array([], pa.int64()),
-                         "batch_count": pa.array([], pa.int64())})
-
-    sums = prepped.groupby("bucket") \
-        .aggregate(Max("ts_us", alias_name="mx")).to_pandas() \
-        .sort_values("bucket").reset_index(drop=True)
-    mx = sums["mx"].to_numpy(np.int64)
-    excl = np.concatenate([[np.iinfo(np.int64).min],
-                           np.maximum.accumulate(mx)[:-1]])
-    offs = dict(zip(sums["bucket"].to_numpy(np.int64).tolist(),
-                    excl.tolist()))
-    off_ref = ray.put(offs)
-
-    _schema = pa.schema([("whour", pa.int64()), ("on_time", pa.int64()),
-                         ("late_inc", pa.int64()),
-                         ("dropped", pa.int64())])
-
-    def finish(df: pd.DataFrame) -> pa.Table:
-        m = cached_get(off_ref, tag="streaming_emit_audit-offsets")
-        df = df.sort_values(["arrival", "event_id"], kind="mergesort")
-        ts = df["ts_us"].to_numpy(np.int64)
-        seed = m[int(df["bucket"].iloc[0])]
-        run = np.maximum.accumulate(np.concatenate([[seed], ts[:-1]]))
-        first = run == np.iinfo(np.int64).min
-        run[first] = ts[first]   # first arrival: watermark = own ts
-        whour = ts // hr_us
-        wend = (whour + 1) * hr_us
+    def partials(t: pa.Table, before: np.ndarray) -> pa.Table:
+        ts = t["ts_us"].to_numpy()
+        run = _watermark(before, ts)
+        whour = ts // _US_PER_HOUR
+        wend = (whour + 1) * _US_PER_HOUR
         dropped = run >= wend + late_us
-        late_inc = (~dropped) & (run >= wend)
-        on_time = ~dropped & ~late_inc
-        g = pd.DataFrame({"whour": whour,
-                          "on_time": on_time.astype(np.int64),
-                          "late_inc": late_inc.astype(np.int64),
-                          "dropped": dropped.astype(np.int64)}) \
-            .groupby("whour", sort=False).sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False) \
-            .cast(_schema)
+        late_inc = ~dropped & (run >= wend)
+        return pa.table({
+            "whour": pa.array(whour, pa.int64()),
+            "n_on_time": pa.array(~dropped & ~late_inc).cast(pa.int64()),
+            "n_late_included": pa.array(late_inc).cast(pa.int64()),
+            "n_dropped": pa.array(dropped).cast(pa.int64())}) \
+            .group_by("whour").aggregate([
+                ("n_on_time", "sum"), ("n_late_included", "sum"),
+                ("n_dropped", "sum")])
 
-    rows = prepped.groupby("bucket").map_groups(
-        finish, batch_format="pandas") \
-        .groupby("whour").aggregate(
-            Sum("on_time", alias_name="n_on_time"),
-            Sum("late_inc", alias_name="n_late_included"),
-            Sum("dropped", alias_name="n_dropped")).take_all()
-    rows.sort(key=lambda r: r["whour"])
-    return pa.table({
-        "whour": pa.array([int(r["whour"]) for r in rows], pa.int64()),
-        "n_on_time": pa.array([int(r["n_on_time"]) for r in rows],
-                              pa.int64()),
-        "n_late_included": pa.array(
-            [int(r["n_late_included"]) for r in rows], pa.int64()),
-        "n_dropped": pa.array([int(r["n_dropped"]) for r in rows],
-                              pa.int64()),
-        "batch_count": pa.array(
-            [int(r["n_on_time"]) + int(r["n_late_included"])
-             + int(r["n_dropped"]) for r in rows], pa.int64()),
-    })
+    out = collect(prefix_scan(
+        events_ds.select_columns(["event_id", "ts"]), prep, "bucket",
+        ["arrival", "event_id"], "ts_us", np.maximum, partials)) \
+        .group_by("whour").aggregate([
+            ("n_on_time_sum", "sum"), ("n_late_included_sum", "sum"),
+            ("n_dropped_sum", "sum")]).sort_by("whour")
+    counts = {c: out[f"{c}_sum_sum"]
+              for c in ("n_on_time", "n_late_included", "n_dropped")}
+    return pa.table({"whour": out["whour"], **counts,
+                     "batch_count": pc.add(pc.add(counts["n_on_time"],
+                                                  counts["n_late_included"]),
+                                           counts["n_dropped"])})
 
 
 def streaming_emit_audit_sql(lateness_min: int = 30) -> str:

@@ -3,125 +3,72 @@
 Packing a training corpus into fixed token-budget shards needs the
 global cumulative token count in ``doc_id`` order: doc *d*'s shard is
 ``floor(tokens_before(d) / budget)``.  A naive window over the whole
-corpus would serialize on one node; the scale shape is the classic
-two-phase scan:
-
-1. one vectorized pass counts tokens per doc and a native
-   ``groupby(bucket).sum`` reduces them to per-bucket totals
-   (``bucket = doc_id // bucket_size`` — the shuffle carries one row
-   per *bucket*, not per doc);
-2. the driver turns the tiny bucket-total table into exclusive prefix
-   offsets (exact Python ints — no float accumulation), broadcasts
-   them once via ``ray.put``, and a ``groupby(bucket).map_groups``
-   finishes each ≤ ``bucket_size``-row group independently with a
-   local cumsum + its bucket offset.
-
-Driver state is one int per bucket (n_docs / bucket_size entries —
-at 10^10 docs and bucket_size 4096 that is ~2.4M ints; beyond that,
-apply the same scan one level up on bucket-groups).  Every step is
-exact integer arithmetic, so retries / resume reproduce identical
-shard assignments.
+corpus would serialize on one node; the scale shape is the two-phase
+scan of ``groups.prefix_scan`` over ``bucket = doc_id // _SCAN_BUCKET``:
+one native per-bucket token sum (the shuffle carries one row per
+*bucket*, not per doc), exclusive offsets on the driver, and one
+vectorized segment kernel that finishes every bucket of a coarse
+block.  Every step is exact integer arithmetic, so retries / resume
+reproduce identical shard assignments.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .groups import collect, prefix_scan, run_starts, segment_map
+
 _TOKEN_RE = r"\S+"
+_SCAN_BUCKET = 4096       # docs per prefix-scan bucket (doc_id range)
+
+
+def _n_tokens(text):
+    """Whitespace token count via the Arrow regex kernel (same semantics
+    as ``ops/text.py:token_stats``)."""
+    trimmed = pc.utf8_trim_whitespace(text)
+    return pc.if_else(
+        pc.equal(trimmed, ""), pa.scalar(0, pa.int64()),
+        pc.cast(pc.count_substring_regex(trimmed, _TOKEN_RE), pa.int64()))
 
 
 def token_counts(batch: pa.Table, bucket_size: int) -> pa.Table:
-    """(doc_id, n_tokens, bucket) — whitespace token count via the Arrow
-    regex kernel (same semantics as ``ops/text.py:token_stats``)."""
-    trimmed = pc.utf8_trim_whitespace(batch["text"])
-    n_tokens = pc.if_else(
-        pc.equal(trimmed, ""), pa.scalar(0, pa.int64()),
-        pc.cast(pc.count_substring_regex(trimmed, _TOKEN_RE), pa.int64()))
+    """(doc_id, n_tokens, bucket) — ``bucket = doc_id // bucket_size``."""
     bucket = pc.divide(batch["doc_id"], pa.scalar(bucket_size, pa.int64()))
     return pa.Table.from_arrays(
-        [batch["doc_id"], n_tokens, bucket],
+        [batch["doc_id"], _n_tokens(batch["text"]), bucket],
         names=["doc_id", "n_tokens", "bucket"])
 
 
-def _bucket_offsets(tok_ds):
-    """Phase 1 of the prefix scan, shared by token_budget_shards and
-    pack_sequences: per-bucket token totals → exclusive prefix offsets,
-    broadcast once (one int per bucket).  Returns the ray.put ref."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    sums = tok_ds.select_columns(["bucket", "n_tokens"]) \
-        .groupby("bucket").aggregate(
-            Sum("n_tokens", alias_name="bucket_tokens")).to_pandas()
-    sums = sums.sort_values("bucket").reset_index(drop=True)
-    totals = sums["bucket_tokens"].to_numpy(np.int64)
-    offsets = dict(zip(
-        sums["bucket"].to_numpy(np.int64).tolist(),
-        np.concatenate([[0], np.cumsum(totals)[:-1]]).tolist()))
-    return ray.put(offsets)
+def _token_scan(docs_ds, fn):
+    """``fn(block, tokens_before)`` over the docs' token counts in
+    doc_id order — the scan both sharding ops run."""
+    return prefix_scan(docs_ds.select_columns(["doc_id", "text"]),
+                       partial(token_counts, bucket_size=_SCAN_BUCKET),
+                       "bucket", ["doc_id"], "n_tokens", np.add, fn)
 
 
-def _bucket_starts(df, off_ref, budget):
-    """Phase 2 core: within one sorted bucket group, exclusive token
-    prefix + broadcast bucket offset → shard ids (exact ints)."""
-    import ray
-
-    off = ray.get(off_ref)[int(df["bucket"].iloc[0])]
-    df = df.sort_values("doc_id", kind="mergesort")
-    start = off + df["n_tokens"].cumsum() - df["n_tokens"]
-    return df, (start // budget).astype(np.int64)
-
-
-def token_budget_shards(docs_ds, budget: int = 2000,
-                        bucket_size: int = 4096):
+def token_budget_shards(docs_ds, budget: int = 2000):
     """Assign each doc to the shard containing its global token start
     offset (docs ordered by ``doc_id``): ``shard_id =
     (cumsum(n_tokens) - n_tokens) // budget``.
 
     Returns a Dataset of (doc_id, n_tokens, shard_id).  Mirrors the
     ``sum(...) OVER (ORDER BY doc_id)`` window oracle exactly.
+
+    Scale shape: one ``prefix_scan`` (2 exchanges: the per-bucket sum
+    and the segment kernel); the kernel divides each doc's global
+    token start by the budget.
     """
-    from .join import default_num_buckets
+    def shards(t: pa.Table, before: np.ndarray) -> pa.Table:
+        return pa.table({"doc_id": t["doc_id"], "n_tokens": t["n_tokens"],
+                         "shard_id": pa.array(before // budget, pa.int64())})
 
-    # tok is ints-only (24 B/row) and feeds BOTH prefix-scan phases —
-    # materialize it so phase 2 doesn't re-execute the whole upstream
-    # lineage (measured: curate_corpus was re-running its dedup join
-    # through here; 13 s → ~8 s at sf0.1)
-    tok = docs_ds.select_columns(["doc_id", "text"]).map_batches(
-        token_counts, fn_kwargs={"bucket_size": bucket_size},
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-    off_ref = _bucket_offsets(tok)
-
-    # phase 2 groups by a COARSE key (bucket % ~4×CPUs), not the raw
-    # bucket: at 38.4M docs the 9.4k-group map_groups paid a per-group
-    # split/convert cost of ~167 s; one coarse group handles its ~70
-    # buckets with a single vectorized pandas groupby-cumsum (measured
-    # r5, BASELINE.md).  Exactness unchanged: shard = (bucket offset +
-    # exclusive cumsum within bucket) // budget, per doc.
-    coarse = default_num_buckets()
-
-    def add_coarse(t: pa.Table) -> pa.Table:
-        b = t["bucket"].combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "cb", pa.array((b % coarse).astype("int32"), pa.int32()))
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        import ray
-
-        off = ray.get(off_ref)
-        df = df.sort_values(["bucket", "doc_id"],
-                            kind="mergesort").reset_index(drop=True)
-        excl = df.groupby("bucket")["n_tokens"].cumsum() - df["n_tokens"]
-        start = df["bucket"].map(off).astype(np.int64) + excl
-        out = df[["doc_id", "n_tokens"]].copy()
-        out["shard_id"] = (start // budget).astype(np.int64)
-        return out
-
-    return tok.map_batches(add_coarse, batch_format="pyarrow") \
-        .groupby("cb").map_groups(finish, batch_format="pandas")
+    return _token_scan(docs_ds, shards)
 
 
 def token_budget_shards_sql(budget: int = 2000,
@@ -142,123 +89,83 @@ FROM tok ORDER BY doc_id
 """
 
 
-def pack_sequences(docs_ds, budget: int = 2000, bucket_size: int = 4096,
-                   sep: str = " "):
+def _pack(t: pa.Table, starts: np.ndarray, sep: str) -> pa.Table:
+    """One packed row per shard segment of a ``segment_map`` block: its
+    docs' texts joined in doc_id order."""
+    t = t.take(pc.sort_indices(t, sort_keys=[("shard_id", "ascending"),
+                                              ("doc_id", "ascending")]))
+    bounds = np.append(starts, t.num_rows)
+    texts = pa.ListArray.from_arrays(pa.array(bounds, pa.int32()),
+                                     t["text"].combine_chunks())
+    n_tokens = t["n_tokens"].to_numpy()
+    return pa.table({
+        "shard_id": t["shard_id"].take(pa.array(starts)),
+        "n_docs": pa.array(np.diff(bounds), pa.int64()),
+        "n_tokens": pa.array(np.add.reduceat(n_tokens, starts),
+                             pa.int64()),
+        "packed": pc.binary_join(texts, sep)})
+
+
+def pack_sequences(docs_ds, budget: int = 2000, sep: str = " "):
     """Pack the corpus into fixed token-budget training sequences:
     every shard's docs concatenated in doc_id order —
     (shard_id, n_docs, n_tokens, packed).
 
     Text crosses exactly ONE exchange.  The prefix scan runs text-free
-    (ints only): phase 1 broadcasts per-bucket offsets, phase 2's bucket
-    groups emit only their shard BOUNDARY docs.  Shard assignment is a
+    (``groups.prefix_scan`` over the token counts, 2 exchanges) and
+    emits only the shard BOUNDARY docs.  Shard assignment is a
     monotone step function of doc_id, so the collected boundary table —
     one (shard_id, start_doc) row per shard — lets every map task tag
     its text rows locally (binary search over the broadcast array), and
-    the tagged text goes straight into the single ``groupby(shard_id)``
-    packing shuffle.
+    the tagged text goes straight into one ``segment_map(shard_id)``
+    whose kernel packs every shard of a coarse block with one
+    ``binary_join`` over a list array cut at the shard starts.
 
     Broadcast state is one int pair per shard (total_tokens / budget
-    entries — ~8 bytes where each shard's text is ~budget tokens, a
-    1000x smaller object than the text bytes the second exchange used
-    to move).  Escape hatch at 10^11+ shards: range-partition the
-    boundary array by doc_id and look up per-block slices.
+    entries — ~8 bytes where each shard's text is ~budget tokens).
+    Escape hatch at 10^11+ shards: range-partition the boundary array
+    by doc_id and look up per-block slices.
     """
     import ray
+    import ray.data as rd
 
     from ..stages.broadcast import cached_get
 
-    # ints-only, two consumers (offsets + boundaries) — materialized
-    # for the same reason as token_budget_shards
-    tok = docs_ds.select_columns(["doc_id", "text"]).map_batches(
-        token_counts, fn_kwargs={"bucket_size": bucket_size},
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-    off_ref = _bucket_offsets(tok)
-
-    from .join import default_num_buckets
-
-    coarse = default_num_buckets()
-
-    def add_coarse(t: pa.Table) -> pa.Table:
-        b = t["bucket"].combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "cb", pa.array((b % coarse).astype("int32"), pa.int32()))
-
-    def boundaries(df: pd.DataFrame) -> pa.Table:
-        # one COARSE group (~70 buckets) per call — the 9.4k-per-bucket
-        # map_groups paid ~167 s of per-group split/convert at 38.4M
-        # docs (the curate_corpus lesson, BASELINE.md r5); inside, one
-        # vectorized pandas pass handles every bucket.  Emits the first
-        # doc per (bucket, shard) transition — the first doc of each
-        # bucket too, since it may continue the previous bucket's
-        # shard; the driver min()s duplicates away exactly as before.
-        import ray
-
-        off = ray.get(off_ref)
-        df = df.sort_values(["bucket", "doc_id"],
-                            kind="mergesort").reset_index(drop=True)
-        excl = df.groupby("bucket")["n_tokens"].cumsum() - df["n_tokens"]
-        start = df["bucket"].map(off).astype(np.int64) + excl
-        s = (start // budget).to_numpy(np.int64)
-        d = df["doc_id"].to_numpy(np.int64)
-        b = df["bucket"].to_numpy(np.int64)
-        first = np.ones(len(s), bool)
-        first[1:] = (s[1:] != s[:-1]) | (b[1:] != b[:-1])
+    def boundaries(t: pa.Table, before: np.ndarray) -> pa.Table:
+        # the first doc per (bucket, shard) run: the first doc of each
+        # bucket too, since it may continue the previous bucket's shard
+        s = before // budget
+        first = run_starts(s, t["bucket"].to_numpy())
         return pa.table({"shard_id": pa.array(s[first], pa.int64()),
-                         "start_doc": pa.array(d[first], pa.int64())})
+                         "start_doc": t["doc_id"].to_numpy()[first]})
 
-    bnd = tok.map_batches(add_coarse, batch_format="pyarrow") \
-        .groupby("cb").map_groups(
-            boundaries, batch_format="pandas").to_pandas()
-    if bnd.empty:
-        import ray.data as rd
-
-        return rd.from_arrow(pa.table({
+    bnd = collect(_token_scan(docs_ds, boundaries))
+    if bnd is None or bnd.num_rows == 0:
+        return rd.from_arrow(_pack(pa.table({
             "shard_id": pa.array([], pa.int64()),
-            "n_docs": pa.array([], pa.int64()),
+            "doc_id": pa.array([], pa.int64()),
             "n_tokens": pa.array([], pa.int64()),
-            "packed": pa.array([], pa.string())}))
-    starts = bnd.groupby("shard_id", sort=True)["start_doc"].min()
+            "text": pa.array([], pa.string())}), np.zeros(0, np.int64), sep))
+    bnd = bnd.sort_by([("shard_id", "ascending"), ("start_doc", "ascending")])
+    first = run_starts(bnd["shard_id"].to_numpy())
     # shard ids increase with doc ids, so both arrays are ascending
-    bnd_ref = ray.put((starts.to_numpy(np.int64),
-                       starts.index.to_numpy(np.int64)))
+    bnd_ref = ray.put((bnd["start_doc"].to_numpy()[first],
+                       bnd["shard_id"].to_numpy()[first]))
 
     def tag(t: pa.Table) -> pa.Table:
         start_docs, shard_ids = cached_get(
             bnd_ref, tag="pack_sequences-boundaries")
-        trimmed = pc.utf8_trim_whitespace(t["text"])
-        n_tokens = pc.if_else(
-            pc.equal(trimmed, ""), pa.scalar(0, pa.int64()),
-            pc.cast(pc.count_substring_regex(trimmed, _TOKEN_RE),
-                    pa.int64()))
         d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(start_docs, d, side="right") - 1
         return pa.Table.from_arrays(
-            [pa.array(shard_ids[idx], pa.int64()), t["doc_id"], n_tokens,
-             t["text"]],
+            [pa.array(shard_ids[idx], pa.int64()), t["doc_id"],
+             _n_tokens(t["text"]), t["text"]],
             names=["shard_id", "doc_id", "n_tokens", "text"])
 
-    def add_shard_coarse(t: pa.Table) -> pa.Table:
-        s = t["shard_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "cs", pa.array((s % coarse).astype("int32"), pa.int32()))
-
-    def pack(df: pd.DataFrame) -> pd.DataFrame:
-        # one coarse group packs MANY shards vectorized — per-shard
-        # map_groups would make ~total_tokens/budget Ray group calls
-        # (~540k at 38.4M docs), pure per-group overhead
-        df = df.sort_values(["shard_id", "doc_id"], kind="mergesort")
-        g = df.groupby("shard_id", sort=True)
-        return pd.DataFrame({
-            "shard_id": g.size().index.to_numpy(np.int64),
-            "n_docs": g.size().to_numpy(np.int64),
-            "n_tokens": g["n_tokens"].sum().to_numpy(np.int64),
-            "packed": g["text"].agg(sep.join).to_numpy(),
-        })
-
-    return docs_ds.select_columns(["doc_id", "text"]) \
-        .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(add_shard_coarse, batch_format="pyarrow") \
-        .groupby("cs").map_groups(pack, batch_format="pandas")
+    return segment_map(
+        docs_ds.select_columns(["doc_id", "text"]).map_batches(
+            tag, batch_format="pyarrow", zero_copy_batch=True),
+        "shard_id", partial(_pack, sep=sep))
 
 
 def pack_sequences_sql(budget: int = 2000, sep: str = " ",
@@ -306,11 +213,7 @@ def padding_waste(docs_ds, max_len: int = 4096):
         return v + 1
 
     def partial(batch: pa.Table) -> pa.Table:
-        trimmed = pc.utf8_trim_whitespace(batch["text"])
-        n = pc.if_else(
-            pc.equal(trimmed, ""), pa.scalar(0, pa.int64()),
-            pc.cast(pc.count_substring_regex(trimmed, _TOKEN_RE),
-                    pa.int64())).to_numpy(zero_copy_only=False)
+        n = _n_tokens(batch["text"]).to_numpy(zero_copy_only=False)
         n = np.minimum(n[n > 0], max_len)
         if len(n) == 0:
             return pa.table({"bucket_cap": pa.array([], pa.int64()),
@@ -381,8 +284,11 @@ FROM pw_g ORDER BY bucket_cap
 # curriculum ordering
 # ---------------------------------------------------------------------------
 
+_RANK_BITS = 6            # curriculum_order's hash-range buckets per stratum
+
+
 def curriculum_order(docs_ds, n_strata: int = 10, n_shards: int = 8,
-                     seed: int = 29, rank_bits: int = 6):
+                     seed: int = 29):
     """Deterministic curriculum arrangement for training: docs are
     stratified into length deciles (the value_deciles bucketing),
     shuffled WITHIN each stratum by a seeded md5 order, and interleaved
@@ -393,14 +299,13 @@ def curriculum_order(docs_ds, n_strata: int = 10, n_shards: int = 8,
     ``(doc_id, stratum, pos, shard_id)`` with ``shard_id = pos %
     n_shards`` (round-robin shards inherit the stratum mix).
 
-    Scale shape: NO global sort.  Per-stratum rank is a two-phase
-    prefix scan keyed by the hash's top ``rank_bits`` bits (range
-    buckets are order-aligned with the md5 shuffle order): phase 1 is
-    one (stratum, rbucket) count groupby whose result is bounded by
-    n_strata · 2^rank_bits ints, broadcast once; phase 2 finishes each
-    bucket locally (sort of an ~1/2^rank_bits corpus slice).  The
-    length-decile map is the distinct-value histogram broadcast from
-    value_deciles.
+    Scale shape: NO global sort.  The rank is a ``groups.prefix_scan``
+    count over ``bucket = stratum · 2^_RANK_BITS + the hash's top
+    _RANK_BITS bits`` (range buckets are order-aligned with the md5
+    shuffle order), so a doc's global count ``before`` is the docs of
+    lower strata plus its rank in its own stratum; the lower strata's
+    counts come from the stratum histogram.  The length-decile map is
+    that distinct-value histogram, broadcast.
     """
     import ray
     from ray.data.aggregate import Count
@@ -409,15 +314,19 @@ def curriculum_order(docs_ds, n_strata: int = 10, n_shards: int = 8,
     from ..stages.broadcast import cached_get
 
     # --- stratum map: distinct n_chars histogram → decile buckets ---
-    hist = docs_ds.groupby("n_chars").count().to_pandas() \
-        .sort_values("n_chars")
-    vals = hist["n_chars"].to_numpy(np.int64)
-    cnt = hist["count()"].to_numpy(np.int64)
-    n_total = int(cnt.sum())
-    buckets = (n_strata * (np.cumsum(cnt) - cnt)) // n_total
+    hist = collect(docs_ds.groupby("n_chars").aggregate(
+        Count(alias_name="n")))
+    hist = hist.sort_by("n_chars") if hist is not None else pa.table(
+        {"n_chars": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})
+    vals = hist["n_chars"].to_numpy()
+    cnt = hist["n"].to_numpy()
+    buckets = (n_strata * (np.cumsum(cnt) - cnt)) // max(int(cnt.sum()), 1)
     strat_ref = ray.put((vals, buckets))
-
-    shift = 60 - rank_bits
+    # docs in the strata below each stratum
+    lower = np.zeros(n_strata + 1, np.int64)
+    np.add.at(lower, buckets + 1, cnt)
+    lower = np.cumsum(lower)
+    shift, rank_bits = 60 - _RANK_BITS, _RANK_BITS
 
     def prep(t: pa.Table) -> pa.Table:
         sv, sb = cached_get(strat_ref, tag="curriculum_order-strata")
@@ -427,45 +336,21 @@ def curriculum_order(docs_ds, n_strata: int = 10, n_shards: int = 8,
         h = np.fromiter((_md5_60(f"{seed}:{d}".encode()) for d in ids),
                         np.int64, len(ids))
         return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "stratum": pa.array(stratum, pa.int64()),
                          "h": pa.array(h, pa.int64()),
-                         "rbucket": pa.array(h >> shift, pa.int64())})
+                         "bucket": pa.array((stratum << rank_bits)
+                                            | (h >> shift), pa.int64()),
+                         "one": pa.array(np.ones(len(ids), np.int64))})
 
-    prepped = docs_ds.select_columns(["doc_id", "n_chars"]) \
-        .map_batches(prep, batch_format="pyarrow",
-                     zero_copy_batch=True).materialize()
-
-    # phase 1: exclusive prefix offsets per (stratum, hash-range bucket)
-    sizes = prepped.groupby(["stratum", "rbucket"]) \
-        .aggregate(Count(alias_name="n")).to_pandas() \
-        .sort_values(["stratum", "rbucket"], kind="mergesort")
-    offs = {}
-    for s, g in sizes.groupby("stratum", sort=False):
-        n = g["n"].to_numpy(np.int64)
-        off = np.concatenate([[0], np.cumsum(n)[:-1]])
-        for rb, o in zip(g["rbucket"].to_numpy(np.int64), off):
-            offs[(int(s), int(rb))] = int(o)
-    off_ref = ray.put(offs)
-
-    def finish(g: pa.Table) -> pa.Table:
-        m = cached_get(off_ref, tag="curriculum_order-offsets")
-        s = int(g["stratum"][0].as_py())
-        base = m[(s, int(g["rbucket"][0].as_py()))]
-        h = g["h"].to_numpy(zero_copy_only=False)
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, h))
-        rank = np.empty(len(order), np.int64)
-        rank[order] = base + np.arange(len(order), dtype=np.int64)
-        pos = rank * n_strata + g["stratum"].to_numpy(
-            zero_copy_only=False)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "stratum": g["stratum"],
+    def positions(t: pa.Table, before: np.ndarray) -> pa.Table:
+        stratum = t["bucket"].to_numpy() >> rank_bits
+        pos = (before - lower[stratum]) * n_strata + stratum
+        return pa.table({"doc_id": t["doc_id"],
+                         "stratum": pa.array(stratum, pa.int64()),
                          "pos": pa.array(pos, pa.int64()),
-                         "shard_id": pa.array(pos % n_shards,
-                                              pa.int64())})
+                         "shard_id": pa.array(pos % n_shards, pa.int64())})
 
-    return prepped.groupby(["stratum", "rbucket"]) \
-        .map_groups(finish, batch_format="pyarrow")
+    return prefix_scan(docs_ds.select_columns(["doc_id", "n_chars"]), prep,
+                       "bucket", ["h", "doc_id"], "one", np.add, positions)
 
 
 def curriculum_order_sql(n_strata: int = 10, n_shards: int = 8,

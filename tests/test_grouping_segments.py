@@ -223,6 +223,110 @@ def test_segment_map_kernel_sees_no_schema_metadata(ray_session,
     assert len(out) == 3 and out["bare"].all()
 
 
+# ---------------------------------------------------------- prefix scan
+
+
+def _ref_scan(t: pa.Table, op):
+    """(id, before) of the global exclusive ``op``-scan of ``v`` in
+    (b, o, id) order: one sort, then np.cumsum / np.maximum.accumulate."""
+    import numpy as np
+
+    order = np.lexsort((t["id"].to_numpy(), t["o"].to_numpy(),
+                        t["b"].to_numpy()))
+    v = t["v"].to_numpy()[order]
+    first = 0 if op is np.add else np.iinfo(np.int64).min
+    before = op.accumulate(np.r_[first, v[:-1]]) if len(v) else v
+    return sorted(zip(t["id"].to_numpy()[order].tolist(), before.tolist()))
+
+
+def test_prefix_scan_matches_sorted_reference(ray_session):
+    """Random buckets (negative ones too), a tie-heavy order column and
+    negative values, dealt over several blocks; both ops; a single
+    bucket; an empty input.  Every case's first row sees the op's
+    identity (int64 min for max)."""
+    import numpy as np
+    import ray.data as rd
+
+    from kgruntime.ops.groups import prefix_scan
+
+    def with_before(block: pa.Table, before) -> pa.Table:
+        return pa.table({"id": block["id"],
+                         "before": pa.array(before, pa.int64())})
+
+    rng = np.random.default_rng(13)
+    cases = [(int(rng.integers(1, 300)), int(rng.integers(1, 12)))
+             for _ in range(3)] + [(50, 1), (0, 3)]
+    for n, n_buckets in cases:
+        t = pa.table({
+            "id": pa.array(rng.permutation(n), pa.int64()),
+            "b": pa.array(rng.integers(-3, n_buckets - 3, n), pa.int64()),
+            "o": pa.array(rng.integers(0, 4, n), pa.int64()),
+            "v": pa.array(rng.integers(-1000, 1000, n), pa.int64())})
+        step = max(1, (n + 3) // 4)
+        ds = rd.from_arrow([t.slice(i, step) for i in range(0, n, step)]
+                           or [t])
+        for op in (np.add, np.maximum):
+            res = prefix_scan(ds, lambda b: b, "b", ["o", "id"], "v", op,
+                              with_before)
+            assert res.schema().names == ["id", "before"]
+            got = sorted((r["id"], r["before"]) for r in res.take_all())
+            assert got == _ref_scan(t, op), (n, n_buckets, op)
+
+
+def _scan_docs() -> list[pa.Table]:
+    """Documents over several 4096-id scan buckets, with 0-token texts
+    (empty and all-space), dealt round-robin over ``N_BLOCKS`` parts."""
+    import random
+
+    rng = random.Random(17)
+    rows = []
+    for i in range(70):
+        n = rng.choice([0, 0, 1, 3, 5, 8, 13])
+        text = " ".join(rng.choice(["ab", "cd", "efg"]) for _ in range(n))
+        if n == 0 and i % 2:
+            text = "   "
+        rows.append((i * 1500 + rng.randrange(1000), text))
+    return [_docs(rows[i::N_BLOCKS]).append_column(
+        "n_chars", pa.array([len(r[1]) for r in rows[i::N_BLOCKS]],
+                            pa.int64())) for i in range(N_BLOCKS)]
+
+
+def _scan_events() -> list[pa.Table]:
+    """Events over several 4096-id and arrival-hour buckets, out of
+    event-time order, with equal ts on different events."""
+    import random
+
+    rng = random.Random(19)
+    t0 = dt.datetime(2024, 5, 1)
+    rows = []
+    for i in range(120):
+        ts = t0 + dt.timedelta(minutes=rng.randrange(0, 48 * 60, 20))
+        rows.append((i * 1000 + rng.randrange(900), ts, 1, rng.choice(
+            ["view", "click", "purchase"]), 1.0))
+    return [_typed_events(rows[i::N_BLOCKS]) for i in range(N_BLOCKS)]
+
+
+SCAN_QUERIES = ["token_shards", "pack_sequences", "curriculum_order",
+                "late_event_audit", "streaming_emit_audit"]
+
+
+@pytest.mark.parametrize("query", SCAN_QUERIES)
+def test_scan_query_multi_block_matches_sql(ray_session, tmp_path, query):
+    import __ray_entry__ as E
+
+    spec = next(q for q in E._QUERIES if q.name == query)
+    if query in ("token_shards", "pack_sequences"):
+        spec = spec._replace(kw=dict(budget=20))    # several shards
+    table = "events" if "audit" in query else "documents"
+    parts = _scan_events() if table == "events" else _scan_docs()
+    ds, whole = _multi_block(tmp_path, table, parts)
+    want = _sql(table, whole, E._sql_text(spec))
+    cols = list(want.columns)
+    assert len(want) > 1
+    got = _df(E._resolve(spec.op)(ds, **spec.kw))
+    assert _rows(got, cols) == _rows(want, cols)
+
+
 # -------------------------------------------------- posting-list pairs
 
 
@@ -546,7 +650,9 @@ EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "pq_quant_recall": 1, "hard_negatives": 1,
              "embedding_outliers": 1, "kmeans_clusters": 1,
              "mmr_diverse_topk": 1, "ann_recall_audit": 1,
-             "triplet_mining": 0, "knn_graph": 2}
+             "triplet_mining": 0, "knn_graph": 2, "token_shards": 2,
+             "pack_sequences": 3, "curriculum_order": 3,
+             "late_event_audit": 2, "streaming_emit_audit": 2}
 
 
 @pytest.mark.parametrize("query", sorted(EXCHANGES))

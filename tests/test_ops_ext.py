@@ -350,17 +350,20 @@ def test_clean_corpus_filters_then_dedups(ray_session):
     assert (out["quality"] >= 0.5).all()
 
 
-def test_token_budget_shards_matches_window(ray_session):
+def test_token_budget_shards_matches_window(ray_session, monkeypatch):
     import ray.data as rd
 
+    from kgruntime.ops import shard
     from kgruntime.ops.shard import token_budget_shards
+
+    monkeypatch.setattr(shard, "_SCAN_BUCKET", 2)
 
     texts = ["a b c", "", "d e", "f g h i j", "k", "l m n o p q r s"]
     docs = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(6), pa.int64()),
         "text": pa.array(texts, pa.string()),
     }))
-    out = token_budget_shards(docs, budget=4, bucket_size=2) \
+    out = token_budget_shards(docs, budget=4) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     n = np.array([3, 0, 2, 5, 1, 8])
     starts = np.cumsum(n) - n
@@ -843,6 +846,7 @@ def test_pack_sequences_matches_sequential_reference(ray_session, tok_counts,
                                                      budget):
     import ray.data as rd
 
+    from kgruntime.ops import shard
     from kgruntime.ops.shard import pack_sequences
 
     texts = [" ".join(["w"] * n) for n in tok_counts]
@@ -850,8 +854,10 @@ def test_pack_sequences_matches_sequential_reference(ray_session, tok_counts,
         "doc_id": pa.array(list(range(len(texts))), pa.int64()),
         "text": texts,
     }))
-    out = pack_sequences(ds, budget=budget, bucket_size=7).to_pandas() \
-        .sort_values("shard_id").reset_index(drop=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shard, "_SCAN_BUCKET", 7)
+        out = pack_sequences(ds, budget=budget).to_pandas() \
+            .sort_values("shard_id").reset_index(drop=True)
     # sequential reference: exclusive prefix sum // budget
     start, ref = 0, {}
     for i, n in enumerate(tok_counts):

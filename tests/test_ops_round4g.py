@@ -1651,12 +1651,15 @@ def test_multi_query_lexical_matches_single(ray_session):
 
 
 def test_late_round4g_ops_survive_empty_inputs(ray_session):
+    import pandas as pd
     import ray.data as rd
 
-    from kgruntime.ops.ann import pq_quant_recall
-    from kgruntime.ops.sessions import peak_user_rate, \
+    from kgruntime.ops.ann import embedding_outliers, kmeans_clusters, \
+        label_centroids, pq_quant_recall
+    from kgruntime.ops.sessions import late_event_audit, peak_user_rate, \
         streaming_emit_audit
-    from kgruntime.ops.shard import bitmap_index_queries
+    from kgruntime.ops.shard import bitmap_index_queries, \
+        curriculum_order, pack_sequences, token_budget_shards
     from kgruntime.ops.stats import benford_audit, ks_two_samples
     from kgruntime.ops.text import multi_query_lexical
 
@@ -1677,6 +1680,36 @@ def test_late_round4g_ops_survive_empty_inputs(ray_session):
         "vec_id": pa.array([], pa.int64()),
         "embedding": pa.array([], pa.list_(pa.float32()))}))
     assert nrows(pq_quant_recall(emb, np.zeros((0, 4)), [])) == 0
+
+    def columns(r):
+        """The columns of a zero-row result."""
+        if isinstance(r, pd.DataFrame):
+            assert len(r) == 0
+            return list(r.columns)
+        assert nrows(r) == 0
+        return (r.schema if isinstance(r, pa.Table) else r.schema()).names
+
+    # the prefix-scan ops and the ANN label/k-means ops keep their
+    # columns on a zero-row input
+    assert columns(token_budget_shards(docs)) == \
+        ["doc_id", "n_tokens", "shard_id"]
+    assert columns(pack_sequences(docs)) == \
+        ["shard_id", "n_docs", "n_tokens", "packed"]
+    assert columns(curriculum_order(docs)) == \
+        ["doc_id", "stratum", "pos", "shard_id"]
+    assert columns(late_event_audit(ev)) == \
+        ["event_type", "n_events", "n_late", "max_lateness_ms"]
+    assert columns(streaming_emit_audit(ev)) == \
+        ["whour", "n_on_time", "n_late_included", "n_dropped",
+         "batch_count"]
+    emb = rd.from_arrow(pa.table({
+        "vec_id": pa.array([], pa.int64()),
+        "embedding": pa.array([], pa.list_(pa.float32())),
+        "label": pa.array([], pa.int32())}))
+    assert columns(embedding_outliers(emb)) == \
+        ["label", "vec_id", "dist2", "rnk"]
+    assert columns(label_centroids(emb)) == ["label", "i", "centroid"]
+    assert columns(kmeans_clusters(emb)) == ["vec_id", "cid", "cluster_n"]
 
 
 # --------------------------------------------- k_anonymity_audit
