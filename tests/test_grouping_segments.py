@@ -239,15 +239,19 @@ def _ref_scan(t: pa.Table, op):
     return sorted(zip(t["id"].to_numpy()[order].tolist(), before.tolist()))
 
 
-def test_prefix_scan_matches_sorted_reference(ray_session):
+def test_prefix_scan_matches_sorted_reference(ray_session, monkeypatch):
     """Random buckets (negative ones too), a tie-heavy order column and
     negative values, dealt over several blocks; both ops; a single
     bucket; an empty input.  Every case's first row sees the op's
-    identity (int64 min for max)."""
+    identity (int64 min for max).  Two coarse buckets, so most coarse
+    blocks hold several scan buckets."""
     import numpy as np
     import ray.data as rd
 
+    from kgruntime.ops import join
     from kgruntime.ops.groups import prefix_scan
+
+    monkeypatch.setattr(join, "default_num_buckets", lambda: 2)
 
     def with_before(block: pa.Table, before) -> pa.Table:
         return pa.table({"id": block["id"],
