@@ -240,9 +240,8 @@ def prefix_scan(ds, prep, bucket: str, order: list[str], value: str, op,
         schema = ds.schema()
         if schema is None:      # no columns to give fn
             return rows
-        block = prep(schema.base_schema.empty_table())
-        return rd.from_arrow(fn(block.take(pc.sort_indices(
-            block, sort_keys=keys)), np.zeros(0, np.int64)))
+        return rd.from_arrow(fn(prep(schema.base_schema.empty_table()),
+                                np.zeros(0, np.int64)))
     totals = totals.sort_by(bucket)
     ids = totals[bucket].to_numpy()
     tot = totals["total"].to_numpy().astype(np.int64)
