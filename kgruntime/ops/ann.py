@@ -17,14 +17,18 @@ skeleton, written once:
    one (key matrix, mask) pair per method — exact, int8, rp, pq,
    cosine, pos/neg — where the mask drops self, same- or
    different-label and unprobed candidates;
-3. ``_first_k`` keeps each query's first ``k`` rows per method under
-   (key DESC, neighbor_id ASC) — the global merge's own total order,
-   so the local prune is lossless when keys tie;
+3. ``groups.first_k``, the library's one top-k prune (its contract is
+   in the ``groups`` module docstring), keeps each query's first ``k``
+   rows per method under (key DESC, neighbor_id ASC) — the global
+   merge's own total order, so the local prune is lossless when keys
+   tie;
 4. ``_merged`` is the global merge: one ``groups.segment_map`` kernel
-   runs the same ``_first_k`` per query (or label, or vec_id), drops a
+   runs the same ``first_k`` per query (or label, or vec_id), drops a
    neighbor that arrives twice, and hands the ranked rows to a
    ``finish`` that shapes the output (neighbors, ranks, or the recall
-   audits' two-method intersection).
+   audits' two-method intersection).  It exchanges on the query but
+   ranks per (query, method), so it does not ride
+   ``stats.grouped_topk``, whose segment is its exchange key.
 
 The exchange carries O(queries × k × batches) rows, never the
 embeddings.  ``lsh_topk`` and ``ivf_topk`` score each query against
@@ -41,7 +45,7 @@ import logging
 import numpy as np
 import pyarrow as pa
 
-from .groups import run_starts
+from .groups import first_k, run_starts
 
 logger = logging.getLogger(__name__)
 
@@ -73,34 +77,6 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 # --- the top-k skeleton (module docstring) ----------------------------------
 
-def _desc(key: np.ndarray) -> np.ndarray:
-    """An ascending sort key for ``key`` DESC: ``~key`` (−key−1, exact
-    for every int64) for integers, ``-key`` for floats."""
-    return ~key if key.dtype.kind == "i" else -key
-
-
-def _first_k(segs, key: np.ndarray, nbr: np.ndarray, k: int):
-    """The one top-k prune: (positions, 0-based ranks) of the first
-    ``k`` rows of each segment — a run of equal ``segs`` columns — under
-    (``key`` DESC, ``nbr`` ASC), in (segment, rank) order.  A row equal
-    to the one before it in segment, key and neighbor (one pair scored
-    twice) counts once.
-
-    The batch-local prunes and the global merge all rank by this one
-    total order, so a local prune never drops a row the merge keeps,
-    ties included (``argpartition`` or an unstable argsort keeps an
-    arbitrary subset of a tie)."""
-    order = np.lexsort((nbr, _desc(key), *segs[::-1]))
-    segs = [c[order] for c in segs]
-    first = run_starts(*segs, key[order], nbr[order])
-    order = order[first]
-    segs = [c[first] for c in segs]
-    pos = np.arange(len(order))
-    rank = pos - np.maximum.accumulate(np.where(run_starts(*segs), pos, 0))
-    keep = rank < k
-    return order[keep], rank[keep]
-
-
 def _partials(key: str, kv, method, score, nbr) -> pa.Table:
     """The rows every prune emits and ``_merged`` reads."""
     return pa.table({key: kv, "method": pa.array(method, pa.int8()),
@@ -128,7 +104,7 @@ def _topk_partials(st: dict, batch: pa.Table) -> pa.Table:
         key.append(s[r, c])
         col.append(c)
     qi, meth, key, col = map(np.concatenate, (qi, meth, key, col))
-    sel, _ = _first_k((qi, meth), key, ids[col], st["k"])
+    sel, _ = first_k((qi, meth), key, ids[col], st["k"])
     return _partials("query_id", qids[qi[sel]], meth[sel], key[sel],
                      ids[col[sel]])
 
@@ -154,16 +130,13 @@ def _scored(ds, tag: str, query_ids, k: int, **state):
 
 def _merged(partials, key: str, k: int, finish):
     """The global merge, one ``segment_map`` kernel: each (``key``,
-    method)'s first ``k`` rows by ``_first_k``, with their 1-based
-    ``rnk``, go to ``finish(table)``, which shapes the output."""
-    from .groups import segment_map
+    method)'s first ``k`` rows by ``groups.take_first_k``, with their
+    1-based ``rnk``, go to ``finish(table)``, which shapes the output."""
+    from .groups import segment_map, take_first_k
 
     def kernel(block: pa.Table, starts) -> pa.Table:
-        sel, rank = _first_k(
-            (block[key].to_numpy(), block["method"].to_numpy()),
-            block["score"].to_numpy(), block["neighbor_id"].to_numpy(), k)
-        return finish(block.take(sel).append_column(
-            "rnk", pa.array(rank + 1, pa.int64())))
+        return finish(take_first_k(block, [key, "method"], "score",
+                                   "neighbor_id", k, rank_col="rnk"))
 
     return segment_map(partials, key, kernel)
 
@@ -749,7 +722,7 @@ def embedding_outliers(emb_ds, k: int = 5, scale: int = _UNIT_SCALE):
     |labels| × |blocks| tiny partials reach the driver; the float64
     centroid matrix (KB at any corpus size for a bounded label space)
     broadcasts via ``ray.put``.  (2) distances are a vectorized
-    ``(batch − mu[idx])²`` row-sum with the per-batch ``_first_k``
+    ``(batch − mu[idx])²`` row-sum with the per-batch ``groups.first_k``
     prune per label, merged per label by ``_merged`` — the exchange
     carries at most k rows per (label, block), never vectors.  The
     strict (dist2 DESC, vec_id ASC) total order makes the local prune
@@ -779,7 +752,7 @@ def embedding_outliers(emb_ds, k: int = 5, scale: int = _UNIT_SCALE):
             d = _units_matrix(_emb_matrix(t), scale) / float(scale) \
                 - means[np.searchsorted(labels, lab)]
             dist2 = np.floor(np.einsum("ij,ij->i", d, d) * 1e6 + 0.5) / 1e6
-        sel, _ = _first_k((lab,), dist2, ids, k)
+        sel, _ = first_k((lab,), dist2, ids, k)
         return _partials("label", lab[sel], np.zeros(len(sel), np.int8),
                          dist2[sel], ids[sel])
 
@@ -835,11 +808,12 @@ def _knn_bucket_topk(block: pa.Table, starts: np.ndarray, k: int,
 
     Exact-integer cosine (``quantize_fp6`` dot / √n2a·√n2b — each float
     op a single IEEE round, bit-identical to the SQL twin); zero-norm
-    vectors never rank.  ``_first_k``'s (cosine DESC, neighbor_id ASC)
-    order makes the per-bucket prune LOSSLESS under the global merge: a
-    neighbor dropped locally is preceded by ≥k bucket-mates that also
-    reach the global rank.  A bucket keeps its ``cap`` smallest vec_ids
-    (deterministic, as in ``_cos_pairs``) and the truncation is logged.
+    vectors never rank.  ``groups.first_k``'s (cosine DESC,
+    neighbor_id ASC) order makes the per-bucket prune LOSSLESS under
+    the global merge: a neighbor dropped locally is preceded by ≥k
+    bucket-mates that also reach the global rank.  A bucket keeps its
+    ``cap`` smallest vec_ids (deterministic, as in ``_cos_pairs``) and
+    the truncation is logged.
     """
     from .dedup import quantize_fp6
     from .groups import segment_ids, segment_pairs
@@ -863,7 +837,7 @@ def _knn_bucket_topk(block: pa.Table, starts: np.ndarray, k: int,
     root = np.sqrt(n2.astype(np.float64))
     sim = np.einsum("ij,ij->i", q[ii], q[jj]) / (root[ii] * root[jj])
     rows, cols, sim = np.r_[ii, jj], np.r_[jj, ii], np.r_[sim, sim]
-    sel, _ = _first_k((rows,), sim, ids[cols], k)
+    sel, _ = first_k((rows,), sim, ids[cols], k)
     return _partials("vec_id", ids[rows[sel]], np.zeros(len(sel), np.int8),
                      sim[sel], ids[cols[sel]])
 
@@ -1342,7 +1316,7 @@ def rrf_fusion(docs_ds, emb_ds, query_text: str, query_vec: np.ndarray,
     from .text import lexical_topk
 
     lex_rows = lexical_topk(docs_ds, query_text, k=r,
-                            scale=lex_scale).take_all()
+                            scale=lex_scale).to_pylist()
     lex_rank = {int(x["doc_id"]): i + 1 for i, x in enumerate(lex_rows)}
     emb_ids = _int_dot_topr(emb_ds, _units_matrix(query_vec), r)
     emb_rank = {d: i + 1 for i, d in enumerate(emb_ids)}
@@ -1670,7 +1644,7 @@ def rank_agreement(docs_ds, emb_ds, query_text: str,
     from .text import lexical_topk
 
     lex_rows = lexical_topk(docs_ds, query_text, k=r,
-                            scale=lex_scale).take_all()
+                            scale=lex_scale).to_pylist()
     lex_rank = {int(x["doc_id"]): i + 1 for i, x in enumerate(lex_rows)}
     emb_ids = _int_dot_topr(emb_ds, _units_matrix(query_vec), r)
     emb_rank = {d: i + 1 for i, d in enumerate(emb_ids)}

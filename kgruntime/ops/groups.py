@@ -71,6 +71,30 @@ re-bucket the totals one level up).  A zero-row input gives a zero-row
 result with ``fn``'s columns (``fn`` on ``prep`` of an empty block of
 the input's schema), where ``segment_map`` would give a schema-less
 one.
+
+``first_k(segs, key, nbr, k)`` is the library's one top-k prune: the
+(positions, 0-based ranks) of the first ``k`` rows of each segment — a
+run of equal ``segs`` columns — under (``key`` DESC, ``nbr`` ASC).  A
+row equal to the one before it in segment, key and neighbor counts
+once.  For ``key`` ASC pass ``desc(key)`` (``desc`` is its own
+inverse), so the prune has no direction option.  Every batch-local
+prune and every merge ranks by this one total order, so a local prune
+never drops a row the merge keeps, ties included — ``argpartition`` or
+an unstable argsort keeps an arbitrary subset of a tie, and a merge
+can only rank what survived.  ``take_first_k`` is the same prune on a
+pa.Table's columns.  The two shapes on top of it:
+
+- keyed (``stats.grouped_topk``): a per-batch ``take_first_k`` and one
+  ``segment_map(key)`` merge kernel that runs it again and appends the
+  1-based rank — the exchange carries ≤ k × blocks rows per key;
+- driver-merged (few segments: one global top-k, one per query or per
+  epoch): a per-batch ``take_first_k``, ``collect`` of the candidates
+  (≤ segments × k × blocks rows), and one more ``take_first_k`` on the
+  driver — no exchange.
+
+The ranks are global: the first ``k`` rows of a segment are the same
+rows under any ``k' >= k``, so one prune at ``max(k)`` serves per-key
+quotas (``rank <= quota[key]``).
 """
 
 from __future__ import annotations
@@ -101,6 +125,52 @@ def run_starts(*cols: np.ndarray) -> np.ndarray:
         for c in cols:
             change[1:] |= c[1:] != c[:-1]
     return change
+
+
+def desc(key: np.ndarray) -> np.ndarray:
+    """An ascending sort key for ``key`` DESC: ``~key`` (−key−1, exact
+    for every int64) for integers, ``-key`` for floats."""
+    return ~key if key.dtype.kind == "i" else -key
+
+
+def first_k(segs, key: np.ndarray, nbr: np.ndarray, k: int):
+    """The one top-k prune: (positions, 0-based ranks) of the first
+    ``k`` rows of each segment — a run of equal ``segs`` columns — under
+    (``key`` DESC, ``nbr`` ASC), in (segment, rank) order.  A row equal
+    to the one before it in segment, key and neighbor (one pair scored
+    twice) counts once.
+
+    The batch-local prunes and the global merge all rank by this one
+    total order, so a local prune never drops a row the merge keeps,
+    ties included (``argpartition`` or an unstable argsort keeps an
+    arbitrary subset of a tie)."""
+    order = np.lexsort((nbr, desc(key), *segs[::-1]))
+    segs = [c[order] for c in segs]
+    first = run_starts(*segs, key[order], nbr[order])
+    order = order[first]
+    segs = [c[first] for c in segs]
+    pos = np.arange(len(order))
+    rank = pos - np.maximum.accumulate(np.where(run_starts(*segs), pos, 0))
+    keep = rank < k
+    return order[keep], rank[keep]
+
+
+def take_first_k(t: pa.Table, segs: list[str], key: str, nbr: str, k: int,
+                 ascending: bool = False,
+                 rank_col: str | None = None) -> pa.Table:
+    """The rows of ``t`` that ``first_k`` keeps — segments ``segs`` (no
+    column: one segment), ``key`` DESC (ASC with ``ascending``), ``nbr``
+    ASC — in (segment, rank) order, with the 1-based rank appended as
+    ``rank_col`` when one is named."""
+    cols = [t[c].to_numpy() for c in segs] or [np.zeros(t.num_rows,
+                                                          np.int8)]
+    v = t[key].to_numpy()
+    sel, rank = first_k(cols, desc(v) if ascending else v,
+                        t[nbr].to_numpy(), k)
+    out = t.take(sel)
+    if rank_col is None:
+        return out
+    return out.append_column(rank_col, pa.array(rank + 1, pa.int64()))
 
 
 def sort_segments(t: pa.Table, keys: list[str]):

@@ -19,6 +19,21 @@ _KNUTH = 2654435761
 _M32 = 1 << 32
 
 
+def _md5_ids(ids, fmt: str = "{}") -> np.ndarray:
+    """int64 md5-60 (``dedup._md5_60``) of ``fmt.format(id)`` for each
+    integer id — the SQL twins' ``md5(...)`` draw."""
+    from .dedup import _md5_60
+
+    return np.fromiter((_md5_60(fmt.format(int(d)).encode()) for d in ids),
+                       np.int64, len(ids))
+
+
+def _with_h(t: pa.Table) -> pa.Table:
+    """``t`` with ``h`` = md5-60(doc_id), the hash order of the
+    reservoir and temperature samples."""
+    return t.append_column("h", pa.array(_md5_ids(t["doc_id"].to_numpy())))
+
+
 def hash_fraction(key_col, rate: float) -> pa.Array:
     """Boolean mask selecting ≈``rate`` of rows, deterministically, by
     ``(key·2654435761) mod 2^32 < rate·2^32``.  Exact int64 arithmetic:
@@ -155,46 +170,17 @@ def reservoir_per_group(docs_ds, group: str = "lang", k: int = 20):
     a uniform random order that every retry/cluster layout agrees on,
     so this is reservoir sampling without coordination.
 
-    Scale shape: each batch keeps its local per-group top-k (combiner),
-    so the group shuffle carries ≤ k rows per group per block; the
-    final per-group merge is k·n_blocks-bounded.
+    Scale shape: ``stats.grouped_topk`` on (h ASC, doc_id ASC) — each
+    batch keeps its first k per group, so the one ``segment_map(group)``
+    merge sees ≤ k rows per (group, block).
     """
-    import pandas as pd
+    from .stats import grouped_topk
 
-    from .dedup import _md5_60
-
-    def local_topk(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            group: t[group].to_pylist(),
-            "doc_id": t["doc_id"].to_pylist(),
-        })
-        df["h"] = [_md5_60(str(i).encode()) for i in df["doc_id"]]
-        df = df.sort_values(["h", "doc_id"], kind="mergesort") \
-            .groupby(group, sort=False).head(k)
-        # explicit pa.table, not from_pandas: pandas metadata defeats
-        # Ray's block-schema dedup and empty frames drop the schema
-        # (CLAUDE.md gotcha)
-        return pa.table({
-            group: pa.array(df[group].tolist(), pa.string()),
-            "doc_id": pa.array(df["doc_id"].tolist(), pa.int64()),
-            "h": pa.array(df["h"].tolist(), pa.int64()),
-        })
-
-    def merge_topk(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({group: pa.array([], pa.string()),
-                             "doc_id": pa.array([], pa.int64())})
-        df = g.to_pandas().sort_values(["h", "doc_id"], kind="mergesort") \
-            .head(k)
-        return pa.table({
-            group: pa.array(df[group].tolist(), pa.string()),
-            "doc_id": pa.array(df["doc_id"].tolist(), pa.int64()),
-        })
-
-    return docs_ds.select_columns([group, "doc_id"]) \
-        .map_batches(local_topk, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(group).map_groups(merge_topk, batch_format="pyarrow")
+    return grouped_topk(docs_ds.select_columns([group, "doc_id"])
+                        .map_batches(_with_h, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                        group, "h", k, "doc_id", descending=False) \
+        .select_columns([group, "doc_id"])
 
 
 def reservoir_per_group_sql(group: str = "lang", k: int = 20,
@@ -281,15 +267,15 @@ def temperature_mix_sample(docs_ds, temperature_half: bool = True,
     sample membership bit-for-bit — no RNG, re-runs and resumes agree.
 
     Scale shape: per-source counts are ONE tiny native groupby; the
-    quota dict (|sources| ints) broadcasts; each batch keeps its local
-    q smallest hashes per source, and one ``groupby(source)`` merge of
-    ≤ q rows per (source, block) finalizes — doc text never moves.
+    quotas (|sources| ints) are baked into the filter; one
+    ``stats.grouped_topk`` at ``k = max(quota)`` on (h ASC, doc_id ASC)
+    ranks each source's first picks (≤ k rows per (source, block) reach
+    its ``segment_map`` merge) and ``pick_rank <= quota[source]`` keeps
+    the quota — exact, as the ranks are global.  Doc text never moves.
     """
     import math
 
-    import pandas as pd
-
-    from .dedup import _md5_60
+    from .stats import grouped_topk
 
     counts = docs_ds.groupby("source").count().to_pandas()
     n_by_src = dict(zip(counts["source"], counts["count()"]))
@@ -305,32 +291,23 @@ def temperature_mix_sample(docs_ds, temperature_half: bool = True,
          for s, n in n_by_src.items()}
     wsum = sum(w.values())
     target = total // share
-    quota = {s: min(int(n_by_src[s]), target * w[s] // wsum)
-             for s in n_by_src}
+    names = sorted(n_by_src)
+    quota = pa.array([min(int(n_by_src[s]), target * w[s] // wsum)
+                      for s in names], pa.int64())
 
-    def local_pick(t: pa.Table) -> pa.Table:
-        src = t["source"].to_pylist()
-        ids = t["doc_id"].to_pylist()
-        h = np.array([_md5_60(str(d).encode()) for d in ids], np.int64)
-        df = pd.DataFrame({"source": src, "doc_id": ids, "h": h}) \
-            .sort_values(["source", "h", "doc_id"], kind="mergesort")
-        df = df.groupby("source", sort=False) \
-            .head(max(quota.values()) if quota else 0)
-        return pa.Table.from_pandas(df, preserve_index=False)
+    def within_quota(t: pa.Table) -> pa.Table:
+        q = pc.take(quota, pc.index_in(t["source"], value_set=pa.array(
+            names, t["source"].type)))
+        return t.filter(pc.less_equal(t["pick_rank"], q)) \
+            .select(["source", "doc_id", "pick_rank"])
 
-    def merge_pick(g: pa.Table) -> pa.Table:
-        s = g["source"][0].as_py()
-        q = quota.get(s, 0)
-        df = g.to_pandas().sort_values(["h", "doc_id"],
-                                       kind="mergesort").head(q)
-        df["pick_rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return pa.Table.from_pandas(
-            df[["source", "doc_id", "pick_rank"]], preserve_index=False)
-
-    return docs_ds.select_columns(["source", "doc_id"]) \
-        .map_batches(local_pick, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("source").map_groups(merge_pick, batch_format="pyarrow")
+    return grouped_topk(docs_ds.select_columns(["source", "doc_id"])
+                        .map_batches(_with_h, batch_format="pyarrow",
+                                     zero_copy_batch=True),
+                        "source", "h", pc.max(quota).as_py(), "doc_id",
+                        descending=False, rank_col="pick_rank") \
+        .map_batches(within_quota, batch_format="pyarrow",
+                     zero_copy_batch=True)
 
 
 def temperature_mix_sample_sql(share: int = 4,
@@ -379,43 +356,33 @@ def weighted_priority_sample(docs_ds, k: int = 50, seed: int = 31,
     so any retry/resume/worker reselects identically and the oracle
     replays it.
 
-    Scale shape: each batch keeps only its LOCAL k smallest
-    (argpartition — no sort of the batch), so at most k × n_blocks
-    candidate ints reach the driver for the exact global cut; no
-    shuffle at all.  Ties (h//w collisions) break on doc_id both sides.
+    Scale shape: each batch keeps its first k by (priority, doc_id)
+    (``groups.take_first_k``, the merge's own order, so a tie is never
+    cut arbitrarily), ``groups.collect`` brings ≤ k × n_blocks
+    candidates to the driver, and the same prune makes the exact
+    global cut; no shuffle at all.
     """
-    import pandas as pd
+    from .groups import collect, take_first_k
 
-    from .dedup import _md5_60
+    def first(t: pa.Table) -> pa.Table:
+        return take_first_k(t, [], "priority", "doc_id", k, ascending=True)
 
-    cand_schema = pa.schema([("doc_id", pa.int64()),
-                             (weight_col, pa.int64()),
-                             ("priority", pa.int64())])
+    def local(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy()
+        w = t[weight_col].to_numpy()
+        return first(pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            weight_col: pa.array(w, pa.int64()),
+            "priority": pa.array(_md5_ids(ids, f"{seed}:{{}}")
+                                 // np.maximum(w, 1), pa.int64())}))
 
-    def local_topk(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        w = np.maximum(t[weight_col].to_numpy(zero_copy_only=False), 1)
-        h = np.fromiter((_md5_60(f"{seed}:{d}".encode()) for d in ids),
-                        np.int64, len(ids))
-        pri = h // w
-        if len(ids) > k:
-            sel = np.argpartition(pri, k)[:k]
-        else:
-            sel = np.arange(len(ids))
-        return pa.table({"doc_id": pa.array(ids[sel], pa.int64()),
-                         weight_col: pa.array(
-                             t[weight_col].to_numpy(
-                                 zero_copy_only=False)[sel], pa.int64()),
-                         "priority": pa.array(pri[sel], pa.int64())},
-                        schema=cand_schema)
-
-    cands = docs_ds.select_columns(["doc_id", weight_col]) \
-        .map_batches(local_topk, batch_format="pyarrow",
-                     zero_copy_batch=True).to_pandas()
-    out = cands.sort_values(["priority", "doc_id"],
-                            kind="mergesort").head(k)
-    return out.sort_values("doc_id").reset_index(drop=True) \
-        [["doc_id", weight_col, "priority"]]
+    cands = collect(docs_ds.select_columns(["doc_id", weight_col])
+                    .map_batches(local, batch_format="pyarrow",
+                                 zero_copy_batch=True))
+    if cands is None:
+        cands = local(pa.table({"doc_id": pa.array([], pa.int64()),
+                                weight_col: pa.array([], pa.int64())}))
+    return first(cands).sort_by("doc_id").to_pandas()
 
 
 def weighted_priority_sample_sql(k: int = 50, seed: int = 31,
@@ -701,45 +668,34 @@ def epoch_shuffle_audit(docs_ds, n_epochs: int = 3, k: int = 8):
     (epoch, rank, doc_id) — enough for a loader to verify its order
     against the engine's.
 
-    Scale shape: one streamed pass per nothing — a SINGLE map over the
-    corpus computes all epochs' hashes per batch and keeps each
-    epoch's local k smallest (n_epochs·k rows per block to the
-    driver); the driver merges n_blocks·n_epochs·k rows.  The FULL
-    epoch order is implicit (sort by the same hash) and never
-    materializes.
+    Scale shape: ONE streamed map over the corpus hashes every epoch
+    per batch and keeps each epoch's first k by (h, doc_id)
+    (``groups.take_first_k``); ``groups.collect`` brings
+    n_blocks·n_epochs·k rows to the driver, where the same prune ranks
+    them.  No exchange.  The FULL epoch order is implicit (sort by the
+    same hash) and never materializes.
     """
-    from .dedup import _md5_60
+    from .groups import collect, take_first_k
+
+    def first(t: pa.Table, rank: str | None = None) -> pa.Table:
+        return take_first_k(t, ["epoch"], "h", "doc_id", k,
+                            ascending=True, rank_col=rank)
 
     def local(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        out_e, out_h, out_d = [], [], []
-        for e in range(n_epochs):
-            h = np.array([_md5_60(f"{e}|{int(d)}".encode())
-                          for d in ids], np.int64)
-            order = np.lexsort((ids, h))[:k]
-            out_e.extend([e] * len(order))
-            out_h.extend(h[order].tolist())
-            out_d.extend(ids[order].tolist())
-        return pa.table({"epoch": pa.array(out_e, pa.int64()),
-                         "h": pa.array(out_h, pa.int64()),
-                         "doc_id": pa.array(out_d, pa.int64())})
+        ids = t["doc_id"].to_numpy()
+        return first(pa.table({
+            "epoch": pa.array(np.repeat(np.arange(n_epochs), len(ids))),
+            "h": pa.array(np.concatenate(
+                [_md5_ids(ids, f"{e}|{{}}") for e in range(n_epochs)]
+                + [np.zeros(0, np.int64)])),
+            "doc_id": pa.array(np.tile(ids, n_epochs), pa.int64())}))
 
-    rows = docs_ds.select_columns(["doc_id"]) \
-        .map_batches(local, batch_format="pyarrow",
-                     zero_copy_batch=True).take_all()
-    out = {"epoch": [], "rank": [], "doc_id": []}
-    for e in range(n_epochs):
-        cand = sorted((int(r["h"]), int(r["doc_id"])) for r in rows
-                      if r["epoch"] == e)[:k]
-        for i, (_, d) in enumerate(cand, 1):
-            out["epoch"].append(e)
-            out["rank"].append(i)
-            out["doc_id"].append(d)
-    return pa.table({
-        "epoch": pa.array(out["epoch"], pa.int64()),
-        "rank": pa.array(out["rank"], pa.int64()),
-        "doc_id": pa.array(out["doc_id"], pa.int64()),
-    })
+    cands = collect(docs_ds.select_columns(["doc_id"])
+                    .map_batches(local, batch_format="pyarrow",
+                                 zero_copy_batch=True))
+    if cands is None:
+        cands = local(pa.table({"doc_id": pa.array([], pa.int64())}))
+    return first(cands, "rank").select(["epoch", "rank", "doc_id"])
 
 
 def epoch_shuffle_audit_sql(n_epochs: int = 3, k: int = 8) -> str:

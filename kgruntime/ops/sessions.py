@@ -1367,6 +1367,23 @@ def _watermark(before: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.where(before == np.iinfo(np.int64).min, ts, before)
 
 
+def _watermark_partials(events_ds, cols: list[str], prep, order, partials):
+    """The driver-side rows of a watermark audit: ``partials(block,
+    before)`` over the max ``prefix_scan`` of ``ts_us`` on ``bucket``
+    in ``(bucket, *order)`` order, collected.  A schema-less empty input
+    (e.g. an all-filtered one) reaches no kernel, so there ``partials``
+    runs on ``prep`` of an empty events table, keeping the columns."""
+    rows = collect(prefix_scan(events_ds.select_columns(cols), prep,
+                               "bucket", order, "ts_us", np.maximum,
+                               partials))
+    if rows is None:
+        empty = pa.table({"event_id": pa.array([], pa.int64()),
+                          "event_type": pa.array([], pa.string()),
+                          "ts": pa.array([], pa.timestamp("us"))})
+        rows = partials(prep(empty.select(cols)), np.zeros(0, np.int64))
+    return rows
+
+
 def late_event_audit(events_ds, late_ms: int = 3_600_000):
     """Streaming-ingest watermark audit: treating ``event_id`` order as
     ARRIVAL order, an event is late when its event-time ``ts`` sits
@@ -1400,10 +1417,9 @@ def late_event_audit(events_ds, late_ms: int = 3_600_000):
             .group_by("event_type").aggregate([
                 ("late_ms", "count"), ("n_late", "sum"), ("late_ms", "max")])
 
-    out = collect(prefix_scan(
-        events_ds.select_columns(["event_id", "event_type", "ts"]), prep,
-        "bucket", ["event_id"], "ts_us", np.maximum, partials)) \
-        .group_by("event_type").aggregate([
+    out = _watermark_partials(
+        events_ds, ["event_id", "event_type", "ts"], prep, ["event_id"],
+        partials).group_by("event_type").aggregate([
             ("late_ms_count", "sum"), ("n_late_sum", "sum"),
             ("late_ms_max", "max")]).sort_by("event_type")
     return pa.table({"event_type": out["event_type"],
@@ -2091,10 +2107,9 @@ def streaming_emit_audit(events_ds, lateness_min: int = 30):
                 ("n_on_time", "sum"), ("n_late_included", "sum"),
                 ("n_dropped", "sum")])
 
-    out = collect(prefix_scan(
-        events_ds.select_columns(["event_id", "ts"]), prep, "bucket",
-        ["arrival", "event_id"], "ts_us", np.maximum, partials)) \
-        .group_by("whour").aggregate([
+    out = _watermark_partials(
+        events_ds, ["event_id", "ts"], prep, ["arrival", "event_id"],
+        partials).group_by("whour").aggregate([
             ("n_on_time_sum", "sum"), ("n_late_included_sum", "sum"),
             ("n_dropped_sum", "sum")]).sort_by("whour")
     counts = {c: out[f"{c}_sum_sum"]

@@ -349,45 +349,49 @@ def kmv_distinct(events_ds, group: str = "event_type",
     """Distinct ``key`` count per ``group`` via the k-minimum-values
     sketch — (group, n_kept, kth_min, est_distinct), all EXACT integers.
 
-    Mergeable shape: each batch keeps its k smallest DISTINCT md5-60
-    key hashes per group (≤ |groups|·k tiny rows), a single
-    ``groupby(group)`` merge dedups and re-takes the k smallest.
-    Estimator: exact count when fewer than k distinct hashes exist,
-    else the classic (k−1)·2^60 // kth_min — integer division, so the
-    SQL twin reproduces it bit-for-bit (no float estimator at all,
-    unlike HLL's α·m²/S).
+    Mergeable shape: ``stats.grouped_topk`` on (h ASC) with ``h`` as
+    its own tie, so equal hashes count once — each batch keeps its k
+    smallest DISTINCT md5-60 key hashes per group (≤ |groups|·k tiny
+    rows) and one ``segment_map(group)`` merge re-takes the k smallest
+    with their ranks.  The ≤ |groups|·k merged rows come to the driver
+    (``groups.collect``), where the estimator is one vectorized step
+    over each group's last rank: the exact count when fewer than k
+    distinct hashes exist, else the classic (k−1)·2^60 // kth_min —
+    integer division, so the SQL twin reproduces it bit-for-bit (no
+    float estimator at all, unlike HLL's α·m²/S).
     """
-    import pandas as pd
+    import ray.data as rd
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = t[group].to_pylist()
+    from .groups import collect, run_starts
+    from .stats import grouped_topk
+
+    def hashed(t: pa.Table) -> pa.Table:
         h = [_md5_60(str(x).encode()) for x in t[key].to_pylist()]
-        df = pd.DataFrame({group: g, "h": np.array(h, np.int64)}) \
-            .drop_duplicates() \
-            .sort_values([group, "h"], kind="mergesort") \
-            .groupby(group, sort=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.table({group: t[group], "h": pa.array(h, pa.int64())})
 
-    def merge(gt: pa.Table) -> pa.Table:
-        df = gt.to_pandas().drop_duplicates("h").sort_values(
-            "h", kind="mergesort").head(k)
-        hs = df["h"].to_numpy()
-        n_kept = len(hs)
-        if n_kept < k:
-            kth, est = 0, n_kept
-        else:
-            kth = int(hs[-1])
-            est = ((k - 1) << 60) // kth
-        return pa.table({
-            group: pa.array([gt[group][0].as_py()], gt[group].type),
-            "n_kept": pa.array([n_kept], pa.int64()),
-            "kth_min": pa.array([kth], pa.int64()),
-            "est_distinct": pa.array([int(est)], pa.int64())})
-
-    return events_ds.select_columns([group, key]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(group).map_groups(merge, batch_format="pyarrow")
+    top = collect(grouped_topk(
+        events_ds.select_columns([group, key])
+        .map_batches(hashed, batch_format="pyarrow", zero_copy_batch=True),
+        group, "h", k, "h", descending=False))
+    if top is None:
+        top = pa.table({group: pa.array([], pa.string()),
+                        "h": pa.array([], pa.int64()),
+                        "rnk": pa.array([], pa.int64())})
+    # a group's last row holds n_kept (its rank) and, when the sketch
+    # is full, the kth minimum
+    top = top.sort_by([(group, "ascending"), ("rnk", "ascending")])
+    g = top[group].to_numpy()
+    last = np.flatnonzero(np.r_[run_starts(g)[1:], True])[:len(g)]
+    n_kept = top["rnk"].to_numpy()[last]
+    full = n_kept == k
+    kth = np.where(full, top["h"].to_numpy()[last], 0)
+    est = np.where(full, ((k - 1) << 60) // np.maximum(kth, 1).astype(object),
+                   n_kept)
+    return rd.from_arrow(pa.table({
+        group: top[group].take(last),
+        "n_kept": pa.array(n_kept, pa.int64()),
+        "kth_min": pa.array(kth, pa.int64()),
+        "est_distinct": pa.array(est.astype(np.int64), pa.int64())}))
 
 
 def kmv_distinct_sql(group: str = "event_type", key: str = "user_id",

@@ -128,35 +128,31 @@ def grouped_mode(ds, key: str, cat_col: str,
 def grouped_topk(ds, key: str, val: str, k: int, tie_col: str,
                  descending: bool = True, rank_col: str = "rnk"):
     """Top-``k`` rows per ``key`` by ``val`` (ties → smallest
-    ``tie_col``), with a 1-based ``rank_col``, as a Dataset.
-
-    The scale shape is partial top-k: every batch keeps at most ``k``
-    rows per key BEFORE the shuffle, so the exchange and the final
-    per-key groups carry ≤ k × num_blocks rows per key — never the
-    corpus.  The final selection is a ``map_groups`` over those tiny
-    survivor sets only.  Mirrors a
+    ``tie_col``), with a 1-based ``rank_col``, as a Dataset.  Mirrors a
     ``row_number() OVER (PARTITION BY key ORDER BY val DESC, tie ASC)``
-    oracle.
+    oracle (``val`` ASC with ``descending=False``).
+
+    Precondition: no two rows are equal in key, value and tie — such a
+    row counts once (``groups.first_k``); every caller's (key, tie) is
+    unique, or its duplicates are meant to count once (KMV's hashes).
+
+    Scale shape: every batch keeps its first ``k`` rows per key by
+    ``groups.take_first_k`` BEFORE the exchange, so the exchange
+    carries ≤ k × blocks rows per key — never the corpus; one
+    ``segment_map(key)`` kernel runs the same prune on those survivors
+    and appends the rank.  Both rank by one total order, so the local
+    prune is lossless on ties, and the ranks are global (a per-key
+    quota below ``k`` is a ``rank_col <= quota`` filter).
     """
-    by = [key, val, tie_col]
-    asc = [True, not descending, True]
+    from .groups import segment_map, take_first_k
 
-    def partial(df: pd.DataFrame):
-        out = (df.sort_values(by, ascending=asc, kind="mergesort")
-                 .groupby(key, sort=False).head(k))
-        # Arrow out: this partial feeds the groupby(key) shuffle, and
-        # Ray's sort over pandas blocks is ~20x slower than Arrow
-        return pa.Table.from_pandas(out, preserve_index=False)
+    def prune(t: pa.Table, rank: str | None = None) -> pa.Table:
+        return take_first_k(t, [key], val, tie_col, k,
+                            ascending=not descending, rank_col=rank)
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.sort_values(by, ascending=asc, kind="mergesort").head(k)
-        out = out.reset_index(drop=True)
-        out[rank_col] = np.arange(1, len(out) + 1, dtype=np.int64)
-        return out
-
-    return ds.map_batches(partial, batch_format="pandas",
-                          batch_size=8192) \
-        .groupby(key).map_groups(final, batch_format="pandas")
+    return segment_map(ds.map_batches(prune, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                       key, lambda block, _: prune(block, rank_col))
 
 
 def grouped_corr(ds, key: str, x_col: str, y_col: str,

@@ -1317,10 +1317,13 @@ def top_terms_per_source(docs_ds, k: int = 10):
     """Per-source top-``k`` words by count — (source, rnk, word, cnt),
     ranked (cnt DESC, word ASC).  The grouped-top-k shape over text:
     the explode shuffle carries pre-combined (source, word) partial
-    counts; the ranking groups are vocabulary-bounded (never
-    corpus-bounded)."""
+    counts, and ``stats.grouped_topk`` ranks them (each block keeps its
+    first k per source; one ``segment_map(source)`` merge), so the
+    ranking groups are vocabulary-bounded, never corpus-bounded."""
     import polars as pl
     from ray.data.aggregate import Sum
+
+    from .stats import grouped_topk
 
     def partial(t: pa.Table) -> pa.Table:
         df = pl.from_arrow(t.select(["source", "text"]))
@@ -1337,18 +1340,8 @@ def top_terms_per_source(docs_ds, k: int = 10):
                      zero_copy_batch=True) \
         .groupby(["source", "word"]) \
         .aggregate(Sum("cnt", alias_name="cnt"))
-
-    def topk(g: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = g.to_pandas().sort_values(
-            ["cnt", "word"], ascending=[False, True], kind="mergesort") \
-            .head(k).reset_index(drop=True)
-        df.insert(1, "rnk", pd.RangeIndex(1, len(df) + 1).astype("int64"))
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return counts.groupby("source").map_groups(topk,
-                                               batch_format="pyarrow")
+    return grouped_topk(counts, "source", "cnt", k, "word") \
+        .select_columns(["source", "rnk", "word", "cnt"])
 
 
 def top_terms_per_source_sql(k: int = 10,
@@ -1844,108 +1837,12 @@ FROM ph_hit GROUP BY doc_id ORDER BY doc_id
 # ---------------------------------------------------------------------------
 
 def lexical_topk(docs_ds, query: str, k: int = 10, scale: int = 10 ** 6):
-    """Lexical retrieval: top-k docs for ``query`` under an
-    integer-exact BM25-family score — per term ``w(t) = ((N − df_t) ·
-    scale) // (df_t + 1)`` (the Robertson–Sparck-Jones idf ratio
-    WITHOUT the log: a monotone transform, so rare terms dominate
-    exactly as in BM25) and ``score(d) = Σ_t tf(t,d) · w(t)``.  All
-    arithmetic is int64 with explicit overflow guards, so the ranking
-    replays bit-exactly in SQL (no float/log divergence).
-
-    Scale shape: tokenization emits postings ONLY for the query's
-    terms (``(doc_id, term_id, tf)`` int rows — the exchange is
-    |query-term occurrences|, never |corpus|); the postings table is
-    materialized once because BOTH df-counting and scoring consume it
-    (two-consumer lineage lesson; at 10¹²-doc scale the same table
-    parquet-stages via the curate_corpus ``staging_dir`` hatch).  The
-    |terms|-row df table broadcasts as a Python dict; one
-    ``groupby(doc_id)`` sums scores; top-k is a per-block
-    ``lexsort``-prune (≤k rows per block to one final partition), no
-    global sort.
-
-    Overflow: ``w·tf`` is guarded per batch (``w_max·tf_max < 2⁶²``);
-    at 10¹²-doc corpora drop ``scale`` to 10³ (w grows with N/df).
-    Scores are ≥0 so the ``-score`` lexsort key cannot wrap (the
-    hard-negatives sentinel lesson).
-    """
-    from ray.data.aggregate import Count, Sum
-
-    terms = sorted(set(query.split(" ")))
-    n_docs = int(docs_ds.count())
-
-    post_schema = pa.schema([("doc_id", pa.int64()),
-                             ("term_id", pa.int64()),
-                             ("tf", pa.int64())])
-
-    def postings(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        g = pl.from_arrow(t.select(["doc_id", "text"])) \
-            .with_columns(pl.col("text").str.split(" ").alias("w")) \
-            .explode("w") \
-            .filter(pl.col("w").is_in(terms)) \
-            .with_columns(
-                pl.col("w").replace_strict(
-                    terms, list(range(len(terms))),
-                    return_dtype=pl.Int64).alias("term_id")) \
-            .group_by("doc_id", "term_id") \
-            .agg(pl.len().cast(pl.Int64).alias("tf")) \
-            .select("doc_id", "term_id", "tf")
-        out = g.to_arrow()
-        return out.cast(post_schema) if out.num_rows else \
-            post_schema.empty_table()
-
-    post = docs_ds.select_columns(["doc_id", "text"]) \
-        .map_batches(postings, batch_format="pyarrow",
-                     zero_copy_batch=True).materialize()
-
-    # docs are unique per input row, so per-batch (doc, term) rows are
-    # globally unique and a plain Count IS the document frequency
-    df_rows = post.groupby("term_id") \
-        .aggregate(Count(alias_name="df")).take_all()
-    w_by_tid = np.zeros(len(terms), np.int64)
-    for r in df_rows:
-        dfv = int(r["df"])
-        w = ((n_docs - dfv) * scale) // (dfv + 1)
-        if w >= (1 << 44):
-            raise OverflowError(
-                f"idf weight {w} too large for int64 tf·w scoring — "
-                f"reduce scale= (corpus N={n_docs})")
-        w_by_tid[int(r["term_id"])] = w
-
-    def score_part(t: pa.Table) -> pa.Table:
-        tf = t["tf"].combine_chunks().to_numpy(zero_copy_only=False)
-        tid = t["term_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        if len(tf) and int(tf.max()) >= (1 << 18):
-            raise OverflowError("tf too large for guarded int64 tf·w")
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "part": pa.array(tf * w_by_tid[tid], pa.int64())})
-
-    scores = post.map_batches(score_part, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby("doc_id").aggregate(Sum("part", alias_name="score"))
-
-    def local_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows <= k:
-            return t.select(["doc_id", "score"])
-        s = t["score"].combine_chunks().to_numpy(zero_copy_only=False)
-        d = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        idx = np.lexsort((d, -s))[:k]
-        return t.select(["doc_id", "score"]).take(pa.array(idx))
-
-    pruned = scores.map_batches(local_topk, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-        .repartition(1) \
-        .map_batches(local_topk, batch_format="pyarrow")
-
-    def order(t: pa.Table) -> pa.Table:
-        s = t["score"].combine_chunks().to_numpy(zero_copy_only=False)
-        d = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        return t.take(pa.array(np.lexsort((d, -s))))
-
-    return pruned.map_batches(order, batch_format="pyarrow")
+    """Lexical retrieval: the top-k ``(doc_id, score)`` for ``query``,
+    ranked (score DESC, doc_id ASC) — ``multi_query_lexical`` with one
+    query (its docstring has the integer-exact scoring), as a
+    pa.Table."""
+    return multi_query_lexical(docs_ds, [query], k, scale) \
+        .select(["doc_id", "score"])
 
 
 _MAXSIM_QUERIES = ("table scan fast", "join merge hash",
@@ -1977,11 +1874,14 @@ def maxsim_topk(docs_ds, queries: tuple = _MAXSIM_QUERIES, k: int = 10):
     ints, KB at any corpus); each batch computes doc-distinct token
     embeddings through a per-process memo (O(1) hash per distinct
     token — NOT vocabulary-bounded state, just a speed cache), one
-    integer matmul per doc, and emits only its LOCAL top-k per query;
-    the global top-k prunes ≤ k·n_blocks rows to one partition (the
-    lexical_topk shape — no global sort, no full score table).
+    integer matmul per doc, and keeps its first k per query by
+    (score DESC, doc_id) (``groups.take_first_k``);
+    ``groups.collect`` brings ≤ k·n_blocks
+    rows per query to the driver, and the same prune makes the global
+    cut — no exchange, no global sort, no full score table.  Returns a
+    pa.Table in (query_id, rank) order.
     """
-    import ray.data as rd
+    from .groups import collect, take_first_k
 
     qvecs = []   # (query_id, |qtok| × dim int matrix)
     for qi, q in enumerate(queries):
@@ -1992,6 +1892,9 @@ def maxsim_topk(docs_ds, queries: tuple = _MAXSIM_QUERIES, k: int = 10):
                             ("doc_id", pa.int64()),
                             ("score", pa.int64())])
     memo: dict[str, np.ndarray] = {}
+
+    def first(t: pa.Table) -> pa.Table:
+        return take_first_k(t, ["query_id"], "score", "doc_id", k)
 
     def score_local(t: pa.Table) -> pa.Table:
         rows_q, rows_d, rows_s = [], [], []
@@ -2013,36 +1916,15 @@ def maxsim_topk(docs_ds, queries: tuple = _MAXSIM_QUERIES, k: int = 10):
                 rows_q.append(qi)
                 rows_d.append(int(d))
                 rows_s.append(int(sims.max(axis=1).sum()))
-        t2 = pa.table({"query_id": pa.array(rows_q, pa.int64()),
-                       "doc_id": pa.array(rows_d, pa.int64()),
-                       "score": pa.array(rows_s, pa.int64())},
-                      schema=out_schema)
-        return _topk_per_query(t2, k)
+        return first(pa.table({"query_id": pa.array(rows_q, pa.int64()),
+                               "doc_id": pa.array(rows_d, pa.int64()),
+                               "score": pa.array(rows_s, pa.int64())},
+                              schema=out_schema))
 
-    def _topk_per_query(t: pa.Table, kk: int) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        qi = t["query_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        di = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        si = t["score"].combine_chunks().to_numpy(zero_copy_only=False)
-        order = np.lexsort((di, -si, qi))
-        keep = []
-        last_q, cnt = None, 0
-        for ix in order:
-            if qi[ix] != last_q:
-                last_q, cnt = qi[ix], 0
-            if cnt < kk:
-                keep.append(ix)
-                cnt += 1
-        return t.take(pa.array(np.array(keep, np.int64)))
-
-    return docs_ds.select_columns(["doc_id", "text"]) \
-        .map_batches(score_local, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .repartition(1) \
-        .map_batches(lambda t: _topk_per_query(t, k),
-                     batch_format="pyarrow")
+    cands = collect(docs_ds.select_columns(["doc_id", "text"])
+                    .map_batches(score_local, batch_format="pyarrow",
+                                 zero_copy_batch=True))
+    return first(out_schema.empty_table() if cands is None else cands)
 
 
 def maxsim_topk_sql(queries: tuple = _MAXSIM_QUERIES, k: int = 10,
@@ -2649,23 +2531,37 @@ def multi_query_lexical(docs_ds, queries: list[str], k: int = 10,
                         scale: int = 10 ** 6):
     """Batched lexical retrieval: top-k docs for EVERY query in ONE
     shared corpus scan — the serving shape when a query log replays
-    against a corpus (N separate ``lexical_topk`` runs would re-scan
-    the corpus N times).  Scoring is the same integer-exact RSJ ratio
-    as ``lexical_topk``; output: (query_id, doc_id, rank, score).
+    against a corpus (N separate single-query runs would re-scan the
+    corpus N times).  Output: (query_id, doc_id, rank, score), ranked
+    (score DESC, doc_id ASC); ``lexical_topk`` is the one-query case.
+
+    Scoring is integer-exact BM25-family: per term ``w(t) = ((N − df_t)
+    · scale) // (df_t + 1)`` (the Robertson–Sparck-Jones idf ratio
+    WITHOUT the log: a monotone transform, so rare terms dominate
+    exactly as in BM25) and ``score(q, d) = Σ_{t∈q} tf(t,d) · w(t)``.
+    All arithmetic is int64 with explicit overflow guards (``w < 2⁴⁴``,
+    ``tf < 2¹⁸``, so ``w·tf < 2⁶²``; at 10¹²-doc corpora drop
+    ``scale`` to 10³), so the ranking replays bit-exactly in SQL.
 
     Scale shape: postings are emitted once for the UNION of all query
-    terms (the exchange is |union-term occurrences|); the df/weight
-    table is |union terms|-bounded and broadcasts; one streamed pass
-    over the materialized postings produces per-(query, doc) partial
-    scores into a single groupby, and per-query top-k is a per-block
-    prune (k rows per query per block to the driver).
+    terms (``(doc_id, term_id, tf)`` int rows — the exchange is
+    |union-term occurrences|, never |corpus|) and materialized once,
+    because both df-counting and scoring read them; the |union
+    terms|-row weight table broadcasts; one streamed pass produces
+    per-(query, doc) partial scores into a single groupby, each of its
+    blocks keeps its first k per query (``groups.take_first_k``), and
+    ``groups.collect`` brings ≤ k rows per (query, block) to the
+    driver, where the same prune ranks them.
     """
     from ray.data.aggregate import Count, Sum
 
+    from .groups import collect, take_first_k
+
     terms = sorted({w for q in queries for w in q.split(" ")})
     tid_of = {t: i for i, t in enumerate(terms)}
-    q_tids = [np.array(sorted(tid_of[w] for w in set(q.split(" "))),
-                       np.int64) for q in queries]
+    member = np.zeros((len(queries), len(terms)), bool)   # query × term
+    for qi, q in enumerate(queries):
+        member[qi, [tid_of[w] for w in q.split(" ")]] = True
     n_docs = int(docs_ds.count())
 
     post_schema = pa.schema([("doc_id", pa.int64()),
@@ -2694,66 +2590,46 @@ def multi_query_lexical(docs_ds, queries: list[str], k: int = 10,
         .map_batches(postings, batch_format="pyarrow",
                      zero_copy_batch=True).materialize()
 
+    # docs are unique per input row, so per-batch (doc, term) rows are
+    # globally unique and a plain Count IS the document frequency
     df_rows = post.groupby("term_id") \
         .aggregate(Count(alias_name="df")).take_all()
     w_by_tid = np.zeros(len(terms), np.int64)
     for r in df_rows:
         dfv = int(r["df"])
         w = ((n_docs - dfv) * scale) // (dfv + 1)
-        assert w < (1 << 44), "reduce scale= for this corpus size"
+        if w >= (1 << 44):
+            raise OverflowError(
+                f"idf weight {w} too large for int64 tf·w scoring — "
+                f"reduce scale= (corpus N={n_docs})")
         w_by_tid[int(r["term_id"])] = w
 
     def score_part(t: pa.Table) -> pa.Table:
-        tf = t["tf"].combine_chunks().to_numpy(zero_copy_only=False)
-        tid = t["term_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        doc = t["doc_id"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        out_q, out_d, out_s = [], [], []
-        for qi, tids in enumerate(q_tids):
-            m = np.isin(tid, tids)
-            if not m.any():
-                continue
-            import pandas as pd
+        tf = t["tf"].to_numpy()
+        tid = t["term_id"].to_numpy()
+        if len(tf) and int(tf.max()) >= (1 << 18):
+            raise OverflowError("tf too large for guarded int64 tf·w")
+        qi, row = np.nonzero(member[:, tid])
+        return pa.table({"query_id": qi.astype(np.int64),
+                         "doc_id": t["doc_id"].to_numpy()[row],
+                         "s": tf[row] * w_by_tid[tid[row]]}) \
+            .group_by(["query_id", "doc_id"], use_threads=False) \
+            .aggregate([("s", "sum")])
 
-            g = pd.DataFrame({"d": doc[m],
-                              "s": tf[m] * w_by_tid[tid[m]]}) \
-                .groupby("d", sort=False)["s"].sum()
-            out_q.extend([qi] * len(g))
-            out_d.extend(g.index.tolist())
-            out_s.extend(g.tolist())
-        return pa.table({"q": pa.array(out_q, pa.int64()),
-                         "doc_id": pa.array(out_d, pa.int64()),
-                         "s": pa.array(out_s, pa.int64())})
+    def first(t: pa.Table, rank: str | None = None) -> pa.Table:
+        return take_first_k(t, ["query_id"], "score", "doc_id", k,
+                            rank_col=rank)
 
-    def local_top(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        g = pd.DataFrame({"q": t["q"].to_numpy(zero_copy_only=False),
-                          "doc_id": t["doc_id"].to_numpy(
-                              zero_copy_only=False),
-                          "s": t["s"].to_numpy(zero_copy_only=False)})
-        g = g.sort_values(["q", "s", "doc_id"],
-                          ascending=[True, False, True],
-                          kind="mergesort").groupby("q").head(k)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    rows = post.map_batches(score_part, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby(["q", "doc_id"]).aggregate(Sum("s", alias_name="s")) \
-        .map_batches(local_top, batch_format="pyarrow") \
-        .take_all()
-    out = {"query_id": [], "doc_id": [], "rank": [], "score": []}
-    for qi in range(len(queries)):
-        cand = sorted(((-int(r["s"]), int(r["doc_id"])) for r in rows
-                       if r["q"] == qi))[:k]
-        for rank, (negs, d) in enumerate(cand, 1):
-            out["query_id"].append(qi)
-            out["doc_id"].append(d)
-            out["rank"].append(rank)
-            out["score"].append(-negs)
-    return pa.table({kk: pa.array(v, pa.int64())
-                     for kk, v in out.items()})
+    cands = collect(post.map_batches(score_part, batch_format="pyarrow",
+                                     zero_copy_batch=True)
+                    .groupby(["query_id", "doc_id"])
+                    .aggregate(Sum("s_sum", alias_name="score"))
+                    .map_batches(first, batch_format="pyarrow"))
+    if cands is None:
+        cands = pa.table({c: pa.array([], pa.int64())
+                          for c in ("query_id", "doc_id", "score")})
+    return first(cands, "rank").select(["query_id", "doc_id", "rank",
+                                        "score"])
 
 
 def multi_query_lexical_sql(queries: list[str], k: int = 10,

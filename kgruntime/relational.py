@@ -1714,18 +1714,16 @@ def q_rec_negative_samples(sf_dir: str, n_users: int = 20, k: int = 5):
     positive part-sets broadcast as plain sets (each bounded by a
     customer's purchase history); the PART CATALOG is the big side and
     is never collected — each batch of parts scores n_users × batch
-    hashes vectorized-per-user and keeps its local top-k per user, so
-    the driver merge sees ≤ n_users · k · n_blocks rows.
+    hashes and keeps its first k per user by (h, partkey)
+    (``groups.take_first_k``), so ``groups.collect`` brings ≤ n_users ·
+    k · n_blocks rows to the driver, where the same prune ranks them.
     """
-    import numpy as np
-    import pyarrow.compute as pc
-
     from .ops.dedup import _md5_60
+    from .ops.groups import collect, take_first_k
 
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     users = sorted(orders.select_columns(["o_custkey"])
                    .unique("o_custkey"))[:n_users]
-    uset = set(users)
 
     okeys = [(r["o_orderkey"], r["o_custkey"]) for r in
              orders.map_batches(
@@ -1745,38 +1743,31 @@ def q_rec_negative_samples(sf_dir: str, n_users: int = 20, k: int = 5):
     for r in pos_rows:
         pos[o2c[r["l_orderkey"]]].add(r["l_partkey"])
 
+    def first(t: pa.Table, rank: str | None = None) -> pa.Table:
+        return take_first_k(t, ["custkey"], "h", "partkey", k,
+                            ascending=True, rank_col=rank)
+
     def cand(t: pa.Table) -> pa.Table:
         parts = t["p_partkey"].to_pylist()
         out_c, out_p, out_h = [], [], []
         for c in users:
             banned = pos[c]
-            ph = [(_md5_60(f"{c}|{p}".encode()), p)
-                  for p in parts if p not in banned]
-            if len(ph) > k:
-                ph = sorted(ph)[:k]
-            for h, p in ph:
-                out_c.append(c)
-                out_p.append(p)
-                out_h.append(h)
-        return pa.table({"custkey": pa.array(out_c, pa.int64()),
-                         "partkey": pa.array(out_p, pa.int64()),
-                         "h": pa.array(out_h, pa.int64())})
+            for p in parts:
+                if p not in banned:
+                    out_c.append(c)
+                    out_p.append(p)
+                    out_h.append(_md5_60(f"{c}|{p}".encode()))
+        return first(pa.table({"custkey": pa.array(out_c, pa.int64()),
+                               "partkey": pa.array(out_p, pa.int64()),
+                               "h": pa.array(out_h, pa.int64())}))
 
-    rows = _read(sf_dir, "part", columns=["p_partkey"]) \
-        .map_batches(cand, batch_format="pyarrow",
-                     zero_copy_batch=True).take_all()
-    by_user: dict[int, list] = {c: [] for c in users}
-    for r in rows:
-        by_user[r["custkey"]].append((r["h"], r["partkey"]))
-    out_c, out_p, out_r = [], [], []
-    for c in users:
-        for rank, (h, p) in enumerate(sorted(by_user[c])[:k], 1):
-            out_c.append(c)
-            out_p.append(p)
-            out_r.append(rank)
-    return pa.table({"custkey": pa.array(out_c, pa.int64()),
-                     "partkey": pa.array(out_p, pa.int64()),
-                     "neg_rank": pa.array(out_r, pa.int64())})
+    rows = collect(_read(sf_dir, "part", columns=["p_partkey"])
+                   .map_batches(cand, batch_format="pyarrow",
+                                zero_copy_batch=True))
+    if rows is None:
+        rows = cand(pa.table({"p_partkey": pa.array([], pa.int64())}))
+    return first(rows, "neg_rank").select(["custkey", "partkey",
+                                           "neg_rank"])
 
 
 Q_REC_NEGATIVE_SAMPLES_SQL = """

@@ -476,12 +476,12 @@ def _ref_first_k(segs, key, nbr, k):
 
 
 def test_first_k_matches_sorted_reference_on_ties():
-    """The one prune of ops/ann.py keeps each segment's first k rows
+    """The library's one prune keeps each segment's first k rows
     under (key DESC, neighbor ASC) on tie-heavy int64 (extremes
     included) and float keys, a repeated row counted once."""
     import numpy as np
 
-    from kgruntime.ops.ann import _first_k
+    from kgruntime.ops.groups import first_k
 
     rng = np.random.default_rng(5)
     big = np.iinfo(np.int64)
@@ -493,7 +493,7 @@ def test_first_k_matches_sorted_reference_on_ties():
         segs = (rng.integers(0, 3, n), rng.integers(0, 2, n).astype(np.int8))
         nbr = rng.integers(0, 6, n)
         k = int(rng.integers(1, 5))
-        sel, rank = _first_k(segs, key, nbr, k)
+        sel, rank = first_k(segs, key, nbr, k)
         got = [tuple(c[i] for c in (*segs, key, nbr)) + (r,)
                for i, r in zip(sel.tolist(), rank.tolist())]
         assert got == _ref_first_k(segs, key, nbr, k)
@@ -630,7 +630,10 @@ def _grouping_tables(path) -> str:
 # per-user timeline queries of ops/sessions.py, and the ANN queries of
 # ops/ann.py (one merge each; knn_graph's bucket kernel adds one,
 # kmeans_clusters' per-cid count is its one, triplet_mining folds on
-# the driver)
+# the driver), and the top-k queries on groups.first_k (one
+# grouped_topk merge each, after a count or a word-count aggregate in
+# temperature_mix_sample and top_terms_per_source; the lexical pair's
+# df count and score sum; none where the driver makes the cut)
 EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "fuzzy_name_matches": 2, "rfm_segments": 2, "sessionize": 1,
              "curate_corpus": 3, "minhash_near_dups": 2,
@@ -656,7 +659,12 @@ EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "mmr_diverse_topk": 1, "ann_recall_audit": 1,
              "triplet_mining": 0, "knn_graph": 2, "token_shards": 2,
              "pack_sequences": 3, "curriculum_order": 3,
-             "late_event_audit": 2, "streaming_emit_audit": 2}
+             "late_event_audit": 2, "streaming_emit_audit": 2,
+             "reservoir_per_lang": 1, "temperature_mix_sample": 2,
+             "kmv_distinct_users": 1, "top_terms_per_source": 2,
+             "weighted_sample": 0, "epoch_shuffle_audit": 0,
+             "multi_query_lexical": 2, "lexical_topk": 2,
+             "maxsim_topk": 0}
 
 
 @pytest.mark.parametrize("query", sorted(EXCHANGES))

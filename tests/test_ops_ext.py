@@ -275,10 +275,31 @@ def test_stratified_sample_deterministic(ray_session):
     assert 0.4 < n_en / (n / 2) < 0.6
 
 
+def _grouped_topk_ref(t: pa.Table, k: int, descending: bool):
+    """(k, id, rnk) of each key's first k rows under (v, id ASC), by
+    one stable sort of the whole table."""
+    df = t.to_pandas().sort_values(["k", "v", "id"],
+                                   ascending=[True, not descending, True],
+                                   kind="mergesort")
+    df = df.groupby("k", sort=True).head(k).reset_index(drop=True)
+    df["rnk"] = df.groupby("k").cumcount() + 1
+    return list(df[["k", "id", "rnk"]].itertuples(index=False, name=None))
+
+
 def test_grouped_topk_partial_and_ties(ray_session):
+    """Each key's first k rows by (v, tie ASC) against one sorted
+    reference: value ties within and across blocks, int and float
+    values both ways, an int and a string tie column, an empty
+    input."""
     import ray.data as rd
 
     from kgruntime.ops.stats import grouped_topk
+
+    def got(ds, k, descending=True):
+        out = grouped_topk(ds, key="k", val="v", k=k, tie_col="id",
+                           descending=descending)
+        rows = out.take_all()
+        return sorted((r["k"], r["id"], r["rnk"]) for r in rows)
 
     rng = np.random.default_rng(7)
     n = 500
@@ -288,17 +309,33 @@ def test_grouped_topk_partial_and_ties(ray_session):
         "id": np.arange(n, dtype=np.int64),
     })
     out = grouped_topk(rd.from_arrow(t).repartition(8), key="k", val="v",
-                       k=3, tie_col="id").to_pandas() \
-        .sort_values(["k", "rnk"]).reset_index(drop=True)
-
-    df = t.to_pandas()
-    expect = (df.sort_values(["k", "v", "id"],
-                             ascending=[True, False, True],
-                             kind="mergesort")
-                .groupby("k", sort=True).head(3).reset_index(drop=True))
-    assert out["id"].tolist() == expect["id"].tolist()
-    assert out["rnk"].tolist() == [1, 2, 3] * 5
+                       k=3, tie_col="id").to_pandas()
     assert out["rnk"].dtype == np.int64
+    assert sorted(zip(out["k"], out["id"], out["rnk"])) == \
+        sorted(_grouped_topk_ref(t, 3, True))
+
+    # four 60-row blocks over 3 keys × 6 values: every cut falls inside
+    # a value tie that spans the blocks
+    for kind in ("int", "float", "str"):
+        parts = []
+        for b in range(4):
+            v = rng.integers(-3, 3, 60)
+            ids = rng.permutation(1000)[:60] + 1000 * b
+            parts.append(pa.table({
+                "k": rng.integers(0, 3, 60),
+                "v": v if kind != "float" else v * 0.5,
+                "id": ids.astype(str) if kind == "str" else ids}))
+        whole = pa.concat_tables(parts)
+        for desc in (True, False):
+            for k in (1, 4):
+                assert got(rd.from_arrow(parts), k, desc) == \
+                    sorted(_grouped_topk_ref(whole, k, desc)), \
+                    (kind, desc, k)
+
+    empty = pa.table({"k": pa.array([], pa.int64()),
+                      "v": pa.array([], pa.float64()),
+                      "id": pa.array([], pa.int64())})
+    assert got(rd.from_arrow(empty), 3) == []
 
 
 def test_label_centroids_matches_numpy(ray_session):

@@ -420,6 +420,26 @@ def test_weighted_priority_sample_exact_topk(ray_session):
     assert len(out) == 10
 
 
+def test_weighted_priority_sample_keeps_a_tie_by_doc_id(ray_session):
+    """Weights of 2^61 make every priority 0 (h < 2^60): the sample is
+    decided by the doc_id tie-break alone, as in the SQL twin's
+    ``ORDER BY priority, doc_id``, however the ids are spread over the
+    blocks."""
+    import random
+
+    import ray.data as rd
+
+    from kgruntime.ops.sample import weighted_priority_sample
+
+    ids = list(range(100))
+    random.Random(4).shuffle(ids)
+    t = pa.table({"doc_id": pa.array(ids, pa.int64()),
+                  "n_chars": pa.array([1 << 61] * 100, pa.int64())})
+    out = weighted_priority_sample(rd.from_arrow(t).repartition(4), k=5)
+    assert out["doc_id"].tolist() == [0, 1, 2, 3, 4]
+    assert (out["priority"] == 0).all()
+
+
 def test_weighted_priority_sample_bias_toward_heavy(ray_session):
     import ray.data as rd
 

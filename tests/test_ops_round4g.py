@@ -1702,6 +1702,18 @@ def test_late_round4g_ops_survive_empty_inputs(ray_session):
     assert columns(streaming_emit_audit(ev)) == \
         ["whour", "n_on_time", "n_late_included", "n_dropped",
          "batch_count"]
+    # no schema at all: every row filtered out of a one-row table
+    gone = rd.from_arrow(pa.table({
+        "event_id": pa.array([1], pa.int64()),
+        "user_id": pa.array([1], pa.int64()),
+        "ts": pa.array([0], pa.timestamp("us")),
+        "event_type": pa.array(["view"], pa.string()),
+        "value": pa.array([1.0], pa.float64())})).filter(lambda r: False)
+    assert columns(late_event_audit(gone)) == \
+        ["event_type", "n_events", "n_late", "max_lateness_ms"]
+    assert columns(streaming_emit_audit(gone)) == \
+        ["whour", "n_on_time", "n_late_included", "n_dropped",
+         "batch_count"]
     emb = rd.from_arrow(pa.table({
         "vec_id": pa.array([], pa.int64()),
         "embedding": pa.array([], pa.list_(pa.float32())),
