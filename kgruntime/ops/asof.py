@@ -2,21 +2,24 @@
 
 Ray Data has no native as-of join; this is the documented
 custom-operator composition (SURVEY.md §2 "custom operators"): both
-sides are co-partitioned by the ``by`` key with ONE union +
-``groupby(bucket)`` shuffle, then each bucket runs pandas
-``merge_asof`` — a vectorized, C-backed sorted merge — over its slice.
+sides meet on the ``by`` key in ``groups.cogroup`` (the one two-sided
+exchange; its contract is in the ``ops/groups.py`` docstring), each
+with its own column types, and each coarse block runs pandas
+``merge_asof`` — a vectorized, C-backed sorted merge — over its slice,
+returning Arrow (a pandas block downstream of a sort or groupby is
+slow; CLAUDE.md).
 
 Partitioning assumptions (stated per the scale contract):
 
-* one bucket's rows (left + right side together) fit a worker's heap —
-  the bucket count is ``join.default_num_buckets()`` (4× the cluster's
-  CPUs), so a 100 TB input needs a cluster whose buckets each fit a
-  worker and/or pre-filtered columns;
+* one coarse block's rows (left + right side together) fit a worker's
+  heap — the block count is ``join.default_num_buckets()`` (4× the
+  cluster's CPUs), so a 100 TB input needs a cluster whose blocks each
+  fit a worker and/or pre-filtered columns;
 * the right side is unique per (by, on) — enforced deterministically
-  inside each bucket when ``unique_right=True`` (keep the row with the
+  inside each block when ``unique_right=True`` (keep the row with the
   lexicographically-largest payload, i.e. ``max()`` per key), matching
   an aggregating SQL oracle;
-* a pathological hot ``by`` key lands in one bucket; the per-bucket
+* a pathological hot ``by`` key lands in one block; the per-block
   merge is still O(n log n) vectorized, but for extreme skew shard the
   key by time range and asof-join each shard against the right side's
   matching + preceding shard.
@@ -33,10 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .join import _bucket_array, default_num_buckets
-
-_BUCKET = "__ab"
-_SIDE = "__asof_side"
+from .groups import cogroup
 
 
 def asof_join(left, right, by: str, on: str, how: str = "left",
@@ -53,48 +53,26 @@ def asof_join(left, right, by: str, on: str, how: str = "left",
     all left columns + the right side's non-key columns (the right
     ``on`` itself is consumed — carry a copy column if its value is
     needed downstream).  ``how="inner"`` drops left rows with no match.
+    An integer right column comes out as float64 (NaN for no match)
+    unless ``how="inner"``.
     """
     l_schema, r_schema = left.schema(), right.schema()
     l_names, r_names = list(l_schema.names), list(r_schema.names)
     overlap = (set(l_names) & set(r_names)) - {by, on}
     if overlap:
         raise ValueError(f"column collision (rename first): {overlap}")
-    l_types = dict(zip(l_schema.names, l_schema.types))
     r_types = dict(zip(r_schema.names, r_schema.types))
-    all_types = {**l_types, **r_types}
-    all_names = l_names + [c for c in r_names if c not in (by, on)]
     r_extras = [c for c in r_names if c not in (by, on)]
     out_names = l_names + r_extras
-    num_buckets = default_num_buckets()
+    out_schema = pa.schema(
+        list(zip(l_schema.names, l_schema.types))
+        + [(c, pa.float64() if how != "inner"
+            and pa.types.is_integer(r_types[c]) else r_types[c])
+           for c in r_extras])
 
-    def prep(side: int, own: set):
-        def fn(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            arrays = [t[c] if c in own else pa.nulls(n, all_types[c])
-                      for c in all_names]
-            arrays.append(_bucket_array(t[by], num_buckets))
-            arrays.append(pa.array([side] * n, pa.int8()))
-            return pa.Table.from_arrays(arrays,
-                                        names=all_names + [_BUCKET, _SIDE])
-        return fn
-
-    lds = left.map_batches(prep(0, set(l_names)), batch_format="pyarrow")
-    rds = right.map_batches(prep(1, set(r_names)), batch_format="pyarrow")
-
-    # the union carries nulls in each side's missing columns, so pandas
-    # promotes int columns to float64 — restore the declared dtypes on
-    # the way out (right extras only under inner, where no NaN survives)
-    int_cols = [c for c in l_names if pa.types.is_integer(all_types[c])]
-    if how == "inner":
-        int_cols += [c for c in r_extras
-                     if pa.types.is_integer(all_types[c])]
-    int_dtypes = {c: np.dtype(all_types[c].to_pandas_dtype())
-                  for c in int_cols}
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        is_left = df[_SIDE] == 0
-        lt = df.loc[is_left, l_names].sort_values(on, kind="mergesort")
-        rt = df.loc[~is_left, [by, on] + r_extras]
+    def join_block(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lt = lt.to_pandas().sort_values(on, kind="mergesort")
+        rt = rt.select([by, on] + r_extras).to_pandas()
         if unique_right:
             # deterministic per-(by, on) representative: total-order sort
             # then keep last ≡ max() over the payload columns (the SQL
@@ -106,13 +84,10 @@ def asof_join(left, right, by: str, on: str, how: str = "left",
                             allow_exact_matches=True)
         if how == "inner" and r_extras:
             out = out[out[r_extras[0]].notna()]
-        out = out[out_names]
-        for c, dt in int_dtypes.items():
-            out[c] = out[c].astype(dt)
-        return out
+        return pa.Table.from_pandas(out[out_names], schema=out_schema,
+                                    preserve_index=False)
 
-    return lds.union(rds).groupby(_BUCKET).map_groups(
-        join_bucket, batch_format="pandas")
+    return cogroup(left, right, by, by, join_block)
 
 
 def band_join(ds, bands: pa.Table, value_col: str,

@@ -31,13 +31,33 @@ produced a RefBundle with a different schema … new schema: ." warning
 sf0.1) — so a consumer of a possibly all-empty result pins its columns
 itself.
 
-Keys may be integer or string columns.  Integers are mixed with a
-splitmix64 constant; strings first go through the seed-7 polars hash
-of ``stages/canon._hash_col`` (deterministic within a job, which is all
-an exchange needs).
+Keys may be integer, string or binary columns.  Integers are mixed
+with a splitmix64 constant; strings and bytes first go through the
+seed-7 polars hash of ``stages/canon._hash_col`` (deterministic within
+a job, which is all an exchange needs).
 
 Losslessness: equal keys hash to the same coarse bucket, so every true
 group arrives intact in exactly one block.
+
+``cogroup(left, right, left_on, right_on, fn)`` is the one two-sided
+exchange (every keyed join: ``join.bucketed_hash_join``,
+``asof.asof_join``, the union-find rounds and join remap of
+``stages/canon.py``).  Each side's batch becomes three columns: ``__k``
+(the int64 ``_key_ints`` of its key, the hash ``segment_map`` uses),
+its whole row packed in one struct column (``__l`` or ``__r``, cast to
+the side's ``schema()``), and the other side's struct column, all null.
+The union takes ``segment_map``'s one exchange on ``__k``, whose
+kernel unpacks each side into its own table, with that side's own
+column names and types, and returns ``fn(lt, rt)`` once per coarse
+block.  A side with no rows in the block arrives as a zero-row table
+of its schema, so ``fn`` never branches on a missing side.  A column
+name may appear on both sides (each side keeps its own), so callers
+need no renames.  Lossless as ``segment_map``: a key's rows from both
+sides hash to the same coarse bucket (an int key hashes by value
+whatever its width), so ``fn`` sees all of them in one call.  Each
+side's packing map also appends the coarse bucket: a separate
+``segment_map`` key map after the union is one more task per input
+block, and took a 100-block join from 4.3 s to 5.7 s (1 CPU).
 
 ``coarse_group_map`` is the per-group form on top of it: the segment
 loop that calls a per-group ``fn(group)``, skipping groups smaller than
@@ -107,7 +127,10 @@ _MIX = np.int64(-7046029254386353131)   # splitmix64 odd constant
 
 
 def _key_ints(col) -> np.ndarray:
-    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+    ty = col.type
+    if (pa.types.is_string(ty) or pa.types.is_large_string(ty)
+            or pa.types.is_binary(ty) or pa.types.is_large_binary(ty)
+            or pa.types.is_fixed_size_binary(ty)):
         from ..stages.canon import _hash_col
 
         col = _hash_col(col)
@@ -222,14 +245,11 @@ def segment_searchsorted(seg, values, probe_seg, probes) -> np.ndarray:
     return out
 
 
-def segment_map(ds, keys, fn):
-    """Apply ``fn(block, starts)`` once per coarse block of ``ds``
-    exchanged on ``hash(keys)`` (see the module docstring for the
-    contract)."""
+def _coarse_bucket(keys: list[str]):
+    """The batch fn that appends ``segment_map``'s coarse bucket column
+    ``__cg`` = ``hash(keys) % default_num_buckets()``."""
     from .join import default_num_buckets
 
-    if isinstance(keys, str):
-        keys = [keys]
     coarse = default_num_buckets()
 
     def add_cg(t: pa.Table) -> pa.Table:
@@ -241,12 +261,62 @@ def segment_map(ds, keys, fn):
         return t.replace_schema_metadata(None).append_column(
             "__cg", pa.array((acc % coarse).astype("int32"), pa.int32()))
 
+    return add_cg
+
+
+def _per_coarse_block(ds, keys: list[str], fn):
+    """The exchange of ``segment_map``: ``fn(block, starts)`` per coarse
+    block of ``ds``, whose rows carry ``_coarse_bucket(keys)``."""
+
     def per_coarse(g: pa.Table) -> pa.Table:
         return fn(*sort_segments(g.drop_columns(["__cg"]), keys))
 
-    return ds.map_batches(add_cg, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("__cg").map_groups(per_coarse, batch_format="pyarrow")
+    return ds.groupby("__cg").map_groups(per_coarse, batch_format="pyarrow")
+
+
+def segment_map(ds, keys, fn):
+    """Apply ``fn(block, starts)`` once per coarse block of ``ds``
+    exchanged on ``hash(keys)`` (see the module docstring for the
+    contract)."""
+    if isinstance(keys, str):
+        keys = [keys]
+    return _per_coarse_block(
+        ds.map_batches(_coarse_bucket(keys), batch_format="pyarrow",
+                       zero_copy_batch=True), keys, fn)
+
+
+def cogroup(left, right, left_on: str, right_on: str, fn):
+    """Apply ``fn(lt, rt)`` once per coarse block of ``left`` and
+    ``right`` exchanged together on their keys (see the module
+    docstring for the contract)."""
+    schemas = [pa.schema(list(zip(s.names, s.types)))
+               for s in (left.schema(), right.schema())]
+    add_cg = _coarse_bucket(["__k"])
+
+    def pack(side: int, key: str):
+        def packed(t: pa.Table) -> pa.Table:
+            fields = list(schemas[side])
+            own = pa.StructArray.from_arrays(
+                [t[f.name].combine_chunks().cast(f.type) for f in fields],
+                fields=fields)
+            other = pa.nulls(t.num_rows, pa.struct(list(schemas[1 - side])))
+            return add_cg(pa.Table.from_arrays(
+                [pa.array(_key_ints(t[key]), pa.int64()),
+                 *((own, other) if side == 0 else (other, own))],
+                names=["__k", "__l", "__r"]))
+        return packed
+
+    def unpack(col, schema: pa.Schema) -> pa.Table:
+        rows = col.filter(pc.is_valid(col)).combine_chunks()
+        return pa.Table.from_arrays(rows.flatten(), schema=schema)
+
+    def kernel(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        return fn(unpack(block["__l"], schemas[0]),
+                  unpack(block["__r"], schemas[1]))
+
+    both = left.map_batches(pack(0, left_on), batch_format="pyarrow") \
+        .union(right.map_batches(pack(1, right_on), batch_format="pyarrow"))
+    return _per_coarse_block(both, ["__k"], kernel)
 
 
 def _per_group(fn, min_group_size: int = 1):

@@ -13,20 +13,21 @@ One entry per step:
 
       label(x) ← min(label(x), min_{(x,y)∈E} label(y))
 
-  where each round is purely Ray Data wide ops — a bucketed hash join
-  expressed as ONE ``groupby(bucket)`` shuffle (labels and edges
-  co-partitioned on hash(key), vectorized per-bucket lookup) plus one
-  ``groupby(node).min(label)`` — until the hash-sum of the (node,
-  label) assignment repeats (labels only decrease, so it does; a
-  component of diameter d takes about d rounds).  The mapping is then
-  None: the assignment is beyond broadcast scale.  Both paths give the
-  identical assignment (tested), with canonical label = rank-minimum
-  member (IRIs preferred over blank nodes).
+  where each round is one ``groups.cogroup`` of labels and edges (the
+  two-sided exchange; contract in ``ops/groups.py``) with a vectorized
+  per-block lookup, plus one ``groupby(node).min(label)`` — until the
+  hash-sum of the (node, label) assignment repeats (labels only
+  decrease, so it does; a component of diameter d takes about d
+  rounds).  The mapping is then None: the assignment is beyond
+  broadcast scale.  Both paths give the identical assignment (tested),
+  with canonical label = rank-minimum member (IRIs preferred over
+  blank nodes).
 * :func:`canonicalize_triples` — rewrite subj/obj to component labels.
   With a mapping: ``ray.put`` once, a polars join per batch, no shuffle
-  of the triples.  Without: one bucketed shuffle of skinny node
-  references against the assignment, whose hit table is applied
-  map-side when small (the common case) or by one doc_id co-shuffle.
+  of the triples.  Without: one ``cogroup`` of skinny node references
+  against the assignment, whose hit table is applied map-side when
+  small (the common case) or by one ``cogroup`` with the triples on
+  doc_id.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ import pyarrow.compute as pc
 
 from ray.data.aggregate import Min, Sum
 
+from ..ops.groups import cogroup, collect
+
 # Above this many edges the equivalence graph stops being broadcast-scale
 # and the union-find runs as distributed groupby rounds.
 DRIVER_CC_MAX_EDGES = 20_000_000
-
-# Hash buckets of the distributed rounds' and the join remap's exchanges.
-NUM_BUCKETS = 16
 
 # Hit tables (one row per actually-remapped subj/obj position) up to this
 # many rows are ray.put once and applied map-side — the common case when a
@@ -67,12 +67,7 @@ def _unrank_table(batch: pa.Table) -> pa.Table:
 
 
 def _bidir(batch: pa.Table) -> pa.Table:
-    """Edges (src,dst) → both directions (edge_node, nbr), rank-prefixed.
-
-    Column names deliberately avoid any overlap with the labels side
-    (node, label): Ray's hash-shuffle join cannot disambiguate a key
-    column whose name also appears as a data column on the other side.
-    """
+    """Edges (src,dst) → both directions (edge_node, nbr), rank-prefixed."""
     src = _rank(batch["src"].combine_chunks())
     dst = _rank(batch["dst"].combine_chunks())
     return pa.Table.from_arrays(
@@ -104,43 +99,18 @@ def _crc_sum(batch: pa.Table) -> pa.Table:
     return pa.Table.from_arrays([_hash_col(joined)], names=["crc"])
 
 
-def _tag(key, other, label, is_edge: int) -> pa.Table:
-    """Unify label rows (key=node, other=node, label) and edge rows
-    (key=nbr, other=edge_node, label=null) into one bucketed schema."""
-    key = key.combine_chunks() if isinstance(key, pa.ChunkedArray) else key
-    other = (other.combine_chunks()
-             if isinstance(other, pa.ChunkedArray) else other)
-    n = len(key)
-    if label is None:
-        label_arr = pa.nulls(n, pa.string())
-    else:
-        label_arr = (label.combine_chunks()
-                     if isinstance(label, pa.ChunkedArray) else label)
-    bucket = _hash_col(key, mod=NUM_BUCKETS)
-    return pa.Table.from_arrays(
-        [bucket, key, other, label_arr,
-         pa.array([is_edge] * n, pa.int8())],
-        names=["bucket", "key", "other", "label", "is_edge"])
-
-
-def _bucket_propagate(group: pa.Table) -> pa.Table:
-    """One bucket of the partitioned hash join: edge endpoints receive
-    the label of their ``key`` neighbor; label rows pass through."""
-    is_lab = pc.equal(group["is_edge"], 0)
-    lab = group.filter(is_lab)
-    edg = group.filter(pc.invert(is_lab))
-    keys = lab["key"].combine_chunks()
+def _propagate(lab: pa.Table, edg: pa.Table) -> pa.Table:
+    """One coarse block of a round: edge endpoints receive the label of
+    their ``nbr``; label rows pass through."""
+    keys = lab["node"].combine_chunks()
     vals = lab["label"].combine_chunks()
-    out_nodes = [keys]
-    out_labels = [vals]
-    if edg.num_rows:
-        idx = pc.index_in(edg["key"].combine_chunks(), value_set=keys)
-        got = pc.take(vals, idx)
-        valid = pc.is_valid(got)
-        out_nodes.append(edg["other"].combine_chunks().filter(valid))
-        out_labels.append(got.filter(valid))
+    got = pc.take(vals, pc.index_in(edg["nbr"].combine_chunks(),
+                                   value_set=keys))
+    valid = pc.is_valid(got)
     return pa.Table.from_arrays(
-        [pa.concat_arrays(out_nodes), pa.concat_arrays(out_labels)],
+        [pa.concat_arrays([keys,
+                           edg["edge_node"].combine_chunks().filter(valid)]),
+         pa.concat_arrays([vals, got.filter(valid)])],
         names=["node", "label"])
 
 
@@ -258,27 +228,12 @@ def _cc_rounds(edges_ds):
     # graph (the common mention→KB-entity shape) is already converged
     # after init, so the loop exits after one confirming round.
     prev_crc = _checksum(labels)
-    # the edge side of the per-round union never changes — tag and pin it
-    # once instead of re-hashing 2|E| keys every round
-    bidir_tagged = bidir.map_batches(
-        lambda t: _tag(t["nbr"], t["edge_node"], None, 1),
-        batch_format="pyarrow").materialize()
     # Each round moves a label one hop, so a long chain needs as many
     # rounds as its diameter; labels only decrease, so the assignment
     # (and its checksum) reaches a fixpoint and the loop ends there.
     while True:
-        # propagate: every edge endpoint receives its neighbor's label via
-        # an explicit bucketed hash join — labels and edges co-partition
-        # on hash(key) % NUM_BUCKETS with one groupby shuffle, and the
-        # per-bucket lookup is vectorized (index_in/take).  This is the
-        # portable partitioned-join pattern; Ray's native Dataset.join is
-        # avoided here because empty hash partitions drop their schema
-        # (ArrowInvalid on the key FieldRef) as of Ray 2.49.
-        tagged = labels.map_batches(
-            lambda t: _tag(t["node"], t["node"], t["label"], 0),
-            batch_format="pyarrow").union(bidir_tagged)
-        msgs = tagged.groupby("bucket").map_groups(
-            _bucket_propagate, batch_format="pyarrow")
+        # propagate: every edge endpoint receives its neighbor's label
+        msgs = cogroup(labels, bidir, "node", "nbr", _propagate)
         # a sort shuffle yields one block per input block, and the union
         # adds the edge blocks every round: coalesce back to the initial
         # block count so a round costs the same in round 2 and round 20
@@ -374,7 +329,7 @@ def canonicalize_triples(triples_ds, mapping=None, labels_ds=None):
 
 
 def _explode_refs(batch: pa.Table) -> pa.Table:
-    """Triples batch → skinny (bucket, key, doc_id, stmt_index, pos) node
+    """Triples batch → skinny (key, doc_id, stmt_index, pos) node
     references: pos 0 = subj, pos 1 = non-literal obj.  This is the only
     stream the assignment join shuffles — never the full triple payload."""
     parts = []
@@ -387,51 +342,32 @@ def _explode_refs(batch: pa.Table) -> pa.Table:
                 batch[kind].combine_chunks(), 2)
             vals, doc, stmt = (vals.filter(keep), doc.filter(keep),
                                stmt.filter(keep))
-        n = len(vals)
         parts.append(pa.Table.from_arrays(
-            [_hash_col(vals, mod=NUM_BUCKETS), vals, doc, stmt,
-             pa.array([pos] * n, pa.int8()), pa.nulls(n, pa.string())],
-            names=["bucket", "key", "doc_id", "stmt_index", "pos", "label"]))
+            [vals, doc, stmt, pa.array([pos] * len(vals), pa.int8())],
+            names=["key", "doc_id", "stmt_index", "pos"]))
     return pa.concat_tables(parts)
 
 
-_HITS_SCHEMA = pa.schema([("doc_id", pa.string()),
-                          ("stmt_index", pa.int64()),
-                          ("pos", pa.int8()),
-                          ("node", pa.string()),
-                          ("label", pa.string())])
-
-
-def _hit_lookup(group: pa.Table) -> pa.Table:
-    """One bucket: reference rows receive their node's canonical label
-    via vectorized index_in against the assignment rows; only NON-IDENTITY
-    matches survive (the hit table stays as small as the applied remap).
-    Output is deduped on the full (doc_id, stmt_index, pos, node) key —
-    one statement can yield many triples sharing (doc_id, stmt_index)
-    (collections, predicate lists), and the join-back must not multiply."""
-    is_lab = pc.equal(group["pos"], -1)
-    lab = group.filter(is_lab)
-    ref = group.filter(pc.invert(is_lab))
-    if not ref.num_rows or not lab.num_rows:
-        return _HITS_SCHEMA.empty_table()
-    idx = pc.index_in(ref["key"].combine_chunks(),
-                      value_set=lab["key"].combine_chunks())
-    got = pc.take(lab["label"].combine_chunks(), idx)
-    hit = pc.and_(pc.is_valid(got),
-                  pc.not_equal(got, ref["key"].combine_chunks()))
-    out = pa.Table.from_arrays(
-        [ref["doc_id"].combine_chunks().filter(hit),
-         pc.cast(ref["stmt_index"], pa.int64()).combine_chunks().filter(hit),
-         ref["pos"].combine_chunks().filter(hit),
-         ref["key"].combine_chunks().filter(hit),
-         got.filter(hit)],
-        names=["doc_id", "stmt_index", "pos", "node", "label"])
-    agg = out.group_by(["doc_id", "stmt_index", "pos", "node"],
-                       use_threads=False).aggregate([("label", "min")])
-    return agg.select(["doc_id", "stmt_index", "pos", "node",
-                       "label_min"]) \
-        .rename_columns(["doc_id", "stmt_index", "pos", "node", "label"]) \
-        .cast(_HITS_SCHEMA)
+def _hit_lookup(ref: pa.Table, lab: pa.Table) -> pa.Table:
+    """One coarse block: reference rows receive their node's canonical
+    label via vectorized index_in against the assignment rows; only
+    NON-IDENTITY matches survive (the hit table stays as small as the
+    applied remap).  Output is deduped on the full (doc_id, stmt_index,
+    pos, node) key — one statement can yield many triples sharing
+    (doc_id, stmt_index) (collections, predicate lists), and the
+    join-back must not multiply."""
+    key = ref["key"].combine_chunks()
+    got = pc.take(lab["label"].combine_chunks(),
+                  pc.index_in(key, value_set=lab["node"].combine_chunks()))
+    hit = pc.and_(pc.is_valid(got), pc.not_equal(got, key))
+    out = ref.filter(hit).rename_columns(
+        ["node", "doc_id", "stmt_index", "pos"]) \
+        .append_column("label", got.filter(hit))
+    names = ["doc_id", "stmt_index", "pos", "node"]
+    agg = out.group_by(names, use_threads=False) \
+        .aggregate([("label", "min")])
+    return agg.select(names + ["label_min"]) \
+        .rename_columns(names + ["label"])
 
 
 def _apply_hits(batch: pa.Table, hits: pa.Table) -> pa.Table:
@@ -463,28 +399,16 @@ def _apply_hits(batch: pa.Table, hits: pa.Table) -> pa.Table:
 
 
 def _join_remap(triples_ds, labels_ds):
-    """ONE-shuffle join remap for an assignment beyond broadcast scale.
+    """ONE-exchange join remap for an assignment beyond broadcast scale.
     Ships only a skinny (node, doc_id, stmt_index, pos) reference stream
-    — never the full triple payload — through a single bucketed lookup
+    — never the full triple payload — through one ``cogroup`` lookup
     against the assignment, then applies the resulting hit table either
     map-side (broadcast, the common sparse-application case — zero
-    full-table shuffles) or via one doc_id-bucketed co-shuffle."""
-    import ray
-
-    tagged_labels = labels_ds.map_batches(
-        lambda t: pa.Table.from_arrays(
-            [_hash_col(t["node"], mod=NUM_BUCKETS),
-             t["node"].combine_chunks(),
-             pa.nulls(t.num_rows, pa.string()),
-             pa.nulls(t.num_rows, pa.int64()),
-             pa.array([-1] * t.num_rows, pa.int8()),
-             t["label"].combine_chunks()],
-            names=["bucket", "key", "doc_id", "stmt_index", "pos",
-                   "label"]),
-        batch_format="pyarrow")
+    full-table shuffles) or via one ``cogroup`` with the triples on
+    doc_id."""
     refs = triples_ds.map_batches(_explode_refs, batch_format="pyarrow")
-    hits = refs.union(tagged_labels).groupby("bucket").map_groups(
-        _hit_lookup, batch_format="pyarrow").materialize()
+    hits = cogroup(refs, labels_ds, "key", "node",
+                   _hit_lookup).materialize()
     n_hits = hits.count()
     if n_hits == 0:
         return triples_ds
@@ -494,66 +418,10 @@ def _join_remap(triples_ds, labels_ds):
         # and apply it through the standard broadcast remap.  This is
         # the common case even when the full assignment is beyond
         # broadcast scale: only the applicable slice needs to travel.
-        # (Empty blocks lose their schema in Ray 2.49 — drop them before
-        # concat; n_hits > 0 guarantees at least one non-empty block.)
-        hit_tbl = pa.concat_tables(
-            [t for t in ray.get(hits.to_arrow_refs())
-             if t.num_rows]).combine_chunks()
-        agg = hit_tbl.group_by(["node"], use_threads=False) \
+        agg = collect(hits).group_by(["node"], use_threads=False) \
             .aggregate([("label", "min")])
         mapping = (agg["node"].combine_chunks(),
                    agg["label_min"].combine_chunks())
         return canonicalize_triples(triples_ds, mapping=mapping)
-    # hits beyond broadcast: ONE full-table co-shuffle on hash(doc_id)
-    schema = triples_ds.schema()
-    tri_names = list(schema.names)
-    tri_types = dict(zip(schema.names, schema.types))
-
-    extra = ["pos", "__hitnode", "label", "bucket2"]
-    extra_types = [pa.int8(), pa.string(), pa.string(), pa.int32()]
-
-    def tag_triples(t: pa.Table) -> pa.Table:
-        arrays = [pc.cast(t["stmt_index"], pa.int64()) if c == "stmt_index"
-                  else t[c] for c in tri_names]
-        arrays += [pa.nulls(t.num_rows, pa.int8()),
-                   pa.nulls(t.num_rows, pa.string()),
-                   pa.nulls(t.num_rows, pa.string()),
-                   _hash_col(t["doc_id"], mod=NUM_BUCKETS)]
-        return pa.Table.from_arrays(arrays, names=tri_names + extra)
-
-    def tag_hits(t: pa.Table) -> pa.Table:
-        if not t.num_rows:  # schema-less empty block (Ray 2.49)
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64() if c == "stmt_index"
-                          else tri_types[c]) for c in tri_names]
-                + [pa.array([], ty) for ty in extra_types],
-                names=tri_names + extra)
-        arrays = []
-        for c in tri_names:
-            if c == "doc_id":
-                arrays.append(t["doc_id"])
-            elif c == "stmt_index":
-                arrays.append(pc.cast(t["stmt_index"], pa.int64()))
-            else:
-                arrays.append(pa.nulls(t.num_rows, tri_types[c]))
-        arrays += [t["pos"], t["node"], t["label"],
-                   _hash_col(t["doc_id"], mod=NUM_BUCKETS)]
-        return pa.Table.from_arrays(arrays, names=tri_names + extra)
-
-    def fold_bucket(g: pa.Table) -> pa.Table:
-        is_hit = pc.is_valid(g["pos"])
-        tri = g.filter(pc.invert(is_hit)).select(tri_names)
-        ht = g.filter(is_hit) \
-            .select(["doc_id", "stmt_index", "pos", "__hitnode", "label"]) \
-            .rename_columns(["doc_id", "stmt_index", "pos", "node",
-                             "label"])
-        out = _apply_hits(tri, ht)
-        si = out.schema.get_field_index("stmt_index")
-        return out.set_column(si, "stmt_index",
-                              pc.cast(out["stmt_index"],
-                                      tri_types["stmt_index"]))
-
-    tri_tagged = triples_ds.map_batches(tag_triples, batch_format="pyarrow")
-    hit_tagged = hits.map_batches(tag_hits, batch_format="pyarrow")
-    return tri_tagged.union(hit_tagged).groupby("bucket2").map_groups(
-        fold_bucket, batch_format="pyarrow")
+    # hits beyond broadcast: ONE full-table exchange on doc_id
+    return cogroup(triples_ds, hits, "doc_id", "doc_id", _apply_hits)

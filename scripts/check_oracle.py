@@ -2,7 +2,11 @@
 ``queries()`` entry and compare against ``oracle_sql()`` via DuckDB
 (row count + schema + order-insensitive value hash).
 
-Usage: python scripts/check_oracle.py [sf_dir]
+Usage: python scripts/check_oracle.py [sf_dir] [query ...]
+
+Every result line is flushed as it is printed: with stdout redirected
+to a file, a run that Ray's C++ core aborts would otherwise lose the
+lines still in the buffer.
 """
 
 import hashlib
@@ -40,6 +44,7 @@ def value_hash(df):
 
 
 def main():
+    sys.stdout.reconfigure(line_buffering=True)
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = sys.argv[2:] or None
     import duckdb

@@ -277,6 +277,71 @@ def test_prefix_scan_matches_sorted_reference(ray_session, monkeypatch):
             assert got == _ref_scan(t, op), (n, n_buckets, op)
 
 
+# ------------------------------------------------------------- cogroup
+
+
+def test_cogroup_hands_fn_every_row_of_a_key_from_both_sides(ray_session,
+                                                              monkeypatch):
+    """Int and string keys over 4 left × 3 right blocks and two coarse
+    buckets: keys on both sides, on the left only, on the right only,
+    and a right side of one key (so some coarse block has no right
+    rows).  ``id`` and ``v`` are columns of both sides, with other
+    types.  Every row reaches ``fn`` once, with its own side's schema,
+    and all rows of one key, from both sides, reach one call."""
+    import uuid
+
+    import numpy as np
+    import ray.data as rd
+
+    from kgruntime.ops import join
+    from kgruntime.ops.groups import cogroup, collect
+
+    monkeypatch.setattr(join, "default_num_buckets", lambda: 2)
+    rng = np.random.default_rng(23)
+
+    def blocks(t: pa.Table, n: int):
+        step = -(-t.num_rows // n)
+        return rd.from_arrow([t.slice(i, step)
+                              for i in range(0, t.num_rows, step)])
+
+    for str_keys in (False, True):
+        for lo, hi in ((20, 50), (49, 50)):
+            lk, rk = rng.integers(0, 30, 120), rng.integers(lo, hi, 90)
+            if str_keys:
+                lk, rk = ([f"k{v}" for v in k] for k in (lk, rk))
+            left = pa.table({"lk": lk, "id": pa.array(range(120), pa.int64()),
+                             "v": rng.random(120)})
+            right = pa.table({"rk": rk,
+                              "id": pa.array(range(1000, 1090), pa.int32()),
+                              "v": [f"r{i}" for i in range(90)]})
+
+            def seen(lt: pa.Table, rt: pa.Table) -> pa.Table:
+                assert lt.schema == left.schema and rt.schema == right.schema
+                n = lt.num_rows + rt.num_rows
+                return pa.table({
+                    "call": pa.array([uuid.uuid4().int >> 65] * n, pa.int64()),
+                    "right_rows": pa.array([rt.num_rows] * n, pa.int64()),
+                    "key": [str(k) for k in lt["lk"].to_pylist()
+                            + rt["rk"].to_pylist()],
+                    "id": pa.array(lt["id"].to_pylist()
+                                   + rt["id"].to_pylist(), pa.int64())})
+
+            out = collect(cogroup(blocks(left, 4), blocks(right, 3),
+                                  "lk", "rk", seen))
+            ids = out["id"].to_pylist()
+            want = dict(zip(left["id"].to_pylist() + right["id"].to_pylist(),
+                            map(str, left["lk"].to_pylist()
+                                + right["rk"].to_pylist())))
+            assert len(ids) == len(want)
+            assert dict(zip(ids, out["key"].to_pylist())) == want
+            calls = {}
+            for k, c in zip(out["key"].to_pylist(), out["call"].to_pylist()):
+                calls.setdefault(k, set()).add(c)
+            assert all(len(c) == 1 for c in calls.values()), (str_keys, lo)
+            if hi - lo == 1:
+                assert min(out["right_rows"].to_pylist()) == 0
+
+
 def _scan_docs() -> list[pa.Table]:
     """Documents over several 4096-id scan buckets, with 0-token texts
     (empty and all-space), dealt round-robin over ``N_BLOCKS`` parts."""
@@ -633,7 +698,9 @@ def _grouping_tables(path) -> str:
 # the driver), and the top-k queries on groups.first_k (one
 # grouped_topk merge each, after a count or a word-count aggregate in
 # temperature_mix_sample and top_terms_per_source; the lexical pair's
-# df count and score sum; none where the driver makes the cut)
+# df count and score sum; none where the driver makes the cut), and
+# the join queries on groups.cogroup (one exchange per
+# bucketed_hash_join or asof_join, beside their own)
 EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "fuzzy_name_matches": 2, "rfm_segments": 2, "sessionize": 1,
              "curate_corpus": 3, "minhash_near_dups": 2,
@@ -664,7 +731,13 @@ EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "kmv_distinct_users": 1, "top_terms_per_source": 2,
              "weighted_sample": 0, "epoch_shuffle_audit": 0,
              "multi_query_lexical": 2, "lexical_topk": 2,
-             "maxsim_topk": 0}
+             "maxsim_topk": 0, "page_stitch_pairs": 2,
+             "incremental_dup_check": 5, "incremental_near_dups": 2,
+             "near_dedup_corpus": 3, "minhash_error_audit": 9,
+             "entity_clusters": 5, "cluster_safe_split": 6,
+             "jaccard_adjacent": 1, "asof_click_purchase": 1,
+             "asof_purchase_next_click": 1, "pagerank_users": 18,
+             "personalized_pagerank": 18}
 
 
 @pytest.mark.parametrize("query", sorted(EXCHANGES))

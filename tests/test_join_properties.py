@@ -1,6 +1,7 @@
 """Property tests for the join primitives every pipeline leans on:
-bucketed_hash_join vs a pandas merge reference, asof_join (all three
-directions) vs single-frame merge_asof, and the runtime pool sizers."""
+bucketed_hash_join (int and string keys) vs a pandas merge reference,
+asof_join (all three directions) vs single-frame merge_asof, and the
+runtime pool sizers."""
 
 import numpy as np
 import pandas as pd
@@ -8,11 +9,13 @@ import pyarrow as pa
 import pytest
 
 
-def _rand_tables(seed):
+def _rand_tables(seed, str_keys: bool = False):
     rng = np.random.RandomState(seed)
     n_l, n_r = rng.randint(1, 400), rng.randint(1, 400)
     lk = rng.randint(0, 50, n_l).astype(np.int64)
     rk = rng.randint(0, 50, n_r).astype(np.int64)
+    if str_keys:
+        lk, rk = ([f"key-{v}" for v in k] for k in (lk, rk))
     left = pa.table({"k": lk,
                      "lv": rng.randint(0, 1000, n_l).astype(np.int64)})
     right = pa.table({"rk": rk,
@@ -20,18 +23,18 @@ def _rand_tables(seed):
     return left, right
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("how", ["inner", "left outer"])
-def test_bucketed_hash_join_matches_pandas(ray_session, seed, how):
+def _check_join(monkeypatch, left, right, how):
+    """bucketed_hash_join over 5 × 3 input blocks and 7 coarse buckets
+    (so most buckets hold several keys) against one pandas merge."""
     import ray.data as rd
 
-    from kgruntime.ops.join import bucketed_hash_join
+    from kgruntime.ops import join
 
-    left, right = _rand_tables(seed)
-    got = bucketed_hash_join(
+    monkeypatch.setattr(join, "default_num_buckets", lambda: 7)
+    got = join.bucketed_hash_join(
         rd.from_arrow(left).repartition(5),
         rd.from_arrow(right).repartition(3),
-        "k", "rk", how=how, num_buckets=7).to_pandas()
+        "k", "rk", how=how).to_pandas()
 
     want = pd.merge(left.to_pandas(), right.to_pandas(),
                     left_on="k", right_on="rk",
@@ -44,7 +47,22 @@ def test_bucketed_hash_join_matches_pandas(ray_session, seed, how):
         df["rv"] = df["rv"].astype("float64")  # left-outer NaNs
         return sorted(map(tuple, df.fillna(-1).values.tolist()))
 
+    assert list(got.columns) == ["k", "lv", "rv"]
     assert canon(got) == canon(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("how", ["inner", "left outer"])
+def test_bucketed_hash_join_matches_pandas(ray_session, monkeypatch, seed,
+                                           how):
+    _check_join(monkeypatch, *_rand_tables(seed), how)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize("how", ["inner", "left outer"])
+def test_bucketed_hash_join_string_keys_match_pandas(ray_session,
+                                                     monkeypatch, seed, how):
+    _check_join(monkeypatch, *_rand_tables(seed, str_keys=True), how)
 
 
 @pytest.mark.parametrize("direction", ["backward", "forward", "nearest"])
