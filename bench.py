@@ -143,9 +143,9 @@ def run_queries(sf_dir: str) -> dict:
               "minhash_near_dups", "kg_triples", "term_frequencies",
               "corr_qty_price", "running_user_totals", "clean_corpus",
               "near_dedup_corpus", "chunk_documents",
-              # round-3 flagship ops (pagerank excluded: its 5 join
-              # rounds are pure fixed Ray overhead at bench scale and
-              # would dominate the query section without informing perf)
+              # round-3 flagship ops (pagerank excluded: its co-occurrence
+              # build dominates it at bench scale, as for triangle_census
+              # below, without informing per-op perf)
               "ann_topk_ivf", "kmeans_clusters", "curate_corpus",
               "incremental_dup_check",
               # round-4 flagship ops (triangle_census excluded like

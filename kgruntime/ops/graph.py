@@ -1,9 +1,17 @@
-"""Iterative graph algorithms on Ray Data: integer-exact PageRank.
+"""Iterative graph algorithms on Ray Data: integer-exact PageRank,
+k-core, label propagation, modularity, triangles and components.
 
-The iterative-shuffle shape (the same regime as the distributed
-union-find in stages/canon.py, but with weighted numeric state): a
-fixed number of synchronous rounds, each ONE bucketed hash join
-(ranks onto the out-edge list) plus ONE native groupby-sum.
+Node-bounded state lives on the driver: sorted int64 node ids plus
+int64 arrays (ranks, degrees, labels, survivors).  Each round
+broadcasts it ONCE with ``ray.put``; a streamed pass over the edge list
+reads it with ``stages/broadcast.cached_get`` and ``searchsorted`` and
+emits per-edge rows, and ONE ``groups.fold`` — a per-batch Arrow
+``group_by`` merged on the driver — brings the node-bounded aggregate
+back.  The edge list is materialized once and never shuffled; the only
+exchanges left are the wide steps whose keys are unbounded
+(``triangle_count``'s wedge stage and wedge match,
+``subtree_balance_rollup``'s ancestor closure).  At node sets beyond a
+broadcast, the state would go back to a bucketed join per round.
 
 Determinism / SQL replayability: every quantity is an INTEGER —
 ranks live at a fixed scale, per-neighbor contributions use floor
@@ -18,73 +26,98 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .groups import fold
+
+
+def _find(ids: np.ndarray, x: np.ndarray):
+    """Positions of ``x`` in the sorted ``ids`` and the mask of the
+    ``x`` found there."""
+    i = np.searchsorted(ids, x)
+    if not len(ids):
+        return i, np.zeros(len(x), bool)
+    i = np.minimum(i, len(ids) - 1)
+    return i, ids[i] == x
+
+
+def _ends(t: pa.Table) -> pa.Table:
+    """Both endpoints of each (user_a, user_b) edge as one column ``u``."""
+    return pa.table({"u": pa.concat_arrays([
+        t["user_a"].combine_chunks().cast(pa.int64()),
+        t["user_b"].combine_chunks().cast(pa.int64())])})
+
+
+def _degrees(edges):
+    """(sorted node ids, degrees) of an undirected (user_a, user_b)
+    edge Dataset."""
+    deg = fold(edges.map_batches(_ends, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+               "u", {"d": ("count", None)})
+    return deg["u"].to_numpy(), deg["d"].to_numpy()
+
+
+def _rank_rounds(edges_ds, n_seeds, iters: int, scale: int,
+                 damp: int) -> pa.Table:
+    """The rank loop of ``pagerank`` (``n_seeds`` None: the teleport
+    mass goes to every node) and ``personalized_pagerank`` (only to
+    the ``n_seeds`` smallest source ids).
+
+    The driver holds the rank table (sorted node ids, ranks) and the
+    out-degrees.  Each round broadcasts (ranked sources, ``r // deg``)
+    once; a map over the edges emits ``(dst, r // deg)`` for every edge
+    whose source is ranked, ``fold`` sums those by ``dst``, and the
+    driver applies ``base + (damp · Σ) // 100``.  Inner-join semantics,
+    as the SQL twins: a node that receives no contribution in a round
+    leaves the rank table, and a dst-only node gets a rank.
+    """
+    import ray
+
+    from ..stages.broadcast import cached_get
+
+    edges = edges_ds.select_columns(["src", "dst"]).materialize()
+    deg = fold(edges, "src", {"deg": ("count", None)})
+    src = deg["src"].to_numpy()
+    out_deg = deg["deg"].to_numpy()
+    seeds = src[:n_seeds]
+    if not len(seeds):
+        return pa.table({"user_id": pa.array([], pa.int64()),
+                         "rank_scaled": pa.array([], pa.int64())})
+    base = (scale * (100 - damp)) // (100 * len(seeds))
+    ids = src
+    r = np.full(len(src), scale // len(src), np.int64)
+
+    def contrib(t: pa.Table, ref) -> pa.Table:
+        ranked, c = cached_get(ref, tag="pagerank-contrib")
+        i, hit = _find(ranked, t["src"].to_numpy())
+        return pa.table({"dst": pa.array(t["dst"].to_numpy()[hit],
+                                         pa.int64()),
+                         "c": pa.array(c[i[hit]], pa.int64())})
+
+    for _ in range(iters):
+        i, on = _find(src, ids)     # ranked nodes with out-edges
+        ref = ray.put((ids[on], r[on] // out_deg[i[on]]))
+        sums = fold(edges.map_batches(contrib, fn_kwargs={"ref": ref},
+                                      batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                    "dst", {"c": ("sum", "c")})
+        ids = sums["dst"].to_numpy()
+        tele = base if n_seeds is None else \
+            np.where(_find(seeds, ids)[1], base, 0)
+        r = tele + (damp * sums["c"].to_numpy()) // 100
+    return pa.table({"user_id": pa.array(ids, pa.int64()),
+                     "rank_scaled": pa.array(r, pa.int64())})
+
 
 def pagerank(edges_ds, iters: int = 5, scale: int = 10 ** 9,
              damp: int = 85):
     """PageRank over a DIRECTED edge list Dataset (src:int64,
-    dst:int64); returns (user_id, rank_scaled) with ranks at
-    ``scale`` fixed-point.  Nodes are the distinct sources (feed a
-    symmetrized edge list for undirected graphs — then every node also
-    receives mass, so the per-round inner join is total).
-
-    Scale shape: out-degrees are joined into the edge list ONCE
-    (per-round state is just (node, rank)); each round is one bucketed
-    hash join + one groupby-sum over edge-count rows; the edge list is
-    materialized once and re-read from the object store each round.
+    dst:int64); returns a pa.Table (user_id, rank_scaled) with ranks at
+    ``scale`` fixed-point.  The nodes are the distinct sources, each
+    starting at ``scale // n``; every node that receives mass gets the
+    teleport ``(scale·(100−damp)) // (100·n)`` (feed a symmetrized edge
+    list for undirected graphs — then every node also receives mass).
+    Scale shape: ``_rank_rounds``.
     """
-    from ray.data.aggregate import Count, Sum
-
-    from .join import bucketed_hash_join
-
-    deg = edges_ds.groupby("src").aggregate(Count(alias_name="deg")) \
-        .materialize()
-    n_nodes = deg.count()
-    if n_nodes == 0:
-        return deg.map_batches(
-            lambda t: pa.table({"user_id": pa.array([], pa.int64()),
-                                "rank_scaled": pa.array([], pa.int64())}),
-            batch_format="pyarrow")
-    base = (scale * (100 - damp)) // (100 * n_nodes)
-    r0 = scale // n_nodes
-
-    # degree rides on the edges so per-round state is (u, r) only
-    e2 = bucketed_hash_join(
-        edges_ds, deg.rename_columns({"src": "u"}),
-        left_on="src", right_on="u").materialize()
-
-    def init_ranks(t: pa.Table) -> pa.Table:
-        return pa.table({"u": t["src"],
-                         "r": pa.array(np.full(t.num_rows, r0, np.int64),
-                                       pa.int64())})
-
-    ranks = deg.map_batches(init_ranks, batch_format="pyarrow") \
-        .materialize()
-
-    def contrib(t: pa.Table) -> pa.Table:
-        r = t["r"].to_numpy(zero_copy_only=False)
-        d = t["deg"].to_numpy(zero_copy_only=False)
-        return pa.table({"dst": t["dst"],
-                         "c": pa.array(r // d, pa.int64())})
-
-    def update(t: pa.Table) -> pa.Table:
-        s = t["c"].to_numpy(zero_copy_only=False)
-        return pa.table({"u": t["dst"],
-                         "r": pa.array(base + (damp * s) // 100,
-                                       pa.int64())})
-
-    for _ in range(iters):
-        j = bucketed_hash_join(e2, ranks, left_on="src", right_on="u")
-        sums = j.map_batches(contrib, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-            .groupby("dst").aggregate(Sum("c", alias_name="c"))
-        ranks = sums.map_batches(update, batch_format="pyarrow") \
-            .materialize()
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays([t["u"], t["r"]],
-                                    names=["user_id", "rank_scaled"])
-
-    return ranks.map_batches(finish, batch_format="pyarrow")
+    return _rank_rounds(edges_ds, None, iters, scale, damp)
 
 
 def pagerank_cooccurrence_sql(iters: int = 5, scale: int = 10 ** 9,
@@ -200,7 +233,7 @@ def user_components_sql() -> str:
                                     "user_id", "component")
 
 
-def triangle_count(edges_ds, num_partitions: int = 32):
+def triangle_count(edges_ds):
     """Global triangle census of an undirected graph —
     one row (n_nodes, n_edges, n_wedges, n_triangles,
     global_clustering) with clustering = 3·triangles / wedges.
@@ -211,13 +244,10 @@ def triangle_count(edges_ds, num_partitions: int = 32):
     standard scalability fix for triangle joins; contrast the capped
     LSH/co-occurrence buckets).  Stages:
 
-    1. degrees: one native groupby over the exploded endpoints; the
-       (node → degree) vector broadcasts via ``ray.put`` + searchsorted
-       (at 100 TB swap for a bucketed join — embedding_outliers
-       documents the same escape hatch for its label vector);
-    2. orientation + wedge generation per coarse hash partition of the
-       source node (numpy segment sweep — no per-node map_groups, the
-       cooccurrence_edges trick);
+    1. degrees: one ``groups.fold`` over the exploded endpoints; the
+       (node → degree) vector broadcasts via ``ray.put`` + searchsorted;
+    2. orientation, then wedge generation in one ``segment_map`` on the
+       oriented source (a vectorized segment sweep per coarse block);
     3. ONE groupby((v, w)) matching wedges against oriented edges:
        triangles = Σ wedge-multiplicity where the closing edge exists.
 
@@ -225,21 +255,17 @@ def triangle_count(edges_ds, num_partitions: int = 32):
     ratio (two int→double casts + divide, rounded half-away at 6) —
     the DuckDB twin replays all of it.
     """
-    import pyarrow.compute as pc
+    import pandas as pd
     import ray
     from ray.data.aggregate import Max, Sum
 
+    from ..stages.broadcast import cached_get
+    from .groups import segment_map, segment_pairs
+
+    edges = edges_ds.select_columns(["user_a", "user_b"]).materialize()
+
     # --- stage 1: degrees ------------------------------------------------
-    ends = edges_ds.map_batches(
-        lambda t: pa.table({"u": pa.concat_arrays([
-            t["user_a"].combine_chunks().cast(pa.int64()),
-            t["user_b"].combine_chunks().cast(pa.int64())])}),
-        batch_format="pyarrow", zero_copy_batch=True)
-    deg_df = ends.groupby("u").count().to_pandas()
-    nodes = deg_df["u"].to_numpy(np.int64)
-    degs = deg_df["count()"].to_numpy(np.int64)
-    order = np.argsort(nodes, kind="stable")
-    nodes, degs = nodes[order], degs[order]
+    nodes, degs = _degrees(edges)
     n_nodes = len(nodes)
     n_wedges = int((degs.astype(object) * (degs.astype(object) - 1)
                     ).sum() // 2)
@@ -247,62 +273,37 @@ def triangle_count(edges_ds, num_partitions: int = 32):
 
     # --- stage 2: orient + wedges ---------------------------------------
     def orient(t: pa.Table) -> pa.Table:
-        nd, dg = ray.get(deg_ref)
-        a = t["user_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["user_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+        nd, dg = cached_get(deg_ref, tag="triangle_count-degrees")
+        a = t["user_a"].to_numpy().astype(np.int64)
+        b = t["user_b"].to_numpy().astype(np.int64)
         da = dg[np.searchsorted(nd, a)]
         db = dg[np.searchsorted(nd, b)]
         # total order: (degree, id) — a<b already, so swap iff b ranks
         # strictly lower
         swap = (db < da) | ((db == da) & (b < a))
-        s = np.where(swap, b, a)
-        d = np.where(swap, a, b)
-        return pa.table({"s": pa.array(s, pa.int64()),
-                         "d": pa.array(d, pa.int64()),
-                         "part": pa.array(s % num_partitions, pa.int64())})
+        return pa.table({"s": pa.array(np.where(swap, b, a), pa.int64()),
+                         "d": pa.array(np.where(swap, a, b), pa.int64())})
 
-    oriented = edges_ds.map_batches(orient, batch_format="pyarrow",
-                                    zero_copy_batch=True)
+    oriented = edges.map_batches(orient, batch_format="pyarrow",
+                                 zero_copy_batch=True)
 
-    def wedges(g: pa.Table) -> pa.Table:
-        nd, dg = ray.get(deg_ref)
-        s = g["s"].to_numpy(zero_copy_only=False)
-        d = g["d"].to_numpy(zero_copy_only=False)
-        o = np.lexsort((d, s))
-        s, d = s[o], d[o]
-        # segment sweep: for each source, all ordered out-neighbor pairs
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        lens = np.diff(np.r_[starts, len(s)])
-        vs, ws = [], []
-        for st, ln in zip(starts, lens):
-            if ln < 2:
-                continue
-            nb = d[st:st + ln]
-            # order neighbor pairs by the SAME (degree, id) total order
-            # so the closing edge, if present, is oriented v→w
-            key_d = dg[np.searchsorted(nd, nb)]
-            nb = nb[np.lexsort((nb, key_d))]
-            i, j = np.triu_indices(ln, k=1)
-            vs.append(nb[i])
-            ws.append(nb[j])
-        if not vs:
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "w": pa.array([], pa.int64()),
-                             "n_wedge": pa.array([], pa.int64()),
-                             "is_edge": pa.array([], pa.int64())})
-        import pandas as pd
+    def wedges(block: pa.Table, starts: np.ndarray) -> pa.Table:
+        nd, dg = cached_get(deg_ref, tag="triangle_count-degrees")
+        s = block["s"].to_numpy()
+        d = block["d"].to_numpy()
+        # order each source's neighbors by the SAME (degree, id) total
+        # order, so the closing edge, if present, is oriented v→w
+        d = d[np.lexsort((d, dg[np.searchsorted(nd, d)], s))]
+        i, j = segment_pairs(starts, np.diff(np.append(starts, len(s))))
+        g = pa.table({"v": pa.array(d[i], pa.int64()),
+                      "w": pa.array(d[j], pa.int64())}) \
+            .group_by(["v", "w"]).aggregate([([], "count_all")])
+        return pa.table({"v": g["v"], "w": g["w"],
+                         "n_wedge": g["count_all"],
+                         "is_edge": pa.array(np.zeros(g.num_rows,
+                                                      np.int64))})
 
-        df = pd.DataFrame({"v": np.concatenate(vs),
-                           "w": np.concatenate(ws)})
-        cnt = df.groupby(["v", "w"], sort=False).size() \
-            .rename("n_wedge").reset_index()
-        cnt["is_edge"] = np.int64(0)
-        return pa.Table.from_pandas(cnt, preserve_index=False).cast(
-            pa.schema([("v", pa.int64()), ("w", pa.int64()),
-                       ("n_wedge", pa.int64()), ("is_edge", pa.int64())]))
-
-    wedge_ds = oriented.groupby("part").map_groups(
-        wedges, batch_format="pyarrow")
+    wedge_ds = segment_map(oriented, "s", wedges)
     edge_marked = oriented.map_batches(
         lambda t: pa.table({"v": t["s"], "w": t["d"],
                             "n_wedge": pa.array(
@@ -322,8 +323,6 @@ def triangle_count(edges_ds, num_partitions: int = 32):
         gc = float(np.floor(gc * 1e6 + 0.5) / 1e6)
     else:
         gc = 0.0
-    import pandas as pd
-
     return pd.DataFrame({
         "n_nodes": [n_nodes], "n_edges": [n_edges],
         "n_wedges": [n_wedges], "n_triangles": [n_tri],
@@ -373,72 +372,42 @@ FROM stats
 """
 
 
-def k_core(edges_ds, k: int = 3, rounds: int = 8):
+def k_core(edges_ds, k: int = 3, rounds: int = 8) -> pa.Table:
     """Fixed-round k-core peel of an undirected graph
     (``user_a`` < ``user_b`` int64 edge rows, e.g. the strong-tie
     co-occurrence edges): repeatedly drop nodes with degree < k, then
     report every node still in the edge set with its residual degree
-    ``(user_id, core_degree)``.
+    as a pa.Table ``(user_id, core_degree)``.
 
-    Synchronous-rounds shape (the pagerank/union-find regime): each
-    round is ONE native groupby (degrees over the exploded endpoints)
-    plus ONE streamed filter pass over the edge list.  The survivor
-    set is node-bounded and broadcasts as a sorted int64 array via
-    ``ray.put`` + searchsorted — same pattern and same documented
-    100-TB escape hatch (swap for a bucketed semi-join) as
-    triangle_count's degree vector.  Rounds stop early once the edge
-    count is stable; extra SQL rounds are then no-ops, so the
-    ``rounds``-unrolled oracle still matches bit-for-bit.
+    Synchronous-rounds shape: each round is ONE ``groups.fold`` (the
+    degrees over the exploded endpoints) plus ONE streamed filter pass
+    over the edge list, which reads the survivors — a sorted int64
+    array broadcast via ``ray.put`` — with searchsorted.  The last
+    round's degrees are the answer, so once no node drops the loop
+    stops: further SQL rounds are no-ops, and the ``rounds``-unrolled
+    oracle still matches bit-for-bit.
     """
     import ray
 
-    empty = pa.table({"user_id": pa.array([], pa.int64()),
-                      "core_degree": pa.array([], pa.int64())})
+    from ..stages.broadcast import cached_get
 
-    def ends(t: pa.Table) -> pa.Table:
-        return pa.table({"u": pa.concat_arrays([
-            t["user_a"].combine_chunks().cast(pa.int64()),
-            t["user_b"].combine_chunks().cast(pa.int64())])})
+    def survive(t: pa.Table, ref) -> pa.Table:
+        kp = cached_get(ref, tag="k_core-survivors")
+        return t.filter(pa.array(_find(kp, t["user_a"].to_numpy())[1]
+                                 & _find(kp, t["user_b"].to_numpy())[1]))
 
     cur = edges_ds.select_columns(["user_a", "user_b"]).materialize()
-    n_edges = cur.count()
+    nodes, degs = _degrees(cur)
     for _ in range(rounds):
-        if n_edges == 0:
+        keep = degs >= k
+        if keep.all():          # nothing drops: further rounds are no-ops
             break
-        deg = cur.map_batches(ends, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-            .groupby("u").count().to_pandas()       # node-bounded
-        keep = np.sort(deg.loc[deg["count()"] >= k, "u"]
-                       .to_numpy(np.int64))
-        keep_ref = ray.put(keep)
-
-        def survive(t: pa.Table, keep_ref=keep_ref) -> pa.Table:
-            kp = ray.get(keep_ref)
-            a = t["user_a"].to_numpy(zero_copy_only=False)
-            b = t["user_b"].to_numpy(zero_copy_only=False)
-
-            def member(x):
-                i = np.searchsorted(kp, x)
-                i = np.clip(i, 0, max(len(kp) - 1, 0))
-                return (len(kp) > 0) & (kp[i] == x)
-
-            m = member(a) & member(b)
-            return t.filter(pa.array(m))
-
-        cur = cur.map_batches(survive, batch_format="pyarrow") \
+        cur = cur.map_batches(survive, fn_kwargs={
+            "ref": ray.put(nodes[keep])}, batch_format="pyarrow") \
             .materialize()
-        n_next = cur.count()
-        if n_next == n_edges:      # stable: further rounds are no-ops
-            break
-        n_edges = n_next
-
-    if n_edges == 0:
-        return empty
-    out = cur.map_batches(ends, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby("u").count() \
-        .rename_columns({"u": "user_id", "count()": "core_degree"})
-    return out
+        nodes, degs = _degrees(cur)
+    return pa.table({"user_id": pa.array(nodes, pa.int64()),
+                     "core_degree": pa.array(degs, pa.int64())})
 
 
 def k_core_sql(k: int = 3, rounds: int = 8, cap: int = 200,
@@ -481,75 +450,49 @@ def lpa_communities(edges_ds, rounds: int = 4):
     NEIGHBORS (tie → smallest label).  Unlike connected components
     (min-label flood), frequency voting respects local edge density,
     so bridge edges don't instantly merge two dense groups.  Output
-    after ``rounds``: (user_id, community).
+    after ``rounds``: a DataFrame (user_id, community).
 
     Scale shape per round: the label table is node-bounded and
-    broadcasts via ``ray.put`` (searchsorted decorate — the k_core
-    survivor pattern, same documented bucketed-join escape hatch for
-    node sets beyond broadcast size); ONE streamed pass over the edges
-    emits (node, neighbor_label) pairs pre-counted per batch; one
-    ``groupby`` merges the counts; the argmax/tie-break runs over the
-    node-bounded count table.  The corpus-sized edge list is never
-    shuffled — only decorated.
+    broadcasts via ``ray.put`` (searchsorted decorate); ONE streamed
+    pass over the edges emits (node, neighbor_label) rows, ONE
+    ``groups.fold`` counts them, and the argmax/tie-break runs on the
+    driver over the node-bounded count table.  The corpus-sized edge
+    list is never shuffled — only decorated.
     """
-    import ray
-    from ray.data.aggregate import Sum
-
     import pandas as pd
+    import ray
+
+    from ..stages.broadcast import cached_get
+    from .groups import run_starts
+
+    def votes(t: pa.Table, ref) -> pa.Table:
+        nd, lb = cached_get(ref, tag="lpa_communities-labels")
+        a = t["user_a"].to_numpy()
+        b = t["user_b"].to_numpy()
+        return pa.table({
+            "node": pa.array(np.concatenate([a, b]), pa.int64()),
+            "lbl": pa.array(np.concatenate([lb[np.searchsorted(nd, b)],
+                                            lb[np.searchsorted(nd, a)]]),
+                            pa.int64())})
 
     edges = edges_ds.select_columns(["user_a", "user_b"]).materialize()
-    if edges.count() == 0:     # empty edge set drops schemas (Ray 2.49)
-        return pd.DataFrame({"user_id": np.array([], np.int64),
-                             "community": np.array([], np.int64)})
-
-    def node_ends(t: pa.Table) -> pa.Table:
-        return pa.table({"u": pa.concat_arrays([
-            t["user_a"].combine_chunks().cast(pa.int64()),
-            t["user_b"].combine_chunks().cast(pa.int64())])})
-
-    nodes = np.sort(edges.map_batches(node_ends, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-                    .groupby("u").count().to_pandas()["u"]
-                    .to_numpy(np.int64))
+    nodes, _ = _degrees(edges)
     labels = nodes.copy()
-
     for _ in range(rounds):
-        ref = ray.put((nodes, labels))
-
-        def vote_partial(t: pa.Table, ref=ref) -> pa.Table:
-            nd, lb = ray.get(ref)
-            a = t["user_a"].to_numpy(zero_copy_only=False)
-            b = t["user_b"].to_numpy(zero_copy_only=False)
-            node = np.concatenate([a, b])
-            nbr_lbl = np.concatenate([lb[np.searchsorted(nd, b)],
-                                      lb[np.searchsorted(nd, a)]])
-            import pandas as pd
-
-            g = pd.DataFrame({"node": node, "lbl": nbr_lbl}) \
-                .groupby(["node", "lbl"], sort=False).size() \
-                .reset_index(name="c")
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        counts = edges.map_batches(vote_partial, batch_format="pyarrow",
-                                   zero_copy_batch=True) \
-            .groupby(["node", "lbl"]) \
-            .aggregate(Sum("c", alias_name="c")) \
-            .to_pandas()   # node-bounded (≤ nodes × distinct labels)
-        win = counts.sort_values(["node", "c", "lbl"],
-                                 ascending=[True, False, True],
-                                 kind="mergesort") \
-            .drop_duplicates("node")
+        counts = fold(edges.map_batches(votes, fn_kwargs={
+            "ref": ray.put((nodes, labels))}, batch_format="pyarrow",
+            zero_copy_batch=True), ["node", "lbl"], {"c": ("count", None)})
+        node = counts["node"].to_numpy()
+        lbl = counts["lbl"].to_numpy()
+        # per node: the highest count, then the smallest label
+        win = np.lexsort((lbl, -counts["c"].to_numpy(), node))
+        win = win[run_starts(node[win])]
         new_labels = labels.copy()
-        pos = np.searchsorted(nodes, win["node"].to_numpy(np.int64))
-        new_labels[pos] = win["lbl"].to_numpy(np.int64)
+        new_labels[np.searchsorted(nodes, node[win])] = lbl[win]
         if np.array_equal(new_labels, labels):
             break              # converged: further rounds are no-ops
         labels = new_labels
-
-    import pandas as pd
-
-    return pd.DataFrame({"user_id": nodes,
-                         "community": labels.astype(np.int64)})
+    return pd.DataFrame({"user_id": nodes, "community": labels})
 
 
 def lpa_communities_sql(rounds: int = 4, cap: int = 200,
@@ -607,13 +550,12 @@ def community_modularity(edges_ds, rounds: int = 4):
 
     Scale shape: labels are node-bounded (lpa_communities contract)
     and broadcast via ``ray.put``; ONE streamed decorate pass over the
-    edge list emits per-batch (community, l, d) partials into a
-    community-bounded groupby — the edges are never shuffled.
+    edge list emits a (community, l, d) row per edge end into ONE
+    ``groups.fold`` — the edges are never shuffled.
     """
     import ray
-    from ray.data.aggregate import Sum
 
-    import pandas as pd
+    from ..stages.broadcast import cached_get
 
     edges = edges_ds.select_columns(["user_a", "user_b"]).materialize()
     lab = lpa_communities(edges, rounds=rounds)
@@ -625,44 +567,37 @@ def community_modularity(edges_ds, rounds: int = 4):
                          "q_ppm": pa.array([], pa.int64())})
     nodes = lab["user_id"].to_numpy(np.int64)
     labels = lab["community"].to_numpy(np.int64)
-    ref = ray.put((nodes, labels))
 
-    def part(t: pa.Table, ref=ref) -> pa.Table:
-        nd, lb = ray.get(ref)
-        a = t["user_a"].to_numpy(zero_copy_only=False)
-        b = t["user_b"].to_numpy(zero_copy_only=False)
-        la = lb[np.searchsorted(nd, a)]
-        lbv = lb[np.searchsorted(nd, b)]
-        intra = pd.Series(la[la == lbv]).value_counts()
-        deg = pd.Series(np.concatenate([la, lbv])).value_counts()
-        comm = sorted(set(intra.index) | set(deg.index))
+    def ends(t: pa.Table, ref) -> pa.Table:
+        nd, lb = cached_get(ref, tag="community_modularity-labels")
+        la = lb[np.searchsorted(nd, t["user_a"].to_numpy())]
+        lbv = lb[np.searchsorted(nd, t["user_b"].to_numpy())]
         return pa.table({
-            "community": pa.array(comm, pa.int64()),
-            "l": pa.array([int(intra.get(c, 0)) for c in comm],
-                          pa.int64()),
-            "d": pa.array([int(deg.get(c, 0)) for c in comm],
-                          pa.int64())})
+            "community": pa.array(np.concatenate([la, lbv]), pa.int64()),
+            # an internal edge counts once, on its user_a end
+            "l": pa.array(np.concatenate([la == lbv,
+                                          np.zeros(len(lbv), bool)])
+                          .astype(np.int64)),
+            "d": pa.array(np.ones(2 * len(la), np.int64))})
 
-    rows = edges.map_batches(part, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-        .groupby("community").aggregate(Sum("l", alias_name="l"),
-                                        Sum("d", alias_name="d")) \
-        .take_all()
-    lc = {int(r["community"]): int(r["l"]) for r in rows}
-    dc = {int(r["community"]): int(r["d"]) for r in rows}
+    # every node ends an edge, so every community has a row
+    rows = fold(edges.map_batches(ends, fn_kwargs={
+        "ref": ray.put((nodes, labels))}, batch_format="pyarrow",
+        zero_copy_batch=True), "community",
+        {"l": ("sum", "l"), "d": ("sum", "d")})
+    comms, n_nodes = np.unique(labels, return_counts=True)
+    lc = rows["l"].to_pylist()
+    dc = rows["d"].to_pylist()
     m = edges.count()
-    n_nodes = pd.Series(labels).value_counts()
-    comms = sorted(set(labels))
-    num = sum(4 * m * lc.get(c, 0) - dc.get(c, 0) ** 2 for c in comms)
+    num = sum(4 * m * lv - dv ** 2 for lv, dv in zip(lc, dc))
     den = 4 * m * m
     q_ppm = (1_000_000 * num) // den if num >= 0 \
         else -((1_000_000 * -num) // den)
     return pa.table({
         "community": pa.array(comms, pa.int64()),
-        "n_nodes": pa.array([int(n_nodes[c]) for c in comms],
-                            pa.int64()),
-        "l_c": pa.array([lc.get(c, 0) for c in comms], pa.int64()),
-        "d_c": pa.array([dc.get(c, 0) for c in comms], pa.int64()),
+        "n_nodes": pa.array(n_nodes, pa.int64()),
+        "l_c": pa.array(lc, pa.int64()),
+        "d_c": pa.array(dc, pa.int64()),
         "q_ppm": pa.array([q_ppm] * len(comms), pa.int64()),
     })
 
@@ -847,69 +782,10 @@ def personalized_pagerank(edges_ds, n_seeds: int = 5, iters: int = 5,
     fixed point, contributions ``r // deg``, update
     ``[u ∈ seeds]·(scale·(100−damp))//(100·|seeds|)
     + (damp·Σcontrib)//100`` — so the unrolled CTE twin replays it
-    bit-for-bit.  Returns (user_id, rank_scaled).
-
-    Scale shape: identical to ``pagerank`` (degree rides the edge list
-    once, each round is one bucketed join + one groupby-sum); the seed
-    set is a sorted-ids head, broadcast as a tiny frozenset.
+    bit-for-bit.  Returns a pa.Table (user_id, rank_scaled); the rank
+    loop is ``pagerank``'s (``_rank_rounds``).
     """
-    from ray.data.aggregate import Count, Sum
-
-    from .join import bucketed_hash_join
-
-    deg = edges_ds.groupby("src").aggregate(Count(alias_name="deg")) \
-        .materialize()
-    n_nodes = deg.count()
-    if n_nodes == 0:
-        return pa.table({"user_id": pa.array([], pa.int64()),
-                         "rank_scaled": pa.array([], pa.int64())})
-    nodes = sorted(r["src"] for r in
-                   deg.select_columns(["src"]).take_all())
-    seeds = frozenset(nodes[:n_seeds])
-    base = (scale * (100 - damp)) // (100 * len(seeds))
-
-    e2 = bucketed_hash_join(
-        edges_ds, deg.rename_columns({"src": "u"}),
-        left_on="src", right_on="u").materialize()
-
-    r0 = scale // n_nodes
-
-    def init_ranks(t: pa.Table) -> pa.Table:
-        return pa.table({"u": t["src"],
-                         "r": pa.array(np.full(t.num_rows, r0,
-                                               np.int64), pa.int64())})
-
-    ranks = deg.map_batches(init_ranks, batch_format="pyarrow") \
-        .materialize()
-
-    def contrib(t: pa.Table) -> pa.Table:
-        r = t["r"].to_numpy(zero_copy_only=False)
-        d = t["deg"].to_numpy(zero_copy_only=False)
-        return pa.table({"dst": t["dst"],
-                         "c": pa.array(r // d, pa.int64())})
-
-    def update(t: pa.Table) -> pa.Table:
-        s = t["c"].to_numpy(zero_copy_only=False)
-        dst = t["dst"].to_numpy(zero_copy_only=False)
-        b = np.where(np.isin(dst, np.array(sorted(seeds), np.int64)),
-                     base, 0)
-        return pa.table({"u": pa.array(dst, pa.int64()),
-                         "r": pa.array(b + (damp * s) // 100,
-                                       pa.int64())})
-
-    for _ in range(iters):
-        j = bucketed_hash_join(e2, ranks, left_on="src", right_on="u")
-        sums = j.map_batches(contrib, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-            .groupby("dst").aggregate(Sum("c", alias_name="c"))
-        ranks = sums.map_batches(update, batch_format="pyarrow") \
-            .materialize()
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays([t["u"], t["r"]],
-                                    names=["user_id", "rank_scaled"])
-
-    return ranks.map_batches(finish, batch_format="pyarrow")
+    return _rank_rounds(edges_ds, n_seeds, iters, scale, damp)
 
 
 def personalized_pagerank_sql(n_seeds: int = 5, iters: int = 5,

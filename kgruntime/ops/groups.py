@@ -40,8 +40,9 @@ Losslessness: equal keys hash to the same coarse bucket, so every true
 group arrives intact in exactly one block.
 
 ``cogroup(left, right, left_on, right_on, fn)`` is the one two-sided
-exchange (every keyed join: ``join.bucketed_hash_join``,
-``asof.asof_join``, the union-find rounds and join remap of
+exchange (every keyed join: ``join.bucketed_hash_join``, among them
+the ancestor closure of ``graph.subtree_balance_rollup``;
+``asof.asof_join``; the union-find rounds and join remap of
 ``stages/canon.py``).  Each side's batch becomes three columns: ``__k``
 (the int64 ``_key_ints`` of its key, the hash ``segment_map`` uses),
 its whole row packed in one struct column (``__l`` or ``__r``, cast to
@@ -115,6 +116,20 @@ pa.Table's columns.  The two shapes on top of it:
 The ranks are global: the first ``k`` rows of a segment are the same
 rows under any ``k' >= k``, so one prune at ``max(k)`` serves per-key
 quotas (``rank <= quota[key]``).
+
+``fold(ds, keys, aggs)`` is the aggregate with NO exchange, for keys
+whose group count is bounded (graph nodes, communities): one row per
+distinct ``keys`` as a pa.Table on the driver, sorted by ``keys``.
+``aggs`` maps each output column to ``(op, column)``, ``op`` one of
+``"sum"``, ``"min"``, ``"max"`` or ``"count"`` (rows; its column is
+None).  Each batch gets an Arrow ``group_by`` partial in
+``map_batches``; ``collect`` brings the partials to the driver, where
+the same ``group_by`` runs again over them (a ``count`` partial is
+summed).  Exact for integer sum/count/min/max, whose merge is order-
+free; the driver holds at most blocks × groups partial rows, so an
+unbounded key (one group per row) belongs on ``segment_map`` or a
+native ``groupby`` instead.  A zero-row input gives a zero-row table
+of the same columns (int64 when the input has no schema).
 """
 
 from __future__ import annotations
@@ -356,6 +371,37 @@ def collect(ds) -> pa.Table | None:
     blocks = [b for b in ray.get(ds.materialize().to_arrow_refs())
               if b.num_columns]
     return pa.concat_tables(blocks) if blocks else None
+
+
+def fold(ds, keys, aggs: dict[str, tuple[str, str | None]]) -> pa.Table:
+    """One row per distinct ``keys`` of ``ds`` with ``aggs`` folded over
+    its rows, on the driver and sorted by ``keys`` (see the module
+    docstring for the contract and the bound)."""
+    if isinstance(keys, str):
+        keys = [keys]
+    names = list(aggs)
+
+    def grouped(t: pa.Table, spec) -> pa.Table:
+        g = t.group_by(keys).aggregate(spec)
+        return pa.Table.from_arrays(
+            [g[k] for k in keys]
+            + [g["count_all" if op == "count_all" else f"{c}_{op}"]
+               for c, op in spec], names=[*keys, *names])
+
+    per_batch = [([], "count_all") if op == "count" else (col, op)
+                 for op, col in aggs.values()]
+    merge = [(n, "sum" if op == "count" else op)
+             for n, (op, _) in aggs.items()]
+    parts = collect(ds.map_batches(lambda t: grouped(t, per_batch),
+                                   batch_format="pyarrow",
+                                   zero_copy_batch=True))
+    if parts is None:           # no batch reached the partial
+        schema = ds.schema()
+        if schema is None:
+            return pa.table({c: pa.array([], pa.int64())
+                             for c in [*keys, *names]})
+        parts = grouped(schema.base_schema.empty_table(), per_batch)
+    return grouped(parts, merge).sort_by([(k, "ascending") for k in keys])
 
 
 def prefix_scan(ds, prep, bucket: str, order: list[str], value: str, op,

@@ -1,10 +1,11 @@
 """Document-corpus sources and triple-store sinks (SURVEY.md §2a).
 
-S1: the input is a Lance table of interleaved text+media documents
-(north_rule).  ``lance`` isn't installed in this sandbox, so the reader
-prefers ``ray.data.read_lance`` when available and falls back to the
-parquet fragment layout ``write_corpus`` produces — the downstream
-pipeline is format-agnostic (it only sees the (doc_id, spans) schema).
+S1: the input is a table of interleaved text+media documents.  Every
+caller reads it as a directory of parquet fragments with
+``rd.read_parquet`` (``pipelines/kg.py``, ``scripts/kg_job.py``; the
+layout ``perfbench.corpus.write_fragments`` writes); there is no Lance
+reader.  The pipeline is format-agnostic: it only sees the
+(doc_id, spans) schema.
 
 S3/S4: N-Quads text source/sink for interop with the reference's golden
 format — line-oriented, so it maps cleanly onto ``read_text`` /
@@ -16,20 +17,6 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-
-
-def read_documents(path: str, **kwargs):
-    """Read a documents corpus: Lance dataset dir if lance is available
-    and the path is one, else a directory of parquet fragments."""
-    import ray.data as rd
-
-    if os.path.isdir(path) and os.path.exists(
-            os.path.join(path, "_versions")):
-        try:
-            return rd.read_lance(path, **kwargs)
-        except (ImportError, AttributeError):
-            pass
-    return rd.read_parquet(path, **kwargs)
 
 
 def from_ttl_files(paths):

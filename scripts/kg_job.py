@@ -35,8 +35,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--input", required=True,
-                    help="documents table dir (parquet; lance when "
-                         "available — sources/documents.py falls back)")
+                    help="documents table dir (parquet fragments)")
     ap.add_argument("--output", required=True, help="triple-store root")
     ap.add_argument("--shape", default="checkpointed",
                     choices=["checkpointed", "fused"])

@@ -277,6 +277,44 @@ def test_prefix_scan_matches_sorted_reference(ray_session, monkeypatch):
             assert got == _ref_scan(t, op), (n, n_buckets, op)
 
 
+# ------------------------------------------------------------- fold
+
+
+def test_fold_matches_pandas_groupby(ray_session):
+    """Random int keys (negative ones too, one or two key columns) and
+    values dealt over several blocks, so most groups have partials in
+    several blocks; sum/count/min/max against one pandas groupby; a
+    zero-row input gives a zero-row table of the same columns."""
+    import numpy as np
+    import ray.data as rd
+
+    from kgruntime.ops.groups import fold
+
+    aggs = {"s": ("sum", "v"), "n": ("count", None),
+            "lo": ("min", "v"), "hi": ("max", "v")}
+    rng = np.random.default_rng(29)
+    for n, n_keys in [(int(rng.integers(50, 400)), 7), (300, 1),
+                      (200, 90)]:
+        t = pa.table({
+            "a": pa.array(rng.integers(-3, n_keys - 3, n), pa.int64()),
+            "b": pa.array(rng.integers(0, 2, n), pa.int64()),
+            "v": pa.array(rng.integers(-10 ** 12, 10 ** 12, n),
+                          pa.int64())})
+        step = max(1, (n + 4) // 5)
+        ds = rd.from_arrow([t.slice(i, step) for i in range(0, n, step)])
+        for keys in (["a"], ["a", "b"]):
+            got = fold(ds, keys, aggs)
+            want = t.to_pandas().groupby(keys, sort=True).agg(
+                s=("v", "sum"), n=("v", "size"), lo=("v", "min"),
+                hi=("v", "max")).reset_index()
+            assert got.column_names == [*keys, "s", "n", "lo", "hi"]
+            assert got.to_pandas().to_dict("list") == \
+                want.to_dict("list"), (n, n_keys, keys)
+    empty = fold(rd.from_arrow(t.slice(0, 0)), ["a"], aggs)
+    assert empty.num_rows == 0
+    assert empty.column_names == ["a", "s", "n", "lo", "hi"]
+
+
 # ------------------------------------------------------------- cogroup
 
 
@@ -700,7 +738,9 @@ def _grouping_tables(path) -> str:
 # temperature_mix_sample and top_terms_per_source; the lexical pair's
 # df count and score sum; none where the driver makes the cut), and
 # the join queries on groups.cogroup (one exchange per
-# bucketed_hash_join or asof_join, beside their own)
+# bucketed_hash_join or asof_join, beside their own), and the graph
+# queries on groups.fold (the co-occurrence build's two each; the
+# triangle census adds its wedge segment_map and wedge match)
 EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "fuzzy_name_matches": 2, "rfm_segments": 2, "sessionize": 1,
              "curate_corpus": 3, "minhash_near_dups": 2,
@@ -736,8 +776,10 @@ EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "near_dedup_corpus": 3, "minhash_error_audit": 9,
              "entity_clusters": 5, "cluster_safe_split": 6,
              "jaccard_adjacent": 1, "asof_click_purchase": 1,
-             "asof_purchase_next_click": 1, "pagerank_users": 18,
-             "personalized_pagerank": 18}
+             "asof_purchase_next_click": 1, "pagerank_users": 2,
+             "personalized_pagerank": 2, "k_core_members": 2,
+             "lpa_communities": 2, "community_modularity": 2,
+             "triangle_census": 4}
 
 
 @pytest.mark.parametrize("query", sorted(EXCHANGES))
@@ -754,3 +796,45 @@ def test_grouping_query_exchange_count(ray_session, tmp_path, query):
         logger.removeHandler(counter)
     assert len(df.columns)
     assert counter.exchanges == EXCHANGES[query]
+
+
+def test_graph_ops_exchange_only_on_unbounded_keys(ray_session):
+    """The node-bounded graph ops fold on the driver: no exchange on a
+    two-block input whose 2-core, communities and triangles are all
+    non-empty; the triangle census exchanges for its wedge stage and
+    wedge match only."""
+    import ray.data as rd
+
+    from kgruntime.ops import graph
+
+    # two 4-cliques joined by one bridge, plus a pendant path 13-20-21
+    und = [(a, b) for a in range(4) for b in range(a + 1, 4)] \
+        + [(a, b) for a in range(10, 14) for b in range(a + 1, 14)] \
+        + [(3, 10), (13, 20), (20, 21)]
+    t = pa.table({"user_a": pa.array([a for a, _ in und], pa.int64()),
+                  "user_b": pa.array([b for _, b in und], pa.int64())})
+    d = pa.table({"src": pa.concat_arrays([t["user_a"].combine_chunks(),
+                                           t["user_b"].combine_chunks()]),
+                  "dst": pa.concat_arrays([t["user_b"].combine_chunks(),
+                                           t["user_a"].combine_chunks()])})
+
+    def split(x: pa.Table):
+        half = x.num_rows // 2
+        return rd.from_arrow([x.slice(0, half), x.slice(half)])
+
+    runs = [(graph.k_core, split(t), dict(k=2), 0),
+            (graph.lpa_communities, split(t), {}, 0),
+            (graph.community_modularity, split(t), {}, 0),
+            (graph.pagerank, split(d), {}, 0),
+            (graph.personalized_pagerank, split(d), {}, 0),
+            (graph.triangle_count, split(t), {}, 2)]
+    logger = logging.getLogger("ray.data")
+    for op, ds, kw, want in runs:
+        counter = _PlanCounter()
+        logger.addHandler(counter)
+        try:
+            out = _df(op(ds.materialize(), **kw))
+        finally:
+            logger.removeHandler(counter)
+        assert len(out), op.__name__
+        assert counter.exchanges == want, op.__name__

@@ -1008,34 +1008,76 @@ def test_cooccurrence_edges_pairs_and_counts(ray_session):
     assert got == {(1, 2): 2, (1, 3): 1, (2, 3): 1}
 
 
-def test_pagerank_integer_recurrence(ray_session):
+def _ref_ranks(edges, iters, scale, damp=85, n_seeds=None):
+    """Sequential integer PageRank with the SQL twins' inner-join
+    semantics: a round ranks exactly the nodes that receive a
+    contribution (a source that nothing points at drops out after round
+    1; a dst-only node gets a rank); the teleport goes to every node, or
+    to the ``n_seeds`` smallest sources only."""
+    deg = {}
+    for a, _ in edges:
+        deg[a] = deg.get(a, 0) + 1
+    seeds = sorted(deg)[:n_seeds]
+    base = (scale * (100 - damp)) // (100 * len(seeds))
+    r = {u: scale // len(deg) for u in deg}
+    for _ in range(iters):
+        s = {}
+        for a, b in edges:
+            if a in r:
+                s[b] = s.get(b, 0) + r[a] // deg[a]
+        r = {u: (base if n_seeds is None or u in seeds else 0)
+             + (damp * v) // 100 for u, v in s.items()}
+    return r
+
+
+def _edge_ds(edges):
     import ray.data as rd
 
+    t = pa.table({"src": pa.array([e[0] for e in edges], pa.int64()),
+                  "dst": pa.array([e[1] for e in edges], pa.int64())})
+    half = t.num_rows // 2
+    return rd.from_arrow([t.slice(0, half), t.slice(half)])
+
+
+def _ranks(out):
+    return {int(u): int(r) for u, r in zip(out["user_id"].to_pylist(),
+                                          out["rank_scaled"].to_pylist())}
+
+
+def test_pagerank_integer_recurrence(ray_session):
     from kgruntime.ops.graph import pagerank
 
     # triangle 1-2-3 plus pendant 4-1 (undirected, symmetrized)
     und = [(1, 2), (2, 3), (1, 3), (1, 4)]
     edges = [(a, b) for a, b in und] + [(b, a) for a, b in und]
-    ds = rd.from_arrow(pa.table({
-        "src": pa.array([e[0] for e in edges], pa.int64()),
-        "dst": pa.array([e[1] for e in edges], pa.int64()),
-    }))
-    out = pagerank(ds, iters=3, scale=10 ** 6).to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-
-    # sequential integer reference
-    deg = {1: 3, 2: 2, 3: 2, 4: 1}
-    n, scale, damp = 4, 10 ** 6, 85
-    base = (scale * 15) // (100 * n)
-    r = {u: scale // n for u in deg}
-    for _ in range(3):
-        s = {u: 0 for u in deg}
-        for a, b in edges:
-            s[b] += r[a] // deg[a]
-        r = {u: base + (damp * s[u]) // 100 for u in deg}
-    assert dict(zip(out["user_id"], out["rank_scaled"])) == r
+    r = _ref_ranks(edges, 3, 10 ** 6)
+    assert _ranks(pagerank(_edge_ds(edges), iters=3, scale=10 ** 6)) == r
+    assert set(r) == {1, 2, 3, 4}
     # pendant node ranks lowest, hub ranks highest
     assert r[4] < r[2] and r[1] == max(r.values())
+
+    # directed: cycle 1→2→3→1, src-only 5→1, dst-only 3→6 and 1→6
+    directed = [(1, 2), (2, 3), (3, 1), (5, 1), (3, 6), (1, 6)]
+    for iters in (1, 3):
+        r = _ref_ranks(directed, iters, 10 ** 6)
+        assert _ranks(pagerank(_edge_ds(directed), iters=iters,
+                               scale=10 ** 6)) == r
+        assert 5 not in r and 6 in r
+
+
+def test_personalized_pagerank_seed_without_mass(ray_session):
+    """Seed 0 is a source that nothing points at: it teleports nothing
+    back to itself and leaves the rank table after round 1, like any
+    node that receives no contribution."""
+    from kgruntime.ops.graph import personalized_pagerank
+
+    directed = [(0, 2), (1, 2), (2, 1), (2, 3), (3, 1), (3, 7)]
+    for iters in (1, 4):
+        r = _ref_ranks(directed, iters, 10 ** 6, n_seeds=2)
+        got = _ranks(personalized_pagerank(_edge_ds(directed), n_seeds=2,
+                                           iters=iters, scale=10 ** 6))
+        assert got == r
+        assert 0 not in r and 1 in r and 7 in r
 
 
 def test_windowed_event_dedup_burst_semantics(ray_session):

@@ -904,7 +904,7 @@ def test_k_core_hand_computed(ray_session):
         "user_a": pa.array([1, 2, 1, 3, 4], pa.int64()),
         "user_b": pa.array([2, 3, 3, 4, 5], pa.int64())}))
     out = k_core(edges, k=2, rounds=8)
-    rows = sorted((r["user_id"], r["core_degree"]) for r in out.take_all())
+    rows = sorted((r["user_id"], r["core_degree"]) for r in out.to_pylist())
     assert rows == [(1, 2), (2, 2), (3, 2)]
 
     empty = rd.from_arrow(pa.table({
