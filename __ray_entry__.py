@@ -1407,7 +1407,8 @@ _QUERIES: tuple[Q, ...] = (
     Q("langid_mismatch", "kgruntime.ops.text:langid_mismatch_by_source",
       sort="source", sql="kgruntime.ops.text:langid_mismatch_sql"),
     Q("zscore_by_source", "kgruntime.ops.stats:zscore_by_source",
-      sort="doc_id", sql="kgruntime.ops.stats:zscore_by_source_sql"),
+      sort="doc_id", pin=["doc_id", "source", "n_chars", "zscore"],
+      sql="kgruntime.ops.stats:zscore_by_source_sql"),
     Q("chunk_documents", "kgruntime.ops.text:chunk_documents",
       sort=["doc_id", "chunk_id"],
       sql="kgruntime.ops.text:chunk_documents_sql"),

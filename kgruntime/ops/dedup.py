@@ -2514,7 +2514,8 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
     order — so estimated-df-ascending (ties by hash) keeps the join
     EXACT while the broadcast state shrinks from |distinct shingles|
     (corpus-growing on real web text) to a FIXED d×w = 4×8192 int64
-    sketch (256 KiB at any corpus size).  Estimate error only affects
+    sketch (256 KiB at any corpus size), counted by one ``groups.fold``
+    on the driver with no exchange.  Estimate error only affects
     selectivity, never correctness, and the SQL twin replays the
     identical sketch.  Prefix postings carry (h, doc_id, n) ints and
     meet in one segment exchange on h (``groups.segment_map``: one
@@ -2527,10 +2528,10 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
     """
     import ray
     import ray.data as rd
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Max
 
     from ..stages.broadcast import cached_get
-    from .groups import segment_map, segment_pairs
+    from .groups import fold, segment_map, segment_pairs
     from .join import bucketed_hash_join
 
     # --- the ONLY text pass: per-doc sorted distinct shingle hashes,
@@ -2557,36 +2558,24 @@ def set_sim_join(docs_ds, tau_num: int = 3, tau_den: int = 5,
         .map_batches(hash_sets, batch_format="pyarrow",
                      zero_copy_batch=True).materialize()
 
-    # --- Count-Min df sketch: explode the int blobs (no re-tokenize),
-    # per-batch partial df summed into d×w bucket cells, ONE tiny
-    # groupby over ≤ d·w fixed cells.  The driver collects a
-    # corpus-size-INDEPENDENT 4×8192 array (the cms_heavy_bigrams
-    # broadcast shape), never the distinct-shingle table. ---
-    def cms_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"cell": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
-        allh = np.concatenate([np.frombuffer(b, "<i8")
-                               for b in t["hs"].to_pylist()])
-        uniq, cnt = np.unique(allh, return_counts=True)
-        cells, vals = [], []
-        for i, p in enumerate(_SSJ_CMS_PRIMES):
-            acc = np.bincount((uniq % p) % _SSJ_CMS_W, weights=cnt,
-                              minlength=_SSJ_CMS_W).astype(np.int64)
-            nz = np.nonzero(acc)[0]
-            cells.append(i * _SSJ_CMS_W + nz)
-            vals.append(acc[nz])
-        return pa.table({"cell": pa.array(np.concatenate(cells),
-                                          pa.int64()),
-                         "c": pa.array(np.concatenate(vals), pa.int64())})
+    # --- Count-Min df sketch: explode the int blobs (no re-tokenize)
+    # into one (cell) row per (shingle, sketch row); ``groups.fold``
+    # counts the ≤ d·w fixed cells on the driver, no exchange.  The
+    # driver holds a corpus-size-INDEPENDENT 4×8192 array (the
+    # cms_heavy_bigrams broadcast shape), never the distinct-shingle
+    # table. ---
+    def cms_cells(t: pa.Table) -> pa.Table:
+        allh = np.frombuffer(b"".join(t["hs"].to_pylist()), "<i8")
+        return pa.table({"cell": np.concatenate(
+            [i * _SSJ_CMS_W + (allh % p) % _SSJ_CMS_W
+             for i, p in enumerate(_SSJ_CMS_PRIMES)])})
 
-    cms_rows = sets.select_columns(["hs"]) \
-        .map_batches(cms_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("cell").aggregate(Sum("c", alias_name="c")).take_all()
+    cms_rows = fold(sets.select_columns(["hs"])
+                    .map_batches(cms_cells, batch_format="pyarrow",
+                                 zero_copy_batch=True),
+                    "cell", {"c": ("count", None)})
     cms = np.zeros(len(_SSJ_CMS_PRIMES) * _SSJ_CMS_W, np.int64)
-    for r in cms_rows:
-        cms[int(r["cell"])] = int(r["c"])
+    cms[cms_rows["cell"].to_numpy()] = cms_rows["c"].to_numpy()
     cms = cms.reshape(len(_SSJ_CMS_PRIMES), _SSJ_CMS_W)
     df_ref = ray.put(cms)
 
@@ -3355,11 +3344,14 @@ def cdc_upsert_merge(events_ds):
     a COMPOSITE int64 — ``src<<62 | del<<61 | type_code<<48 | cents``
     (the grouped_mode argmax idiom): change rows carry src=1 so MAX
     picks them over base rows, the winner decodes vectorized, deletes
-    drop, and a second bounded groupby rolls up.  No per-key Python,
-    16-byte exchange rows; cents < 2^48 asserted (composite safety).
+    drop, and one ``groups.fold`` by type code rolls up on the driver.
+    No per-key Python, 16-byte exchange rows; cents < 2^48 asserted
+    (composite safety).
     """
     import ray.data as rd
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Max
+
+    from .groups import fold
 
     types = sorted(events_ds.select_columns(["event_type"])
                    .unique("event_type") or [])
@@ -3407,31 +3399,18 @@ def cdc_upsert_merge(events_ds):
 
     def decode(t: pa.Table) -> pa.Table:
         k = t["max(k)"].to_numpy(zero_copy_only=False)
-        keep = ((k >> 61) & 1) == 0
-        k = k[keep]
-        codes = (k >> 48) & 0x1FFF
-        cents = k & ((1 << 48) - 1)
-        import pandas as pd
+        k = k[((k >> 61) & 1) == 0]
+        return pa.table({"c": (k >> 48) & 0x1FFF,
+                         "cents": k & ((1 << 48) - 1)})
 
-        g = pd.DataFrame({"c": codes, "cents": cents}) \
-            .groupby("c").agg(n=("cents", "size"), s=("cents", "sum")) \
-            .reset_index()
-        return pa.table({"c": pa.array(g["c"].to_numpy(np.int64)),
-                         "n": pa.array(g["n"].to_numpy(np.int64)),
-                         "s": pa.array(g["s"].to_numpy(np.int64))})
-
-    rows = base.union(changes).groupby("event_id") \
-        .aggregate(Max("k")) \
-        .map_batches(decode, batch_format="pyarrow") \
-        .groupby("c").aggregate(Sum("n", alias_name="n"),
-                                Sum("s", alias_name="s")).take_all()
-    rows.sort(key=lambda r: r["c"])
+    rows = fold(base.union(changes).groupby("event_id")
+                .aggregate(Max("k"))
+                .map_batches(decode, batch_format="pyarrow"),
+                "c", {"n": ("count", None), "s": ("sum", "cents")})
     return pa.table({
-        "event_type": pa.array([types[int(r["c"])] for r in rows],
-                               pa.string()),
-        "n_rows": pa.array([int(r["n"]) for r in rows], pa.int64()),
-        "sum_cents": pa.array([int(r["s"]) for r in rows], pa.int64()),
-    })
+        "event_type": pa.array([types[c] for c in
+                                rows["c"].to_pylist()], pa.string()),
+        "n_rows": rows["n"], "sum_cents": rows["s"]})
 
 
 def cdc_upsert_merge_sql() -> str:
@@ -3479,11 +3458,12 @@ def dedup_sensitivity_sweep(docs_ds):
 
     Scale shape: ONE pass computes all four 128-bit hashes per doc
     (4 rows/doc of level+hex), one ``groupby(level, h).count()``
-    exchange, then per-batch (level, groups, docs) partials into a
-    4-row rollup.  Text never crosses an exchange.
+    exchange, then one ``groups.fold`` by level (groups and docs) into
+    the 4-row rollup on the driver.  Text never crosses an exchange.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from .groups import fold
 
     def hashes(t: pa.Table) -> pa.Table:
         texts = t["text"].to_pylist()
@@ -3503,45 +3483,26 @@ def dedup_sensitivity_sweep(docs_ds):
         return pa.table({"level": pa.array(out_l, pa.string()),
                          "h": pa.array(out_h, pa.string())})
 
-    def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        g = pd.DataFrame({"level": t["level"].to_pylist(),
-                          "c": t["count()"].to_numpy(
-                              zero_copy_only=False)}) \
-            .groupby("level").agg(nd=("c", "size"), n=("c", "sum")) \
-            .reset_index()
-        return pa.table({
-            "level": pa.array(g["level"], pa.string()),
-            "nd": pa.array(g["nd"].to_numpy(np.int64)),
-            "n": pa.array(g["n"].to_numpy(np.int64))})
-
-    rows = docs_ds.select_columns(["text"]) \
-        .map_batches(hashes, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["level", "h"]).count() \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("level").aggregate(Sum("nd", alias_name="nd"),
-                                    Sum("n", alias_name="n")) \
-        .take_all()
-    by = {r["level"]: r for r in rows}
-    if not by:                      # empty corpus: zero rows per level
-        by = {s: {"n": 0, "nd": 0} for s in _SWEEP_LEVELS}
-    return pa.table({
-        "level": pa.array(_SWEEP_LEVELS, pa.string()),
-        "n_docs": pa.array([int(by[s]["n"]) for s in _SWEEP_LEVELS],
-                           pa.int64()),
-        "n_distinct": pa.array([int(by[s]["nd"])
-                                for s in _SWEEP_LEVELS], pa.int64()),
-        "n_dup_docs": pa.array(
-            [int(by[s]["n"]) - int(by[s]["nd"])
-             for s in _SWEEP_LEVELS], pa.int64()),
-    })
+    per_level = fold(docs_ds.select_columns(["text"])
+                     .map_batches(hashes, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+                     .groupby(["level", "h"]).count(),
+                     "level", {"nd": ("count", None),
+                               "n": ("sum", "count()")})
+    # an empty corpus gives zero rows per level
+    by = {r["level"]: r for r in per_level.to_pylist()}
+    n = np.array([by[s]["n"] if by else 0 for s in _SWEEP_LEVELS],
+                 np.int64)
+    nd = np.array([by[s]["nd"] if by else 0 for s in _SWEEP_LEVELS],
+                  np.int64)
+    return pa.table({"level": pa.array(_SWEEP_LEVELS, pa.string()),
+                     "n_docs": n, "n_distinct": nd, "n_dup_docs": n - nd})
 
 
 def dedup_sensitivity_sweep_sql() -> str:
     """Twin: normalized STRINGS stand in for the Ray side's blake2b
-    hashes (the established collision-free-hash idiom)."""
+    hashes (the established collision-free-hash idiom); every level
+    has a row, with zero counts on an empty corpus."""
     return r"""
 WITH dss_v AS (
   SELECT 'raw' AS level, text AS v FROM documents
@@ -3557,10 +3518,13 @@ WITH dss_v AS (
            list_filter(string_split(text, ' '), w -> w != '')[1:100],
            ' ')
   FROM documents)
-SELECT level, count(*) AS n_docs,
-       count(DISTINCT v) AS n_distinct,
-       (count(*) - count(DISTINCT v))::BIGINT AS n_dup_docs
-FROM dss_v GROUP BY level ORDER BY level
+SELECT l.level, count(d.level) AS n_docs,
+       count(DISTINCT d.v) AS n_distinct,
+       (count(d.level) - count(DISTINCT d.v))::BIGINT AS n_dup_docs
+FROM (VALUES ('raw'), ('casefold'), ('normalized'), ('prefix100'))
+  AS l(level)
+LEFT JOIN dss_v d ON d.level = l.level
+GROUP BY l.level ORDER BY l.level
 """
 
 

@@ -5,9 +5,9 @@ primary-key uniqueness, foreign-key integrity, policy thresholds).
 Scale shape:
 
 * Scalar column checks are ONE vectorized Arrow pass per table: each
-  batch emits a handful of ``(check_name, n)`` partial rows (n_checks
-  rows per block, never per record) and one tiny ``groupby(check_name)``
-  sums them — the exchange is O(n_checks × n_blocks).
+  batch emits a handful of ``(check_name, n)`` rows (n_checks rows per
+  block, never per record) and one ``groups.fold`` sums them per check
+  on the driver — no exchange, O(n_checks × n_blocks) partial rows.
 * PK-uniqueness ships ``(key, 1)`` partial counts through one
   int-keyed groupby and counts keys whose total exceeds 1.
 * FK integrity avoids join machinery entirely: both sides map into a
@@ -49,14 +49,14 @@ def _nsum(arr) -> int:
 
 
 def _scalar_checks(ds, partial_fn) -> dict[str, int]:
-    """Run one vectorized pass emitting per-batch check partials and
-    sum them with a tiny groupby."""
-    from ray.data.aggregate import Sum
+    """Run one vectorized pass emitting per-batch check counts and sum
+    them per check on the driver."""
+    from .groups import fold
 
-    agg = ds.map_batches(partial_fn, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("check_name").aggregate(Sum("n", alias_name="n"))
-    return {r["check_name"]: int(r["n"]) for r in agg.take_all()}
+    agg = fold(ds.map_batches(partial_fn, batch_format="pyarrow",
+                              zero_copy_batch=True),
+               "check_name", {"n": ("sum", "n")})
+    return dict(zip(agg["check_name"].to_pylist(), agg["n"].to_pylist()))
 
 
 def _dup_pk_count(ds, key: str) -> int:
@@ -238,8 +238,9 @@ def encoding_advisor(events_ds):
     dict_bytes, rle_bytes, best) with best the cheapest (ties:
     plain < dict < rle).
 
-    Scale shape: bytes/rows are per-batch partial sums (n_cols rows per
-    block); distincts are one narrow ``groupby(value)`` per column with
+    Scale shape: bytes/rows are per-batch sums (n_cols rows per batch)
+    folded per column on the driver (``groups.fold``, no exchange);
+    distincts are one narrow ``groupby(value)`` per column with
     batch-deduped combiners, finished by a streamed Sum of per-batch
     (1, bytes) partials; runs use THE distributed sorted-adjacency
     shape (``sorted_neighbor_overlap``): after one sort by event_id
@@ -249,6 +250,8 @@ def encoding_advisor(events_ds):
     """
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
+
+    from .groups import fold
 
     def _val_bytes(t: pa.Table, col: str, kind: str):
         if kind == "str":
@@ -272,13 +275,12 @@ def encoding_advisor(events_ds):
         "dict_bytes": pa.array([], pa.int64()),
         "rle_bytes": pa.array([], pa.int64()),
         "best": pa.array([], pa.string())})
-    sizes = {r["column"]: (r["n"], r["b"]) for r in
-             events_ds.select_columns([c for c, _ in _EA_COLS])
-             .map_batches(size_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .groupby("column").aggregate(Sum("n", alias_name="n"),
-                                          Sum("b", alias_name="b"))
-             .take_all()}
+    sized = fold(events_ds.select_columns([c for c, _ in _EA_COLS])
+                 .map_batches(size_partial, batch_format="pyarrow",
+                              zero_copy_batch=True),
+                 "column", {"n": ("sum", "n"), "b": ("sum", "b")})
+    sizes = dict(zip(sized["column"].to_pylist(),
+                     zip(sized["n"].to_pylist(), sized["b"].to_pylist())))
     if not sizes or any(s[0] in (None, 0) for s in sizes.values()):
         return _empty       # empty table: nothing to advise
 
@@ -374,7 +376,8 @@ def encoding_advisor(events_ds):
 
 def encoding_advisor_sql() -> str:
     """DuckDB twin: per column, the same exact stats and the same
-    integer size model; bit width via length(bin(n_distinct − 1))."""
+    integer size model; bit width via length(bin(n_distinct − 1)); no
+    row for an empty table."""
     blocks = []
     for col, kind in _EA_COLS:
         vb = f"strlen({col}::VARCHAR)" if kind == "str" else "8"
@@ -407,7 +410,7 @@ SELECT "column", n::BIGINT AS n_rows, nd::BIGINT AS n_distinct,
              AND plain_bytes <= rle_bytes THEN 'plain'
             WHEN dict_bytes <= rle_bytes THEN 'dict'
             ELSE 'rle' END AS best
-FROM ea_all ORDER BY "column"
+FROM ea_all WHERE n > 0 ORDER BY "column"
 """
 
 

@@ -9,9 +9,11 @@ emits per-edge rows, and ONE ``groups.fold`` — a per-batch Arrow
 ``group_by`` merged on the driver — brings the node-bounded aggregate
 back.  The edge list is materialized once and never shuffled; the only
 exchanges left are the wide steps whose keys are unbounded
-(``triangle_count``'s wedge stage and wedge match,
-``subtree_balance_rollup``'s ancestor closure).  At node sets beyond a
-broadcast, the state would go back to a bucketed join per round.
+(``triangle_count``'s wedge stage and wedge match).
+``subtree_balance_rollup`` needs no state at all: its parent is
+arithmetic, so each row emits its own ancestor chain into one ``fold``.
+At node sets beyond a broadcast, the state would go back to a bucketed
+join per round.
 
 Determinism / SQL replayability: every quantity is an INTEGER —
 ranks live at a fixed scale, per-neighbor contributions use floor
@@ -644,107 +646,45 @@ ORDER BY n.community
 
 
 # ---------------------------------------------------------------------------
-# hierarchy subtree rollup (pointer doubling)
+# hierarchy subtree rollup (per-row ancestor chains)
 # ---------------------------------------------------------------------------
 
-def subtree_balance_rollup(customer_ds, fanout: int = 3):
+def subtree_balance_rollup(customer_ds, fanout: int = 3) -> pa.Table:
     """Hierarchical aggregation over a synthetic org tree on customers
     (``parent(ck) = (ck−1)//fanout``, root 0): per node, the number of
     descendants (self included) and the exact subtree balance in cents
     — the category-tree / org-chart rollup shape relational engines do
     with RECURSIVE CTEs.
 
-    Scale shape: the ancestor closure builds by PATH DOUBLING with an
-    explicit distance column — round k composes the accumulated
-    closure (distances 1..2^k) with the pure 2^k jump set, covering
-    distances 2^k+1..2^(k+1) each EXACTLY once (unique ancestor-chain
-    decomposition, so no dedup pass is needed); a depth-d tree takes
-    ⌈log₂ d⌉ bucketed-join rounds, not d, and the pair set stays
-    Σ-depth-bounded.  The rollup is one groupby over (pair + self)
-    contribution rows decorated with node cents via one more bucketed
-    join.  No driver state grows with the tree.
+    Scale shape: the parent is arithmetic, so no join builds the
+    ancestor closure: one map emits ``(anc, cents)`` for each node and
+    for every ancestor on its chain to the root (≤ ⌈log_fanout n⌉ + 1
+    numpy steps per batch), and one ``groups.fold`` counts and sums
+    them per ancestor on the driver — no exchange.  A batch of
+    consecutive keys shares most ancestors, so its partial is about
+    batch × fanout/(fanout − 1) rows; the result is one row per node
+    or ancestor, on the driver as the op's answer.
     """
-    import math
-
-    from ray.data.aggregate import Count, Sum
-
-    from ..ops.join import bucketed_hash_join
-
-    def base(t: pa.Table) -> pa.Table:
-        ck = t["c_custkey"].to_numpy(zero_copy_only=False)
-        v = t["c_acctbal"].to_numpy(zero_copy_only=False) * 100.0
-        cents = np.copysign(np.floor(np.abs(v) + 0.5), v) \
+    def chain(t: pa.Table) -> pa.Table:
+        node = t["c_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        return pa.table({"node": pa.array(ck, pa.int64()),
-                         "cents": pa.array(cents, pa.int64())})
+        v = t["c_acctbal"].to_numpy(zero_copy_only=False) * 100.0
+        cents = np.copysign(np.floor(np.abs(v) + 0.5), v).astype(np.int64)
+        anc, val = [node], [cents]
+        while len(node):
+            up = node > 0
+            node, cents = (node[up] - 1) // fanout, cents[up]
+            anc.append(node)
+            val.append(cents)
+        return pa.table({"anc": np.concatenate(anc),
+                         "cents": np.concatenate(val)})
 
-    nodes = customer_ds.select_columns(["c_custkey", "c_acctbal"]) \
-        .map_batches(base, batch_format="pyarrow",
-                     zero_copy_batch=True).materialize()
-    n_nodes = nodes.count()
-    if n_nodes == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "n_desc": pa.array([], pa.int64()),
-                         "subtree_cents": pa.array([], pa.int64())})
-
-    def parent_edges(t: pa.Table) -> pa.Table:
-        ck = t["node"].to_numpy(zero_copy_only=False)
-        m = ck > 0
-        # the leaf's cents ride along the closure rows so the final
-        # rollup needs NO decoration join
-        return pa.table({"node": pa.array(ck[m], pa.int64()),
-                         "anc": pa.array((ck[m] - 1) // fanout,
-                                         pa.int64()),
-                         "dist": pa.array(np.ones(int(m.sum()),
-                                                  np.int64)),
-                         "cents": pa.array(t["cents"].to_numpy(
-                             zero_copy_only=False)[m], pa.int64())})
-
-    closure = nodes.map_batches(parent_edges, batch_format="pyarrow",
-                                zero_copy_batch=True).materialize()
-    jump = closure           # pure distance-2^k set, k = 0
-    jlen = 1
-    max_depth = max(1, math.ceil(
-        math.log(max(n_nodes, 2)) / math.log(fanout)) + 1)
-    while jlen < max_depth:
-        right = jump.map_batches(
-            lambda t: pa.table({"mid": t["node"], "anc2": t["anc"]}),
-            batch_format="pyarrow")
-        # distances (1..jlen) + jlen -> jlen+1 .. 2*jlen, each once
-        nxt = bucketed_hash_join(closure, right, "anc", "mid")
-
-        def emit(t: pa.Table, add=jlen) -> pa.Table:
-            return pa.table({
-                "node": t["node"], "anc": t["anc2"],
-                "dist": pa.array(t["dist"].to_numpy(
-                    zero_copy_only=False) + add, pa.int64()),
-                "cents": t["cents"]})
-
-        nxt = nxt.map_batches(emit, batch_format="pyarrow") \
-            .materialize()
-        if nxt.count() == 0:
-            break
-        closure = closure.union(nxt).materialize()
-        jump = nxt.filter(expr=f"dist == {2 * jlen}").materialize()
-        jlen *= 2
-
-    pairs = closure.map_batches(
-        lambda t: pa.table({"anc": t["anc"], "cents": t["cents"]}),
-        batch_format="pyarrow")
-    selfp = nodes.map_batches(
-        lambda t: pa.table({"anc": t["node"], "cents": t["cents"]}),
-        batch_format="pyarrow")
-    rolled = pairs.union(selfp).groupby("anc").aggregate(
-        Count(alias_name="n_desc"),
-        Sum("cents", alias_name="subtree_cents")).take_all()
-    rolled.sort(key=lambda r: r["anc"])
-    return pa.table({
-        "node": pa.array([int(r["anc"]) for r in rolled], pa.int64()),
-        "n_desc": pa.array([int(r["n_desc"]) for r in rolled],
-                           pa.int64()),
-        "subtree_cents": pa.array(
-            [int(r["subtree_cents"]) for r in rolled], pa.int64()),
-    })
+    return fold(customer_ds.select_columns(["c_custkey", "c_acctbal"])
+                .map_batches(chain, batch_format="pyarrow",
+                             zero_copy_batch=True),
+                "anc", {"n_desc": ("count", None),
+                        "subtree_cents": ("sum", "cents")}) \
+        .rename_columns(["node", "n_desc", "subtree_cents"])
 
 
 def subtree_balance_rollup_sql(fanout: int = 3) -> str:

@@ -40,8 +40,7 @@ Losslessness: equal keys hash to the same coarse bucket, so every true
 group arrives intact in exactly one block.
 
 ``cogroup(left, right, left_on, right_on, fn)`` is the one two-sided
-exchange (every keyed join: ``join.bucketed_hash_join``, among them
-the ancestor closure of ``graph.subtree_balance_rollup``;
+exchange (every keyed join: ``join.bucketed_hash_join``;
 ``asof.asof_join``; the union-find rounds and join remap of
 ``stages/canon.py``).  Each side's batch becomes three columns: ``__k``
 (the int64 ``_key_ints`` of its key, the hash ``segment_map`` uses),
@@ -117,19 +116,28 @@ The ranks are global: the first ``k`` rows of a segment are the same
 rows under any ``k' >= k``, so one prune at ``max(k)`` serves per-key
 quotas (``rank <= quota[key]``).
 
-``fold(ds, keys, aggs)`` is the aggregate with NO exchange, for keys
-whose group count is bounded (graph nodes, communities): one row per
-distinct ``keys`` as a pa.Table on the driver, sorted by ``keys``.
-``aggs`` maps each output column to ``(op, column)``, ``op`` one of
-``"sum"``, ``"min"``, ``"max"`` or ``"count"`` (rows; its column is
-None).  Each batch gets an Arrow ``group_by`` partial in
-``map_batches``; ``collect`` brings the partials to the driver, where
-the same ``group_by`` runs again over them (a ``count`` partial is
-summed).  Exact for integer sum/count/min/max, whose merge is order-
-free; the driver holds at most blocks × groups partial rows, so an
-unbounded key (one group per row) belongs on ``segment_map`` or a
-native ``groupby`` instead.  A zero-row input gives a zero-row table
-of the same columns (int64 when the input has no schema).
+``fold(ds, keys, aggs)`` is the aggregate for any result the op
+brings to the driver anyway, when its key is bounded (check names,
+sources, languages, sketch cells, hours of the span, graph nodes): one
+row per distinct ``keys`` as a pa.Table on the driver, sorted by
+``keys``, with NO exchange.  ``aggs`` maps each output column to
+``(op, column)``, ``op`` one of ``"sum"``, ``"min"``, ``"max"`` or
+``"count"`` (rows; its column is None).  The op's own map emits only
+the key and value columns of each row; each batch gets an Arrow
+``group_by`` partial in ``map_batches``; ``collect`` brings the
+partials to the driver, where the same ``group_by`` runs again over
+them (a ``count`` partial is summed).  The driver holds at most
+blocks × groups partial rows, so a key that grows with the rows (words,
+doc, user or order ids, money values) belongs on ``segment_map`` or a
+native ``groupby`` instead.  Overflow: both stages sum an integer
+column as ``decimal128(38, 0)`` and cast it back to int64 with Arrow's
+checked cast, so a sum outside int64 raises ``OverflowError`` where
+Arrow's int64 sum wraps silently; a ``decimal128`` column sums as
+``decimal128(38, scale)`` and stays decimal (exact while the total
+has at most 38 digits — the form for Σx² or Σxy of int64 values).
+Sum, count, min and max of integers and decimals are exact and order-
+free.  A zero-row input gives a zero-row table of the same columns
+(int64 when the input has no schema).
 """
 
 from __future__ import annotations
@@ -373,20 +381,45 @@ def collect(ds) -> pa.Table | None:
     return pa.concat_tables(blocks) if blocks else None
 
 
+def _exact_sums(t: pa.Table, spec) -> pa.Table:
+    """``t`` with every integer or decimal column that ``spec`` sums
+    widened to 38 digits, where Arrow's sum cannot wrap."""
+    for c in {c for c, op in spec if op == "sum"}:
+        ty = t.schema.field(c).type
+        if pa.types.is_integer(ty) or pa.types.is_decimal128(ty):
+            scale = 0 if pa.types.is_integer(ty) else ty.scale
+            t = t.set_column(t.schema.get_field_index(c), c,
+                             pc.cast(t[c], pa.decimal128(38, scale)))
+    return t
+
+
+def _checked_int64(col):
+    """An integer sum widened by ``_exact_sums`` back in int64."""
+    try:
+        return pc.cast(col, pa.int64())
+    except pa.ArrowInvalid as e:
+        raise OverflowError(f"fold: an integer sum leaves int64 ({e})") \
+            from None
+
+
 def fold(ds, keys, aggs: dict[str, tuple[str, str | None]]) -> pa.Table:
     """One row per distinct ``keys`` of ``ds`` with ``aggs`` folded over
     its rows, on the driver and sorted by ``keys`` (see the module
-    docstring for the contract and the bound)."""
+    docstring for the contract, the bound and the overflow rule)."""
     if isinstance(keys, str):
         keys = [keys]
     names = list(aggs)
 
     def grouped(t: pa.Table, spec) -> pa.Table:
-        g = t.group_by(keys).aggregate(spec)
+        ints = {c for c, op in spec if op == "sum"
+                and pa.types.is_integer(t.schema.field(c).type)}
+        g = _exact_sums(t, spec).group_by(keys).aggregate(spec)
         return pa.Table.from_arrays(
             [g[k] for k in keys]
-            + [g["count_all" if op == "count_all" else f"{c}_{op}"]
-               for c, op in spec], names=[*keys, *names])
+            + [g["count_all"] if op == "count_all" else
+               _checked_int64(g[f"{c}_{op}"]) if c in ints else
+               g[f"{c}_{op}"] for c, op in spec],
+            names=[*keys, *names])
 
     per_batch = [([], "count_all") if op == "count" else (col, op)
                  for op, col in aggs.values()]

@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .groups import (collect, prefix_scan, run_starts, segment_ids,
+from .groups import (collect, fold, prefix_scan, run_starts, segment_ids,
                      segment_map, segment_pairs, segment_searchsorted)
 
 logger = logging.getLogger(__name__)
@@ -1462,31 +1462,23 @@ def session_incident_overlap(events_ds, busy_num: int = 12,
     sessions overlapping ≥1 incident hour.
 
     Scale shape: the incident side is time-bounded (≤ |hours in the
-    corpus| rows — KB at any corpus size), built by one combiner
-    groupby and captured as a sorted int64 hour-index array; the
+    corpus| rows — KB at any corpus size), built by one
+    ``groups.fold`` on the driver and captured as a sorted int64
+    hour-index array; the
     session side is one ``segment_map`` on user_id, and the overlap
     count per session is two ``searchsorted`` probes (an interval [s,e]
     touches hour h iff ``floor(s) ≤ h ≤ floor(e)``) — no all-to-all
     interval join ever happens.
     """
-    from ray.data.aggregate import Sum
-
-    def hour_partial(t: pa.Table) -> pa.Table:
-        h = pc.floor_temporal(t["ts"], unit="hour")
-        vc = pc.value_counts(pc.cast(h, pa.int64()).combine_chunks())
-        return pa.table({"h": vc.field("values"),
-                         "n": pc.cast(vc.field("counts"), pa.int64())})
-
-    hours = events_ds.select_columns(["ts"]) \
-        .map_batches(hour_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("h").aggregate(Sum("n", alias_name="n")).take_all()
-    total = sum(int(r["n"]) for r in hours)
-    n_hours = len(hours)
-    busy = np.sort(np.array(
-        [int(r["h"]) // _US_PER_HOUR for r in hours
-         if int(r["n"]) * n_hours * busy_den >= busy_num * total],
-        np.int64))
+    hours = fold(events_ds.select_columns(["ts"]).map_batches(
+        lambda t: pa.table({"h": pc.cast(pc.floor_temporal(
+            t["ts"], unit="hour"), pa.int64())}),
+        batch_format="pyarrow", zero_copy_batch=True),
+        "h", {"n": ("count", None)})
+    total, n_hours = sum(hours["n"].to_pylist()), hours.num_rows
+    busy = hours["h"].to_numpy()[np.array(
+        [c * n_hours * busy_den >= busy_num * total
+         for c in hours["n"].to_pylist()], bool)] // _US_PER_HOUR
 
     def overlap(t: pa.Table, starts: np.ndarray) -> pa.Table:
         t, us, _ = _timeline(t, starts)
@@ -1841,12 +1833,10 @@ def markov_next_event_accuracy(events_ds):
 
     Scale shape: ONE ``segment_map`` on user_id computes the ordered
     consecutive pairs and tags them train/test from the pure user_id
-    hash (zero extra exchange); a native
-    ``groupby(split, prev, nxt).sum`` leaves a |types|²-bounded matrix
-    — the only thing the driver sees; argmax + accuracy finish there.
+    hash; one ``groups.fold`` counts them into the |types|²-bounded
+    (split, prev, nxt) matrix on the driver (no exchange) — the only
+    thing the driver sees; argmax + accuracy finish there.
     """
-    from ray.data.aggregate import Sum
-
     from .sample import _KNUTH, _M32
 
     cut = int(0.2 * _M32)   # sorted-name cuts: test < 0.2, train rest
@@ -1858,13 +1848,12 @@ def markov_next_event_accuracy(events_ds):
         # (uid · _KNUTH) % _M32, negative ids included
         h = t["user_id"].to_numpy()[i].astype(np.uint64) * np.uint64(_KNUTH)
         split = np.where(h % np.uint64(_M32) < cut, "test", "train")
-        return _counts({"split": pa.array(split, pa.string()),
-                        "prev": prev, "nxt": nxt}, "cnt")
+        return pa.table({"split": pa.array(split, pa.string()),
+                         "prev": prev, "nxt": nxt})
 
-    mat = segment_map(events_ds.select_columns(
-        ["user_id", "ts", "event_id", "event_type"]), "user_id", block) \
-        .groupby(["split", "prev", "nxt"]) \
-        .aggregate(Sum("cnt", alias_name="cnt")).take_all()
+    mat = fold(segment_map(events_ds.select_columns(
+        ["user_id", "ts", "event_id", "event_type"]), "user_id", block),
+        ["split", "prev", "nxt"], {"cnt": ("count", None)}).to_pylist()
 
     train: dict[str, list] = {}
     test: dict[str, dict] = {}

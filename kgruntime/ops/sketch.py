@@ -1,11 +1,12 @@
 """HyperLogLog distinct-count sketch — the mergeable-sketch shape for
 counting distinct keys per group without shuffling the keys.
 
-Scale shape: every batch reduces to at most ``m`` (register) rows per
-group — a native ``groupby(group, register).Max`` merges them, so the
-exchange carries |groups| × m × |blocks| tiny rows while the raw keys
-(user ids, URLs, ...) never leave their block.  The classic trade
-against ``groupby(key).distinct`` (which must shuffle every key once).
+Scale shape: each row becomes one (group, register, rank) row and one
+``groups.fold`` takes the per-register max — per-batch partials of at
+most ``m`` rows per group, merged on the driver with no exchange, so
+the raw keys (user ids, URLs, ...) never leave their block.  The
+classic trade against ``groupby(key).distinct`` (which must shuffle
+every key once).
 
 SQL replayability: the register index/rank are derived from the md5-60
 primitive (same as the LSH family), the register sum Σ2^-M_j is kept as
@@ -33,21 +34,18 @@ _RANK_BITS = 60 - _HLL_B       # 54 hash bits feed the rank
 _RANK_MAX = _RANK_BITS + 1     # rank of an all-zero word
 
 
-def _hll_partial(t: pa.Table, group: str, key: str) -> pa.Table:
-    """Batch → per-(group, register) max rank (≤ |groups|·m rows).
-    Rank via exact int.bit_length() in the same per-row pass as the md5
-    (which dominates); everything downstream is vectorized/native."""
+def _hll_rows(t: pa.Table, group: str, key: str) -> pa.Table:
+    """Batch → (group, register, rank) per row.  Rank via exact
+    int.bit_length() in the same per-row pass as the md5 (which
+    dominates)."""
     reg, rank = [], []
     for k in t[key].to_pylist():
         h = _md5_60(str(k).encode())
         reg.append(h % _HLL_M)
         w = h >> _HLL_B
         rank.append(_RANK_MAX if w == 0 else _RANK_BITS - w.bit_length() + 1)
-    df = pd.DataFrame({group: t[group].to_pandas(),
-                       "reg": np.asarray(reg, np.int64),
-                       "rank": np.asarray(rank, np.int64)})
-    g = df.groupby([group, "reg"], sort=False)["rank"].max().reset_index()
-    return pa.Table.from_pandas(g, preserve_index=False)
+    return pa.table({group: t[group], "reg": pa.array(reg, pa.int64()),
+                     "rank": pa.array(rank, pa.int64())})
 
 
 def hll_distinct(ds, group: str = "event_type", key: str = "user_id",
@@ -62,27 +60,28 @@ def hll_distinct(ds, group: str = "event_type", key: str = "user_id",
     """
     from functools import partial as _p
 
-    from ray.data.aggregate import Max
+    from .groups import fold, run_starts
 
-    regs = ds.select_columns([group, key]) \
-        .map_batches(_p(_hll_partial, group=group, key=key),
-                     batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby([group, "reg"]) \
-        .aggregate(Max("rank", alias_name="rank")).to_pandas()
-
-    rows = []
-    for gval, g in regs.groupby(group, sort=True):
-        ranks = dict(zip(g["reg"], g["rank"]))
-        ssum = sum(1 << (_RANK_MAX - int(ranks.get(j, 0)))
-                   for j in range(_HLL_M))
-        s = ssum / float(1 << _RANK_MAX)
-        est = _ALPHA_64 * _HLL_M * _HLL_M / s
-        est = np.floor(est * 10.0 ** digits + 0.5) / 10.0 ** digits
-        rows.append({group: gval, "n_registers": _HLL_M,
-                     "reg_sum_scaled": ssum, "est_distinct": est})
-    return pd.DataFrame(
-        rows, columns=[group, "n_registers", "reg_sum_scaled",
-                       "est_distinct"]).reset_index(drop=True)
+    regs = fold(ds.select_columns([group, key])
+                .map_batches(_p(_hll_rows, group=group, key=key),
+                             batch_format="pyarrow", zero_copy_batch=True),
+                [group, "reg"], {"rank": ("max", "rank")})
+    cols = [group, "n_registers", "reg_sum_scaled", "est_distinct"]
+    if regs.num_rows == 0:
+        return pd.DataFrame({c: [] for c in cols})
+    s = np.flatnonzero(run_starts(regs[group].to_numpy(
+        zero_copy_only=False)))
+    # a register no row reached weighs 2^RANK_MAX: start every group
+    # from m of those and swap in each reached register's weight
+    w = (np.int64(1) << (_RANK_MAX - regs["rank"].to_numpy())) \
+        - (np.int64(1) << _RANK_MAX)
+    ssum = np.add.reduceat(w, s) + (_HLL_M << _RANK_MAX)
+    est = _ALPHA_64 * _HLL_M * _HLL_M / (ssum / float(1 << _RANK_MAX))
+    est = np.floor(est * 10.0 ** digits + 0.5) / 10.0 ** digits
+    return pd.DataFrame({group: regs[group].take(s).to_pandas(),
+                         "n_registers": np.full(len(s), _HLL_M, np.int64),
+                         "reg_sum_scaled": ssum, "est_distinct": est},
+                        columns=cols)
 
 
 def hll_distinct_sql(group: str = "event_type", key: str = "user_id",
@@ -205,11 +204,12 @@ def cms_heavy_bigrams(docs_ds, d: int = _CMS_D, w: int = _CMS_W,
     The classic two-streamed-pass CMS shape, all exchanges
     corpus-size-INDEPENDENT:
 
-    1. each batch explodes to bigrams in polars and pre-aggregates its
-       own (row, bucket, cnt) sketch increments — the global ``groupby``
-       carries at most d·w tiny int rows per batch, never the bigram
-       tail; the merged d×w counter table (d·w ints — KB at ANY corpus
-       size) broadcasts via ``ray.put``;
+    1. each batch explodes to bigrams in polars, counts each distinct
+       bigram once and emits its d (row, bucket, cnt) sketch
+       increments; one ``groups.fold`` sums them by cell on the driver
+       (at most d·w partial rows per batch, never the bigram tail, and
+       no exchange); the d×w counter table (KB at ANY corpus size)
+       broadcasts via ``ray.put``;
     2. a second streamed pass probes each batch-distinct bigram against
        the broadcast sketch (``min`` over the d rows — vectorized
        gather) and emits survivors; cross-batch repeats dedup in one
@@ -222,7 +222,8 @@ def cms_heavy_bigrams(docs_ds, d: int = _CMS_D, w: int = _CMS_W,
     sum), so the same parameters work at every scale factor.
     """
     import ray
-    from ray.data.aggregate import Sum
+
+    from .groups import fold
 
     def tok_bigrams(t: pa.Table):
         import polars as pl
@@ -237,37 +238,27 @@ def cms_heavy_bigrams(docs_ds, d: int = _CMS_D, w: int = _CMS_W,
             .drop_nulls("t2") \
             .select((pl.col("t") + " " + pl.col("t2")).alias("w"))
 
-    def sketch_partial(t: pa.Table) -> pa.Table:
+    def sketch_rows(t: pa.Table) -> pa.Table:
         import polars as pl
 
+        # the batch's count per bigram, so the md5 runs once per
+        # distinct bigram; each one adds its count to d cells
         bg = tok_bigrams(t).group_by("w") \
             .agg(pl.len().cast(pl.Int64).alias("cnt"))
-        ws = bg["w"].to_list()
-        cnts = bg["cnt"].to_numpy()
-        h = np.array([_md5_60(x.encode()) for x in ws], dtype=np.uint64)
-        rows_i, rows_b, rows_c = [], [], []
-        for i in range(d):
-            rows_i.append(np.full(len(ws), i, np.int64))
-            rows_b.append(((h >> np.uint64(20 * i))
-                           % np.uint64(w)).astype(np.int64))
-            rows_c.append(cnts)
-        df = pa.table({"i": pa.array(np.concatenate(rows_i) if ws else
-                                     np.array([], np.int64)),
-                       "bucket": pa.array(np.concatenate(rows_b) if ws
-                                          else np.array([], np.int64)),
-                       "cnt": pa.array(np.concatenate(rows_c).astype(
-                           np.int64) if ws else np.array([], np.int64))})
-        import pandas as pd
+        h = np.array([_md5_60(x.encode()) for x in bg["w"].to_list()],
+                     dtype=np.uint64)
+        i = np.repeat(np.arange(d, dtype=np.int64), len(h))
+        shift = (20 * i).astype(np.uint64)
+        return pa.table({
+            "i": i,
+            "bucket": ((np.tile(h, d) >> shift) % np.uint64(w))
+            .astype(np.int64),
+            "cnt": np.tile(bg["cnt"].to_numpy().astype(np.int64), d)})
 
-        g = df.to_pandas().groupby(["i", "bucket"], sort=False)["cnt"] \
-            .sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    merged = docs_ds.select_columns(["doc_id", "text"]) \
-        .map_batches(sketch_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["i", "bucket"]) \
-        .aggregate(Sum("cnt", alias_name="cnt")).to_pandas()
+    merged = fold(docs_ds.select_columns(["doc_id", "text"])
+                  .map_batches(sketch_rows, batch_format="pyarrow",
+                               zero_copy_batch=True),
+                  ["i", "bucket"], {"cnt": ("sum", "cnt")})
     cms = np.zeros((d, w), np.int64)
     cms[merged["i"].to_numpy(), merged["bucket"].to_numpy()] = \
         merged["cnt"].to_numpy()

@@ -155,47 +155,60 @@ def grouped_topk(ds, key: str, val: str, k: int, tie_col: str,
                        key, lambda block, _: prune(block, rank_col))
 
 
+def _fixed(col, scale: int) -> pa.ChunkedArray:
+    """round(v·scale) half away from zero, as int64."""
+    return pc.cast(pc.round(pc.multiply(col, float(scale)),
+                            round_mode="half_towards_infinity"), pa.int64())
+
+
+def _exact(a, b=None) -> pa.ChunkedArray:
+    """``a`` (or the product a·b) of int64 values, exact, as
+    ``decimal128(38, 0)`` — a column ``groups.fold`` sums with no
+    overflow."""
+    wide = pa.decimal256(19, 0)
+    a = pc.cast(a, wide)
+    if b is not None:
+        a = pc.multiply(a, pc.cast(b, wide))
+    return pc.cast(a, pa.decimal128(38, 0))
+
+
+def _moments(ds, key: str, rows, cols: list[str]):
+    """(key, n, Σcol for each of ``cols``) as Python ints, per key of
+    ``ds.map_batches(rows)`` in key order (a null key last)."""
+    from .groups import fold
+
+    s = fold(ds.map_batches(rows, batch_format="pyarrow", batch_size=4096,
+                            zero_copy_batch=True),
+             key, {"n": ("count", None),
+                   **{f"s{c}": ("sum", c) for c in cols}})
+    return [(r[0], *map(int, r[1:]))
+            for r in zip(*(s[c].to_pylist() for c in s.column_names))]
+
+
 def grouped_corr(ds, key: str, x_col: str, y_col: str,
                  x_scale: int = 1, y_scale: int = 100,
                  out: str = "corr", digits: int = 6) -> pd.DataFrame:
     """Exact grouped Pearson correlation via integer sufficient
     statistics — the canonical partial-aggregation shape.
 
-    Each batch reduces to ONE row per key of (n, Σx, Σy, Σxy, Σx², Σy²)
-    over the fixed-point integers round(x·x_scale)/round(y·y_scale); the
-    shuffle carries |keys| × |blocks| tiny rows, never data.  The final
-    combine runs on the driver with Python ints (arbitrary precision, so
-    Σy² can't overflow at any corpus size) and both sides — this and the
-    DuckDB oracle summing BIGINT into HUGEINT — evaluate the identical
-    float formula on identical exact integers, making the result
-    bit-deterministic regardless of summation order.
+    Each row becomes (x, y, xy, x², y²) over the fixed-point integers
+    round(x·x_scale)/round(y·y_scale), as ``decimal128(38, 0)``, and
+    one ``groups.fold`` sums them with n per key on the driver — no
+    exchange, |keys| × |blocks| partial rows, never data.  Decimal sums
+    are exact (Σy² can't overflow at any corpus size), and both sides —
+    this and the DuckDB oracle summing BIGINT into HUGEINT — evaluate
+    the identical float formula on identical exact integers, making the
+    result bit-deterministic regardless of summation order.
     """
-    def partial(t: pa.Table) -> pa.Table:
-        x = pc.cast(pc.round(pc.multiply(t[x_col], float(x_scale)),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()).to_numpy(zero_copy_only=False)
-        y = pc.cast(pc.round(pc.multiply(t[y_col], float(y_scale)),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({key: t[key].to_pandas(), "x": x, "y": y,
-                           "xy": x * y, "xx": x * x, "yy": y * y})
-        g = df.groupby(key, sort=False).agg(
-            n=("x", "size"), sx=("x", "sum"), sy=("y", "sum"),
-            sxy=("xy", "sum"), sxx=("xx", "sum"), syy=("yy", "sum"))
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=4096, zero_copy_batch=True) \
-        .to_pandas()
+    def moments(t: pa.Table) -> pa.Table:
+        x, y = _fixed(t[x_col], x_scale), _fixed(t[y_col], y_scale)
+        return pa.table({key: t[key], "x": _exact(x), "y": _exact(y),
+                         "xy": _exact(x, y), "xx": _exact(x, x),
+                         "yy": _exact(y, y)})
 
     rows = []
-    for k, g in parts.groupby(key, sort=True):
-        n = int(g["n"].astype(object).sum())
-        sx = int(g["sx"].astype(object).sum())
-        sy = int(g["sy"].astype(object).sum())
-        sxy = int(g["sxy"].astype(object).sum())
-        sxx = int(g["sxx"].astype(object).sum())
-        syy = int(g["syy"].astype(object).sum())
+    for k, n, sx, sy, sxy, sxx, syy in _moments(
+            ds, key, moments, ["x", "y", "xy", "xx", "yy"]):
         num = float(n * sxy - sx * sy)
         den = np.sqrt(float(n * sxx - sx * sx)) * \
             np.sqrt(float(n * syy - sy * sy))
@@ -262,32 +275,25 @@ def zscore_by_source(ds, key: str = "source", value_col: str = "n_chars",
     per-key sample mean/std from exact integer sufficient stats, then a
     vectorized per-row normalize — (id, key, value, zscore).
 
-    Scale shape: pass 1 reduces every batch to ONE (key, n, Σx, Σx²)
-    row per key present (the shuffle carries |keys| × |blocks| tiny
-    rows); the driver combines them with Python ints (no overflow at
-    any corpus size) and broadcasts the |keys|-row stats table; pass 2
-    streams the corpus once through a numpy normalize.  Both sides —
+    Scale shape: pass 1 is one ``groups.fold`` of per-row (x, x²)
+    ``decimal128`` columns into (key, n, Σx, Σx²) on the driver (no
+    exchange, exact decimal sums: no overflow at any corpus size), and
+    the |keys|-row stats table rides into pass 2, which streams the
+    corpus once through a numpy normalize; a row with a null key has no
+    stats and drops out, as in the twin's join.  Both sides —
     this and the HUGEINT-sum oracle — evaluate the identical IEEE
     sequence (x − Σx/n) / sqrt((n·Σx² − Σx²̂) / (n·(n−1))) on identical
     exact integers, so the rounded result is bit-deterministic.
     """
-    import pandas as pd
+    def moments(t: pa.Table) -> pa.Table:
+        x = pa.array(t[value_col].to_numpy(zero_copy_only=False)
+                     .astype(np.int64))
+        return pa.table({key: t[key], "x": _exact(x),
+                         "xx": _exact(x, x)})
 
-    def partial(t: pa.Table) -> pa.Table:
-        x = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame({key: t[key].to_pandas(), "x": x, "xx": x * x})
-        g = df.groupby(key, sort=False).agg(
-            n=("x", "size"), sx=("x", "sum"), sxx=("xx", "sum"))
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
-
-    parts = ds.select_columns([key, value_col]) \
-        .map_batches(partial, batch_format="pyarrow", batch_size=4096,
-                     zero_copy_batch=True).to_pandas()
     stats = {}
-    for k, g in parts.groupby(key, sort=True):
-        n = int(g["n"].astype(object).sum())
-        sx = int(g["sx"].astype(object).sum())
-        sxx = int(g["sxx"].astype(object).sum())
+    for k, n, sx, sxx in _moments(ds.select_columns([key, value_col]),
+                                  key, moments, ["x", "xx"]):
         mean = float(sx) / float(n)
         std = np.sqrt(float(n * sxx - sx * sx) / float(n * (n - 1))) \
             if n > 1 else 0.0
@@ -299,6 +305,7 @@ def zscore_by_source(ds, key: str = "source", value_col: str = "n_chars",
     std_map = {k: v[1] for k, v in stats.items()}
 
     def normalize(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[key]))
         keys = t[key].to_pandas()
         x = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         # .map(dict) is the C-speed pandas path — no per-row lambda
@@ -346,31 +353,20 @@ def event_anomalies(events_ds, key: str = "event_type",
     stats pass, then a streamed filter that only materializes the
     anomalies.
 
-    Same exact-sufficient-stats contract as ``zscore_by_source`` but on
+    Same exact-sufficient-stats contract (one ``groups.fold`` of
+    decimal (x, x²) columns) as ``zscore_by_source`` but on
     fixed-point cents (the value column is float money): both sides
     compute z from identical integers, so the flag boundary is
-    bit-deterministic.
+    bit-deterministic.  A row with a null key drops out, as in the
+    twin's join.
     """
-    import pandas as pd
+    def moments(t: pa.Table) -> pa.Table:
+        c = _fixed(t[value_col], 100)
+        return pa.table({key: t[key], "x": _exact(c), "xx": _exact(c, c)})
 
-    def partial(t: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(t[value_col], 100.0),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({key: t[key].to_pandas(), "x": c, "xx": c * c})
-        g = df.groupby(key, sort=False).agg(
-            n=("x", "size"), sx=("x", "sum"), sxx=("xx", "sum"))
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
-
-    parts = events_ds.select_columns([key, value_col]) \
-        .map_batches(partial, batch_format="pyarrow", batch_size=4096,
-                     zero_copy_batch=True).to_pandas()
     mean_map, std_map = {}, {}
-    for k, g in parts.groupby(key, sort=True):
-        n = int(g["n"].astype(object).sum())
-        sx = int(g["sx"].astype(object).sum())
-        sxx = int(g["sxx"].astype(object).sum())
+    for k, n, sx, sxx in _moments(events_ds.select_columns([key, value_col]),
+                                  key, moments, ["x", "xx"]):
         mean_map[k] = float(sx) / float(n)
         std_map[k] = np.sqrt(float(n * sxx - sx * sx) / float(n * (n - 1))) \
             if n > 1 and (n * sxx - sx * sx) > 0 else 0.0
@@ -378,11 +374,10 @@ def event_anomalies(events_ds, key: str = "event_type",
     scale = 10.0 ** digits
 
     def flag(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[key]))
         keys = t[key].to_pandas()
-        c = pc.cast(pc.round(pc.multiply(t[value_col], 100.0),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()) \
-            .to_numpy(zero_copy_only=False).astype(np.float64)
+        c = _fixed(t[value_col], 100).to_numpy(zero_copy_only=False) \
+            .astype(np.float64)
         mean = keys.map(mean_map).to_numpy(np.float64)
         std = keys.map(std_map).to_numpy(np.float64)
         z = np.where(std > 0.0, (c - mean) / np.where(std == 0.0, 1.0, std),

@@ -949,45 +949,34 @@ def langid_mismatch_by_source(docs_ds):
     check run before trusting a crawl's self-reported languages.
 
     Scale shape: the classifier state is one cached instance per worker
-    process (task pool); each batch reduces to ONE partial-count row
-    per source, so the shuffle carries |sources| × |blocks| tiny rows.
-    The rate divides the exact integer counts once at the end (same
-    IEEE op sequence as the oracle's round(sum/count, 6)).
+    process (task pool); each doc becomes one (source, mismatch) row and
+    one ``groups.fold`` counts them per source on the driver — per-batch
+    partials of |sources| rows, no exchange.  The rate divides the exact
+    integer counts once at the end (same IEEE op sequence as the
+    oracle's round(sum/count, 6)).
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
+    from .groups import fold
 
-    def partial(t: pa.Table) -> pa.Table:
+    def mismatch(t: pa.Table) -> pa.Table:
         global _langid_singleton
         if _langid_singleton is None:
             _langid_singleton = LangId()
         clf = _langid_singleton
         preds = [clf.classify(x) for x in t["text"].to_pylist()]
-        df = pd.DataFrame({
-            "source": t["source"].to_pandas(),
-            "mm": [int(p != d) for p, d in
-                   zip(preds, t["lang"].to_pylist())],
-        })
-        g = df.groupby("source", sort=False)["mm"] \
-            .agg(n_docs="size", n_mismatch="sum").reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"source": t["source"], "mm": pa.array(
+            [int(p != d) for p, d in zip(preds, t["lang"].to_pylist())],
+            pa.int64())})
 
-    def finish(t: pa.Table) -> pa.Table:
-        rate = pa.array(
-            [_round6(m / n) for m, n in
-             zip(t["n_mismatch"].to_pylist(), t["n_docs"].to_pylist())],
-            pa.float64())
-        return pa.Table.from_arrays(
-            [t["source"], t["n_docs"], t["n_mismatch"], rate],
-            names=["source", "n_docs", "n_mismatch", "mismatch_rate"])
-
-    return docs_ds.select_columns(["doc_id", "text", "lang", "source"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("source") \
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_mismatch", alias_name="n_mismatch")) \
-        .map_batches(finish, batch_format="pyarrow")
+    t = fold(docs_ds.select_columns(["text", "lang", "source"])
+             .map_batches(mismatch, batch_format="pyarrow",
+                          zero_copy_batch=True),
+             "source", {"n_docs": ("count", None),
+                        "n_mismatch": ("sum", "mm")})
+    rate = pa.array(
+        [_round6(m / n) for m, n in
+         zip(t["n_mismatch"].to_pylist(), t["n_docs"].to_pylist())],
+        pa.float64())
+    return t.append_column("mismatch_rate", rate)
 
 
 def langid_mismatch_sql() -> str:
@@ -1013,37 +1002,30 @@ def langid_confusion(docs_ds):
     plus an ``__all__`` summary row whose three ppm columns all carry
     overall accuracy.
 
-    Scale shape: each batch reduces to (true, pred, n) partial counts
-    (≤ |classes|² rows per block); one tiny ``groupby`` merges them and
-    the class-bounded table finishes on the driver.  Every ratio is an
-    exact integer ppm (``10⁶·tp // denom``, F1 = ``2·p·r // (p + r)``
-    with p, r ≤ 10⁶ so the product fits int64) — floor division on
-    non-negative ints is identical in Python and DuckDB, so the twin
-    replays bit-for-bit.
+    Scale shape: each doc becomes one (true, pred) row and one
+    ``groups.fold`` counts them on the driver (≤ |classes|² partial
+    rows per batch, no exchange); the class-bounded table finishes
+    there.  Every ratio is an exact integer ppm (``10⁶·tp // denom``,
+    F1 = ``2·p·r // (p + r)`` with p, r ≤ 10⁶ so the product fits
+    int64) — floor division on non-negative ints is identical in Python
+    and DuckDB, so the twin replays bit-for-bit.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
+    from .groups import fold
 
-    def partial(t: pa.Table) -> pa.Table:
+    def predict(t: pa.Table) -> pa.Table:
         global _langid_singleton
         if _langid_singleton is None:
             _langid_singleton = LangId()
         clf = _langid_singleton
-        df = pd.DataFrame({
-            "lang": t["lang"].to_pylist(),
-            "pred": [clf.classify(x) for x in t["text"].to_pylist()],
-        })
-        g = df.groupby(["lang", "pred"], sort=False) \
-            .size().rename("n").reset_index()
-        g["n"] = g["n"].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.table({"lang": t["lang"], "pred": pa.array(
+            [clf.classify(x) for x in t["text"].to_pylist()],
+            pa.string())})
 
-    cm = docs_ds.select_columns(["text", "lang"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["lang", "pred"]) \
-        .aggregate(Sum("n", alias_name="n")) \
-        .take_all()                      # ≤ |classes|² rows
+    cm = fold(docs_ds.select_columns(["text", "lang"])
+              .map_batches(predict, batch_format="pyarrow",
+                           zero_copy_batch=True),
+              ["lang", "pred"], {"n": ("count", None)}) \
+        .to_pylist()                     # ≤ |classes|² rows
 
     counts = {(r["lang"], r["pred"]): int(r["n"]) for r in cm}
     classes = sorted({k[0] for k in counts} | {k[1] for k in counts})
@@ -1105,7 +1087,7 @@ pr AS (
   FROM per),
 allr AS (
   SELECT count(*)::BIGINT AS total,
-         sum((tl = pl)::BIGINT)::BIGINT AS tp_all
+         coalesce(sum((tl = pl)::BIGINT), 0)::BIGINT AS tp_all
   FROM j)
 SELECT c AS lang, n_true, n_pred, tp,
        p_ppm AS precision_ppm, r_ppm AS recall_ppm,
@@ -2212,17 +2194,18 @@ def dsir_importance(docs_ds, target_lang: str = "en",
     smoothed importance ratio in fixed point.  Per doc: the mean of
     ``w`` over its bigram OCCURRENCES (floor), selected iff ≥ 2^20.
 
-    Scale shape: pass 1 pre-aggregates per-batch (bucket, tgt, raw)
-    partials so ONE groupby of ≤ num_buckets·n_blocks tiny rows builds
+    Scale shape: pass 1 emits one (bucket, is-target) row per bigram
+    occurrence and one ``groups.fold`` counts them per bucket on the
+    driver (≤ num_buckets partial rows per batch, no exchange) into
     the weight table; the table (num_buckets ints, ~8 KB) broadcasts
     into pass 2, which scores each batch independently — no further
     exchange.  Docs with < 2 tokens have no bigrams and are absent
     (matching the twin's ``len(t) >= 2`` guard).
     """
     import polars as pl
-    from ray.data.aggregate import Sum
 
     from .dedup import _md5_60_memo
+    from .groups import fold
 
     def _explode(t: pa.Table, cols: list[str]) -> "pl.DataFrame":
         df = pl.DataFrame({c: pl.from_arrow(t[c].combine_chunks())
@@ -2244,31 +2227,22 @@ def dsir_importance(docs_ds, target_lang: str = "en",
                       np.int64)
         return pl.DataFrame({"bg": uniq, "bucket": pl.Series(bk)})
 
-    def partial(t: pa.Table) -> pa.Table:
+    def bucket_rows(t: pa.Table) -> pa.Table:
         ex = _explode(t, ["doc_id", "text", "lang"])
-        if ex.height == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "tgt": pa.array([], pa.int64()),
-                             "raw": pa.array([], pa.int64())})
         ex = ex.join(_buckets_for(ex["bg"]), on="bg")
-        agg = ex.group_by("bucket").agg(
-            (pl.col("lang") == target_lang).sum().cast(pl.Int64)
-            .alias("tgt"),
-            pl.len().cast(pl.Int64).alias("raw"))
-        return agg.to_arrow().cast(pa.schema(
-            [("bucket", pa.int64()), ("tgt", pa.int64()),
-             ("raw", pa.int64())]))
+        return pa.table({
+            "bucket": pa.array(ex["bucket"].to_numpy(), pa.int64()),
+            "tgt": pa.array((ex["lang"] == target_lang).fill_null(False)
+                            .cast(pl.Int64).to_numpy())})
 
-    wt = docs_ds.select_columns(["doc_id", "text", "lang"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").aggregate(Sum("tgt", alias_name="tgt"),
-                                     Sum("raw", alias_name="raw")) \
-        .take_all()
+    wt = fold(docs_ds.select_columns(["doc_id", "text", "lang"])
+              .map_batches(bucket_rows, batch_format="pyarrow",
+                           zero_copy_batch=True),
+              "bucket", {"tgt": ("sum", "tgt"), "raw": ("count", None)})
     W = np.ones(num_buckets, np.int64) * _DSIR_SCALE  # unseen: (0+1)/(0+1)
-    for r in wt:
-        W[int(r["bucket"])] = \
-            ((int(r["tgt"]) + 1) * _DSIR_SCALE) // (int(r["raw"]) + 1)
+    W[wt["bucket"].to_numpy()] = \
+        ((wt["tgt"].to_numpy() + 1) * _DSIR_SCALE) \
+        // (wt["raw"].to_numpy() + 1)
 
     def score(t: pa.Table) -> pa.Table:
         ex = _explode(t, ["doc_id", "text"])

@@ -21,6 +21,13 @@ from .text import STOPWORDS
 # ---------------------------------------------------------------------------
 
 
+def _token_rows(t: pa.Table) -> pa.Table:
+    """(source, nt) per doc: its count of single-space tokens."""
+    return pa.table({"source": t["source"], "nt": pc.cast(
+        pc.list_value_length(pc.split_pattern(t["text"], " ")),
+        pa.int64())})
+
+
 def loo_source_influence(docs_ds):
     """Per-source leave-one-out influence on two corpus health metrics
     — mean tokens/doc and exact-duplicate rate: for each source ``s``,
@@ -30,50 +37,35 @@ def loo_source_influence(docs_ds):
     n_tokens, loo_mean_tok_ppm, delta_mean_ppm, loo_dup_ppm,
     delta_dup_ppm)``; all ratios exact integer ppm.
 
-    Scale shape: NO per-source rescan — one streamed pass yields
-    per-source (docs, tokens) partials, and the dup side is ONE
-    text-hash segment exchange: distinct ``(h, source)`` rows, then a
-    per-hash rollup marking hashes exclusive to a single source.  The closed
-    forms: ``loo_mean(s) = (T − T_s)/(N − N_s)`` and ``loo_dups(s) =
+    Scale shape: NO per-source rescan — one ``groups.fold`` of
+    per-doc (source, tokens) rows gives per-source (docs, tokens) on
+    the driver with no exchange, and the dup side is ONE text-hash
+    segment exchange: distinct ``(h, source)`` rows, then a per-hash
+    rollup marking hashes exclusive to a single source, whose
+    per-block counts a second ``fold`` merges.  The closed forms:
+    ``loo_mean(s) = (T − T_s)/(N − N_s)`` and ``loo_dups(s) =
     (N − N_s) − (H − own_s)`` where ``H`` is distinct texts and
     ``own_s`` counts hashes appearing ONLY in ``s`` (removing ``s``
     deletes exactly those from the distinct set).  Driver state is
     |sources| rows — mix decisions are per-source by definition.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from .dedup import _md5_60
+    from .groups import fold, segment_map
 
-    # --- pass 1: per-source docs/tokens (per-batch partials) ---
-    def tok_partial(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        g = pl.from_arrow(t.select(["source", "text"])) \
-            .with_columns(pl.col("text").str.split(" ")
-                          .list.len().cast(pl.Int64).alias("nt")) \
-            .group_by("source") \
-            .agg(pl.len().cast(pl.Int64).alias("d"),
-                 pl.col("nt").sum().alias("tk"))
-        return pa.table({"source": pa.array(g["source"].to_list(),
-                                            pa.string()),
-                         "d": pa.array(g["d"].to_list(), pa.int64()),
-                         "tk": pa.array(g["tk"].to_list(), pa.int64())})
-
-    src = docs_ds.select_columns(["source", "text"]) \
-        .map_batches(tok_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("source").aggregate(Sum("d", alias_name="n_docs"),
-                                     Sum("tk", alias_name="n_tokens")) \
-        .to_pandas()
+    # --- pass 1: per-source docs/tokens ---
+    src = fold(docs_ds.select_columns(["source", "text"])
+               .map_batches(_token_rows, batch_format="pyarrow",
+                            zero_copy_batch=True),
+               "source", {"n_docs": ("count", None),
+                          "n_tokens": ("sum", "nt")})
 
     # --- pass 2: text-hash ownership via ONE segment exchange on the
     # hash (``groups.segment_map``; groupby(h) would make |distinct
     # texts| groups — the r5 coarse-group lesson); each coarse block
     # computes its distinct-hash count and per-source exclusive-hash
     # counts in Arrow and emits |sources|+1 partial rows ---
-    from .groups import segment_map
-
     def hash_rows(t: pa.Table) -> pa.Table:
         h = np.array([_md5_60(x.encode())
                       for x in t["text"].to_pylist()], np.int64)
@@ -105,26 +97,25 @@ def loo_source_influence(docs_ds):
                       "total": pa.array(np.zeros(n, bool))},
                      schema=part_schema)])
 
-    parts = segment_map(docs_ds.select_columns(["source", "text"])
-                        .map_batches(hash_rows, batch_format="pyarrow",
-                                     zero_copy_batch=True),
-                        "h", per_block) \
-        .to_pandas()
-    n_hashes = int(parts["nh"].sum())
-    own = parts[~parts["total"]] \
-        .groupby("source", as_index=False)["own"].sum()
-    if own.empty:
-        own = pd.DataFrame({"source": pd.Series([], dtype=str),
-                            "own": pd.Series([], dtype="int64")})
+    parts = fold(segment_map(docs_ds.select_columns(["source", "text"])
+                             .map_batches(hash_rows, batch_format="pyarrow",
+                                          zero_copy_batch=True),
+                             "h", per_block),
+                 ["total", "source"], {"own": ("sum", "own"),
+                                       "nh": ("sum", "nh")})
+    n_hashes = sum(parts["nh"].to_pylist())
+    owned = {s: o for s, o, tot in zip(parts["source"].to_pylist(),
+                                       parts["own"].to_pylist(),
+                                       parts["total"].to_pylist())
+             if not tot}
 
-    n_total = int(src["n_docs"].sum())
-    t_total = int(src["n_tokens"].sum())
+    nd = src["n_docs"].to_numpy()
+    tk = src["n_tokens"].to_numpy()
+    ow = np.array([owned.get(s, 0) for s in src["source"].to_pylist()],
+                  np.int64)
+    n_total = int(nd.sum())
+    t_total = int(tk.sum())
     dup_all = n_total - n_hashes
-    out = src.merge(own, on="source", how="left").fillna({"own": 0})
-    out = out.sort_values("source").reset_index(drop=True)
-    nd = out["n_docs"].to_numpy(np.int64)
-    tk = out["n_tokens"].to_numpy(np.int64)
-    ow = out["own"].to_numpy(np.int64)
     rem = n_total - nd
     loo_mean = np.where(rem > 0, (1_000_000 * (t_total - tk)) // np.maximum(rem, 1), 0)
     mean_all = (1_000_000 * t_total) // max(n_total, 1)
@@ -132,7 +123,7 @@ def loo_source_influence(docs_ds):
     loo_dup_ppm = np.where(rem > 0, (1_000_000 * loo_dups) // np.maximum(rem, 1), 0)
     dup_ppm_all = (1_000_000 * dup_all) // max(n_total, 1)
     return pd.DataFrame({
-        "source": out["source"],
+        "source": src["source"].to_pandas(),
         "n_docs": nd, "n_tokens": tk,
         "loo_mean_tok_ppm": loo_mean.astype("int64"),
         "delta_mean_ppm": (loo_mean - mean_all).astype("int64"),
@@ -142,7 +133,8 @@ def loo_source_influence(docs_ds):
 
 
 def loo_source_influence_sql(table: str = "documents") -> str:
-    """Oracle twin: identical closed-form integer arithmetic."""
+    """Oracle twin: identical closed-form integer arithmetic; a null
+    source is one source, which owns its exclusive texts."""
     return f"""
 WITH loo_src AS (
   SELECT source, count(*)::BIGINT AS n_docs,
@@ -180,7 +172,7 @@ SELECT s.source, s.n_docs, s.n_tokens,
                  // (n - s.n_docs)
             ELSE 0 END - (1000000 * (n - hh)) // n AS delta_dup_ppm
 FROM loo_src s
-LEFT JOIN loo_own o USING (source)
+LEFT JOIN loo_own o ON o.source IS NOT DISTINCT FROM s.source
 CROSS JOIN loo_tot
 ORDER BY s.source
 """
@@ -213,16 +205,17 @@ def quality_threshold_sweep(docs_ds):
     tokens_kept, docs_kept_ppm)``.
 
     Scale shape: ONE corpus pass computes each doc's integer score and
-    pre-aggregates into ≤ 11 per-mille BUCKETS (q_pm // 100) per
-    batch; the exchange carries ≤ 11 rows per block, and the
+    its per-mille BUCKET (q_pm // 100); one ``groups.fold`` counts the
+    ≤ 11 buckets on the driver (no exchange), and the
     cumulative-from-the-top sweep runs over the 11-row rollup.
     Thresholds sit on bucket boundaries, so bucket cumsum IS the exact
     per-τ count.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def bucket_partial(t: pa.Table) -> pa.Table:
+    from .groups import fold
+
+    def bucket_rows(t: pa.Table) -> pa.Table:
         texts = t["text"].to_pylist()
         n = np.empty(len(texts), np.int64)
         al = np.empty(len(texts), np.int64)
@@ -232,25 +225,16 @@ def quality_threshold_sweep(docs_ds):
             n[i] = len(toks)
             al[i] = sum(1 for w in toks if w.isascii() and w.isalpha())
             sw[i] = sum(1 for w in toks if w.lower() in STOPWORDS)
-        b = _q_pm(n, al, sw) // 100
-        docs = np.bincount(b, minlength=11).astype(np.int64)
-        toks_ = np.bincount(b, weights=n, minlength=11).astype(np.int64)
-        nz = np.nonzero(docs)[0]
-        return pa.table({"bucket": pa.array(nz, pa.int64()),
-                         "d": pa.array(docs[nz], pa.int64()),
-                         "tk": pa.array(toks_[nz], pa.int64())})
+        return pa.table({"bucket": _q_pm(n, al, sw) // 100, "n": n})
 
-    roll = docs_ds.select_columns(["text"]) \
-        .map_batches(bucket_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").aggregate(Sum("d", alias_name="d"),
-                                     Sum("tk", alias_name="tk")) \
-        .to_pandas()
+    roll = fold(docs_ds.select_columns(["text"])
+                .map_batches(bucket_rows, batch_format="pyarrow",
+                             zero_copy_batch=True),
+                "bucket", {"d": ("count", None), "tk": ("sum", "n")})
     docs_by_b = np.zeros(11, np.int64)
     toks_by_b = np.zeros(11, np.int64)
-    for _, r in roll.iterrows():
-        docs_by_b[int(r["bucket"])] = int(r["d"])
-        toks_by_b[int(r["bucket"])] = int(r["tk"])
+    docs_by_b[roll["bucket"].to_numpy()] = roll["d"].to_numpy()
+    toks_by_b[roll["bucket"].to_numpy()] = roll["tk"].to_numpy()
     n_total = int(docs_by_b.sum())
     taus = np.arange(0, 1000, 100, dtype=np.int64)
     docs_kept = np.array([docs_by_b[ti:].sum()
@@ -309,7 +293,8 @@ def source_token_budget(docs_ds, budget_num: int = 1,
     Output per source: ``(source, n_tokens, water_cap, alloc_tokens,
     capped)``; exact integers.
 
-    Scale shape: ONE per-source token rollup (per-batch partials);
+    Scale shape: ONE per-source token rollup (``groups.fold``, no
+    exchange);
     the water level solves in closed form over the |sources|-row table
     (sorted prefix sums — no bisection, no second corpus pass):
     with ``T`` ascending and ``P(k) = Σ_{i≤k} T_i``, the largest
@@ -319,24 +304,13 @@ def source_token_budget(docs_ds, budget_num: int = 1,
     exact integer optimum.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def tok_partial(t: pa.Table) -> pa.Table:
-        import polars as pl
+    from .groups import fold
 
-        g = pl.from_arrow(t.select(["source", "text"])) \
-            .with_columns(pl.col("text").str.split(" ")
-                          .list.len().cast(pl.Int64).alias("nt")) \
-            .group_by("source") \
-            .agg(pl.col("nt").sum().alias("tk"))
-        return pa.table({"source": pa.array(g["source"].to_list(),
-                                            pa.string()),
-                         "tk": pa.array(g["tk"].to_list(), pa.int64())})
-
-    src = docs_ds.select_columns(["source", "text"]) \
-        .map_batches(tok_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("source").aggregate(Sum("tk", alias_name="tk")) \
+    src = fold(docs_ds.select_columns(["source", "text"])
+               .map_batches(_token_rows, batch_format="pyarrow",
+                            zero_copy_batch=True),
+               "source", {"tk": ("sum", "nt")}) \
         .to_pandas().sort_values(["tk", "source"]).reset_index(drop=True)
 
     tk = src["tk"].to_numpy(np.int64)

@@ -953,11 +953,12 @@ FROM events GROUP BY event_type ORDER BY event_type
 
 def q_corr_qty_price(sf_dir: str):
     """corr(l_quantity, l_extendedprice) per return flag via
-    ops.stats.grouped_corr — each block reduces to one sufficient-stats
-    row per flag, so the shuffle is O(|flags| × |blocks|) regardless of
-    fact-table size, and the exact-integer combine makes the float
-    result independent of summation order (the oracle mirrors it by
-    summing BIGINT into HUGEINT)."""
+    ops.stats.grouped_corr — one ``groups.fold`` of per-row decimal
+    moments gives each flag's sufficient stats on the driver (no
+    exchange, O(|flags| × |blocks|) partial rows at any fact-table
+    size), and the exact-integer sums make the float result
+    independent of summation order (the oracle mirrors it by summing
+    BIGINT into HUGEINT)."""
     from kgruntime.ops.stats import grouped_corr
 
     ds = _read(sf_dir, "lineitem",
@@ -1809,11 +1810,13 @@ def q_scd2_segment_revenue(sf_dir: str):
     streamed pass; ONE bucketed hash join on custkey (int-keyed, the
     basket_affinity join path) carries (day, cents) fact rows against
     ≤3 dim rows per key; the validity filter is a vectorized
-    post-filter and the rollup is segment-bounded.
+    post-filter and the segment-bounded rollup is one ``groups.fold``
+    on the driver.
     """
     import pyarrow.compute as pc
 
     from .ops.dedup import _md5_60
+    from .ops.groups import fold
     from .ops.join import bucketed_hash_join
 
     def dim_rows(t: pa.Table) -> pa.Table:
@@ -1860,36 +1863,18 @@ def q_scd2_segment_revenue(sf_dir: str):
 
     joined = bucketed_hash_join(orders, dim, "ock", "ck")
 
-    def pick_and_roll(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def pick(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(t["day"], t["vs"]),
                        pc.less(t["day"], t["ve"]))
-        f = t.filter(keep)
-        g = pd.DataFrame({"segment": f["segment"].to_pylist(),
-                          "cents": f["cents"].to_numpy(
-                              zero_copy_only=False)}) \
-            .groupby("segment").agg(n=("cents", "size"),
-                                    s=("cents", "sum")).reset_index()
-        return pa.table({
-            "segment": pa.array(g["segment"], pa.string()),
-            "n": pa.array(g["n"].to_numpy(np.int64)),
-            "s": pa.array(g["s"].to_numpy(np.int64))})
+        return t.select(["segment", "cents"]).filter(keep)
 
-    from ray.data.aggregate import Sum
-
-    rows = joined.map_batches(pick_and_roll, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby("segment").aggregate(Sum("n", alias_name="n"),
-                                      Sum("s", alias_name="s")) \
-        .take_all()
-    rows.sort(key=lambda r: r["segment"])
-    return pa.table({
-        "segment": pa.array([r["segment"] for r in rows], pa.string()),
-        "n_orders": pa.array([int(r["n"]) for r in rows], pa.int64()),
-        "revenue_cents": pa.array([int(r["s"]) for r in rows],
-                                  pa.int64()),
-    })
+    rows = fold(joined.map_batches(pick, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                "segment", {"n_orders": ("count", None),
+                            "revenue_cents": ("sum", "cents")})
+    return rows.cast(pa.schema([("segment", pa.string()),
+                                ("n_orders", pa.int64()),
+                                ("revenue_cents", pa.int64())]))
 
 
 Q_SCD2_SEGMENT_REVENUE_SQL = f"""
@@ -2187,12 +2172,13 @@ def q_trending_part_types(sf_dir: str, k: int = 3):
     prev_rnk, delta).
 
     Scale shape: lineitem→orders and →part bucketed joins (the
-    basket_affinity paths), a per-batch (mon, type) cents combiner
-    into one native groupby — month × type bounded — and the ranking
-    window runs on that bounded table driver-side.
+    basket_affinity paths), then one ``groups.fold`` of the (mon,
+    type) cents — month × type bounded — onto the driver, where the
+    ranking window runs.
     """
     import pyarrow.compute as pc
 
+    from .ops.groups import fold, run_starts, segment_ids
     from .ops.join import bucketed_hash_join
 
     li = _read(sf_dir, "lineitem",
@@ -2207,9 +2193,7 @@ def q_trending_part_types(sf_dir: str, k: int = 3):
                            "l_discount", "o_orderdate"]),
         part, "l_partkey", "p_partkey")
 
-    def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def month_type_cents(t: pa.Table) -> pa.Table:
         ts = pc.cast(t["o_orderdate"], pa.timestamp("us"))
         mon = pc.add(pc.multiply(pc.cast(pc.year(ts), pa.int64()),
                                  pa.scalar(12, pa.int64())),
@@ -2219,49 +2203,28 @@ def q_trending_part_types(sf_dir: str, k: int = 3):
         v = price * (1.0 - disc) * 100.0
         cents = np.copysign(np.floor(np.abs(v) + 0.5), v) \
             .astype(np.int64)
-        g = pd.DataFrame({"mon": mon.to_numpy(zero_copy_only=False),
-                          "p_type": t["p_type"].to_pylist(),
-                          "cents": cents}) \
-            .groupby(["mon", "p_type"], sort=False)["cents"].sum() \
-            .reset_index()
-        return pa.table({
-            "mon": pa.array(g["mon"].to_numpy(np.int64)),
-            "p_type": pa.array(g["p_type"], pa.string()),
-            "cents": pa.array(g["cents"].to_numpy(np.int64))})
+        return pa.table({"mon": mon, "p_type": t["p_type"],
+                         "cents": cents})
 
-    from ray.data.aggregate import Sum
-
-    rows = j2.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby(["mon", "p_type"]) \
-        .aggregate(Sum("cents", alias_name="cents")).take_all()
-    per: dict[int, list[tuple[int, str]]] = {}
-    for r in rows:
-        per.setdefault(int(r["mon"]), []).append(
-            (-int(r["cents"]), r["p_type"]))
-    ranks: dict[int, dict[str, int]] = {}
-    for mon, lst in per.items():
-        ranks[mon] = {t: i + 1 for i, (_, t) in enumerate(sorted(lst))}
-    out = {"mon": [], "p_type": [], "rnk": [], "prev_rnk": [],
-           "delta": []}
-    for mon in sorted(ranks):
-        prev = ranks.get(mon - 1, {})
-        for t, rk in ranks[mon].items():
-            if rk > k:
-                continue
-            pr = prev.get(t, 0)
-            out["mon"].append(mon)
-            out["p_type"].append(t)
-            out["rnk"].append(rk)
-            out["prev_rnk"].append(pr)
-            out["delta"].append(pr - rk if pr else 0)
+    r = fold(j2.map_batches(month_type_cents, batch_format="pyarrow",
+                            zero_copy_batch=True),
+             ["mon", "p_type"], {"cents": ("sum", "cents")}) \
+        .sort_by([("mon", "ascending"), ("cents", "descending"),
+                  ("p_type", "ascending")])
+    mon = r["mon"].to_numpy()
+    types = r["p_type"].to_pylist()
+    first = np.flatnonzero(run_starts(mon))
+    rnk = np.arange(len(mon)) + 1 - first[segment_ids(first, len(mon))]
+    rank = dict(zip(zip(mon.tolist(), types), rnk.tolist()))
+    top = np.flatnonzero(rnk <= k)
+    prev = np.array([rank.get((mon[i] - 1, types[i]), 0) for i in top],
+                    np.int64)
     return pa.table({
-        "mon": pa.array(out["mon"], pa.int64()),
-        "p_type": pa.array(out["p_type"], pa.string()),
-        "rnk": pa.array(out["rnk"], pa.int64()),
-        "prev_rnk": pa.array(out["prev_rnk"], pa.int64()),
-        "delta": pa.array(out["delta"], pa.int64()),
-    })
+        "mon": pa.array(mon[top], pa.int64()),
+        "p_type": pa.array([types[i] for i in top], pa.string()),
+        "rnk": pa.array(rnk[top], pa.int64()),
+        "prev_rnk": prev,
+        "delta": np.where(prev > 0, prev - rnk[top], 0)})
 
 
 def _trending_part_types_sql(k: int = 3) -> str:

@@ -315,6 +315,205 @@ def test_fold_matches_pandas_groupby(ray_session):
     assert empty.column_names == ["a", "s", "n", "lo", "hi"]
 
 
+def test_fold_integer_sum_never_wraps(ray_session):
+    """int64 values whose sum leaves int64 only when the two blocks'
+    partials merge raise OverflowError (Arrow's int64 sum wraps them to
+    a negative number); the same values as decimal128 sum to the exact
+    Python-int total and stay decimal."""
+    import ray.data as rd
+
+    from kgruntime.ops.groups import fold
+
+    vals = [2 ** 62, 2 ** 62 - 1, 2 ** 62, 3]
+    blocks = [pa.table({"k": pa.array([1, 1], pa.int64()),
+                        "v": pa.array(vals[i:i + 2], pa.int64())})
+              for i in (0, 2)]
+    with pytest.raises(OverflowError):
+        fold(rd.from_arrow(blocks), "k", {"s": ("sum", "v")})
+    dec = [b.set_column(1, "v", b["v"].cast(pa.decimal128(38, 0)))
+           for b in blocks]
+    got = fold(rd.from_arrow(dec), "k", {"s": ("sum", "v")})
+    assert pa.types.is_decimal128(got.schema.field("s").type)
+    assert [int(x) for x in got["s"].to_pylist()] == [sum(vals)]
+
+
+# ------------------------------------------ queries on groups.fold
+
+
+def _fold_docs() -> list[pa.Table]:
+    """Documents for the fold queries in ``N_BLOCKS`` parts: sources
+    s0-s2 in every part, a null source and a genuine '' source, source
+    ``solo`` and language ``fr`` in one part only; exact and casefold
+    copies of earlier texts; a one-word text (no bigram)."""
+    import random
+
+    rng = random.Random(23)
+    words = ["data", "table", "query", "merge", "batch", "vector", "the",
+             "scan", "join", "order", "of", "stream", "window", "and",
+             "der", "und", "die", "Haus", "zeit", "le", "et", "la"]
+    sources = ["s0", "s1", "s2", None, ""]
+    parts = []
+    for b in range(N_BLOCKS):
+        rows = []
+        for i in range(14):
+            doc_id = 100 * b + i
+            text = " ".join(rng.choice(words)
+                            for _ in range(rng.randint(20, 45)))
+            if b and i in (3, 4):       # copies of earlier parts' texts
+                prev = parts[b - 1]["text"][i].as_py()
+                text = prev if i == 3 else prev.upper()
+            if b == 1 and i == 5:
+                text = "lonely"
+            lang = ["en", "en", "de"][i % 3] if b != 2 or i else "fr"
+            src = "solo" if b == 2 and i == 7 else sources[i % 5]
+            rows.append((doc_id, text, lang, src))
+        parts.append(pa.table({
+            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+            "text": pa.array([r[1] for r in rows], pa.string()),
+            "lang": pa.array([r[2] for r in rows], pa.string()),
+            "source": pa.array([r[3] for r in rows], pa.string()),
+            "n_chars": pa.array([len(r[1]) for r in rows], pa.int64())}))
+    return parts
+
+
+def _fold_events() -> list[pa.Table]:
+    """Events for the fold queries in ``N_BLOCKS`` parts, users
+    spanning parts; event type ``refund`` in one part only; a burst
+    hour (incident hours) and two outlying values (anomalies); values
+    non-negative (the CDC merge's cents composite)."""
+    import random
+
+    rng = random.Random(29)
+    t0 = dt.datetime(2024, 2, 1, 6)
+    rows = []
+    for i in range(160):
+        kind = "refund" if i in (41, 45, 49) else rng.choice(
+            ["view", "view", "click", "purchase"])
+        minute = 11 * i + rng.randrange(9) if i % 10 else 300 + i // 10
+        rows.append((i, t0 + dt.timedelta(minutes=minute),
+                     rng.randrange(9), kind,
+                     5000.0 if i in (17, 90) else
+                     rng.choice([0.0, 0.125, 1.5, 2.675, 9.99, 250.0])))
+    parts = []
+    for b in range(N_BLOCKS):
+        t = _typed_events(rows[b::N_BLOCKS])
+        parts.append(t.append_column("props", pa.array(
+            ['{"k": %d}' % (r % 3) for r in range(t.num_rows)],
+            pa.string())))
+    return parts
+
+
+def _canon_rows(df, cols):
+    """Order-free rows as strings; a null (None, NaN) reads "null" and an
+    integral float reads as an int, so dtypes of the two engines agree."""
+    import pandas as pd
+
+    def canon(v):
+        if v is None or (not isinstance(v, str) and pd.isna(v)):
+            return "null"
+        if isinstance(v, float) and v.is_integer():
+            return str(int(v))
+        return str(v)
+
+    return sorted(tuple(canon(v) for v in r)
+                  for r in df[cols].itertuples(index=False))
+
+
+# the registered queries whose driver-side aggregate is one groups.fold
+# and whose input is the documents or the events table
+FOLD_QUERIES = [
+    "hll_distinct_users", "cms_heavy_bigrams", "set_sim_join_pairs",
+    "cdc_upsert_merge", "dedup_sensitivity_sweep", "langid_mismatch",
+    "langid_confusion", "dsir_importance", "loo_source_influence",
+    "quality_threshold_sweep", "source_token_budget", "encoding_advisor",
+    "session_incident_overlap", "markov_next_event", "zscore_by_source",
+    "event_anomalies"]
+
+
+@pytest.mark.parametrize("query", FOLD_QUERIES)
+def test_fold_query_multi_block_matches_sql(ray_session, tmp_path,
+                                            monkeypatch, query):
+    """Each fold query through its registry op and its DuckDB twin, on
+    a 4-block input and on a zero-row one."""
+    import ray.data as rd
+
+    import __ray_entry__ as E
+
+    spec = next(q for q in E._QUERIES if q.name == query)
+    parts = _fold_docs() if spec.src == "documents" else _fold_events()
+    for name, ps in (("blocks", parts), ("empty", [parts[0].slice(0, 0)])):
+        d = tmp_path / name
+        d.mkdir()
+        for i, t in enumerate(ps):
+            pq.write_table(t, d / f"part-{i}.parquet")
+
+        def read(sf_dir, table, cols=None, d=d, n=len(ps)):
+            return rd.read_parquet(str(d), override_num_blocks=n,
+                                   columns=cols or E._READ_COLS.get(table))
+
+        monkeypatch.setattr(E, "_read", read)
+        want = _sql(spec.src, pa.concat_tables(ps), E._sql_text(spec))
+        cols = list(want.columns)
+        got = _df(E.run(spec, str(tmp_path)))
+        if name == "blocks":
+            assert len(want)
+        elif not set(cols) <= set(got.columns):
+            # Ray drops the schema of an all-empty Dataset
+            assert len(got) == len(want) == 0
+            continue
+        assert _canon_rows(got, cols) == _canon_rows(want, cols), name
+
+
+def test_moment_ops_exact_past_int64_match_sql(ray_session):
+    """zscore_by_source, event_anomalies and grouped_corr against their
+    twins where Σx² (and Σxy, Σy²) of a key passes 2^63 only across
+    blocks: each 4096-row block (one batch of the ops' partials) keeps
+    its own sums inside int64."""
+    import ray.data as rd
+
+    from kgruntime.ops import stats
+    from kgruntime.relational import Q_CORR_QTY_PRICE_SQL
+
+    n, rows = 4 * 4096, 4096
+    # x ≈ 3.9e7, x² ≈ 1.5e15: 2048 per key and block stay below 2^63,
+    # the key's 8192 pass it; one outlier per key is the anomaly
+    xs = [39_000_000 + (i * 7919) % 1_000_003 for i in range(n)]
+    xs[777], xs[9000] = 390_000_000, 390_000_001
+    keys = ["a", "b"] * (n // 2)
+
+    def blocks(t: pa.Table):
+        return rd.from_arrow([t.slice(i, rows) for i in range(0, n, rows)])
+
+    assert sum(x * x for x in xs[::2]) > 2 ** 63
+    assert max(sum(x * x for x in xs[i:i + rows:2])
+               for i in range(0, n, rows)) < 2 ** 63
+    docs = pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                     "source": keys, "n_chars": pa.array(xs, pa.int64())})
+    got = stats.zscore_by_source(blocks(docs)).to_pandas()
+    want = _sql("documents", docs, stats.zscore_by_source_sql())
+    cols = list(want.columns)
+    assert _canon_rows(got, cols) == _canon_rows(want, cols)
+
+    ev = pa.table({"event_id": pa.array(range(n), pa.int64()),
+                   "event_type": keys,
+                   "value": pa.array([x / 100 for x in xs], pa.float64())})
+    got = stats.event_anomalies(blocks(ev)).to_pandas()
+    want = _sql("events", ev, stats.event_anomalies_sql())
+    cols = list(want.columns)
+    assert len(want)
+    assert _canon_rows(got, cols) == _canon_rows(want, cols)
+
+    li = pa.table({"l_returnflag": keys,
+                   "l_quantity": pa.array([float(x) for x in xs]),
+                   "l_extendedprice": pa.array(
+                       [(x + 3 * (i % 3)) / 100 for i, x in enumerate(xs)])})
+    got = stats.grouped_corr(blocks(li), "l_returnflag", "l_quantity",
+                             "l_extendedprice", out="corr_qty_price")
+    want = _sql("lineitem", li, Q_CORR_QTY_PRICE_SQL)
+    cols = list(want.columns)
+    assert _canon_rows(got, cols) == _canon_rows(want, cols)
+
+
 # ------------------------------------------------------------- cogroup
 
 
@@ -740,19 +939,23 @@ def _grouping_tables(path) -> str:
 # the join queries on groups.cogroup (one exchange per
 # bucketed_hash_join or asof_join, beside their own), and the graph
 # queries on groups.fold (the co-occurrence build's two each; the
-# triangle census adds its wedge segment_map and wedge match)
+# triangle census adds its wedge segment_map and wedge match), and the
+# queries whose driver-side aggregate is one groups.fold (none of their
+# own; cms_heavy_bigrams keeps its bigram max and sort,
+# dedup_sensitivity_sweep its (level, h) count, encoding_advisor its
+# per-column distinct counts and event_id sort)
 EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "fuzzy_name_matches": 2, "rfm_segments": 2, "sessionize": 1,
              "curate_corpus": 3, "minhash_near_dups": 2,
-             "set_sim_join_pairs": 6, "cdc_chunk_dedup": 2,
+             "set_sim_join_pairs": 5, "cdc_chunk_dedup": 2,
              "shingle_novelty": 2, "source_overlap_matrix": 3,
              "copy_genealogy": 3, "ngram_dedup_rewrite": 4,
              "embedding_near_dups": 2, "capped_duplicate_sample": 1,
-             "trigram_diversity": 3, "loo_source_influence": 2,
+             "trigram_diversity": 3, "loo_source_influence": 1,
              "funnel_counts": 3, "event_transitions": 2,
              "retention_cohorts": 2, "cooccurrence_edges": 2,
              "event_path_trigrams": 2, "session_conversion_by_dow": 2,
-             "session_incident_overlap": 2, "markov_next_event": 2,
+             "session_incident_overlap": 1, "markov_next_event": 1,
              "conversion_delay_pcts": 2, "user_active_time": 1,
              "bot_regularity": 1, "user_gap_stats": 1,
              "running_user_totals": 1, "windowed_event_dedup": 1,
@@ -773,13 +976,18 @@ EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "multi_query_lexical": 2, "lexical_topk": 2,
              "maxsim_topk": 0, "page_stitch_pairs": 2,
              "incremental_dup_check": 5, "incremental_near_dups": 2,
-             "near_dedup_corpus": 3, "minhash_error_audit": 9,
+             "near_dedup_corpus": 3, "minhash_error_audit": 8,
              "entity_clusters": 5, "cluster_safe_split": 6,
              "jaccard_adjacent": 1, "asof_click_purchase": 1,
              "asof_purchase_next_click": 1, "pagerank_users": 2,
              "personalized_pagerank": 2, "k_core_members": 2,
              "lpa_communities": 2, "community_modularity": 2,
-             "triangle_census": 4}
+             "triangle_census": 4, "hll_distinct_users": 0,
+             "cms_heavy_bigrams": 2, "dedup_sensitivity_sweep": 1,
+             "langid_mismatch": 0, "langid_confusion": 0,
+             "dsir_importance": 0, "quality_threshold_sweep": 0,
+             "source_token_budget": 0, "encoding_advisor": 7,
+             "zscore_by_source": 0, "event_anomalies": 0}
 
 
 @pytest.mark.parametrize("query", sorted(EXCHANGES))
@@ -802,7 +1010,8 @@ def test_graph_ops_exchange_only_on_unbounded_keys(ray_session):
     """The node-bounded graph ops fold on the driver: no exchange on a
     two-block input whose 2-core, communities and triangles are all
     non-empty; the triangle census exchanges for its wedge stage and
-    wedge match only."""
+    wedge match only.  The subtree rollup folds each customer's
+    ancestor chain: no exchange either."""
     import ray.data as rd
 
     from kgruntime.ops import graph
@@ -818,6 +1027,11 @@ def test_graph_ops_exchange_only_on_unbounded_keys(ray_session):
                   "dst": pa.concat_arrays([t["user_b"].combine_chunks(),
                                            t["user_a"].combine_chunks()])})
 
+    customers = pa.table({
+        "c_custkey": pa.array(range(1, 41), pa.int64()),
+        "c_acctbal": pa.array([(-1) ** i * 12.345 * i for i in range(40)],
+                              pa.float64())})
+
     def split(x: pa.Table):
         half = x.num_rows // 2
         return rd.from_arrow([x.slice(0, half), x.slice(half)])
@@ -827,7 +1041,8 @@ def test_graph_ops_exchange_only_on_unbounded_keys(ray_session):
             (graph.community_modularity, split(t), {}, 0),
             (graph.pagerank, split(d), {}, 0),
             (graph.personalized_pagerank, split(d), {}, 0),
-            (graph.triangle_count, split(t), {}, 2)]
+            (graph.triangle_count, split(t), {}, 2),
+            (graph.subtree_balance_rollup, split(customers), {}, 0)]
     logger = logging.getLogger("ray.data")
     for op, ds, kw, want in runs:
         counter = _PlanCounter()
