@@ -3341,11 +3341,13 @@ def cdc_upsert_merge(events_ds):
     the merged table rolls up to (event_type, n_rows, sum_cents).
 
     Scale shape: the merge is ONE native ``groupby(event_id).max`` over
-    a COMPOSITE int64 — ``src<<62 | del<<61 | type_code<<48 | cents``
-    (the grouped_mode argmax idiom): change rows carry src=1 so MAX
-    picks them over base rows, the winner decodes vectorized, deletes
-    drop, and one ``groups.fold`` by type code rolls up on the driver.
-    No per-key Python, 16-byte exchange rows; cents < 2^48 asserted
+    a COMPOSITE int64 — ``src<<62 | del<<61 | type_code<<48 | cents +
+    2^47`` (the grouped_mode argmax idiom; offset binary keeps negative
+    cents in the low 48 bits and in order): change rows carry src=1 so
+    MAX picks them over base rows, the winner decodes vectorized,
+    deletes drop, and one ``groups.fold`` by type code rolls up on the
+    driver.  The type codes and the id range come from one more fold.
+    No per-key Python, 16-byte exchange rows; |cents| < 2^47 asserted
     (composite safety).
     """
     import ray.data as rd
@@ -3353,14 +3355,16 @@ def cdc_upsert_merge(events_ds):
 
     from .groups import fold
 
-    types = sorted(events_ds.select_columns(["event_type"])
-                   .unique("event_type") or [])
+    off = 1 << 47                   # offset-binary cents
+    per_type = fold(events_ds.select_columns(["event_type", "event_id"]),
+                    "event_type", {"mx": ("max", "event_id")})
+    types = per_type["event_type"].to_pylist()
     if "click" not in types:
         types = sorted(types + ["click"])
     code = {t: i for i, t in enumerate(types)}
     assert len(types) < (1 << 13)
     ins_code = code["click"]
-    mx = events_ds.max("event_id")
+    mx = pc.max(per_type["mx"]).as_py()
     if mx is None:                  # empty base: empty merged table
         return pa.table({"event_type": pa.array([], pa.string()),
                          "n_rows": pa.array([], pa.int64()),
@@ -3370,10 +3374,10 @@ def cdc_upsert_merge(events_ds):
         v = t["value"].to_numpy(zero_copy_only=False) * 100.0
         cents = np.copysign(np.floor(np.abs(v) + 0.5), v) \
             .astype(np.int64)
-        assert (cents >= 0).all() and (cents < (1 << 48)).all()
+        assert (np.abs(cents) < off).all()
         codes = np.array([code[s] for s in
                           t["event_type"].to_pylist()], np.int64)
-        k = (codes << 48) | cents
+        k = (codes << 48) | (cents + off)
         return pa.table({"event_id": t["event_id"],
                          "k": pa.array(k, pa.int64())})
 
@@ -3386,7 +3390,8 @@ def cdc_upsert_merge(events_ds):
         ids, h, r = ids[sel], h[sel], r[sel]
         is_del = (r == 1).astype(np.int64)
         cents = np.where(is_del == 1, 0, h % 10000)
-        k = (1 << 62) | (is_del << 61) | (ins_code << 48) | cents
+        k = (1 << 62) | (is_del << 61) | (ins_code << 48) \
+            | (cents + off)
         return pa.table({"event_id": pa.array(ids, pa.int64()),
                          "k": pa.array(k, pa.int64())})
 
@@ -3401,7 +3406,7 @@ def cdc_upsert_merge(events_ds):
         k = t["max(k)"].to_numpy(zero_copy_only=False)
         k = k[((k >> 61) & 1) == 0]
         return pa.table({"c": (k >> 48) & 0x1FFF,
-                         "cents": k & ((1 << 48) - 1)})
+                         "cents": (k & ((1 << 48) - 1)) - off})
 
     rows = fold(base.union(changes).groupby("event_id")
                 .aggregate(Max("k"))

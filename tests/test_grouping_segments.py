@@ -379,8 +379,8 @@ def _fold_docs() -> list[pa.Table]:
 def _fold_events() -> list[pa.Table]:
     """Events for the fold queries in ``N_BLOCKS`` parts, users
     spanning parts; event type ``refund`` in one part only; a burst
-    hour (incident hours) and two outlying values (anomalies); values
-    non-negative (the CDC merge's cents composite)."""
+    hour (incident hours), two outlying values (anomalies) and
+    negative values."""
     import random
 
     rng = random.Random(29)
@@ -393,7 +393,8 @@ def _fold_events() -> list[pa.Table]:
         rows.append((i, t0 + dt.timedelta(minutes=minute),
                      rng.randrange(9), kind,
                      5000.0 if i in (17, 90) else
-                     rng.choice([0.0, 0.125, 1.5, 2.675, 9.99, 250.0])))
+                     rng.choice([0.0, 0.125, -1.5, 2.675, -2.675, 9.99,
+                                 250.0])))
     parts = []
     for b in range(N_BLOCKS):
         t = _typed_events(rows[b::N_BLOCKS])
@@ -941,7 +942,8 @@ def _grouping_tables(path) -> str:
 # queries on groups.fold (the co-occurrence build's two each; the
 # triangle census adds its wedge segment_map and wedge match), and the
 # queries whose driver-side aggregate is one groups.fold (none of their
-# own; cms_heavy_bigrams keeps its bigram max and sort,
+# own; cdc_upsert_merge keeps its event_id max, cms_heavy_bigrams
+# its bigram max and sort,
 # dedup_sensitivity_sweep its (level, h) count, encoding_advisor its
 # per-column distinct counts and event_id sort)
 EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
@@ -982,7 +984,8 @@ EXCHANGES = {"winnow_dup_pairs": 2, "rare_token_pairs": 2,
              "asof_purchase_next_click": 1, "pagerank_users": 2,
              "personalized_pagerank": 2, "k_core_members": 2,
              "lpa_communities": 2, "community_modularity": 2,
-             "triangle_census": 4, "hll_distinct_users": 0,
+             "triangle_census": 4, "cdc_upsert_merge": 1,
+             "hll_distinct_users": 0,
              "cms_heavy_bigrams": 2, "dedup_sensitivity_sweep": 1,
              "langid_mismatch": 0, "langid_confusion": 0,
              "dsir_importance": 0, "quality_threshold_sweep": 0,

@@ -429,3 +429,70 @@ def test_exploded_join_remap_matches_legacy(ray_session, monkeypatch):
     assert run(labels_ds=lds) == expected                   # hits bcast
     monkeypatch.setattr(canon, "HITS_BROADCAST_MAX", 0)     # co-shuffle
     assert run(labels_ds=lds) == expected
+
+
+def _write_staging(path, parts_per_kind: int, kinds=(0, 1, 2)) -> str:
+    """The fused build's staged parse table, written by hand with
+    ``parts_per_kind`` parquet files in each record_kind partition."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from kgruntime.stages.fused_link import FusedParseLink
+
+    staged = FusedParseLink(alias_table=kg_corpus.kb_alias_table())(
+        kg_corpus.documents_table(36, seed=7, malformed_every=5))
+    for kind in kinds:
+        t = staged.filter(pc.equal(staged["record_kind"], kind)) \
+            .drop_columns(["record_kind"])
+        d = os.path.join(path, f"record_kind={kind}")
+        os.makedirs(d)
+        cut = [i * t.num_rows // parts_per_kind
+               for i in range(parts_per_kind + 1)]
+        for i in range(parts_per_kind):
+            pq.write_table(t.slice(cut[i], cut[i + 1] - cut[i]),
+                           os.path.join(d, f"part-{i}.parquet"))
+    return str(path)
+
+
+def test_staged_read_makes_one_block_per_file(ray_session, tmp_path):
+    """The staged read never splits a file and never merges files, also
+    past the session's CPUs; a missing partition is a zero-row Dataset
+    with the schema pinned."""
+    import ray
+
+    from kgruntime.pipelines.kg import _ERROR_COLS, _TRIPLE_COLS, _read_kind
+
+    assert int(ray.cluster_resources()["CPU"]) < 6
+    for n in (1, 3, 6):
+        staging = _write_staging(tmp_path / f"n{n}", n)
+        for kind, cols in ((0, _TRIPLE_COLS), (1, _ERROR_COLS),
+                           (2, ["subj", "obj"])):
+            ds = _read_kind([staging], kind, cols)
+            assert ds.materialize().num_blocks() == n
+            assert ds.schema().names == cols
+    staging = _write_staging(tmp_path / "no_errors", 3, kinds=(0, 2))
+    errors = _read_kind([staging], 1, _ERROR_COLS)
+    assert errors.count() == 0 and errors.schema().names == _ERROR_COLS
+
+
+def test_staged_tail_same_store_and_schema_over_split_staging(ray_session,
+                                                              tmp_path):
+    """The fused build's tail over a 3- and a 6-file staging gives the
+    store of the 1-file staging, and every block of its canonical
+    output, empty or not, carries the full schema."""
+    import ray
+
+    from kgruntime.pipelines.kg import _staged_tail
+
+    key = ["subj", "subj_kind", "pred", "obj", "obj_kind",
+           "obj_datatype", "obj_lang"]
+    stores = {}
+    for n in (1, 3, 6):
+        res = _staged_tail(_write_staging(tmp_path / f"n{n}", n),
+                           dedup_buckets=64, keep_buckets=True)
+        tables = ray.get(res["canonical"].to_arrow_refs())
+        want = set(key + ["subj_bucket", "sub_salt"])
+        assert all(set(t.schema.names) == want for t in tables)
+        stores[n] = sorted(tuple(r[k] for k in key)
+                           for t in tables for r in t.to_pylist())
+    assert stores[1] and stores[3] == stores[1] == stores[6]

@@ -649,7 +649,7 @@ def test_cdc_upsert_merge_vs_brute(ray_session):
     ids = sorted(rng.choice(300, n, replace=False))
     types = ["click", "view", "purchase"]
     rows = [(int(i), types[rng.randint(3)],
-             round(float(rng.uniform(0.01, 200.0)), 2)) for i in ids]
+             round(float(rng.uniform(-50.0, 200.0)), 2)) for i in ids]
     ds = rd.from_arrow(pa.table({
         "event_id": pa.array([r[0] for r in rows], pa.int64()),
         "event_type": pa.array([r[1] for r in rows], pa.string()),
