@@ -1194,7 +1194,8 @@ _QUERIES: tuple[Q, ...] = (
     Q("doc_rarity_scores", "kgruntime.ops.text:doc_rarity_scores",
       sort="doc_id", sql="kgruntime.ops.text:DOC_RARITY_SQL"),
     Q("dup_rate_by_source", "kgruntime.ops.dedup:dup_rate_by_source",
-      sort="source", sql="kgruntime.ops.dedup:DUP_RATE_BY_SOURCE_SQL"),
+      sort="source", pin=["source", "n_docs", "n_distinct", "dup_rate"],
+      sql="kgruntime.ops.dedup:DUP_RATE_BY_SOURCE_SQL"),
     Q("prefix_overlap_pairs", "kgruntime.ops.dedup:sorted_neighbor_overlap",
       kw=dict(min_prefix=10), sort=["doc_a", "doc_b"],
       pin=["doc_a", "doc_b", "common_prefix_len"],
@@ -1513,7 +1514,7 @@ _QUERIES: tuple[Q, ...] = (
     Q("term_frequencies", _q_term_freqs,
       sql="kgruntime.ops.text:TERM_FREQUENCIES_SQL"),
     Q("vocab_per_lang", "kgruntime.ops.text:vocab_per_lang", sort="lang",
-      sql="kgruntime.ops.text:VOCAB_PER_LANG_SQL"),
+      pin=["lang", "vocab_size"], sql="kgruntime.ops.text:VOCAB_PER_LANG_SQL"),
     Q("stratified_sample", _q_strat_sample,
       sql="kgruntime.ops.sample:stratified_sample_sql",
       sql_kw=dict(rates=_SAMPLE_RATES, columns="doc_id, lang, source")),
@@ -1533,9 +1534,11 @@ _QUERIES: tuple[Q, ...] = (
       sql="kgruntime.ops.sessions:SESSIONIZE_SQL"),
     Q("tumbling_hourly", "kgruntime.ops.sessions:tumbling_hourly",
       src="events", sort=["event_type", "window_start"],
+      pin=["event_type", "window_start", "n_events", "total_value"],
       sql="kgruntime.ops.sessions:TUMBLING_HOURLY_SQL"),
     Q("hopping_2h_1h", "kgruntime.ops.sessions:hopping_windows", src="events",
       sort=["event_type", "window_start"],
+      pin=["event_type", "window_start", "n_events", "total_value"],
       sql="kgruntime.ops.sessions:HOPPING_2H_1H_SQL"),
     Q("user_gap_stats", "kgruntime.ops.sessions:user_gap_stats", src="events",
       sort="user_id", sql="kgruntime.ops.sessions:USER_GAP_STATS_SQL"),

@@ -45,7 +45,7 @@ import logging
 import numpy as np
 import pyarrow as pa
 
-from .groups import first_k, run_starts
+from .groups import first_k, fold
 
 logger = logging.getLogger(__name__)
 
@@ -586,9 +586,9 @@ def kmeans_clusters(emb_ds, n_centroids: int = 16,
     Scale shape: one bounded sample collect (O(train_size) rows at any
     corpus size), one broadcast of the integer centroid matrix, ONE
     streaming assignment pass (materialized before the count so the
-    scan+assignment never re-executes), and one tiny per-cid count
-    groupby whose result is broadcast back — the corpus crosses zero
-    shuffles.  Bit-exact SQL twin: ``kmeans_clusters_sql``."""
+    scan+assignment never re-executes), and one per-cid fold whose
+    result is broadcast back — the corpus crosses zero shuffles.
+    Bit-exact SQL twin: ``kmeans_clusters_sql``."""
     import ray
 
     from ..stages.broadcast import cached_get
@@ -613,9 +613,9 @@ def kmeans_clusters(emb_ds, n_centroids: int = 16,
     # execute twice
     assigned = emb_ds.map_batches(assign_batch, batch_format="pyarrow",
                                   zero_copy_batch=True).materialize()
-    counts = dict(map(tuple, assigned.groupby("cid").count()
-                      .to_pandas().to_numpy()))  # ≤ n_centroids rows
-    cref = ray.put(counts)
+    counts = fold(assigned, "cid", {"n": ("count", None)})
+    cref = ray.put(dict(zip(counts["cid"].to_pylist(),
+                            counts["n"].to_pylist())))
 
     def attach_n(t: pa.Table) -> pa.Table:
         cn = cached_get(cref, tag="kmeans_clusters-counts")

@@ -185,10 +185,14 @@ def bpe_fertility(docs_ds, rounds: int = 8):
     projection of that table (vocab-bounded, materialized); encoding
     touches only distinct words; the |V|-bounded word→n_tokens map
     broadcasts back over the (lang, word) table, and the rollup is a
-    |langs|-row groupby.  Document text never crosses a second time.
+    |langs|-row fold on the driver.  Document text never crosses a
+    second time.
     """
     import numpy as np
+    import ray.data as rd
     from ray.data.aggregate import Sum
+
+    from .groups import fold
 
     def wl_partial(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -200,7 +204,8 @@ def bpe_fertility(docs_ds, rounds: int = 8):
             .agg(pl.len().cast(pl.Int64).alias("cnt")) \
             .select(["lang", "w", "cnt"]).to_arrow()
 
-    # vocab × |langs|-bounded — the documented safe-materialize case
+    # vocab × |langs|-bounded — the documented safe-materialize case;
+    # native: the (lang, word) key grows with the vocabulary
     wfl = docs_ds.select_columns(["lang", "text"]) \
         .map_batches(wl_partial, batch_format="pyarrow",
                      zero_copy_batch=True) \
@@ -239,22 +244,11 @@ def bpe_fertility(docs_ds, rounds: int = 8):
             "n_tokens": pa.array(cnt * nt, pa.int64()),
         })
 
-    def finish(t: pa.Table) -> pa.Table:
-        nw = t["n_words"].to_numpy(zero_copy_only=False)
-        nt = t["n_tokens"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "lang": t["lang"],
-            "n_words": pa.array(nw, pa.int64()),
-            "n_tokens": pa.array(nt, pa.int64()),
-            "fertility_ppm": pa.array(1_000_000 * nt // nw, pa.int64()),
-        })
-
-    return wfl.map_batches(decorate, batch_format="pyarrow") \
-        .groupby("lang").aggregate(
-            Sum("n_words", alias_name="n_words"),
-            Sum("n_tokens", alias_name="n_tokens")) \
-        .map_batches(finish, batch_format="pyarrow") \
-        .sort("lang")
+    t = fold(wfl.map_batches(decorate, batch_format="pyarrow"), "lang",
+             {"n_words": ("sum", "n_words"), "n_tokens": ("sum", "n_tokens")})
+    nw, nt = t["n_words"].to_numpy(), t["n_tokens"].to_numpy()
+    return rd.from_arrow(t.append_column(
+        "fertility_ppm", pa.array(1_000_000 * nt // nw, pa.int64())))
 
 
 def bpe_fertility_sql(rounds: int = 8, table: str = "documents") -> str:

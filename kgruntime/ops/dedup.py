@@ -1071,44 +1071,45 @@ def dup_rate_by_source(docs_ds):
     """Corpus-health metric: per-source exact-duplicate rate —
     (source, n_docs, n_distinct, dup_rate).
 
-    Scale shape: per-batch (source, content-hash) dedup, ONE
-    groupby(source, hash) exchange carrying hashes (never text), then a
-    tiny per-source rollup.  Uses the md5-60 primitive so the DuckDB
+    Scale shape: ONE segment exchange on the content hash
+    (``groups.segment_map``) carrying hashes (never text): every copy
+    of a hash lands in one block, so each block's per-source rows and
+    distinct (source, hash) pairs are exact, and a per-source fold sums
+    them on the driver.  A null source is a group of its own, as in the
+    twin.  Uses the md5-60 primitive so the DuckDB
     oracle replays the hash exactly; a rate metric tolerates 60-bit
     collisions (~2^-60 per pair) — collision-SAFE dedup paths
     (exact_dedup_groups) keep text in the key instead.
     """
-    import pandas as pd
-    from ray.data.aggregate import Count, Sum
+    import ray.data as rd
 
-    def partial(t: pa.Table) -> pa.Table:
-        src = t["source"].to_pylist()
-        h = [_md5_60(x.encode()) for x in t["text"].to_pylist()]
-        df = pd.DataFrame({"source": src, "h": h})
-        g = df.groupby(["source", "h"], sort=False).size() \
-            .rename("cnt").reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    from .groups import fold, segment_map
+    from .text import _round6
 
-    def finish(t: pa.Table) -> pa.Table:
-        from .text import _round6
+    def hashes(t: pa.Table) -> pa.Table:
+        return pa.table({"source": t["source"], "h": pa.array(
+            [_md5_60(x.encode()) for x in t["text"].to_pylist()],
+            pa.int64())})
 
-        n = t["n_docs"].to_pylist()
-        d = t["n_distinct"].to_pylist()
-        rate = [_round6(1.0 - (dd / nn)) for nn, dd in zip(n, d)]
-        return pa.Table.from_arrays(
-            [t["source"], t["n_docs"], t["n_distinct"],
-             pa.array(rate, pa.float64())],
-            names=["source", "n_docs", "n_distinct", "dup_rate"])
+    def per_block(g: pa.Table, starts: np.ndarray) -> pa.Table:
+        d = g.group_by(["source", "h"], use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .group_by("source", use_threads=False) \
+            .aggregate([("count_all", "sum"), ("h", "count")])
+        return pa.table({"source": d["source"],
+                         "n_docs": d["count_all_sum"],
+                         "n_distinct": d["h_count"]})
 
-    return docs_ds.select_columns(["source", "text"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["source", "h"]) \
-        .aggregate(Sum("cnt", alias_name="cnt")) \
-        .groupby("source") \
-        .aggregate(Sum("cnt", alias_name="n_docs"),
-                   Count(alias_name="n_distinct")) \
-        .map_batches(finish, batch_format="pyarrow")
+    t = fold(segment_map(docs_ds.select_columns(["source", "text"])
+                         .map_batches(hashes, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                         "h", per_block), "source",
+             {"n_docs": ("sum", "n_docs"),
+              "n_distinct": ("sum", "n_distinct")})
+    rate = [_round6(1.0 - (dd / nn)) for nn, dd in
+            zip(t["n_docs"].to_pylist(), t["n_distinct"].to_pylist())]
+    return rd.from_arrow(t.append_column("dup_rate",
+                                         pa.array(rate, pa.float64())))
 
 
 DUP_RATE_BY_SOURCE_SQL = """
@@ -3024,12 +3025,14 @@ def cluster_safe_split(docs_ds, train_mod: int = 8, mod: int = 10):
     n_clusters)``.
 
     Scale shape: the cluster table joins back to the id column through
-    ONE bucketed left-outer join (int keys); the per-label rollup and
-    the split rollup are two further int-keyed groupbys; nothing
+    ONE bucketed left-outer join (int keys); the per-label rollup is
+    one more int-keyed groupby and the split rollup a fold; nothing
     driver-side grows with the corpus.
     """
-    from ray.data.aggregate import Count, Sum
+    import ray.data as rd
+    from ray.data.aggregate import Count
 
+    from .groups import fold
     from .join import bucketed_hash_join
 
     def rename_key(t: pa.Table) -> pa.Table:
@@ -3038,7 +3041,11 @@ def cluster_safe_split(docs_ds, train_mod: int = 8, mod: int = 10):
     # bucketed_hash_join keeps both sides' columns, so a same-named
     # join key would collide in the unioned schema — rename first
     clusters = minhash_dup_clusters(docs_ds) \
-        .map_batches(rename_key, batch_format="pyarrow")
+        .map_batches(rename_key, batch_format="pyarrow").materialize()
+    if clusters.schema() is None:   # no near-dup pair: all singletons
+        clusters = rd.from_arrow(pa.table({
+            "c_doc_id": pa.array([], pa.int64()),
+            "cluster_id": pa.array([], pa.int64())}))
     ids = docs_ds.select_columns(["doc_id"])
     joined = bucketed_hash_join(ids, clusters, "doc_id", "c_doc_id",
                                 how="left outer")
@@ -3047,6 +3054,7 @@ def cluster_safe_split(docs_ds, train_mod: int = 8, mod: int = 10):
         lbl = pc.coalesce(t["cluster_id"], t["doc_id"])
         return pa.table({"label": pc.cast(lbl, pa.int64())})
 
+    # native: the cluster label grows with the documents
     per_label = joined.map_batches(label, batch_format="pyarrow") \
         .groupby("label").aggregate(Count(alias_name="n_docs"))
 
@@ -3057,11 +3065,9 @@ def cluster_safe_split(docs_ds, train_mod: int = 8, mod: int = 10):
         return pa.table({"split": pa.array(splits, pa.string()),
                          "n_docs": pc.cast(t["n_docs"], pa.int64())})
 
-    return per_label.map_batches(to_split, batch_format="pyarrow") \
-        .groupby("split").aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Count(alias_name="n_clusters")) \
-        .sort("split")
+    return rd.from_arrow(fold(
+        per_label.map_batches(to_split, batch_format="pyarrow"), "split",
+        {"n_docs": ("sum", "n_docs"), "n_clusters": ("count", None)}))
 
 
 def cluster_safe_split_sql(train_mod: int = 8, mod: int = 10,
@@ -3228,18 +3234,17 @@ def source_overlap_matrix(docs_ds, k: int = 3):
          occurrence of a shingle lands in one segment);
       2. each block ORs the bits of each segment — the presence mask —
          then pre-counts its masks, emitting ≤ 2^n_sources rows;
-      3. a final ``groupby(mask).sum`` leaves ≤ 2^n_sources rows — the
-         only thing the driver ever sees; pair expansion happens there
-         in exact integers.
+      3. a fold sums the ≤ 2^n_sources mask rows of each block on the
+         driver; pair expansion happens there in exact integers.
 
-    Text never crosses an exchange (8-byte shingle hashes do).
+    Text never crosses an exchange (8-byte shingle hashes do); the
+    sources themselves come from a fold too.
     """
-    from ray.data.aggregate import Sum
+    from .groups import fold, segment_map
 
-    from .groups import segment_map
-
-    srcs = sorted(docs_ds.select_columns(["source"]).unique("source")
-                  or [])
+    # a null source pairs with none, as in the twin's join
+    srcs = [s for s in fold(docs_ds.select_columns(["source"]), "source",
+                            {})["source"].to_pylist() if s is not None]
     assert len(srcs) <= 62, "bitmask overlap assumes catalog-small sources"
     bit = {s: 1 << i for i, s in enumerate(srcs)}
 
@@ -3248,7 +3253,7 @@ def source_overlap_matrix(docs_ds, k: int = 3):
         for s, txt in zip(t["source"].to_pylist(),
                           t["text"].to_pylist()):
             toks = [w for w in txt.split(" ") if w]
-            if len(toks) < k:
+            if len(toks) < k or s not in bit:
                 continue
             hs = {_md5_60_memo(" ".join(toks[i:i + k]))
                   for i in range(len(toks) - k + 1)}
@@ -3268,14 +3273,11 @@ def source_overlap_matrix(docs_ds, k: int = 3):
         return pa.table({"mask": pa.array(m, pa.int64()),
                          "n": pa.array(n, pa.int64())})
 
-    masks = segment_map(docs_ds.select_columns(["text", "source"])
-                        .map_batches(explode, batch_format="pyarrow",
-                                     zero_copy_batch=True),
-                        "h", per_block) \
-        .groupby("mask").aggregate(Sum("n", alias_name="n")) \
-        .take_all()
-
-    counts = [(int(r["mask"]), int(r["n"])) for r in masks]
+    masks = fold(segment_map(docs_ds.select_columns(["text", "source"])
+                             .map_batches(explode, batch_format="pyarrow",
+                                          zero_copy_batch=True),
+                             "h", per_block), "mask", {"n": ("sum", "n")})
+    counts = list(zip(masks["mask"].to_pylist(), masks["n"].to_pylist()))
     tot = {i: sum(n for m, n in counts if (m >> i) & 1)
            for i in range(len(srcs))}
     out = {"src_a": [], "src_b": [], "n_shared": [], "overlap_ppm": []}

@@ -519,24 +519,23 @@ def k_anonymity_audit(docs_ds, ks: tuple = (2, 5, 10)):
     dp_noisy_counts release mechanism).  Output per k: (k, n_groups,
     n_small_groups, n_risky_docs, risky_ppm).
 
-    Scale shape: ONE native groupby over the QI tuple (class-bounded,
-    never the corpus), then per-batch (k, groups, small, risky)
-    partials folded on a ≤|ks|-row rollup.
+    Scale shape: ONE fold over the QI tuple (class-bounded, never the
+    corpus) on the driver, then a ≤|ks|-row rollup there.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
+
+    from .groups import fold
 
     def prep(t: pa.Table) -> pa.Table:
         bucket = pc.divide(t["n_chars"], pa.scalar(100, pa.int64()))
         return pa.table({"lang": t["lang"], "source": t["source"],
                          "nb": bucket})
 
-    classes = docs_ds.select_columns(["lang", "source", "n_chars"]) \
-        .map_batches(prep, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["lang", "source", "nb"]) \
-        .aggregate(Count(alias_name="n")).take_all()
-    sizes = [int(r["n"]) for r in classes]
+    sizes = fold(docs_ds.select_columns(["lang", "source", "n_chars"])
+                 .map_batches(prep, batch_format="pyarrow",
+                              zero_copy_batch=True),
+                 ["lang", "source", "nb"], {"n": ("count", None)}) \
+        ["n"].to_pylist()
     total = sum(sizes)
     out = {"k": [], "n_groups": [], "n_small_groups": [],
            "n_risky_docs": [], "risky_ppm": []}
@@ -585,31 +584,31 @@ def composition_drift(docs_ds):
     ``ks_value_drift`` numeric test.  Output per source:
     (source, n_a, n_b, l1_ppm).
 
-    Scale shape: ONE native groupby over (source, lang, parity) —
-    catalog-bounded — and a driver fold over that tiny table.  Sources
-    seen in only one half get l1_ppm = 1,000,000 (total drift).
+    Scale shape: ONE fold over (source, lang, parity) — catalog-
+    bounded — and the L1 sums over that tiny table on the driver.
+    Sources seen in only one half get l1_ppm = 1,000,000 (total drift).
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
+
+    from .groups import fold
 
     def prep(t: pa.Table) -> pa.Table:
         par = pc.bit_wise_and(t["doc_id"], pa.scalar(1, pa.int64()))
         return pa.table({"source": t["source"], "lang": t["lang"],
                          "par": par})
 
-    rows = docs_ds.select_columns(["doc_id", "source", "lang"]) \
-        .map_batches(prep, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["source", "lang", "par"]) \
-        .aggregate(Count(alias_name="n")).take_all()
+    rows = fold(docs_ds.select_columns(["doc_id", "source", "lang"])
+                .map_batches(prep, batch_format="pyarrow",
+                             zero_copy_batch=True),
+                ["source", "lang", "par"], {"n": ("count", None)}) \
+        .to_pylist()
     per: dict[str, dict[str, list[int]]] = {}
     for r in rows:
         d = per.setdefault(r["source"], {}).setdefault(
             r["lang"], [0, 0])
         d[int(r["par"])] += int(r["n"])
     out = {"source": [], "n_a": [], "n_b": [], "l1_ppm": []}
-    for src in sorted(per):
-        langs = per[src]
+    for src, langs in per.items():      # fold's key order
         n_a = sum(v[0] for v in langs.values())
         n_b = sum(v[1] for v in langs.values())
         if n_a == 0 or n_b == 0:
@@ -645,9 +644,11 @@ cd_l AS (
 cd_s AS (
   SELECT source, sum(a) AS n_a, sum(b) AS n_b,
          sum(abs(a::HUGEINT * (SELECT sum(b) FROM cd_l x
-                               WHERE x.source = cd_l.source)
+                               WHERE x.source IS NOT DISTINCT FROM
+                                     cd_l.source)
                  - b::HUGEINT * (SELECT sum(a) FROM cd_l y
-                                 WHERE y.source = cd_l.source)))
+                                 WHERE y.source IS NOT DISTINCT FROM
+                                       cd_l.source)))
            AS num
   FROM cd_l GROUP BY source)
 SELECT source, n_a::BIGINT AS n_a, n_b::BIGINT AS n_b,

@@ -116,13 +116,14 @@ The ranks are global: the first ``k`` rows of a segment are the same
 rows under any ``k' >= k``, so one prune at ``max(k)`` serves per-key
 quotas (``rank <= quota[key]``).
 
-``fold(ds, keys, aggs)`` is the aggregate for any result the op
-brings to the driver anyway, when its key is bounded (check names,
-sources, languages, sketch cells, hours of the span, graph nodes): one
+``fold(ds, keys, aggs)`` is the library's one aggregate over a
+bounded key (check names, sources, languages, statuses, nations, sketch
+cells, hours and days of the span, graph nodes): one
 row per distinct ``keys`` as a pa.Table on the driver, sorted by
 ``keys``, with NO exchange.  ``aggs`` maps each output column to
 ``(op, column)``, ``op`` one of ``"sum"``, ``"min"``, ``"max"`` or
-``"count"`` (rows; its column is None).  The op's own map emits only
+``"count"`` (rows; its column is None); no ``aggs`` gives the
+distinct keys.  The op's own map emits only
 the key and value columns of each row; each batch gets an Arrow
 ``group_by`` partial in ``map_batches``; ``collect`` brings the
 partials to the driver, where the same ``group_by`` runs again over

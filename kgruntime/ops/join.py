@@ -41,8 +41,12 @@ def bucketed_hash_join(left, right, left_on: str, right_on: str,
     CPUs).  Results are bucketing-invariant.
     """
     how = how.replace("_", " ")
-    l_names = list(left.schema().names)
-    r_names = list(right.schema().names)
+    ls, rs = left.schema(), right.schema()
+    if ls is None or (rs is None and how == "inner"):
+        # a side with no rows and no schema (Ray drops it): no match
+        return left.limit(0)
+    l_names = list(ls.names)
+    r_names = list(rs.names)
     overlap = (set(l_names) & set(r_names)) - {right_on}
     if overlap:
         raise ValueError(f"column collision (rename first): {overlap}")

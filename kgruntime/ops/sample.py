@@ -266,7 +266,7 @@ def temperature_mix_sample(docs_ds, temperature_half: bool = True,
     picks with doc_id tie-break), so the DuckDB twin reproduces the
     sample membership bit-for-bit — no RNG, re-runs and resumes agree.
 
-    Scale shape: per-source counts are ONE tiny native groupby; the
+    Scale shape: per-source counts are ONE fold on the driver; the
     quotas (|sources| ints) are baked into the filter; one
     ``stats.grouped_topk`` at ``k = max(quota)`` on (h ASC, doc_id ASC)
     ranks each source's first picks (≤ k rows per (source, block) reach
@@ -275,10 +275,13 @@ def temperature_mix_sample(docs_ds, temperature_half: bool = True,
     """
     import math
 
+    from .groups import fold
     from .stats import grouped_topk
 
-    counts = docs_ds.groupby("source").count().to_pandas()
-    n_by_src = dict(zip(counts["source"], counts["count()"]))
+    counts = fold(docs_ds.select_columns(["source"]), "source",
+                  {"n": ("count", None)})
+    names = counts["source"].combine_chunks()
+    n_by_src = dict(zip(names.to_pylist(), counts["n"].to_pylist()))
     total = int(sum(n_by_src.values()))
     if total == 0:
         import ray.data as rd
@@ -291,18 +294,21 @@ def temperature_mix_sample(docs_ds, temperature_half: bool = True,
          for s, n in n_by_src.items()}
     wsum = sum(w.values())
     target = total // share
-    names = sorted(n_by_src)
     quota = pa.array([min(int(n_by_src[s]), target * w[s] // wsum)
-                      for s in names], pa.int64())
+                      for s in names.to_pylist()], pa.int64())
+
+    def candidates(t: pa.Table) -> pa.Table:
+        # a null source counts toward the totals but picks nothing, as
+        # the twin's join on source drops it
+        return _with_h(t.filter(pc.is_valid(t["source"])))
 
     def within_quota(t: pa.Table) -> pa.Table:
-        q = pc.take(quota, pc.index_in(t["source"], value_set=pa.array(
-            names, t["source"].type)))
+        q = pc.take(quota, pc.index_in(t["source"], value_set=names))
         return t.filter(pc.less_equal(t["pick_rank"], q)) \
             .select(["source", "doc_id", "pick_rank"])
 
     return grouped_topk(docs_ds.select_columns(["source", "doc_id"])
-                        .map_batches(_with_h, batch_format="pyarrow",
+                        .map_batches(candidates, batch_format="pyarrow",
                                      zero_copy_batch=True),
                         "source", "h", pc.max(quota).as_py(), "doc_id",
                         descending=False, rank_col="pick_rank") \
@@ -430,10 +436,12 @@ def bootstrap_stats(docs_ds, n_replicates: int = 20):
 
     Scale shape: ONE corpus pass; each batch emits ≤ n_replicates
     partial rows (vectorized threshold compares over a (rows, B) hash
-    matrix); one tiny ``groupby(replicate)`` merges.  Deterministic by
+    matrix); one fold merges them on the driver.  Deterministic by
     construction (seeded hashes), so retries/resumes agree.
     """
-    from ray.data.aggregate import Sum
+    import ray.data as rd
+
+    from .groups import fold
 
     thr = np.array(_poisson1_thresholds(), np.uint64)
     B = n_replicates
@@ -454,13 +462,11 @@ def bootstrap_stats(docs_ds, n_replicates: int = 20):
             "sum_chars": pa.array((m * nch[:, None]).sum(axis=0),
                                   pa.int64())})
 
-    return docs_ds.select_columns(["doc_id", "n_chars"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("replicate").aggregate(
-            Sum("n_rows", alias_name="n_rows"),
-            Sum("sum_chars", alias_name="sum_chars")) \
-        .sort("replicate")
+    return rd.from_arrow(fold(
+        docs_ds.select_columns(["doc_id", "n_chars"])
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "replicate", {"n_rows": ("sum", "n_rows"),
+                      "sum_chars": ("sum", "sum_chars")}))
 
 
 def bootstrap_stats_sql(n_replicates: int = 20,

@@ -146,12 +146,12 @@ def tumbling_hourly(events_ds):
     """Tumbling 1-hour windows per event_type:
     (event_type, window_start, n_events, total_value).
 
-    A plain (type, hour) rollup — native hash ``groupby().aggregate``
-    (pre-aggregated per block by Ray), NOT ``map_groups``: with ~5 event
+    A plain (type, hour) rollup — one ``groups.fold`` (per-batch Arrow
+    partials merged on the driver), NOT ``map_groups``: with ~5 event
     types a per-type pandas group would hold 1/5 of the whole corpus in
     one worker's heap.
     """
-    from ray.data.aggregate import Count, Sum
+    import ray.data as rd
 
     def add_window(t: pa.Table) -> pa.Table:
         w = pc.cast(pc.floor_temporal(t["ts"], unit="hour"),
@@ -162,17 +162,17 @@ def tumbling_hourly(events_ds):
             [t["event_type"], w, _cents(t["value"])],
             names=["event_type", "window_start", "cents"])
 
-    def finish(t: pa.Table) -> pa.Table:
-        i = t.schema.get_field_index("cents")
-        total = pc.divide(pc.cast(t["cents"], pa.float64()), 100.0)
-        return t.set_column(i, "total_value", total)
+    return rd.from_arrow(_windowed(events_ds.map_batches(
+        add_window, batch_format="pyarrow", zero_copy_batch=True)))
 
-    return events_ds.map_batches(add_window, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .groupby(["event_type", "window_start"]) \
-        .aggregate(Count(alias_name="n_events"),
-                   Sum("cents", alias_name="cents")) \
-        .map_batches(finish, batch_format="pyarrow")
+
+def _windowed(rows) -> pa.Table:
+    """The (event_type, window_start) fold of ``rows``' cents:
+    (event_type, window_start, n_events, total_value)."""
+    t = fold(rows, ["event_type", "window_start"],
+             {"n_events": ("count", None), "cents": ("sum", "cents")})
+    return t.set_column(3, "total_value", pc.divide(
+        pc.cast(t["cents"], pa.float64()), 100.0))
 
 
 TUMBLING_HOURLY_SQL = """
@@ -191,10 +191,10 @@ def hopping_windows(events_ds, size_hours: int = 2, hop_hours: int = 1):
 
     Scale shape: the explode is per-batch (each batch emits size/hop
     copies with shifted window starts — vectorized concat, no Python
-    rows), then ONE native hash groupby; the shuffle carries the
-    aggregated (type, window) rows, pre-combined per block by Ray.
+    rows), then ONE fold: the driver receives the (type, window)
+    partials of each block, no shuffle.
     """
-    from ray.data.aggregate import Count, Sum
+    import ray.data as rd
 
     if size_hours % hop_hours:
         raise ValueError("size_hours must be a multiple of hop_hours")
@@ -213,18 +213,8 @@ def hopping_windows(events_ds, size_hours: int = 2, hop_hours: int = 1):
                 names=["event_type", "window_start", "cents"]))
         return pa.concat_tables(parts)
 
-    def finish(t: pa.Table) -> pa.Table:
-        i = t.schema.get_field_index("cents")
-        return t.set_column(
-            i, "total_value",
-            pc.divide(pc.cast(t["cents"], pa.float64()), 100.0))
-
-    return events_ds.map_batches(explode, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .groupby(["event_type", "window_start"]) \
-        .aggregate(Count(alias_name="n_events"),
-                   Sum("cents", alias_name="cents")) \
-        .map_batches(finish, batch_format="pyarrow")
+    return rd.from_arrow(_windowed(events_ds.map_batches(
+        explode, batch_format="pyarrow", zero_copy_batch=True)))
 
 
 HOPPING_2H_1H_SQL = """
@@ -322,16 +312,15 @@ def event_transitions(events_ds):
     the lead()-window shape: (from_type, to_type, n_pairs).
 
     Scale shape: each coarse user block emits at most |types|²
-    pre-combined rows, then ONE tiny native groupby rolls them up — the
-    second shuffle carries counts, never events.
+    pre-combined rows, then ONE fold sums them on the driver — the
+    only shuffle is the user exchange.
     """
-    from ray.data.aggregate import Sum
+    import ray.data as rd
 
-    return segment_map(events_ds.select_columns(
+    return rd.from_arrow(fold(segment_map(events_ds.select_columns(
         ["user_id", "ts", "event_id", "event_type"]),
-        "user_id", _transition_block) \
-        .groupby(["from_type", "to_type"]) \
-        .aggregate(Sum("n_pairs", alias_name="n_pairs"))
+        "user_id", _transition_block), ["from_type", "to_type"],
+        {"n_pairs": ("sum", "n_pairs")}))
 
 
 EVENT_TRANSITIONS_SQL = """
@@ -359,10 +348,11 @@ def funnel_counts(events_ds, stages: tuple[str, ...] = FUNNEL_STAGES):
     Scale shape: conditional first-times via ONE native
     (user, type) Min groupby (pre-combined per block, shuffle carries
     one int per user per stage); the depth walk then runs once per
-    coarse user block as a users × stages matrix; the final rollup is
-    |stages| rows.
+    coarse user block as a users × stages matrix; a fold sums the
+    |stages|-row result on the driver.
     """
-    from ray.data.aggregate import Min, Sum
+    import ray.data as rd
+    from ray.data.aggregate import Min
 
     stages = pa.array(list(stages), pa.string())
 
@@ -389,13 +379,14 @@ def funnel_counts(events_ds, stages: tuple[str, ...] = FUNNEL_STAGES):
         return pa.table({"stage_idx": i, "stage": stages.take(i),
                          "n_users": n[i]})
 
+    # native: the (user, type) key grows with the users
     mins = events_ds.select_columns(["user_id", "event_type", "ts"]) \
         .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby(["user_id", "event_type"]) \
         .aggregate(Min("ts_us", alias_name="first_us"))
-    return segment_map(mins, "user_id", depth) \
-        .groupby(["stage_idx", "stage"]) \
-        .aggregate(Sum("n_users", alias_name="n_users"))
+    return rd.from_arrow(fold(segment_map(mins, "user_id", depth),
+                              ["stage_idx", "stage"],
+                              {"n_users": ("sum", "n_users")}))
 
 
 def funnel_counts_sql(stages: tuple[str, ...] = FUNNEL_STAGES) -> str:
@@ -434,10 +425,10 @@ def retention_cohorts(events_ds):
 
     Scale shape: per-batch (user, day) dedup shrinks the exchange to
     distinct activity days; the user-keyed shuffle carries only those;
-    the final (cohort, offset) rollup is calendar-bounded (days²), tiny
+    the final (cohort, offset) fold is calendar-bounded (days²), tiny
     at any corpus size.
     """
-    from ray.data.aggregate import Count
+    import ray.data as rd
 
     def prep(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
@@ -460,12 +451,11 @@ def retention_cohorts(events_ds):
         return pa.table({"cohort_day": cohort[k],
                          "day_offset": (day - cohort)[k]})
 
-    return segment_map(events_ds.select_columns(["user_id", "ts"])
-                       .map_batches(prep, batch_format="pyarrow",
-                                    zero_copy_batch=True),
-                       "user_id", cohorts) \
-        .groupby(["cohort_day", "day_offset"]) \
-        .aggregate(Count(alias_name="n_users"))
+    return rd.from_arrow(fold(
+        segment_map(events_ds.select_columns(["user_id", "ts"])
+                    .map_batches(prep, batch_format="pyarrow",
+                                 zero_copy_batch=True), "user_id", cohorts),
+        ["cohort_day", "day_offset"], {"n_users": ("count", None)}))
 
 
 RETENTION_COHORTS_SQL = f"""
@@ -652,15 +642,13 @@ def event_path_trigrams(events_ds):
     double-lead() window shape.
 
     Scale shape mirrors event_transitions: each coarse user block emits
-    ≤ |types|³ pre-combined rows; the rollup shuffle carries counts,
-    never events."""
-    from ray.data.aggregate import Sum
+    ≤ |types|³ pre-combined rows, which one fold sums on the driver."""
+    import ray.data as rd
 
-    return segment_map(events_ds.select_columns(
+    return rd.from_arrow(fold(segment_map(events_ds.select_columns(
         ["user_id", "ts", "event_id", "event_type"]),
-        "user_id", _trigram_block) \
-        .groupby(["t1", "t2", "t3"]) \
-        .aggregate(Sum("n_paths", alias_name="n_paths"))
+        "user_id", _trigram_block), ["t1", "t2", "t3"],
+        {"n_paths": ("sum", "n_paths")}))
 
 
 EVENT_PATH_TRIGRAMS_SQL = """
@@ -702,27 +690,23 @@ def session_conversion_by_dow(events_ds):
     sessions containing a purchase, per day-of-week of session start:
     (dow, n_sessions, n_converted, conversion_rate).
 
-    Each coarse user block emits ≤ 7 pre-combined rows; the final
-    rollup is 7 rows."""
-    from ray.data.aggregate import Sum
+    Each coarse user block emits ≤ 7 pre-combined rows; one fold sums
+    the 7-row result on the driver."""
+    import ray.data as rd
 
-    agg = segment_map(events_ds.select_columns(
+    from .text import _round6
+
+    t = fold(segment_map(events_ds.select_columns(
         ["user_id", "ts", "event_id", "event_type"]),
-        "user_id", _conversion_block) \
-        .groupby("dow") \
-        .aggregate(Sum("n_sessions", alias_name="n_sessions"),
-                   Sum("n_converted", alias_name="n_converted"))
-
-    def rate(t: pa.Table) -> pa.Table:
-        from .text import _round6
-
-        # _round6, NOT builtin round: Python round is banker's, the
-        # oracle's round() is half-away (CLAUDE.md hard rule)
-        r = [_round6(c / s) if s else 0.0 for c, s in
-             zip(t["n_converted"].to_pylist(), t["n_sessions"].to_pylist())]
-        return t.append_column("conversion_rate", pa.array(r, pa.float64()))
-
-    return agg.map_batches(rate, batch_format="pyarrow")
+        "user_id", _conversion_block), "dow",
+        {"n_sessions": ("sum", "n_sessions"),
+         "n_converted": ("sum", "n_converted")})
+    # _round6, NOT builtin round: Python round is banker's, the
+    # oracle's round() is half-away (CLAUDE.md hard rule)
+    r = [_round6(c / s) if s else 0.0 for c, s in
+         zip(t["n_converted"].to_pylist(), t["n_sessions"].to_pylist())]
+    return rd.from_arrow(t.append_column("conversion_rate",
+                                         pa.array(r, pa.float64())))
 
 
 SESSION_CONVERSION_BY_DOW_SQL = f"""
@@ -793,6 +777,7 @@ def decayed_user_value(events_ds, horizon: int = _DECAY_HORIZON_DAYS):
         return pa.table({"user_id": t["user_id"],
                          "wcents": pa.array(cents * w, pa.int64())})
 
+    # native: the user key grows with the rows
     agg = events_ds.select_columns(["user_id", "ts", "value"]) \
         .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby("user_id") \
@@ -908,6 +893,7 @@ def user_value_trend(events_ds, digits: int = 6):
             "xy": pa.array(x * y, pa.int64()),
             "x2": pa.array(x * x, pa.int64())})
 
+    # native: the user key grows with the rows
     s = events_ds.select_columns(["user_id", "ts", "value"]) \
         .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby("user_id").aggregate(
@@ -970,17 +956,16 @@ def hll_distinct_hopping(events_ds, size_hours: int = 2,
                          hop_hours: int = 1, digits: int = 4):
     """Distinct users per hopping window WITHOUT shuffling user ids —
     the sketch × window composition: each event contributes its HLL
-    register update to every window covering it (size/hop copies), the
-    exchange carries only (window, register, rank) partials, and one
-    native Max-merge finalizes — (window_start, n_registers,
-    reg_sum_scaled, est_distinct).
+    register update to every window covering it (size/hop copies), and
+    one fold takes each (window, register)'s max rank on the driver —
+    (window_start, n_registers, reg_sum_scaled, est_distinct).
 
     Exactness contract identical to ``ops/sketch.hll_distinct``: md5-60
     registers, exact dyadic register sum, two-IEEE-op raw estimator.
     At 100 TB this is the shape for "distinct users per sliding hour
-    over a year of events" — |windows| × 64 tiny rows total exchange.
+    over a year of events" — |windows| × 64 tiny rows per block.
     """
-    from ray.data.aggregate import Max
+    import ray.data as rd
 
     from .sketch import (_ALPHA_64, _HLL_B, _HLL_M, _RANK_BITS,
                          _RANK_MAX)
@@ -992,7 +977,7 @@ def hll_distinct_hopping(events_ds, size_hours: int = 2,
     us_size = size_hours * 3_600_000_000
     us_hop = hop_hours * 3_600_000_000
 
-    def partial(t: pa.Table) -> pa.Table:
+    def registers(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()) \
             .to_numpy(zero_copy_only=False)
         users = t["user_id"].to_pylist()
@@ -1007,38 +992,31 @@ def hll_distinct_hopping(events_ds, size_hours: int = 2,
         # window_start of the LAST window covering the event, then the
         # earlier copies at -hop, -2hop, ...
         base = (us // us_hop) * us_hop
-        parts = []
-        for i in range(n_copies):
-            w0 = base - i * us_hop
-            parts.append(pd.DataFrame({
-                "window_start": w0, "reg": reg, "rank": rank}))
-        df = pd.concat(parts, ignore_index=True)
-        g = df.groupby(["window_start", "reg"], sort=False)["rank"] \
-            .max().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    regs = events_ds.select_columns(["user_id", "ts"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["window_start", "reg"]) \
-        .aggregate(Max("rank", alias_name="rank"))
-
-    def finish(g: pa.Table) -> pa.Table:
-        ranks = dict(zip(g["reg"].to_pylist(), g["rank"].to_pylist()))
-        ssum = sum(1 << (_RANK_MAX - int(ranks.get(j, 0)))
-                   for j in range(_HLL_M))
-        s = ssum / float(1 << _RANK_MAX)
-        est = _ALPHA_64 * _HLL_M * _HLL_M / s
-        est = np.floor(est * 10.0 ** digits + 0.5) / 10.0 ** digits
         return pa.table({
-            "window_start": pa.array([g["window_start"][0].as_py()],
-                                     pa.int64()),
-            "n_registers": pa.array([_HLL_M], pa.int64()),
-            "reg_sum_scaled": pa.array([ssum], pa.int64()),
-            "est_distinct": pa.array([float(est)], pa.float64())})
+            "window_start": np.concatenate([base - i * us_hop
+                                            for i in range(n_copies)]),
+            "reg": np.tile(reg, n_copies), "rank": np.tile(rank, n_copies)})
 
-    return regs.groupby("window_start").map_groups(
-        finish, batch_format="pyarrow")
+    regs = fold(events_ds.select_columns(["user_id", "ts"])
+                .map_batches(registers, batch_format="pyarrow",
+                             zero_copy_batch=True),
+                ["window_start", "reg"], {"rank": ("max", "rank")})
+    # a register no event reached has rank 0
+    ssum: dict[int, int] = {}
+    for w, r in zip(regs["window_start"].to_pylist(),
+                    regs["rank"].to_pylist()):
+        ssum[w] = ssum.get(w, _HLL_M << _RANK_MAX) \
+            - (1 << _RANK_MAX) + (1 << (_RANK_MAX - r))
+    wins = sorted(ssum)
+    est = [_ALPHA_64 * _HLL_M * _HLL_M / (ssum[w] / float(1 << _RANK_MAX))
+           for w in wins]
+    return rd.from_arrow(pa.table({
+        "window_start": pa.array(wins, pa.int64()),
+        "n_registers": pa.array([_HLL_M] * len(wins), pa.int64()),
+        "reg_sum_scaled": pa.array([ssum[w] for w in wins], pa.int64()),
+        "est_distinct": pa.array(
+            np.floor(np.array(est, np.float64) * 10.0 ** digits + 0.5)
+            / 10.0 ** digits, pa.float64())}))
 
 
 def hll_distinct_hopping_sql(size_hours: int = 2, hop_hours: int = 1,
@@ -1099,6 +1077,7 @@ def peak_concurrent_users(events_ds):
                            pa.timestamp("us")),
             "ts": t["ts"]})
 
+    # native: the (user, day) key grows with the rows
     iv = events_ds.select_columns(["user_id", "ts"]) \
         .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby(["user_id", "day"]).aggregate(
@@ -1174,6 +1153,7 @@ def rfm_segments(events_ds, n_bands: int = 5):
         return pa.Table.from_arrays([t["user_id"], ts_us, cents],
                                     names=["user_id", "ts_us", "cents"])
 
+    # native: the user key grows with the rows
     per = events_ds.select_columns(["user_id", "ts", "value"]) \
         .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby("user_id") \
@@ -1205,6 +1185,7 @@ def rfm_segments(events_ds, n_bands: int = 5):
                               pa.int64())})
 
     # distinct-value histograms → strictly-less cumulative counts
+    # (native: the metric values grow with the users)
     h = per.map_batches(unpivot, batch_format="pyarrow") \
         .groupby(["metric", "value"]).count().to_pandas() \
         .sort_values(["metric", "value"], kind="mergesort")
@@ -1932,9 +1913,9 @@ def stickiness_dau_mau(events_ds):
     Scale shape: both inputs are batch-deduped distinct (user, day) /
     (user, mon) rows into native groupbys — the exchanges carry
     per-batch-distinct 16-byte int pairs, and every rollup after that
-    is calendar-bounded.
+    is calendar-bounded: a fold per (day, mon) and per mon.
     """
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     def prep(t: pa.Table) -> pa.Table:
         ts = pc.cast(t["ts"], pa.timestamp("us"))
@@ -1952,28 +1933,23 @@ def stickiness_dau_mau(events_ds):
         .map_batches(prep, batch_format="pyarrow",
                      zero_copy_batch=True).materialize()
 
-    dau = ud.groupby(["user_id", "day", "mon"]).aggregate(Count()) \
-        .groupby(["day", "mon"]).aggregate(Count(alias_name="dau")) \
-        .groupby("mon").aggregate(Sum("dau", alias_name="sum_dau"),
-                                  Count(alias_name="n_active_days")) \
-        .take_all()
-    mau = {r["mon"]: r["mau"] for r in
-           ud.groupby(["user_id", "mon"]).aggregate(Count())
-           .groupby("mon").aggregate(Count(alias_name="mau"))
-           .take_all()}
-    mons = sorted(r["mon"] for r in dau)
-    by = {r["mon"]: r for r in dau}
+    # native: the (user, day) and (user, mon) keys grow with the users
+    dau = fold(ud.groupby(["user_id", "day", "mon"]).aggregate(Count()),
+               ["mon", "day"], {"dau": ("count", None)})
+    mau = fold(ud.groupby(["user_id", "mon"]).aggregate(Count()), "mon",
+               {"mau": ("count", None)})
+    # Σ_day DAU and the active days of each mon's run of day rows
+    starts = np.flatnonzero(run_starts(dau["mon"].to_numpy()))
+    sum_dau = np.add.reduceat(dau["dau"].to_numpy(), starts)
+    n_days = np.diff(np.append(starts, dau.num_rows))
     return pa.table({
-        "mon": pa.array(mons, pa.int64()),
-        "n_active_days": pa.array(
-            [int(by[m]["n_active_days"]) for m in mons], pa.int64()),
-        "sum_dau": pa.array([int(by[m]["sum_dau"]) for m in mons],
-                            pa.int64()),
-        "mau": pa.array([int(mau[m]) for m in mons], pa.int64()),
+        "mon": mau["mon"],
+        "n_active_days": pa.array(n_days, pa.int64()),
+        "sum_dau": pa.array(sum_dau, pa.int64()),
+        "mau": mau["mau"],
         "stickiness_ppm": pa.array(
-            [(1_000_000 * int(by[m]["sum_dau"]))
-             // (int(by[m]["n_active_days"]) * int(mau[m]))
-             for m in mons], pa.int64()),
+            1_000_000 * sum_dau // (n_days * mau["mau"].to_numpy()),
+            pa.int64()),
     })
 
 
@@ -2171,6 +2147,7 @@ def conversion_delay_percentiles(events_ds):
         return pa.table({"dow": pc.cast(dow, pa.int64()),
                          "delay_s": (pts - us[c[idx[k]]]) // 1_000_000})
 
+    # native: the delay histogram grows with the conversions
     hist = segment_map(events_ds.select_columns(
         ["user_id", "ts", "event_type", "event_id"]), "user_id", block) \
         .groupby(["dow", "delay_s"]) \

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .groups import collect, prefix_scan, run_starts, segment_map
+from .groups import collect, fold, prefix_scan, run_starts, segment_map
 
 _TOKEN_RE = r"\S+"
 _SCAN_BUCKET = 4096       # docs per prefix-scan bucket (doc_id range)
@@ -199,12 +199,12 @@ def padding_waste(docs_ds, max_len: int = 4096):
     ``(bucket_cap, n_docs, total_tokens, padded_tokens, waste_ppm)``
     with waste_ppm = padded · 10⁶ // (padded + total), all exact int64.
 
-    Scale shape: a per-batch combiner groups its own rows by bucket
-    (≤ log₂(max_len) partial rows per batch cross the exchange), then
-    ONE tiny groupby-sum.  The bucket cap uses the exact bit-smear
+    Scale shape: each doc's bucket cap and token count, and ONE fold
+    sums them per bucket on the driver (≤ log₂(max_len) rows per
+    block), no shuffle.  The bucket cap uses the exact bit-smear
     next-pow2, never float log2.
     """
-    from ray.data.aggregate import Sum
+    import ray.data as rd
 
     def _next_pow2(n: np.ndarray) -> np.ndarray:
         v = (n - 1).astype(np.int64)
@@ -212,42 +212,22 @@ def padding_waste(docs_ds, max_len: int = 4096):
             v |= v >> sh
         return v + 1
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def per_doc(batch: pa.Table) -> pa.Table:
         n = _n_tokens(batch["text"]).to_numpy(zero_copy_only=False)
-        n = np.minimum(n[n > 0], max_len)
-        if len(n) == 0:
-            return pa.table({"bucket_cap": pa.array([], pa.int64()),
-                             "n_docs": pa.array([], pa.int64()),
-                             "total_tokens": pa.array([], pa.int64()),
-                             "padded_tokens": pa.array([], pa.int64())})
+        n = np.minimum(n[n > 0], max_len).astype(np.int64)
         cap = _next_pow2(n)
-        order = np.argsort(cap, kind="stable")
-        cap_s, n_s = cap[order], n[order]
-        uniq, starts = np.unique(cap_s, return_index=True)
-        ends = np.append(starts[1:], len(cap_s))
-        tot = np.add.reduceat(n_s, starts)
-        cnt = (ends - starts).astype(np.int64)
-        return pa.table({
-            "bucket_cap": pa.array(uniq, pa.int64()),
-            "n_docs": pa.array(cnt, pa.int64()),
-            "total_tokens": pa.array(tot, pa.int64()),
-            "padded_tokens": pa.array(uniq * cnt - tot, pa.int64())})
+        return pa.table({"bucket_cap": cap, "n": n, "pad": cap - n})
 
-    agg = docs_ds.select_columns(["text"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket_cap").aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("total_tokens", alias_name="total_tokens"),
-            Sum("padded_tokens", alias_name="padded_tokens"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        tot = t["total_tokens"].to_numpy(zero_copy_only=False)
-        pad = t["padded_tokens"].to_numpy(zero_copy_only=False)
-        ppm = pad * 1_000_000 // np.maximum(pad + tot, 1)
-        return t.append_column("waste_ppm", pa.array(ppm, pa.int64()))
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    t = fold(docs_ds.select_columns(["text"])
+             .map_batches(per_doc, batch_format="pyarrow",
+                          zero_copy_batch=True),
+             "bucket_cap", {"n_docs": ("count", None),
+                            "total_tokens": ("sum", "n"),
+                            "padded_tokens": ("sum", "pad")})
+    tot = t["total_tokens"].to_numpy()
+    pad = t["padded_tokens"].to_numpy()
+    return rd.from_arrow(t.append_column("waste_ppm", pa.array(
+        pad * 1_000_000 // np.maximum(pad + tot, 1), pa.int64())))
 
 
 def padding_waste_sql(max_len: int = 4096,
@@ -407,12 +387,10 @@ def range_partition_planner(events_ds, k: int = 8, sample_n: int = 200):
     Scale shape: the sample is a per-batch local-min-k prune
     (≤ sample_n rows per block to the driver); boundaries (k−1 ints)
     broadcast back; validation is one vectorized ``searchsorted``
-    bucketize pass pre-aggregated per batch (k rows per block) into a
-    tiny groupby — the corpus never shuffles; that is the point of
-    planning before sorting.
+    bucketize pass into a fold of the k bucket counts — the corpus
+    never shuffles; that is the point of planning before sorting.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from .dedup import _md5_60
 
@@ -450,17 +428,14 @@ def range_partition_planner(events_ds, k: int = 8, sample_n: int = 200):
 
     def bucketize(t: pa.Table) -> pa.Table:
         c = cents_of(t).to_numpy(zero_copy_only=False)
-        bk = np.searchsorted(b_arr, c, side="right")
-        cnt = np.bincount(bk, minlength=k)
-        return pa.table({"bucket": pa.array(np.arange(k), pa.int64()),
-                         "n": pa.array(cnt, pa.int64())})
+        return pa.table({"bucket": pa.array(
+            np.searchsorted(b_arr, c, side="right"), pa.int64())})
 
-    rows = events_ds.select_columns(["event_id", "value"]) \
-        .map_batches(bucketize, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").aggregate(Sum("n", alias_name="n")) \
-        .take_all()
-    per = {int(r["bucket"]): int(r["n"]) for r in rows}
+    rows = fold(events_ds.select_columns(["value"])
+                .map_batches(bucketize, batch_format="pyarrow",
+                             zero_copy_batch=True),
+                "bucket", {"n": ("count", None)})
+    per = dict(zip(rows["bucket"].to_pylist(), rows["n"].to_pylist()))
     total = sum(per.values())
     return pa.table({
         "bucket": pa.array(range(k), pa.int64()),
@@ -545,14 +520,15 @@ def zorder_layout_audit(events_ds, n_files: int = 32,
     with time only, so it prunes the day dimension; z-order trades a
     little day locality for user locality and prunes the box.
 
-    Scale shape: ONE streamed pass emits per-batch (layout, file,
-    min/max day, min/max user, n_rows, n_match) partials — 2·n_files
-    rows per block — into a bounded groupby; the driver folds
-    ≤ 2·n_files rows.  Day indexes are rebased on the corpus min day
-    (one tiny aggregate) so the window is position-independent.
+    Scale shape: ONE streamed pass emits each event's (layout, file,
+    day, user, match) under both layouts, and one fold takes the
+    per-file min/max day and user, rows and matches on the driver
+    (≤ 2·n_files rows per block).  Day indexes are rebased on the
+    corpus min day (one tiny aggregate) so the window is
+    position-independent.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Count
 
     def day_of(t: pa.Table):
         return pc.divide(
@@ -572,7 +548,6 @@ def zorder_layout_audit(events_ds, n_files: int = 32,
                          "scan_ppm": pa.array([], pa.int64())})
 
     # exact z histogram (≤ 65536 rows) -> balanced file-of-z lookup
-    from ray.data.aggregate import Count as _Count
 
     def z_only(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
@@ -580,62 +555,40 @@ def zorder_layout_audit(events_ds, n_files: int = 32,
         return pa.table({"z": pa.array(
             _interleave16(uid % 256, day % 256), pa.int64())})
 
+    # native: up to 65536 z codes per block would crowd a driver fold
     hist = sorted((int(r["z"]), int(r["count()"])) for r in
                   events_ds.select_columns(["user_id", "ts"])
                   .map_batches(z_only, batch_format="pyarrow",
                                zero_copy_batch=True)
-                  .groupby("z").aggregate(_Count()).take_all())
+                  .groupby("z").aggregate(Count()).take_all())
     total_rows = sum(c for _, c in hist)
     zs = np.array([z for z, _ in hist], np.int64)
     before = np.concatenate(
         ([0], np.cumsum([c for _, c in hist])[:-1]))
     file_of_z = (before * n_files // total_rows).astype(np.int64)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def per_event(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False)
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         day = day_of(t).to_numpy(zero_copy_only=False) - base
         z = _interleave16(uid % 256, day % 256)
-        zfile = file_of_z[np.searchsorted(zs, z)]
         match = ((day >= d_lo) & (day <= d_hi)
                  & (uid >= u_lo) & (uid <= u_hi)).astype(np.int64)
-        out = {"layout": [], "file": [], "mn": [], "mxd": [],
-               "mnu": [], "mxu": [], "n": [], "m": []}
-        for layout, f in (("insertion", eid * n_files // (mx + 1)),
-                          ("zorder", zfile)):
-            import pandas as pd
-
-            g = pd.DataFrame({"f": f, "d": day, "u": uid, "m": match}) \
-                .groupby("f").agg(mn=("d", "min"), mxd=("d", "max"),
-                                  mnu=("u", "min"), mxu=("u", "max"),
-                                  n=("d", "size"), m=("m", "sum")) \
-                .reset_index()
-            out["layout"].extend([layout] * len(g))
-            out["file"].extend(g["f"].tolist())
-            out["mn"].extend(g["mn"].tolist())
-            out["mxd"].extend(g["mxd"].tolist())
-            out["mnu"].extend(g["mnu"].tolist())
-            out["mxu"].extend(g["mxu"].tolist())
-            out["n"].extend(g["n"].tolist())
-            out["m"].extend(g["m"].tolist())
         return pa.table({
-            "layout": pa.array(out["layout"], pa.string()),
-            "file": pa.array(out["file"], pa.int64()),
-            "mn": pa.array(out["mn"], pa.int64()),
-            "mxd": pa.array(out["mxd"], pa.int64()),
-            "mnu": pa.array(out["mnu"], pa.int64()),
-            "mxu": pa.array(out["mxu"], pa.int64()),
-            "n": pa.array(out["n"], pa.int64()),
-            "m": pa.array(out["m"], pa.int64())})
+            "layout": pa.array(["insertion"] * len(eid)
+                               + ["zorder"] * len(eid), pa.string()),
+            "file": np.concatenate([eid * n_files // (mx + 1),
+                                    file_of_z[np.searchsorted(zs, z)]]),
+            "d": np.tile(day, 2), "u": np.tile(uid, 2),
+            "m": np.tile(match, 2)})
 
-    files = events_ds.select_columns(["event_id", "user_id", "ts"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["layout", "file"]).aggregate(
-            Min("mn", alias_name="mn"), Max("mxd", alias_name="mxd"),
-            Min("mnu", alias_name="mnu"), Max("mxu", alias_name="mxu"),
-            Sum("n", alias_name="n"), Sum("m", alias_name="m")) \
-        .take_all()
+    files = fold(events_ds.select_columns(["event_id", "user_id", "ts"])
+                 .map_batches(per_event, batch_format="pyarrow",
+                              zero_copy_batch=True),
+                 ["layout", "file"],
+                 {"mn": ("min", "d"), "mxd": ("max", "d"),
+                  "mnu": ("min", "u"), "mxu": ("max", "u"),
+                  "n": ("count", None), "m": ("sum", "m")}).to_pylist()
     out = {"layout": [], "n_files_used": [], "files_scanned": [],
            "rows_in_scanned": [], "rows_matched": [], "scan_ppm": []}
     for layout in ("insertion", "zorder"):
@@ -740,11 +693,11 @@ def bitmap_index_queries(events_ds):
 
     Scale shape: the index builds in one per-partition groupby (each
     group emits |types| + |days| fixed-width bitmaps — KBs per 65k
-    rows); queries fold per-partition popcounts with a streamed sum.
-    Day indexes rebase on the corpus min day (one tiny aggregate).
+    rows); one fold sums the per-partition popcounts of each query on
+    the driver.  Day indexes rebase on the corpus min day (one tiny
+    aggregate).
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def day_of(t: pa.Table):
         return pc.divide(
@@ -787,6 +740,7 @@ def bitmap_index_queries(events_ds):
             "key": pa.array(keys, pa.string()),
             "bm": pa.array(blobs, pa.binary())})
 
+    # native: the partition key grows with the event ids
     index = events_ds.select_columns(["event_id", "event_type", "ts"]) \
         .map_batches(prep, batch_format="pyarrow",
                      zero_copy_batch=True) \
@@ -819,11 +773,9 @@ def bitmap_index_queries(events_ds):
         return pa.table({"query_id": pa.array(out_q, pa.int64()),
                          "n": pa.array(out_n, pa.int64())})
 
-    rows = index.groupby("part").map_groups(
-        answer, batch_format="pandas") \
-        .groupby("query_id").aggregate(Sum("n", alias_name="n")) \
-        .take_all()
-    per = {int(r["query_id"]): int(r["n"]) for r in rows}
+    rows = fold(index.groupby("part").map_groups(
+        answer, batch_format="pandas"), "query_id", {"n": ("sum", "n")})
+    per = dict(zip(rows["query_id"].to_pylist(), rows["n"].to_pylist()))
     return pa.table({
         "query_id": pa.array(range(len(queries)), pa.int64()),
         "n_rows": pa.array([per.get(i, 0) for i in

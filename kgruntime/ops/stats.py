@@ -434,8 +434,8 @@ def table_profile(ds, columns: list[str]):
     LOCAL-distinct (column, value-string) rows plus one stats sentinel
     row per column carrying (n_rows, n_nulls); the exploded stream is
     materialized (it is pre-deduped per batch, never bigger than the
-    source) and feeds two tiny aggregations — a (column, v) global
-    dedup → per-column distinct count, and a per-column null/row-count
+    source) and feeds a (column, v) global dedup, then two folds — the
+    per-column distinct count and the per-column null/row-count
     rollup.  Nulls are dropped before the value explode —
     ``count(DISTINCT)`` semantics, and Ray's groupby can't sort null
     keys.  Floats are normalized with ``+0.0`` first so -0.0 and 0.0
@@ -445,7 +445,8 @@ def table_profile(ds, columns: list[str]):
     """
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
+
+    from .groups import fold
 
     def explode(t: pa.Table) -> pa.Table:
         names, vals, nrows, nnulls = [], [], [], []
@@ -481,18 +482,16 @@ def table_profile(ds, columns: list[str]):
     def only_values(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_valid(t["v"])).select(["column", "v"])
 
-    nulls = exploded.map_batches(only_stats, batch_format="pyarrow") \
-        .groupby("column") \
-        .aggregate(Sum("n_rows", alias_name="n_rows"),
-                   Sum("n_nulls", alias_name="n_nulls")) \
-        .to_pandas()
-    dist = exploded.map_batches(only_values, batch_format="pyarrow") \
-        .groupby(["column", "v"]).count() \
-        .groupby("column").aggregate(Count(alias_name="n_distinct")) \
-        .to_pandas()
+    nulls = fold(exploded.map_batches(only_stats, batch_format="pyarrow"),
+                 "column", {"n_rows": ("sum", "n_rows"),
+                            "n_nulls": ("sum", "n_nulls")}).to_pandas()
+    # native: the (column, value) key grows with the rows
+    dist = fold(exploded.map_batches(only_values, batch_format="pyarrow")
+                .groupby(["column", "v"]).count(), "column",
+                {"n_distinct": ("count", None)}).to_pandas()
     nulls = nulls.merge(dist, on="column", how="left")
     nulls["n_distinct"] = nulls["n_distinct"].fillna(0).astype("int64")
-    return nulls.sort_values("column").reset_index(drop=True)
+    return nulls
 
 
 def table_profile_sql(columns: list[str], table: str) -> str:
@@ -783,10 +782,14 @@ def dp_noisy_counts(events_ds, zmax: int = 8):
 
     Output: (event_type, day, noisy_count).
 
-    Scale shape: ONE native groupby builds the (type, day) count table
-    (bounded by |types| × |days|, not the corpus); the noise decoration
-    is a pure per-row function.
+    Scale shape: ONE fold builds the (type, day) count table on the
+    driver (bounded by |types| × |days|, not the corpus); the noise
+    decoration is a pure per-row function.
     """
+    import ray.data as rd
+
+    from .groups import fold
+
     thr = _dlaplace_thresholds(zmax)
     T = np.array([t for _, t in thr], np.uint64)
     Z = np.array([z for z, _ in thr], np.int64)
@@ -796,7 +799,7 @@ def dp_noisy_counts(events_ds, zmax: int = 8):
 
         et = t["event_type"].to_pylist()
         day = t["day"].to_numpy(zero_copy_only=False)
-        c = t["count()"].to_numpy(zero_copy_only=False)
+        c = t["n"].to_numpy(zero_copy_only=False)
         h = np.array([_md5_60(f"{e}|{d}".encode())
                       for e, d in zip(et, day)], np.uint64)
         idx = np.minimum(np.searchsorted(T, h, side="right"), len(Z) - 1)
@@ -813,11 +816,10 @@ def dp_noisy_counts(events_ds, zmax: int = 8):
             pa.scalar(86_400_000_000, pa.int64()))
         return pa.table({"event_type": t["event_type"], "day": day})
 
-    return events_ds.select_columns(["event_type", "ts"]) \
-        .map_batches(prep, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["event_type", "day"]).count() \
-        .map_batches(decorate, batch_format="pyarrow")
+    return rd.from_arrow(decorate(fold(
+        events_ds.select_columns(["event_type", "ts"])
+        .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "day"], {"n": ("count", None)})))
 
 
 def dp_noisy_counts_sql(zmax: int = 8) -> str:
@@ -1038,29 +1040,24 @@ def benford_audit(events_ds):
 
     Scale shape: leading-digit extraction is per-batch (string head of
     the int — no float log10, whose boundary rounding at powers of ten
-    could misbin), pre-aggregated to ≤9 rows per block into one tiny
-    groupby.
+    could misbin), and one fold counts the ≤9 digits on the driver.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
-    def partial(t: pa.Table) -> pa.Table:
+    from .groups import fold
+
+    def digits(t: pa.Table) -> pa.Table:
         v = pc.multiply(t["value"], 100.0)
         cents = pc.cast(pc.round(v, round_mode="half_towards_infinity"),
                         pa.int64()).to_numpy(zero_copy_only=False)
-        cents = cents[cents > 0]
-        digits = np.array([int(str(int(c))[0]) for c in cents],
-                          np.int64)
-        cnt = np.bincount(digits, minlength=10)[1:10]
-        return pa.table({"digit": pa.array(np.arange(1, 10), pa.int64()),
-                         "n": pa.array(cnt, pa.int64())})
+        return pa.table({"digit": pa.array(
+            [int(str(int(c))[0]) for c in cents[cents > 0]], pa.int64())})
 
-    rows = events_ds.select_columns(["value"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("digit").aggregate(Sum("n", alias_name="n")) \
-        .take_all()
-    per = {int(r["digit"]): int(r["n"]) for r in rows}
+    rows = fold(events_ds.select_columns(["value"])
+                .map_batches(digits, batch_format="pyarrow",
+                             zero_copy_batch=True),
+                "digit", {"n": ("count", None)})
+    per = dict(zip(rows["digit"].to_pylist(), rows["n"].to_pylist()))
     total = sum(per.values())
     bf = _benford_ppm()
     out = {"digit": [], "n": [], "share_ppm": [], "benford_ppm": [],

@@ -449,20 +449,24 @@ def vocab_per_lang(docs_ds):
     """Distinct-word count per language — exact distributed COUNT
     DISTINCT: per-batch polars explode + unique reduces each block to
     its distinct (lang, word) pairs, one ``groupby`` dedups globally,
-    and a second tiny ``groupby(lang)`` counts.  The heavy shuffle
+    and a fold counts them per lang on the driver.  The one shuffle
     carries deduplicated pairs (bounded by vocab × langs), never
     one row per token."""
-    from ray.data.aggregate import Count
+    import ray.data as rd
+
+    from .groups import fold
 
     def partial(t: pa.Table) -> pa.Table:
         g = _explode_words(t, with_lang=True).unique(["lang", "word"])
         return g.to_arrow().cast(
             pa.schema([("lang", pa.string()), ("word", pa.string())]))
 
-    return docs_ds.select_columns(["text", "lang"]) \
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["lang", "word"]).count() \
-        .groupby("lang").aggregate(Count(alias_name="vocab_size"))
+    # native: the (lang, word) key grows with the vocabulary
+    return rd.from_arrow(fold(
+        docs_ds.select_columns(["text", "lang"])
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby(["lang", "word"]).count(), "lang",
+        {"vocab_size": ("count", None)}))
 
 
 VOCAB_PER_LANG_SQL = """
@@ -738,10 +742,9 @@ def source_mix_weights(docs_ds):
     weights — the "data mixing" step that decides how to up/down-sample
     each source before training.
 
-    Scale shape: one vectorized pass counts tokens per doc and
-    pre-aggregates per-batch (source, n_docs, n_tokens) partials, so
-    the ``groupby`` shuffle carries one row per source per batch; the
-    per-source table (a handful of rows) is finished on the driver with
+    Scale shape: one vectorized pass counts tokens per doc and one
+    fold sums them per source on the driver, no shuffle; the
+    per-source table (a handful of rows) is finished there with
     exact integer sums and single-IEEE-op divisions rounded
     half-away-from-zero, matching the DuckDB oracle bit for bit.
 
@@ -750,29 +753,21 @@ def source_mix_weights(docs_ds):
     each source's sampling rate by its weight yields a uniform token
     mix.
     """
-    from ray.data.aggregate import Sum
+    from .groups import fold
 
-    def partial(t: pa.Table) -> pa.Table:
+    def tokens(t: pa.Table) -> pa.Table:
         trimmed = pc.utf8_trim_whitespace(t["text"])
         n_tok = pc.if_else(
             pc.equal(trimmed, ""), pa.scalar(0, pa.int64()),
             pc.cast(pc.count_substring_regex(trimmed, r"\S+"), pa.int64()))
-        g = pa.Table.from_arrays([t["source"], n_tok],
-                                 names=["source", "n_tokens"]) \
-            .group_by("source", use_threads=False) \
-            .aggregate([("n_tokens", "sum"), ("n_tokens", "count")])
-        return g.rename_columns(["source", "n_tokens", "n_docs"]) \
-            .cast(pa.schema([("source", pa.string()),
-                             ("n_tokens", pa.int64()),
-                             ("n_docs", pa.int64())]))
+        return pa.Table.from_arrays([t["source"], n_tok],
+                                    names=["source", "n_tokens"])
 
-    per_src = docs_ds.select_columns(["source", "text"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("source") \
-        .aggregate(Sum("n_docs", alias_name="n_docs"),
-                   Sum("n_tokens", alias_name="n_tokens")) \
-        .to_pandas().sort_values("source").reset_index(drop=True)
+    per_src = fold(docs_ds.select_columns(["source", "text"])
+                   .map_batches(tokens, batch_format="pyarrow",
+                                zero_copy_batch=True),
+                   "source", {"n_docs": ("count", None),
+                              "n_tokens": ("sum", "n_tokens")}).to_pandas()
 
     total = int(per_src["n_tokens"].sum())
     n_src = len(per_src)
@@ -2063,13 +2058,13 @@ def trigram_diversity(docs_ds):
     hashing); ONE segment exchange on ``h`` (``groups.segment_map``)
     co-locates all copies of a gram, so per-block distinct
     ``(h, source)`` counts are exact global distincts and ``sum(cnt)``
-    exact totals; a final |sources|-row groupby merges block partials.
-    Text never crosses an exchange.
+    exact totals; a fold merges the |sources|-row block partials on
+    the driver.  Text never crosses an exchange.
     """
-    from ray.data.aggregate import Sum
+    import ray.data as rd
 
     from .dedup import _md5_60_memo
-    from .groups import segment_map
+    from .groups import fold, segment_map
 
     def partial(t: pa.Table) -> pa.Table:
         agg: dict[tuple[int, str], int] = {}
@@ -2097,26 +2092,16 @@ def trigram_diversity(docs_ds):
                          "n_grams": d["cnt_sum_sum"],
                          "n_distinct": d["h_count"]})
 
-    agg = segment_map(docs_ds.select_columns(["source", "text"])
-                      .map_batches(partial, batch_format="pyarrow",
-                                   zero_copy_batch=True),
-                      "h", per_block) \
-        .groupby("source").aggregate(
-            Sum("n_grams", alias_name="n_grams"),
-            Sum("n_distinct", alias_name="n_distinct"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        ng = t["n_grams"].to_numpy(zero_copy_only=False)
-        nd = t["n_distinct"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "source": t["source"],
-            "n_grams": pa.array(ng, pa.int64()),
-            "n_distinct": pa.array(nd, pa.int64()),
-            "diversity_ppm": pa.array(1_000_000 * nd // ng, pa.int64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow") \
-        .sort("source")
+    t = fold(segment_map(docs_ds.select_columns(["source", "text"])
+                         .map_batches(partial, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                         "h", per_block), "source",
+             {"n_grams": ("sum", "n_grams"),
+              "n_distinct": ("sum", "n_distinct")})
+    ng = t["n_grams"].to_numpy(zero_copy_only=False)
+    nd = t["n_distinct"].to_numpy(zero_copy_only=False)
+    return rd.from_arrow(t.append_column(
+        "diversity_ppm", pa.array(1_000_000 * nd // ng, pa.int64())))
 
 
 def trigram_diversity_sql(table: str = "documents") -> str:
@@ -2316,12 +2301,13 @@ def feature_cross_hash(events_ds, num_buckets: int = 1 << 14):
     Scale shape: per-batch distinct combos (arrow group_by combiner),
     ONE global groupby on the 8-byte cross hash (collision-free md5-60
     keyspace for distinctness; the BUCKET is its mod), then a
-    bucket-keyed count — every exchange row is two int64s.
+    bucket-keyed fold on the driver — every exchange row is two int64s.
     """
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
     from .dedup import _md5_60
+    from .groups import fold
 
     def combos(t: pa.Table) -> pa.Table:
         ts = pc.cast(t["ts"], pa.timestamp("us"))
@@ -2339,22 +2325,22 @@ def feature_cross_hash(events_ds, num_buckets: int = 1 << 14):
                      np.int64)
         return pa.table({"h": pa.array(h, pa.int64())})
 
-    buckets = events_ds.select_columns(["user_id", "event_type", "ts"]) \
-        .map_batches(combos, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("h").aggregate(Count()) \
-        .map_batches(lambda t: pa.table(
-            {"bucket": pc.call_function(
-                "subtract", [t["h"], pc.multiply(
-                    pc.divide(t["h"],
-                              pa.scalar(num_buckets, pa.int64())),
-                    pa.scalar(num_buckets, pa.int64()))])}),
-            batch_format="pyarrow") \
-        .groupby("bucket").aggregate(Count(alias_name="n")) \
-        .take_all()
+    # native: the cross hash grows with the users
+    buckets = fold(events_ds.select_columns(["user_id", "event_type", "ts"])
+                   .map_batches(combos, batch_format="pyarrow",
+                                zero_copy_batch=True)
+                   .groupby("h").aggregate(Count())
+                   .map_batches(lambda t: pa.table(
+                       {"bucket": pc.call_function(
+                           "subtract", [t["h"], pc.multiply(
+                               pc.divide(t["h"],
+                                         pa.scalar(num_buckets, pa.int64())),
+                               pa.scalar(num_buckets, pa.int64()))])}),
+                       batch_format="pyarrow"),
+                   "bucket", {"n": ("count", None)})["n"].to_numpy()
     n_buckets_used = len(buckets)
-    n_crosses = sum(int(r["n"]) for r in buckets)
-    n_collided = sum(int(r["n"]) for r in buckets if int(r["n"]) > 1)
+    n_crosses = int(buckets.sum())
+    n_collided = int(buckets[buckets > 1].sum())
     return pa.table({
         "n_crosses": pa.array([n_crosses], pa.int64()),
         "n_buckets_used": pa.array([n_buckets_used], pa.int64()),

@@ -9,8 +9,10 @@ reference's test harness exercises its sort/dedup/compare ops
 * per-batch logic is vectorized pyarrow/pandas — no Python row loops;
 * dimension tables join by broadcast (driver-side Arrow table → closure)
   instead of shuffling the fact table;
-* aggregations pre-aggregate per batch where profitable and use Ray's
-  native hash ``groupby().aggregate(...)``.
+* an aggregate over a bounded key (statuses, nations, types, months)
+  is one ``groups.fold`` — per-batch Arrow partials merged on the
+  driver, no exchange; a key that grows with the rows (customers,
+  orders, users) keeps Ray's native ``groupby().aggregate(...)``.
 
 Column-naming contract: every computed column is named identically in
 the Ray pipeline and its oracle SQL (the driver hash-compares values
@@ -26,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from .ops.groups import fold
 
 
 def _path(sf_dir: str, name: str) -> str:
@@ -65,12 +69,10 @@ def _money_cents(col) -> pa.Array:
 
 
 # ---------------------------------------------------------------------------
-# Q1-style pricing summary (scan → filter → groupby-agg → sort)
+# Q1-style pricing summary (scan → filter → fold → sort)
 # ---------------------------------------------------------------------------
 
 def q_pricing_summary(sf_dir: str):
-    from ray.data.aggregate import Count, Mean, Sum
-
     cutoff = "1998-09-01"
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_linestatus", "l_quantity",
@@ -87,20 +89,20 @@ def q_pricing_summary(sf_dir: str):
         bp = _to_int64(t["l_discount"], 10_000)
         disc_n = pc.multiply(cents, pc.subtract(pa.scalar(10_000, pa.int64()),
                                                 bp))
+        # l_quantity is integral: the checked cast sums it exactly
         return pa.Table.from_arrays(
-            [t["l_returnflag"], t["l_linestatus"], t["l_quantity"],
-             cents, disc_n],
+            [t["l_returnflag"], t["l_linestatus"],
+             pc.cast(t["l_quantity"], pa.int64()), cents, disc_n],
             names=["l_returnflag", "l_linestatus", "qty", "cents", "disc_n"])
 
-    out = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["l_returnflag", "l_linestatus"]) \
-        .aggregate(Sum("qty", alias_name="sum_qty"),
-                   Sum("cents", alias_name="sum_cents"),
-                   Sum("disc_n", alias_name="sum_disc_n"),
-                   Mean("qty", alias_name="avg_qty"),
-                   Count(alias_name="count_order"))
-    df = out.to_pandas().sort_values(["l_returnflag", "l_linestatus"]) \
-        .reset_index(drop=True)
+    df = fold(ds.map_batches(prep, batch_format="pyarrow",
+                             zero_copy_batch=True),
+              ["l_returnflag", "l_linestatus"],
+              {"sum_qty": ("sum", "qty"), "sum_cents": ("sum", "cents"),
+               "sum_disc_n": ("sum", "disc_n"),
+               "count_order": ("count", None)}).to_pandas()
+    df["sum_qty"] = df["sum_qty"].astype("float64")
+    df["avg_qty"] = df["sum_qty"] / df["count_order"]
     df["sum_base_price"] = df.pop("sum_cents") / 100.0
     df["sum_disc_price"] = df.pop("sum_disc_n") / 1_000_000.0
     df = df[["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
@@ -127,12 +129,10 @@ ORDER BY l_returnflag, l_linestatus
 
 
 # ---------------------------------------------------------------------------
-# orders by status (groupby + rounded money sum)
+# orders by status (fold + rounded money sum)
 # ---------------------------------------------------------------------------
 
 def q_orders_by_status(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "orders", columns=["o_orderstatus", "o_totalprice"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -140,11 +140,10 @@ def q_orders_by_status(sf_dir: str):
             [t["o_orderstatus"], _money_cents(t["o_totalprice"])],
             names=["o_orderstatus", "cents"])
 
-    df = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("o_orderstatus") \
-        .aggregate(Count(alias_name="n_orders"),
-                   Sum("cents", alias_name="cents")) \
-        .to_pandas().sort_values("o_orderstatus").reset_index(drop=True)
+    df = fold(ds.map_batches(prep, batch_format="pyarrow",
+                             zero_copy_batch=True), "o_orderstatus",
+              {"n_orders": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pandas()
     df["total_price"] = df.pop("cents") / 100.0
     return _round_cols(df[["o_orderstatus", "n_orders", "total_price"]],
                        ["total_price"], 4)
@@ -176,6 +175,7 @@ def q_top_customers(sf_dir: str):
     # winning rows ever reach the driver.  The names come from a
     # predicate-pushdown parquet read over just those 10 keys — never a
     # whole-dimension driver dict (at 100x, customer is ~15M rows).
+    # native: the customer key grows with the rows
     top = orders.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True) \
         .groupby("o_custkey").aggregate(Sum("cents", alias_name="cents")) \
@@ -202,13 +202,11 @@ LIMIT 10
 
 
 # ---------------------------------------------------------------------------
-# region → nation → customer rollup (two broadcast joins, no shuffle of
-# the fact table until the final small groupby)
+# region → nation → customer rollup (two broadcast joins and one fold:
+# the fact table never shuffles)
 # ---------------------------------------------------------------------------
 
 def q_customers_per_region(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     nation = pq.read_table(_path(sf_dir, "nation"))
     region = pq.read_table(_path(sf_dir, "region"))
     r_names = dict(zip(region["r_regionkey"].to_pylist(),
@@ -226,11 +224,9 @@ def q_customers_per_region(sf_dir: str):
         t = t.append_column("r_name", pc.take(vals, idx))
         return t.append_column("cents", _money_cents(t["c_acctbal"]))
 
-    df = cust.map_batches(attach, batch_format="pyarrow") \
-        .groupby("r_name") \
-        .aggregate(Count(alias_name="n_customers"),
-                   Sum("cents", alias_name="cents")) \
-        .to_pandas().sort_values("r_name").reset_index(drop=True)
+    df = fold(cust.map_batches(attach, batch_format="pyarrow"), "r_name",
+              {"n_customers": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pandas()
     df["total_acctbal"] = df.pop("cents") / 100.0
     return df
 
@@ -250,8 +246,6 @@ GROUP BY r_name ORDER BY r_name
 # ---------------------------------------------------------------------------
 
 def q_events_by_type_day(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -261,11 +255,10 @@ def q_events_by_type_day(sf_dir: str):
             [t["event_type"], day, _money_cents(t["value"])],
             names=["event_type", "day", "cents"])
 
-    df = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["event_type", "day"]) \
-        .aggregate(Count(alias_name="n_events"),
-                   Sum("cents", alias_name="cents")) \
-        .to_pandas().sort_values(["event_type", "day"]).reset_index(drop=True)
+    df = fold(ds.map_batches(prep, batch_format="pyarrow",
+                             zero_copy_batch=True), ["event_type", "day"],
+              {"n_events": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pandas()
     df["total_value"] = df.pop("cents") / 100.0
     return df
 
@@ -291,6 +284,7 @@ def q_user_activity(sf_dir: str):
             [t["user_id"], _money_cents(t["value"]), t["value"]],
             names=["user_id", "cents", "value"])
 
+    # native: the user key grows with the rows
     df = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby("user_id") \
         .aggregate(Count(alias_name="n_events"),
@@ -315,14 +309,10 @@ FROM events GROUP BY user_id ORDER BY user_id
 # ---------------------------------------------------------------------------
 
 def q_parts_by_brand(sf_dir: str):
-    from ray.data.aggregate import Count, Max, Min
-
     ds = _read(sf_dir, "part", columns=["p_brand", "p_retailprice", "p_size"])
-    df = ds.groupby("p_brand") \
-        .aggregate(Count(alias_name="n_parts"),
-                   Max("p_retailprice", alias_name="max_price"),
-                   Min("p_size", alias_name="min_size")) \
-        .to_pandas().sort_values("p_brand").reset_index(drop=True)
+    df = fold(ds, "p_brand", {"n_parts": ("count", None),
+                              "max_price": ("max", "p_retailprice"),
+                              "min_size": ("min", "p_size")}).to_pandas()
     return _round_cols(df, ["max_price"], 4)
 
 
@@ -338,8 +328,6 @@ FROM part GROUP BY p_brand ORDER BY p_brand
 # ---------------------------------------------------------------------------
 
 def q_revenue_by_part_type(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     part = pq.read_table(_path(sf_dir, "part"), columns=["p_partkey", "p_type"])
     keys = part["p_partkey"].combine_chunks()
     vals = part["p_type"].combine_chunks()
@@ -356,9 +344,9 @@ def q_revenue_by_part_type(sf_dir: str):
         return pa.Table.from_arrays(
             [pc.take(vals, idx), rev_n], names=["p_type", "rev_n"])
 
-    df = ds.map_batches(attach, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("p_type").aggregate(Sum("rev_n", alias_name="rev_n")) \
-        .to_pandas().sort_values("p_type").reset_index(drop=True)
+    df = fold(ds.map_batches(attach, batch_format="pyarrow",
+                             zero_copy_batch=True), "p_type",
+              {"rev_n": ("sum", "rev_n")}).to_pandas()
     df["revenue"] = df.pop("rev_n") / 1_000_000.0
     return _round_cols(df[["p_type", "revenue"]], ["revenue"], 4)
 
@@ -393,8 +381,6 @@ def _distinct_keys(ds, filter_fn, key_col: str) -> pa.Array:
 
 
 def q_discounted_orders(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_discount"])
     keys = _distinct_keys(
         li, lambda t: t.filter(pc.greater(t["l_discount"], 0.09)),
@@ -410,12 +396,10 @@ def q_discounted_orders(sf_dir: str):
             [t["o_orderpriority"], _money_cents(t["o_totalprice"])],
             names=["o_orderpriority", "cents"])
 
-    df = orders.map_batches(semi, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby("o_orderpriority") \
-        .aggregate(Count(alias_name="n_orders"),
-                   Sum("cents", alias_name="cents")) \
-        .to_pandas().sort_values("o_orderpriority").reset_index(drop=True)
+    df = fold(orders.map_batches(semi, batch_format="pyarrow",
+                                 zero_copy_batch=True), "o_orderpriority",
+              {"n_orders": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pandas()
     df["total_price"] = df.pop("cents") / 100.0
     return df
 
@@ -471,18 +455,16 @@ ORDER BY c_custkey
 
 # ---------------------------------------------------------------------------
 # exact distinct-count via two-stage aggregation (distinct pairs shuffle,
-# then a small count per group — the scalable COUNT(DISTINCT) shape)
+# then a fold counts them per type — the scalable COUNT(DISTINCT) shape)
 # ---------------------------------------------------------------------------
 
 def q_distinct_users_per_type(sf_dir: str):
-    from ray.data.aggregate import Count
-
     ev = _read(sf_dir, "events", columns=["event_type", "user_id"])
+    # native: the (type, user) pairs grow with the users
     pairs = ev.groupby(["event_type", "user_id"]).count() \
         .drop_columns(["count()"])
-    return pairs.groupby("event_type") \
-        .aggregate(Count(alias_name="n_users")) \
-        .to_pandas().sort_values("event_type").reset_index(drop=True)
+    return fold(pairs, "event_type", {"n_users": ("count", None)}) \
+        .to_pandas()
 
 
 Q_DISTINCT_USERS_PER_TYPE_SQL = """
@@ -524,6 +506,7 @@ def q_top_event_per_user(sf_dir: str):
         return pa.Table.from_arrays([t["user_id"], eid, value],
                                     names=["user_id", "event_id", "value"])
 
+    # native: the user key grows with the rows
     return ev.map_batches(prep, batch_format="pyarrow",
                           zero_copy_batch=True) \
         .groupby("user_id").aggregate(Max("comp", alias_name="comp")) \
@@ -603,6 +586,7 @@ def q_shipping_priority(sf_dir: str):
             [t["o_orderkey"], pa.array(rev, pa.float64())],
             names=["o_orderkey", "revenue"])
 
+    # native: the order key grows with the rows
     top = li.map_batches(prep, batch_format="pyarrow",
                          zero_copy_batch=True) \
         .groupby("o_orderkey").aggregate(Sum("disc_n", alias_name="disc_n")) \
@@ -703,7 +687,7 @@ ORDER BY c.event_id
 
 # ---------------------------------------------------------------------------
 # interval (range) join: events bucketed into value bands — broadcast
-# band table, zero shuffle until the final tiny rollup (ops/asof.py)
+# band table and a fold of the bands, zero shuffle (ops/asof.py)
 # ---------------------------------------------------------------------------
 
 _VALUE_BANDS = [("T0", 0.0, 25.0), ("T1", 25.0, 50.0), ("T2", 50.0, 100.0),
@@ -711,8 +695,6 @@ _VALUE_BANDS = [("T0", 0.0, 25.0), ("T1", 25.0, 50.0), ("T2", 50.0, 100.0),
 
 
 def q_value_bands(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     from .ops.asof import band_join
 
     bands = pa.table({
@@ -725,13 +707,11 @@ def q_value_bands(sf_dir: str):
     def cents_col(t: pa.Table) -> pa.Table:
         return t.append_column("cents", _money_cents(t["value"]))
 
-    df = band_join(ev.map_batches(cents_col, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-                   bands, value_col="value") \
-        .groupby("band") \
-        .aggregate(Count(alias_name="n_events"),
-                   Sum("cents", alias_name="cents")) \
-        .to_pandas().sort_values("band").reset_index(drop=True)
+    df = fold(band_join(ev.map_batches(cents_col, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                        bands, value_col="value"), "band",
+              {"n_events": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pandas()
     df["total_value"] = df.pop("cents") / 100.0
     return df[["band", "n_events", "total_value"]]
 
@@ -809,8 +789,6 @@ FROM events GROUP BY event_type ORDER BY event_type
 # ---------------------------------------------------------------------------
 
 def q_local_supplier_revenue(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     from .ops.join import bucketed_hash_join
 
     nation = pq.read_table(_path(sf_dir, "nation"))
@@ -883,9 +861,8 @@ def q_local_supplier_revenue(sf_dir: str):
         return pa.Table.from_arrays([name, t["disc_n"]],
                                     names=["n_name", "disc_n"])
 
-    df = j.map_batches(local_only, batch_format="pyarrow") \
-        .groupby("n_name").aggregate(Sum("disc_n", alias_name="disc_n")) \
-        .to_pandas().sort_values("n_name").reset_index(drop=True)
+    df = fold(j.map_batches(local_only, batch_format="pyarrow"), "n_name",
+              {"disc_n": ("sum", "disc_n")}).to_pandas()
     df["revenue"] = df.pop("disc_n") / 1_000_000.0
     return _round_cols(df[["n_name", "revenue"]], ["revenue"], 4)
 
@@ -914,8 +891,6 @@ GROUP BY n_name ORDER BY n_name
 # ---------------------------------------------------------------------------
 
 def q_props_k_stats(sf_dir: str):
-    from ray.data.aggregate import Count, Max, Sum
-
     ev = _read(sf_dir, "events", columns=["event_type", "props"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -924,13 +899,10 @@ def q_props_k_stats(sf_dir: str):
         return pa.Table.from_arrays([t["event_type"], k],
                                     names=["event_type", "k"])
 
-    df = ev.map_batches(prep, batch_format="pyarrow",
-                        zero_copy_batch=True) \
-        .groupby("event_type") \
-        .aggregate(Count(alias_name="n_events"),
-                   Sum("k", alias_name="sum_k"),
-                   Max("k", alias_name="max_k")) \
-        .to_pandas().sort_values("event_type").reset_index(drop=True)
+    df = fold(ev.map_batches(prep, batch_format="pyarrow",
+                             zero_copy_batch=True), "event_type",
+              {"n_events": ("count", None), "sum_k": ("sum", "k"),
+               "max_k": ("max", "k")}).to_pandas()
     df["avg_k"] = df["sum_k"] / df["n_events"]
     return _round_cols(df[["event_type", "n_events", "sum_k", "max_k",
                            "avg_k"]], ["avg_k"], 6)
@@ -1008,6 +980,7 @@ def q_user_event_pivot(sf_dir: str):
         return pa.Table.from_arrays(cols, names=names)
 
     aggs = [Sum(f"{ty}_cnt", alias_name=f"{ty}_cnt") for ty in types]
+    # native: the user key grows with the rows
     return ds.map_batches(indicators, batch_format="pyarrow",
                           zero_copy_batch=True) \
         .groupby("user_id").aggregate(*aggs) \
@@ -1035,12 +1008,11 @@ FROM events GROUP BY user_id ORDER BY user_id
 # ---------------------------------------------------------------------------
 
 def q_rollup_region_nation(sf_dir: str):
-    """(region, nation) → (region) → () customer totals, computed as a
-    single native groupby at the finest grain plus a driver-side rollup
-    of the tiny |nations|-row result — the subtotal levels are derived,
-    not re-scanned (exact integer cents make the re-sums safe)."""
+    """(region, nation) → (region) → () customer totals, computed as
+    one fold at the finest grain plus a driver-side rollup of the tiny
+    |nations|-row result — the subtotal levels are derived, not
+    re-scanned (exact integer cents make the re-sums safe)."""
     import pandas as pd
-    from ray.data.aggregate import Count, Sum
 
     nation = pq.read_table(_path(sf_dir, "nation"))
     region = pq.read_table(_path(sf_dir, "region"))
@@ -1058,11 +1030,9 @@ def q_rollup_region_nation(sf_dir: str):
             [t["c_nationkey"], _money_cents(t["c_acctbal"])],
             names=["c_nationkey", "cents"])
 
-    base = cust.map_batches(prep, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby("c_nationkey") \
-        .aggregate(Count(alias_name="n_customers"),
-                   Sum("cents", alias_name="cents")) \
+    base = fold(cust.map_batches(prep, batch_format="pyarrow",
+                                 zero_copy_batch=True), "c_nationkey",
+                {"n_customers": ("count", None), "cents": ("sum", "cents")}) \
         .to_pandas()
     base["r_name"] = [n_info[k][0] for k in base["c_nationkey"]]
     base["n_name"] = [n_info[k][1] for k in base["c_nationkey"]]
@@ -1128,13 +1098,11 @@ FROM r WHERE rnk <= 3 ORDER BY n_name, rnk
 
 
 # ---------------------------------------------------------------------------
-# monthly revenue + 3-month moving average (native groupby to a tiny
+# monthly revenue + 3-month moving average (a fold to a tiny
 # month-grain result, window finished on the driver in exact cents)
 # ---------------------------------------------------------------------------
 
 def q_monthly_revenue_ma3(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     orders = _read(sf_dir, "orders",
                    columns=["o_orderdate", "o_totalprice"])
 
@@ -1145,12 +1113,10 @@ def q_monthly_revenue_ma3(sf_dir: str):
             [month, _money_cents(t["o_totalprice"])],
             names=["month", "cents"])
 
-    df = orders.map_batches(prep, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby("month") \
-        .aggregate(Count(alias_name="n_orders"),
-                   Sum("cents", alias_name="cents")) \
-        .to_pandas().sort_values("month").reset_index(drop=True)
+    df = fold(orders.map_batches(prep, batch_format="pyarrow",
+                                 zero_copy_batch=True), "month",
+              {"n_orders": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pandas()
     # window over the tiny month-grain frame, in exact Python ints
     cents = [int(c) for c in df["cents"]]
     ma3 = []
@@ -1186,6 +1152,7 @@ def q_long_docs_p90(sf_dir: str):
     from .ops.stats import _quantile_from_hist
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
+    # native: the length histogram grows with the longest document
     hist = docs.groupby("n_chars").count().to_pandas() \
         .sort_values("n_chars")
     thr = _quantile_from_hist(hist["n_chars"].to_numpy("int64"),
@@ -1207,13 +1174,11 @@ ORDER BY doc_id
 
 
 # ---------------------------------------------------------------------------
-# calendar extraction rollup (vectorized temporal kernels, native
-# groupby on the derived (isodow, hour) key)
+# calendar extraction rollup (vectorized temporal kernels, a fold on
+# the derived (isodow, hour) key)
 # ---------------------------------------------------------------------------
 
 def q_events_dow_hour(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ev = _read(sf_dir, "events", columns=["ts", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -1224,12 +1189,10 @@ def q_events_dow_hour(sf_dir: str):
              _money_cents(t["value"])],
             names=["dow", "hour", "cents"])
 
-    df = ev.map_batches(prep, batch_format="pyarrow",
-                        zero_copy_batch=True) \
-        .groupby(["dow", "hour"]) \
-        .aggregate(Count(alias_name="n_events"),
-                   Sum("cents", alias_name="cents")) \
-        .to_pandas().sort_values(["dow", "hour"]).reset_index(drop=True)
+    df = fold(ev.map_batches(prep, batch_format="pyarrow",
+                             zero_copy_batch=True), ["dow", "hour"],
+              {"n_events": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pandas()
     df["total_value"] = df.pop("cents") / 100.0
     return df[["dow", "hour", "n_events", "total_value"]]
 
@@ -1243,13 +1206,11 @@ FROM events GROUP BY dow, hour ORDER BY dow, hour
 
 
 # ---------------------------------------------------------------------------
-# share-of-total (two-level: native per-group aggregate, global scalar
-# derived from the tiny result on the driver — no second scan)
+# share-of-total (two-level: a per-group fold, global scalar derived
+# from the tiny result on the driver — no second scan)
 # ---------------------------------------------------------------------------
 
 def q_orders_priority_share(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     orders = _read(sf_dir, "orders",
                    columns=["o_orderpriority", "o_totalprice"])
 
@@ -1258,12 +1219,10 @@ def q_orders_priority_share(sf_dir: str):
             [t["o_orderpriority"], _money_cents(t["o_totalprice"])],
             names=["o_orderpriority", "cents"])
 
-    df = orders.map_batches(prep, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby("o_orderpriority") \
-        .aggregate(Count(alias_name="n_orders"),
-                   Sum("cents", alias_name="cents")) \
-        .to_pandas().sort_values("o_orderpriority").reset_index(drop=True)
+    df = fold(orders.map_batches(prep, batch_format="pyarrow",
+                                 zero_copy_batch=True), "o_orderpriority",
+              {"n_orders": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pandas()
     total = int(df["n_orders"].sum())
     df["pct_orders"] = [n * 100.0 / total for n in df["n_orders"]]
     df["revenue"] = df.pop("cents") / 100.0
@@ -1345,8 +1304,6 @@ ORDER BY p.event_id
 # ---------------------------------------------------------------------------
 
 def q_nation_trade_volume(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     from .ops.join import bucketed_hash_join
 
     nation = pq.read_table(_path(sf_dir, "nation"))
@@ -1402,12 +1359,9 @@ def q_nation_trade_volume(sf_dir: str):
             [sn, cn, t["ship_year"], t["disc_n"]],
             names=["supp_nation", "cust_nation", "ship_year", "disc_n"])
 
-    df = j.map_batches(cross_nation, batch_format="pyarrow") \
-        .groupby(["supp_nation", "cust_nation", "ship_year"]) \
-        .aggregate(Sum("disc_n", alias_name="disc_n")) \
-        .to_pandas() \
-        .sort_values(["supp_nation", "cust_nation", "ship_year"]) \
-        .reset_index(drop=True)
+    df = fold(j.map_batches(cross_nation, batch_format="pyarrow"),
+              ["supp_nation", "cust_nation", "ship_year"],
+              {"disc_n": ("sum", "disc_n")}).to_pandas()
     df["revenue"] = df.pop("disc_n") / 1_000_000.0
     return _round_cols(df, ["revenue"], 4)
 
@@ -1477,11 +1431,10 @@ def q_bloom_filtered_brand_revenue(sf_dir: str, min_size: int = 40,
     streams lineitem through the broadcast bits (`ray.put` once, numpy
     gather per batch — no per-batch reship), dropping non-members
     before any money math; stage 3 removes Bloom false positives with
-    the exact broadcast (key → brand) lookup and pre-aggregates
-    (brand, cents) partials into one tiny groupby.
+    the exact broadcast (key → brand) lookup, and one fold sums
+    (brand, cents) on the driver.
     """
     import ray
-    from ray.data.aggregate import Count, Sum
 
     import pyarrow.dataset as pads
 
@@ -1504,8 +1457,7 @@ def q_bloom_filtered_brand_revenue(sf_dir: str, min_size: int = 40,
         t = t.filter(pa.array(hit))
         if t.num_rows == 0:
             return pa.table({"p_brand": pa.array([], pa.string()),
-                             "rev_n": pa.array([], pa.int64()),
-                             "one": pa.array([], pa.int64())})
+                             "rev_n": pa.array([], pa.int64())})
         # exact lookup removes Bloom false positives
         idx = pc.index_in(t["l_partkey"], value_set=keys)
         ok = pc.is_valid(idx)
@@ -1514,17 +1466,13 @@ def q_bloom_filtered_brand_revenue(sf_dir: str, min_size: int = 40,
         bp = _to_int64(t["l_discount"], 10_000)
         rev_n = pc.multiply(cents, pc.subtract(
             pa.scalar(10_000, pa.int64()), bp))
-        return pa.Table.from_arrays(
-            [pc.take(brands, idx), rev_n,
-             pa.array(np.ones(t.num_rows, np.int64))],
-            names=["p_brand", "rev_n", "one"])
+        return pa.Table.from_arrays([pc.take(brands, idx), rev_n],
+                                    names=["p_brand", "rev_n"])
 
-    df = ds.map_batches(attach, batch_format="pyarrow",
-                        zero_copy_batch=True) \
-        .groupby("p_brand").aggregate(
-            Sum("one", alias_name="n_items"),
-            Sum("rev_n", alias_name="rev_n")) \
-        .to_pandas().sort_values("p_brand").reset_index(drop=True)
+    df = fold(ds.map_batches(attach, batch_format="pyarrow",
+                             zero_copy_batch=True), "p_brand",
+              {"n_items": ("count", None), "rev_n": ("sum", "rev_n")}) \
+        .to_pandas()
     df["revenue"] = df.pop("rev_n") / 1_000_000.0
     return _round_cols(df[["p_brand", "n_items", "revenue"]],
                        ["revenue"], 4)
@@ -1545,7 +1493,7 @@ GROUP BY p_brand ORDER BY p_brand
 def q_revenue_cube(sf_dir: str):
     """CUBE(o_orderpriority, o_orderstatus) revenue rollup — all four
     grouping sets ((p,s), (p), (s), ()) from ONE corpus pass: the
-    finest-grain groupby is |priorities|×|statuses| rows (bounded,
+    finest-grain fold is |priorities|×|statuses| rows (bounded,
     corpus-size-independent) and the three coarser sets are pure-Python
     re-aggregations of those partials on the driver — the
     pre-aggregate-reuse shape, vs. a naive CUBE that scans the fact
@@ -1553,8 +1501,6 @@ def q_revenue_cube(sf_dir: str):
     value-hash oracle needs no NULL-ordering convention.
     """
     from collections import defaultdict
-
-    from ray.data.aggregate import Count, Sum
 
     ds = _read(sf_dir, "orders",
                columns=["o_orderpriority", "o_orderstatus",
@@ -1566,12 +1512,10 @@ def q_revenue_cube(sf_dir: str):
              _money_cents(t["o_totalprice"])],
             names=["prio", "status", "cents"])
 
-    fine = ds.map_batches(prep, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby(["prio", "status"]) \
-        .aggregate(Count(alias_name="n_orders"),
-                   Sum("cents", alias_name="cents")) \
-        .take_all()                     # bounded: |prio| × |status|
+    fine = fold(ds.map_batches(prep, batch_format="pyarrow",
+                               zero_copy_batch=True), ["prio", "status"],
+                {"n_orders": ("count", None), "cents": ("sum", "cents")}) \
+        .to_pylist()                    # bounded: |prio| × |status|
 
     sets = defaultdict(lambda: [0, 0])
     for r in fine:
@@ -1610,14 +1554,11 @@ def q_basket_affinity(sf_dir: str):
     Scale shape: two bucketed hash joins (lineitem→orders on orderkey,
     then →part on partkey — both int-keyed, no driver-side maps), a
     per-batch polars distinct combiner before the (customer, type)
-    groupby, pair explosion inside per-customer ``map_groups`` (groups
-    bounded by a customer's distinct type count, pairs by its square),
-    and a |types|²-bounded pair count.  Marginals and the customer
-    count are |types|- and bounded-row aggregates; the driver only ever
-    holds type-vocabulary-sized tables.
+    groupby, pair explosion as a bucketed self-join on the customer,
+    and a |types|²-bounded pair count.  The pair count and the type
+    marginals are folds; the driver only ever holds type-vocabulary-
+    sized tables.
     """
-    from ray.data.aggregate import Count
-
     from .ops.join import bucketed_hash_join
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
@@ -1660,25 +1601,19 @@ def q_basket_affinity(sf_dir: str):
         f = t.filter(m)
         return pa.table({"type_a": f["p_type"], "type_b": f["type_b"]})
 
-    paircnt = joined.map_batches(keep_ordered, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .groupby(["type_a", "type_b"]) \
-        .aggregate(Count(alias_name="n_ab")).take_all()
-
-    marg = {r["p_type"]: int(r["count()"])
-            for r in dist.groupby("p_type").count().take_all()}
+    pairs = fold(joined.map_batches(keep_ordered, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                 ["type_a", "type_b"], {"n_ab": ("count", None)})
+    types = fold(dist, "p_type", {"n": ("count", None)})
+    marg = dict(zip(types["p_type"].to_pylist(), types["n"].to_pylist()))
+    # native: the customer key grows with the rows
     n_cust = dist.groupby("o_custkey").count().count()
 
-    rows = sorted((r["type_a"], r["type_b"], int(r["n_ab"]))
-                  for r in paircnt)
-    return pa.table({
-        "type_a": pa.array([r[0] for r in rows], pa.string()),
-        "type_b": pa.array([r[1] for r in rows], pa.string()),
-        "n_ab": pa.array([r[2] for r in rows], pa.int64()),
-        "lift_ppm": pa.array(
-            [(1_000_000 * r[2] * n_cust) // (marg[r[0]] * marg[r[1]])
-             for r in rows], pa.int64()),
-    })
+    return pairs.append_column("lift_ppm", pa.array(
+        [(1_000_000 * n * n_cust) // (marg[a] * marg[b])
+         for a, b, n in zip(*(pairs[c].to_pylist() for c in
+                               ("type_a", "type_b", "n_ab")))],
+        pa.int64()))
 
 
 Q_BASKET_AFFINITY_SQL = """
@@ -2019,6 +1954,7 @@ def q_join_strategy_advisor(sf_dir: str, broadcast_limit: int = 50_000,
     left_rows = orders.count()
     right_rows = _read(sf_dir, "customer",
                        columns=["c_custkey"]).count()
+    # native: the customer key grows with the rows
     mx = orders.groupby("o_custkey").count() \
         .aggregate(Max("count()"))["max(count())"]
     max_cnt = int(mx) if mx is not None else 0
@@ -2104,6 +2040,7 @@ def q_supplier_performance(sf_dir: str, late_days: int = 90):
 
     from ray.data.aggregate import Sum
 
+    # native: the supplier key grows with the rows
     per_supp = joined.map_batches(partial, batch_format="pyarrow",
                                   zero_copy_batch=True) \
         .groupby("sk").aggregate(Sum("n", alias_name="n"),
